@@ -38,6 +38,8 @@ EXIT_DEGENERATE = 4
 EXIT_GATE = 5
 
 SOLUTION_FIELDS = ("f", "g", "fx", "fy", "gx", "gy")
+# sidecar entries that ``export`` reads
+SIDECAR_KEYS = {"nx", "ny", "x0", "y0", "hx", "hy", "fields"}
 
 
 # ---------------------------------------------------------------------------
@@ -104,18 +106,31 @@ def _radians_guard(name: str, value: float) -> float:
 
 def _load_json(path: str) -> dict:
     try:
-        return json.loads(Path(path).read_text())
+        cfg = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(EXIT_PARSE, f"cannot read config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise CliError(EXIT_PARSE, f"config {path} must hold a JSON object")
+    return cfg
+
+
+def _plane(obj, what: str) -> Plane:
+    """Plane from decoded JSON: a wrongly shaped document is a parse error,
+    a frame that is not orthonormal a precondition violation."""
+    try:
+        return plane_from_json(obj)
+    except TypeError as exc:
+        raise CliError(EXIT_PARSE, f"{what}: {exc}") from exc
+    except ValueError as exc:
+        raise CliError(EXIT_PRECONDITION, f"{what}: {exc}") from exc
 
 
 def _plane_from_arg(text: str, what: str) -> Plane:
     try:
-        return plane_from_json(json.loads(text))
+        obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliError(EXIT_PARSE, f"{what}: invalid JSON: {exc}") from exc
-    except ValueError as exc:
-        raise CliError(EXIT_PRECONDITION, f"{what}: {exc}") from exc
+    return _plane(obj, what)
 
 
 def _single_var_data(expr_src: str, var_hint: str):
@@ -156,12 +171,10 @@ def _cmd_angles(args) -> int:
     if args.config:
         cfg = _load_json(args.config)
         try:
-            V = plane_from_json(cfg["V"])
-            W = plane_from_json(cfg["W"])
+            V, W = cfg["V"], cfg["W"]
         except KeyError as exc:
             raise CliError(EXIT_PARSE, f"config is missing plane {exc}")
-        except ValueError as exc:
-            raise CliError(EXIT_PRECONDITION, str(exc))
+        V, W = _plane(V, "V"), _plane(W, "W")
     elif args.v and args.w:
         V = _plane_from_arg(args.v, "--v")
         W = _plane_from_arg(args.w, "--w")
@@ -177,6 +190,9 @@ def _cmd_angles(args) -> int:
 
 def _surface_from_config(cfg: dict):
     """Build (patch, plane, meta) from a verify-config dictionary."""
+    for key in ("surface", "graph"):
+        if not isinstance(cfg.get(key, {}), dict):
+            raise CliError(EXIT_PARSE, f"config '{key}' must be an object")
     if "surface" in cfg:
         spec = dict(cfg["surface"])
         kind = spec.pop("kind", None)
@@ -188,7 +204,7 @@ def _surface_from_config(cfg: dict):
             raise CliError(EXIT_PRECONDITION, f"surface: {exc}") from exc
         plane = cs.plane
         if "plane" in cfg:
-            plane = plane_from_json(cfg["plane"])
+            plane = _plane(cfg["plane"], "plane")
         return cs.patch, plane, {"kind": kind,
                                  "expected": [cs.expected.theta1, cs.expected.theta2]}
     if "graph" in cfg:
@@ -206,7 +222,7 @@ def _surface_from_config(cfg: dict):
                                       scalar_jet_from_exprs(ge),
                                       (dom[0], dom[1]), (dom[2], dom[3]),
                                       name="graph")
-        plane = plane_from_json(cfg["plane"]) if "plane" in cfg else \
+        plane = _plane(cfg["plane"], "plane") if "plane" in cfg else \
             Plane(np.eye(4)[0], np.eye(4)[1])
         return patch, plane, {"kind": "graph", "f": g["f"], "g": g["g"]}
     raise CliError(EXIT_PARSE, "config needs a 'surface' or 'graph' entry")
@@ -215,7 +231,11 @@ def _surface_from_config(cfg: dict):
 def _cmd_verify(args) -> int:
     cfg = _load_json(args.config)
     patch, plane, meta = _surface_from_config(cfg)
-    N, M = cfg.get("grid", [30, 30])
+    grid = cfg.get("grid", [30, 30])
+    if not (isinstance(grid, list)
+            and all(isinstance(n, (int, float)) for n in grid)):
+        raise CliError(EXIT_PARSE, "config 'grid' must be a list of two numbers")
+    N, M = grid
     grid_h = max((patch.u_range[1] - patch.u_range[0]) / max(N - 1, 1),
                  (patch.v_range[1] - patch.v_range[0]) / max(M - 1, 1))
     gate = float(cfg.get("gate", args.gate or default_gate(patch, grid_h)))
@@ -279,26 +299,10 @@ def _write_csv_report(report, path: str) -> None:
                 v if isinstance(v, str) else f"{v:.17g}" for v in row) + "\n")
 
 
-def _solution_layers(sol: hc.SolutionGrid, m_scale: float):
-    rs, cs = sol.rect()
-    xs, ys = sol.x[cs], sol.y[rs]
-    f = m_scale * sol.f[rs, cs]
-    g = m_scale * sol.g[rs, cs]
-    from .surface_analysis import fd_d1
-    hx = xs[1] - xs[0]
-    hy = ys[1] - ys[0]
-    layers = {
-        "f": f, "g": g,
-        "fx": fd_d1(f, hx, axis=1), "fy": fd_d1(f, hy, axis=0),
-        "gx": fd_d1(g, hx, axis=1), "gy": fd_d1(g, hy, axis=0),
-    }
-    return xs, ys, layers
-
-
-def _write_solution_bundle(prefix: str, sol: hc.SolutionGrid, m_scale: float,
+def _write_solution_bundle(prefix: str, graph: hc.GraphSurface,
                            params: hc.HelixParams) -> dict:
     """Binary dump + 8-field sidecar + CSV next to `prefix`."""
-    xs, ys, layers = _solution_layers(sol, m_scale)
+    xs, ys, layers = graph.xs, graph.ys, graph.grids
     stack = np.stack([layers[k] for k in SOLUTION_FIELDS])
     Path(prefix + ".bin").write_bytes(np.ascontiguousarray(stack).tobytes())
     sidecar = {
@@ -313,20 +317,14 @@ def _write_solution_bundle(prefix: str, sol: hc.SolutionGrid, m_scale: float,
     }
     Path(prefix + ".meta.json").write_text(dumps_stable(sidecar))
 
-    sec_sum, sec_prod = params.sec2_sum, params.sec2_prod
+    grads = [layers[k] for k in ("fx", "fy", "gx", "gy")]
+    columns = [*np.meshgrid(xs, ys), *stack,
+               *(hc.GRAPH_RESIDUALS[k](*grads, params)
+                 for k in ("helix_trace", "helix_det"))]
     with open(prefix + ".csv", "w") as fh:
         fh.write("x,y,f,g,fx,fy,gx,gy,residual_trace,residual_det\n")
-        for j, yv in enumerate(ys):
-            for i, xv in enumerate(xs):
-                fx, fy = layers["fx"][j, i], layers["fy"][j, i]
-                gx, gy = layers["gx"][j, i], layers["gy"][j, i]
-                E = 1 + fx * fx + gx * gx
-                F = fx * fy + gx * gy
-                Gm = 1 + fy * fy + gy * gy
-                vals = (xv, yv, layers["f"][j, i], layers["g"][j, i],
-                        fx, fy, gx, gy,
-                        E + Gm - sec_sum, E * Gm - F * F - sec_prod)
-                fh.write(",".join(f"{v:.17g}" for v in vals) + "\n")
+        np.savetxt(fh, np.stack(columns, axis=-1).reshape(-1, len(columns)),
+                   fmt="%.17g", delimiter=",")
     return sidecar
 
 
@@ -372,6 +370,8 @@ def _cmd_construct(args) -> int:
                 seed = hc.choose_feasible_seed(c_norm, x_range, y_max, hx, hy,
                                                args.curvature, branch)
         elif isinstance(seed_cfg, dict):
+            if not {"u0", "v0"} <= seed_cfg.keys():
+                raise CliError(EXIT_PARSE, "config seed needs both u0 and v0")
             seed = (float(seed_cfg["u0"]), float(seed_cfg["v0"]))
         else:
             u0, v0 = (float(t) for t in str(seed_cfg).split(","))
@@ -406,18 +406,11 @@ def _cmd_construct(args) -> int:
     # residuals over the centered-difference interior; the outermost nodes
     # carry one-sided derivative closures whose larger constant is a property
     # of the edge stencil, not of the surface
-    res_trace = res_det = dev_j = dev_n = 0.0
-    for yv in ys[1:-1]:
-        for xv in xs[1:-1]:
-            rt, rd = hc.helix_condition_residual(graph, params, (xv, yv))
-            res_trace = max(res_trace, abs(rt))
-            res_det = max(res_det, abs(rd))
-            _, fx, fy, _, _, _ = graph.f_jet(xv, yv)
-            _, gx, gy, _, _, _ = graph.g_jet(xv, yv)
-            dev_j = max(dev_j, abs(fx * gy - fy * gx - params.c2))
-            dev_n = max(dev_n, abs(fx * fx + fy * fy + gx * gx + gy * gy - params.c1))
+    inner = [graph.grids[k][1:-1, 1:-1] for k in ("fx", "fy", "gx", "gy")]
+    residuals = dict(zip(hc.GRAPH_RESIDUALS,
+                         hc.residual_maxima(hc.GRAPH_RESIDUALS, inner, params)))
     gate = args.gate
-    passed = max(res_trace, res_det, dev_j, dev_n) < gate
+    passed = max(residuals.values()) < gate
 
     header = {
         "theta1": params.theta1,
@@ -433,8 +426,7 @@ def _cmd_construct(args) -> int:
         "y_window": [float(ys[0]), float(ys[-1])],
         "termination": {"up": sol.termination_up, "down": sol.termination_down},
         "max_loop_defect": float(np.nanmax(np.abs(sol.loop_defect))),
-        "residuals": {"helix_trace": res_trace, "helix_det": res_det,
-                      "symplecto_det": dev_j, "symplecto_norm": dev_n},
+        "residuals": residuals,
         "gate": gate,
         "passed": passed,
     }
@@ -445,7 +437,7 @@ def _cmd_construct(args) -> int:
 
     _emit(header, args.out)
     if args.save:
-        _write_solution_bundle(args.save, sol, m_scale, params)
+        _write_solution_bundle(args.save, graph, params)
     return EXIT_OK if passed else EXIT_GATE
 
 
@@ -456,6 +448,9 @@ def _cmd_export(args) -> int:
         raise CliError(EXIT_PARSE,
                        f"no saved grid at {args.grid} (.bin/.meta.json missing)")
     meta = json.loads(meta_path.read_text())
+    if not (isinstance(meta, dict) and SIDECAR_KEYS <= meta.keys()):
+        raise CliError(EXIT_PARSE, f"{meta_path} needs the fields "
+                                   f"{', '.join(sorted(SIDECAR_KEYS))}")
     fields = meta["fields"]
     nx, ny = int(meta["nx"]), int(meta["ny"])
     data = np.frombuffer(bin_path.read_bytes(), dtype=np.float64)

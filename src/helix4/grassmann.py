@@ -317,6 +317,9 @@ def plane_to_json(P: Plane) -> dict:
 
 
 def plane_from_json(obj: dict) -> Plane:
+    if not isinstance(obj, dict):
+        raise TypeError("plane JSON must be an object with fields b1 and b2, "
+                        f"not {type(obj).__name__}")
     try:
         return Plane(np.array(obj["b1"], dtype=float),
                      np.array(obj["b2"], dtype=float),

@@ -46,7 +46,9 @@ from .surface_analysis import (
     SurfacePatch,
     fd_d1,
     fd_d2,
-    graph_patch_from_jets,
+    fundamental_forms,
+    graph_jet,
+    snap_to_nodes,
     verify_helix,
 )
 
@@ -65,6 +67,8 @@ __all__ = [
     "solve_pde",
     "recover_g",
     "solution_graph",
+    "GRAPH_RESIDUALS",
+    "residual_maxima",
     "helix_condition_residual",
     "symplecto_check",
     "first_normal_rank",
@@ -124,10 +128,17 @@ class HelixParams:
 
 ScalarJet = Callable[[float, float], tuple[float, float, float, float, float, float]]
 
+# entries of a scalar 2-jet: value, d/dx, d/dy, d2/dx2, d2/dxdy, d2/dy2
+JET_PARTS = ("", "x", "y", "xx", "xy", "yy")
+GRAPH_FIELDS = tuple(k + s for k in "fg" for s in JET_PARTS)
+
 
 @dataclass
 class GraphSurface:
-    """Scalar fields f, g on a rectangle with 1st/2nd derivative access."""
+    """Scalar fields f, g on a rectangle with 1st/2nd derivative access.
+
+    Grid-backed fields keep every derivative as a [y, x] array in ``grids``
+    (keys ``GRAPH_FIELDS``); ``f_jet``/``g_jet`` are then one-node views."""
 
     f_jet: ScalarJet
     g_jet: ScalarJet
@@ -137,6 +148,7 @@ class GraphSurface:
     xs: np.ndarray | None = None     # node coordinates for grid-backed fields
     ys: np.ndarray | None = None
     name: str = "graph"
+    grids: dict[str, np.ndarray] | None = None
 
     @classmethod
     def from_callables(cls, f_jet: ScalarJet, g_jet: ScalarJet,
@@ -160,31 +172,22 @@ class GraphSurface:
             raise ValueError("grid-backed fields need at least 3 nodes per direction")
         hx = xs[1] - xs[0]
         hy = ys[1] - ys[0]
-
-        def derivs(V):
+        grids = {}
+        for key, V in (("f", F), ("g", G)):
             vx = fd_d1(V, hx, axis=1)
-            vy = fd_d1(V, hy, axis=0)
-            return (vx, vy, fd_d2(V, hx, axis=1), fd_d1(vx, hy, axis=0),
-                    fd_d2(V, hy, axis=0))
+            grids.update(zip((key + s for s in JET_PARTS), (
+                V, vx, fd_d1(V, hy, axis=0), fd_d2(V, hx, axis=1),
+                fd_d1(vx, hy, axis=0), fd_d2(V, hy, axis=0))))
 
-        fx, fy, fxx, fxy, fyy = derivs(F)
-        gx, gy, gxx, gxy, gyy = derivs(G)
-
-        def make_jet(V, vx, vy, vxx, vxy, vyy):
+        def node_jet(key: str) -> ScalarJet:
             def jet(x: float, y: float):
-                i = int(round((x - xs[0]) / hx))
-                j = int(round((y - ys[0]) / hy))
-                if not (0 <= i < xs.size and 0 <= j < ys.size):
-                    raise ValueError(f"({x}, {y}) outside the sampled grid")
-                if abs(xs[i] - x) > 0.4 * hx or abs(ys[j] - y) > 0.4 * abs(hy):
-                    raise ValueError(f"({x}, {y}) does not snap to a grid node")
-                return (V[j, i], vx[j, i], vy[j, i], vxx[j, i], vxy[j, i], vyy[j, i])
+                i, j = snap_to_nodes(xs, ys, np.array([x], dtype=float),
+                                     np.array([y], dtype=float))
+                return tuple(grids[key + s][j, i][0, 0] for s in JET_PARTS)
             return jet
 
-        return cls(make_jet(F, fx, fy, fxx, fxy, fyy),
-                   make_jet(G, gx, gy, gxx, gxy, gyy),
-                   (xs[0], xs[-1]), (ys[0], ys[-1]),
-                   source="grid", xs=xs, ys=ys, name=name)
+        return cls(node_jet("f"), node_jet("g"), (xs[0], xs[-1]), (ys[0], ys[-1]),
+                   source="grid", xs=xs, ys=ys, name=name, grids=grids)
 
     def sample_grid(self, n: int | None = None,
                     m: int | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -195,11 +198,24 @@ class GraphSurface:
         return (np.linspace(*self.x_range, n or 21),
                 np.linspace(*self.y_range, m or 21))
 
+    def sample(self, xs: np.ndarray, ys: np.ndarray) -> dict[str, np.ndarray]:
+        """Both 2-jets on the grid xs x ys as [y, x] arrays keyed like
+        ``grids`` (slices of them for grid-backed fields)."""
+        if self.grids is not None:
+            i, j = snap_to_nodes(self.xs, self.ys, xs, ys)
+            return {k: v[j][:, i] for k, v in self.grids.items()}
+        vals = np.array([[(*self.f_jet(x, y), *self.g_jet(x, y)) for x in xs]
+                         for y in ys], dtype=float)
+        return dict(zip(GRAPH_FIELDS, np.moveaxis(vals, -1, 0)))
+
     def patch(self) -> SurfacePatch:
-        return graph_patch_from_jets(
-            self.f_jet, self.g_jet, self.x_range, self.y_range,
-            jet_source=self.source if self.source == "grid" else "analytic",
-            name=self.name)
+        def sample(xs: np.ndarray, ys: np.ndarray):
+            d = self.sample(xs, ys)
+            X, Y = np.meshgrid(xs, ys, indexing="ij")
+            return graph_jet(X, Y, *([d[k + s].T for s in JET_PARTS] for k in "fg"))
+
+        return SurfacePatch(self.x_range, self.y_range, jet_source=self.source,
+                            name=self.name, sampler=sample)
 
 
 # ---------------------------------------------------------------------------
@@ -673,15 +689,34 @@ def solution_graph(sol: SolutionGrid, m: float = 1.0,
 # residual checks
 # ---------------------------------------------------------------------------
 
+# the graph conditions as residuals in the gradients of (f, g); each is zero
+# on a helix surface with parameters P
+GRAPH_RESIDUALS = {
+    "helix_trace": lambda fx, fy, gx, gy, P:
+        (1.0 + fx * fx + gx * gx) + (1.0 + fy * fy + gy * gy) - P.sec2_sum,
+    "helix_det": lambda fx, fy, gx, gy, P:
+        (1.0 + fx * fx + gx * gx) * (1.0 + fy * fy + gy * gy)
+        - np.square(fx * fy + gx * gy) - P.sec2_prod,
+    "symplecto_det": lambda fx, fy, gx, gy, P: fx * gy - fy * gx - P.c2,
+    "symplecto_norm": lambda fx, fy, gx, gy, P:
+        fx * fx + fy * fy + gx * gx + gy * gy - P.c1,
+}
+
+
+def residual_maxima(names, grads, P: HelixParams) -> list[float]:
+    """max |residual| over the (fx, fy, gx, gy) arrays ``grads`` per named
+    entry, NaN nodes skipped; one residual array is alive at a time."""
+    return [float(np.fmax.reduce(np.abs(GRAPH_RESIDUALS[k](*grads, P)),
+                                 axis=None, initial=0.0)) for k in names]
+
+
 def helix_condition_residual(G: GraphSurface, P: HelixParams,
                              at: tuple[float, float]) -> tuple[float, float]:
     """(trace, determinant) defects of the graph metric at one point."""
     _, fx, fy, _, _, _ = G.f_jet(*at)
     _, gx, gy, _, _, _ = G.g_jet(*at)
-    E = 1.0 + fx * fx + gx * gx
-    F = fx * fy + gx * gy
-    Gm = 1.0 + fy * fy + gy * gy
-    return (E + Gm - P.sec2_sum, E * Gm - F * F - P.sec2_prod)
+    return (GRAPH_RESIDUALS["helix_trace"](fx, fy, gx, gy, P),
+            GRAPH_RESIDUALS["helix_det"](fx, fy, gx, gy, P))
 
 
 def symplecto_check(G: GraphSurface, P: HelixParams,
@@ -689,17 +724,9 @@ def symplecto_check(G: GraphSurface, P: HelixParams,
     """(max |J - c2|, max | ||J||^2 - c1 |) over a sample grid."""
     if P.c2 <= 0:
         raise ValueError("symplectomorphism check needs c2 > 0")
-    xs, ys = G.sample_grid(*(grid or (None, None)))
-    dev_j, dev_n = 0.0, 0.0
-    for y in ys:
-        for x in xs:
-            _, fx, fy, _, _, _ = G.f_jet(x, y)
-            _, gx, gy, _, _, _ = G.g_jet(x, y)
-            J = fx * gy - fy * gx
-            n2 = fx * fx + fy * fy + gx * gx + gy * gy
-            dev_j = max(dev_j, abs(J - P.c2))
-            dev_n = max(dev_n, abs(n2 - P.c1))
-    return dev_j, dev_n
+    d = G.sample(*G.sample_grid(*(grid or (None, None))))
+    grads = (d["fx"], d["fy"], d["gx"], d["gy"])
+    return tuple(residual_maxima(("symplecto_det", "symplecto_norm"), grads, P))
 
 
 def first_normal_rank(G: GraphSurface, at: tuple[float, float],
@@ -754,24 +781,12 @@ def composition_test(patch: SurfacePatch, Pi, grid: tuple[int, int],
     generic = (t1_mean > angle_tol and t2_mean < math.pi / 2 - angle_tol
                and t2_mean - t1_mean > angle_tol)
 
-    # N1 rank per grid point from the second fundamental form
-    from .surface_analysis import fundamental_forms, _normal_frame, _tangent_frame
-    N, M = grid
-    ranks = np.empty((N, M), dtype=int)
-    for i, u in enumerate(report.u):
-        for j, v in enumerate(report.v):
-            jet = patch.jet(u, v)
-            ff = fundamental_forms(jet)
-            n1, n2 = _normal_frame(*_tangent_frame(jet))
-            mat = np.array([[ff.alpha_11 @ n1, ff.alpha_12 @ n1, ff.alpha_22 @ n1],
-                            [ff.alpha_11 @ n2, ff.alpha_12 @ n2, ff.alpha_22 @ n2]])
-            s = np.linalg.svd(mat, compute_uv=False)
-            if s[0] < 1e-9:
-                ranks[i, j] = 0
-            elif s[1] < 1e-6 * s[0]:
-                ranks[i, j] = 1
-            else:
-                ranks[i, j] = 2
+    # N1 rank per grid point: the normal vectors alpha_11, alpha_12, alpha_22
+    # have the singular values of their components in a normal frame
+    ff = fundamental_forms(patch.sample(report.u, report.v))
+    s = np.linalg.svd(np.stack([ff.alpha_11, ff.alpha_12, ff.alpha_22], axis=-1),
+                      compute_uv=False)
+    ranks = np.where(s[..., 0] < 1e-9, 0, np.where(s[..., 1] < 1e-6 * s[..., 0], 1, 2))
 
     rank2_fraction = float(np.mean(ranks == 2))
     max_dt1 = float(np.nanmax(np.abs(report.dt_T1)))

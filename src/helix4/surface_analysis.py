@@ -15,14 +15,15 @@ residuals of the structure equations, the four Codazzi identities, the Gauss
 and normal curvatures, the Gauss-map circle condition, a least-squares sphere
 fit, and the parallel-mean-curvature defect.
 
-The frame-propagation pass is sequential (row-major sign alignment); all
-residual computations afterwards are pointwise.
+Patches are sampled once per grid (``SurfacePatch.sample``) and every
+residual is computed on the sampled arrays; the frame-propagation pass is
+the one sequential step (row-major sign alignment).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -42,6 +43,8 @@ __all__ = [
     "patch_from_position",
     "patch_from_grid",
     "graph_patch_from_jets",
+    "graph_jet",
+    "snap_to_nodes",
     "fd_d1",
     "fd_d2",
     "fundamental_forms",
@@ -49,7 +52,6 @@ __all__ = [
     "structure_fields",
     "frame_rotation_coefficients",
     "verify_helix",
-    "parallel_H_test",
     "sphere_test",
     "brioschi_curvature",
     "default_gate",
@@ -74,9 +76,13 @@ class FrameDiscontinuityError(RuntimeError):
     """Adapted frames across a finite-difference stencil could not be aligned."""
 
 
+JET_FIELDS = ("p", "p_u", "p_v", "p_uu", "p_uv", "p_vv")
+
+
 @dataclass
 class SurfaceJet:
-    """2-jet of a parametrized surface at one parameter point."""
+    """2-jet of a parametrized surface: each field is one 4-vector, or an
+    (N, M, 4) array of them over a grid of parameter points."""
 
     p: np.ndarray
     p_u: np.ndarray
@@ -85,10 +91,18 @@ class SurfaceJet:
     p_uv: np.ndarray
     p_vv: np.ndarray
 
+    def __getitem__(self, index) -> "SurfaceJet":
+        """The jet at grid ``index`` (views for basic indexing)."""
+        return SurfaceJet(*(getattr(self, k)[index] for k in JET_FIELDS))
+
 
 @dataclass
 class SurfacePatch:
     """Parameter rectangle plus a jet provider.
+
+    ``sample(us, vs)`` gives the jet on the grid us x vs as (N, M, 4) arrays:
+    from the batched ``sampler`` if there is one (``jet`` is then a one-node
+    view of it), otherwise by calling ``jet`` once per node.
 
     ``jet_source`` records where derivatives come from: "analytic" (closed
     form), "fd-position" (finite differences of a position-only map) or
@@ -97,26 +111,40 @@ class SurfacePatch:
 
     u_range: tuple[float, float]
     v_range: tuple[float, float]
-    jet: Callable[[float, float], SurfaceJet]
+    jet: Callable[[float, float], SurfaceJet] | None = None
     jet_source: str = "analytic"
     name: str = ""
+    sampler: Callable[[np.ndarray, np.ndarray], SurfaceJet] | None = None
+
+    def __post_init__(self):
+        if self.jet is None:
+            # a closure over the sampler, not self: no reference cycle keeps
+            # the sampled arrays alive after the patch is dropped
+            sampler = self.sampler
+            self.jet = lambda u, v: sampler(np.array([u], dtype=float),
+                                            np.array([v], dtype=float))[0, 0]
+
+    def sample(self, us, vs) -> SurfaceJet:
+        us = np.asarray(us, dtype=float)
+        vs = np.asarray(vs, dtype=float)
+        if self.sampler is not None:
+            return self.sampler(us, vs)
+        jets = [[self.jet(u, v) for v in vs] for u in us]
+        return SurfaceJet(*(np.array([[getattr(j, k) for j in row] for row in jets])
+                            for k in JET_FIELDS))
 
 
 @dataclass
 class FundamentalForms:
     """First fundamental form and vector-valued second fundamental form in
-    the coordinate basis (p_u, p_v)."""
+    the coordinate basis (p_u, p_v), at one point or over a grid."""
 
-    E: float
-    F: float
-    G: float
+    E: float | np.ndarray
+    F: float | np.ndarray
+    G: float | np.ndarray
     alpha_11: np.ndarray
     alpha_12: np.ndarray
     alpha_22: np.ndarray
-
-    @property
-    def det(self) -> float:
-        return self.E * self.G - self.F * self.F
 
 
 @dataclass
@@ -259,25 +287,52 @@ def patch_from_grid(us: np.ndarray, vs: np.ndarray, points: np.ndarray,
         raise ValueError("grid patches need at least 3 nodes per direction")
     du = us[1] - us[0]
     dv = vs[1] - vs[0]
-
     p_u = fd_d1(points, du, axis=0)
-    p_v = fd_d1(points, dv, axis=1)
-    p_uu = fd_d2(points, du, axis=0)
-    p_vv = fd_d2(points, dv, axis=1)
-    p_uv = fd_d1(p_u, dv, axis=1)
+    arrays = SurfaceJet(points, p_u, fd_d1(points, dv, axis=1),
+                        fd_d2(points, du, axis=0), fd_d1(p_u, dv, axis=1),
+                        fd_d2(points, dv, axis=1))
 
-    def jet(u: float, v: float) -> SurfaceJet:
-        i = int(round((u - us[0]) / du))
-        j = int(round((v - vs[0]) / dv))
-        if not (0 <= i < us.size and 0 <= j < vs.size):
-            raise ValueError(f"({u}, {v}) outside the sampled grid")
-        if abs(us[i] - u) > 0.4 * du or abs(vs[j] - v) > 0.4 * dv:
-            raise ValueError(f"({u}, {v}) does not snap to a grid node")
-        return SurfaceJet(points[i, j], p_u[i, j], p_v[i, j],
-                          p_uu[i, j], p_uv[i, j], p_vv[i, j])
+    def sample(qu: np.ndarray, qv: np.ndarray) -> SurfaceJet:
+        i, j = snap_to_nodes(us, vs, qu, qv)
+        return arrays[i][:, j]
 
-    return SurfacePatch((us[0], us[-1]), (vs[0], vs[-1]), jet,
-                        jet_source="grid", name=name)
+    return SurfacePatch((us[0], us[-1]), (vs[0], vs[-1]), jet_source="grid",
+                        name=name, sampler=sample)
+
+
+def snap_to_nodes(nodes_u: np.ndarray, nodes_v: np.ndarray,
+                  us: np.ndarray, vs: np.ndarray):
+    """Per-axis selectors of the grid nodes that the queries us x vs snap
+    to (a slice for consecutive nodes, so indexing gives views).  A query
+    more than 0.4 spacings from every node raises ValueError naming it."""
+    us, vs = np.asarray(us, dtype=float), np.asarray(vs, dtype=float)
+    picked, outside, off_node = [], [], []
+    for nodes, q in ((nodes_u, us), (nodes_v, vs)):
+        h = nodes[1] - nodes[0]
+        k = np.rint((q - nodes[0]) / h)
+        outside.append(~((k >= 0) & (k < nodes.size)))
+        k = np.where(outside[-1], 0, k).astype(int)
+        off_node.append(np.abs(nodes[k] - q) > 0.4 * abs(h))
+        run = k.size and np.array_equal(k, np.arange(k[0], k[0] + k.size))
+        picked.append(slice(k[0], k[0] + k.size) if run else k)
+    for (bad_u, bad_v), what in ((outside, "outside the sampled grid"),
+                                 (off_node, "does not snap to a grid node")):
+        if bad_u.any() or bad_v.any():
+            u, v = us[np.argmax(bad_u)], vs[np.argmax(bad_v)]
+            raise ValueError(f"({u}, {v}) {what}")
+    return tuple(picked)
+
+
+def graph_jet(x, y, f, g) -> SurfaceJet:
+    """Jet of the graph (x, y) -> (x, y, f, g) from the scalar 2-jets f, g
+    (value, d/dx, d/dy, d2/dx2, d2/dxdy, d2/dy2), entries shaped like x."""
+    zero, one = np.zeros_like(x), np.ones_like(x)
+
+    def vec(a, b, k):
+        return np.stack([a, b, f[k], g[k]], axis=-1)
+
+    return SurfaceJet(vec(x, y, 0), vec(one, zero, 1), vec(zero, one, 2),
+                      vec(zero, zero, 3), vec(zero, zero, 4), vec(zero, zero, 5))
 
 
 def graph_patch_from_jets(f_jet, g_jet, x_range, y_range,
@@ -289,16 +344,7 @@ def graph_patch_from_jets(f_jet, g_jet, x_range, y_range,
     """
 
     def jet(x: float, y: float) -> SurfaceJet:
-        f, fx, fy, fxx, fxy, fyy = f_jet(x, y)
-        g, gx, gy, gxx, gxy, gyy = g_jet(x, y)
-        return SurfaceJet(
-            p=np.array([x, y, f, g]),
-            p_u=np.array([1.0, 0.0, fx, gx]),
-            p_v=np.array([0.0, 1.0, fy, gy]),
-            p_uu=np.array([0.0, 0.0, fxx, gxx]),
-            p_uv=np.array([0.0, 0.0, fxy, gxy]),
-            p_vv=np.array([0.0, 0.0, fyy, gyy]),
-        )
+        return graph_jet(x, y, f_jet(x, y), g_jet(x, y))
 
     return SurfacePatch(x_range, y_range, jet, jet_source=jet_source, name=name)
 
@@ -307,21 +353,27 @@ def graph_patch_from_jets(f_jet, g_jet, x_range, y_range,
 # fundamental forms
 # ---------------------------------------------------------------------------
 
+def _dot(a: np.ndarray, b: np.ndarray):
+    """Inner products of 4-vectors along the last axis."""
+    return np.einsum("...k,...k->...", a, b)
+
+
 def fundamental_forms(jet: SurfaceJet) -> FundamentalForms:
-    """First fundamental form and normal parts of the second derivatives."""
+    """First fundamental form and normal parts of the second derivatives,
+    for a jet at one point or over a grid."""
     pu, pv = jet.p_u, jet.p_v
-    E = float(pu @ pu)
-    F = float(pu @ pv)
-    G = float(pv @ pv)
-    W = E * G - F * F
-    if W <= 1e-14:
-        raise ImmersionError(f"degenerate metric: EG - F^2 = {W}")
+    E, F, G = _dot(pu, pu), _dot(pu, pv), _dot(pv, pv)
+    W = np.asarray(E * G - F * F)
+    bad = W <= 1e-14
+    if bad.any():
+        raise ImmersionError(f"degenerate metric: EG - F^2 = {W[bad][0]}")
 
     def normal_part(w: np.ndarray) -> np.ndarray:
         # tangential coefficients from the Gram system
-        a = (G * (w @ pu) - F * (w @ pv)) / W
-        b = (-F * (w @ pu) + E * (w @ pv)) / W
-        return w - a * pu - b * pv
+        wu, wv = _dot(w, pu), _dot(w, pv)
+        a = (G * wu - F * wv) / W
+        b = (-F * wu + E * wv) / W
+        return w - a[..., None] * pu - b[..., None] * pv
 
     return FundamentalForms(E, F, G,
                             normal_part(jet.p_uu),
@@ -512,70 +564,25 @@ def frame_rotation_coefficients(theta1: float, theta2: float) -> tuple[float, fl
 # pointwise structure fields
 # ---------------------------------------------------------------------------
 
-def _tangent_coefficients(ff: FundamentalForms, jet: SurfaceJet,
-                          X: np.ndarray) -> tuple[float, float]:
-    """Coefficients (a, b) with X = a p_u + b p_v for a tangent vector X."""
-    ru, rv = float(X @ jet.p_u), float(X @ jet.p_v)
-    W = ff.det
-    return (ff.G * ru - ff.F * rv) / W, (-ff.F * ru + ff.E * rv) / W
-
-
-def _alpha_on(ff: FundamentalForms, a: float, b: float,
-              c: float, d: float) -> np.ndarray:
-    """alpha(X, Y) for X = a p_u + b p_v, Y = c p_u + d p_v."""
-    return (a * c * ff.alpha_11 + (a * d + b * c) * ff.alpha_12
-            + b * d * ff.alpha_22)
-
-
-def _shape_entries(ff: FundamentalForms, jet: SurfaceJet,
-                   fr: AdaptedFrame) -> tuple[float, float, np.ndarray]:
-    """(m1, m2, alpha(T1,T2)) in the adapted frame."""
-    a1, b1 = _tangent_coefficients(ff, jet, fr.T1)
-    a2, b2 = _tangent_coefficients(ff, jet, fr.T2)
-    m1 = float(_alpha_on(ff, a2, b2, a2, b2) @ fr.xi1)
-    m2 = float(_alpha_on(ff, a1, b1, a1, b1) @ fr.xi2)
-    cross = _alpha_on(ff, a1, b1, a2, b2)
-    return m1, m2, cross
-
-
 def structure_fields(patch: SurfacePatch, Pi: Plane, at: tuple[float, float],
-                     h: float, prev: AdaptedFrame | None = None) -> StructureFields:
-    """Structure fields at one parameter point from a 5-point frame stencil.
+                     h: float) -> StructureFields:
+    """Structure fields at one parameter point: ``verify_helix`` on the 3x3
+    stencil of spacing h centred at ``at``, read at the centre.
 
-    One-forms dt, dn, df are central differences of the continuously chosen
-    frame; m1, m2 come from the second fundamental form at the center.  A
-    stencil frame whose alignment dot drops below 0.9 invalidates the sample.
+    A stencil whose frames align with a dot below 0.9 invalidates the sample
+    (FrameDiscontinuityError).
     """
     u, v = at
-    jc = patch.jet(u, v)
-    fc = adapted_frame(jc, Pi, prev)
-    stencil = {}
-    for key, (uu, vv) in {"up": (u + h, v), "um": (u - h, v),
-                          "vp": (u, v + h), "vm": (u, v - h)}.items():
-        fr = adapted_frame(patch.jet(uu, vv), Pi, prev=fc)
-        if fr.align_quality < 0.9:
-            raise FrameDiscontinuityError(
-                f"frame discontinuity at {at} + {key} (dot {fr.align_quality:.3f})")
-        stencil[key] = fr
-
-    ff = fundamental_forms(jc)
-    m1, m2, _ = _shape_entries(ff, jc, fc)
-
-    def one_form(attr: str, pair: np.ndarray) -> tuple[float, float]:
-        d_du = (getattr(stencil["up"], attr) - getattr(stencil["um"], attr)) / (2 * h)
-        d_dv = (getattr(stencil["vp"], attr) - getattr(stencil["vm"], attr)) / (2 * h)
-        a1, b1 = _tangent_coefficients(ff, jc, fc.T1)
-        a2, b2 = _tangent_coefficients(ff, jc, fc.T2)
-        on_T1 = float((a1 * d_du + b1 * d_dv) @ pair)
-        on_T2 = float((a2 * d_du + b2 * d_dv) @ pair)
-        return on_T1, on_T2
-
-    dt_T1, dt_T2 = one_form("T1", fc.T2)
-    dn_T1, dn_T2 = one_form("xi1", fc.xi2)
-    df_T1, df_T2 = one_form("e1", fc.e2)
-    A, B = frame_rotation_coefficients(fc.theta1, fc.theta2)
-    return StructureFields(m1, m2, dt_T1, dt_T2, dn_T1, dn_T2, df_T1, df_T2,
-                           A, B, fc.theta1, fc.theta2)
+    stencil = replace(patch, u_range=(u - h, u + h), v_range=(v - h, v + h))
+    rep = verify_helix(stencil, Pi, (3, 3))
+    if rep.min_align_dot < 0.9:
+        raise FrameDiscontinuityError(
+            f"frame discontinuity at {at} (dot {rep.min_align_dot:.3f})")
+    centre = {k: float(getattr(rep, k)[1, 1]) for k in (
+        "m1", "m2", "dt_T1", "dt_T2", "dn_T1", "dn_T2", "df_T1", "df_T2",
+        "theta1", "theta2")}
+    A, B = frame_rotation_coefficients(centre["theta1"], centre["theta2"])
+    return StructureFields(A_const=A, B_const=B, **centre)
 
 
 # ---------------------------------------------------------------------------
@@ -727,8 +734,7 @@ def sphere_test(patch: SurfacePatch, grid: tuple[int, int]) -> SphereFit:
     N, M = grid
     us = np.linspace(*patch.u_range, N)
     vs = np.linspace(*patch.v_range, M)
-    pts = np.array([[patch.jet(u, v).p for v in vs] for u in us])
-    return _fit_sphere(pts)
+    return _fit_sphere(patch.sample(us, vs).p)
 
 
 def verify_helix(patch: SurfacePatch, Pi: Plane,
@@ -747,22 +753,11 @@ def verify_helix(patch: SurfacePatch, Pi: Plane,
     du = us[1] - us[0]
     dv = vs[1] - vs[0]
 
-    P = np.empty((N, M, 4))
-    E = np.empty((N, M))
-    F = np.empty((N, M))
-    G = np.empty((N, M))
-    a11 = np.empty((N, M, 4))
-    a12 = np.empty((N, M, 4))
-    a22 = np.empty((N, M, 4))
-    jets = [[None] * M for _ in range(N)]
-    for i, u in enumerate(us):
-        for j, v in enumerate(vs):
-            jet = patch.jet(u, v)
-            jets[i][j] = jet
-            ff = fundamental_forms(jet)
-            P[i, j] = jet.p
-            E[i, j], F[i, j], G[i, j] = ff.E, ff.F, ff.G
-            a11[i, j], a12[i, j], a22[i, j] = ff.alpha_11, ff.alpha_12, ff.alpha_22
+    J = patch.sample(us, vs)
+    ff = fundamental_forms(J)
+    P, PU, PV = J.p, J.p_u, J.p_v
+    E, F, G = ff.E, ff.F, ff.G
+    a11, a12, a22 = ff.alpha_11, ff.alpha_12, ff.alpha_22
 
     # frame propagation (sequential pass)
     T1 = np.empty((N, M, 4))
@@ -776,6 +771,14 @@ def verify_helix(patch: SurfacePatch, Pi: Plane,
     deg = np.zeros((N, M), dtype=bool)
     min_align = 1.0
     frames = [[None] * M for _ in range(N)]
+    # Gauss map against the reference plane, filled in the same pass
+    gp_pi = gauss_point(Pi)
+    eta_pi = wedge(Pi.b1, Pi.b2)
+    star_eta_pi = hodge(eta_pi)
+    circ_plus = np.empty((N, M))
+    circ_minus = np.empty((N, M))
+    cos_theta = np.empty((N, M))
+    cos_theta_perp = np.empty((N, M))
     for i in range(N):
         for j in range(M):
             if j > 0:
@@ -784,7 +787,8 @@ def verify_helix(patch: SurfacePatch, Pi: Plane,
                 prev = frames[i - 1][0]
             else:
                 prev = None
-            fr = adapted_frame(jets[i][j], Pi, prev)
+            node = J[i, j]
+            fr = adapted_frame(node, Pi, prev)
             frames[i][j] = fr
             if prev is not None:
                 min_align = min(min_align, fr.align_quality)
@@ -793,14 +797,13 @@ def verify_helix(patch: SurfacePatch, Pi: Plane,
             E1[i, j], E2[i, j] = fr.e1, fr.e2
             th1[i, j], th2[i, j] = fr.theta1, fr.theta2
             deg[i, j] = fr.degenerate
-
-    # coordinate vectors as grid arrays (used by the Gram solves below)
-    PU = np.empty((N, M, 4))
-    PV = np.empty((N, M, 4))
-    for i in range(N):
-        for j in range(M):
-            PU[i, j] = jets[i][j].p_u
-            PV[i, j] = jets[i][j].p_v
+            u1, u2 = _tangent_frame(node)
+            eta = wedge(u1, u2)
+            gp = gauss_point(Plane(u1, u2))
+            circ_plus[i, j] = gp.plus @ gp_pi.plus
+            circ_minus[i, j] = gp.minus @ gp_pi.minus
+            cos_theta[i, j] = eta @ eta_pi
+            cos_theta_perp[i, j] = eta @ star_eta_pi
 
     # coefficients of T1, T2 in (p_u, p_v): Gram solve, vectorized
     W = E * G - F * F
@@ -841,23 +844,6 @@ def verify_helix(patch: SurfacePatch, Pi: Plane,
 
     K_brioschi = brioschi_curvature(E, F, G, du, dv)
 
-    # Gauss map against the reference plane
-    gp_pi = gauss_point(Pi)
-    eta_pi = wedge(Pi.b1, Pi.b2)
-    star_eta_pi = hodge(eta_pi)
-    circ_plus = np.empty((N, M))
-    circ_minus = np.empty((N, M))
-    cos_theta = np.empty((N, M))
-    cos_theta_perp = np.empty((N, M))
-    for i in range(N):
-        for j in range(M):
-            u1, u2 = _tangent_frame(jets[i][j])
-            eta = wedge(u1, u2)
-            gp = gauss_point(Plane(u1, u2))
-            circ_plus[i, j] = gp.plus @ gp_pi.plus
-            circ_minus[i, j] = gp.minus @ gp_pi.minus
-            cos_theta[i, j] = eta @ eta_pi
-            cos_theta_perp[i, j] = eta @ star_eta_pi
     cos_ap = 2.0 * circ_plus
     cos_am = 2.0 * circ_minus
     alpha_theta_cross = np.maximum(np.abs(cos_ap - (cos_theta + cos_theta_perp)),
@@ -1019,11 +1005,6 @@ def verify_helix(patch: SurfacePatch, Pi: Plane,
         codazzi_residual=pad(np.max(np.abs(np.stack(
             [c1_res, c2_res, c3_res, c4_res])), axis=0)),
     )
-
-
-def parallel_H_test(report: StructureReport) -> tuple[float, float]:
-    """Max residuals of dm2 + m1 dn and dm1 - m2 dn over the grid interior."""
-    return report.parallel_h_residuals()
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ from helix4.grassmann import (orthogonal_complement, plane_angles_via_bivectors,
 from helix4.helix_construct import (HelixParams, composition_test,
                                     default_problem, deform, deform_inverse,
                                     find_noncharacteristic_seed,
-                                    first_normal_rank, helix_condition_residual,
-                                    recover_g, solution_graph, solve_pde)
+                                    first_normal_rank, recover_g,
+                                    residual_maxima, solution_graph, solve_pde)
 from helix4.surface_analysis import sphere_test, verify_helix
 
 C_NORM = 10.0 / 3.0
@@ -49,19 +49,11 @@ def pde_family():
 def _max_residuals(sol, params):
     """(helix, symplecto) max deviations over the common interior region."""
     G = solution_graph(sol)
-    xs, ys = G.sample_grid()
-    helix = sympl = 0.0
-    for yv in ys[1:-1]:
-        for xv in xs[1:-1]:
-            if not (-0.03 <= xv <= 0.03):
-                continue
-            rt, rd = helix_condition_residual(G, params, (xv, yv))
-            helix = max(helix, abs(rt), abs(rd))
-            _, fx, fy, _, _, _ = G.f_jet(xv, yv)
-            _, gx, gy, _, _, _ = G.g_jet(xv, yv)
-            sympl = max(sympl,
-                        abs(fx * gy - fy * gx - params.c2),
-                        abs(fx * fx + fy * fy + gx * gx + gy * gy - params.c1))
+    xs = G.xs[1:-1]
+    window = (-0.03 <= xs) & (xs <= 0.03)
+    grads = [G.grids[k][1:-1, 1:-1][:, window] for k in ("fx", "fy", "gx", "gy")]
+    helix = max(residual_maxima(("helix_trace", "helix_det"), grads, params))
+    sympl = max(residual_maxima(("symplecto_det", "symplecto_norm"), grads, params))
     return helix, sympl
 
 

@@ -228,6 +228,40 @@ def test_export_round_trip(tmp_path, capsys):
     assert code == EXIT_PARSE
 
 
+GRAPH = {"f": "x", "g": "y"}
+
+
+@pytest.mark.parametrize("command, document", [
+    ("verify", 5),
+    ("verify", {"surface": 5}),
+    ("verify", {"graph": GRAPH, "plane": [1, 2]}),
+    ("verify", {"graph": GRAPH, "grid": "ab"}),
+    ("verify", {"graph": "x"}),
+    ("angles", [1, 2]),
+    ("construct", {"c1": 10.0 / 3.0, "seed": {"u0": 1}}),
+    ("export", {"nx": 3, "ny": 3, "x0": 0.0, "y0": 0.0, "hx": 1.0, "hy": 1.0,
+                "dtype": "float64"}),
+], ids=["config-number", "surface-number", "plane-list", "grid-string",
+        "graph-string", "angles-plane-list", "seed-without-v0",
+        "sidecar-without-fields"])
+def test_malformed_json_is_parse_error(tmp_path, capsys, command, document):
+    # a JSON document of the wrong shape exits 2 with one error line
+    path = tmp_path / "doc.json"
+    if command == "angles":
+        argv = ["angles", "--v", json.dumps(document), "--w", PLANE_12]
+    elif command == "export":
+        path = tmp_path / "doc.meta.json"
+        (tmp_path / "doc.bin").write_bytes(b"")
+        argv = ["export", "--grid", str(tmp_path / "doc"), "--format", "csv",
+                "--out", str(tmp_path / "out.csv")]
+    else:
+        argv = [command, "--config", str(path)]
+    path.write_text(json.dumps(document))
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_PARSE
+    assert err.startswith("error: ")
+
+
 def test_dumps_stable_formatting():
     text = dumps_stable({"a": 1.0 / 3.0, "b": [1, True, None, float("nan")]})
     assert "0.33333333333333331" in text

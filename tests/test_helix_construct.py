@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from helix4.grassmann import Plane, PrincipalAngles
-from helix4.helix_construct import (GraphSurface, HelixParams, PDEProblem,
-                                    SolutionGrid, annulus_bounds,
+from helix4.helix_construct import (GRAPH_RESIDUALS, GraphSurface, HelixParams,
+                                    PDEProblem, SolutionGrid, annulus_bounds,
                                     composition_test, default_problem, deform,
                                     deform_inverse, find_noncharacteristic_seed,
                                     first_normal_rank, helix_condition_residual,
                                     paper_initial_data, recover_g,
                                     solution_graph, solve_pde, symplecto_check,
                                     _E_partials)
+from helix4.surface_analysis import patch_from_grid
 
 PI = Plane(np.eye(4)[0], np.eye(4)[1])
 C_THIRD = 10.0 / 3.0
@@ -266,6 +267,61 @@ def test_structure_fields_match_frame_rotation_constants(solved):
     assert abs(sf.dt_T1) > 0.05 and abs(sf.dt_T2) > 0.05   # not geodesic
     assert sf.dt_T1 == pytest.approx(sf.B_const * sf.m2, rel=2e-2)
     assert sf.dt_T2 == pytest.approx(sf.A_const * sf.m1, rel=2e-2)
+
+
+def test_residual_table_matches_pointwise_residual(solved):
+    # the table on the stored gradient arrays equals the pointwise residual
+    # at every node, bit for bit
+    _, sol = solved
+    G = solution_graph(sol)
+    P = HelixParams(math.pi / 6, math.pi / 3)
+    grads = [G.grids[k] for k in ("fx", "fy", "gx", "gy")]
+    trace = GRAPH_RESIDUALS["helix_trace"](*grads, P)
+    det = GRAPH_RESIDUALS["helix_det"](*grads, P)
+    for j, y in enumerate(G.ys):
+        for i, x in enumerate(G.xs):
+            assert helix_condition_residual(G, P, (x, y)) == (trace[j, i], det[j, i])
+
+
+def grid_patches():
+    """The same quadratic graph as a position grid and as a graph grid."""
+    xs = np.linspace(-1.0, 1.0, 9)
+    ys = np.linspace(0.0, 1.0, 5)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    points = np.stack([X, Y, X * X, X * Y], axis=-1)
+    graph = GraphSurface.from_grids(xs, ys, (X * X).T, (X * Y).T)
+    return xs, ys, points, graph
+
+
+def test_grid_samples_are_views_of_the_stored_arrays():
+    xs, ys, points, graph = grid_patches()
+    assert np.shares_memory(patch_from_grid(xs, ys, points).sample(xs, ys).p, points)
+    assert np.shares_memory(graph.sample(xs, ys)["fx"], graph.grids["fx"])
+    J = graph.patch().sample(xs, ys)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            node = graph.patch().jet(x, y)
+            assert all(np.array_equal(getattr(node, k), getattr(J, k)[i, j])
+                       for k in ("p", "p_u", "p_v", "p_uu", "p_uv", "p_vv"))
+
+
+@pytest.mark.parametrize("kind", ["position", "graph"])
+@pytest.mark.parametrize("du, dv", [(0.45, 0.0), (0.0, -0.45), (30.0, 0.0),
+                                    (0.0, -30.0)])
+def test_grid_sample_rejects_like_jet(kind, du, dv):
+    # offsets in grid spacings from a node: 0.45 does not snap, 30 is outside
+    xs, ys, points, graph = grid_patches()
+    patch = patch_from_grid(xs, ys, points) if kind == "position" else graph.patch()
+    u = xs[4] + du * (xs[1] - xs[0])
+    v = ys[2] + dv * (ys[1] - ys[0])
+    with pytest.raises(ValueError) as point:
+        patch.jet(u, v)
+    with pytest.raises(ValueError) as one:
+        patch.sample([u], [v])
+    assert str(one.value) == str(point.value)
+    with pytest.raises(ValueError) as batch:
+        patch.sample([*xs[:3], u], [*ys[:2], v])
+    assert str(batch.value).endswith(str(point.value).split(") ", 1)[1])
 
 
 def test_partial_grid_on_window_exhaustion():

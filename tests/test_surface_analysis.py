@@ -12,7 +12,7 @@ from helix4.surface_analysis import (AdaptedFrame, FrameDiscontinuityError,
                                      adapted_frame, brioschi_curvature,
                                      fundamental_forms,
                                      frame_rotation_coefficients,
-                                     graph_patch_from_jets, parallel_H_test,
+                                     graph_patch_from_jets,
                                      patch_from_grid, patch_from_position,
                                      report_csv_rows, sphere_test,
                                      structure_fields, verify_helix,
@@ -345,16 +345,16 @@ def test_sphere_test_needs_five_points():
 def test_parallel_h_from_report():
     cs = generate("product_circles", r1=1.0, r2=0.7)
     rep = verify_helix(cs.patch, cs.plane, (15, 15))
-    assert max(parallel_H_test(rep)) < 1e-6
+    assert max(rep.parallel_h_residuals()) < 1e-6
     cone = named_example("orbit_cone")
     rep2 = verify_helix(cone.patch, cone.plane, (15, 15))
-    assert max(parallel_H_test(rep2)) > 1e-2
+    assert max(rep2.parallel_h_residuals()) > 1e-2
 
 
 def test_totally_geodesic_parallel_h():
     cs = named_example("plane")
     rep = verify_helix(cs.patch, cs.plane, (8, 8))
-    assert max(parallel_H_test(rep)) < 1e-12
+    assert max(rep.parallel_h_residuals()) < 1e-12
 
 
 # ---------------------------------------------------------------------------
