@@ -352,11 +352,15 @@ def _cmd_construct(args) -> int:
         raise CliError(EXIT_PARSE,
                        "construct needs --theta1/--theta2 or a config with c1")
 
-    x_range = tuple(cfg.get("x", (args.x0, args.x1)))
-    y_max = float(cfg.get("ymax", args.ymax))
-    hx = float(cfg.get("hx", args.hx))
-    hy = float(cfg.get("hy", args.hy))
-    branch = int(cfg.get("branch", args.branch))
+    try:
+        x0, x1 = (float(t) for t in cfg.get("x", (args.x0, args.x1)))
+        y_max, hx, hy = (float(cfg.get(k, getattr(args, k))) for k in ("ymax", "hx", "hy"))
+        branch = int(cfg.get("branch", args.branch))
+    except (TypeError, ValueError) as exc:
+        raise CliError(EXIT_PARSE, "config x (two numbers), ymax, hx, hy and "
+                                   f"branch must be numbers: {exc}") from exc
+    x_range = (x0, x1)
+    hc.check_window(x_range, y_max, hx, hy)   # ValueError: exit 3
 
     custom_data = "phi" in cfg or "psi" in cfg
     seed_cfg = cfg.get("seed", "auto" if args.seed is None else args.seed)

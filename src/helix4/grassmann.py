@@ -51,11 +51,12 @@ FRAME_TOL = 1e-12
 CLAMP_TOL = 1e-8
 
 
-def _as_vec4(v) -> np.ndarray:
+def _as_vec4(v, stacked: bool = False) -> np.ndarray:
+    """A finite 4-vector, or with ``stacked`` an array of them (last axis)."""
     a = np.asarray(v, dtype=float)
-    if a.shape != (4,):
+    if (a.shape[-1:] if stacked else a.shape) != (4,):
         raise ValueError(f"expected a 4-vector, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("vector has non-finite entries")
     return a
 
@@ -197,22 +198,25 @@ def orthogonal_complement(W: Plane) -> Plane:
 # exterior algebra
 # ---------------------------------------------------------------------------
 
-# index pairs of the lexicographic wedge basis
-_WEDGE_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+# index pairs (i, j) of the lexicographic wedge basis
+_WEDGE_I, _WEDGE_J = np.array(((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))).T
+_HODGE_SIGN = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
 
 
 def wedge(u, v) -> np.ndarray:
-    """Components of u ^ v in the basis (e12, e13, e14, e23, e24, e34)."""
-    u = _as_vec4(u)
-    v = _as_vec4(v)
-    return np.array([u[i] * v[j] - u[j] * v[i] for i, j in _WEDGE_PAIRS])
+    """Components of u ^ v in the basis (e12, e13, e14, e23, e24, e34), for
+    4-vectors or arrays of them along the last axis."""
+    u = _as_vec4(u, stacked=True)
+    v = _as_vec4(v, stacked=True)
+    return u[..., _WEDGE_I] * v[..., _WEDGE_J] - u[..., _WEDGE_J] * v[..., _WEDGE_I]
 
 
 def hodge(b) -> np.ndarray:
-    """Hodge star on Lambda^2 R^4: swaps c12<->c34, c13<->-c24, c14<->c23."""
+    """Hodge star on Lambda^2 R^4 (last axis): c12<->c34, c13<->-c24, c14<->c23."""
     b = np.asarray(b, dtype=float)
-    c12, c13, c14, c23, c24, c34 = b
-    return np.array([c34, -c24, c23, c14, -c13, c12])
+    if b.shape[-1:] != (6,):
+        raise ValueError(f"expected bivectors with 6 components, got shape {b.shape}")
+    return b[..., ::-1] * _HODGE_SIGN
 
 
 def bivector_inner(a, b) -> float:
@@ -257,11 +261,13 @@ def gauss_point(P: Plane) -> GaussPoint:
     """
     if not P.oriented:
         raise ValueError("gauss_point requires an oriented plane")
-    eta = plane_bivector(P)
+    return GaussPoint(*_gauss_coords(plane_bivector(P)))
+
+
+def _gauss_coords(eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """E+ / E- coordinates of bivectors eta (last axis), as in ``gauss_point``."""
     star = hodge(eta)
-    plus = _EPLUS_BASIS @ ((eta + star) / 2.0)
-    minus = _EMINUS_BASIS @ ((eta - star) / 2.0)
-    return GaussPoint(plus, minus)
+    return ((eta + star) / 2.0) @ _EPLUS_BASIS.T, ((eta - star) / 2.0) @ _EMINUS_BASIS.T
 
 
 def plane_angles_via_bivectors(V: Plane, W: Plane) -> tuple[float, float]:

@@ -62,6 +62,7 @@ __all__ = [
     "annulus_bounds",
     "find_noncharacteristic_seed",
     "choose_feasible_seed",
+    "check_window",
     "paper_initial_data",
     "default_problem",
     "solve_pde",
@@ -310,6 +311,7 @@ def choose_feasible_seed(c1: float, x_range, y_max: float, hx: float,
     walks the candidates in score order and returns the first one that
     validates for the requested window.  Deterministic.
     """
+    check_window(x_range, y_max, hx, hy)
     u, v, score = _seed_scan(c1, branch)
     order = np.argsort(-score, kind="stable")
     last_err = None
@@ -328,6 +330,27 @@ def choose_feasible_seed(c1: float, x_range, y_max: float, hx: float,
     raise ValueError(
         f"no scanned seed admits the requested window for c1 = {c1}: "
         f"last failure: {last_err}")
+
+
+def check_window(x_range, y_max: float, hx: float,
+                 hy: float) -> tuple[int, int]:
+    """Seed-independent checks of a march window: finite steps and y_max > 0,
+    x0 < x1, hy dividing y_max, hx the x-interval into >= 8 steps.  Returns
+    the number of x-steps and of y-steps each way."""
+    for name, value in (("hx", hx), ("hy", hy), ("y_max", y_max)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
+    x0, x1 = x_range
+    if not (math.isfinite(x1 - x0) and x0 < x1):
+        raise ValueError(f"the x-interval needs finite x0 < x1, got {x0}, {x1}")
+    ny = np.rint(y_max / hy)
+    if ny < 1 or abs(y_max - ny * hy) > 1e-9 * max(1.0, y_max):
+        raise ValueError("hy must divide y_max")
+    span = x1 - x0
+    nx = np.rint(span / hx)
+    if nx < 8 or abs(span - nx * hx) > 1e-9 * max(1.0, span):
+        raise ValueError("hx must divide the x-interval into >= 8 steps")
+    return int(nx), int(ny)
 
 
 # ---------------------------------------------------------------------------
@@ -356,17 +379,11 @@ class PDEProblem:
     branch: int = 1
 
     def x_nodes(self) -> np.ndarray:
-        span = self.x_range[1] - self.x_range[0]
-        n = int(round(span / self.hx))
-        if n < 8 or abs(span - n * self.hx) > 1e-9 * max(1.0, span):
-            raise ValueError("hx must divide the x-interval into >= 8 steps")
+        n = check_window(self.x_range, self.y_max, self.hx, self.hy)[0]
         return np.linspace(self.x_range[0], self.x_range[1], n + 1)
 
     def y_steps(self) -> int:
-        n = int(round(self.y_max / self.hy))
-        if n < 1 or abs(self.y_max - n * self.hy) > 1e-9 * max(1.0, self.y_max):
-            raise ValueError("hy must divide y_max")
-        return n
+        return check_window(self.x_range, self.y_max, self.hx, self.hy)[1]
 
     def validate(self) -> None:
         dmin, dmax = annulus_bounds(self.c1)
@@ -375,7 +392,6 @@ class PDEProblem:
             raise ValueError(
                 f"seed gradient norm {d0:.6g} outside the open annulus "
                 f"({dmin:.6g}, {dmax:.6g})")
-        self.y_steps()
         x = self.x_nodes()
         _, dphi, d2phi = self.phi(x)
         psi, _ = self.psi(x)

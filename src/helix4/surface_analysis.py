@@ -15,9 +15,8 @@ residuals of the structure equations, the four Codazzi identities, the Gauss
 and normal curvatures, the Gauss-map circle condition, a least-squares sphere
 fit, and the parallel-mean-curvature defect.
 
-Patches are sampled once per grid (``SurfacePatch.sample``) and every
-residual is computed on the sampled arrays; the frame-propagation pass is
-the one sequential step (row-major sign alignment).
+Patches are sampled once per grid (``SurfacePatch.sample``); frames
+(``adapted_frames``) and every residual are computed on the sampled arrays.
 """
 
 from __future__ import annotations
@@ -28,7 +27,8 @@ from typing import Callable
 
 import numpy as np
 
-from .grassmann import Plane, gauss_point, hodge, orthogonal_complement, wedge
+from .grassmann import (Plane, _gauss_coords, hodge, orthogonal_complement,
+                        plane_bivector, wedge)
 
 __all__ = [
     "SurfaceJet",
@@ -49,6 +49,7 @@ __all__ = [
     "fd_d2",
     "fundamental_forms",
     "adapted_frame",
+    "adapted_frames",
     "structure_fields",
     "frame_rotation_coefficients",
     "verify_helix",
@@ -149,6 +150,9 @@ class FundamentalForms:
 
 @dataclass
 class AdaptedFrame:
+    """Adapted frame at one point, or (``adapted_frames``) over a grid, each
+    field then an (N, M, ...) array."""
+
     T1: np.ndarray
     T2: np.ndarray
     xi1: np.ndarray
@@ -391,18 +395,19 @@ def _canonical_sign(v: np.ndarray) -> float:
 
 
 def _tangent_frame(jet: SurfaceJet) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal tangent frame, orientation matching (p_u, p_v)."""
-    u1 = jet.p_u / np.linalg.norm(jet.p_u)
-    w = jet.p_v - (jet.p_v @ u1) * u1
-    n = np.linalg.norm(w)
-    if n < 1e-12 * max(1.0, np.linalg.norm(jet.p_v)):
+    """Orthonormal tangent frame, orientation matching (p_u, p_v), at one
+    point or over a grid."""
+    u1 = jet.p_u / np.linalg.norm(jet.p_u, axis=-1, keepdims=True)
+    w = jet.p_v - _dot(jet.p_v, u1)[..., None] * u1
+    n = np.linalg.norm(w, axis=-1, keepdims=True)
+    if (n < 1e-12 * np.maximum(1.0, np.linalg.norm(jet.p_v, axis=-1, keepdims=True))).any():
         raise ImmersionError("tangent vectors are parallel")
     return u1, w / n
 
 
 def _normal_frame(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    q, _, _ = np.linalg.svd(np.stack([u1, u2], axis=1), full_matrices=True)
-    return q[:, 2], q[:, 3]
+    q, _, _ = np.linalg.svd(np.stack([u1, u2], axis=-1), full_matrices=True)
+    return q[..., 2], q[..., 3]
 
 
 def adapted_frame(jet: SurfaceJet, Pi: Plane,
@@ -540,6 +545,101 @@ def _align_frame(fr: AdaptedFrame, prev: AdaptedFrame | None) -> None:
 
     fr.align_quality = float(min(fr.T1 @ prev.T1, fr.T2 @ prev.T2,
                                  fr.xi1 @ prev.xi1, fr.xi2 @ prev.xi2))
+
+
+def adapted_frames(jets: SurfaceJet, Pi: Plane) -> AdaptedFrame:
+    """Adapted frames over an (N, M) grid of jets, in one array pass.
+
+    The frames are those of chaining ``adapted_frame`` along the alignment
+    tree: the root (0, 0) takes canonical signs, every other node aligns
+    with its left neighbour, and column 0 with the node above.  Sign flips
+    and T1/T2 label swaps become running products of neighbour-dot signs
+    along that tree.  ``align_quality`` is 1 at the root.
+    """
+    u1, u2 = _tangent_frame(jets)
+    U = np.stack([u1, u2], axis=-1)                       # (N, M, 4, 2)
+    B = Pi.frame()
+    P, s, Qt = np.linalg.svd(B.T @ U)
+    s = np.clip(s, 0.0, 1.0)
+    s_perp = np.linalg.svd(orthogonal_complement(Pi).frame().T @ U, compute_uv=False)
+    theta = np.arctan2(np.clip(s_perp[..., ::-1], 0.0, 1.0), s)   # (N, M, 2)
+    # the two groups (T_k, e_k, xi_k) stacked on axis -2
+    T = Qt @ np.swapaxes(U, -1, -2)
+    E = np.swapaxes(P, -1, -2) @ B.T
+    e_tied = s > DEG_COS
+    xi_tied = np.sin(theta) > DEG_SIN
+    w = E - _dot(E, T)[..., None] * T
+    X = w / np.where(xi_tied[..., None], np.linalg.norm(w, axis=-1, keepdims=True), 1.0)
+    # complete the loose xi from the normal space, as _complete_normals does
+    # (theta1 <= theta2 before label swaps: xi2 is loose only where xi1 is)
+    loose = ~xi_tied
+    k = loose[..., 0]
+    lk, Xk = loose[k][..., None], X[k]
+    n = np.stack(_normal_frame(u1[k], u2[k]), axis=-2)
+    z = n - _dot(n, Xk[:, 1:])[..., None] * Xk[:, 1:]
+    z = np.where(np.linalg.norm(z[:, :1], axis=-1, keepdims=True) < 0.5,
+                 z[:, 1:], z[:, :1])
+    z /= np.linalg.norm(z, axis=-1, keepdims=True)
+    X[k] = np.where(lk.all(axis=1, keepdims=True), n, np.where(lk, z, Xk))
+
+    # label swaps: a parity that flips where crossed beats straight
+    G = np.abs(T @ np.swapaxes(_parent(T), -1, -2))
+    straight = G[..., 0, 0] + G[..., 1, 1]
+    crossed = G[..., 0, 1] + G[..., 1, 0]
+    near = np.abs(theta[..., 0] - theta[..., 1]) < SWAP_TOL
+    swap = _tree_products(np.where(near & (crossed > straight), -1.0, 1.0),
+                          ~near | (crossed == straight))[..., None] < 0
+    theta, e_tied, xi_tied = (np.where(swap, A[..., ::-1], A)
+                              for A in (theta, e_tied, xi_tied))
+    T, E, X = (np.where(swap[..., None], A[..., ::-1, :], A) for A in (T, E, X))
+
+    sign_T = _aligned_signs(T, False, 1.0)
+    sign_e = _aligned_signs(E, e_tied, sign_T)
+    T, E, X = (A * sgn[..., None] for A, sgn in (
+        (T, sign_T), (E, sign_e), (X, _aligned_signs(X, xi_tied, sign_e))))
+    quality = np.minimum(_dot(T, _parent(T)).min(-1), _dot(X, _parent(X)).min(-1))
+    quality[0, 0] = 1.0
+    return AdaptedFrame(T[..., 0, :], T[..., 1, :], X[..., 0, :], X[..., 1, :],
+                        E[..., 0, :], E[..., 1, :], theta[..., 0], theta[..., 1],
+                        np.abs(theta[..., 1] - theta[..., 0]) < 1e-9, quality,
+                        e_tied[..., 0], e_tied[..., 1], xi_tied[..., 0], xi_tied[..., 1])
+
+
+def _parent(X: np.ndarray) -> np.ndarray:
+    """X at each grid node's alignment parent: the left neighbour, the node
+    above in column 0; the root is its own parent."""
+    P = X.copy()
+    P[:, 1:] = X[:, :-1]
+    P[1:, 0] = X[:-1, 0]
+    return P
+
+
+def _aligned_signs(V: np.ndarray, tied, tied_sign) -> np.ndarray:
+    """Signs (N, M, 2) that align the groups V (N, M, 2, 4) with their tree
+    parents, as ``_align_frame`` flips them: a tied group takes
+    ``tied_sign``, a zero dot restarts at +1, the root is canonical."""
+    d = _dot(V, _parent(V))
+    d[0, 0] = [_canonical_sign(v) for v in V[0, 0]]
+    return _tree_products(np.where(tied, tied_sign, np.where(d < 0, -1.0, 1.0)),
+                          tied | (d == 0))
+
+
+def _tree_products(a: np.ndarray, restart: np.ndarray) -> np.ndarray:
+    """Products of the +-1 entries of a along the alignment tree, restarted
+    (at the entry itself) where ``restart``: down column 0, then along rows."""
+    a = a.copy()
+    a[:, 0] = _path_products(a[:, 0], restart[:, 0])
+    return _path_products(a.swapaxes(0, 1), restart.swapaxes(0, 1)).swapaxes(0, 1)
+
+
+def _path_products(a: np.ndarray, restart: np.ndarray) -> np.ndarray:
+    """Running products of the +-1 entries of a along axis 0, restarted (at
+    the entry itself) where ``restart`` and at index 0."""
+    idx = np.arange(len(a)).reshape((-1,) + (1,) * (a.ndim - 1))
+    start = np.maximum.accumulate(np.where(restart | (idx == 0), idx, 0), axis=0)
+    neg = np.cumsum(a < 0, axis=0)
+    before = np.take_along_axis(neg - (a < 0), start, axis=0)
+    return np.where((neg - before) % 2 == 1, -1.0, 1.0)
 
 
 def frame_rotation_coefficients(theta1: float, theta2: float) -> tuple[float, float]:
@@ -741,9 +841,9 @@ def verify_helix(patch: SurfacePatch, Pi: Plane,
                  grid: tuple[int, int]) -> StructureReport:
     """Sample the adapted-frame structure over a grid and report residuals.
 
-    The frame is propagated row-major with sign alignment (sequential), then
-    connection one-forms and m-derivatives are estimated by centered
-    differences on the interior nodes.
+    Frames come from ``adapted_frames`` (one array pass), then connection
+    one-forms and m-derivatives are estimated by centered differences on the
+    interior nodes.
     """
     N, M = grid
     if N < 3 or M < 3:
@@ -759,51 +859,16 @@ def verify_helix(patch: SurfacePatch, Pi: Plane,
     E, F, G = ff.E, ff.F, ff.G
     a11, a12, a22 = ff.alpha_11, ff.alpha_12, ff.alpha_22
 
-    # frame propagation (sequential pass)
-    T1 = np.empty((N, M, 4))
-    T2 = np.empty((N, M, 4))
-    X1 = np.empty((N, M, 4))
-    X2 = np.empty((N, M, 4))
-    E1 = np.empty((N, M, 4))
-    E2 = np.empty((N, M, 4))
-    th1 = np.empty((N, M))
-    th2 = np.empty((N, M))
-    deg = np.zeros((N, M), dtype=bool)
-    min_align = 1.0
-    frames = [[None] * M for _ in range(N)]
-    # Gauss map against the reference plane, filled in the same pass
-    gp_pi = gauss_point(Pi)
-    eta_pi = wedge(Pi.b1, Pi.b2)
-    star_eta_pi = hodge(eta_pi)
-    circ_plus = np.empty((N, M))
-    circ_minus = np.empty((N, M))
-    cos_theta = np.empty((N, M))
-    cos_theta_perp = np.empty((N, M))
-    for i in range(N):
-        for j in range(M):
-            if j > 0:
-                prev = frames[i][j - 1]
-            elif i > 0:
-                prev = frames[i - 1][0]
-            else:
-                prev = None
-            node = J[i, j]
-            fr = adapted_frame(node, Pi, prev)
-            frames[i][j] = fr
-            if prev is not None:
-                min_align = min(min_align, fr.align_quality)
-            T1[i, j], T2[i, j] = fr.T1, fr.T2
-            X1[i, j], X2[i, j] = fr.xi1, fr.xi2
-            E1[i, j], E2[i, j] = fr.e1, fr.e2
-            th1[i, j], th2[i, j] = fr.theta1, fr.theta2
-            deg[i, j] = fr.degenerate
-            u1, u2 = _tangent_frame(node)
-            eta = wedge(u1, u2)
-            gp = gauss_point(Plane(u1, u2))
-            circ_plus[i, j] = gp.plus @ gp_pi.plus
-            circ_minus[i, j] = gp.minus @ gp_pi.minus
-            cos_theta[i, j] = eta @ eta_pi
-            cos_theta_perp[i, j] = eta @ star_eta_pi
+    if not Pi.oriented:
+        raise ValueError("the Gauss map needs an oriented reference plane")
+    fr = adapted_frames(J, Pi)
+    T1, T2, X1, X2, E1, E2 = fr.T1, fr.T2, fr.xi1, fr.xi2, fr.e1, fr.e2
+    th1, th2 = fr.theta1, fr.theta2
+    # Gauss map of the tangent planes against the reference plane
+    eta, eta_pi = wedge(*_tangent_frame(J)), plane_bivector(Pi)
+    (plus, minus), (plus_pi, minus_pi) = _gauss_coords(eta), _gauss_coords(eta_pi)
+    circ_plus, circ_minus = plus @ plus_pi, minus @ minus_pi
+    cos_theta, cos_theta_perp = eta @ eta_pi, eta @ hodge(eta_pi)
 
     # coefficients of T1, T2 in (p_u, p_v): Gram solve, vectorized
     W = E * G - F * F
@@ -998,8 +1063,8 @@ def verify_helix(patch: SurfacePatch, Pi: Plane,
         alpha_theta_max=float(np.max(alpha_theta_cross)),
         sphere=sphere,
         sphere_dichotomy=sphere_dichotomy,
-        degenerate_fraction=float(np.mean(deg)),
-        min_align_dot=min_align,
+        degenerate_fraction=float(np.mean(fr.degenerate)),
+        min_align_dot=float(fr.align_quality.min()),
         structure_residual=pad(np.max(np.abs(np.concatenate(
             [tangent_res, normal_res])), axis=0)),
         codazzi_residual=pad(np.max(np.abs(np.stack(

@@ -2,9 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import helix4
+from helix4 import helix_construct as hc
 from helix4.cli import (EXIT_DEGENERATE, EXIT_GATE, EXIT_OK, EXIT_PARSE,
                         EXIT_PRECONDITION, dumps_stable, main)
 
@@ -260,6 +266,53 @@ def test_malformed_json_is_parse_error(tmp_path, capsys, command, document):
     code, _, err = run(capsys, *argv)
     assert code == EXIT_PARSE
     assert err.startswith("error: ")
+
+
+THETAS = ("--theta1", "0.5235987756", "--theta2", "1.0471975512")
+
+
+@pytest.mark.parametrize("options, config, code, named", [
+    (("--hx", "0"), None, EXIT_PRECONDITION, "hx"),
+    (("--hy", "0"), None, EXIT_PRECONDITION, "hy"),
+    ((), {"c1": 3.3333333333, "hx": 0}, EXIT_PRECONDITION, "hx"),
+    (("--hx=-1e-3",), None, EXIT_PRECONDITION, "hx"),
+    (("--hx", "nan"), None, EXIT_PRECONDITION, "hx"),
+    (("--hx", "inf"), None, EXIT_PRECONDITION, "hx"),
+    (("--hx", "1"), None, EXIT_PRECONDITION, "hx"),
+    (("--ymax", "0"), None, EXIT_PRECONDITION, "y_max"),
+    (("--ymax", "nan"), None, EXIT_PRECONDITION, "y_max"),
+    (("--x0", "0.05", "--x1", "-0.05"), None, EXIT_PRECONDITION, "x0 < x1"),
+    ((), {"c1": 3.3333333333, "hx": "abc"}, EXIT_PARSE, "hx"),
+], ids=["hx-zero", "hy-zero", "config-hx-zero", "hx-negative", "hx-nan",
+        "hx-inf", "hx-too-coarse", "ymax-zero", "ymax-nan", "x-reversed",
+        "config-hx-string"])
+def test_construct_window_is_checked_before_the_seed_scan(
+        tmp_path, capsys, monkeypatch, options, config, code, named):
+    def no_scan(*args):
+        raise AssertionError("the seed scan ran")
+
+    monkeypatch.setattr(hc, "_seed_scan", no_scan)
+    if config is not None:
+        path = tmp_path / "window.json"
+        path.write_text(json.dumps(config))
+        options = ("--config", str(path))
+    else:
+        options = THETAS + options
+    rc, _, err = run(capsys, "construct", *options)
+    assert rc == code
+    assert err.startswith("error: ") and named in err
+
+
+def test_python_m_helix4_runs_the_cli(capsys):
+    argv = ["deform", "--m", "1", "--c", "3.3333333333"]
+    src = str(Path(helix4.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "helix4", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert (proc.returncode, proc.stdout) == (code, out)
 
 
 def test_dumps_stable_formatting():

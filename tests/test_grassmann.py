@@ -23,6 +23,7 @@ from helix4.grassmann import (
     random_plane,
     wedge,
 )
+from helix4.grassmann import _gauss_coords
 
 E = np.eye(4)
 PI12 = Plane(E[0], E[1])
@@ -114,6 +115,28 @@ def test_hodge_star():
         pairing = (a[0] * b[5] - a[1] * b[4] + a[2] * b[3]
                    + a[3] * b[2] - a[4] * b[1] + a[5] * b[0])
         assert bivector_inner(a, hodge(b)) == pytest.approx(pairing, abs=1e-12)
+
+
+def test_wedge_hodge_and_gauss_coordinates_on_arrays_match_rows():
+    rng = np.random.default_rng(13)
+    u, v = rng.standard_normal((2, 5, 3, 4))
+    b = wedge(u, v)
+    assert b.shape == (5, 3, 6)
+    rows = np.array([wedge(x, y) for x, y in zip(u.reshape(-1, 4), v.reshape(-1, 4))])
+    assert np.array_equal(b.reshape(-1, 6), rows)
+    assert np.array_equal(hodge(b).reshape(-1, 6), np.array([hodge(r) for r in rows]))
+    planes = [random_plane(rng) for _ in range(15)]
+    plus, minus = _gauss_coords(wedge([P.b1 for P in planes], [P.b2 for P in planes]))
+    for P, p, m in zip(planes, plus, minus):
+        gp = gauss_point(P)
+        assert np.allclose(p, gp.plus, rtol=0, atol=1e-15)
+        assert np.allclose(m, gp.minus, rtol=0, atol=1e-15)
+    u[1, 2, 0] = np.nan
+    for bad in ((u, v), (u[..., :3], v[..., :3])):
+        with pytest.raises(ValueError):
+            wedge(*bad)
+    with pytest.raises(ValueError):
+        hodge(np.zeros((3, 4)))
 
 
 def test_decomposable_bivectors_are_hodge_isotropic():
