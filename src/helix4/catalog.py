@@ -3,7 +3,8 @@
 Every generator returns the patch together with the reference plane it is a
 (candidate) helix for and the expected principal angles, so the surfaces
 double as ground truth for the residual machinery in
-:mod:`helix4.surface_analysis`.
+:mod:`helix4.surface_analysis`.  Jets are numpy formulas evaluated once over
+the sampled grid; profile curves take arrays of their parameter.
 
 Conventions (see README): the rotation group used by the orbit construction
 fixes ``span(e1, e2)`` pointwise and rotates the ``(e3, e4)``-plane.  The
@@ -22,9 +23,11 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial import polynomial as poly
 
 from .grassmann import Plane, PrincipalAngles, orthogonal_complement, principal_angles
-from .surface_analysis import SurfaceJet, SurfacePatch, graph_patch_from_jets
+from .surface_analysis import (SurfaceJet, SurfacePatch, _tangent_frame,
+                               graph_patch_from_jets, stack4)
 
 __all__ = [
     "CatalogSurface",
@@ -40,6 +43,7 @@ __all__ = [
 ]
 
 E4 = np.eye(4)
+ZERO4 = np.zeros(4)
 PI_12 = Plane(E4[0], E4[1])
 PI_34 = Plane(E4[2], E4[3])
 
@@ -54,12 +58,27 @@ class CatalogSurface:
 
 @dataclass
 class CurveJet:
+    """Position and first two derivatives of a curve, each of shape (..., 4)."""
+
     c: np.ndarray
     d1: np.ndarray
     d2: np.ndarray
 
 
-Curve = Callable[[float], CurveJet]
+# a curve takes an array of parameters s and returns its jet at every entry
+Curve = Callable[[np.ndarray], CurveJet]
+
+
+def _patch(u_range, v_range, name: str, fields) -> SurfacePatch:
+    """Patch whose sampler calls ``fields(U, V)`` once on the meshgrid; it
+    returns p, p_u, p_v, p_uu, p_uv, p_vv, each as four components that
+    broadcast to the grid (see ``stack4``)."""
+
+    def sample(us: np.ndarray, vs: np.ndarray) -> SurfaceJet:
+        U, V = np.meshgrid(us, vs, indexing="ij")
+        return SurfaceJet(*(stack4(U, *parts) for parts in fields(U, V)))
+
+    return SurfacePatch(u_range, v_range, sample, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -70,36 +89,31 @@ def _product_circles_patch(r1: float, r2: float) -> SurfacePatch:
     if r1 <= 0 or r2 <= 0:
         raise ValueError("circle radii must be positive")
 
-    def jet(u: float, v: float) -> SurfaceJet:
-        cu, su = math.cos(u), math.sin(u)
-        cv, sv = math.cos(v), math.sin(v)
-        return SurfaceJet(
-            p=np.array([r1 * cu, r1 * su, r2 * cv, r2 * sv]),
-            p_u=np.array([-r1 * su, r1 * cu, 0.0, 0.0]),
-            p_v=np.array([0.0, 0.0, -r2 * sv, r2 * cv]),
-            p_uu=np.array([-r1 * cu, -r1 * su, 0.0, 0.0]),
-            p_uv=np.zeros(4),
-            p_vv=np.array([0.0, 0.0, -r2 * cv, -r2 * sv]),
-        )
+    def fields(u, v):
+        cu, su, cv, sv = np.cos(u), np.sin(u), np.cos(v), np.sin(v)
+        return ((r1 * cu, r1 * su, r2 * cv, r2 * sv),
+                (-r1 * su, r1 * cu, 0.0, 0.0),
+                (0.0, 0.0, -r2 * sv, r2 * cv),
+                (-r1 * cu, -r1 * su, 0.0, 0.0),
+                ZERO4,
+                (0.0, 0.0, -r2 * cv, -r2 * sv))
 
-    return SurfacePatch((0.0, 2 * math.pi), (0.0, 2 * math.pi), jet,
-                        name=f"product_circles({r1},{r2})")
+    return _patch((0.0, 2 * math.pi), (0.0, 2 * math.pi),
+                  f"product_circles({r1},{r2})", fields)
 
 
 def _helix_cylinder_patch(theta: float, radius: float, pitch: float) -> SurfacePatch:
-    def jet(s: float, t: float) -> SurfaceJet:
-        cs, ss = math.cos(s), math.sin(s)
-        return SurfaceJet(
-            p=np.array([radius * cs, radius * ss, pitch * s, t]),
-            p_u=np.array([-radius * ss, radius * cs, pitch, 0.0]),
-            p_v=np.array([0.0, 0.0, 0.0, 1.0]),
-            p_uu=np.array([-radius * cs, -radius * ss, 0.0, 0.0]),
-            p_uv=np.zeros(4),
-            p_vv=np.zeros(4),
-        )
+    def fields(s, t):
+        cs, ss = np.cos(s), np.sin(s)
+        return ((radius * cs, radius * ss, pitch * s, t),
+                (-radius * ss, radius * cs, pitch, 0.0),
+                E4[3],
+                (-radius * cs, -radius * ss, 0.0, 0.0),
+                ZERO4,
+                ZERO4)
 
-    return SurfacePatch((0.0, 4 * math.pi), (-1.0, 1.0), jet,
-                        name=f"helix_cylinder(theta={theta:.6g})")
+    return _patch((0.0, 4 * math.pi), (-1.0, 1.0),
+                  f"helix_cylinder(theta={theta:.6g})", fields)
 
 
 def _plane_patch(p0, a, b) -> SurfacePatch:
@@ -107,11 +121,11 @@ def _plane_patch(p0, a, b) -> SurfacePatch:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
 
-    def jet(u: float, v: float) -> SurfaceJet:
-        return SurfaceJet(p=p0 + u * a + v * b, p_u=a.copy(), p_v=b.copy(),
-                          p_uu=np.zeros(4), p_uv=np.zeros(4), p_vv=np.zeros(4))
+    def fields(u, v):
+        return ([p0[k] + u * a[k] + v * b[k] for k in range(4)], a, b,
+                ZERO4, ZERO4, ZERO4)
 
-    return SurfacePatch((-1.0, 1.0), (-1.0, 1.0), jet, name="plane")
+    return _patch((-1.0, 1.0), (-1.0, 1.0), "plane", fields)
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +136,9 @@ def line_curve(p0, d) -> Curve:
     p0 = np.asarray(p0, dtype=float)
     d = np.asarray(d, dtype=float)
 
-    def gamma(s: float) -> CurveJet:
-        return CurveJet(p0 + s * d, d.copy(), np.zeros(4))
+    def gamma(s) -> CurveJet:
+        s = np.asarray(s, dtype=float)
+        return CurveJet(p0 + s[..., None] * d, stack4(s, *d), stack4(s, *ZERO4))
 
     return gamma
 
@@ -131,13 +146,12 @@ def line_curve(p0, d) -> Curve:
 def helix_curve(a: float, b: float, z0: float = 0.0) -> Curve:
     """Classical helix (a cos s, a sin s, b s + z0, 0)."""
 
-    def gamma(s: float) -> CurveJet:
-        cs, ss = math.cos(s), math.sin(s)
-        return CurveJet(
-            np.array([a * cs, a * ss, b * s + z0, 0.0]),
-            np.array([-a * ss, a * cs, b, 0.0]),
-            np.array([-a * cs, -a * ss, 0.0, 0.0]),
-        )
+    def gamma(s) -> CurveJet:
+        s = np.asarray(s, dtype=float)
+        cs, ss = np.cos(s), np.sin(s)
+        return CurveJet(stack4(s, a * cs, a * ss, b * s + z0, 0.0),
+                        stack4(s, -a * ss, a * cs, b, 0.0),
+                        stack4(s, -a * cs, -a * ss, 0.0, 0.0))
 
     return gamma
 
@@ -155,28 +169,28 @@ def spherical_helix_curve(R: float, beta: float) -> Curve:
     sb, cb = math.sin(beta), math.cos(beta)
     umax = R * sb
 
-    def gamma(u: float) -> CurveJet:
-        if not (-umax < u < umax):
-            raise ValueError(f"height {u} outside (-{umax}, {umax})")
+    def gamma(u) -> CurveJet:
+        u = np.asarray(u, dtype=float)
+        outside = ~((-umax < u) & (u < umax))
+        if outside.any():
+            raise ValueError(f"height {u[outside][0]} outside (-{umax}, {umax})")
         r2 = R * R - u * u
-        r = math.sqrt(r2)
+        r = np.sqrt(r2)
         w2 = R * R * sb * sb - u * u
-        w = math.sqrt(w2)
-        tau = math.asin(u / (R * sb))
-        Theta = tau / cb - math.atan(cb * math.tan(tau))
+        w = np.sqrt(w2)
+        tau = np.arcsin(u / (R * sb))
+        Theta = tau / cb - np.arctan(cb * np.tan(tau))
         dr = -u / r
         d2r = -R * R / (r2 * r)
         dT = w / (r2 * cb)
         d2T = u * (2 * w2 - r2) / (w * r2 * r2 * cb)
-        cT, sT = math.cos(Theta), math.sin(Theta)
-        c = np.array([r * cT, r * sT, u, 0.0])
-        d1 = np.array([dr * cT - r * dT * sT, dr * sT + r * dT * cT, 1.0, 0.0])
-        d2 = np.array([
-            d2r * cT - 2 * dr * dT * sT - r * d2T * sT - r * dT * dT * cT,
-            d2r * sT + 2 * dr * dT * cT + r * d2T * cT - r * dT * dT * sT,
-            0.0, 0.0,
-        ])
-        return CurveJet(c, d1, d2)
+        cT, sT = np.cos(Theta), np.sin(Theta)
+        return CurveJet(
+            stack4(u, r * cT, r * sT, u, 0.0),
+            stack4(u, dr * cT - r * dT * sT, dr * sT + r * dT * cT, 1.0, 0.0),
+            stack4(u, d2r * cT - 2 * dr * dT * sT - r * d2T * sT - r * dT * dT * cT,
+                   d2r * sT + 2 * dr * dT * cT + r * d2T * cT - r * dT * dT * sT,
+                   0.0, 0.0))
 
     return gamma
 
@@ -191,70 +205,55 @@ def orbit_surface(gamma: Curve, Pi: Plane,
                   name: str = "orbit") -> SurfacePatch:
     """Orbit of a curve under the rotations fixing Pi pointwise.
 
-    The curve must make a constant angle with Pi (checked at 10 samples, tol
-    1e-9) and must not touch Pi on the domain (the orbit circle through a
-    point of Pi is degenerate).  The s-coordinate lines are geodesics of the
-    patch; this is checked on samples as well.
+    ``gamma`` takes an array of s (see ``Curve``).  The curve must make a
+    constant angle with Pi (checked at 10 samples, tol 1e-9) and must not
+    touch Pi on the domain (the orbit circle through a point of Pi is
+    degenerate).  The s-coordinate lines are geodesics of the patch; this is
+    checked on samples as well.
     """
     comp = orthogonal_complement(Pi)
     n1, n2 = comp.b1, comp.b2
 
     samples = np.linspace(s_range[0], s_range[1], 10)
-    angles = []
-    for s in samples:
-        cj = gamma(s)
-        t = cj.d1 / np.linalg.norm(cj.d1)
-        angles.append(math.asin(min(1.0, float(np.linalg.norm(
-            (t @ n1) * n1 + (t @ n2) * n2)))))
-        if np.hypot(cj.c @ n1, cj.c @ n2) < 1e-9:
-            raise ValueError(f"curve touches the fixed plane at s = {s}; "
-                             "the orbit degenerates there")
-    if max(angles) - min(angles) > 1e-9:
-        k = int(np.argmax(np.abs(np.asarray(angles) - angles[0])))
+    cj = gamma(samples)
+    t = cj.d1 / np.linalg.norm(cj.d1, axis=-1, keepdims=True)
+    angles = np.arcsin(np.minimum(1.0, np.hypot(t @ n1, t @ n2)))
+    touches = np.hypot(cj.c @ n1, cj.c @ n2) < 1e-9
+    if touches.any():
+        raise ValueError(f"curve touches the fixed plane at s = {samples[touches][0]}; "
+                         "the orbit degenerates there")
+    if angles.max() - angles.min() > 1e-9:
+        k = int(np.argmax(np.abs(angles - angles[0])))
         raise ValueError(
             f"curve does not make a constant angle with the plane: angle at "
             f"s = {samples[k]} is {angles[k]}, at s = {samples[0]} is {angles[0]}")
 
-    def jet(s: float, phi: float) -> SurfaceJet:
-        cj = gamma(s)
-        cphi, sphi = math.cos(phi), math.sin(phi)
+    def sample(us: np.ndarray, phis: np.ndarray) -> SurfaceJet:
+        cj = gamma(us)
+        cphi, sphi = np.cos(phis)[:, None], np.sin(phis)[:, None]
 
-        def rot(q: np.ndarray) -> tuple[float, float]:
-            x, y = q @ n1, q @ n2
-            return x * cphi - y * sphi, x * sphi + y * cphi
+        def turned(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            """The Pi-perp part of q rotated by phi, and its phi-derivative."""
+            x, y = (q @ n1)[:, None, None], (q @ n2)[:, None, None]
+            a, b = x * cphi - y * sphi, x * sphi + y * cphi
+            return a * n1 + b * n2, a * n2 - b * n1
 
-        def rot90(q: np.ndarray) -> tuple[float, float]:
-            x, y = q @ n1, q @ n2
-            return -x * sphi - y * cphi, x * cphi - y * sphi
+        c, c_phi = turned(cj.c)
+        d1, d1_phi = turned(cj.d1)
+        d2, _ = turned(cj.d2)
+        P_c, P_d1, P_d2 = (Pi.project(q)[:, None] for q in (cj.c, cj.d1, cj.d2))
+        return SurfaceJet(p=P_c + c, p_u=P_d1 + d1, p_v=c_phi, p_uu=P_d2 + d2,
+                          p_uv=d1_phi, p_vv=-c)
 
-        def in_plane(q: np.ndarray) -> np.ndarray:
-            return Pi.project(q)
-
-        xc, yc = rot(cj.c)
-        x1, y1 = rot(cj.d1)
-        x2, y2 = rot(cj.d2)
-        xq, yq = rot90(cj.c)
-        xq1, yq1 = rot90(cj.d1)
-        return SurfaceJet(
-            p=in_plane(cj.c) + xc * n1 + yc * n2,
-            p_u=in_plane(cj.d1) + x1 * n1 + y1 * n2,
-            p_v=xq * n1 + yq * n2,
-            p_uu=in_plane(cj.d2) + x2 * n1 + y2 * n2,
-            p_uv=xq1 * n1 + yq1 * n2,
-            p_vv=-(xc * n1 + yc * n2),
-        )
-
-    patch = SurfacePatch(s_range, phi_range, jet, name=name)
+    patch = SurfacePatch(s_range, phi_range, sample, name=name)
 
     # the rotated copies of gamma must be geodesics of the patch
-    for s in samples:
-        j = patch.jet(s, 0.3 * (phi_range[1] - phi_range[0]) + phi_range[0])
-        t = j.p_u / np.linalg.norm(j.p_u)
-        w = j.p_v - (j.p_v @ t) * t
-        w /= np.linalg.norm(w)
-        scale = max(1.0, float(np.linalg.norm(j.p_uu)))
-        if abs(j.p_uu @ w) > 1e-9 * scale:
-            raise ValueError(f"s-line fails the geodesic check at s = {s}")
+    j = patch.sample(samples, [0.3 * (phi_range[1] - phi_range[0]) + phi_range[0]])[:, 0]
+    _, w = _tangent_frame(j)
+    scale = np.maximum(1.0, np.linalg.norm(j.p_uu, axis=-1))
+    curved = np.abs(np.einsum("ik,ik->i", j.p_uu, w)) > 1e-9 * scale
+    if curved.any():
+        raise ValueError(f"s-line fails the geodesic check at s = {samples[curved][0]}")
     return patch
 
 
@@ -263,26 +262,11 @@ def orbit_surface(gamma: Curve, Pi: Plane,
 # ---------------------------------------------------------------------------
 
 def _poly2d(coeffs: np.ndarray):
-    """2-jet evaluator for sum c[i,j] x^i y^j."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    cx = coeffs[1:] * np.arange(1, coeffs.shape[0])[:, None]
-    cy = coeffs[:, 1:] * np.arange(1, coeffs.shape[1])[None, :]
-    cxx = cx[1:] * np.arange(1, cx.shape[0])[:, None]
-    cxy = cx[:, 1:] * np.arange(1, cx.shape[1])[None, :]
-    cyy = cy[:, 1:] * np.arange(1, cy.shape[1])[None, :]
-
-    def ev(c: np.ndarray, x: float, y: float) -> float:
-        if c.size == 0:
-            return 0.0
-        xs = x ** np.arange(c.shape[0])
-        ys = y ** np.arange(c.shape[1])
-        return float(xs @ c @ ys)
-
-    def jet(x: float, y: float):
-        return (ev(coeffs, x, y), ev(cx, x, y), ev(cy, x, y),
-                ev(cxx, x, y), ev(cxy, x, y), ev(cyy, x, y))
-
-    return jet
+    """2-jet provider for sum c[i,j] x^i y^j (x, y arrays of one shape)."""
+    cx, cy = poly.polyder(coeffs, axis=0), poly.polyder(coeffs, axis=1)
+    parts = (coeffs, cx, cy, poly.polyder(cx, axis=0), poly.polyder(cx, axis=1),
+             poly.polyder(cy, axis=1))
+    return lambda x, y: tuple(poly.polyval2d(x, y, c) for c in parts)
 
 
 def round_sphere_patch(R: float = 1.0) -> SurfacePatch:
@@ -291,19 +275,16 @@ def round_sphere_patch(R: float = 1.0) -> SurfacePatch:
     Not a helix surface for any plane; used as a negative control.
     """
 
-    def jet(u: float, v: float) -> SurfaceJet:
-        cu, su = math.cos(u), math.sin(u)
-        cv, sv = math.cos(v), math.sin(v)
-        return SurfaceJet(
-            p=np.array([R * cu * cv, R * su * cv, R * sv, 0.0]),
-            p_u=np.array([-R * su * cv, R * cu * cv, 0.0, 0.0]),
-            p_v=np.array([-R * cu * sv, -R * su * sv, R * cv, 0.0]),
-            p_uu=np.array([-R * cu * cv, -R * su * cv, 0.0, 0.0]),
-            p_uv=np.array([R * su * sv, -R * cu * sv, 0.0, 0.0]),
-            p_vv=np.array([-R * cu * cv, -R * su * cv, -R * sv, 0.0]),
-        )
+    def fields(u, v):
+        cu, su, cv, sv = np.cos(u), np.sin(u), np.cos(v), np.sin(v)
+        return ((R * cu * cv, R * su * cv, R * sv, 0.0),
+                (-R * su * cv, R * cu * cv, 0.0, 0.0),
+                (-R * cu * sv, -R * su * sv, R * cv, 0.0),
+                (-R * cu * cv, -R * su * cv, 0.0, 0.0),
+                (R * su * sv, -R * cu * sv, 0.0, 0.0),
+                (-R * cu * cv, -R * su * cv, -R * sv, 0.0))
 
-    return SurfacePatch((0.2, 1.2), (-0.5, 0.5), jet, name=f"round_sphere({R})")
+    return _patch((0.2, 1.2), (-0.5, 0.5), f"round_sphere({R})", fields)
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +294,7 @@ def round_sphere_patch(R: float = 1.0) -> SurfacePatch:
 def _derived_expected(patch: SurfacePatch, Pi: Plane) -> PrincipalAngles:
     u = 0.5 * (patch.u_range[0] + patch.u_range[1])
     v = 0.5 * (patch.v_range[0] + patch.v_range[1])
-    jet = patch.jet(u, v)
-    t1 = jet.p_u / np.linalg.norm(jet.p_u)
-    w = jet.p_v - (jet.p_v @ t1) * t1
-    tangent = Plane(t1, w / np.linalg.norm(w))
-    return principal_angles(tangent, Pi)
+    return principal_angles(Plane(*_tangent_frame(patch.jet(u, v))), Pi)
 
 
 def generate(kind: str, **params) -> CatalogSurface:

@@ -28,8 +28,8 @@ from .expressions import EvalError, ParseError, parse_expr, scalar_jet_from_expr
 from .grassmann import (Plane, plane_angles_via_bivectors, plane_from_json,
                         plane_to_json, principal_angles)
 from .surface_analysis import (FrameDiscontinuityError, ImmersionError,
-                               default_gate, report_csv_rows, verify_helix,
-                               write_obj)
+                               default_gate, report_csv_rows, stack4,
+                               verify_helix, write_obj)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -133,8 +133,9 @@ def _plane_from_arg(text: str, what: str) -> Plane:
     return _plane(obj, what)
 
 
-def _single_var_data(expr_src: str, var_hint: str):
-    """Parse phi/psi expressions of x and return numpy-vector evaluators."""
+def _single_var_data(expr_src: str, var_hint: str, order: int):
+    """Parse a phi/psi expression of x; return the evaluator of it and of its
+    first ``order`` derivatives (an array of x in, a tuple of arrays out)."""
     try:
         expr = parse_expr(expr_src)
     except ParseError as exc:
@@ -142,16 +143,23 @@ def _single_var_data(expr_src: str, var_hint: str):
     if "y" in expr.variables():
         raise CliError(EXIT_PRECONDITION,
                        f"{var_hint} must be a function of x only")
-    d1 = expr.diff("x")
-    d2 = d1.diff("x")
+    parts = [expr]
+    while len(parts) <= order:
+        parts.append(parts[-1].diff("x"))
+    return lambda x: tuple(e.eval(x) for e in parts)
 
-    def vec(e):
-        def ev(xs):
-            xs = np.atleast_1d(np.asarray(xs, dtype=float))
-            return np.array([e.eval(x=float(t)) for t in xs])
-        return ev
 
-    return vec(expr), vec(d1), vec(d2)
+def _seed_from(seed_cfg) -> tuple[float, float]:
+    """(u0, v0) from a seed object or a "u0,v0" string; anything else is
+    a parse error."""
+    try:
+        parts = ((seed_cfg["u0"], seed_cfg["v0"]) if isinstance(seed_cfg, dict)
+                 else seed_cfg.split(","))
+        u0, v0 = (float(t) for t in parts)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CliError(EXIT_PARSE, 'seed must be "auto", "u0,v0" or an object '
+                                   f"with numbers u0 and v0: {exc!r}") from exc
+    return u0, v0
 
 
 def _report_payload(report, gate: float, extra: dict | None = None) -> dict:
@@ -355,17 +363,22 @@ def _cmd_construct(args) -> int:
     try:
         x0, x1 = (float(t) for t in cfg.get("x", (args.x0, args.x1)))
         y_max, hx, hy = (float(cfg.get(k, getattr(args, k))) for k in ("ymax", "hx", "hy"))
-        branch = int(cfg.get("branch", args.branch))
     except (TypeError, ValueError) as exc:
-        raise CliError(EXIT_PARSE, "config x (two numbers), ymax, hx, hy and "
-                                   f"branch must be numbers: {exc}") from exc
+        raise CliError(EXIT_PARSE, "config x (two numbers), ymax, hx and hy "
+                                   f"must be numbers: {exc}") from exc
+    branch = cfg.get("branch", args.branch)
+    if branch not in (1, -1):
+        raise CliError(EXIT_PARSE, f"config branch must be 1 or -1, got {branch!r}")
+    branch = int(branch)
     x_range = (x0, x1)
     hc.check_window(x_range, y_max, hx, hy)   # ValueError: exit 3
 
     custom_data = "phi" in cfg or "psi" in cfg
     seed_cfg = cfg.get("seed", "auto" if args.seed is None else args.seed)
-    try:
-        if seed_cfg == "auto":
+    if seed_cfg != "auto":
+        seed = _seed_from(seed_cfg)
+    else:
+        try:
             if custom_data:
                 seed = hc.find_noncharacteristic_seed(c_norm, branch)
             else:
@@ -373,23 +386,14 @@ def _cmd_construct(args) -> int:
                 # fits the requested window
                 seed = hc.choose_feasible_seed(c_norm, x_range, y_max, hx, hy,
                                                args.curvature, branch)
-        elif isinstance(seed_cfg, dict):
-            if not {"u0", "v0"} <= seed_cfg.keys():
-                raise CliError(EXIT_PARSE, "config seed needs both u0 and v0")
-            seed = (float(seed_cfg["u0"]), float(seed_cfg["v0"]))
-        else:
-            u0, v0 = (float(t) for t in str(seed_cfg).split(","))
-            seed = (u0, v0)
-    except ValueError as exc:
-        raise CliError(EXIT_DEGENERATE, f"seed scan failed: {exc}") from exc
+        except ValueError as exc:
+            raise CliError(EXIT_DEGENERATE, f"seed scan failed: {exc}") from exc
 
     if custom_data:
         if not ("phi" in cfg and "psi" in cfg):
             raise CliError(EXIT_PARSE, "config must give both phi and psi")
-        phi_v, phi_d1, phi_d2 = _single_var_data(cfg["phi"], "phi")
-        psi_v, psi_d1, _ = _single_var_data(cfg["psi"], "psi")
-        phi = lambda x: (phi_v(x), phi_d1(x), phi_d2(x))  # noqa: E731
-        psi = lambda x: (psi_v(x), psi_d1(x))             # noqa: E731
+        phi = _single_var_data(cfg["phi"], "phi", 2)
+        psi = _single_var_data(cfg["psi"], "psi", 1)
     else:
         phi, psi = hc.paper_initial_data(seed[0], seed[1], args.curvature)
 
@@ -480,11 +484,9 @@ def _cmd_export(args) -> int:
         if len(names) != 3 or any(n not in allowed for n in names):
             raise CliError(EXIT_PARSE,
                            "--coords must be three of x,y,f,g (comma separated)")
-        pts = np.empty((nx, ny, 4))
-        for i in range(nx):
-            for j in range(ny):
-                pts[i, j] = (xs[i], ys[j], layers["f"][j, i], layers["g"][j, i])
-        write_obj(args.out, pts, tuple(allowed[n] for n in names))
+        f, g = layers["f"].T, layers["g"].T
+        write_obj(args.out, stack4(f, xs[:, None], ys, f, g),
+                  tuple(allowed[n] for n in names))
     return EXIT_OK
 
 

@@ -11,9 +11,10 @@ to the second order needed for surface jets.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = ["Expr", "ParseError", "EvalError", "parse_expr", "scalar_jet_from_exprs"]
 
@@ -25,11 +26,11 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 _FUNCTIONS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "exp": math.exp,
-    "sqrt": math.sqrt,
+    "sin": np.sin,
+    "cos": np.cos,
+    "tan": np.tan,
+    "exp": np.exp,
+    "sqrt": np.sqrt,
 }
 
 
@@ -69,8 +70,8 @@ class Expr:
     def binary(op: str, a: "Expr", b: "Expr", span: int = 0) -> "Expr":
         if a.kind == "num" and b.kind == "num":
             try:
-                return Expr.num(_APPLY[op](a.value, b.value), span)
-            except (ZeroDivisionError, ValueError, OverflowError):
+                return Expr.num(Expr(op, args=(a, b), span=span).eval(), span)
+            except EvalError:
                 pass
         if op == "+":
             if a == _ZERO:
@@ -115,30 +116,58 @@ class Expr:
 
     # -- evaluation --
 
-    def eval(self, x: float = 0.0, y: float = 0.0) -> float:
+    def eval(self, x=0.0, y=0.0):
+        """Value at (x, y): scalars give a float, arrays (broadcast against
+        each other) an array of that shape.
+
+        A failing node raises EvalError with its span; on arrays the error is
+        the one the first failing element (row-major) raises on its own.
+        """
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        bad = np.zeros(x.shape, dtype=bool)
+        with np.errstate(all="ignore"):
+            value = self._eval(x, y, bad)
+            if bad.any():
+                k = np.unravel_index(np.argmax(bad), bad.shape)
+                self._eval(x[k], y[k], None)
+        value = np.broadcast_to(value, x.shape).astype(float)
+        return value if value.ndim else float(value)
+
+    def _eval(self, x, y, bad):
+        """Values at (x, y); a node failing at some element marks it in
+        ``bad``, or raises EvalError when ``bad`` is None."""
         k = self.kind
         if k == "num":
             return self.value
         if k == "var":
             return x if self.name == "x" else y
         if k == "neg":
-            return -self.args[0].eval(x, y)
+            return -self.args[0]._eval(x, y, bad)
         if k == "call":
-            v = self.args[0].eval(x, y)
-            if self.name == "sqrt" and v < 0:
-                raise EvalError(f"sqrt of negative value {v:.6g}", self.span)
-            try:
-                return _FUNCTIONS[self.name](v)
-            except (ValueError, OverflowError) as exc:
-                raise EvalError(f"{self.name}: {exc}", self.span) from exc
-        a = self.args[0].eval(x, y)
-        b = self.args[1].eval(x, y)
-        if k == "/" and b == 0.0:
-            raise EvalError("division by zero", self.span)
-        try:
-            return _APPLY[k](a, b)
-        except (ValueError, OverflowError) as exc:
-            raise EvalError(str(exc), self.span) from exc
+            v = self.args[0]._eval(x, y, bad)
+            if self.name == "sqrt":
+                self._check(v < 0, bad, lambda: f"sqrt of negative value {float(v):.6g}")
+            r = _FUNCTIONS[self.name](v)
+            # as in math: a NaN result from a non-NaN argument is a domain
+            # error, an infinite one from a finite argument a range error
+            self._check(np.isnan(r) & ~np.isnan(v) | np.isinf(r) & np.isfinite(v), bad,
+                        lambda: f"{self.name}: math {'range' if np.isinf(r) else 'domain'} error")
+            return r
+        a = self.args[0]._eval(x, y, bad)
+        b = self.args[1]._eval(x, y, bad)
+        if k == "/":
+            self._check(b == 0.0, bad, lambda: "division by zero")
+        r = _APPLY[k](a, b)
+        if k == "^":
+            self._check(~np.isfinite(r), bad,
+                        lambda: f"({float(a):.6g})^({float(b):.6g}) is not a finite real number")
+        return r
+
+    def _check(self, failed, bad, message) -> None:
+        if np.any(failed):
+            if bad is None:
+                raise EvalError(message(), self.span)
+            bad |= failed
 
     # -- differentiation --
 
@@ -170,8 +199,8 @@ class Expr:
             if b.kind == "num":
                 # d/dv a^n = n a^(n-1) a'
                 return Expr.binary("*",
-                                   Expr.binary("*", b,
-                                               Expr.binary("^", a, Expr.num(b.value - 1))),
+                                   Expr.binary("*", b, Expr.binary(
+                                       "^", a, Expr.num(b.value - 1), self.span)),
                                    a.diff(var))
             raise ParseError("derivative of a^b needs a constant exponent",
                              self.span)
@@ -217,13 +246,8 @@ class Expr:
 
 _ZERO = Expr("num", value=0.0)
 _ONE = Expr("num", value=1.0)
-_APPLY = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": lambda a, b: a / b,
-    "^": lambda a, b: a ** b,
-}
+_APPLY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+          "^": np.power}
 
 
 def _tokenize(src: str):
@@ -330,12 +354,8 @@ def parse_expr(src: str) -> Expr:
 
 
 def scalar_jet_from_exprs(f: Expr):
-    """2-jet evaluator (v, vx, vy, vxx, vxy, vyy) with symbolic derivatives."""
+    """2-jet provider (v, vx, vy, vxx, vxy, vyy) with symbolic derivatives;
+    x, y may be scalars or arrays (see ``Expr.eval``)."""
     fx, fy = f.diff("x"), f.diff("y")
-    fxx, fxy, fyy = fx.diff("x"), fx.diff("y"), fy.diff("y")
-
-    def jet(x: float, y: float):
-        return (f.eval(x, y), fx.eval(x, y), fy.eval(x, y),
-                fxx.eval(x, y), fxy.eval(x, y), fyy.eval(x, y))
-
-    return jet
+    parts = (f, fx, fy, fx.diff("x"), fx.diff("y"), fy.diff("y"))
+    return lambda x, y: tuple(e.eval(x, y) for e in parts)

@@ -101,9 +101,10 @@ class Plane:
         return Plane(self.b2, self.b1, self.oriented)
 
     def project(self, v) -> np.ndarray:
-        """Orthogonal projection of a vector onto the plane."""
-        v = _as_vec4(v)
-        return (v @ self.b1) * self.b1 + (v @ self.b2) * self.b2
+        """Orthogonal projection onto the plane of a 4-vector or of an array
+        of them (last axis)."""
+        v = _as_vec4(v, stacked=True)
+        return (v @ self.b1)[..., None] * self.b1 + (v @ self.b2)[..., None] * self.b2
 
 
 @dataclass(frozen=True)

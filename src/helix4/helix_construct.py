@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -127,9 +128,10 @@ class HelixParams:
 # graph surfaces
 # ---------------------------------------------------------------------------
 
-ScalarJet = Callable[[float, float], tuple[float, float, float, float, float, float]]
+# a scalar 2-jet provider: x, y (scalars or arrays) -> value, d/dx, d/dy,
+# d2/dx2, d2/dxdy, d2/dy2, each shaped like x or a constant
+ScalarJet = Callable[[np.ndarray, np.ndarray], tuple]
 
-# entries of a scalar 2-jet: value, d/dx, d/dy, d2/dx2, d2/dxdy, d2/dy2
 JET_PARTS = ("", "x", "y", "xx", "xy", "yy")
 GRAPH_FIELDS = tuple(k + s for k in "fg" for s in JET_PARTS)
 
@@ -138,8 +140,9 @@ GRAPH_FIELDS = tuple(k + s for k in "fg" for s in JET_PARTS)
 class GraphSurface:
     """Scalar fields f, g on a rectangle with 1st/2nd derivative access.
 
+    ``f_jet``/``g_jet`` are scalar 2-jet providers (``ScalarJet``).
     Grid-backed fields keep every derivative as a [y, x] array in ``grids``
-    (keys ``GRAPH_FIELDS``); ``f_jet``/``g_jet`` are then one-node views."""
+    (keys ``GRAPH_FIELDS``); their ``f_jet``/``g_jet`` are one-node views."""
 
     f_jet: ScalarJet
     g_jet: ScalarJet
@@ -154,6 +157,7 @@ class GraphSurface:
     @classmethod
     def from_callables(cls, f_jet: ScalarJet, g_jet: ScalarJet,
                        x_range, y_range, name: str = "graph") -> "GraphSurface":
+        """Fields from two providers, each called once per sampled grid."""
         return cls(f_jet, g_jet, tuple(x_range), tuple(y_range), name=name)
 
     @classmethod
@@ -179,15 +183,8 @@ class GraphSurface:
             grids.update(zip((key + s for s in JET_PARTS), (
                 V, vx, fd_d1(V, hy, axis=0), fd_d2(V, hx, axis=1),
                 fd_d1(vx, hy, axis=0), fd_d2(V, hy, axis=0))))
-
-        def node_jet(key: str) -> ScalarJet:
-            def jet(x: float, y: float):
-                i, j = snap_to_nodes(xs, ys, np.array([x], dtype=float),
-                                     np.array([y], dtype=float))
-                return tuple(grids[key + s][j, i][0, 0] for s in JET_PARTS)
-            return jet
-
-        return cls(node_jet("f"), node_jet("g"), (xs[0], xs[-1]), (ys[0], ys[-1]),
+        f_jet, g_jet = (partial(_grid_node_jet, xs, ys, grids, k) for k in "fg")
+        return cls(f_jet, g_jet, (xs[0], xs[-1]), (ys[0], ys[-1]),
                    source="grid", xs=xs, ys=ys, name=name, grids=grids)
 
     def sample_grid(self, n: int | None = None,
@@ -205,9 +202,9 @@ class GraphSurface:
         if self.grids is not None:
             i, j = snap_to_nodes(self.xs, self.ys, xs, ys)
             return {k: v[j][:, i] for k, v in self.grids.items()}
-        vals = np.array([[(*self.f_jet(x, y), *self.g_jet(x, y)) for x in xs]
-                         for y in ys], dtype=float)
-        return dict(zip(GRAPH_FIELDS, np.moveaxis(vals, -1, 0)))
+        X, Y = np.meshgrid(xs, ys)
+        return {k: np.broadcast_to(np.asarray(v, dtype=float), X.shape)
+                for k, v in zip(GRAPH_FIELDS, (*self.f_jet(X, Y), *self.g_jet(X, Y)))}
 
     def patch(self) -> SurfacePatch:
         def sample(xs: np.ndarray, ys: np.ndarray):
@@ -215,8 +212,14 @@ class GraphSurface:
             X, Y = np.meshgrid(xs, ys, indexing="ij")
             return graph_jet(X, Y, *([d[k + s].T for s in JET_PARTS] for k in "fg"))
 
-        return SurfacePatch(self.x_range, self.y_range, jet_source=self.source,
-                            name=self.name, sampler=sample)
+        return SurfacePatch(self.x_range, self.y_range, sample, jet_source=self.source,
+                            name=self.name)
+
+
+def _grid_node_jet(xs, ys, grids, key: str, x: float, y: float) -> tuple:
+    """Scalar 2-jet of field ``key`` at the node (x, y) snaps to."""
+    i, j = snap_to_nodes(xs, ys, [x], [y])
+    return tuple(grids[key + s][j, i][0, 0] for s in JET_PARTS)
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,7 @@ __all__ = [
     "patch_from_grid",
     "graph_patch_from_jets",
     "graph_jet",
+    "stack4",
     "snap_to_nodes",
     "fd_d1",
     "fd_d2",
@@ -99,11 +100,11 @@ class SurfaceJet:
 
 @dataclass
 class SurfacePatch:
-    """Parameter rectangle plus a jet provider.
+    """Parameter rectangle plus a jet sampler.
 
-    ``sample(us, vs)`` gives the jet on the grid us x vs as (N, M, 4) arrays:
-    from the batched ``sampler`` if there is one (``jet`` is then a one-node
-    view of it), otherwise by calling ``jet`` once per node.
+    ``sampler(us, vs)`` gives the jet on the grid us x vs (1-D arrays) as
+    (N, M, 4) arrays, evaluated as arrays (constants broadcast, see
+    ``stack4``); ``sample`` calls it, and ``jet(u, v)`` is its one-node view.
 
     ``jet_source`` records where derivatives come from: "analytic" (closed
     form), "fd-position" (finite differences of a position-only map) or
@@ -112,27 +113,15 @@ class SurfacePatch:
 
     u_range: tuple[float, float]
     v_range: tuple[float, float]
-    jet: Callable[[float, float], SurfaceJet] | None = None
+    sampler: Callable[[np.ndarray, np.ndarray], SurfaceJet]
     jet_source: str = "analytic"
     name: str = ""
-    sampler: Callable[[np.ndarray, np.ndarray], SurfaceJet] | None = None
-
-    def __post_init__(self):
-        if self.jet is None:
-            # a closure over the sampler, not self: no reference cycle keeps
-            # the sampled arrays alive after the patch is dropped
-            sampler = self.sampler
-            self.jet = lambda u, v: sampler(np.array([u], dtype=float),
-                                            np.array([v], dtype=float))[0, 0]
 
     def sample(self, us, vs) -> SurfaceJet:
-        us = np.asarray(us, dtype=float)
-        vs = np.asarray(vs, dtype=float)
-        if self.sampler is not None:
-            return self.sampler(us, vs)
-        jets = [[self.jet(u, v) for v in vs] for u in us]
-        return SurfaceJet(*(np.array([[getattr(j, k) for j in row] for row in jets])
-                            for k in JET_FIELDS))
+        return self.sampler(np.asarray(us, dtype=float), np.asarray(vs, dtype=float))
+
+    def jet(self, u: float, v: float) -> SurfaceJet:
+        return self.sample([u], [v])[0, 0]
 
 
 @dataclass
@@ -215,40 +204,39 @@ class ResidualStat:
 # jet providers
 # ---------------------------------------------------------------------------
 
-def patch_from_position(pos: Callable[[float, float], np.ndarray],
+def patch_from_position(pos: Callable[[np.ndarray, np.ndarray], np.ndarray],
                         u_range: tuple[float, float],
                         v_range: tuple[float, float],
                         h: float | None = None,
                         name: str = "") -> SurfacePatch:
     """Patch with jets estimated by central differences of a position map.
 
-    Step defaults to (domain span) * max(1e-4, cbrt(machine eps)) per
-    direction.
+    ``pos(u, v)`` takes arrays of parameters and returns the points as an
+    array of shape u.shape + (4,); a grid costs nine calls.  Step defaults
+    to (domain span) * max(1e-4, cbrt(machine eps)) per direction.
     """
     scale = max(1e-4, float(np.finfo(float).eps) ** (1.0 / 3.0))
     hu = h if h is not None else (u_range[1] - u_range[0]) * scale
     hv = h if h is not None else (v_range[1] - v_range[0]) * scale
 
-    def jet(u: float, v: float) -> SurfaceJet:
-        c = np.asarray(pos(u, v), dtype=float)
-        pu_p = np.asarray(pos(u + hu, v), dtype=float)
-        pu_m = np.asarray(pos(u - hu, v), dtype=float)
-        pv_p = np.asarray(pos(u, v + hv), dtype=float)
-        pv_m = np.asarray(pos(u, v - hv), dtype=float)
-        ppp = np.asarray(pos(u + hu, v + hv), dtype=float)
-        ppm = np.asarray(pos(u + hu, v - hv), dtype=float)
-        pmp = np.asarray(pos(u - hu, v + hv), dtype=float)
-        pmm = np.asarray(pos(u - hu, v - hv), dtype=float)
+    def sample(us: np.ndarray, vs: np.ndarray) -> SurfaceJet:
+        U, V = np.meshgrid(us, vs, indexing="ij")
+
+        def at(du: float, dv: float) -> np.ndarray:
+            return np.asarray(pos(U + du, V + dv), dtype=float)
+
+        c = at(0.0, 0.0)
+        pu_p, pu_m, pv_p, pv_m = at(hu, 0.0), at(-hu, 0.0), at(0.0, hv), at(0.0, -hv)
         return SurfaceJet(
             p=c,
             p_u=(pu_p - pu_m) / (2 * hu),
             p_v=(pv_p - pv_m) / (2 * hv),
             p_uu=(pu_p - 2 * c + pu_m) / (hu * hu),
+            p_uv=(at(hu, hv) - at(hu, -hv) - at(-hu, hv) + at(-hu, -hv)) / (4 * hu * hv),
             p_vv=(pv_p - 2 * c + pv_m) / (hv * hv),
-            p_uv=(ppp - ppm - pmp + pmm) / (4 * hu * hv),
         )
 
-    return SurfacePatch(u_range, v_range, jet, jet_source="fd-position", name=name)
+    return SurfacePatch(u_range, v_range, sample, jet_source="fd-position", name=name)
 
 
 def fd_d1(values: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
@@ -300,8 +288,8 @@ def patch_from_grid(us: np.ndarray, vs: np.ndarray, points: np.ndarray,
         i, j = snap_to_nodes(us, vs, qu, qv)
         return arrays[i][:, j]
 
-    return SurfacePatch((us[0], us[-1]), (vs[0], vs[-1]), jet_source="grid",
-                        name=name, sampler=sample)
+    return SurfacePatch((us[0], us[-1]), (vs[0], vs[-1]), sample, jet_source="grid",
+                        name=name)
 
 
 def snap_to_nodes(nodes_u: np.ndarray, nodes_v: np.ndarray,
@@ -327,16 +315,20 @@ def snap_to_nodes(nodes_u: np.ndarray, nodes_v: np.ndarray,
     return tuple(picked)
 
 
+def stack4(like, *parts) -> np.ndarray:
+    """Array of 4-vectors (last axis) from four components, each broadcast
+    to the shape of ``like``; a constant such as 0.0 stands for a component
+    that does not vary."""
+    return np.stack(np.broadcast_arrays(like, *parts)[1:], axis=-1, dtype=float)
+
+
 def graph_jet(x, y, f, g) -> SurfaceJet:
     """Jet of the graph (x, y) -> (x, y, f, g) from the scalar 2-jets f, g
-    (value, d/dx, d/dy, d2/dx2, d2/dxdy, d2/dy2), entries shaped like x."""
-    zero, one = np.zeros_like(x), np.ones_like(x)
-
-    def vec(a, b, k):
-        return np.stack([a, b, f[k], g[k]], axis=-1)
-
-    return SurfaceJet(vec(x, y, 0), vec(one, zero, 1), vec(zero, one, 2),
-                      vec(zero, zero, 3), vec(zero, zero, 4), vec(zero, zero, 5))
+    (value, d/dx, d/dy, d2/dx2, d2/dxdy, d2/dy2); each entry is broadcast to
+    the shape of x, so constant entries may be plain numbers."""
+    return SurfaceJet(stack4(x, x, y, f[0], g[0]), stack4(x, 1.0, 0.0, f[1], g[1]),
+                      stack4(x, 0.0, 1.0, f[2], g[2]), stack4(x, 0.0, 0.0, f[3], g[3]),
+                      stack4(x, 0.0, 0.0, f[4], g[4]), stack4(x, 0.0, 0.0, f[5], g[5]))
 
 
 def graph_patch_from_jets(f_jet, g_jet, x_range, y_range,
@@ -344,13 +336,16 @@ def graph_patch_from_jets(f_jet, g_jet, x_range, y_range,
                           name: str = "graph") -> SurfacePatch:
     """(x, y) -> (x, y, f, g) patch from scalar 2-jet providers.
 
-    Each provider returns (value, d/dx, d/dy, d2/dx2, d2/dxdy, d2/dy2).
+    Each provider takes arrays x, y and returns (value, d/dx, d/dy, d2/dx2,
+    d2/dxdy, d2/dy2), entries shaped like x or constants; a grid costs one
+    call of each.
     """
 
-    def jet(x: float, y: float) -> SurfaceJet:
-        return graph_jet(x, y, f_jet(x, y), g_jet(x, y))
+    def sample(xs: np.ndarray, ys: np.ndarray) -> SurfaceJet:
+        X, Y = np.meshgrid(xs, ys, indexing="ij")
+        return graph_jet(X, Y, f_jet(X, Y), g_jet(X, Y))
 
-    return SurfacePatch(x_range, y_range, jet, jet_source=jet_source, name=name)
+    return SurfacePatch(x_range, y_range, sample, jet_source=jet_source, name=name)
 
 
 # ---------------------------------------------------------------------------

@@ -96,10 +96,11 @@ def test_orbit_rejects_curve_in_fixed_plane():
 
 
 def test_orbit_rejects_varying_angle():
-    def parabola(s: float) -> CurveJet:
-        return CurveJet(np.array([s, 0.0, 1.0 + s * s, 0.0]),
-                        np.array([1.0, 0.0, 2 * s, 0.0]),
-                        np.array([0.0, 0.0, 2.0, 0.0]))
+    def parabola(s: np.ndarray) -> CurveJet:
+        one, zero = np.ones_like(s), np.zeros_like(s)
+        return CurveJet(np.stack([s, zero, 1.0 + s * s, zero], axis=-1),
+                        np.stack([one, zero, 2 * s, zero], axis=-1),
+                        np.stack([zero, zero, 2.0 * one, zero], axis=-1))
 
     with pytest.raises(ValueError, match="constant angle"):
         orbit_surface(parabola, PI_12, (0.1, 1.0))

@@ -245,10 +245,14 @@ GRAPH = {"f": "x", "g": "y"}
     ("verify", {"graph": "x"}),
     ("angles", [1, 2]),
     ("construct", {"c1": 10.0 / 3.0, "seed": {"u0": 1}}),
+    ("construct", {"c1": 10.0 / 3.0, "seed": {"u0": "abc", "v0": 1}}),
+    ("construct", {"c1": 10.0 / 3.0, "seed": {"u0": [1], "v0": 1}}),
+    ("construct", {"c1": 10.0 / 3.0, "seed": "1,2,3"}),
     ("export", {"nx": 3, "ny": 3, "x0": 0.0, "y0": 0.0, "hx": 1.0, "hy": 1.0,
                 "dtype": "float64"}),
 ], ids=["config-number", "surface-number", "plane-list", "grid-string",
         "graph-string", "angles-plane-list", "seed-without-v0",
+        "seed-u0-string", "seed-u0-list", "seed-three-numbers",
         "sidecar-without-fields"])
 def test_malformed_json_is_parse_error(tmp_path, capsys, command, document):
     # a JSON document of the wrong shape exits 2 with one error line
@@ -283,9 +287,10 @@ THETAS = ("--theta1", "0.5235987756", "--theta2", "1.0471975512")
     (("--ymax", "nan"), None, EXIT_PRECONDITION, "y_max"),
     (("--x0", "0.05", "--x1", "-0.05"), None, EXIT_PRECONDITION, "x0 < x1"),
     ((), {"c1": 3.3333333333, "hx": "abc"}, EXIT_PARSE, "hx"),
+    ((), {"c1": 3.3333333333, "branch": 2}, EXIT_PARSE, "branch"),
 ], ids=["hx-zero", "hy-zero", "config-hx-zero", "hx-negative", "hx-nan",
         "hx-inf", "hx-too-coarse", "ymax-zero", "ymax-nan", "x-reversed",
-        "config-hx-string"])
+        "config-hx-string", "config-branch-two"])
 def test_construct_window_is_checked_before_the_seed_scan(
         tmp_path, capsys, monkeypatch, options, config, code, named):
     def no_scan(*args):
@@ -301,6 +306,24 @@ def test_construct_window_is_checked_before_the_seed_scan(
     rc, _, err = run(capsys, "construct", *options)
     assert rc == code
     assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize("command, document, code, offset", [
+    ("construct", {"c1": 3.3333333333, "phi": "x^-1", "psi": "x"}, EXIT_PARSE, 1),
+    ("construct", {"c1": 3.3333333333, "phi": "(x-1)^0.5", "psi": "x"}, EXIT_PARSE, 5),
+    ("verify", {"graph": {"f": "x^-1", "g": "y"}, "grid": [9, 9]}, EXIT_PRECONDITION, 1),
+    ("verify", {"graph": {"f": "(x-2)^0.5", "g": "y"}, "grid": [9, 9]},
+     EXIT_PRECONDITION, 5),
+], ids=["construct-inverse", "construct-complex", "verify-inverse", "verify-complex"])
+def test_power_without_a_finite_real_value_is_an_eval_error(
+        tmp_path, capsys, command, document, code, offset):
+    # the exit code sqrt of a negative value gets, at the offset of the '^'
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document))
+    rc, _, err = run(capsys, command, "--config", str(path))
+    assert rc == code
+    assert err.startswith("error: ") and f"(at offset {offset})" in err
+    assert "not a finite real number" in err
 
 
 def test_python_m_helix4_runs_the_cli(capsys):

@@ -107,7 +107,7 @@ def test_batched_frames_match_chained_oracle(make, exercises):
     assert np.sign(fr.align_quality.min()) == np.sign(q.min())
 
     # these are the frames the report is built from
-    rep = verify_helix(replace(patch, jet=None, sampler=lambda us, vs: J), Pi, grid)
+    rep = verify_helix(replace(patch, sampler=lambda us, vs: J), Pi, grid)
     assert np.array_equal(rep.theta1, fr.theta1)
     assert np.array_equal(rep.theta2, fr.theta2)
     assert rep.min_align_dot == fr.align_quality.min()
@@ -118,7 +118,7 @@ def test_nan_node_fails_like_the_pointwise_pass():
     patch, Pi, grid = example("orbit_cone", (6, 7))
     J = grid_jets(patch, grid)
     J.p_u[2, 3] = np.nan
-    nan_patch = replace(patch, jet=None, sampler=lambda us, vs: J)
+    nan_patch = replace(patch, sampler=lambda us, vs: J)
     with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
         verify_helix(nan_patch, Pi, grid)
     with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):

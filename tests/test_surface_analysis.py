@@ -291,7 +291,7 @@ def test_brioschi_flat_metric():
 
 def test_fd_position_patch_matches_analytic():
     def pos(u, v):
-        return np.array([math.cos(u), math.sin(u), math.cos(v), math.sin(v)])
+        return np.stack([np.cos(u), np.sin(u), np.cos(v), np.sin(v)], axis=-1)
 
     patch = patch_from_position(pos, (0.0, 2 * math.pi), (0.0, 2 * math.pi))
     assert patch.jet_source == "fd-position"
