@@ -28,8 +28,7 @@ from .expressions import EvalError, ParseError, parse_expr, scalar_jet_from_expr
 from .grassmann import (Plane, plane_angles_via_bivectors, plane_from_json,
                         plane_to_json, principal_angles)
 from .surface_analysis import (FrameDiscontinuityError, ImmersionError,
-                               default_gate, report_csv_rows, stack4,
-                               verify_helix, write_obj)
+                               default_gate, stack4, verify_helix)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -46,9 +45,8 @@ SIDECAR_KEYS = {"nx", "ny", "x0", "y0", "hx", "hy", "fields"}
 # deterministic JSON
 # ---------------------------------------------------------------------------
 
-def dumps_stable(obj, indent: int = 0) -> str:
+def dumps_stable(obj) -> str:
     """JSON with floats rendered at 17 significant digits (non-finite -> null)."""
-    pad = " " * indent
 
     def render(o, depth):
         sp = " " * (depth * 2)
@@ -75,7 +73,7 @@ def dumps_stable(obj, indent: int = 0) -> str:
             return "{\n" + ",\n".join(items) + "\n" + sp + "}"
         raise TypeError(f"cannot serialize {type(o)}")
 
-    return pad + render(obj, 0) + "\n"
+    return render(obj, 0) + "\n"
 
 
 def _emit(obj, out: str | None) -> None:
@@ -84,6 +82,49 @@ def _emit(obj, out: str | None) -> None:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+# ---------------------------------------------------------------------------
+# CSV and OBJ text
+# ---------------------------------------------------------------------------
+
+# rows converted to Python numbers at a time: converting a whole export grid
+# at once holds several MB of Python floats
+ROW_BLOCK = 1024
+
+
+def _write_rows(fh, line: str, rows: np.ndarray) -> None:
+    """Write every row of the 2-D array ``rows`` as ``line % tuple(row)``."""
+    for start in range(0, len(rows), ROW_BLOCK):
+        block = rows[start:start + ROW_BLOCK]
+        fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+
+
+def _write_csv(path: str, names, columns) -> None:
+    """CSV with the header ``names`` and one row per element of the
+    same-shaped ``columns``, in C order, floats at 17 significant digits."""
+    table = np.stack(columns, axis=-1).reshape(-1, len(columns))
+    with open(path, "w") as fh:
+        fh.write(",".join(names) + "\n")
+        _write_rows(fh, ",".join(["%.17g"] * len(names)) + "\n", table)
+
+
+def _write_obj(path: str, points: np.ndarray, coords: tuple[int, int, int]) -> None:
+    """OBJ mesh of the (N, M, 4) grid ``points`` projected to the coordinates
+    ``coords``: a comment naming the dropped coordinate, the vertices in C
+    order, then 1-based faces, two triangles (a, b, d), (a, d, c) per cell
+    with corners a = [i, j], b = [i, j+1], c = [i+1, j], d = [i+1, j+1]."""
+    N, M, _ = points.shape
+    dropped = ({0, 1, 2, 3} - set(coords)).pop()
+    node = np.arange(1, N * M + 1).reshape(N, M)
+    a, b, c, d = node[:-1, :-1], node[:-1, 1:], node[1:, :-1], node[1:, 1:]
+    with open(path, "w") as fh:
+        fh.write(f"# projection to coordinates {coords}; dropped coordinate: "
+                 f"{'xyzw'[dropped]} (index {dropped})\n")
+        _write_rows(fh, "v %.17g %.17g %.17g\n",
+                    points[..., list(coords)].reshape(-1, 3))
+        _write_rows(fh, "f %d %d %d\n",
+                    np.stack([a, b, d, a, d, c], axis=-1).reshape(-1, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -108,9 +149,9 @@ def _load_json(path: str) -> dict:
     try:
         cfg = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(EXIT_PARSE, f"cannot read config {path}: {exc}") from exc
+        raise CliError(EXIT_PARSE, f"cannot read {path}: {exc}") from exc
     if not isinstance(cfg, dict):
-        raise CliError(EXIT_PARSE, f"config {path} must hold a JSON object")
+        raise CliError(EXIT_PARSE, f"{path} must hold a JSON object")
     return cfg
 
 
@@ -255,7 +296,12 @@ def _cmd_verify(args) -> int:
         raise CliError(EXIT_PRECONDITION, str(exc))
     _emit(_report_payload(report, gate, meta), args.out)
     if args.csv:
-        _write_csv_report(report, args.csv)
+        _write_csv(args.csv, ("u", "v", "p1", "p2", "p3", "p4", "theta1", "theta2",
+                              "K", "K_perp", "structure_residual", "codazzi_residual"),
+                   [*np.meshgrid(report.u, report.v, indexing="ij"),
+                    *np.moveaxis(report.points, -1, 0), report.theta1, report.theta2,
+                    report.K, report.K_perp, report.structure_residual,
+                    report.codazzi_residual])
     return EXIT_OK if report.helix_pass(gate) else EXIT_GATE
 
 
@@ -276,7 +322,7 @@ def _cmd_example(args) -> int:
                      if isinstance(v, (int, float, str, bool))}}
     _emit(_report_payload(report, gate, meta), args.out)
     if args.obj:
-        write_obj(args.obj, report.points)
+        _write_obj(args.obj, report.points, (0, 1, 2))
     return EXIT_OK if report.helix_pass(gate) else EXIT_GATE
 
 
@@ -300,13 +346,6 @@ def _cmd_deform(args) -> int:
     return EXIT_OK
 
 
-def _write_csv_report(report, path: str) -> None:
-    with open(path, "w") as fh:
-        for row in report_csv_rows(report):
-            fh.write(",".join(
-                v if isinstance(v, str) else f"{v:.17g}" for v in row) + "\n")
-
-
 def _write_solution_bundle(prefix: str, graph: hc.GraphSurface,
                            params: hc.HelixParams) -> dict:
     """Binary dump + 8-field sidecar + CSV next to `prefix`."""
@@ -326,13 +365,9 @@ def _write_solution_bundle(prefix: str, graph: hc.GraphSurface,
     Path(prefix + ".meta.json").write_text(dumps_stable(sidecar))
 
     grads = [layers[k] for k in ("fx", "fy", "gx", "gy")]
-    columns = [*np.meshgrid(xs, ys), *stack,
-               *(hc.GRAPH_RESIDUALS[k](*grads, params)
-                 for k in ("helix_trace", "helix_det"))]
-    with open(prefix + ".csv", "w") as fh:
-        fh.write("x,y,f,g,fx,fy,gx,gy,residual_trace,residual_det\n")
-        np.savetxt(fh, np.stack(columns, axis=-1).reshape(-1, len(columns)),
-                   fmt="%.17g", delimiter=",")
+    _write_csv(prefix + ".csv", ("x", "y", *SOLUTION_FIELDS, "residual_trace", "residual_det"),
+               [*np.meshgrid(xs, ys), *stack,
+                *(hc.GRAPH_RESIDUALS[k](*grads, params) for k in ("helix_trace", "helix_det"))])
     return sidecar
 
 
@@ -455,29 +490,32 @@ def _cmd_export(args) -> int:
     if not meta_path.exists() or not bin_path.exists():
         raise CliError(EXIT_PARSE,
                        f"no saved grid at {args.grid} (.bin/.meta.json missing)")
-    meta = json.loads(meta_path.read_text())
-    if not (isinstance(meta, dict) and SIDECAR_KEYS <= meta.keys()):
+    meta = _load_json(str(meta_path))
+    fields = meta.get("fields")
+    if not (SIDECAR_KEYS <= meta.keys() and isinstance(fields, list) and fields
+            and all(isinstance(k, str) for k in fields)):
         raise CliError(EXIT_PARSE, f"{meta_path} needs the fields "
-                                   f"{', '.join(sorted(SIDECAR_KEYS))}")
-    fields = meta["fields"]
-    nx, ny = int(meta["nx"]), int(meta["ny"])
+                                   f"{', '.join(sorted(SIDECAR_KEYS))}, "
+                                   "with 'fields' a list of names")
+    if args.format == "obj" and not {"f", "g"} <= set(fields):
+        raise CliError(EXIT_PARSE, f"{meta_path}: an OBJ export needs the fields f and g")
+    try:
+        nx, ny = int(meta["nx"]), int(meta["ny"])
+        x0, y0, hx, hy = (float(meta[k]) for k in ("x0", "y0", "hx", "hy"))
+    except (TypeError, ValueError) as exc:
+        raise CliError(EXIT_PARSE, f"{meta_path}: nx, ny, x0, y0, hx and hy "
+                                   f"must be numbers: {exc}") from exc
     data = np.frombuffer(bin_path.read_bytes(), dtype=np.float64)
-    data = data.reshape(len(fields), ny, nx)
-    xs = meta["x0"] + meta["hx"] * np.arange(nx)
-    ys = meta["y0"] + meta["hy"] * np.arange(ny)
+    data = data.reshape(len(fields), ny, nx)   # ValueError (size mismatch): exit 3
+    xs = x0 + hx * np.arange(nx)
+    ys = y0 + hy * np.arange(ny)
     layers = dict(zip(fields, data))
 
     if args.format == "csv":
-        with open(args.out, "w") as fh:
-            fh.write("x,y," + ",".join(fields) + "\n")
-            for j in range(ny):
-                for i in range(nx):
-                    vals = [xs[i], ys[j]] + [layers[k][j, i] for k in fields]
-                    fh.write(",".join(f"{v:.17g}" for v in vals) + "\n")
+        _write_csv(args.out, ("x", "y", *fields),
+                   [*np.meshgrid(xs, ys), *(layers[k] for k in fields)])
     elif args.format == "json":
-        _emit({"meta": meta, "x": list(xs), "y": list(ys),
-               "fields": {k: [list(row) for row in layers[k]] for k in fields}},
-              args.out)
+        _emit({"meta": meta, "x": xs, "y": ys, "fields": layers}, args.out)
     elif args.format == "obj":
         names = args.coords.split(",")
         allowed = {"x": 0, "y": 1, "f": 2, "g": 3}
@@ -485,8 +523,8 @@ def _cmd_export(args) -> int:
             raise CliError(EXIT_PARSE,
                            "--coords must be three of x,y,f,g (comma separated)")
         f, g = layers["f"].T, layers["g"].T
-        write_obj(args.out, stack4(f, xs[:, None], ys, f, g),
-                  tuple(allowed[n] for n in names))
+        _write_obj(args.out, stack4(f, xs[:, None], ys, f, g),
+                   tuple(allowed[n] for n in names))
     return EXIT_OK
 
 

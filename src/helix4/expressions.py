@@ -158,9 +158,10 @@ class Expr:
         if k == "/":
             self._check(b == 0.0, bad, lambda: "division by zero")
         r = _APPLY[k](a, b)
-        if k == "^":
-            self._check(~np.isfinite(r), bad,
-                        lambda: f"({float(a):.6g})^({float(b):.6g}) is not a finite real number")
+        # overflow, and a power without a real value
+        op = k if k == "^" else f" {k} "
+        self._check(~np.isfinite(r), bad,
+                    lambda: f"({float(a):.6g}){op}({float(b):.6g}) is not a finite real number")
         return r
 
     def _check(self, failed, bad, message) -> None:

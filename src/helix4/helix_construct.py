@@ -507,15 +507,11 @@ class SolutionGrid:
 
 def _coefficients(f: np.ndarray, w: np.ndarray, hx: float, c: float,
                   branch: int = 1):
-    """Quasilinear coefficients (a, b, cc) and Delta at the current state."""
+    """Quasilinear coefficients (a, b, cc) at the current state."""
     p = fd_d1(f, hx)
-    delta = p * p + w * w
     Eu_f, Ev_f = _E_partials(p, w, c, branch)
     Eu_r, Ev_r = _E_partials(-w, p, c, branch)
-    a = Eu_f
-    b = Ev_f - Ev_r
-    cc = Eu_r
-    return a, b, cc, delta, p
+    return Eu_f, Ev_f - Ev_r, Eu_r
 
 
 def _sigma_max(a, b, cc) -> float:
@@ -538,7 +534,7 @@ def _march(x: np.ndarray, f0: np.ndarray, w0: np.ndarray, hy: float,
     margin = ANNULUS_MARGIN * (dmax - dmin)
 
     def rhs(f, w):
-        a, b, cc, delta, _ = _coefficients(f, w, hx, c, branch)
+        a, b, cc = _coefficients(f, w, hx, c, branch)
         if np.min(np.abs(cc)) < tol_char:
             raise SolverHalt("characteristic-degeneracy")
         return -(a * fd_d2(f, hx) + b * fd_d1(w, hx)) / cc
@@ -550,7 +546,7 @@ def _march(x: np.ndarray, f0: np.ndarray, w0: np.ndarray, hy: float,
     reason = "completed"
     for _ in range(n_steps):
         try:
-            a, b, cc, delta, _ = _coefficients(f, w, hx, c, branch)
+            a, b, cc = _coefficients(f, w, hx, c, branch)
             sigma = _sigma_max(a, b, cc)
             k = max(1, int(math.ceil(abs(hy) * sigma / (CFL_TARGET * hx))))
             sub = hy / k
@@ -616,23 +612,18 @@ def solve_pde(prob: PDEProblem) -> SolutionGrid:
     f[j0], fy[j0] = f0, psi0
     valid[j0] = True
 
-    rows_up, bounds_up, reason_up = _march(
-        x, f0, psi0, prob.hy, n_steps, prob.c1, prob.hx, tol_char, prob.branch)
-    for k, ((fr, wr), (iL, iR)) in enumerate(zip(rows_up, bounds_up)):
-        f[j0 + 1 + k, iL:iR + 1] = fr
-        fy[j0 + 1 + k, iL:iR + 1] = wr
-        valid[j0 + 1 + k, iL:iR + 1] = True
-
-    rows_dn, bounds_dn, reason_dn = _march(
-        x, f0, psi0, -prob.hy, n_steps, prob.c1, prob.hx, tol_char, prob.branch)
-    for k, ((fr, wr), (iL, iR)) in enumerate(zip(rows_dn, bounds_dn)):
-        f[j0 - 1 - k, iL:iR + 1] = fr
-        fy[j0 - 1 - k, iL:iR + 1] = wr
-        valid[j0 - 1 - k, iL:iR + 1] = True
+    reasons = []
+    for sign in (1, -1):
+        rows, bounds, reason = _march(x, f0, psi0, sign * prob.hy, n_steps, prob.c1,
+                                      prob.hx, tol_char, prob.branch)
+        for k, ((fr, wr), (iL, iR)) in enumerate(zip(rows, bounds), start=1):
+            j = j0 + sign * k
+            f[j, iL:iR + 1], fy[j, iL:iR + 1], valid[j, iL:iR + 1] = fr, wr, True
+        reasons.append(reason)
 
     return SolutionGrid(x=x, y=y, f=f, fy=fy, valid=valid, c1=prob.c1,
                         hx=prob.hx, hy=prob.hy, seed=(prob.u0, prob.v0),
-                        termination_up=reason_up, termination_down=reason_dn,
+                        termination_up=reasons[0], termination_down=reasons[1],
                         branch=prob.branch)
 
 

@@ -57,8 +57,6 @@ __all__ = [
     "sphere_test",
     "brioschi_curvature",
     "default_gate",
-    "report_csv_rows",
-    "write_obj",
 ]
 
 # below this sine, xi_i is not determined by e_i and is completed from the
@@ -1065,48 +1063,3 @@ def verify_helix(patch: SurfacePatch, Pi: Plane,
         codazzi_residual=pad(np.max(np.abs(np.stack(
             [c1_res, c2_res, c3_res, c4_res])), axis=0)),
     )
-
-
-# ---------------------------------------------------------------------------
-# exports
-# ---------------------------------------------------------------------------
-
-def report_csv_rows(report: StructureReport):
-    """Iterate CSV rows (u, v, p1..p4, theta1, theta2, K, K_perp,
-    structure_residual, codazzi_residual)."""
-    yield ("u", "v", "p1", "p2", "p3", "p4", "theta1", "theta2",
-           "K", "K_perp", "structure_residual", "codazzi_residual")
-    N, M = report.grid_shape
-    for i in range(N):
-        for j in range(M):
-            yield (report.u[i], report.v[j], *report.points[i, j],
-                   report.theta1[i, j], report.theta2[i, j],
-                   report.K[i, j], report.K_perp[i, j],
-                   report.structure_residual[i, j],
-                   report.codazzi_residual[i, j])
-
-
-def write_obj(path, points: np.ndarray, coords: tuple[int, int, int] = (0, 1, 2)):
-    """Write the grid as an OBJ mesh projecting to three chosen coordinates.
-
-    The dropped coordinate index is recorded in a comment line.
-    """
-    N, M, _ = points.shape
-    dropped = ({0, 1, 2, 3} - set(coords)).pop()
-    names = ["x", "y", "z", "w"]
-    with open(path, "w") as fh:
-        fh.write(f"# projection to coordinates {coords}; dropped coordinate: "
-                 f"{names[dropped]} (index {dropped})\n")
-        for i in range(N):
-            for j in range(M):
-                p = points[i, j]
-                fh.write(f"v {p[coords[0]]:.17g} {p[coords[1]]:.17g} "
-                         f"{p[coords[2]]:.17g}\n")
-        for i in range(N - 1):
-            for j in range(M - 1):
-                a = i * M + j + 1
-                b = a + 1
-                c = a + M
-                d = c + 1
-                fh.write(f"f {a} {b} {d}\n")
-                fh.write(f"f {a} {d} {c}\n")

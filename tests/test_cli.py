@@ -7,10 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import helix4
-from helix4 import helix_construct as hc
+from helix4 import cli, helix_construct as hc
 from helix4.cli import (EXIT_DEGENERATE, EXIT_GATE, EXIT_OK, EXIT_PARSE,
                         EXIT_PRECONDITION, dumps_stable, main)
 
@@ -96,7 +97,23 @@ def test_example_obj_export(tmp_path, capsys):
                      "--obj", str(obj), "--out", str(tmp_path / "r.json"))
     assert code == EXIT_OK
     lines = obj.read_text().splitlines()
+    assert lines[0].startswith("#") and "dropped coordinate: w" in lines[0]
     assert sum(1 for ln in lines if ln.startswith("v ")) == 36
+    assert sum(1 for ln in lines if ln.startswith("f ")) == 2 * 25
+
+
+def test_verify_csv_report(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"surface": {"kind": "clifford_torus"}, "grid": [6, 7]}))
+    csv_path = tmp_path / "samples.csv"
+    code, _, _ = run(capsys, "verify", "--config", str(cfg), "--csv", str(csv_path))
+    assert code == EXIT_OK
+    lines = csv_path.read_text().splitlines()
+    assert lines[0].startswith("u,v,p1,p2,p3,p4,theta1,theta2")
+    assert len(lines) == 1 + 6 * 7
+    # rows run over v fastest
+    us = [ln.split(",")[0] for ln in lines[1:]]
+    assert len(set(us[:7])) == 1 and us[7] != us[0]
 
 
 def test_example_unknown_name_is_usage_error(capsys):
@@ -204,7 +221,10 @@ def test_construct_degenerate_c1_exits_4(tmp_path, capsys):
     assert "seed scan failed" in err
 
 
-def test_export_round_trip(tmp_path, capsys):
+def test_export_round_trip(tmp_path, capsys, monkeypatch):
+    # rows are written in blocks; 7 rows a block gives many blocks and a
+    # partial last one
+    monkeypatch.setattr(cli, "ROW_BLOCK", 7)
     prefix = str(tmp_path / "sol")
     run(capsys, "construct", "--theta1", "0.5235987756",
         "--theta2", "1.0471975512", "--hx", "2e-3", "--hy", "2e-3",
@@ -218,12 +238,29 @@ def test_export_round_trip(tmp_path, capsys):
     lines = csv_path.read_text().splitlines()
     assert len(lines) == 1 + meta["nx"] * meta["ny"]
 
+    # the same text as a row-by-row rendering of the saved grid
+    nx, ny = meta["nx"], meta["ny"]
+    data = np.fromfile(prefix + ".bin").reshape(len(meta["fields"]), ny, nx)
+    xs = meta["x0"] + meta["hx"] * np.arange(nx)
+    ys = meta["y0"] + meta["hy"] * np.arange(ny)
+    rows = [[xs[i], ys[j], *data[:, j, i]] for j in range(ny) for i in range(nx)]
+    assert lines[1:] == [",".join(f"{v:.17g}" for v in row) for row in rows]
+
     obj_path = tmp_path / "exported.obj"
     code, _, _ = run(capsys, "export", "--grid", prefix, "--format", "obj",
                      "--coords", "x,y,g", "--out", str(obj_path))
     assert code == EXIT_OK
-    first = obj_path.read_text().splitlines()[0]
-    assert "dropped coordinate: z" in first
+    lines = obj_path.read_text().splitlines()
+    assert "dropped coordinate: z" in lines[0]
+    f, g = data[meta["fields"].index("f")], data[meta["fields"].index("g")]
+    vertices = [f"v {xs[i]:.17g} {ys[j]:.17g} {g[j, i]:.17g}"
+                for i in range(nx) for j in range(ny)]
+    faces = []
+    for i in range(nx - 1):
+        for j in range(ny - 1):
+            a, c = i * ny + j + 1, (i + 1) * ny + j + 1
+            faces += [f"f {a} {a + 1} {c + 1}", f"f {a} {c + 1} {c}"]
+    assert lines[1:] == vertices + faces
 
     code, _, _ = run(capsys, "export", "--grid", prefix, "--format", "obj",
                      "--coords", "x,q,f", "--out", str(obj_path))
@@ -233,8 +270,41 @@ def test_export_round_trip(tmp_path, capsys):
                      "--format", "csv", "--out", str(csv_path))
     assert code == EXIT_PARSE
 
+    # a binary dump whose size does not match the sidecar
+    with open(prefix + ".bin", "ab") as fh:
+        fh.write(bytes(8))
+    code, _, err = run(capsys, "export", "--grid", prefix, "--format", "csv",
+                       "--out", str(csv_path))
+    assert code == EXIT_PRECONDITION and err.startswith("error: ")
+
+
+def test_written_files_are_byte_identical_on_rerun(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"graph": {"f": "0.3*sin(2*x)*cos(y) + 0.2*x*y^2",
+                                         "g": "0.25*exp(0.5*x)*y - 0.1*x^3"},
+                               "grid": [9, 8]}))
+    for rerun in ("1", "2"):
+        d = tmp_path / rerun
+        d.mkdir()
+        sol = str(d / "sol")
+        for argv in (
+                ["verify", "--config", str(cfg), "--csv", str(d / "v.csv")],
+                ["example", "clifford_torus", "--grid", "7", "6", "--obj", str(d / "t.obj")],
+                ["construct", *THETAS, "--hx", "2e-3", "--hy", "2e-3",
+                 "--ymax", "0.004", "--save", sol],
+                *(["export", "--grid", sol, "--format", fmt, "--out", f"{sol}.e.{fmt}"]
+                  for fmt in ("csv", "json", "obj"))):
+            assert run(capsys, *argv)[0] in (EXIT_OK, EXIT_GATE)
+    first = sorted(p.name for p in (tmp_path / "1").iterdir())
+    assert first == sorted(p.name for p in (tmp_path / "2").iterdir())
+    assert len(first) == 8
+    for name in first:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
 
 GRAPH = {"f": "x", "g": "y"}
+SIDECAR = {"nx": 3, "ny": 3, "x0": 0.0, "y0": 0.0, "hx": 1.0, "hy": 1.0,
+           "dtype": "float64"}
 
 
 @pytest.mark.parametrize("command, document", [
@@ -248,25 +318,34 @@ GRAPH = {"f": "x", "g": "y"}
     ("construct", {"c1": 10.0 / 3.0, "seed": {"u0": "abc", "v0": 1}}),
     ("construct", {"c1": 10.0 / 3.0, "seed": {"u0": [1], "v0": 1}}),
     ("construct", {"c1": 10.0 / 3.0, "seed": "1,2,3"}),
-    ("export", {"nx": 3, "ny": 3, "x0": 0.0, "y0": 0.0, "hx": 1.0, "hy": 1.0,
-                "dtype": "float64"}),
+    ("export", SIDECAR),
+    ("export", {**SIDECAR, "fields": 5}),
+    ("export", {**SIDECAR, "fields": ["f"], "nx": [3]}),
+    ("export", '{"nx": 3,'),
+    ("export-obj", {**SIDECAR, "fields": ["f", "fx"]}),
 ], ids=["config-number", "surface-number", "plane-list", "grid-string",
         "graph-string", "angles-plane-list", "seed-without-v0",
         "seed-u0-string", "seed-u0-list", "seed-three-numbers",
-        "sidecar-without-fields"])
+        "sidecar-without-fields", "sidecar-fields-number", "sidecar-nx-list",
+        "sidecar-not-json", "obj-sidecar-without-g"])
 def test_malformed_json_is_parse_error(tmp_path, capsys, command, document):
-    # a JSON document of the wrong shape exits 2 with one error line
+    # a JSON document of the wrong shape (a string: the text of a document
+    # that is not JSON) exits 2 with one error line
     path = tmp_path / "doc.json"
     if command == "angles":
         argv = ["angles", "--v", json.dumps(document), "--w", PLANE_12]
-    elif command == "export":
+    elif command.startswith("export"):
+        # a binary dump of the size the sidecar's fields ask for
         path = tmp_path / "doc.meta.json"
-        (tmp_path / "doc.bin").write_bytes(b"")
-        argv = ["export", "--grid", str(tmp_path / "doc"), "--format", "csv",
-                "--out", str(tmp_path / "out.csv")]
+        fields = document.get("fields") if isinstance(document, dict) else None
+        (tmp_path / "doc.bin").write_bytes(
+            bytes(8 * 9 * len(fields)) if isinstance(fields, list) else b"")
+        argv = ["export", "--grid", str(tmp_path / "doc"),
+                "--format", "obj" if command == "export-obj" else "csv",
+                "--out", str(tmp_path / "out.txt")]
     else:
         argv = [command, "--config", str(path)]
-    path.write_text(json.dumps(document))
+    path.write_text(document if isinstance(document, str) else json.dumps(document))
     code, _, err = run(capsys, *argv)
     assert code == EXIT_PARSE
     assert err.startswith("error: ")
@@ -314,10 +393,15 @@ def test_construct_window_is_checked_before_the_seed_scan(
     ("verify", {"graph": {"f": "x^-1", "g": "y"}, "grid": [9, 9]}, EXIT_PRECONDITION, 1),
     ("verify", {"graph": {"f": "(x-2)^0.5", "g": "y"}, "grid": [9, 9]},
      EXIT_PRECONDITION, 5),
-], ids=["construct-inverse", "construct-complex", "verify-inverse", "verify-complex"])
+    ("construct", {"c1": 3.3333333333, "phi": "1e200*1e200*x", "psi": "x"}, EXIT_PARSE, 5),
+    ("verify", {"graph": {"f": "1e200*1e200*x", "g": "y"}, "grid": [9, 9]},
+     EXIT_PRECONDITION, 5),
+], ids=["construct-inverse", "construct-complex", "verify-inverse", "verify-complex",
+        "construct-overflow", "verify-overflow"])
 def test_power_without_a_finite_real_value_is_an_eval_error(
         tmp_path, capsys, command, document, code, offset):
-    # the exit code sqrt of a negative value gets, at the offset of the '^'
+    # the exit code sqrt of a negative value gets, at the offset of the
+    # operator ('^', or the first '*' that overflows)
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(document))
     rc, _, err = run(capsys, command, "--config", str(path))

@@ -14,9 +14,8 @@ from helix4.surface_analysis import (AdaptedFrame, FrameDiscontinuityError,
                                      frame_rotation_coefficients,
                                      graph_patch_from_jets,
                                      patch_from_grid, patch_from_position,
-                                     report_csv_rows, sphere_test,
-                                     structure_fields, verify_helix,
-                                     write_obj)
+                                     sphere_test, structure_fields,
+                                     verify_helix)
 
 
 def flat_jet():
@@ -358,23 +357,13 @@ def test_totally_geodesic_parallel_h():
 
 
 # ---------------------------------------------------------------------------
-# report serialization and exports
+# report serialization (the CSV and OBJ files are tested with the CLI)
 # ---------------------------------------------------------------------------
 
-def test_report_json_and_csv(tmp_path):
+def test_report_json():
     cs = named_example("clifford_torus")
     rep = verify_helix(cs.patch, cs.plane, (6, 6))
     d = rep.to_json_dict()
     for key in ("angle_stats", "residuals", "gauss_circle_std", "sphere",
                 "parallel_h", "grid"):
         assert key in d
-    rows = list(report_csv_rows(rep))
-    assert rows[0][0] == "u"
-    assert len(rows) == 1 + 36
-
-    obj = tmp_path / "mesh.obj"
-    write_obj(obj, rep.points, coords=(0, 1, 2))
-    text = obj.read_text().splitlines()
-    assert text[0].startswith("#") and "dropped" in text[0]
-    assert sum(1 for line in text if line.startswith("v ")) == 36
-    assert sum(1 for line in text if line.startswith("f ")) == 2 * 25
