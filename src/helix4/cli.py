@@ -519,9 +519,9 @@ def _cmd_export(args) -> int:
     elif args.format == "obj":
         names = args.coords.split(",")
         allowed = {"x": 0, "y": 1, "f": 2, "g": 3}
-        if len(names) != 3 or any(n not in allowed for n in names):
-            raise CliError(EXIT_PARSE,
-                           "--coords must be three of x,y,f,g (comma separated)")
+        if len(names) != 3 or len(set(names) & allowed.keys()) != 3:
+            raise CliError(EXIT_PARSE, "--coords must be three distinct names "
+                                       "of x,y,f,g (comma separated)")
         f, g = layers["f"].T, layers["g"].T
         _write_obj(args.out, stack4(f, xs[:, None], ys, f, g),
                    tuple(allowed[n] for n in names))

@@ -19,14 +19,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "FRAME_TOL",
+    "DEGENERATE_TOL",
     "Plane",
     "PrincipalAngles",
+    "StackedAngles",
     "GaussPoint",
+    "stacked_angles",
+    "complement_frames",
+    "canonical_sign",
     "principal_angles",
     "orthogonal_complement",
     "wedge",
@@ -49,6 +55,9 @@ FRAME_TOL = 1e-12
 # Silent clamp window for singular values slightly above 1 (FP noise);
 # anything worse is treated as invalid input.
 CLAMP_TOL = 1e-8
+
+# Two principal angles closer than this count as coincident (degenerate).
+DEGENERATE_TOL = 1e-9
 
 
 def _as_vec4(v, stacked: bool = False) -> np.ndarray:
@@ -111,10 +120,11 @@ class Plane:
 class PrincipalAngles:
     """Principal angles 0 <= theta1 <= theta2 <= pi/2 between two 2-planes.
 
-    ``v1``/``v2`` are the unit principal directions in the first plane; when
-    the two angles coincide within 1e-9 every direction is principal and the
-    input frame is returned as a deterministic canonical choice, with
-    ``degenerate`` set.
+    ``v1``/``v2`` are the unit principal directions in the first plane, each
+    signed so its largest-magnitude component is positive; when the two
+    angles coincide within DEGENERATE_TOL (|theta2 - theta1| < 1e-9) every
+    direction is principal and the input frame is returned as a
+    deterministic canonical choice, with ``degenerate`` set.
     """
 
     theta1: float
@@ -144,55 +154,77 @@ class GaussPoint:
 # principal angles
 # ---------------------------------------------------------------------------
 
-def _clamped_svals(m: np.ndarray) -> np.ndarray:
-    s = np.linalg.svd(m, compute_uv=False)
-    if s[0] > 1.0 + CLAMP_TOL:
-        raise ValueError(f"cross-Gram singular value {s[0]} exceeds 1 beyond tolerance")
-    return np.clip(s, 0.0, 1.0)
+class StackedAngles(NamedTuple):
+    """Principal angles of stacked plane pairs (A, B), see ``stacked_angles``.
+
+    ``theta`` (..., 2) holds theta1 <= theta2 and ``cos`` their cosines, the
+    cross-Gram singular values; row k of ``dirs_a`` / ``dirs_b`` (..., 2, 4)
+    is the principal direction of theta_k in A / B.  ``degenerate`` marks
+    pairs whose angles coincide within DEGENERATE_TOL, where every direction
+    is principal.
+    """
+
+    theta: np.ndarray
+    cos: np.ndarray
+    dirs_a: np.ndarray
+    dirs_b: np.ndarray
+    degenerate: np.ndarray
+
+
+def complement_frames(A: np.ndarray) -> np.ndarray:
+    """Orthonormal frames (..., 4, 2) of the orthogonal complements of the
+    planes framed by A (..., 4, 2), oriented so det[A, A-perp] > 0."""
+    n = np.linalg.svd(A, full_matrices=True)[0][..., 2:]
+    flip = np.linalg.det(np.concatenate([A, n], axis=-1)) < 0
+    n[..., 1] *= np.where(flip, -1.0, 1.0)[..., None]
+    return n
+
+
+def stacked_angles(A: np.ndarray, B: np.ndarray) -> StackedAngles:
+    """Principal angles between the planes framed by A and B, orthonormal
+    (..., 4, 2) frames broadcast against each other.
+
+    The cosines are the singular values of the cross-Gram A^T B = P C Q^T,
+    the sines those of the cross-Gram of A-perp with B, and each angle is
+    assembled with atan2 (Bjorck & Golub, Math. Comp. 27, 1973); this keeps
+    full accuracy at both ends of [0, pi/2].  The directions are the rows of
+    P^T A^T and Q^T B^T.
+    """
+    P, c, Qt = np.linalg.svd(np.swapaxes(A, -1, -2) @ B)
+    s = np.linalg.svd(np.swapaxes(complement_frames(A), -1, -2) @ B, compute_uv=False)
+    top = max(c.max(), s.max())
+    if top > 1.0 + CLAMP_TOL:
+        raise ValueError(f"cross-Gram singular value {top} exceeds 1 beyond tolerance")
+    # svals are >= 0, so only noise above 1 is clamped; cos descending <-> sin ascending
+    c = np.minimum(c, 1.0)
+    theta = np.arctan2(np.minimum(s[..., ::-1], 1.0), c)
+    return StackedAngles(theta, c, np.swapaxes(P, -1, -2) @ np.swapaxes(A, -1, -2),
+                         Qt @ np.swapaxes(B, -1, -2),
+                         np.abs(theta[..., 1] - theta[..., 0]) < DEGENERATE_TOL)
+
+
+def canonical_sign(V: np.ndarray) -> np.ndarray:
+    """Per vector (last axis) the sign, +1 or -1, that makes its
+    largest-magnitude component non-negative."""
+    top = np.take_along_axis(V, np.abs(V).argmax(-1, keepdims=True), -1)[..., 0]
+    return np.where(top < 0, -1.0, 1.0)
 
 
 def principal_angles(V: Plane, W: Plane) -> PrincipalAngles:
-    """Principal angles between the planes V and W.
-
-    The cosines are the singular values of the 2x2 cross-Gram matrix
-    M_ij = <V.b_i, W.b_j>.  The sines are taken from the cross-Gram against
-    the orthogonal complement of W, and each angle is assembled with atan2;
-    this keeps full accuracy at both ends of [0, pi/2].
-    """
-    m = V.frame().T @ W.frame()
-    u, s, _ = np.linalg.svd(m)
-    if s[0] > 1.0 + CLAMP_TOL:
-        raise ValueError(f"cross-Gram singular value {s[0]} exceeds 1 beyond tolerance")
-    s = np.clip(s, 0.0, 1.0)
-
-    wp = orthogonal_complement(W)
-    s_perp = _clamped_svals(V.frame().T @ wp.frame())
-    # cosines descending <-> sines ascending
-    theta1 = math.atan2(s_perp[1], s[0])
-    theta2 = math.atan2(s_perp[0], s[1])
-    if theta1 > theta2:
-        theta1, theta2 = theta2, theta1
-
-    if s[0] - s[1] > 1e-9:
-        d1 = u[0, 0] * V.b1 + u[1, 0] * V.b2
-        d2 = u[0, 1] * V.b1 + u[1, 1] * V.b2
-        # deterministic sign: largest-magnitude component positive
-        for d in (d1, d2):
-            k = int(np.argmax(np.abs(d)))
-            if d[k] < 0:
-                d *= -1.0
-        return PrincipalAngles(theta1, theta2, d1, d2)
-    return PrincipalAngles(theta1, theta2, V.b1.copy(), V.b2.copy(), degenerate=True)
+    """Principal angles between the planes V and W: the one-pair view of
+    ``stacked_angles`` on (W, V), with principal directions in V."""
+    k = stacked_angles(W.frame(), V.frame())
+    theta1, theta2 = k.theta.tolist()
+    if k.degenerate:
+        return PrincipalAngles(theta1, theta2, V.b1.copy(), V.b2.copy(), degenerate=True)
+    d1, d2 = k.dirs_b * canonical_sign(k.dirs_b)[:, None]
+    return PrincipalAngles(theta1, theta2, d1, d2)
 
 
 def orthogonal_complement(W: Plane) -> Plane:
     """Orthonormal frame of W-perp, oriented so (W.b1, W.b2, out.b1, out.b2)
     is a positively oriented basis of R^4."""
-    u, _, _ = np.linalg.svd(W.frame(), full_matrices=True)
-    n1, n2 = u[:, 2].copy(), u[:, 3].copy()
-    if np.linalg.det(np.stack([W.b1, W.b2, n1, n2], axis=1)) < 0:
-        n2 = -n2
-    return Plane(n1, n2, W.oriented)
+    return Plane(*complement_frames(W.frame()).T, W.oriented)
 
 
 # ---------------------------------------------------------------------------

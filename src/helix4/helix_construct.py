@@ -784,7 +784,10 @@ def composition_test(patch: SurfacePatch, Pi, grid: tuple[int, int],
     is reported as an inconsistency flag).  Non-generic angles route to the
     inapplicable branch: theta1 = 0 surfaces are compositions outright.
     """
-    report = verify_helix(patch, Pi, grid)
+    # one sample serves the report and the N1 ranks
+    J = patch.sample(np.linspace(*patch.u_range, grid[0]),
+                     np.linspace(*patch.v_range, grid[1]))
+    report = verify_helix(replace(patch, sampler=lambda us, vs: J), Pi, grid)
     t1_mean = report.angle_stats["theta1"][0]
     t2_mean = report.angle_stats["theta2"][0]
     angle_tol = 1e-3
@@ -793,7 +796,7 @@ def composition_test(patch: SurfacePatch, Pi, grid: tuple[int, int],
 
     # N1 rank per grid point: the normal vectors alpha_11, alpha_12, alpha_22
     # have the singular values of their components in a normal frame
-    ff = fundamental_forms(patch.sample(report.u, report.v))
+    ff = fundamental_forms(J)
     s = np.linalg.svd(np.stack([ff.alpha_11, ff.alpha_12, ff.alpha_22], axis=-1),
                       compute_uv=False)
     ranks = np.where(s[..., 0] < 1e-9, 0, np.where(s[..., 1] < 1e-6 * s[..., 0], 1, 2))

@@ -22,13 +22,13 @@ Patches are sampled once per grid (``SurfacePatch.sample``); frames
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
 
-from .grassmann import (Plane, _gauss_coords, hodge, orthogonal_complement,
-                        plane_bivector, wedge)
+from .grassmann import (Plane, _gauss_coords, canonical_sign, complement_frames,
+                        hodge, plane_bivector, stacked_angles, wedge)
 
 __all__ = [
     "SurfaceJet",
@@ -137,8 +137,8 @@ class FundamentalForms:
 
 @dataclass
 class AdaptedFrame:
-    """Adapted frame at one point, or (``adapted_frames``) over a grid, each
-    field then an (N, M, ...) array."""
+    """Adapted frame over a grid (``adapted_frames``), each field an (N, M,
+    ...) array, or at one node (``adapted_frame``)."""
 
     T1: np.ndarray
     T2: np.ndarray
@@ -148,13 +148,18 @@ class AdaptedFrame:
     e2: np.ndarray
     theta1: float
     theta2: float
-    degenerate: bool = False           # theta1 == theta2 within 1e-9
-    align_quality: float = 1.0         # min alignment dot against prev
-    # sign-coupling bookkeeping used by the propagation pass
+    degenerate: bool = False           # |theta2 - theta1| < DEGENERATE_TOL
+    align_quality: float = 1.0         # min alignment dot against the parent
+    # sign coupling: e_k is tied to T_k where cos(theta_k) > DEG_COS, xi_k to
+    # e_k where sin(theta_k) > DEG_SIN; loose vectors take their own signs
     e1_tied: bool = True
     e2_tied: bool = True
     xi1_tied: bool = True
     xi2_tied: bool = True
+
+    def __getitem__(self, index) -> "AdaptedFrame":
+        """The frame at grid ``index``."""
+        return AdaptedFrame(*(getattr(self, f.name)[index] for f in fields(self)))
 
 
 @dataclass
@@ -382,11 +387,6 @@ def fundamental_forms(jet: SurfaceJet) -> FundamentalForms:
 # adapted frames
 # ---------------------------------------------------------------------------
 
-def _canonical_sign(v: np.ndarray) -> float:
-    k = int(np.argmax(np.abs(v)))
-    return 1.0 if v[k] >= 0 else -1.0
-
-
 def _tangent_frame(jet: SurfaceJet) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal tangent frame, orientation matching (p_u, p_v), at one
     point or over a grid."""
@@ -398,177 +398,41 @@ def _tangent_frame(jet: SurfaceJet) -> tuple[np.ndarray, np.ndarray]:
     return u1, w / n
 
 
-def _normal_frame(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    q, _, _ = np.linalg.svd(np.stack([u1, u2], axis=-1), full_matrices=True)
-    return q[..., 2], q[..., 3]
-
-
-def adapted_frame(jet: SurfaceJet, Pi: Plane,
-                  prev: AdaptedFrame | None = None) -> AdaptedFrame:
-    """Adapted frame (T1, T2, xi1, xi2, e1, e2) at one point.
-
-    T1, T2 are right singular vectors of the cross-Gram between Pi and the
-    tangent plane (unit eigendirections of the projection form); e1, e2 the
-    matching left singular vectors in Pi.  Angles combine the cosine singular
-    values with sine singular values taken against Pi-perp, so both ends of
-    [0, pi/2] are accurate.  When ``prev`` is given, signs (and the T1/T2
-    labels, for near-coincident angles) are chosen to maximize continuity.
-    """
-    u1, u2 = _tangent_frame(jet)
-    U = np.stack([u1, u2], axis=1)
-    B = Pi.frame()
-    Np = orthogonal_complement(Pi).frame()
-
-    P, s, Qt = np.linalg.svd(B.T @ U)
-    s = np.clip(s, 0.0, 1.0)
-    s_perp = np.clip(np.sort(np.linalg.svd(Np.T @ U, compute_uv=False)), 0.0, 1.0)
-    theta1 = math.atan2(s_perp[0], s[0])
-    theta2 = math.atan2(s_perp[1], s[1])
-    degenerate = abs(theta2 - theta1) < 1e-9
-
-    T1 = Qt[0, 0] * u1 + Qt[0, 1] * u2
-    T2 = Qt[1, 0] * u1 + Qt[1, 1] * u2
-    e1 = P[0, 0] * B[:, 0] + P[1, 0] * B[:, 1]
-    e2 = P[0, 1] * B[:, 0] + P[1, 1] * B[:, 1]
-
-    frame = AdaptedFrame(T1, T2, None, None, e1, e2, theta1, theta2, degenerate)
-    frame.e1_tied = s[0] > DEG_COS
-    frame.e2_tied = s[1] > DEG_COS
-    _complete_normals(frame, u1, u2)
-    _align_frame(frame, prev)
-    return frame
-
-
-def _complete_normals(fr: AdaptedFrame, u1: np.ndarray, u2: np.ndarray) -> None:
-    """Fill xi1, xi2 from e_i where determined, from the normal space otherwise."""
-    sin1, sin2 = math.sin(fr.theta1), math.sin(fr.theta2)
-    fr.xi1_tied = sin1 > DEG_SIN
-    fr.xi2_tied = sin2 > DEG_SIN
-    if fr.xi1_tied:
-        w = fr.e1 - (fr.e1 @ fr.T1) * fr.T1
-        fr.xi1 = w / np.linalg.norm(w)
-    if fr.xi2_tied:
-        w = fr.e2 - (fr.e2 @ fr.T2) * fr.T2
-        fr.xi2 = w / np.linalg.norm(w)
-    if fr.xi1_tied and fr.xi2_tied:
-        return
-    n1, n2 = _normal_frame(u1, u2)
-    if not fr.xi1_tied and not fr.xi2_tied:
-        fr.xi1, fr.xi2 = n1, n2
-        return
-    # exactly xi1 missing (theta1 ~ 0 forces theta2 >= theta1 determined)
-    anchor = fr.xi2 if fr.xi2 is not None else n2
-    z = n1 - (n1 @ anchor) * anchor
-    if np.linalg.norm(z) < 0.5:
-        z = n2 - (n2 @ anchor) * anchor
-    fr.xi1 = z / np.linalg.norm(z)
-
-
-def _flip_group1(fr: AdaptedFrame) -> None:
-    fr.T1 = -fr.T1
-    if fr.e1_tied:
-        fr.e1 = -fr.e1
-        if fr.xi1_tied:
-            fr.xi1 = -fr.xi1
-
-
-def _flip_group2(fr: AdaptedFrame) -> None:
-    fr.T2 = -fr.T2
-    if fr.e2_tied:
-        fr.e2 = -fr.e2
-        if fr.xi2_tied:
-            fr.xi2 = -fr.xi2
-
-
-def _swap_labels(fr: AdaptedFrame) -> None:
-    fr.T1, fr.T2 = fr.T2, fr.T1
-    fr.e1, fr.e2 = fr.e2, fr.e1
-    fr.xi1, fr.xi2 = fr.xi2, fr.xi1
-    fr.theta1, fr.theta2 = fr.theta2, fr.theta1
-    fr.e1_tied, fr.e2_tied = fr.e2_tied, fr.e1_tied
-    fr.xi1_tied, fr.xi2_tied = fr.xi2_tied, fr.xi1_tied
-
-
-def _align_frame(fr: AdaptedFrame, prev: AdaptedFrame | None) -> None:
-    if prev is None:
-        # deterministic canonical signs
-        if _canonical_sign(fr.T1) < 0:
-            _flip_group1(fr)
-        if _canonical_sign(fr.T2) < 0:
-            _flip_group2(fr)
-        if not fr.e1_tied and _canonical_sign(fr.e1) < 0:
-            fr.e1 = -fr.e1
-            if fr.xi1_tied:
-                fr.xi1 = -fr.xi1
-        if not fr.e2_tied and _canonical_sign(fr.e2) < 0:
-            fr.e2 = -fr.e2
-            if fr.xi2_tied:
-                fr.xi2 = -fr.xi2
-        if not fr.xi1_tied and _canonical_sign(fr.xi1) < 0:
-            fr.xi1 = -fr.xi1
-        if not fr.xi2_tied and _canonical_sign(fr.xi2) < 0:
-            fr.xi2 = -fr.xi2
-        return
-
-    if abs(fr.theta1 - fr.theta2) < SWAP_TOL:
-        straight = abs(fr.T1 @ prev.T1) + abs(fr.T2 @ prev.T2)
-        crossed = abs(fr.T1 @ prev.T2) + abs(fr.T2 @ prev.T1)
-        if crossed > straight:
-            _swap_labels(fr)
-
-    if fr.T1 @ prev.T1 < 0:
-        _flip_group1(fr)
-    if fr.T2 @ prev.T2 < 0:
-        _flip_group2(fr)
-    # independent sign groups
-    if not fr.e1_tied:
-        if fr.e1 @ prev.e1 < 0:
-            fr.e1 = -fr.e1
-            if fr.xi1_tied:
-                fr.xi1 = -fr.xi1
-    if not fr.e2_tied:
-        if fr.e2 @ prev.e2 < 0:
-            fr.e2 = -fr.e2
-            if fr.xi2_tied:
-                fr.xi2 = -fr.xi2
-    if not fr.xi1_tied and fr.xi1 @ prev.xi1 < 0:
-        fr.xi1 = -fr.xi1
-    if not fr.xi2_tied and fr.xi2 @ prev.xi2 < 0:
-        fr.xi2 = -fr.xi2
-
-    fr.align_quality = float(min(fr.T1 @ prev.T1, fr.T2 @ prev.T2,
-                                 fr.xi1 @ prev.xi1, fr.xi2 @ prev.xi2))
+def adapted_frame(jet: SurfaceJet, Pi: Plane) -> AdaptedFrame:
+    """Adapted frame at one point with canonical signs: the one-node view of
+    ``adapted_frames``."""
+    return adapted_frames(jet[None, None], Pi)[0, 0]
 
 
 def adapted_frames(jets: SurfaceJet, Pi: Plane) -> AdaptedFrame:
     """Adapted frames over an (N, M) grid of jets, in one array pass.
 
-    The frames are those of chaining ``adapted_frame`` along the alignment
-    tree: the root (0, 0) takes canonical signs, every other node aligns
-    with its left neighbour, and column 0 with the node above.  Sign flips
-    and T1/T2 label swaps become running products of neighbour-dot signs
-    along that tree.  ``align_quality`` is 1 at the root.
+    T1, T2 are the principal directions in the tangent plane against Pi
+    (``stacked_angles`` on (Pi, tangent frame)), e1, e2 the matching ones in
+    Pi, and xi_k = (e_k - cos(theta_k) T_k) / sin(theta_k) where that is
+    determined.  Signs follow the alignment tree: the root (0, 0) takes
+    canonical signs, every other node aligns with its left neighbour, and
+    column 0 with the node above.  Sign flips and T1/T2 label swaps become
+    running products of neighbour-dot signs along that tree.
+    ``align_quality`` is 1 at the root.
     """
     u1, u2 = _tangent_frame(jets)
     U = np.stack([u1, u2], axis=-1)                       # (N, M, 4, 2)
-    B = Pi.frame()
-    P, s, Qt = np.linalg.svd(B.T @ U)
-    s = np.clip(s, 0.0, 1.0)
-    s_perp = np.linalg.svd(orthogonal_complement(Pi).frame().T @ U, compute_uv=False)
-    theta = np.arctan2(np.clip(s_perp[..., ::-1], 0.0, 1.0), s)   # (N, M, 2)
     # the two groups (T_k, e_k, xi_k) stacked on axis -2
-    T = Qt @ np.swapaxes(U, -1, -2)
-    E = np.swapaxes(P, -1, -2) @ B.T
-    e_tied = s > DEG_COS
+    pa = stacked_angles(Pi.frame(), U)
+    theta, T, E = pa.theta, pa.dirs_b, pa.dirs_a
+    e_tied = pa.cos > DEG_COS
     xi_tied = np.sin(theta) > DEG_SIN
     w = E - _dot(E, T)[..., None] * T
     X = w / np.where(xi_tied[..., None], np.linalg.norm(w, axis=-1, keepdims=True), 1.0)
-    # complete the loose xi from the normal space, as _complete_normals does
-    # (theta1 <= theta2 before label swaps: xi2 is loose only where xi1 is)
+    # complete the loose xi from the normal space (theta1 <= theta2 before
+    # label swaps: xi2 is loose only where xi1 is); the sign of each loose xi
+    # is set by the alignment below.  The rows n are copied to contiguous
+    # memory: einsum sums strided rows in another order.
     loose = ~xi_tied
     k = loose[..., 0]
     lk, Xk = loose[k][..., None], X[k]
-    n = np.stack(_normal_frame(u1[k], u2[k]), axis=-2)
+    n = np.swapaxes(complement_frames(U[k]), -1, -2).copy()
     z = n - _dot(n, Xk[:, 1:])[..., None] * Xk[:, 1:]
     z = np.where(np.linalg.norm(z[:, :1], axis=-1, keepdims=True) < 0.5,
                  z[:, 1:], z[:, :1])
@@ -594,7 +458,7 @@ def adapted_frames(jets: SurfaceJet, Pi: Plane) -> AdaptedFrame:
     quality[0, 0] = 1.0
     return AdaptedFrame(T[..., 0, :], T[..., 1, :], X[..., 0, :], X[..., 1, :],
                         E[..., 0, :], E[..., 1, :], theta[..., 0], theta[..., 1],
-                        np.abs(theta[..., 1] - theta[..., 0]) < 1e-9, quality,
+                        pa.degenerate, quality,
                         e_tied[..., 0], e_tied[..., 1], xi_tied[..., 0], xi_tied[..., 1])
 
 
@@ -609,10 +473,10 @@ def _parent(X: np.ndarray) -> np.ndarray:
 
 def _aligned_signs(V: np.ndarray, tied, tied_sign) -> np.ndarray:
     """Signs (N, M, 2) that align the groups V (N, M, 2, 4) with their tree
-    parents, as ``_align_frame`` flips them: a tied group takes
-    ``tied_sign``, a zero dot restarts at +1, the root is canonical."""
+    parents: a tied group takes ``tied_sign``, a zero dot restarts at +1,
+    the root is canonical."""
     d = _dot(V, _parent(V))
-    d[0, 0] = [_canonical_sign(v) for v in V[0, 0]]
+    d[0, 0] = canonical_sign(V[0, 0])
     return _tree_products(np.where(tied, tied_sign, np.where(d < 0, -1.0, 1.0)),
                           tied | (d == 0))
 

@@ -278,6 +278,20 @@ def test_export_round_trip(tmp_path, capsys, monkeypatch):
     assert code == EXIT_PRECONDITION and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("coords", ["x,x,f", "f,g,f", "g,g,g"])
+def test_export_obj_rejects_a_repeated_coordinate(tmp_path, capsys, coords):
+    prefix = str(tmp_path / "sol")
+    run(capsys, "construct", "--theta1", "0.5235987756",
+        "--theta2", "1.0471975512", "--hx", "2e-3", "--hy", "2e-3",
+        "--ymax", "0.004", "--save", prefix, "--out", str(tmp_path / "r.json"))
+    obj_path = tmp_path / "exported.obj"
+    code, _, err = run(capsys, "export", "--grid", prefix, "--format", "obj",
+                       "--coords", coords, "--out", str(obj_path))
+    assert code == EXIT_PARSE
+    assert err.startswith("error: ") and "distinct" in err
+    assert not obj_path.exists()
+
+
 def test_written_files_are_byte_identical_on_rerun(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"graph": {"f": "0.3*sin(2*x)*cos(y) + 0.2*x*y^2",

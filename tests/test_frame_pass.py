@@ -1,10 +1,13 @@
-"""The batched frame pass of verify_helix against the pointwise oracle.
+"""The batched frame pass of verify_helix against a pointwise oracle.
 
-``adapted_frames`` must give the frames that chaining ``adapted_frame`` along
+``adapted_frames`` must give the frames that chaining ``oracle_frame`` along
 the alignment tree gives: each node aligned with its left neighbour, column 0
-with the node above.
+with the node above.  The oracle derives each frame node by node, with its
+own SVDs, and aligns it with its parent by explicit sign flips and T1/T2
+label swaps.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -13,8 +16,10 @@ import pytest
 from helix4 import helix_construct as hc
 from helix4.catalog import (EXAMPLE_NAMES, PI_12, generate, named_example,
                             round_sphere_patch)
-from helix4.surface_analysis import (SWAP_TOL, adapted_frame, adapted_frames,
-                                     verify_helix)
+from helix4.grassmann import orthogonal_complement
+from helix4.surface_analysis import (DEG_COS, DEG_SIN, SWAP_TOL, AdaptedFrame,
+                                     _tangent_frame, adapted_frame,
+                                     adapted_frames, verify_helix)
 
 # rounding of the unit vectors and angles; xi = (e - cos(theta) T)/sin(theta)
 # scales it by 1/sin(theta) where xi is tied to e
@@ -23,15 +28,163 @@ DIAGONAL = dict(f_coeffs=[[0, 0, 0], [0, 0, 0], [0.5, 0, 0]],
                 g_coeffs=[[0, 0, 0.5]])
 
 
+# ---------------------------------------------------------------------------
+# the pointwise oracle
+# ---------------------------------------------------------------------------
+
+def _canonical_sign(v):
+    k = int(np.argmax(np.abs(v)))
+    return 1.0 if v[k] >= 0 else -1.0
+
+
+def _normal_frame(u1, u2):
+    q, _, _ = np.linalg.svd(np.stack([u1, u2], axis=-1), full_matrices=True)
+    return q[..., 2], q[..., 3]
+
+
+def oracle_frame(jet, Pi, prev=None):
+    """Adapted frame at one node; with ``prev``, signs (and the T1/T2 labels,
+    for near-coincident angles) are chosen to maximize continuity."""
+    u1, u2 = _tangent_frame(jet)
+    U = np.stack([u1, u2], axis=1)
+    B = Pi.frame()
+    Np = orthogonal_complement(Pi).frame()
+
+    P, s, Qt = np.linalg.svd(B.T @ U)
+    s = np.clip(s, 0.0, 1.0)
+    s_perp = np.clip(np.sort(np.linalg.svd(Np.T @ U, compute_uv=False)), 0.0, 1.0)
+    theta1 = math.atan2(s_perp[0], s[0])
+    theta2 = math.atan2(s_perp[1], s[1])
+    degenerate = abs(theta2 - theta1) < 1e-9
+
+    T1 = Qt[0, 0] * u1 + Qt[0, 1] * u2
+    T2 = Qt[1, 0] * u1 + Qt[1, 1] * u2
+    e1 = P[0, 0] * B[:, 0] + P[1, 0] * B[:, 1]
+    e2 = P[0, 1] * B[:, 0] + P[1, 1] * B[:, 1]
+
+    frame = AdaptedFrame(T1, T2, None, None, e1, e2, theta1, theta2, degenerate)
+    frame.e1_tied = s[0] > DEG_COS
+    frame.e2_tied = s[1] > DEG_COS
+    _complete_normals(frame, u1, u2)
+    _align_frame(frame, prev)
+    return frame
+
+
+def _complete_normals(fr, u1, u2):
+    """Fill xi1, xi2 from e_i where determined, from the normal space otherwise."""
+    sin1, sin2 = math.sin(fr.theta1), math.sin(fr.theta2)
+    fr.xi1_tied = sin1 > DEG_SIN
+    fr.xi2_tied = sin2 > DEG_SIN
+    if fr.xi1_tied:
+        w = fr.e1 - (fr.e1 @ fr.T1) * fr.T1
+        fr.xi1 = w / np.linalg.norm(w)
+    if fr.xi2_tied:
+        w = fr.e2 - (fr.e2 @ fr.T2) * fr.T2
+        fr.xi2 = w / np.linalg.norm(w)
+    if fr.xi1_tied and fr.xi2_tied:
+        return
+    n1, n2 = _normal_frame(u1, u2)
+    if not fr.xi1_tied and not fr.xi2_tied:
+        fr.xi1, fr.xi2 = n1, n2
+        return
+    # exactly xi1 missing (theta1 ~ 0 forces theta2 >= theta1 determined)
+    anchor = fr.xi2 if fr.xi2 is not None else n2
+    z = n1 - (n1 @ anchor) * anchor
+    if np.linalg.norm(z) < 0.5:
+        z = n2 - (n2 @ anchor) * anchor
+    fr.xi1 = z / np.linalg.norm(z)
+
+
+def _flip_group1(fr):
+    fr.T1 = -fr.T1
+    if fr.e1_tied:
+        fr.e1 = -fr.e1
+        if fr.xi1_tied:
+            fr.xi1 = -fr.xi1
+
+
+def _flip_group2(fr):
+    fr.T2 = -fr.T2
+    if fr.e2_tied:
+        fr.e2 = -fr.e2
+        if fr.xi2_tied:
+            fr.xi2 = -fr.xi2
+
+
+def _swap_labels(fr):
+    fr.T1, fr.T2 = fr.T2, fr.T1
+    fr.e1, fr.e2 = fr.e2, fr.e1
+    fr.xi1, fr.xi2 = fr.xi2, fr.xi1
+    fr.theta1, fr.theta2 = fr.theta2, fr.theta1
+    fr.e1_tied, fr.e2_tied = fr.e2_tied, fr.e1_tied
+    fr.xi1_tied, fr.xi2_tied = fr.xi2_tied, fr.xi1_tied
+
+
+def _align_frame(fr, prev):
+    if prev is None:
+        # deterministic canonical signs
+        if _canonical_sign(fr.T1) < 0:
+            _flip_group1(fr)
+        if _canonical_sign(fr.T2) < 0:
+            _flip_group2(fr)
+        if not fr.e1_tied and _canonical_sign(fr.e1) < 0:
+            fr.e1 = -fr.e1
+            if fr.xi1_tied:
+                fr.xi1 = -fr.xi1
+        if not fr.e2_tied and _canonical_sign(fr.e2) < 0:
+            fr.e2 = -fr.e2
+            if fr.xi2_tied:
+                fr.xi2 = -fr.xi2
+        if not fr.xi1_tied and _canonical_sign(fr.xi1) < 0:
+            fr.xi1 = -fr.xi1
+        if not fr.xi2_tied and _canonical_sign(fr.xi2) < 0:
+            fr.xi2 = -fr.xi2
+        return
+
+    if abs(fr.theta1 - fr.theta2) < SWAP_TOL:
+        straight = abs(fr.T1 @ prev.T1) + abs(fr.T2 @ prev.T2)
+        crossed = abs(fr.T1 @ prev.T2) + abs(fr.T2 @ prev.T1)
+        if crossed > straight:
+            _swap_labels(fr)
+
+    if fr.T1 @ prev.T1 < 0:
+        _flip_group1(fr)
+    if fr.T2 @ prev.T2 < 0:
+        _flip_group2(fr)
+    # independent sign groups
+    if not fr.e1_tied:
+        if fr.e1 @ prev.e1 < 0:
+            fr.e1 = -fr.e1
+            if fr.xi1_tied:
+                fr.xi1 = -fr.xi1
+    if not fr.e2_tied:
+        if fr.e2 @ prev.e2 < 0:
+            fr.e2 = -fr.e2
+            if fr.xi2_tied:
+                fr.xi2 = -fr.xi2
+    if not fr.xi1_tied and fr.xi1 @ prev.xi1 < 0:
+        fr.xi1 = -fr.xi1
+    if not fr.xi2_tied and fr.xi2 @ prev.xi2 < 0:
+        fr.xi2 = -fr.xi2
+
+    fr.align_quality = float(min(fr.T1 @ prev.T1, fr.T2 @ prev.T2,
+                                 fr.xi1 @ prev.xi1, fr.xi2 @ prev.xi2))
+
+
 def chained_frames(J, Pi):
-    """adapted_frame node by node along the alignment tree, row-major."""
+    """oracle_frame node by node along the alignment tree, row-major."""
     N, M = J.p.shape[:2]
     frames = [[None] * M for _ in range(N)]
     for i in range(N):
         for j in range(M):
             prev = frames[i][j - 1] if j else (frames[i - 1][0] if i else None)
-            frames[i][j] = adapted_frame(J[i, j], Pi, prev)
+            frames[i][j] = oracle_frame(J[i, j], Pi, prev)
     return frames
+
+
+# ---------------------------------------------------------------------------
+# cases
+# ---------------------------------------------------------------------------
 
 
 def random_poly(seed):

@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from helix4.grassmann import (
+    DEGENERATE_TOL,
     GaussPoint,
     Plane,
     bivector_inner,
+    canonical_sign,
+    complement_frames,
     gauss_point,
     hodge,
     is_decomposable,
@@ -21,9 +24,11 @@ from helix4.grassmann import (
     plucker_defect,
     principal_angles,
     random_plane,
+    stacked_angles,
     wedge,
 )
 from helix4.grassmann import _gauss_coords
+from helix4.surface_analysis import SurfaceJet, adapted_frames
 
 E = np.eye(4)
 PI12 = Plane(E[0], E[1])
@@ -95,6 +100,59 @@ def test_complement_is_involutive_and_oriented():
         for v in np.eye(4):
             assert np.allclose(Wpp.project(v), W.project(v), atol=1e-12)
     assert np.allclose(orthogonal_complement(PI12).frame(), PI34.frame(), atol=1e-15)
+
+
+def stratified_pairs(rng, n):
+    """n plane pairs (V, W) in each of three angle strata: uniform angles,
+    angles near the ends of [0, pi/2], near-coincident angles."""
+    half_pi = math.pi / 2
+    t1 = rng.uniform(0.0, half_pi - 1e-10, n)
+    angles = np.concatenate([
+        np.sort(rng.uniform(0.0, half_pi, (n, 2)), axis=1),
+        np.column_stack([rng.uniform(0.0, 1e-7, n), half_pi - rng.uniform(0.0, 1e-7, n)]),
+        np.column_stack([t1, t1 + rng.uniform(0.0, 1e-10, n)])])
+    bases = []
+    for _ in range(3 * n):
+        q, r = np.linalg.qr(rng.standard_normal((4, 4)))
+        bases.append(q * np.sign(np.diag(r)))
+    return [planes_with_angles(a, b, basis=q) for (a, b), q in zip(angles, bases)]
+
+
+def test_stacked_kernel_matches_the_one_pair_views_bit_for_bit():
+    pairs = stratified_pairs(np.random.default_rng(7), 100)
+    A = np.stack([W.frame() for _, W in pairs])
+    B = np.stack([V.frame() for V, _ in pairs])
+    k = stacked_angles(A, B)
+    comp = complement_frames(A)
+    assert np.all(np.linalg.det(np.concatenate([A, comp], axis=-1)) > 0)
+    assert k.degenerate.tolist() == [False] * 200 + [True] * 100
+    for i, (V, W) in enumerate(pairs):
+        pa = principal_angles(V, W)
+        assert [pa.theta1, pa.theta2] == k.theta[i].tolist()
+        assert pa.degenerate == k.degenerate[i]
+        if not pa.degenerate:
+            d = np.stack([pa.v1, pa.v2])
+            assert np.array_equal(d, k.dirs_b[i] * canonical_sign(k.dirs_b[i])[:, None])
+            assert np.all(d[[0, 1], np.abs(d).argmax(-1)] > 0)
+        assert np.array_equal(orthogonal_complement(W).frame(), comp[i])
+
+
+@pytest.mark.parametrize("theta1, theta2, degenerate", [
+    (1e-5, 2e-5, False),            # distinct angles with nearly equal cosines
+    (0.5, 0.5 + 5e-10, True),
+    (0.5, 0.5 + 2e-9, False),
+])
+def test_one_degenerate_rule_on_the_angle_gap(theta1, theta2, degenerate):
+    V, W = planes_with_angles(theta1, theta2)
+    pa = principal_angles(V, W)
+    assert pa.degenerate is degenerate
+    assert (abs(pa.theta2 - pa.theta1) < DEGENERATE_TOL) is degenerate
+    # the frame pass on the flat patch tangent to V, against W
+    zero = np.zeros((1, 1, 4))
+    jet = SurfaceJet(zero, V.b1[None, None], V.b2[None, None], zero, zero, zero)
+    fr = adapted_frames(jet, W)
+    assert fr.degenerate[0, 0] == degenerate
+    assert [fr.theta1[0, 0], fr.theta2[0, 0]] == pytest.approx([theta1, theta2], abs=1e-15)
 
 
 def test_wedge_basics():

@@ -1,12 +1,15 @@
 """Graph-condition, PDE-solver, and deformation tests."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from helix4.catalog import named_example
 from helix4.grassmann import Plane, PrincipalAngles
-from helix4.helix_construct import (GRAPH_RESIDUALS, GraphSurface, HelixParams,
+from helix4.helix_construct import (GRAPH_RESIDUALS, CompositionVerdict,
+                                    GraphSurface, HelixParams,
                                     PDEProblem, SolutionGrid, annulus_bounds,
                                     composition_test, default_problem, deform,
                                     deform_inverse, find_noncharacteristic_seed,
@@ -428,6 +431,37 @@ def test_composition_test_on_pde_surface(solved):
     assert not verdict.t1_geodesic and not verdict.t2_geodesic
     assert verdict.consistent
     assert verdict.rank2_fraction > 0.9
+
+
+@pytest.mark.parametrize("name, verdict", [
+    ("solution-graph", CompositionVerdict(
+        True, False, False, False, False, True, "", 1.0,
+        1.0622784024585088, 1.7163317040064574)),
+    ("orbit_helix", CompositionVerdict(
+        False, None, False, False, False, True,
+        "criterion inapplicable for these angles", 1.0,
+        2.583751394213708e-16, 0.4150276499782253)),
+    ("helix_cylinder", CompositionVerdict(
+        False, True, True, True, True, True,
+        "theta1 = 0: composition regardless of N1 rank", 0.0, 0.0, 0.0)),
+])
+def test_composition_test_samples_the_patch_once(solved, name, verdict):
+    if name == "solution-graph":
+        G = solution_graph(solved[1])
+        xs, ys = G.sample_grid()
+        patch, Pi, grid, geo_tol = G.patch(), PI, (xs.size, ys.size), 1e-3
+    else:
+        cs = named_example(name)
+        patch, Pi, grid, geo_tol = cs.patch, cs.plane, (15, 18), 1e-6
+    calls = []
+
+    def sampler(us, vs):
+        calls.append((us.size, vs.size))
+        return patch.sampler(us, vs)
+
+    got = composition_test(replace(patch, sampler=sampler), Pi, grid, geo_tol)
+    assert calls == [grid]
+    assert got == verdict
 
 
 def test_hessdet_stays_large_near_initial_row(solved):

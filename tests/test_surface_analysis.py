@@ -9,7 +9,8 @@ from helix4.catalog import (PI_12, generate, named_example,
                             round_sphere_patch)
 from helix4.surface_analysis import (AdaptedFrame, FrameDiscontinuityError,
                                      ImmersionError, SurfaceJet,
-                                     adapted_frame, brioschi_curvature,
+                                     adapted_frame, adapted_frames,
+                                     brioschi_curvature,
                                      fundamental_forms,
                                      frame_rotation_coefficients,
                                      graph_patch_from_jets,
@@ -119,8 +120,8 @@ def test_frame_identities_on_generic_graphs():
 
 def test_frame_continuity_alignment():
     patch = named_example("clifford_torus").patch
-    prev = adapted_frame(patch.jet(0.5, 0.7), PI_12)
-    fr = adapted_frame(patch.jet(0.55, 0.7), PI_12, prev=prev)
+    frames = adapted_frames(patch.sample([0.5, 0.55], [0.7]), PI_12)
+    prev, fr = frames[0, 0], frames[1, 0]
     assert fr.T1 @ prev.T1 > 0.99
     assert fr.xi1 @ prev.xi1 > 0.99
     assert fr.align_quality > 0.99
