@@ -205,7 +205,8 @@ def _seed_from(seed_cfg) -> tuple[float, float]:
 
 def _report_payload(report, gate: float, extra: dict | None = None) -> dict:
     payload = {"gate": gate, "angle_std": report.angle_std(),
-               "helix_pass": report.helix_pass(gate)}
+               "helix_pass": report.helix_pass(gate),
+               "dependencia_skipped": report.dependencia_skipped}
     if extra:
         payload.update(extra)
     payload["report"] = report.to_json_dict()

@@ -260,6 +260,13 @@ def _E_partials(u, v, c, branch: int = 1):
     return E_u, E_v
 
 
+def _E_pair(u, v, c, branch: int = 1):
+    """(E_u, E_v) at (u, v) and at the rotated point (-v, u) from one
+    evaluation: index 0 of each result is at (u, v), index 1 at (-v, u).
+    Both points share Delta and lambda."""
+    return _E_partials(np.stack([u, -v]), np.stack([v, u]), c, branch)
+
+
 class SolverHalt(RuntimeError):
     """Internal signal: the march must stop (reason in args[0])."""
 
@@ -279,9 +286,8 @@ def _seed_scan(c1: float, branch: int = 1):
     u = r * np.cos(phis)[None, :]
     v = r * np.sin(phis)[None, :]
     with np.errstate(all="ignore"):
-        Eu, _ = _E_partials(u, v, c1, branch)
-        _, Ev_rot = _E_partials(-v, u, c1, branch)
-    score = np.minimum(np.abs(Eu), np.abs(Ev_rot))
+        Eu, Ev = _E_pair(u, v, c1, branch)
+    score = np.minimum(np.abs(Eu[0]), np.abs(Ev[1]))
     score = np.where(np.isfinite(score), score, 0.0)
     return u.ravel(), v.ravel(), score.ravel()
 
@@ -403,11 +409,10 @@ class PDEProblem:
         if np.any(delta <= dmin + margin) or np.any(delta >= dmax - margin):
             raise ValueError("initial gradient leaves the admissible annulus "
                              "on the x-interval")
-        Eu, _ = _E_partials(dphi, psi, self.c1, self.branch)
-        _, Ev_rot = _E_partials(-psi, dphi, self.c1, self.branch)
-        if np.min(np.abs(Eu)) < 1e-9:
+        Eu, Ev = _E_pair(dphi, psi, self.c1, self.branch)
+        if np.min(np.abs(Eu[0])) < 1e-9:
             raise ValueError("E_u(phi', psi) vanishes on the initial segment")
-        if np.min(np.abs(Ev_rot)) < 1e-9:
+        if np.min(np.abs(Ev[1])) < 1e-9:
             raise ValueError("E_v(-psi, phi') vanishes on the initial segment")
         if np.min(np.abs(d2phi)) < 1e-9:
             raise ValueError("phi'' vanishes on the initial segment")
@@ -495,101 +500,123 @@ class SolutionGrid:
         return slice(rows[0], rows[-1] + 1), slice(lo, hi + 1)
 
     def fx(self) -> np.ndarray:
-        """d f / d x estimated row-wise on the valid region (NaN elsewhere)."""
-        out = np.full_like(self.f, np.nan)
-        for j in range(self.y.size):
-            idx = np.flatnonzero(self.valid[j])
-            if idx.size >= 3:
-                out[j, idx[0]:idx[-1] + 1] = fd_d1(
-                    self.f[j, idx[0]:idx[-1] + 1], self.hx)
-        return out
+        """d f / d x estimated row-wise on the valid region (NaN elsewhere):
+        centred inside each row's valid run, one-sided at its two ends; rows
+        with fewer than 3 valid nodes stay NaN."""
+        on = self.valid & (np.count_nonzero(self.valid, axis=1) >= 3)[:, None]
+        F = np.pad(self.f, ((0, 0), (2, 2)), constant_values=np.nan)
+        V = np.pad(on, ((0, 0), (1, 1)))
+        f, l1, l2, r1, r2 = (F[:, k:k + self.x.size] for k in (2, 1, 0, 3, 4))
+        h2 = 2 * self.hx
+        out = np.where(~V[:, :-2], (-3 * f + 4 * r1 - r2) / h2,
+                       np.where(~V[:, 2:], (3 * f - 4 * l1 + l2) / h2, (r1 - l1) / h2))
+        return np.where(on, out, np.nan)
 
 
 def _coefficients(f: np.ndarray, w: np.ndarray, hx: float, c: float,
                   branch: int = 1):
-    """Quasilinear coefficients (a, b, cc) at the current state."""
-    p = fd_d1(f, hx)
-    Eu_f, Ev_f = _E_partials(p, w, c, branch)
-    Eu_r, Ev_r = _E_partials(-w, p, c, branch)
-    return Eu_f, Ev_f - Ev_r, Eu_r
+    """Quasilinear coefficients (a, b, cc) at the current state (rows along
+    the last axis)."""
+    Eu, Ev = _E_pair(fd_d1(f, hx, axis=-1), w, c, branch)
+    return Eu[0], Ev[0] - Ev[1], Eu[1]
 
 
-def _sigma_max(a, b, cc) -> float:
+def _sigma_max(a, b, cc) -> np.ndarray:
+    """Fastest characteristic slope |dx/dy| of each row."""
     disc = np.sqrt(np.maximum(b * b - 4.0 * a * cc, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         s1 = np.abs((b + disc) / (2.0 * cc))
         s2 = np.abs((b - disc) / (2.0 * cc))
-    return float(np.nanmax(np.maximum(s1, s2)))
+    return np.nanmax(np.maximum(s1, s2), axis=-1)
 
 
-def _march(x: np.ndarray, f0: np.ndarray, w0: np.ndarray, hy: float,
-           n_steps: int, c: float, hx: float, tol_char: float,
-           branch: int = 1):
-    """March the Cauchy data in one y-direction.
+def _march(f: np.ndarray, w: np.ndarray, hy: np.ndarray, n_steps: int,
+           c: float, hx: float, tol_char: float, branch: int = 1,
+           iL: int = 0) -> list[tuple[list, str]]:
+    """March R rows of Cauchy data that share one x-window.
 
-    Returns (rows, bounds, reason): per-step state arrays over shrinking
-    windows, their index bounds into x, and the termination reason.
+    ``f`` and ``w`` are (R, n) states on the nodes iL .. iL + n - 1; row r
+    steps by hy[r].  The rows advance as one array while they take the same
+    number of sub-steps and the same edge trims and none of them halts.  At
+    the first output step where that fails, the march goes back to the start
+    of the step and each row continues alone (R = 1) through this function,
+    so every row gets exactly the arithmetic of a march of its own.
+
+    Returns, per row, (steps, reason): the (f, w, iL, iR) state after each
+    completed output step and the termination reason.
     """
     dmin, dmax = annulus_bounds(c)
     margin = ANNULUS_MARGIN * (dmax - dmin)
 
-    def rhs(f, w):
-        a, b, cc = _coefficients(f, w, hx, c, branch)
+    def rhs(f, w, a, b, cc):
         if np.min(np.abs(cc)) < tol_char:
             raise SolverHalt("characteristic-degeneracy")
-        return -(a * fd_d2(f, hx) + b * fd_d1(w, hx)) / cc
+        return -(a * fd_d2(f, hx, axis=-1) + b * fd_d1(w, hx, axis=-1)) / cc
 
-    rows: list[tuple[np.ndarray, np.ndarray]] = []
-    bounds: list[tuple[int, int]] = []
-    iL, iR = 0, x.size - 1
-    f, w = f0.copy(), w0.copy()
-    reason = "completed"
-    for _ in range(n_steps):
+    R = f.shape[0]
+    steps: list[list] = [[] for _ in range(R)]
+    iR = iL + f.shape[1] - 1
+    for done in range(n_steps):
+        start = f, w, iL
         try:
-            a, b, cc = _coefficients(f, w, hx, c, branch)
-            sigma = _sigma_max(a, b, cc)
-            k = max(1, int(math.ceil(abs(hy) * sigma / (CFL_TARGET * hx))))
-            sub = hy / k
-            for _s in range(k):
+            coef = _coefficients(f, w, hx, c, branch)
+            k = {max(1, int(math.ceil(abs(h) * s / (CFL_TARGET * hx))))
+                 for h, s in zip(hy, _sigma_max(*coef))}
+            if len(k) > 1:
+                raise SolverHalt("rows-differ")      # only possible for R > 1
+            k = k.pop()
+            sub = (hy / k)[:, None]
+            for s in range(k):
                 if iR - iL < 8:
                     raise SolverHalt("window-exhausted")
-                k1f, k1w = w, rhs(f, w)
+                if s:
+                    coef = _coefficients(f, w, hx, c, branch)
+                k1f, k1w = w, rhs(f, w, *coef)
                 fh = f + 0.5 * sub * k1f
                 wh = w + 0.5 * sub * k1w
-                k2f, k2w = wh, rhs(fh, wh)
+                k2f, k2w = wh, rhs(fh, wh, *_coefficients(fh, wh, hx, c, branch))
                 f = f + sub * k2f
                 w = w + sub * k2w
                 iL += 1
                 iR -= 1
-                f, w = f[1:-1], w[1:-1]
+                f, w = f[:, 1:-1], w[:, 1:-1]
                 # adaptive edge trim while the gradient drifts toward the
                 # annulus boundary
-                p = fd_d1(f, hx)
+                p = fd_d1(f, hx, axis=-1)
                 delta = p * p + w * w
                 bad = (delta <= dmin + margin) | (delta >= dmax - margin)
-                while bad.size and (bad[0] or bad[-1]):
-                    if bad[0]:
+                ends = bad[:, [0, -1]]
+                while ends.any():
+                    if np.any(ends != ends[0]):
+                        raise SolverHalt("rows-differ")
+                    if ends[0, 0]:
                         iL += 1
-                        f, w, bad = f[1:], w[1:], bad[1:]
-                    if bad.size and bad[-1]:
+                        f, w, bad = f[:, 1:], w[:, 1:], bad[:, 1:]
+                    if ends[0, 1]:
                         iR -= 1
-                        f, w, bad = f[:-1], w[:-1], bad[:-1]
+                        f, w, bad = f[:, :-1], w[:, :-1], bad[:, :-1]
                     if iR - iL < 8:
                         raise SolverHalt("window-exhausted")
+                    ends = bad[:, [0, -1]]
                 if np.any(bad):
                     raise SolverHalt("annulus-margin")
         except SolverHalt as halt:
-            reason = halt.args[0]
-            break
-        rows.append((f.copy(), w.copy()))
-        bounds.append((iL, iR))
-    return rows, bounds, reason
+            if R == 1:
+                return [(steps[0], halt.args[0])]
+            f, w, iL = start
+            alone = (_march(f[r:r + 1], w[r:r + 1], hy[r:r + 1], n_steps - done,
+                            c, hx, tol_char, branch, iL)[0] for r in range(R))
+            return [(kept + more, reason) for kept, (more, reason) in zip(steps, alone)]
+        for r in range(R):
+            steps[r].append((f[r], w[r], iL, iR))
+    return [(rows, "completed") for rows in steps]
 
 
 def solve_pde(prob: PDEProblem) -> SolutionGrid:
     """Solve the construction PDE by explicit midpoint marching in +-y.
 
-    The initial row reproduces the Cauchy data exactly.  Each column is kept
+    Both directions march as one (2, n) state (see :func:`_march`).  The
+    initial row reproduces the Cauchy data exactly.  Each column is kept
     only while the gradient stays inside the annulus by margin and the f_yy
     coefficient stays away from zero; a partial grid with the termination
     reason is returned otherwise.
@@ -600,7 +627,7 @@ def solve_pde(prob: PDEProblem) -> SolutionGrid:
     f0, dphi, _ = prob.phi(x)
     psi0, _ = prob.psi(x)
 
-    Eu_r0 = _E_partials(-psi0, dphi, prob.c1, prob.branch)[0]
+    Eu_r0 = _E_pair(dphi, psi0, prob.c1, prob.branch)[0][1]
     tol_char = 1e-6 * float(np.min(np.abs(Eu_r0)))
 
     ny = 2 * n_steps + 1
@@ -612,18 +639,17 @@ def solve_pde(prob: PDEProblem) -> SolutionGrid:
     f[j0], fy[j0] = f0, psi0
     valid[j0] = True
 
-    reasons = []
-    for sign in (1, -1):
-        rows, bounds, reason = _march(x, f0, psi0, sign * prob.hy, n_steps, prob.c1,
-                                      prob.hx, tol_char, prob.branch)
-        for k, ((fr, wr), (iL, iR)) in enumerate(zip(rows, bounds), start=1):
+    marches = _march(np.stack([f0, f0]), np.stack([psi0, psi0]),
+                     np.array([prob.hy, -prob.hy]), n_steps, prob.c1, prob.hx,
+                     tol_char, prob.branch)
+    for sign, (steps, _) in zip((1, -1), marches):
+        for k, (fr, wr, iL, iR) in enumerate(steps, start=1):
             j = j0 + sign * k
             f[j, iL:iR + 1], fy[j, iL:iR + 1], valid[j, iL:iR + 1] = fr, wr, True
-        reasons.append(reason)
 
     return SolutionGrid(x=x, y=y, f=f, fy=fy, valid=valid, c1=prob.c1,
                         hx=prob.hx, hy=prob.hy, seed=(prob.u0, prob.v0),
-                        termination_up=reasons[0], termination_down=reasons[1],
+                        termination_up=marches[0][1], termination_down=marches[1][1],
                         branch=prob.branch)
 
 
@@ -656,16 +682,15 @@ def recover_g(sol: SolutionGrid) -> SolutionGrid:
     A = np.where(blowup, np.nan, A)
     B = np.where(blowup, np.nan, B)
 
-    nyw, nxw = fw.shape
     j0 = sol.row0() - rs.start
-    g = np.full((nyw, nxw), np.nan)
+    g = np.full(fw.shape, np.nan)
     g[j0, 0] = 0.0
     g[j0, 1:] = np.nancumsum(0.5 * sol.hx * (A[j0, 1:] + A[j0, :-1]))
     hy = sol.y[1] - sol.y[0]
-    for j in range(j0 + 1, nyw):
-        g[j] = g[j - 1] + 0.5 * hy * (B[j] + B[j - 1])
-    for j in range(j0 - 1, -1, -1):
-        g[j] = g[j + 1] - 0.5 * hy * (B[j] + B[j + 1])
+    # trapezoid steps in y, accumulated outward from row j0 in order
+    step = 0.5 * hy * (B[1:] + B[:-1])
+    g[j0:] = np.cumsum(np.concatenate([g[j0:j0 + 1], step[j0:]]), axis=0)
+    g[j0::-1] = np.cumsum(np.concatenate([g[j0:j0 + 1], -step[:j0][::-1]]), axis=0)
 
     # loop integral around each cell: bottom + right - top - left
     loop = (0.5 * sol.hx * (A[:-1, 1:] + A[:-1, :-1])

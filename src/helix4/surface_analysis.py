@@ -66,6 +66,10 @@ DEG_SIN = 1e-6
 DEG_COS = 1e-7
 # angle coincidence threshold for the swap heuristic during propagation
 SWAP_TOL = 1e-6
+# the dependencia identities divide by sin and cos of both angles and, solved
+# for dt, by cos t1/cos t2 - cos t2/cos t1; nodes where one of these is not
+# above this bound are left out of their statistics (and counted)
+DEPENDENCIA_MIN = 1e-6
 
 
 class ImmersionError(ValueError):
@@ -244,26 +248,31 @@ def patch_from_position(pos: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
 def fd_d1(values: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
     """First derivative along an axis: centered interior, 2nd-order one-sided ends."""
-    v = np.moveaxis(values, axis, 0)
+    v = np.asarray(values)
+    i = (slice(None),) * (axis % v.ndim)      # all of every axis before ``axis``
     out = np.empty_like(v)
-    out[1:-1] = (v[2:] - v[:-2]) / (2 * h)
-    out[0] = (-3 * v[0] + 4 * v[1] - v[2]) / (2 * h)
-    out[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * h)
-    return np.moveaxis(out, 0, axis)
+    out[i + (slice(1, -1),)] = (v[i + (slice(2, None),)] - v[i + (slice(None, -2),)]) / (2 * h)
+    out[i + (0,)] = (-3 * v[i + (0,)] + 4 * v[i + (1,)] - v[i + (2,)]) / (2 * h)
+    out[i + (-1,)] = (3 * v[i + (-1,)] - 4 * v[i + (-2,)] + v[i + (-3,)]) / (2 * h)
+    return out
 
 
 def fd_d2(values: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
     """Second derivative along an axis: centered interior, one-sided ends."""
-    v = np.moveaxis(values, axis, 0)
+    v = np.asarray(values)
+    i = (slice(None),) * (axis % v.ndim)
     out = np.empty_like(v)
-    out[1:-1] = (v[2:] - 2 * v[1:-1] + v[:-2]) / (h * h)
-    if v.shape[0] >= 4:
-        out[0] = (2 * v[0] - 5 * v[1] + 4 * v[2] - v[3]) / (h * h)
-        out[-1] = (2 * v[-1] - 5 * v[-2] + 4 * v[-3] - v[-4]) / (h * h)
+    out[i + (slice(1, -1),)] = (v[i + (slice(2, None),)] - 2 * v[i + (slice(1, -1),)]
+                                + v[i + (slice(None, -2),)]) / (h * h)
+    if v.shape[axis] >= 4:
+        out[i + (0,)] = (2 * v[i + (0,)] - 5 * v[i + (1,)] + 4 * v[i + (2,)]
+                         - v[i + (3,)]) / (h * h)
+        out[i + (-1,)] = (2 * v[i + (-1,)] - 5 * v[i + (-2,)] + 4 * v[i + (-3,)]
+                          - v[i + (-4,)]) / (h * h)
     else:
-        out[0] = out[1]
-        out[-1] = out[-2]
-    return np.moveaxis(out, 0, axis)
+        out[i + (0,)] = out[i + (1,)]
+        out[i + (-1,)] = out[i + (-2,)]
+    return out
 
 
 def patch_from_grid(us: np.ndarray, vs: np.ndarray, points: np.ndarray,
@@ -586,6 +595,9 @@ class StructureReport:
     min_align_dot: float
     structure_residual: np.ndarray   # per-point max |structure eq| (interior)
     codazzi_residual: np.ndarray     # per-point max |C1..C4| (interior)
+    # interior nodes left out of dependencia1-3 (DEPENDENCIA_MIN); None when
+    # those identities are not reported
+    dependencia_skipped: int | None
 
     def angle_std(self) -> float:
         return max(self.angle_stats["theta1"][1], self.angle_stats["theta2"][1])
@@ -864,21 +876,27 @@ def verify_helix(patch: SurfacePatch, Pi: Plane,
     # structure system; reported as residuals, not enforced independently)
     mean_t1 = theta1_stats[0]
     mean_t2 = theta2_stats[0]
+    dependencia_skipped = None
     if 1e-6 < mean_t1 and mean_t2 < math.pi / 2 - 1e-6:
+        ok = np.minimum.reduce([st1, st2, ct1, ct2]) > DEPENDENCIA_MIN
+        ok[ok] = np.abs(ct1[ok] / ct2[ok] - ct2[ok] / ct1[ok]) > DEPENDENCIA_MIN
+        dependencia_skipped = int(ok.size - np.count_nonzero(ok))
         dl1 = (im1 * np.einsum("ijk,ijk->ij", it(T1), it(T2)),
                im1 * np.einsum("ijk,ijk->ij", it(T2), it(T2)))
         dl2 = (im2 * np.einsum("ijk,ijk->ij", it(T1), it(T1)),
                im2 * np.einsum("ijk,ijk->ij", it(T2), it(T1)))
-        dt = (dt_T1, dt_T2)
-        dn = (dn_T1, dn_T2)
+        dl1, dl2 = [a[ok] for a in dl1], [a[ok] for a in dl2]
+        dt = (dt_T1[ok], dt_T2[ok])
+        dn = (dn_T1[ok], dn_T2[ok])
+        c1, c2, s1, s2 = ct1[ok], ct2[ok], st1[ok], st2[ok]
         dep1, dep2, dep3 = [], [], []
         for k in (0, 1):
-            dep1.append((ct1 / ct2 - ct2 / ct1) * dt[k]
-                        - (st1 / ct2) * dl1[k] - (st2 / ct1) * dl2[k])
-            dep2.append(-(st1 / st2) * dn[k] + (ct1 / ct2) * dt[k]
-                        - (st1 / ct2) * dl1[k] - (ct1 / st2) * dl2[k])
-            dep3.append(-(st2 / st1) * dn[k] + (ct1 / ct2) * dt[k]
-                        - (st1 / ct2 - ct2 / st1) * dl1[k])
+            dep1.append((c1 / c2 - c2 / c1) * dt[k]
+                        - (s1 / c2) * dl1[k] - (s2 / c1) * dl2[k])
+            dep2.append(-(s1 / s2) * dn[k] + (c1 / c2) * dt[k]
+                        - (s1 / c2) * dl1[k] - (c1 / s2) * dl2[k])
+            dep3.append(-(s2 / s1) * dn[k] + (c1 / c2) * dt[k]
+                        - (s1 / c2 - c2 / s1) * dl1[k])
         residuals["dependencia1"] = ResidualStat.of(np.stack(dep1))
         residuals["dependencia2"] = ResidualStat.of(np.stack(dep2))
         residuals["dependencia3"] = ResidualStat.of(np.stack(dep3))
@@ -926,4 +944,5 @@ def verify_helix(patch: SurfacePatch, Pi: Plane,
             [tangent_res, normal_res])), axis=0)),
         codazzi_residual=pad(np.max(np.abs(np.stack(
             [c1_res, c2_res, c3_res, c4_res])), axis=0)),
+        dependencia_skipped=dependencia_skipped,
     )

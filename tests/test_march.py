@@ -1,0 +1,247 @@
+"""The stacked +-y march of solve_pde against a one-direction oracle.
+
+``solve_pde`` marches up and down as one (2, n) state and splits into two
+single-row marches at the first output step where the rows disagree on the
+sub-step count or the edge trims, or one of them halts.  The oracle below
+marches each direction on its own, one row at a time, with two separate
+E-partials evaluations per coefficient set, and integrates g and f_x with
+explicit row loops.  The arithmetic is the same, so everything must agree bit
+for bit.
+"""
+
+import math
+import re
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from helix4 import helix_construct as hc
+from helix4.helix_construct import (ANNULUS_MARGIN, CFL_TARGET, SolutionGrid,
+                                    SolverHalt, _E_partials, _lam,
+                                    annulus_bounds)
+from helix4.surface_analysis import fd_d1, fd_d2
+
+C_THIRD = 10.0 / 3.0
+WINDOW = dict(x_range=(-0.05, 0.05), y_max=0.006)
+LADDER = (1e-3, 5e-4, 2.5e-4, 1.25e-4, 6.25e-5)
+
+
+# ---------------------------------------------------------------------------
+# the one-direction oracle
+# ---------------------------------------------------------------------------
+
+def oracle_coefficients(f, w, hx, c, branch=1):
+    p = fd_d1(f, hx)
+    Eu_f, Ev_f = _E_partials(p, w, c, branch)
+    Eu_r, Ev_r = _E_partials(-w, p, c, branch)
+    return Eu_f, Ev_f - Ev_r, Eu_r
+
+
+def oracle_sigma_max(a, b, cc):
+    disc = np.sqrt(np.maximum(b * b - 4.0 * a * cc, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s1 = np.abs((b + disc) / (2.0 * cc))
+        s2 = np.abs((b - disc) / (2.0 * cc))
+    return float(np.nanmax(np.maximum(s1, s2)))
+
+
+def oracle_march(x, f0, w0, hy, n_steps, c, hx, tol_char, branch=1):
+    """March the Cauchy data in one y-direction: (rows, bounds, reason)."""
+    dmin, dmax = annulus_bounds(c)
+    margin = ANNULUS_MARGIN * (dmax - dmin)
+
+    def rhs(f, w):
+        a, b, cc = oracle_coefficients(f, w, hx, c, branch)
+        if np.min(np.abs(cc)) < tol_char:
+            raise SolverHalt("characteristic-degeneracy")
+        return -(a * fd_d2(f, hx) + b * fd_d1(w, hx)) / cc
+
+    rows, bounds = [], []
+    iL, iR = 0, x.size - 1
+    f, w = f0.copy(), w0.copy()
+    reason = "completed"
+    for _ in range(n_steps):
+        try:
+            sigma = oracle_sigma_max(*oracle_coefficients(f, w, hx, c, branch))
+            k = max(1, int(math.ceil(abs(hy) * sigma / (CFL_TARGET * hx))))
+            sub = hy / k
+            for _s in range(k):
+                if iR - iL < 8:
+                    raise SolverHalt("window-exhausted")
+                k1f, k1w = w, rhs(f, w)
+                fh = f + 0.5 * sub * k1f
+                wh = w + 0.5 * sub * k1w
+                k2f, k2w = wh, rhs(fh, wh)
+                f = f + sub * k2f
+                w = w + sub * k2w
+                iL += 1
+                iR -= 1
+                f, w = f[1:-1], w[1:-1]
+                p = fd_d1(f, hx)
+                delta = p * p + w * w
+                bad = (delta <= dmin + margin) | (delta >= dmax - margin)
+                while bad.size and (bad[0] or bad[-1]):
+                    if bad[0]:
+                        iL += 1
+                        f, w, bad = f[1:], w[1:], bad[1:]
+                    if bad.size and bad[-1]:
+                        iR -= 1
+                        f, w, bad = f[:-1], w[:-1], bad[:-1]
+                    if iR - iL < 8:
+                        raise SolverHalt("window-exhausted")
+                if np.any(bad):
+                    raise SolverHalt("annulus-margin")
+        except SolverHalt as halt:
+            reason = halt.args[0]
+            break
+        rows.append((f.copy(), w.copy()))
+        bounds.append((iL, iR))
+    return rows, bounds, reason
+
+
+def oracle_solve(prob):
+    x = prob.x_nodes()
+    n_steps = prob.y_steps()
+    f0, dphi, _ = prob.phi(x)
+    psi0, _ = prob.psi(x)
+    tol_char = 1e-6 * float(np.min(np.abs(_E_partials(-psi0, dphi, prob.c1,
+                                                      prob.branch)[0])))
+    ny = 2 * n_steps + 1
+    f = np.full((ny, x.size), np.nan)
+    fy = np.full((ny, x.size), np.nan)
+    valid = np.zeros((ny, x.size), dtype=bool)
+    j0 = n_steps
+    f[j0], fy[j0] = f0, psi0
+    valid[j0] = True
+    reasons = []
+    for sign in (1, -1):
+        rows, bounds, reason = oracle_march(x, f0, psi0, sign * prob.hy, n_steps,
+                                            prob.c1, prob.hx, tol_char, prob.branch)
+        for k, ((fr, wr), (iL, iR)) in enumerate(zip(rows, bounds), start=1):
+            j = j0 + sign * k
+            f[j, iL:iR + 1], fy[j, iL:iR + 1], valid[j, iL:iR + 1] = fr, wr, True
+        reasons.append(reason)
+    return SolutionGrid(x=x, y=np.linspace(-prob.y_max, prob.y_max, ny), f=f, fy=fy,
+                        valid=valid, c1=prob.c1, hx=prob.hx, hy=prob.hy,
+                        seed=(prob.u0, prob.v0), termination_up=reasons[0],
+                        termination_down=reasons[1], branch=prob.branch)
+
+
+def oracle_recover_g(sol):
+    """g by the trapezoid rule along row 0, then row by row up and down."""
+    rs, cs = sol.rect()
+    fw, ww = sol.f[rs, cs], sol.fy[rs, cs]
+    p = fd_d1(fw, sol.hx, axis=1)
+    delta = p * p + ww * ww
+    lam = _lam(delta, sol.c1, sol.branch)
+    A = (-ww + lam * p) / delta
+    B = (p + lam * ww) / delta
+    dmin, dmax = annulus_bounds(sol.c1)
+    margin = ANNULUS_MARGIN * (dmax - dmin)
+    blowup = (delta <= dmin + margin) | (delta >= dmax - margin)
+    A = np.where(blowup, np.nan, A)
+    B = np.where(blowup, np.nan, B)
+    j0 = sol.row0() - rs.start
+    g = np.full(fw.shape, np.nan)
+    g[j0, 0] = 0.0
+    g[j0, 1:] = np.nancumsum(0.5 * sol.hx * (A[j0, 1:] + A[j0, :-1]))
+    hy = sol.y[1] - sol.y[0]
+    for j in range(j0 + 1, fw.shape[0]):
+        g[j] = g[j - 1] + 0.5 * hy * (B[j] + B[j - 1])
+    for j in range(j0 - 1, -1, -1):
+        g[j] = g[j + 1] - 0.5 * hy * (B[j] + B[j + 1])
+    g_full = np.full_like(sol.f, np.nan)
+    g_full[rs, cs] = g
+    return g_full
+
+
+def oracle_fx(sol):
+    out = np.full_like(sol.f, np.nan)
+    for j in range(sol.y.size):
+        idx = np.flatnonzero(sol.valid[j])
+        if idx.size >= 3:
+            out[j, idx[0]:idx[-1] + 1] = fd_d1(sol.f[j, idx[0]:idx[-1] + 1], sol.hx)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# cases
+# ---------------------------------------------------------------------------
+
+def _ladder(h):
+    return hc.default_problem(C_THIRD, hx=h, hy=h, seed=hc.find_noncharacteristic_seed(C_THIRD),
+                              **WINDOW)
+
+
+def _mirror():
+    seed = hc.choose_feasible_seed(C_THIRD, WINDOW["x_range"], WINDOW["y_max"],
+                                   1e-3, 1e-3, branch=-1)
+    return hc.default_problem(C_THIRD, hx=1e-3, hy=1e-3, seed=seed, branch=-1, **WINDOW)
+
+
+def _windows_differ():
+    return hc.default_problem(C_THIRD, hx=1e-3, hy=1e-3, curvature=1.0,
+                              seed=(0.7195349167718692, 0.0), **WINDOW)
+
+
+def _reasons_differ():
+    return hc.default_problem(C_THIRD, x_range=WINDOW["x_range"], y_max=0.02,
+                              hx=2e-3, hy=2e-3,
+                              seed=(-0.7523473882453191, -0.052609254334021624))
+
+
+def _trims_differ():
+    # |grad f|^2 has its minimum 1.5 nodes inside the left end of the window,
+    # 1e-6 above the lower annulus margin: in the first output step both rows
+    # take the same sub-steps, but only the downward one trims its left edge
+    phi, psi = hc.paper_initial_data(1.29615, 0.0, 1.0)
+    return hc.PDEProblem(C_THIRD, (-0.52, -0.44), 0.006, 1e-3, 1e-3, 1.29615, 0.0, phi, psi)
+
+
+CASES = ([(f"ladder-L{k}", lambda h=h: _ladder(h)) for k, h in enumerate(LADDER, start=1)]
+         + [("branch-minus-1", _mirror), ("windows-differ", _windows_differ),
+            ("reasons-differ", _reasons_differ), ("trims-differ", _trims_differ)])
+
+
+def _up_down_windows(sol):
+    j0 = sol.row0()
+    return sol.valid[j0 + 1:], sol.valid[:j0][::-1]
+
+
+@pytest.mark.parametrize("make", [m for _, m in CASES], ids=[n for n, _ in CASES])
+def test_stacked_march_matches_one_direction_oracle(make):
+    prob = make()
+    sol, ref = hc.solve_pde(prob), oracle_solve(prob)
+    assert (sol.termination_up, sol.termination_down) == (ref.termination_up,
+                                                          ref.termination_down)
+    for name in ("x", "y", "f", "fy", "valid"):
+        assert np.array_equal(getattr(sol, name), getattr(ref, name), equal_nan=True), name
+    assert np.array_equal(sol.fx(), oracle_fx(ref), equal_nan=True)
+    try:
+        ref_g = oracle_recover_g(ref)
+    except ValueError as exc:                    # no valid rectangle to integrate on
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            hc.recover_g(sol)
+    else:
+        assert np.array_equal(hc.recover_g(sol).g, ref_g, equal_nan=True)
+
+
+def test_asymmetric_cases_take_the_split():
+    for make in (_windows_differ, _trims_differ):
+        sol = hc.solve_pde(make())
+        assert (sol.termination_up, sol.termination_down) == ("completed", "completed")
+        assert not np.array_equal(*_up_down_windows(sol))
+    sol = hc.solve_pde(_reasons_differ())
+    assert (sol.termination_up, sol.termination_down) == ("completed", "window-exhausted")
+
+
+def test_fx_masks_short_rows_and_keeps_one_sided_ends():
+    sol = hc.solve_pde(_reasons_differ())
+    valid = sol.valid.copy()
+    j = int(np.flatnonzero(valid.any(axis=1))[-1])
+    cols = np.flatnonzero(valid[j])
+    valid[j, cols[2:]] = False                   # leave a row with 2 nodes
+    short = replace(sol, valid=valid)
+    assert np.array_equal(short.fx(), oracle_fx(short), equal_nan=True)
+    assert np.all(np.isnan(short.fx()[j]))
