@@ -203,6 +203,26 @@ def _seed_from(seed_cfg) -> tuple[float, float]:
     return u0, v0
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _grid_and_gate(patch, grid, gate: float | None) -> tuple[tuple[int, int], float]:
+    """Sampling grid (N, M) and residual gate of a ``verify`` or ``example``
+    run.  The grid must be two finite numbers (exit 2 otherwise), truncated
+    to integers; a gate of None takes ``default_gate`` at the coarser
+    spacing of that grid, any other gate (0 included) is kept."""
+    if not (isinstance(grid, (list, tuple)) and len(grid) == 2
+            and all(map(_is_number, grid))):
+        raise CliError(EXIT_PARSE, "config 'grid' must be a list of two numbers")
+    N, M = int(grid[0]), int(grid[1])
+    if gate is None:
+        gate = default_gate(patch, max(
+            (patch.u_range[1] - patch.u_range[0]) / max(N - 1, 1),
+            (patch.v_range[1] - patch.v_range[0]) / max(M - 1, 1)))
+    return (N, M), float(gate)
+
+
 def _report_payload(report, gate: float, extra: dict | None = None) -> dict:
     payload = {"gate": gate, "angle_std": report.angle_std(),
                "helix_pass": report.helix_pass(gate),
@@ -281,16 +301,12 @@ def _surface_from_config(cfg: dict):
 def _cmd_verify(args) -> int:
     cfg = _load_json(args.config)
     patch, plane, meta = _surface_from_config(cfg)
-    grid = cfg.get("grid", [30, 30])
-    if not (isinstance(grid, list)
-            and all(isinstance(n, (int, float)) for n in grid)):
-        raise CliError(EXIT_PARSE, "config 'grid' must be a list of two numbers")
-    N, M = grid
-    grid_h = max((patch.u_range[1] - patch.u_range[0]) / max(N - 1, 1),
-                 (patch.v_range[1] - patch.v_range[0]) / max(M - 1, 1))
-    gate = float(cfg.get("gate", args.gate or default_gate(patch, grid_h)))
+    if "gate" in cfg and not _is_number(cfg["gate"]):
+        raise CliError(EXIT_PARSE, "config 'gate' must be a number")
+    grid, gate = _grid_and_gate(patch, cfg.get("grid", [30, 30]),
+                                cfg.get("gate", args.gate))
     try:
-        report = verify_helix(patch, plane, (int(N), int(M)))
+        report = verify_helix(patch, plane, grid)
     except (ImmersionError, FrameDiscontinuityError) as exc:
         raise CliError(EXIT_DEGENERATE, str(exc))
     except (ValueError, EvalError) as exc:
@@ -311,11 +327,8 @@ def _cmd_example(args) -> int:
         cs = catalog.named_example(args.name)
     except ValueError as exc:
         raise CliError(EXIT_PRECONDITION, str(exc))
-    N, M = args.grid
-    grid_h = max((cs.patch.u_range[1] - cs.patch.u_range[0]) / max(N - 1, 1),
-                 (cs.patch.v_range[1] - cs.patch.v_range[0]) / max(M - 1, 1))
-    gate = args.gate if args.gate is not None else default_gate(cs.patch, grid_h)
-    report = verify_helix(cs.patch, cs.plane, (N, M))
+    grid, gate = _grid_and_gate(cs.patch, args.grid, args.gate)
+    report = verify_helix(cs.patch, cs.plane, grid)
     meta = {"example": args.name,
             "plane": plane_to_json(cs.plane),
             "expected": [cs.expected.theta1, cs.expected.theta2],

@@ -12,7 +12,7 @@ to the second order needed for surface jets.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,7 +54,9 @@ class Expr:
     value: float = 0.0
     name: str = ""
     args: tuple = ()
-    span: int = 0
+    # source offset for error messages; not part of equality, so folding
+    # against _ZERO and _ONE depends on the value only
+    span: int = field(default=0, compare=False)
 
     # -- construction helpers (with constant folding) --
 
@@ -173,55 +175,54 @@ class Expr:
     # -- differentiation --
 
     def diff(self, var: str) -> "Expr":
-        k = self.kind
+        """Derivative along ``var``; every node built here carries the span
+        of the node it differentiates, so its errors point at that node."""
+        k, sp = self.kind, self.span
         if k == "num":
             return _ZERO
         if k == "var":
             return _ONE if self.name == var else _ZERO
         if k == "neg":
-            return Expr.neg(self.args[0].diff(var))
-        if k == "+":
-            return Expr.binary("+", self.args[0].diff(var), self.args[1].diff(var))
-        if k == "-":
-            return Expr.binary("-", self.args[0].diff(var), self.args[1].diff(var))
+            return Expr.neg(self.args[0].diff(var), sp)
+        if k in "+-":
+            return Expr.binary(k, self.args[0].diff(var), self.args[1].diff(var), sp)
         if k == "*":
             a, b = self.args
             return Expr.binary("+",
-                               Expr.binary("*", a.diff(var), b),
-                               Expr.binary("*", a, b.diff(var)))
+                               Expr.binary("*", a.diff(var), b, sp),
+                               Expr.binary("*", a, b.diff(var), sp), sp)
         if k == "/":
             a, b = self.args
             num = Expr.binary("-",
-                              Expr.binary("*", a.diff(var), b),
-                              Expr.binary("*", a, b.diff(var)))
-            return Expr.binary("/", num, Expr.binary("^", b, Expr.num(2)))
+                              Expr.binary("*", a.diff(var), b, sp),
+                              Expr.binary("*", a, b.diff(var), sp), sp)
+            return Expr.binary("/", num, Expr.binary("^", b, Expr.num(2, sp), sp), sp)
         if k == "^":
             a, b = self.args
             if b.kind == "num":
                 # d/dv a^n = n a^(n-1) a'
                 return Expr.binary("*",
                                    Expr.binary("*", b, Expr.binary(
-                                       "^", a, Expr.num(b.value - 1), self.span)),
-                                   a.diff(var))
-            raise ParseError("derivative of a^b needs a constant exponent",
-                             self.span)
+                                       "^", a, Expr.num(b.value - 1, sp), sp), sp),
+                                   a.diff(var), sp)
+            raise ParseError("derivative of a^b needs a constant exponent", sp)
         if k == "call":
             a = self.args[0]
             da = a.diff(var)
             if self.name == "sin":
-                outer = Expr.call("cos", a)
+                outer = Expr.call("cos", a, sp)
             elif self.name == "cos":
-                outer = Expr.neg(Expr.call("sin", a))
+                outer = Expr.neg(Expr.call("sin", a, sp), sp)
             elif self.name == "tan":
-                outer = Expr.binary("/", _ONE,
-                                    Expr.binary("^", Expr.call("cos", a), Expr.num(2)))
+                outer = Expr.binary("/", Expr.num(1, sp), Expr.binary(
+                    "^", Expr.call("cos", a, sp), Expr.num(2, sp), sp), sp)
             elif self.name == "exp":
-                outer = Expr.call("exp", a)
+                outer = Expr.call("exp", a, sp)
             elif self.name == "sqrt":
-                outer = Expr.binary("/", Expr.num(0.5), Expr.call("sqrt", a))
+                outer = Expr.binary("/", Expr.num(0.5, sp), Expr.call("sqrt", a, sp), sp)
             else:  # pragma: no cover - the parser only admits known names
-                raise ParseError(f"unknown function {self.name}", self.span)
-            return Expr.binary("*", outer, da)
+                raise ParseError(f"unknown function {self.name}", sp)
+            return Expr.binary("*", outer, da, sp)
         raise AssertionError(k)
 
     def variables(self) -> set[str]:

@@ -487,7 +487,8 @@ class SolutionGrid:
     def rect(self) -> tuple[slice, slice]:
         """Maximal rectangle of valid nodes spanning all rows that kept at
         least 8 columns."""
-        rows = [j for j in range(self.y.size) if np.any(self.valid[j])]
+        rows = [j for j in range(self.y.size)
+                if np.count_nonzero(self.valid[j]) >= 8]
         if len(rows) < 3:
             raise ValueError(
                 f"solution kept only {len(rows)} row(s) "

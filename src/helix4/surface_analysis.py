@@ -176,8 +176,6 @@ class StructureFields:
     dt_T2: float
     dn_T1: float
     dn_T2: float
-    df_T1: float
-    df_T2: float
     A_const: float
     B_const: float
     theta1: float
@@ -369,6 +367,13 @@ def _dot(a: np.ndarray, b: np.ndarray):
     return np.einsum("...k,...k->...", a, b)
 
 
+def _coords(w, pu, pv, E, F, G, W):
+    """Coefficients (a, b) of the tangential part a p_u + b p_v of w, from
+    the Gram system of the metric (E, F, G) with W = EG - F^2."""
+    wu, wv = _dot(w, pu), _dot(w, pv)
+    return (G * wu - F * wv) / W, (-F * wu + E * wv) / W
+
+
 def fundamental_forms(jet: SurfaceJet) -> FundamentalForms:
     """First fundamental form and normal parts of the second derivatives,
     for a jet at one point or over a grid."""
@@ -380,10 +385,7 @@ def fundamental_forms(jet: SurfaceJet) -> FundamentalForms:
         raise ImmersionError(f"degenerate metric: EG - F^2 = {W[bad][0]}")
 
     def normal_part(w: np.ndarray) -> np.ndarray:
-        # tangential coefficients from the Gram system
-        wu, wv = _dot(w, pu), _dot(w, pv)
-        a = (G * wu - F * wv) / W
-        b = (-F * wu + E * wv) / W
+        a, b = _coords(w, pu, pv, E, F, G, W)
         return w - a[..., None] * pu - b[..., None] * pv
 
     return FundamentalForms(E, F, G,
@@ -545,8 +547,7 @@ def structure_fields(patch: SurfacePatch, Pi: Plane, at: tuple[float, float],
         raise FrameDiscontinuityError(
             f"frame discontinuity at {at} (dot {rep.min_align_dot:.3f})")
     centre = {k: float(getattr(rep, k)[1, 1]) for k in (
-        "m1", "m2", "dt_T1", "dt_T2", "dn_T1", "dn_T2", "df_T1", "df_T2",
-        "theta1", "theta2")}
+        "m1", "m2", "dt_T1", "dt_T2", "dn_T1", "dn_T2", "theta1", "theta2")}
     A, B = frame_rotation_coefficients(centre["theta1"], centre["theta2"])
     return StructureFields(A_const=A, B_const=B, **centre)
 
@@ -571,20 +572,13 @@ class StructureReport:
     m2: np.ndarray
     K: np.ndarray
     K_perp: np.ndarray
-    K_brioschi: np.ndarray      # interior, NaN-padded to (N, M)
-    alpha_plus: np.ndarray
-    alpha_minus: np.ndarray
     # one-forms on the interior, NaN-padded to (N, M)
     dt_T1: np.ndarray
     dt_T2: np.ndarray
     dn_T1: np.ndarray
     dn_T2: np.ndarray
-    df_T1: np.ndarray
-    df_T2: np.ndarray
-    dm1_T1: np.ndarray
-    dm1_T2: np.ndarray
-    dm2_T1: np.ndarray
-    dm2_T2: np.ndarray
+    # max |parallel-H defect| of the xi1 and xi2 components (interior)
+    parallel_h: tuple[float, float]
     residuals: dict[str, ResidualStat]
     angle_stats: dict[str, tuple[float, float]]   # name -> (mean, std)
     gauss_circle_std: tuple[float, float]
@@ -605,13 +599,6 @@ class StructureReport:
     def helix_pass(self, gate: float) -> bool:
         return self.angle_std() < gate
 
-    def parallel_h_residuals(self) -> tuple[float, float]:
-        r1 = np.nanmax(np.abs(np.stack([self.dm2_T1 + self.m1 * self.dn_T1,
-                                        self.dm2_T2 + self.m1 * self.dn_T2])))
-        r2 = np.nanmax(np.abs(np.stack([self.dm1_T1 - self.m2 * self.dn_T1,
-                                        self.dm1_T2 - self.m2 * self.dn_T2])))
-        return float(r1), float(r2)
-
     def to_json_dict(self) -> dict:
         d = {
             "name": self.name,
@@ -624,7 +611,7 @@ class StructureReport:
             "gauss_circle_std": {"plus": self.gauss_circle_std[0],
                                  "minus": self.gauss_circle_std[1]},
             "alpha_theta_cross_max": self.alpha_theta_max,
-            "parallel_h": list(self.parallel_h_residuals()),
+            "parallel_h": list(self.parallel_h),
             "sphere": {
                 "ok": self.sphere.ok,
                 "reason": self.sphere.reason,
@@ -739,16 +726,9 @@ def verify_helix(patch: SurfacePatch, Pi: Plane,
     circ_plus, circ_minus = plus @ plus_pi, minus @ minus_pi
     cos_theta, cos_theta_perp = eta @ eta_pi, eta @ hodge(eta_pi)
 
-    # coefficients of T1, T2 in (p_u, p_v): Gram solve, vectorized
+    # coefficients of T1, T2 in (p_u, p_v)
     W = E * G - F * F
-    t1u = np.einsum("ijk,ijk->ij", T1, PU)
-    t1v = np.einsum("ijk,ijk->ij", T1, PV)
-    t2u = np.einsum("ijk,ijk->ij", T2, PU)
-    t2v = np.einsum("ijk,ijk->ij", T2, PV)
-    c1u = (G * t1u - F * t1v) / W
-    c1v = (-F * t1u + E * t1v) / W
-    c2u = (G * t2u - F * t2v) / W
-    c2v = (-F * t2u + E * t2v) / W
+    (c1u, c1v), (c2u, c2v) = (_coords(T, PU, PV, E, F, G, W) for T in (T1, T2))
 
     def alpha_on_grid(au, av, bu, bv):
         coef = lambda arr, w: arr * w[..., None]  # noqa: E731
@@ -758,21 +738,18 @@ def verify_helix(patch: SurfacePatch, Pi: Plane,
     aT1T1 = alpha_on_grid(c1u, c1v, c1u, c1v)
     aT1T2 = alpha_on_grid(c1u, c1v, c2u, c2v)
     aT2T2 = alpha_on_grid(c2u, c2v, c2u, c2v)
-    m1 = np.einsum("ijk,ijk->ij", aT2T2, X1)
-    m2 = np.einsum("ijk,ijk->ij", aT1T1, X2)
+    m1 = _dot(aT2T2, X1)
+    m2 = _dot(aT1T1, X2)
     alpha_cross = np.linalg.norm(aT1T2, axis=-1)
 
     # curvatures from the Gauss / Ricci equations
-    K = (np.einsum("ijk,ijk->ij", a11, a22)
-         - np.einsum("ijk,ijk->ij", a12, a12)) / W
+    K = (_dot(a11, a22) - _dot(a12, a12)) / W
     h1 = np.empty((N, M, 2, 2))
     h2 = np.empty((N, M, 2, 2))
-    h1[..., 0, 0] = np.einsum("ijk,ijk->ij", aT1T1, X1)
-    h1[..., 0, 1] = h1[..., 1, 0] = np.einsum("ijk,ijk->ij", aT1T2, X1)
-    h1[..., 1, 1] = np.einsum("ijk,ijk->ij", aT2T2, X1)
-    h2[..., 0, 0] = np.einsum("ijk,ijk->ij", aT1T1, X2)
-    h2[..., 0, 1] = h2[..., 1, 0] = np.einsum("ijk,ijk->ij", aT1T2, X2)
-    h2[..., 1, 1] = np.einsum("ijk,ijk->ij", aT2T2, X2)
+    h1[..., 0, 0], h1[..., 1, 1] = _dot(aT1T1, X1), m1
+    h2[..., 0, 0], h2[..., 1, 1] = m2, _dot(aT2T2, X2)
+    h1[..., 0, 1] = h1[..., 1, 0] = _dot(aT1T2, X1)
+    h2[..., 0, 1] = h2[..., 1, 0] = _dot(aT1T2, X2)
     comm = h1 @ h2 - h2 @ h1
     K_perp = comm[..., 1, 0]
 
@@ -785,36 +762,25 @@ def verify_helix(patch: SurfacePatch, Pi: Plane,
     alpha_plus = np.arccos(np.clip(cos_ap, -1.0, 1.0))
     alpha_minus = np.arccos(np.clip(cos_am, -1.0, 1.0))
 
-    def directional(dXdu, dXdv, pair):
-        """One-form <D_X field, pair> on X = T1, T2 over the interior."""
-        on1 = np.einsum("ijk,ijk->ij",
-                        c1u[1:-1, 1:-1, None] * dXdu + c1v[1:-1, 1:-1, None] * dXdv,
-                        pair[1:-1, 1:-1])
-        on2 = np.einsum("ijk,ijk->ij",
-                        c2u[1:-1, 1:-1, None] * dXdu + c2v[1:-1, 1:-1, None] * dXdv,
-                        pair[1:-1, 1:-1])
-        return on1, on2
-
-    def grid_d(Aarr):
-        ddu = (Aarr[2:, 1:-1] - Aarr[:-2, 1:-1]) / (2 * du)
-        ddv = (Aarr[1:-1, 2:] - Aarr[1:-1, :-2]) / (2 * dv)
-        return ddu, ddv
-
-    dT1du, dT1dv = grid_d(T1)
-    dX1du, dX1dv = grid_d(X1)
-    dE1du, dE1dv = grid_d(E1)
-    dt_T1, dt_T2 = directional(dT1du, dT1dv, T2)
-    dn_T1, dn_T2 = directional(dX1du, dX1dv, X2)
-    df_T1, df_T2 = directional(dE1du, dE1dv, E2)
-
-    dm1du, dm1dv = grid_d(m1)
-    dm2du, dm2dv = grid_d(m2)
-    dm1_T1 = c1u[1:-1, 1:-1] * dm1du + c1v[1:-1, 1:-1] * dm1dv
-    dm1_T2 = c2u[1:-1, 1:-1] * dm1du + c2v[1:-1, 1:-1] * dm1dv
-    dm2_T1 = c1u[1:-1, 1:-1] * dm2du + c1v[1:-1, 1:-1] * dm2dv
-    dm2_T2 = c2u[1:-1, 1:-1] * dm2du + c2v[1:-1, 1:-1] * dm2dv
-
     it = lambda A: A[1:-1, 1:-1]  # noqa: E731  interior view
+
+    def along(A):
+        """Centred derivatives of the field A (a scalar or a vector per node)
+        along T1 and along T2, on the interior nodes."""
+        ddu = (A[2:, 1:-1] - A[:-2, 1:-1]) / (2 * du)
+        ddv = (A[1:-1, 2:] - A[1:-1, :-2]) / (2 * dv)
+        x = (...,) + (None,) * (A.ndim - 2)
+        return tuple(it(cu)[x] * ddu + it(cv)[x] * ddv
+                     for cu, cv in ((c1u, c1v), (c2u, c2v)))
+
+    # connection one-forms <D_X T1, T2>, <D_X xi1, xi2>, <D_X e1, e2> and
+    # the derivatives of m1, m2, each on X = T1 and X = T2
+    dt_T1, dt_T2 = (_dot(d, it(T2)) for d in along(T1))
+    dn_T1, dn_T2 = (_dot(d, it(X2)) for d in along(X1))
+    df_T1, df_T2 = (_dot(d, it(E2)) for d in along(E1))
+    dm1_T1, dm1_T2 = along(m1)
+    dm2_T1, dm2_T2 = along(m2)
+
     ct1, ct2 = np.cos(it(th1)), np.cos(it(th2))
     st1, st2 = np.sin(it(th1)), np.sin(it(th2))
     im1, im2 = it(m1), it(m2)
@@ -872,6 +838,9 @@ def verify_helix(patch: SurfacePatch, Pi: Plane,
     if sphere.ok:
         residuals["sphere_defect"] = ResidualStat(sphere.defect, sphere.defect)
 
+    # dlambda1, dlambda2 on X = T1 and X = T2
+    dl1 = (im1 * _dot(it(T1), it(T2)), im1 * _dot(it(T2), it(T2)))
+    dl2 = (im2 * _dot(it(T1), it(T1)), im2 * _dot(it(T2), it(T1)))
     # redundant one-form identities of the generic case (consequences of the
     # structure system; reported as residuals, not enforced independently)
     mean_t1 = theta1_stats[0]
@@ -881,33 +850,26 @@ def verify_helix(patch: SurfacePatch, Pi: Plane,
         ok = np.minimum.reduce([st1, st2, ct1, ct2]) > DEPENDENCIA_MIN
         ok[ok] = np.abs(ct1[ok] / ct2[ok] - ct2[ok] / ct1[ok]) > DEPENDENCIA_MIN
         dependencia_skipped = int(ok.size - np.count_nonzero(ok))
-        dl1 = (im1 * np.einsum("ijk,ijk->ij", it(T1), it(T2)),
-               im1 * np.einsum("ijk,ijk->ij", it(T2), it(T2)))
-        dl2 = (im2 * np.einsum("ijk,ijk->ij", it(T1), it(T1)),
-               im2 * np.einsum("ijk,ijk->ij", it(T2), it(T1)))
-        dl1, dl2 = [a[ok] for a in dl1], [a[ok] for a in dl2]
-        dt = (dt_T1[ok], dt_T2[ok])
-        dn = (dn_T1[ok], dn_T2[ok])
+        l1, l2, dt, dn = ([a[ok] for a in pair]
+                          for pair in (dl1, dl2, (dt_T1, dt_T2), (dn_T1, dn_T2)))
         c1, c2, s1, s2 = ct1[ok], ct2[ok], st1[ok], st2[ok]
         dep1, dep2, dep3 = [], [], []
         for k in (0, 1):
             dep1.append((c1 / c2 - c2 / c1) * dt[k]
-                        - (s1 / c2) * dl1[k] - (s2 / c1) * dl2[k])
+                        - (s1 / c2) * l1[k] - (s2 / c1) * l2[k])
             dep2.append(-(s1 / s2) * dn[k] + (c1 / c2) * dt[k]
-                        - (s1 / c2) * dl1[k] - (c1 / s2) * dl2[k])
+                        - (s1 / c2) * l1[k] - (c1 / s2) * l2[k])
             dep3.append(-(s2 / s1) * dn[k] + (c1 / c2) * dt[k]
-                        - (s1 / c2 - c2 / s1) * dl1[k])
+                        - (s1 / c2 - c2 / s1) * l1[k])
         residuals["dependencia1"] = ResidualStat.of(np.stack(dep1))
         residuals["dependencia2"] = ResidualStat.of(np.stack(dep2))
         residuals["dependencia3"] = ResidualStat.of(np.stack(dep3))
     if mean_t1 < 1e-6 and mean_t2 < math.pi / 2 - 1e-6:
-        dl1_T1 = im1 * np.einsum("ijk,ijk->ij", it(T1), it(T2))
-        dl1_T2 = im1 * np.einsum("ijk,ijk->ij", it(T2), it(T2))
         tt2 = np.tan(it(th2))
         residuals["zero_angle_df"] = ResidualStat.of(np.stack([
             ct2 * df_T1 - dt_T1, ct2 * df_T2 - dt_T2]))
         residuals["zero_angle_dn"] = ResidualStat.of(np.stack([
-            tt2 * dn_T1 - dl1_T1, tt2 * dn_T2 - dl1_T2]))
+            tt2 * dn_T1 - dl1[0], tt2 * dn_T2 - dl1[1]]))
     if mean_t1 < 1e-6:
         residuals["zero_angle_geodesic"] = ResidualStat.of(dt_T2)
 
@@ -925,13 +887,10 @@ def verify_helix(patch: SurfacePatch, Pi: Plane,
         grid_shape=(N, M),
         u=us, v=vs, points=P,
         theta1=th1, theta2=th2, m1=m1, m2=m2,
-        K=K, K_perp=K_perp, K_brioschi=K_brioschi,
-        alpha_plus=alpha_plus, alpha_minus=alpha_minus,
+        K=K, K_perp=K_perp,
         dt_T1=pad(dt_T1), dt_T2=pad(dt_T2),
         dn_T1=pad(dn_T1), dn_T2=pad(dn_T2),
-        df_T1=pad(df_T1), df_T2=pad(df_T2),
-        dm1_T1=pad(dm1_T1), dm1_T2=pad(dm1_T2),
-        dm2_T1=pad(dm2_T1), dm2_T2=pad(dm2_T2),
+        parallel_h=tuple(float(np.nanmax(np.abs(r))) for r in (par_h1, par_h2)),
         residuals=residuals,
         angle_stats=angle_stats,
         gauss_circle_std=(float(np.std(circ_plus)), float(np.std(circ_minus))),

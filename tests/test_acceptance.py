@@ -107,7 +107,7 @@ def test_criterion_3_clifford_torus():
     std = rep.angle_std()
     k = rep.residuals["gauss_curvature"].max
     kp = rep.residuals["normal_curvature"].max
-    ph = max(rep.parallel_h_residuals())
+    ph = max(rep.parallel_h)
     means_ok = (abs(rep.angle_stats["theta1"][0]) < 1e-12
                 and abs(rep.angle_stats["theta2"][0] - math.pi / 2) < 1e-12)
     gate("criterion 3",

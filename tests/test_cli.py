@@ -153,6 +153,26 @@ def test_verify_bad_expression_span(tmp_path, capsys):
     assert "offset 3" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "example"])
+def test_explicit_gate_zero_is_kept(tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"surface": {"kind": "plane"}, "grid": [5, 5]}))
+    argv = (["verify", "--config", str(cfg)] if command == "verify"
+            else ["example", "plane", "--grid", "5", "5"])
+    code, out, _ = run(capsys, *argv, "--gate", "0")
+    assert code == EXIT_GATE            # angle_std < 0 never holds
+    assert json.loads(out)["gate"] == 0
+
+
+def test_verify_derivative_error_points_at_its_node(tmp_path, capsys):
+    # f_x = 0.5/sqrt(x+1) divides by zero at x = -1: offset 4 is the sqrt
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"graph": {"f": "y + sqrt(x+1)", "g": "y"}, "grid": [9, 9]}))
+    code, _, err = run(capsys, "verify", "--config", str(cfg))
+    assert code == EXIT_PRECONDITION
+    assert "division by zero (at offset 4)" in err
+
+
 def test_verify_reports_are_byte_identical(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -219,6 +239,18 @@ def test_construct_degenerate_c1_exits_4(tmp_path, capsys):
     code, _, err = run(capsys, "construct", "--config", str(cfg))
     assert code == EXIT_DEGENERATE
     assert "seed scan failed" in err
+
+
+def test_construct_drops_rows_narrower_than_8_columns(capsys):
+    # the last row down keeps 7 nodes; the rectangle is taken without it
+    code, out, _ = run(capsys, "construct", "--theta1", "0.5235987755982988",
+                       "--theta2", "1.0471975511965976",
+                       "--seed=-0.7523473882453191,-0.052609254334021624",
+                       "--ymax", "0.02", "--hx", "2e-3", "--hy", "2e-3")
+    assert code == EXIT_OK
+    d = json.loads(out)
+    assert d["passed"] is True
+    assert d["x_window"] == pytest.approx([-0.008, 0.008])
 
 
 def test_export_round_trip(tmp_path, capsys, monkeypatch):
@@ -326,6 +358,11 @@ SIDECAR = {"nx": 3, "ny": 3, "x0": 0.0, "y0": 0.0, "hx": 1.0, "hy": 1.0,
     ("verify", {"surface": 5}),
     ("verify", {"graph": GRAPH, "plane": [1, 2]}),
     ("verify", {"graph": GRAPH, "grid": "ab"}),
+    ("verify", {"graph": GRAPH, "grid": [30]}),
+    ("verify", {"graph": GRAPH, "grid": [30, 30, 30]}),
+    ("verify", {"graph": GRAPH, "gate": [1]}),
+    ("verify", {"graph": GRAPH, "gate": None}),
+    ("verify", {"graph": GRAPH, "gate": "abc"}),
     ("verify", {"graph": "x"}),
     ("angles", [1, 2]),
     ("construct", {"c1": 10.0 / 3.0, "seed": {"u0": 1}}),
@@ -338,6 +375,8 @@ SIDECAR = {"nx": 3, "ny": 3, "x0": 0.0, "y0": 0.0, "hx": 1.0, "hy": 1.0,
     ("export", '{"nx": 3,'),
     ("export-obj", {**SIDECAR, "fields": ["f", "fx"]}),
 ], ids=["config-number", "surface-number", "plane-list", "grid-string",
+        "grid-one-number", "grid-three-numbers", "gate-list", "gate-null",
+        "gate-string",
         "graph-string", "angles-plane-list", "seed-without-v0",
         "seed-u0-string", "seed-u0-list", "seed-three-numbers",
         "sidecar-without-fields", "sidecar-fields-number", "sidecar-nx-list",

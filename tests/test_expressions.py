@@ -53,6 +53,25 @@ def test_eval_errors_carry_spans():
         parse_expr("sqrt(x)").eval(x=-2.0)
 
 
+def test_folding_depends_on_the_value_not_the_offset():
+    # a literal 0 folds the product wherever it sits in the source
+    assert str(parse_expr("0*sqrt(x-2)")) == "0"
+    e = parse_expr("y + 0*sqrt(x-2)")
+    assert str(e) == "y"
+    assert e.eval(0.0, 3.0) == 3.0
+    assert parse_expr("x + 1") == parse_expr("  x+1")
+
+
+@pytest.mark.parametrize("src, x, span", [
+    ("y + sqrt(x+1)", -1.0, 4),     # the '/' of 0.5/sqrt(x+1)
+    ("y + 1/x", 0.0, 5),            # the '/' of -1/x^2
+])
+def test_derivative_errors_carry_the_span_of_their_node(src, x, span):
+    with pytest.raises(EvalError) as exc:
+        parse_expr(src).diff("x").eval(x, 0.0)
+    assert exc.value.span == span
+
+
 def test_scientific_literals():
     assert parse_expr("1e-3 + 2.5E2").eval() == pytest.approx(250.001)
 

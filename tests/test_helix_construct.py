@@ -339,6 +339,20 @@ def test_partial_grid_on_window_exhaustion():
     assert 1 <= rows < sol.y.size
 
 
+def test_rect_leaves_out_rows_narrower_than_8_columns():
+    # the march stores a 7-node last row downwards; the 19 rows with at
+    # least 9 columns hold a 9-column rectangle
+    prob = default_problem(C_THIRD, x_range=(-0.05, 0.05), y_max=0.02, hx=2e-3,
+                           hy=2e-3, seed=(-0.7523473882453191, -0.052609254334021624))
+    sol = solve_pde(prob)
+    counts = np.count_nonzero(sol.valid, axis=1)
+    assert counts.min() == 0 and 0 < counts[-1] < 8
+    rs, cs = sol.rect()
+    assert (rs.start, rs.stop) == (1, 20)
+    assert cs.stop - cs.start == 9
+    assert sol.valid[rs, cs].all()
+
+
 def test_general_angles_via_feasible_seed():
     # narrow annulus (c close to 2): the margin-maximizing seed sits too
     # close to the boundary for the default window, the feasible variant

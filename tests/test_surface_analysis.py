@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helix4.catalog import (PI_12, generate, named_example,
+from helix4.catalog import (EXAMPLE_NAMES, PI_12, generate, named_example,
                             round_sphere_patch)
 from helix4.surface_analysis import (AdaptedFrame, FrameDiscontinuityError,
                                      ImmersionError, SurfaceJet,
@@ -209,7 +209,7 @@ def test_clifford_torus_report():
     for k in ("codazzi_c1", "codazzi_c2", "codazzi_c3", "codazzi_c4"):
         assert rep.residuals[k].max < 1e-10
     assert rep.residuals["alpha_t1t2"].max < 1e-12
-    assert max(rep.parallel_h_residuals()) < 1e-6
+    assert max(rep.parallel_h) < 1e-6
     assert max(rep.gauss_circle_std) < 1e-9
     assert rep.alpha_theta_max < 1e-10
     assert rep.sphere.ok and rep.sphere.defect < 1e-10
@@ -229,7 +229,7 @@ def test_cylinder_report():
         assert rep.residuals[k].max < 1e-6
     # products of R with a torsion-carrying helix do not have parallel H:
     # the structure equations force dn(T2) = cot(theta2) m1 != 0
-    r1, r2 = rep.parallel_h_residuals()
+    r1, r2 = rep.parallel_h
     assert r1 > 1e-2
     assert r2 < 1e-10
 
@@ -345,16 +345,24 @@ def test_sphere_test_needs_five_points():
 def test_parallel_h_from_report():
     cs = generate("product_circles", r1=1.0, r2=0.7)
     rep = verify_helix(cs.patch, cs.plane, (15, 15))
-    assert max(rep.parallel_h_residuals()) < 1e-6
+    assert max(rep.parallel_h) < 1e-6
     cone = named_example("orbit_cone")
     rep2 = verify_helix(cone.patch, cone.plane, (15, 15))
-    assert max(rep2.parallel_h_residuals()) > 1e-2
+    assert max(rep2.parallel_h) > 1e-2
 
 
 def test_totally_geodesic_parallel_h():
     cs = named_example("plane")
     rep = verify_helix(cs.patch, cs.plane, (8, 8))
-    assert max(rep.parallel_h_residuals()) < 1e-12
+    assert max(rep.parallel_h) < 1e-12
+
+
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
+def test_parallel_h_field_is_the_residual_max(name):
+    # one computation feeds both views, so they agree bit for bit
+    cs = named_example(name)
+    rep = verify_helix(cs.patch, cs.plane, (15, 18))
+    assert max(rep.parallel_h) == rep.residuals["parallel_h"].max
 
 
 # ---------------------------------------------------------------------------
