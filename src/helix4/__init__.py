@@ -4,8 +4,9 @@ Modules:
 
 - ``grassmann``: 2-planes, principal angles, bivectors, Hodge splitting, and
   the per-plane Gauss-map coordinates.
-- ``surface_analysis``: surface jets, fundamental forms, adapted frames,
-  structure-equation residuals, sphere and parallel-mean-curvature tests.
+- ``surface_analysis``: surface jets, graph surfaces, fundamental forms,
+  adapted frames, structure-equation residuals, sphere and
+  parallel-mean-curvature tests.
 - ``helix_construct``: graph-surface helix conditions, the quasilinear
   construction PDE with non-characteristic Cauchy data, and the deformation
   family.

@@ -26,8 +26,8 @@ import numpy as np
 from numpy.polynomial import polynomial as poly
 
 from .grassmann import Plane, PrincipalAngles, orthogonal_complement, principal_angles
-from .surface_analysis import (SurfaceJet, SurfacePatch, _tangent_frame,
-                               graph_patch_from_jets, stack4)
+from .surface_analysis import (GraphSurface, SurfaceJet, SurfacePatch, _tangent_frame,
+                               stack4)
 
 __all__ = [
     "CatalogSurface",
@@ -380,8 +380,8 @@ def generate(kind: str, **params) -> CatalogSurface:
         g_coeffs = np.atleast_2d(np.asarray(params["g_coeffs"], dtype=float))
         x_range = tuple(params.get("x_range", (-1.0, 1.0)))
         y_range = tuple(params.get("y_range", (-1.0, 1.0)))
-        patch = graph_patch_from_jets(_poly2d(f_coeffs), _poly2d(g_coeffs),
-                                      x_range, y_range, name="graph_poly")
+        patch = GraphSurface.from_callables(_poly2d(f_coeffs), _poly2d(g_coeffs), x_range,
+                                            y_range, name="graph_poly").patch()
         return CatalogSurface(patch, PI_12, _derived_expected(patch, PI_12), spec)
 
     raise ValueError(f"unknown catalog kind {kind!r}")

@@ -27,7 +27,7 @@ from . import catalog, helix_construct as hc
 from .expressions import EvalError, ParseError, parse_expr, scalar_jet_from_exprs
 from .grassmann import (Plane, plane_angles_via_bivectors, plane_from_json,
                         plane_to_json, principal_angles)
-from .surface_analysis import (FrameDiscontinuityError, ImmersionError,
+from .surface_analysis import (FrameDiscontinuityError, GraphSurface, ImmersionError,
                                default_gate, stack4, verify_helix)
 
 EXIT_OK = 0
@@ -207,13 +207,17 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
+def _is_numbers(v, n: int) -> bool:
+    """``v`` is a list of exactly ``n`` finite numbers."""
+    return isinstance(v, (list, tuple)) and len(v) == n and all(map(_is_number, v))
+
+
 def _grid_and_gate(patch, grid, gate: float | None) -> tuple[tuple[int, int], float]:
     """Sampling grid (N, M) and residual gate of a ``verify`` or ``example``
     run.  The grid must be two finite numbers (exit 2 otherwise), truncated
     to integers; a gate of None takes ``default_gate`` at the coarser
     spacing of that grid, any other gate (0 included) is kept."""
-    if not (isinstance(grid, (list, tuple)) and len(grid) == 2
-            and all(map(_is_number, grid))):
+    if not _is_numbers(grid, 2):
         raise CliError(EXIT_PARSE, "config 'grid' must be a list of two numbers")
     N, M = int(grid[0]), int(grid[1])
     if gate is None:
@@ -287,11 +291,13 @@ def _surface_from_config(cfg: dict):
         except ParseError as exc:
             raise CliError(EXIT_PARSE, str(exc))
         dom = g.get("domain", [-1.0, 1.0, -1.0, 1.0])
-        from .surface_analysis import graph_patch_from_jets
-        patch = graph_patch_from_jets(scalar_jet_from_exprs(fe),
-                                      scalar_jet_from_exprs(ge),
-                                      (dom[0], dom[1]), (dom[2], dom[3]),
-                                      name="graph")
+        if not _is_numbers(dom, 4):
+            raise CliError(EXIT_PARSE, "graph 'domain' must be a list of four numbers")
+        if dom[0] == dom[1] or dom[2] == dom[3]:
+            raise CliError(EXIT_PRECONDITION, f"graph domain {dom} has zero width")
+        patch = GraphSurface.from_callables(scalar_jet_from_exprs(fe),
+                                            scalar_jet_from_exprs(ge),
+                                            (dom[0], dom[1]), (dom[2], dom[3])).patch()
         plane = _plane(cfg["plane"], "plane") if "plane" in cfg else \
             Plane(np.eye(4)[0], np.eye(4)[1])
         return patch, plane, {"kind": "graph", "f": g["f"], "g": g["g"]}
@@ -360,10 +366,11 @@ def _cmd_deform(args) -> int:
     return EXIT_OK
 
 
-def _write_solution_bundle(prefix: str, graph: hc.GraphSurface,
+def _write_solution_bundle(prefix: str, graph: GraphSurface,
                            params: hc.HelixParams) -> dict:
-    """Binary dump + 8-field sidecar + CSV next to `prefix`."""
-    xs, ys, layers = graph.xs, graph.ys, graph.grids
+    """Binary dump + 8-field sidecar + CSV next to `prefix`, indexed [y, x]."""
+    xs, ys = graph.xs, graph.ys
+    layers = {k: v.T for k, v in graph.sample(xs, ys).items()}
     stack = np.stack([layers[k] for k in SOLUTION_FIELDS])
     Path(prefix + ".bin").write_bytes(np.ascontiguousarray(stack).tobytes())
     sidecar = {
@@ -463,7 +470,8 @@ def _cmd_construct(args) -> int:
     # residuals over the centered-difference interior; the outermost nodes
     # carry one-sided derivative closures whose larger constant is a property
     # of the edge stencil, not of the surface
-    inner = [graph.grids[k][1:-1, 1:-1] for k in ("fx", "fy", "gx", "gy")]
+    d = graph.sample(xs, ys)
+    inner = [d[k][1:-1, 1:-1] for k in ("fx", "fy", "gx", "gy")]
     residuals = dict(zip(hc.GRAPH_RESIDUALS,
                          hc.residual_maxima(hc.GRAPH_RESIDUALS, inner, params)))
     gate = args.gate

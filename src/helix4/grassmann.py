@@ -86,21 +86,6 @@ class Plane:
         if abs(self.b1 @ self.b2) > FRAME_TOL:
             raise ValueError("plane frame vectors must be orthogonal (within 1e-12)")
 
-    @classmethod
-    def spanning(cls, u, v, oriented: bool = True) -> "Plane":
-        """Plane through two independent vectors, Gram-Schmidt orthonormalized."""
-        u = _as_vec4(u)
-        v = _as_vec4(v)
-        nu = np.linalg.norm(u)
-        if nu < 1e-14:
-            raise ValueError("degenerate span: first vector is zero")
-        b1 = u / nu
-        w = v - (v @ b1) * b1
-        nw = np.linalg.norm(w)
-        if nw < 1e-12 * max(1.0, np.linalg.norm(v)):
-            raise ValueError("degenerate span: vectors are parallel")
-        return cls(b1, w / nw, oriented)
-
     def frame(self) -> np.ndarray:
         """4x2 matrix with the frame vectors as columns."""
         return np.stack([self.b1, self.b2], axis=1)

@@ -37,25 +37,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .grassmann import PrincipalAngles
-from .surface_analysis import (
-    SurfacePatch,
-    fd_d1,
-    fd_d2,
-    fundamental_forms,
-    graph_jet,
-    snap_to_nodes,
-    verify_helix,
-)
+from .surface_analysis import (GraphSurface, SurfacePatch, fd_d1, fd_d2,
+                               fundamental_forms, verify_helix)
 
 __all__ = [
     "HelixParams",
-    "GraphSurface",
     "PDEProblem",
     "SolutionGrid",
     "CompositionVerdict",
@@ -122,104 +113,6 @@ class HelixParams:
         if self.c2 <= 0:
             raise ValueError("normalized constant needs theta1 > 0")
         return self.c1 / self.c2
-
-
-# ---------------------------------------------------------------------------
-# graph surfaces
-# ---------------------------------------------------------------------------
-
-# a scalar 2-jet provider: x, y (scalars or arrays) -> value, d/dx, d/dy,
-# d2/dx2, d2/dxdy, d2/dy2, each shaped like x or a constant
-ScalarJet = Callable[[np.ndarray, np.ndarray], tuple]
-
-JET_PARTS = ("", "x", "y", "xx", "xy", "yy")
-GRAPH_FIELDS = tuple(k + s for k in "fg" for s in JET_PARTS)
-
-
-@dataclass
-class GraphSurface:
-    """Scalar fields f, g on a rectangle with 1st/2nd derivative access.
-
-    ``f_jet``/``g_jet`` are scalar 2-jet providers (``ScalarJet``).
-    Grid-backed fields keep every derivative as a [y, x] array in ``grids``
-    (keys ``GRAPH_FIELDS``); their ``f_jet``/``g_jet`` are one-node views."""
-
-    f_jet: ScalarJet
-    g_jet: ScalarJet
-    x_range: tuple[float, float]
-    y_range: tuple[float, float]
-    source: str = "analytic"         # analytic | grid
-    xs: np.ndarray | None = None     # node coordinates for grid-backed fields
-    ys: np.ndarray | None = None
-    name: str = "graph"
-    grids: dict[str, np.ndarray] | None = None
-
-    @classmethod
-    def from_callables(cls, f_jet: ScalarJet, g_jet: ScalarJet,
-                       x_range, y_range, name: str = "graph") -> "GraphSurface":
-        """Fields from two providers, each called once per sampled grid."""
-        return cls(f_jet, g_jet, tuple(x_range), tuple(y_range), name=name)
-
-    @classmethod
-    def from_grids(cls, xs: np.ndarray, ys: np.ndarray,
-                   F: np.ndarray, G: np.ndarray,
-                   name: str = "graph") -> "GraphSurface":
-        """Grid-sampled fields; all derivatives by finite differences of the
-        value grids (centered interior, one-sided closure at the edges).
-        Arrays are indexed [y, x]; queries snap to nodes."""
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        F = np.asarray(F, dtype=float)
-        G = np.asarray(G, dtype=float)
-        if F.shape != (ys.size, xs.size) or G.shape != F.shape:
-            raise ValueError("value grids must have shape (len(ys), len(xs))")
-        if xs.size < 3 or ys.size < 3:
-            raise ValueError("grid-backed fields need at least 3 nodes per direction")
-        hx = xs[1] - xs[0]
-        hy = ys[1] - ys[0]
-        grids = {}
-        for key, V in (("f", F), ("g", G)):
-            vx = fd_d1(V, hx, axis=1)
-            grids.update(zip((key + s for s in JET_PARTS), (
-                V, vx, fd_d1(V, hy, axis=0), fd_d2(V, hx, axis=1),
-                fd_d1(vx, hy, axis=0), fd_d2(V, hy, axis=0))))
-        f_jet, g_jet = (partial(_grid_node_jet, xs, ys, grids, k) for k in "fg")
-        return cls(f_jet, g_jet, (xs[0], xs[-1]), (ys[0], ys[-1]),
-                   source="grid", xs=xs, ys=ys, name=name, grids=grids)
-
-    def sample_grid(self, n: int | None = None,
-                    m: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Evaluation coordinates: the stored nodes for grid-backed fields,
-        a linspace otherwise."""
-        if self.source == "grid":
-            return self.xs, self.ys
-        return (np.linspace(*self.x_range, n or 21),
-                np.linspace(*self.y_range, m or 21))
-
-    def sample(self, xs: np.ndarray, ys: np.ndarray) -> dict[str, np.ndarray]:
-        """Both 2-jets on the grid xs x ys as [y, x] arrays keyed like
-        ``grids`` (slices of them for grid-backed fields)."""
-        if self.grids is not None:
-            i, j = snap_to_nodes(self.xs, self.ys, xs, ys)
-            return {k: v[j][:, i] for k, v in self.grids.items()}
-        X, Y = np.meshgrid(xs, ys)
-        return {k: np.broadcast_to(np.asarray(v, dtype=float), X.shape)
-                for k, v in zip(GRAPH_FIELDS, (*self.f_jet(X, Y), *self.g_jet(X, Y)))}
-
-    def patch(self) -> SurfacePatch:
-        def sample(xs: np.ndarray, ys: np.ndarray):
-            d = self.sample(xs, ys)
-            X, Y = np.meshgrid(xs, ys, indexing="ij")
-            return graph_jet(X, Y, *([d[k + s].T for s in JET_PARTS] for k in "fg"))
-
-        return SurfacePatch(self.x_range, self.y_range, sample, jet_source=self.source,
-                            name=self.name)
-
-
-def _grid_node_jet(xs, ys, grids, key: str, x: float, y: float) -> tuple:
-    """Scalar 2-jet of field ``key`` at the node (x, y) snaps to."""
-    i, j = snap_to_nodes(xs, ys, [x], [y])
-    return tuple(grids[key + s][j, i][0, 0] for s in JET_PARTS)
 
 
 # ---------------------------------------------------------------------------
@@ -717,7 +610,7 @@ def solution_graph(sol: SolutionGrid, m: float = 1.0,
         raise ValueError("recover_g must run before building the graph")
     rs, cs = sol.rect()
     return GraphSurface.from_grids(sol.x[cs], sol.y[rs],
-                                   m * sol.f[rs, cs], m * sol.g[rs, cs],
+                                   m * sol.f[rs, cs].T, m * sol.g[rs, cs].T,
                                    name=name)
 
 
@@ -749,8 +642,8 @@ def residual_maxima(names, grads, P: HelixParams) -> list[float]:
 def helix_condition_residual(G: GraphSurface, P: HelixParams,
                              at: tuple[float, float]) -> tuple[float, float]:
     """(trace, determinant) defects of the graph metric at one point."""
-    _, fx, fy, _, _, _ = G.f_jet(*at)
-    _, gx, gy, _, _, _ = G.g_jet(*at)
+    d = G.sample([at[0]], [at[1]])
+    fx, fy, gx, gy = (d[k][0, 0] for k in ("fx", "fy", "gx", "gy"))
     return (GRAPH_RESIDUALS["helix_trace"](fx, fy, gx, gy, P),
             GRAPH_RESIDUALS["helix_det"](fx, fy, gx, gy, P))
 
@@ -772,8 +665,8 @@ def first_normal_rank(G: GraphSurface, at: tuple[float, float],
     The first normal space of the graph has the same rank as the 2x3 matrix
     of second derivatives of (f, g).
     """
-    _, _, _, fxx, fxy, fyy = G.f_jet(*at)
-    _, _, _, gxx, gxy, gyy = G.g_jet(*at)
+    d = G.sample([at[0]], [at[1]])
+    fxx, fxy, fyy, gxx, gxy, gyy = (d[k + s][0, 0] for k in "fg" for s in ("xx", "xy", "yy"))
     mat = np.array([[fxx, fxy, fyy], [gxx, gxy, gyy]])
     s = np.linalg.svd(mat, compute_uv=False)
     scale = max(1.0, s[0])

@@ -42,7 +42,7 @@ __all__ = [
     "FrameDiscontinuityError",
     "patch_from_position",
     "patch_from_grid",
-    "graph_patch_from_jets",
+    "GraphSurface",
     "graph_jet",
     "stack4",
     "snap_to_nodes",
@@ -273,6 +273,14 @@ def fd_d2(values: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
     return out
 
 
+def _fd_jet(values: np.ndarray, hu: float, hv: float) -> tuple:
+    """Value, d/du, d/dv, d2/du2, d2/dudv, d2/dv2 of samples indexed [u, v, ...]
+    by finite differences (``fd_d1``, ``fd_d2``)."""
+    d_u = fd_d1(values, hu, axis=0)
+    return (values, d_u, fd_d1(values, hv, axis=1), fd_d2(values, hu, axis=0),
+            fd_d1(d_u, hv, axis=1), fd_d2(values, hv, axis=1))
+
+
 def patch_from_grid(us: np.ndarray, vs: np.ndarray, points: np.ndarray,
                     name: str = "") -> SurfacePatch:
     """Patch backed by position samples on a rectangular grid.
@@ -287,12 +295,7 @@ def patch_from_grid(us: np.ndarray, vs: np.ndarray, points: np.ndarray,
         raise ValueError("points must have shape (len(us), len(vs), 4)")
     if us.size < 3 or vs.size < 3:
         raise ValueError("grid patches need at least 3 nodes per direction")
-    du = us[1] - us[0]
-    dv = vs[1] - vs[0]
-    p_u = fd_d1(points, du, axis=0)
-    arrays = SurfaceJet(points, p_u, fd_d1(points, dv, axis=1),
-                        fd_d2(points, du, axis=0), fd_d1(p_u, dv, axis=1),
-                        fd_d2(points, dv, axis=1))
+    arrays = SurfaceJet(*_fd_jet(points, us[1] - us[0], vs[1] - vs[0]))
 
     def sample(qu: np.ndarray, qv: np.ndarray) -> SurfaceJet:
         i, j = snap_to_nodes(us, vs, qu, qv)
@@ -341,21 +344,96 @@ def graph_jet(x, y, f, g) -> SurfaceJet:
                       stack4(x, 0.0, 0.0, f[4], g[4]), stack4(x, 0.0, 0.0, f[5], g[5]))
 
 
-def graph_patch_from_jets(f_jet, g_jet, x_range, y_range,
-                          jet_source: str = "analytic",
-                          name: str = "graph") -> SurfacePatch:
-    """(x, y) -> (x, y, f, g) patch from scalar 2-jet providers.
+# a scalar 2-jet provider: x, y (arrays) -> value, d/dx, d/dy, d2/dx2,
+# d2/dxdy, d2/dy2, each shaped like x or a constant
+ScalarJet = Callable[[np.ndarray, np.ndarray], tuple]
 
-    Each provider takes arrays x, y and returns (value, d/dx, d/dy, d2/dx2,
-    d2/dxdy, d2/dy2), entries shaped like x or constants; a grid costs one
-    call of each.
+JET_PARTS = ("", "x", "y", "xx", "xy", "yy")
+GRAPH_FIELDS = tuple(k + s for k in "fg" for s in JET_PARTS)
+
+
+@dataclass
+class GraphSurface:
+    """The graph (x, y) -> (x, y, f, g) of two scalar fields on a rectangle.
+
+    ``sampler(xs, ys)`` gives the 2-jets of f and g on the grid xs x ys as
+    12 arrays indexed [x, y], keyed ``GRAPH_FIELDS``; ``patch()`` is the
+    graph as a ``SurfacePatch``.  Grid-backed fields keep their nodes in
+    ``xs``/``ys`` and sample views of the stored arrays.
+
+    f and g stay scalar, not read off a ``SurfacePatch``: ``symplecto_check``
+    needs only their gradients, and building the 4-vector jet of every node
+    for it raised the construct-ladder peak RSS from about 80 to 123 MB.
     """
 
-    def sample(xs: np.ndarray, ys: np.ndarray) -> SurfaceJet:
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        return graph_jet(X, Y, f_jet(X, Y), g_jet(X, Y))
+    sampler: Callable[[np.ndarray, np.ndarray], dict[str, np.ndarray]]
+    x_range: tuple[float, float]
+    y_range: tuple[float, float]
+    source: str = "analytic"         # analytic | grid
+    xs: np.ndarray | None = None     # node coordinates for grid-backed fields
+    ys: np.ndarray | None = None
+    name: str = "graph"
 
-    return SurfacePatch(x_range, y_range, sample, jet_source=jet_source, name=name)
+    @classmethod
+    def from_callables(cls, f_jet: ScalarJet, g_jet: ScalarJet,
+                       x_range, y_range, name: str = "graph") -> "GraphSurface":
+        """Fields from two providers, each called once per sampled grid."""
+
+        def sample(xs: np.ndarray, ys: np.ndarray) -> dict[str, np.ndarray]:
+            X, Y = np.meshgrid(xs, ys, indexing="ij")
+            return {k: np.broadcast_to(np.asarray(v, dtype=float), X.shape)
+                    for k, v in zip(GRAPH_FIELDS, (*f_jet(X, Y), *g_jet(X, Y)))}
+
+        return cls(sample, tuple(x_range), tuple(y_range), name=name)
+
+    @classmethod
+    def from_grids(cls, xs: np.ndarray, ys: np.ndarray,
+                   F: np.ndarray, G: np.ndarray,
+                   name: str = "graph") -> "GraphSurface":
+        """Grid-sampled fields, indexed [x, y]; all derivatives by finite
+        differences of the value grids (centered interior, one-sided closure
+        at the edges)."""
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+        F = np.asarray(F, dtype=float)
+        G = np.asarray(G, dtype=float)
+        if F.shape != (xs.size, ys.size) or G.shape != F.shape:
+            raise ValueError("value grids must have shape (len(xs), len(ys))")
+        if xs.size < 3 or ys.size < 3:
+            raise ValueError("grid-backed fields need at least 3 nodes per direction")
+        arrays = {}
+        for key, V in (("f", F), ("g", G)):
+            arrays.update(zip((key + s for s in JET_PARTS),
+                              _fd_jet(V, xs[1] - xs[0], ys[1] - ys[0])))
+
+        def sample(qx: np.ndarray, qy: np.ndarray) -> dict[str, np.ndarray]:
+            i, j = snap_to_nodes(xs, ys, qx, qy)
+            return {k: v[i][:, j] for k, v in arrays.items()}
+
+        return cls(sample, (xs[0], xs[-1]), (ys[0], ys[-1]),
+                   source="grid", xs=xs, ys=ys, name=name)
+
+    def sample_grid(self, n: int | None = None,
+                    m: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Evaluation coordinates: the stored nodes for grid-backed fields,
+        a linspace otherwise."""
+        if self.source == "grid":
+            return self.xs, self.ys
+        return (np.linspace(*self.x_range, n or 21),
+                np.linspace(*self.y_range, m or 21))
+
+    def sample(self, xs, ys) -> dict[str, np.ndarray]:
+        """Both 2-jets on the grid xs x ys, keyed ``GRAPH_FIELDS``."""
+        return self.sampler(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
+
+    def patch(self) -> SurfacePatch:
+        def sample(xs: np.ndarray, ys: np.ndarray) -> SurfaceJet:
+            d = self.sample(xs, ys)
+            X, Y = np.meshgrid(xs, ys, indexing="ij")
+            return graph_jet(X, Y, *([d[k + s] for s in JET_PARTS] for k in "fg"))
+
+        return SurfacePatch(self.x_range, self.y_range, sample, jet_source=self.source,
+                            name=self.name)
 
 
 # ---------------------------------------------------------------------------

@@ -208,6 +208,26 @@ def test_construct_header_and_bundle(tmp_path, capsys):
     assert header == "x,y,f,g,fx,fy,gx,gy,residual_trace,residual_det"
 
 
+def test_bundle_layers_are_the_solution_graph_node_for_node(tmp_path, capsys):
+    # the .bin holds each field indexed [y, x], the graph samples [x, y]
+    t1, t2, h, y_max, x_range = 0.5235987756, 1.0471975512, 2e-3, 0.006, (-0.05, 0.05)
+    prefix = str(tmp_path / "sol")
+    code, _, _ = run(capsys, "construct", "--theta1", str(t1), "--theta2", str(t2),
+                     "--hx", str(h), "--hy", str(h), "--ymax", str(y_max), "--save", prefix)
+    assert code == EXIT_OK
+    m, c = hc.deform_inverse((t1, t2))
+    seed = hc.choose_feasible_seed(c, x_range, y_max, h, h)
+    prob = hc.PDEProblem(c, x_range, y_max, h, h, *seed, *hc.paper_initial_data(*seed))
+    graph = hc.solution_graph(hc.recover_g(hc.solve_pde(prob)), m=m)
+    xs, ys = graph.sample_grid()
+    meta = json.loads((tmp_path / "sol.meta.json").read_text())
+    assert (meta["nx"], meta["ny"]) == (xs.size, ys.size) and xs.size != ys.size
+    layers = np.frombuffer((tmp_path / "sol.bin").read_bytes()).reshape(6, ys.size, xs.size)
+    samples = graph.sample(xs, ys)
+    for k, layer in zip(meta["fields"], layers, strict=True):
+        assert layer.tobytes() == np.ascontiguousarray(samples[k].T).tobytes(), k
+
+
 def test_construct_equal_angles_rejected(capsys):
     code, _, _ = run(capsys, "construct", "--theta1", "0.5", "--theta2", "0.5")
     assert code == EXIT_PRECONDITION
@@ -364,6 +384,13 @@ SIDECAR = {"nx": 3, "ny": 3, "x0": 0.0, "y0": 0.0, "hx": 1.0, "hy": 1.0,
     ("verify", {"graph": GRAPH, "gate": None}),
     ("verify", {"graph": GRAPH, "gate": "abc"}),
     ("verify", {"graph": "x"}),
+    ("verify", {"graph": {**GRAPH, "domain": "abcd"}}),
+    ("verify", {"graph": {**GRAPH, "domain": [None, 1, -1, 1]}}),
+    ("verify", {"graph": {**GRAPH, "domain": [1]}}),
+    ("verify", {"graph": {**GRAPH, "domain": [0, 1, "a", 1]}}),
+    ("verify", {"graph": {**GRAPH, "domain": [0, 1, 0, 1, 5]}}),
+    ("verify", {"graph": {**GRAPH, "domain": [0, 1e400, -1, 1]}}),
+    ("verify", {"graph": {**GRAPH, "domain": [True, 1, -1, 1]}}),
     ("angles", [1, 2]),
     ("construct", {"c1": 10.0 / 3.0, "seed": {"u0": 1}}),
     ("construct", {"c1": 10.0 / 3.0, "seed": {"u0": "abc", "v0": 1}}),
@@ -377,7 +404,9 @@ SIDECAR = {"nx": 3, "ny": 3, "x0": 0.0, "y0": 0.0, "hx": 1.0, "hy": 1.0,
 ], ids=["config-number", "surface-number", "plane-list", "grid-string",
         "grid-one-number", "grid-three-numbers", "gate-list", "gate-null",
         "gate-string",
-        "graph-string", "angles-plane-list", "seed-without-v0",
+        "graph-string", "domain-string", "domain-null", "domain-one-number",
+        "domain-with-string", "domain-five-numbers", "domain-infinite",
+        "domain-true", "angles-plane-list", "seed-without-v0",
         "seed-u0-string", "seed-u0-list", "seed-three-numbers",
         "sidecar-without-fields", "sidecar-fields-number", "sidecar-nx-list",
         "sidecar-not-json", "obj-sidecar-without-g"])
@@ -405,6 +434,25 @@ def test_malformed_json_is_parse_error(tmp_path, capsys, command, document):
 
 
 THETAS = ("--theta1", "0.5235987756", "--theta2", "1.0471975512")
+
+
+@pytest.mark.parametrize("domain", [[0, 0, -1, 1], [-1, 1, 2, 2]])
+def test_verify_zero_width_domain_is_a_precondition_error(tmp_path, capsys, domain):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"graph": {**GRAPH, "domain": domain}, "grid": [5, 5]}))
+    code, out, err = run(capsys, "verify", "--config", str(path))
+    assert code == EXIT_PRECONDITION
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert "domain" in err and "Warning" not in err
+
+
+def test_verify_reversed_domain_is_kept(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"graph": {"f": "x + 0.3*y", "g": "x*y",
+                                          "domain": [1, -1, 0.5, -0.5]}, "grid": [5, 5]}))
+    code, out, _ = run(capsys, "verify", "--config", str(path))
+    assert code == EXIT_GATE
+    assert json.loads(out)["report"]["grid"] == [5, 5]
 
 
 @pytest.mark.parametrize("options, config, code, named", [

@@ -1,0 +1,24 @@
+"""Public names: every name a module exports resolves, and each name is
+exported by one module only."""
+
+import importlib
+from collections import Counter
+
+import pytest
+
+MODULES = ("grassmann", "catalog", "expressions", "surface_analysis", "helix_construct")
+
+
+def exports(name: str) -> list[str]:
+    return importlib.import_module(f"helix4.{name}").__all__
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(f"helix4.{name}")
+    assert [k for k in exports(name) if not hasattr(module, k)] == []
+
+
+def test_no_name_is_exported_by_two_modules():
+    counts = Counter(k for name in MODULES for k in exports(name))
+    assert [k for k, n in counts.items() if n > 1] == []

@@ -8,8 +8,7 @@ import pytest
 
 from helix4.catalog import named_example
 from helix4.grassmann import Plane, PrincipalAngles
-from helix4.helix_construct import (GRAPH_RESIDUALS, CompositionVerdict,
-                                    GraphSurface, HelixParams,
+from helix4.helix_construct import (GRAPH_RESIDUALS, CompositionVerdict, HelixParams,
                                     PDEProblem, SolutionGrid, annulus_bounds,
                                     composition_test, default_problem, deform,
                                     deform_inverse, find_noncharacteristic_seed,
@@ -17,7 +16,7 @@ from helix4.helix_construct import (GRAPH_RESIDUALS, CompositionVerdict,
                                     paper_initial_data, recover_g,
                                     solution_graph, solve_pde, symplecto_check,
                                     _E_partials)
-from helix4.surface_analysis import patch_from_grid
+from helix4.surface_analysis import GraphSurface, patch_from_grid
 
 PI = Plane(np.eye(4)[0], np.eye(4)[1])
 C_THIRD = 10.0 / 3.0
@@ -208,8 +207,8 @@ def test_lambda_identity_on_recovered_solution(solved):
     worst = 0.0
     for yv in ys[1:-1]:
         for xv in xs[1:-1]:
-            _, fx, fy, _, _, _ = G.f_jet(xv, yv)
-            _, gx, gy, _, _, _ = G.g_jet(xv, yv)
+            d = G.sample([xv], [yv])
+            fx, fy, gx, gy = (d[k][0, 0] for k in ("fx", "fy", "gx", "gy"))
             lam = fx * gx + fy * gy
             delta = fx * fx + fy * fy
             worst = max(worst, abs(lam * lam + 1 + delta * delta - sol.c1 * delta))
@@ -278,12 +277,12 @@ def test_residual_table_matches_pointwise_residual(solved):
     _, sol = solved
     G = solution_graph(sol)
     P = HelixParams(math.pi / 6, math.pi / 3)
-    grads = [G.grids[k] for k in ("fx", "fy", "gx", "gy")]
+    grads = [G.sample(G.xs, G.ys)[k] for k in ("fx", "fy", "gx", "gy")]
     trace = GRAPH_RESIDUALS["helix_trace"](*grads, P)
     det = GRAPH_RESIDUALS["helix_det"](*grads, P)
     for j, y in enumerate(G.ys):
         for i, x in enumerate(G.xs):
-            assert helix_condition_residual(G, P, (x, y)) == (trace[j, i], det[j, i])
+            assert helix_condition_residual(G, P, (x, y)) == (trace[i, j], det[i, j])
 
 
 def grid_patches():
@@ -292,14 +291,14 @@ def grid_patches():
     ys = np.linspace(0.0, 1.0, 5)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     points = np.stack([X, Y, X * X, X * Y], axis=-1)
-    graph = GraphSurface.from_grids(xs, ys, (X * X).T, (X * Y).T)
+    graph = GraphSurface.from_grids(xs, ys, X * X, X * Y)
     return xs, ys, points, graph
 
 
 def test_grid_samples_are_views_of_the_stored_arrays():
     xs, ys, points, graph = grid_patches()
     assert np.shares_memory(patch_from_grid(xs, ys, points).sample(xs, ys).p, points)
-    assert np.shares_memory(graph.sample(xs, ys)["fx"], graph.grids["fx"])
+    assert np.shares_memory(graph.sample(xs, ys)["fx"], graph.sample(xs, ys)["fx"])
     J = graph.patch().sample(xs, ys)
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):
@@ -401,7 +400,8 @@ def test_recover_g_lambda_zero_limit():
     sol = recover_g(sol)
     assert np.nanmax(np.abs(sol.loop_defect)) < 1e-12
     G = solution_graph(sol)
-    _, gx, gy, _, _, _ = G.g_jet(0.0, 0.0)
+    d = G.sample([0.0], [0.0])
+    gx, gy = d["gx"][0, 0], d["gy"][0, 0]
     assert gx == pytest.approx(-b, abs=1e-4)
     assert gy == pytest.approx(a, abs=1e-4)
 

@@ -7,8 +7,7 @@ import pytest
 
 from helix4.catalog import EXAMPLE_NAMES, generate, named_example, round_sphere_patch
 from helix4.expressions import EvalError, parse_expr, scalar_jet_from_exprs
-from helix4.helix_construct import GraphSurface
-from helix4.surface_analysis import graph_patch_from_jets
+from helix4.surface_analysis import JET_FIELDS, JET_PARTS, GraphSurface
 
 # the graph of the command-line benchmark session
 CLI_GRAPH = ("0.3*sin(2*x)*cos(y) + 0.2*x*y^2", "0.25*exp(0.5*x)*y - 0.1*x^3")
@@ -22,7 +21,7 @@ def random_poly(seed):
 
 def expression_graph():
     f, g = (scalar_jet_from_exprs(parse_expr(src)) for src in CLI_GRAPH)
-    return graph_patch_from_jets(f, g, (-1.0, 1.0), (-1.0, 1.0))
+    return GraphSurface.from_callables(f, g, (-1.0, 1.0), (-1.0, 1.0)).patch()
 
 
 def constant_entry_graph():
@@ -71,6 +70,31 @@ def test_jets_are_the_derivatives_of_their_lower_order_fields(make):
         node = patch.jet(axes[0][i], axes[1][j])
         for k in ("p", "p_u", "p_v", "p_uu", "p_uv", "p_vv"):
             np.testing.assert_array_equal(getattr(node, k), getattr(J, k)[i, j])
+
+
+def layout_graphs():
+    """An analytic and a grid-backed graph of the same fields, nx != ny."""
+    xs, ys = np.linspace(-1.0, 1.0, 7), np.linspace(-0.5, 1.0, 4)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    analytic = GraphSurface.from_callables(
+        lambda x, y: (x * y + 0.5 * x, y + 0.5, x, 0.0, 1.0, 0.0),
+        lambda x, y: (x * x - y, 2 * x, -1.0, 2.0, 0.0, 0.0), (-1, 1), (-0.5, 1))
+    grid = GraphSurface.from_grids(xs, ys, X * Y + 0.5 * X, X * X - Y)
+    return xs, ys, X, Y, {"analytic": analytic, "grid": grid}
+
+
+@pytest.mark.parametrize("kind", ["analytic", "grid"])
+def test_graph_patch_is_the_scalar_sampler_indexed_x_y(kind):
+    xs, ys, X, Y, graphs = layout_graphs()
+    graph = graphs[kind]
+    d = graph.sample(xs, ys)
+    np.testing.assert_array_equal(d["f"], X * Y + 0.5 * X)
+    J = graph.patch().sample(xs, ys)
+    np.testing.assert_array_equal(J.p[..., 0], X)
+    np.testing.assert_array_equal(J.p[..., 1], Y)
+    for field, part in zip(JET_FIELDS, JET_PARTS):
+        for axis, key in ((2, "f"), (3, "g")):
+            assert getattr(J, field)[..., axis].tobytes() == d[key + part].tobytes()
 
 
 def test_array_eval_matches_scalar_eval():

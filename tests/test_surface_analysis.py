@@ -13,7 +13,6 @@ from helix4.surface_analysis import (AdaptedFrame, FrameDiscontinuityError,
                                      brioschi_curvature,
                                      fundamental_forms,
                                      frame_rotation_coefficients,
-                                     graph_patch_from_jets,
                                      patch_from_grid, patch_from_position,
                                      sphere_test, structure_fields,
                                      verify_helix)
