@@ -27,8 +27,8 @@ from . import catalog, helix_construct as hc
 from .expressions import EvalError, ParseError, parse_expr, scalar_jet_from_exprs
 from .grassmann import (Plane, plane_angles_via_bivectors, plane_from_json,
                         plane_to_json, principal_angles)
-from .surface_analysis import (FrameDiscontinuityError, GraphSurface, ImmersionError,
-                               default_gate, stack4, verify_helix)
+from .surface_analysis import (GraphSurface, ImmersionError, default_gate, stack4,
+                               verify_helix)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -177,6 +177,9 @@ def _plane_from_arg(text: str, what: str) -> Plane:
 def _single_var_data(expr_src: str, var_hint: str, order: int):
     """Parse a phi/psi expression of x; return the evaluator of it and of its
     first ``order`` derivatives (an array of x in, a tuple of arrays out)."""
+    if not isinstance(expr_src, str):
+        raise CliError(EXIT_PARSE, f"{var_hint} must be an expression string, "
+                                   f"got {expr_src!r}")
     try:
         expr = parse_expr(expr_src)
     except ParseError as exc:
@@ -215,15 +218,22 @@ def _is_numbers(v, n: int) -> bool:
 def _grid_and_gate(patch, grid, gate: float | None) -> tuple[tuple[int, int], float]:
     """Sampling grid (N, M) and residual gate of a ``verify`` or ``example``
     run.  The grid must be two finite numbers (exit 2 otherwise), truncated
-    to integers; a gate of None takes ``default_gate`` at the coarser
-    spacing of that grid, any other gate (0 included) is kept."""
+    to integers, and the square of each grid step a positive normal float
+    (exit 3 otherwise: the second differences divide by it); a gate of None
+    takes ``default_gate`` at the coarser spacing of that grid, any other
+    gate (0 included) is kept."""
     if not _is_numbers(grid, 2):
         raise CliError(EXIT_PARSE, "config 'grid' must be a list of two numbers")
     N, M = int(grid[0]), int(grid[1])
+    steps = [(b - a) / max(n - 1, 1)
+             for (a, b), n in ((patch.u_range, N), (patch.v_range, M))]
+    if not all(sys.float_info.min <= h * h < math.inf for h in steps):
+        raise CliError(EXIT_PRECONDITION,
+                       f"domain {[*patch.u_range, *patch.v_range]} is too narrow or too "
+                       f"wide for a {N}x{M} grid: each squared grid step must be a "
+                       "positive normal float")
     if gate is None:
-        gate = default_gate(patch, max(
-            (patch.u_range[1] - patch.u_range[0]) / max(N - 1, 1),
-            (patch.v_range[1] - patch.v_range[0]) / max(M - 1, 1)))
+        gate = default_gate(patch, max(steps))
     return (N, M), float(gate)
 
 
@@ -293,8 +303,6 @@ def _surface_from_config(cfg: dict):
         dom = g.get("domain", [-1.0, 1.0, -1.0, 1.0])
         if not _is_numbers(dom, 4):
             raise CliError(EXIT_PARSE, "graph 'domain' must be a list of four numbers")
-        if dom[0] == dom[1] or dom[2] == dom[3]:
-            raise CliError(EXIT_PRECONDITION, f"graph domain {dom} has zero width")
         patch = GraphSurface.from_callables(scalar_jet_from_exprs(fe),
                                             scalar_jet_from_exprs(ge),
                                             (dom[0], dom[1]), (dom[2], dom[3])).patch()
@@ -313,7 +321,7 @@ def _cmd_verify(args) -> int:
                                 cfg.get("gate", args.gate))
     try:
         report = verify_helix(patch, plane, grid)
-    except (ImmersionError, FrameDiscontinuityError) as exc:
+    except ImmersionError as exc:
         raise CliError(EXIT_DEGENERATE, str(exc))
     except (ValueError, EvalError) as exc:
         raise CliError(EXIT_PRECONDITION, str(exc))
@@ -406,6 +414,8 @@ def _cmd_construct(args) -> int:
         except ValueError as exc:
             raise CliError(EXIT_PRECONDITION, str(exc))
     elif "c1" in cfg:
+        if not _is_number(cfg["c1"]):
+            raise CliError(EXIT_PARSE, f"config c1 must be a finite number, got {cfg['c1']!r}")
         c_norm = float(cfg["c1"])
         if c_norm <= 2:
             raise CliError(EXIT_PRECONDITION, "config c1 must exceed 2")
@@ -635,7 +645,7 @@ def main(argv=None) -> int:
     except (ParseError, EvalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ImmersionError, FrameDiscontinuityError, hc.SolverHalt) as exc:
+    except (ImmersionError, hc.SolverHalt) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
     except ValueError as exc:

@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .grassmann import PrincipalAngles
-from .surface_analysis import (GraphSurface, SurfacePatch, fd_d1, fd_d2,
+from .surface_analysis import (GraphSurface, SurfaceJet, SurfacePatch, fd_d1, fd_d2,
                                fundamental_forms, verify_helix)
 
 __all__ = [
@@ -62,7 +62,6 @@ __all__ = [
     "solution_graph",
     "GRAPH_RESIDUALS",
     "residual_maxima",
-    "helix_condition_residual",
     "symplecto_check",
     "first_normal_rank",
     "composition_test",
@@ -639,15 +638,6 @@ def residual_maxima(names, grads, P: HelixParams) -> list[float]:
                                  axis=None, initial=0.0)) for k in names]
 
 
-def helix_condition_residual(G: GraphSurface, P: HelixParams,
-                             at: tuple[float, float]) -> tuple[float, float]:
-    """(trace, determinant) defects of the graph metric at one point."""
-    d = G.sample([at[0]], [at[1]])
-    fx, fy, gx, gy = (d[k][0, 0] for k in ("fx", "fy", "gx", "gy"))
-    return (GRAPH_RESIDUALS["helix_trace"](fx, fy, gx, gy, P),
-            GRAPH_RESIDUALS["helix_det"](fx, fy, gx, gy, P))
-
-
 def symplecto_check(G: GraphSurface, P: HelixParams,
                     grid: tuple[int, int] | None = None) -> tuple[float, float]:
     """(max |J - c2|, max | ||J||^2 - c1 |) over a sample grid."""
@@ -658,25 +648,18 @@ def symplecto_check(G: GraphSurface, P: HelixParams,
     return tuple(residual_maxima(("symplecto_det", "symplecto_norm"), grads, P))
 
 
-def first_normal_rank(G: GraphSurface, at: tuple[float, float],
-                      sv_ratio: float = 1e-6) -> tuple[int, float]:
-    """Numerical rank of the Hessian-pair matrix and det Hess f.
+def first_normal_rank(jets: SurfaceJet) -> np.ndarray:
+    """Numerical rank of the first normal space N1 at every node of a grid
+    of jets, as an (N, M) integer array.
 
-    The first normal space of the graph has the same rank as the 2x3 matrix
-    of second derivatives of (f, g).
+    N1 is spanned by alpha_11, alpha_12, alpha_22, whose singular values are
+    those of their components in a normal frame: rank 0 where the largest is
+    below 1e-9, rank 1 where the second is below 1e-6 times the largest.
     """
-    d = G.sample([at[0]], [at[1]])
-    fxx, fxy, fyy, gxx, gxy, gyy = (d[k + s][0, 0] for k in "fg" for s in ("xx", "xy", "yy"))
-    mat = np.array([[fxx, fxy, fyy], [gxx, gxy, gyy]])
-    s = np.linalg.svd(mat, compute_uv=False)
-    scale = max(1.0, s[0])
-    if s[0] < 1e-12 * scale:
-        rank = 0
-    elif s[1] < sv_ratio * s[0]:
-        rank = 1
-    else:
-        rank = 2
-    return rank, fxx * fyy - fxy * fxy
+    ff = fundamental_forms(jets)
+    s = np.linalg.svd(np.stack([ff.alpha_11, ff.alpha_12, ff.alpha_22], axis=-1),
+                      compute_uv=False)
+    return np.where(s[..., 0] < 1e-9, 0, np.where(s[..., 1] < 1e-6 * s[..., 0], 1, 2))
 
 
 @dataclass
@@ -713,12 +696,7 @@ def composition_test(patch: SurfacePatch, Pi, grid: tuple[int, int],
     generic = (t1_mean > angle_tol and t2_mean < math.pi / 2 - angle_tol
                and t2_mean - t1_mean > angle_tol)
 
-    # N1 rank per grid point: the normal vectors alpha_11, alpha_12, alpha_22
-    # have the singular values of their components in a normal frame
-    ff = fundamental_forms(J)
-    s = np.linalg.svd(np.stack([ff.alpha_11, ff.alpha_12, ff.alpha_22], axis=-1),
-                      compute_uv=False)
-    ranks = np.where(s[..., 0] < 1e-9, 0, np.where(s[..., 1] < 1e-6 * s[..., 0], 1, 2))
+    ranks = first_normal_rank(J)
 
     rank2_fraction = float(np.mean(ranks == 2))
     max_dt1 = float(np.nanmax(np.abs(report.dt_T1)))
@@ -771,12 +749,9 @@ def deform(m: float, c: float) -> PrincipalAngles:
                            math.atan(math.sqrt(tan2_2)))
 
 
-def deform_inverse(angles: PrincipalAngles | tuple[float, float]) -> tuple[float, float]:
+def deform_inverse(angles: tuple[float, float]) -> tuple[float, float]:
     """Closed-form inverse: m = sqrt(tan t1 tan t2), c = c1/m^2."""
-    if isinstance(angles, PrincipalAngles):
-        t1, t2 = angles.theta1, angles.theta2
-    else:
-        t1, t2 = angles
+    t1, t2 = angles
     if not (0.0 < t1 < t2 < math.pi / 2):
         raise ValueError("need 0 < theta1 < theta2 < pi/2 "
                          "(equal angles collapse the family)")

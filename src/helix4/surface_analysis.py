@@ -22,7 +22,7 @@ Patches are sampled once per grid (``SurfacePatch.sample``); frames
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -35,11 +35,9 @@ __all__ = [
     "SurfacePatch",
     "FundamentalForms",
     "AdaptedFrame",
-    "StructureFields",
     "StructureReport",
     "SphereFit",
     "ImmersionError",
-    "FrameDiscontinuityError",
     "patch_from_position",
     "patch_from_grid",
     "GraphSurface",
@@ -51,10 +49,7 @@ __all__ = [
     "fundamental_forms",
     "adapted_frame",
     "adapted_frames",
-    "structure_fields",
-    "frame_rotation_coefficients",
     "verify_helix",
-    "sphere_test",
     "brioschi_curvature",
     "default_gate",
 ]
@@ -74,10 +69,6 @@ DEPENDENCIA_MIN = 1e-6
 
 class ImmersionError(ValueError):
     """The parametrization fails to be an immersion at the queried point."""
-
-
-class FrameDiscontinuityError(RuntimeError):
-    """Adapted frames across a finite-difference stencil could not be aligned."""
 
 
 JET_FIELDS = ("p", "p_u", "p_v", "p_uu", "p_uv", "p_vv")
@@ -164,22 +155,6 @@ class AdaptedFrame:
     def __getitem__(self, index) -> "AdaptedFrame":
         """The frame at grid ``index``."""
         return AdaptedFrame(*(getattr(self, f.name)[index] for f in fields(self)))
-
-
-@dataclass
-class StructureFields:
-    """Shape-operator entries and connection one-forms on the adapted frame."""
-
-    m1: float
-    m2: float
-    dt_T1: float
-    dt_T2: float
-    dn_T1: float
-    dn_T2: float
-    A_const: float
-    B_const: float
-    theta1: float
-    theta2: float
 
 
 @dataclass
@@ -588,48 +563,6 @@ def _path_products(a: np.ndarray, restart: np.ndarray) -> np.ndarray:
     return np.where((neg - before) % 2 == 1, -1.0, 1.0)
 
 
-def frame_rotation_coefficients(theta1: float, theta2: float) -> tuple[float, float]:
-    """Constants (A, B) with dt = A dlambda1 + B dlambda2.
-
-    Solving the df-elimination identity: with D = cos(t1)/cos(t2) -
-    cos(t2)/cos(t1), A = sin(t1)/(cos(t2) D) and B = sin(t2)/(cos(t1) D).
-    Limits: theta1 = 0 gives (0, cot(theta2)); theta2 = pi/2 gives
-    (tan(theta1), 0); theta1 = theta2 has no finite value (returns NaN).
-    """
-    c1, c2 = math.cos(theta1), math.cos(theta2)
-    s1, s2 = math.sin(theta1), math.sin(theta2)
-    if abs(c1 - c2) < 1e-12:
-        return math.nan, math.nan
-    if c2 < 1e-9:  # theta2 -> pi/2
-        return s1 / c1, 0.0
-    D = c1 / c2 - c2 / c1
-    return s1 / (c2 * D), s2 / (c1 * D)
-
-
-# ---------------------------------------------------------------------------
-# pointwise structure fields
-# ---------------------------------------------------------------------------
-
-def structure_fields(patch: SurfacePatch, Pi: Plane, at: tuple[float, float],
-                     h: float) -> StructureFields:
-    """Structure fields at one parameter point: ``verify_helix`` on the 3x3
-    stencil of spacing h centred at ``at``, read at the centre.
-
-    A stencil whose frames align with a dot below 0.9 invalidates the sample
-    (FrameDiscontinuityError).
-    """
-    u, v = at
-    stencil = replace(patch, u_range=(u - h, u + h), v_range=(v - h, v + h))
-    rep = verify_helix(stencil, Pi, (3, 3))
-    if rep.min_align_dot < 0.9:
-        raise FrameDiscontinuityError(
-            f"frame discontinuity at {at} (dot {rep.min_align_dot:.3f})")
-    centre = {k: float(getattr(rep, k)[1, 1]) for k in (
-        "m1", "m2", "dt_T1", "dt_T2", "dn_T1", "dn_T2", "theta1", "theta2")}
-    A, B = frame_rotation_coefficients(centre["theta1"], centre["theta2"])
-    return StructureFields(A_const=A, B_const=B, **centre)
-
-
 # ---------------------------------------------------------------------------
 # grid verification
 # ---------------------------------------------------------------------------
@@ -745,8 +678,6 @@ def _det3(a, b, c, d, e, f, g, h, i):
 
 def _fit_sphere(points: np.ndarray) -> SphereFit:
     pts = points.reshape(-1, 4)
-    if pts.shape[0] < 5:
-        return SphereFit(None, math.nan, math.nan, False, "fewer than 5 points")
     A = np.concatenate([2.0 * pts, np.ones((pts.shape[0], 1))], axis=1)
     b = np.sum(pts * pts, axis=1)
     sol, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
@@ -761,14 +692,6 @@ def _fit_sphere(points: np.ndarray) -> SphereFit:
     dist = np.linalg.norm(pts - center, axis=1)
     defect = float(np.max(np.abs(dist - radius)) / radius)
     return SphereFit(center, radius, defect, True)
-
-
-def sphere_test(patch: SurfacePatch, grid: tuple[int, int]) -> SphereFit:
-    """Least-squares sphere fit of grid samples of the patch."""
-    N, M = grid
-    us = np.linspace(*patch.u_range, N)
-    vs = np.linspace(*patch.v_range, M)
-    return _fit_sphere(patch.sample(us, vs).p)
 
 
 def verify_helix(patch: SurfacePatch, Pi: Plane,

@@ -18,7 +18,7 @@ from helix4.helix_construct import (HelixParams, composition_test,
                                     find_noncharacteristic_seed,
                                     first_normal_rank, recover_g,
                                     residual_maxima, solution_graph, solve_pde)
-from helix4.surface_analysis import sphere_test, verify_helix
+from helix4.surface_analysis import verify_helix
 
 C_NORM = 10.0 / 3.0
 
@@ -156,9 +156,8 @@ def test_criterion_6_rank_two_not_a_composition(pde_family):
     sols, _ = pde_family
     G = solution_graph(sols[1e-3])
     xs, ys = G.sample_grid()
-    ranks = [first_normal_rank(G, (x, y))[0]
-             for x in xs[1:-1] for y in ys[1:-1]]
-    frac2 = float(np.mean(np.asarray(ranks) == 2))
+    ranks = first_normal_rank(G.patch().sample(xs, ys))[1:-1, 1:-1]
+    frac2 = float(np.mean(ranks == 2))
     verdict = composition_test(G.patch(), PI_12, (xs.size, ys.size),
                                geo_tol=1e-3)
     all_false = not (verdict.rank1_n1 or verdict.t1_geodesic
@@ -217,7 +216,7 @@ def test_criterion_8_gauss_map_circles(pde_family):
 
 def test_criterion_9_sphere_dichotomy():
     cs = named_example("spherical_helix_revolution")
-    fit = sphere_test(cs.patch, (30, 30))
+    fit = verify_helix(cs.patch, cs.plane, (30, 30)).sphere
     rep = verify_helix(cs.patch, cs.plane, (15, 15))
     theta1 = rep.angle_stats["theta1"][0]
 
@@ -231,7 +230,7 @@ def test_criterion_9_sphere_dichotomy():
     xs, ys = G.sample_grid()
     rep_pde = verify_helix(G.patch(), PI_12, (xs.size, ys.size))
     assert rep_pde.helix_pass(1e-3)
-    fit_pde = sphere_test(G.patch(), (xs.size, ys.size))
+    fit_pde = rep_pde.sphere
     gate("criterion 9",
          fit.ok and fit.defect < 1e-8 and abs(theta1) < 1e-9
          and fit_pde.ok and fit_pde.defect > 1e-3,

@@ -9,7 +9,7 @@ from helix4.catalog import (EXAMPLE_NAMES, PI_12, PI_34, CurveJet, generate,
                             helix_curve, line_curve, named_example,
                             orbit_surface, spherical_helix_curve)
 from helix4.grassmann import Plane, principal_angles
-from helix4.surface_analysis import sphere_test, verify_helix
+from helix4.surface_analysis import verify_helix
 
 E4 = np.eye(4)
 
@@ -147,7 +147,7 @@ def test_spherical_helix_revolution_is_spherical_with_zero_angle():
     cs = named_example("spherical_helix_revolution")
     assert cs.expected.theta1 == pytest.approx(0.0, abs=1e-12)
     assert cs.expected.theta2 == pytest.approx(1.0, abs=1e-12)
-    fit = sphere_test(cs.patch, (12, 12))
+    fit = verify_helix(cs.patch, cs.plane, (12, 12)).sphere
     assert fit.ok and fit.defect < 1e-8
     assert fit.radius == pytest.approx(1.0, abs=1e-10)
 

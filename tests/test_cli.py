@@ -436,7 +436,9 @@ def test_malformed_json_is_parse_error(tmp_path, capsys, command, document):
 THETAS = ("--theta1", "0.5235987756", "--theta2", "1.0471975512")
 
 
-@pytest.mark.parametrize("domain", [[0, 0, -1, 1], [-1, 1, 2, 2]])
+# zero width; a squared step that underflows to 0; one that is subnormal
+@pytest.mark.parametrize("domain", [[0, 0, -1, 1], [-1, 1, 2, 2], [0, 1e-300, -1, 1],
+                                    [0, 4e-155, -1, 1]])
 def test_verify_zero_width_domain_is_a_precondition_error(tmp_path, capsys, domain):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps({"graph": {**GRAPH, "domain": domain}, "grid": [5, 5]}))
@@ -444,6 +446,16 @@ def test_verify_zero_width_domain_is_a_precondition_error(tmp_path, capsys, doma
     assert code == EXIT_PRECONDITION
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
     assert "domain" in err and "Warning" not in err
+
+
+def test_verify_narrow_domain_runs_clean(tmp_path, capsys):
+    # the squared grid step 6.25e-26 is still a normal float
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"graph": {**GRAPH, "domain": [0, 1e-12, -1, 1]},
+                                "grid": [5, 5]}))
+    code, out, err = run(capsys, "verify", "--config", str(path))
+    assert code == EXIT_OK and err == ""
+    assert json.loads(out)["report"]["grid"] == [5, 5]
 
 
 def test_verify_reversed_domain_is_kept(tmp_path, capsys):
@@ -468,9 +480,19 @@ def test_verify_reversed_domain_is_kept(tmp_path, capsys):
     (("--x0", "0.05", "--x1", "-0.05"), None, EXIT_PRECONDITION, "x0 < x1"),
     ((), {"c1": 3.3333333333, "hx": "abc"}, EXIT_PARSE, "hx"),
     ((), {"c1": 3.3333333333, "branch": 2}, EXIT_PARSE, "branch"),
+    ((), {"c1": None}, EXIT_PARSE, "c1"),
+    ((), {"c1": [3]}, EXIT_PARSE, "c1"),
+    ((), {"c1": "abc"}, EXIT_PARSE, "c1"),
+    ((), {"c1": math.inf}, EXIT_PARSE, "c1"),
+    ((), {"c1": 2}, EXIT_PRECONDITION, "c1"),
+    ((), {"c1": 3.3333333333, "seed": "0.1,0.2", "phi": "x", "psi": 5}, EXIT_PARSE, "psi"),
+    ((), {"c1": 3.3333333333, "seed": "0.1,0.2", "phi": ["x"], "psi": "x"},
+     EXIT_PARSE, "phi"),
 ], ids=["hx-zero", "hy-zero", "config-hx-zero", "hx-negative", "hx-nan",
         "hx-inf", "hx-too-coarse", "ymax-zero", "ymax-nan", "x-reversed",
-        "config-hx-string", "config-branch-two"])
+        "config-hx-string", "config-branch-two", "config-c1-null", "config-c1-list",
+        "config-c1-string", "config-c1-infinite", "config-c1-two",
+        "config-psi-number", "config-phi-list"])
 def test_construct_window_is_checked_before_the_seed_scan(
         tmp_path, capsys, monkeypatch, options, config, code, named):
     def no_scan(*args):

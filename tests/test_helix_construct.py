@@ -7,16 +7,15 @@ import numpy as np
 import pytest
 
 from helix4.catalog import named_example
-from helix4.grassmann import Plane, PrincipalAngles
+from helix4.grassmann import Plane
 from helix4.helix_construct import (GRAPH_RESIDUALS, CompositionVerdict, HelixParams,
                                     PDEProblem, SolutionGrid, annulus_bounds,
                                     composition_test, default_problem, deform,
                                     deform_inverse, find_noncharacteristic_seed,
-                                    first_normal_rank, helix_condition_residual,
-                                    paper_initial_data, recover_g,
-                                    solution_graph, solve_pde, symplecto_check,
-                                    _E_partials)
-from helix4.surface_analysis import GraphSurface, patch_from_grid
+                                    first_normal_rank, paper_initial_data,
+                                    recover_g, residual_maxima, solution_graph,
+                                    solve_pde, symplecto_check, _E_partials)
+from helix4.surface_analysis import GraphSurface, patch_from_grid, verify_helix
 
 PI = Plane(np.eye(4)[0], np.eye(4)[1])
 C_THIRD = 10.0 / 3.0
@@ -30,6 +29,19 @@ def linear_graph(a: float, b: float) -> GraphSurface:
         return (b * y, 0.0, b, 0.0, 0.0, 0.0)
 
     return GraphSurface.from_callables(f_jet, g_jet, (-1, 1), (-1, 1))
+
+
+def helix_residuals(G: GraphSurface, P: HelixParams, xs, ys) -> list[np.ndarray]:
+    """The (trace, determinant) defects of the graph metric on the grid xs x ys,
+    from the residual table."""
+    d = G.sample(xs, ys)
+    grads = [d[k] for k in ("fx", "fy", "gx", "gy")]
+    return [GRAPH_RESIDUALS[k](*grads, P) for k in ("helix_trace", "helix_det")]
+
+
+def hess_det_f(d: dict) -> np.ndarray:
+    """det Hess f on the arrays of a ``GraphSurface.sample``."""
+    return d["fxx"] * d["fyy"] - d["fxy"] * d["fxy"]
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +76,8 @@ def test_helix_params_inequality_and_equality_case():
 def test_flat_graph_zero_residual():
     G = linear_graph(0.0, 0.0)
     P = HelixParams(0.0, 0.0)
-    assert helix_condition_residual(G, P, (0.3, -0.2)) == pytest.approx((0.0, 0.0))
+    for r in helix_residuals(G, P, *G.sample_grid(5, 7)):
+        assert np.all(r == 0.0)
 
 
 def test_linear_graph_residuals_read_off():
@@ -72,12 +85,12 @@ def test_linear_graph_residuals_read_off():
     a, b = 0.6, 1.1
     G = linear_graph(a, b)
     P = HelixParams(math.atan(a), math.atan(b))
-    rt, rd = helix_condition_residual(G, P, (0.1, 0.9))
+    xs, ys = G.sample_grid(5, 7)
+    rt, rd = helix_residuals(G, P, xs, ys)
     assert rt == pytest.approx(0.0, abs=1e-12)
     assert rd == pytest.approx(0.0, abs=1e-12)
     # and against other angles the residual is the closed-form gap
-    Q = HelixParams(0.0, 0.0)
-    rt2, _ = helix_condition_residual(G, Q, (0.1, 0.9))
+    rt2, _ = helix_residuals(G, HelixParams(0.0, 0.0), xs, ys)
     assert rt2 == pytest.approx(a * a + b * b)
 
 
@@ -88,10 +101,12 @@ def test_equal_angle_linear_solutions_are_geodesic_branch():
     G = linear_graph(math.tan(t), math.tan(t))
     P = HelixParams(t, t)
     assert P.c_normalized == pytest.approx(2.0)
-    assert helix_condition_residual(G, P, (0.0, 0.0)) == pytest.approx((0.0, 0.0))
+    xs, ys = G.sample_grid(5, 5)
+    for r in helix_residuals(G, P, xs, ys):
+        assert r == pytest.approx(0.0, abs=1e-12)
     assert symplecto_check(G, P, (5, 5)) == pytest.approx((0.0, 0.0))
-    rank, hd = first_normal_rank(G, (0.0, 0.0))
-    assert rank == 0 and hd == 0.0
+    assert np.all(first_normal_rank(G.patch().sample(xs, ys)) == 0)
+    assert np.all(hess_det_f(G.sample(xs, ys)) == 0.0)
 
 
 def test_symplecto_check_linear_cases():
@@ -227,21 +242,17 @@ def test_loop_defect_and_residuals_shrink_under_refinement():
         loops[h] = float(np.nanmax(np.abs(sol.loop_defect)))
         G = solution_graph(sol)
         xs, ys = G.sample_grid()
-        worst = 0.0
-        for yv in ys[1:-1]:
-            for xv in xs[1:-1]:
-                if not (-0.03 <= xv <= 0.03):
-                    continue
-                rt, rd = helix_condition_residual(G, P, (xv, yv))
-                worst = max(worst, abs(rt), abs(rd))
-        maxres[h] = worst
+        inner = (-0.03 <= xs) & (xs <= 0.03)
+        inner[[0, -1]] = False
+        d = G.sample(xs[inner], ys[1:-1])
+        maxres[h] = max(residual_maxima(("helix_trace", "helix_det"),
+                                        [d[k] for k in ("fx", "fy", "gx", "gy")], P))
     assert maxres[4e-3] / maxres[2e-3] >= 3.0
     assert loops[4e-3] / loops[2e-3] >= 3.0
 
 
 def test_pde_angle_std_refines_at_first_order():
     seed = find_noncharacteristic_seed(C_THIRD)
-    from helix4.surface_analysis import verify_helix
     stds = {}
     deps = {}
     for h in (4e-3, 2e-3):
@@ -258,31 +269,20 @@ def test_pde_angle_std_refines_at_first_order():
 
 
 def test_structure_fields_match_frame_rotation_constants(solved):
-    # dt = A dlambda1 + B dlambda2 evaluated on the frame:
-    # dt(T1) = B m2 and dt(T2) = A m1
+    # dt = A dlambda1 + B dlambda2 evaluated on the frame, i.e. dt(T1) = B m2
+    # and dt(T2) = A m1, is dependencia1 divided by
+    # D = cos(t1)/cos(t2) - cos(t2)/cos(t1); read on the 3x3 stencil at the centre
     _, sol = solved
     G = solution_graph(sol)
     xs, ys = G.sample_grid()
-    from helix4.surface_analysis import structure_fields
-    sf = structure_fields(G.patch(), PI, (xs[xs.size // 2], ys[ys.size // 2]),
-                          h=sol.hx)
-    assert abs(sf.dt_T1) > 0.05 and abs(sf.dt_T2) > 0.05   # not geodesic
-    assert sf.dt_T1 == pytest.approx(sf.B_const * sf.m2, rel=2e-2)
-    assert sf.dt_T2 == pytest.approx(sf.A_const * sf.m1, rel=2e-2)
-
-
-def test_residual_table_matches_pointwise_residual(solved):
-    # the table on the stored gradient arrays equals the pointwise residual
-    # at every node, bit for bit
-    _, sol = solved
-    G = solution_graph(sol)
-    P = HelixParams(math.pi / 6, math.pi / 3)
-    grads = [G.sample(G.xs, G.ys)[k] for k in ("fx", "fy", "gx", "gy")]
-    trace = GRAPH_RESIDUALS["helix_trace"](*grads, P)
-    det = GRAPH_RESIDUALS["helix_det"](*grads, P)
-    for j, y in enumerate(G.ys):
-        for i, x in enumerate(G.xs):
-            assert helix_condition_residual(G, P, (x, y)) == (trace[i, j], det[i, j])
+    u, v, h = xs[xs.size // 2], ys[ys.size // 2], sol.hx
+    patch = replace(G.patch(), u_range=(u - h, u + h), v_range=(v - h, v + h))
+    rep = verify_helix(patch, PI, (3, 3))
+    dt = np.abs([rep.dt_T1[1, 1], rep.dt_T2[1, 1]])
+    assert dt.min() > 0.05                                 # not geodesic
+    c1, c2 = np.cos(rep.theta1[1, 1]), np.cos(rep.theta2[1, 1])
+    D = abs(c1 / c2 - c2 / c1)
+    assert rep.residuals["dependencia1"].max <= 2e-2 * D * dt.min()
 
 
 def grid_patches():
@@ -357,7 +357,6 @@ def test_general_angles_via_feasible_seed():
     # close to the boundary for the default window, the feasible variant
     # walks down the score order until the data fits
     from helix4.helix_construct import choose_feasible_seed
-    from helix4.surface_analysis import verify_helix
     t1, t2 = 0.7, 0.9
     m, c = deform_inverse((t1, t2))
     seed = choose_feasible_seed(c, (-0.05, 0.05), 0.004, 2e-3, 2e-3)
@@ -415,12 +414,12 @@ def test_first_normal_rank_cases():
         return (x * x, 2 * x, 0.0, 2.0, 0.0, 0.0)
 
     G1 = GraphSurface.from_callables(quad, quad, (-1, 1), (-1, 1))
-    rank, hd = first_normal_rank(G1, (0.2, 0.1))
-    assert rank == 1
-    assert hd == pytest.approx(0.0)
+    xs, ys = G1.sample_grid(5, 7)
+    assert np.all(first_normal_rank(G1.patch().sample(xs, ys)) == 1)
+    assert hess_det_f(G1.sample(xs, ys)) == pytest.approx(0.0)
 
     G0 = linear_graph(0.3, 0.4)
-    assert first_normal_rank(G0, (0.0, 0.0))[0] == 0
+    assert np.all(first_normal_rank(G0.patch().sample(xs, ys)) == 0)
 
     def f_jet(x, y):
         return (x * x + y * y, 2 * x, 2 * y, 2.0, 0.0, 2.0)
@@ -429,9 +428,8 @@ def test_first_normal_rank_cases():
         return (x * y, y, x, 0.0, 1.0, 0.0)
 
     G2 = GraphSurface.from_callables(f_jet, g_jet, (-1, 1), (-1, 1))
-    rank, hd = first_normal_rank(G2, (0.0, 0.0))
-    assert rank == 2
-    assert hd == pytest.approx(4.0)
+    assert np.all(first_normal_rank(G2.patch().sample(xs, ys)) == 2)
+    assert hess_det_f(G2.sample(xs, ys)) == pytest.approx(4.0)
 
 
 def test_composition_test_on_pde_surface(solved):
@@ -485,11 +483,9 @@ def test_hessdet_stays_large_near_initial_row(solved):
     G = solution_graph(sol)
     xs, ys = G.sample_grid()
     j0 = np.argmin(np.abs(ys))
-    row0 = [abs(first_normal_rank(G, (x, ys[j0]))[1]) for x in xs[1:-1]]
-    floor = 0.5 * min(row0)
-    for yv in ys[1:-1]:
-        for xv in xs[1:-1]:
-            assert abs(first_normal_rank(G, (xv, yv))[1]) >= floor
+    hd = np.abs(hess_det_f(G.sample(xs, ys)))[1:-1]
+    floor = 0.5 * hd[:, j0].min()
+    assert hd[:, 1:-1].min() >= floor
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +496,7 @@ def test_deform_closed_form_values():
     pa = deform(1.0, C_THIRD)
     assert pa.theta1 == pytest.approx(math.pi / 6, abs=1e-12)
     assert pa.theta2 == pytest.approx(math.pi / 3, abs=1e-12)
-    m, c = deform_inverse(PrincipalAngles(math.pi / 6, math.pi / 3))
+    m, c = deform_inverse((math.pi / 6, math.pi / 3))
     assert m == pytest.approx(1.0, abs=1e-12)
     assert c == pytest.approx(C_THIRD, abs=1e-12)
 

@@ -1,20 +1,18 @@
 """Fundamental forms, adapted frames, and residual verification tests."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from helix4.catalog import (EXAMPLE_NAMES, PI_12, generate, named_example,
                             round_sphere_patch)
-from helix4.surface_analysis import (AdaptedFrame, FrameDiscontinuityError,
-                                     ImmersionError, SurfaceJet,
+from helix4.surface_analysis import (AdaptedFrame, ImmersionError, SurfaceJet,
                                      adapted_frame, adapted_frames,
                                      brioschi_curvature,
                                      fundamental_forms,
-                                     frame_rotation_coefficients,
                                      patch_from_grid, patch_from_position,
-                                     sphere_test, structure_fields,
                                      verify_helix)
 
 
@@ -126,46 +124,40 @@ def test_frame_continuity_alignment():
     assert fr.align_quality > 0.99
 
 
-def test_frame_rotation_coefficient_limits():
-    A, B = frame_rotation_coefficients(0.0, 1.0)
-    assert A == pytest.approx(0.0)
-    assert B == pytest.approx(1 / math.tan(1.0))
-    A, B = frame_rotation_coefficients(0.4, math.pi / 2)
-    assert A == pytest.approx(math.tan(0.4))
-    assert B == pytest.approx(0.0)
-    A, B = frame_rotation_coefficients(0.5, 0.5)
-    assert math.isnan(A) and math.isnan(B)
-
-
 # ---------------------------------------------------------------------------
 # structure fields
 # ---------------------------------------------------------------------------
 
+def stencil(patch, at, h):
+    """The patch restricted to the 3x3 stencil of spacing h centred at ``at``."""
+    u, v = at
+    return replace(patch, u_range=(u - h, u + h), v_range=(v - h, v + h))
+
+
 def test_product_torus_structure_fields():
     cs = generate("product_circles", r1=1.0, r2=0.5)
-    sf = structure_fields(cs.patch, cs.plane, (0.9, 1.7), h=1e-4)
-    assert abs(sf.m1) == pytest.approx(2.0, abs=1e-6)   # 1/r2
-    assert abs(sf.m2) == pytest.approx(1.0, abs=1e-6)   # 1/r1
-    assert abs(sf.dt_T1) < 1e-7 and abs(sf.dt_T2) < 1e-7
-    assert abs(sf.dn_T1) < 1e-7 and abs(sf.dn_T2) < 1e-7
+    rep = verify_helix(cs.patch, cs.plane, (15, 15))
+    assert np.abs(rep.m1) == pytest.approx(2.0, abs=1e-6)   # 1/r2
+    assert np.abs(rep.m2) == pytest.approx(1.0, abs=1e-6)   # 1/r1
+    for form in (rep.dt_T1, rep.dt_T2, rep.dn_T1, rep.dn_T2):
+        assert np.max(np.abs(form[1:-1, 1:-1])) < 1e-7
 
 
 def test_totally_geodesic_structure_fields():
     cs = named_example("plane")
-    sf = structure_fields(cs.patch, cs.plane, (0.1, 0.2), h=1e-4)
-    assert sf.m1 == pytest.approx(0.0, abs=1e-12)
-    assert sf.m2 == pytest.approx(0.0, abs=1e-12)
+    rep = verify_helix(cs.patch, cs.plane, (8, 8))
+    assert np.all(rep.m1 == 0.0) and np.all(rep.m2 == 0.0)
 
 
 def test_structure_fields_frame_discontinuity_detected():
     # the sphere's adapted frame genuinely jumps across theta2 = pi/2 at the
     # equator: e2 = proj(T2)/cos(theta2) reverses while its norm vanishes
     patch = round_sphere_patch(1.0)
-    with pytest.raises(FrameDiscontinuityError):
-        structure_fields(patch, PI_12, (0.7, 0.0), h=0.2)
-    # away from the degenerate circle the sample is fine
-    sf = structure_fields(patch, PI_12, (0.7, 0.3), h=1e-3)
-    assert sf.theta1 == pytest.approx(0.0, abs=1e-12)
+    assert verify_helix(stencil(patch, (0.7, 0.0), 0.2), PI_12, (3, 3)).min_align_dot < 0.9
+    # away from the degenerate circle the stencil aligns
+    rep = verify_helix(stencil(patch, (0.7, 0.3), 1e-3), PI_12, (3, 3))
+    assert rep.min_align_dot >= 0.9
+    assert rep.theta1[1, 1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_codazzi_residuals_decay_on_curved_helix():
@@ -180,10 +172,10 @@ def test_codazzi_residuals_decay_on_curved_helix():
 def test_structure_fields_dt_relation_on_cylinder():
     # theta1 = 0 specialization: dt = cot(theta2) dlambda2, i.e. dt(T1) = B m2 = 0
     cs = named_example("helix_cylinder")
-    sf = structure_fields(cs.patch, cs.plane, (1.0, 0.3), h=1e-4)
-    assert abs(sf.m2) < 1e-8            # R-factor direction is flat
-    assert abs(sf.dt_T1) < 1e-8
-    assert abs(sf.dt_T2) < 1e-8
+    rep = verify_helix(cs.patch, cs.plane, (15, 15))
+    assert np.max(np.abs(rep.m2)) < 1e-8            # R-factor direction is flat
+    assert np.max(np.abs(rep.dt_T1[1:-1, 1:-1])) < 1e-8
+    assert np.max(np.abs(rep.dt_T2[1:-1, 1:-1])) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -324,21 +316,17 @@ def test_grid_patch_snapping():
 
 def test_sphere_test_torus():
     cs = named_example("clifford_torus")
-    fit = sphere_test(cs.patch, (12, 12))
+    fit = verify_helix(cs.patch, cs.plane, (12, 12)).sphere
     assert fit.ok
     assert fit.radius == pytest.approx(math.sqrt(2.0), abs=1e-10)
     assert fit.defect < 1e-10
 
 
 def test_sphere_test_plane_has_no_finite_sphere():
-    fit = sphere_test(named_example("plane").patch, (8, 8))
+    cs = named_example("plane")
+    fit = verify_helix(cs.patch, cs.plane, (8, 8)).sphere
     assert not fit.ok
     assert "no finite sphere" in fit.reason
-
-
-def test_sphere_test_needs_five_points():
-    fit = sphere_test(named_example("plane").patch, (2, 2))
-    assert not fit.ok
 
 
 def test_parallel_h_from_report():
