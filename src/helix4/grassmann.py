@@ -29,7 +29,6 @@ __all__ = [
     "Plane",
     "PrincipalAngles",
     "StackedAngles",
-    "GaussPoint",
     "stacked_angles",
     "complement_frames",
     "canonical_sign",
@@ -38,10 +37,7 @@ __all__ = [
     "wedge",
     "hodge",
     "bivector_inner",
-    "plucker_defect",
-    "is_decomposable",
     "plane_bivector",
-    "gauss_point",
     "plane_angles_via_bivectors",
     "planes_with_angles",
     "random_plane",
@@ -88,7 +84,7 @@ class Plane:
 
     def frame(self) -> np.ndarray:
         """4x2 matrix with the frame vectors as columns."""
-        return np.stack([self.b1, self.b2], axis=1)
+        return np.array((self.b1, self.b2)).T
 
     def reversed(self) -> "Plane":
         """Same plane with the opposite orientation (frame vectors swapped)."""
@@ -121,18 +117,6 @@ class PrincipalAngles:
     def __post_init__(self):
         if not (-1e-12 <= self.theta1 <= self.theta2 + 1e-12 <= math.pi / 2 + 1e-9):
             raise ValueError(f"angles out of range: {self.theta1}, {self.theta2}")
-
-
-@dataclass(frozen=True)
-class GaussPoint:
-    """Coordinates of the self-dual / anti-self-dual parts of a unit plane bivector.
-
-    Both coordinate vectors (in the fixed orthonormal E+/E- bases) have norm
-    sqrt(2)/2.
-    """
-
-    plus: np.ndarray
-    minus: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -169,14 +153,15 @@ def stacked_angles(A: np.ndarray, B: np.ndarray) -> StackedAngles:
     """Principal angles between the planes framed by A and B, orthonormal
     (..., 4, 2) frames broadcast against each other.
 
-    The cosines are the singular values of the cross-Gram A^T B = P C Q^T,
-    the sines those of the cross-Gram of A-perp with B, and each angle is
-    assembled with atan2 (Bjorck & Golub, Math. Comp. 27, 1973); this keeps
-    full accuracy at both ends of [0, pi/2].  The directions are the rows of
-    P^T A^T and Q^T B^T.
+    The cosines are the singular values of the cross-Gram M = A^T B = P C Q^T,
+    the sines those of the residual B - A M, and each angle is assembled with
+    atan2 (Bjorck & Golub, Math. Comp. 27, 1973); this keeps full accuracy at
+    both ends of [0, pi/2].  The directions are the rows of P^T A^T and
+    Q^T B^T.
     """
-    P, c, Qt = np.linalg.svd(np.swapaxes(A, -1, -2) @ B)
-    s = np.linalg.svd(np.swapaxes(complement_frames(A), -1, -2) @ B, compute_uv=False)
+    M = np.swapaxes(A, -1, -2) @ B
+    P, c, Qt = np.linalg.svd(M)
+    s = np.linalg.svd(B - A @ M, compute_uv=False)
     top = max(c.max(), s.max())
     if top > 1.0 + CLAMP_TOL:
         raise ValueError(f"cross-Gram singular value {top} exceeds 1 beyond tolerance")
@@ -191,7 +176,8 @@ def stacked_angles(A: np.ndarray, B: np.ndarray) -> StackedAngles:
 def canonical_sign(V: np.ndarray) -> np.ndarray:
     """Per vector (last axis) the sign, +1 or -1, that makes its
     largest-magnitude component non-negative."""
-    top = np.take_along_axis(V, np.abs(V).argmax(-1, keepdims=True), -1)[..., 0]
+    i = np.abs(V).argmax(-1)
+    top = V.reshape(-1, V.shape[-1])[np.arange(i.size), i.ravel()].reshape(i.shape)
     return np.where(top < 0, -1.0, 1.0)
 
 
@@ -242,16 +228,6 @@ def bivector_inner(a, b) -> float:
     return float(np.asarray(a, dtype=float) @ np.asarray(b, dtype=float))
 
 
-def plucker_defect(b) -> float:
-    """c12*c34 - c13*c24 + c14*c23; zero exactly on decomposable bivectors."""
-    c12, c13, c14, c23, c24, c34 = np.asarray(b, dtype=float)
-    return float(c12 * c34 - c13 * c24 + c14 * c23)
-
-
-def is_decomposable(b, tol: float = 1e-12) -> bool:
-    return abs(plucker_defect(b)) <= tol
-
-
 def plane_bivector(P: Plane) -> np.ndarray:
     """Unit decomposable bivector b1 ^ b2 representing the oriented plane."""
     return wedge(P.b1, P.b2)
@@ -271,19 +247,10 @@ _EMINUS_BASIS = np.array([
 ]) / _SQ2
 
 
-def gauss_point(P: Plane) -> GaussPoint:
-    """Self-dual / anti-self-dual coordinates of the plane's unit bivector.
-
-    plus  = coordinates of (eta + *eta)/2 in the fixed orthonormal E+ basis,
-    minus = coordinates of (eta - *eta)/2 in the fixed orthonormal E- basis.
-    """
-    if not P.oriented:
-        raise ValueError("gauss_point requires an oriented plane")
-    return GaussPoint(*_gauss_coords(plane_bivector(P)))
-
-
 def _gauss_coords(eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """E+ / E- coordinates of bivectors eta (last axis), as in ``gauss_point``."""
+    """E+ / E- coordinates of bivectors eta (last axis): those of the
+    self-dual part (eta + *eta)/2 in the E+ basis and of the anti-self-dual
+    part (eta - *eta)/2 in the E- basis."""
     star = hodge(eta)
     return ((eta + star) / 2.0) @ _EPLUS_BASIS.T, ((eta - star) / 2.0) @ _EMINUS_BASIS.T
 
@@ -298,8 +265,8 @@ def plane_angles_via_bivectors(V: Plane, W: Plane) -> tuple[float, float]:
     """
     ev = plane_bivector(V)
     ew = plane_bivector(W)
-    c = np.clip(bivector_inner(ev, ew), -1.0, 1.0)
-    cp = np.clip(bivector_inner(ev, hodge(ew)), -1.0, 1.0)
+    c = min(max(bivector_inner(ev, ew), -1.0), 1.0)
+    cp = min(max(bivector_inner(ev, hodge(ew)), -1.0), 1.0)
     return math.acos(c), math.acos(cp)
 
 
@@ -341,12 +308,28 @@ def plane_to_json(P: Plane) -> dict:
 
 
 def plane_from_json(obj: dict) -> Plane:
+    """Plane from a decoded JSON object.  A value of the wrong JSON type (a
+    coordinate that is not a number, booleans included, or an ``oriented``
+    that is not a boolean) is a TypeError naming the field; a missing field,
+    a wrong length, a non-finite or a non-orthonormal frame a ValueError."""
     if not isinstance(obj, dict):
         raise TypeError("plane JSON must be an object with fields b1 and b2, "
                         f"not {type(obj).__name__}")
     try:
-        return Plane(np.array(obj["b1"], dtype=float),
-                     np.array(obj["b2"], dtype=float),
-                     bool(obj.get("oriented", True)))
+        b1, b2 = (_json_coords(obj[key], key) for key in ("b1", "b2"))
     except KeyError as exc:
         raise ValueError(f"plane JSON is missing field {exc}") from exc
+    oriented = obj.get("oriented", True)
+    if not isinstance(oriented, bool):
+        raise TypeError(f"plane field oriented must be true or false, got {oriented!r}")
+    return Plane(b1, b2, oriented)
+
+
+def _json_coords(v, key: str) -> np.ndarray:
+    if not isinstance(v, list) or not all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in v):
+        raise TypeError(f"plane field {key} must be a list of numbers, got {v!r}")
+    try:
+        return np.array(v, dtype=float)
+    except OverflowError:
+        raise ValueError(f"plane field {key} has non-finite entries") from None

@@ -392,6 +392,11 @@ SIDECAR = {"nx": 3, "ny": 3, "x0": 0.0, "y0": 0.0, "hx": 1.0, "hy": 1.0,
     ("verify", {"graph": {**GRAPH, "domain": [0, 1e400, -1, 1]}}),
     ("verify", {"graph": {**GRAPH, "domain": [True, 1, -1, 1]}}),
     ("angles", [1, 2]),
+    ("angles", {"b1": [True, 0, 0, 0], "b2": [0, 1, 0, 0]}),
+    ("angles", {"b1": [1, 0, 0, 0], "b2": [0, 0, "1", 0]}),
+    ("angles", {"b1": [1, 0, 0, 0], "b2": [0, 0, "x", 0]}),
+    ("angles", {"b1": [1, 0, 0, 0], "b2": [0, 1, 0, 0], "oriented": "false"}),
+    ("verify", {"graph": GRAPH, "plane": {"b1": [1, 0, 0, 0], "b2": [0, True, 0, 0]}}),
     ("construct", {"c1": 10.0 / 3.0, "seed": {"u0": 1}}),
     ("construct", {"c1": 10.0 / 3.0, "seed": {"u0": "abc", "v0": 1}}),
     ("construct", {"c1": 10.0 / 3.0, "seed": {"u0": [1], "v0": 1}}),
@@ -406,7 +411,9 @@ SIDECAR = {"nx": 3, "ny": 3, "x0": 0.0, "y0": 0.0, "hx": 1.0, "hy": 1.0,
         "gate-string",
         "graph-string", "domain-string", "domain-null", "domain-one-number",
         "domain-with-string", "domain-five-numbers", "domain-infinite",
-        "domain-true", "angles-plane-list", "seed-without-v0",
+        "domain-true", "angles-plane-list", "plane-coordinate-true",
+        "plane-coordinate-numeric-string", "plane-coordinate-string",
+        "plane-oriented-string", "verify-plane-coordinate-true", "seed-without-v0",
         "seed-u0-string", "seed-u0-list", "seed-three-numbers",
         "sidecar-without-fields", "sidecar-fields-number", "sidecar-nx-list",
         "sidecar-not-json", "obj-sidecar-without-g"])
