@@ -20,6 +20,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,8 +38,6 @@ EXIT_DEGENERATE = 4
 EXIT_GATE = 5
 
 SOLUTION_FIELDS = ("f", "g", "fx", "fy", "gx", "gy")
-# sidecar entries that ``export`` reads
-SIDECAR_KEYS = {"nx", "ny", "x0", "y0", "hx", "hy", "fields"}
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +136,69 @@ class CliError(Exception):
         self.code = code
 
 
+class _Kind(NamedTuple):
+    """A kind of decoded JSON value: its name and its membership test."""
+    what: str
+    test: Callable[[object], bool]
+
+
+# booleans are never numbers; a JSON integer beyond float range is not finite
+NUMBER = _Kind("a finite number",
+               lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max)
+STRING = _Kind("a string", lambda v: isinstance(v, str))
+OBJECT = _Kind("an object", lambda v: isinstance(v, dict))
+NAMES = _Kind("a non-empty list of strings",
+              lambda v: isinstance(v, list) and v != [] and all(isinstance(k, str) for k in v))
+COUNT = _Kind("an integer >= 1", lambda v: type(v) is int and v >= 1)
+BRANCH = _Kind("1 or -1", lambda v: not isinstance(v, bool) and v in (1, -1))
+SEED = _Kind('"auto", a "u0,v0" string or an object with numbers u0 and v0',
+             lambda v: isinstance(v, (str, dict)))
+
+
+def _numbers(n: int) -> _Kind:
+    return _Kind(f"a list of {n} finite numbers",
+                 lambda v: isinstance(v, list) and len(v) == n and all(map(NUMBER.test, v)))
+
+
+_REQUIRED = object()
+
+
+def _field(cfg: dict, key: str, kind: _Kind, default=_REQUIRED, *, where: str = "config"):
+    """The value of ``key`` in the decoded JSON object ``cfg``, of the kind
+    ``kind``, or ``default`` (taken as it is) when the key is absent.  A
+    nested key is named through its parent (``"seed.u0"``) and looked up by
+    its last part in ``cfg``, the parent object.  A required key that is
+    absent or a value of another kind is a parse error naming the key in
+    ``where``; values are returned as decoded, never coerced."""
+    name = key.rpartition(".")[2]
+    if name not in cfg:
+        if default is _REQUIRED:
+            raise CliError(EXIT_PARSE, f"{where} is missing {key}")
+        return default
+    value = cfg[name]
+    if not kind.test(value):
+        raise CliError(EXIT_PARSE, f"{where} {key} must be {kind.what}, got {value!r}")
+    return value
+
+
+def _seed_pair(text: str) -> tuple[float, float]:
+    """(u0, v0) from the text form "u0,v0" of a seed: two JSON numbers."""
+    try:
+        pair = json.loads(f"[{text}]")
+    except json.JSONDecodeError:
+        pair = None
+    if not _numbers(2).test(pair):
+        raise CliError(EXIT_PARSE, f"seed must be {SEED.what}, got {text!r}")
+    return pair[0], pair[1]
+
+
+def _finite_flag(flag: str, value: float | None) -> float | None:
+    """An optional float option; nan and inf are precondition violations."""
+    if value is not None and not math.isfinite(value):
+        raise CliError(EXIT_PRECONDITION, f"{flag} must be finite, got {value}")
+    return value
+
+
 def _radians_guard(name: str, value: float) -> float:
     if abs(value) > math.pi:
         raise CliError(EXIT_PRECONDITION,
@@ -177,9 +239,6 @@ def _plane_from_arg(text: str, what: str) -> Plane:
 def _single_var_data(expr_src: str, var_hint: str, order: int):
     """Parse a phi/psi expression of x; return the evaluator of it and of its
     first ``order`` derivatives (an array of x in, a tuple of arrays out)."""
-    if not isinstance(expr_src, str):
-        raise CliError(EXIT_PARSE, f"{var_hint} must be an expression string, "
-                                   f"got {expr_src!r}")
     try:
         expr = parse_expr(expr_src)
     except ParseError as exc:
@@ -193,38 +252,14 @@ def _single_var_data(expr_src: str, var_hint: str, order: int):
     return lambda x: tuple(e.eval(x) for e in parts)
 
 
-def _seed_from(seed_cfg) -> tuple[float, float]:
-    """(u0, v0) from a seed object or a "u0,v0" string; anything else is
-    a parse error."""
-    try:
-        parts = ((seed_cfg["u0"], seed_cfg["v0"]) if isinstance(seed_cfg, dict)
-                 else seed_cfg.split(","))
-        u0, v0 = (float(t) for t in parts)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise CliError(EXIT_PARSE, 'seed must be "auto", "u0,v0" or an object '
-                                   f"with numbers u0 and v0: {exc!r}") from exc
-    return u0, v0
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-
-
-def _is_numbers(v, n: int) -> bool:
-    """``v`` is a list of exactly ``n`` finite numbers."""
-    return isinstance(v, (list, tuple)) and len(v) == n and all(map(_is_number, v))
-
-
 def _grid_and_gate(patch, grid, gate: float | None) -> tuple[tuple[int, int], float]:
     """Sampling grid (N, M) and residual gate of a ``verify`` or ``example``
-    run.  The grid must be two finite numbers (exit 2 otherwise), truncated
-    to integers, and the square of each grid step a positive normal float
-    (exit 3 otherwise: the second differences divide by it); a gate of None
-    takes ``default_gate`` at the coarser spacing of that grid, any other
-    gate (0 included) is kept."""
-    if not _is_numbers(grid, 2):
-        raise CliError(EXIT_PARSE, "config 'grid' must be a list of two numbers")
-    N, M = int(grid[0]), int(grid[1])
+    run.  The grid is two finite numbers, truncated to integers; the square
+    of each grid step must be a positive normal float (exit 3 otherwise: the
+    second differences divide by it).  A gate of None takes ``default_gate``
+    at the coarser spacing of that grid, any other gate (0 included) is
+    kept."""
+    N, M = map(math.trunc, grid)
     steps = [(b - a) / max(n - 1, 1)
              for (a, b), n in ((patch.u_range, N), (patch.v_range, M))]
     if not all(sys.float_info.min <= h * h < math.inf for h in steps):
@@ -234,7 +269,7 @@ def _grid_and_gate(patch, grid, gate: float | None) -> tuple[tuple[int, int], fl
                        "positive normal float")
     if gate is None:
         gate = default_gate(patch, max(steps))
-    return (N, M), float(gate)
+    return (N, M), gate
 
 
 def _report_payload(report, gate: float, extra: dict | None = None) -> dict:
@@ -254,10 +289,7 @@ def _report_payload(report, gate: float, extra: dict | None = None) -> dict:
 def _cmd_angles(args) -> int:
     if args.config:
         cfg = _load_json(args.config)
-        try:
-            V, W = cfg["V"], cfg["W"]
-        except KeyError as exc:
-            raise CliError(EXIT_PARSE, f"config is missing plane {exc}")
+        V, W = (_field(cfg, k, OBJECT) for k in ("V", "W"))
         V, W = _plane(V, "V"), _plane(W, "W")
     elif args.v and args.w:
         V = _plane_from_arg(args.v, "--v")
@@ -274,51 +306,34 @@ def _cmd_angles(args) -> int:
 
 def _surface_from_config(cfg: dict):
     """Build (patch, plane, meta) from a verify-config dictionary."""
-    for key in ("surface", "graph"):
-        if not isinstance(cfg.get(key, {}), dict):
-            raise CliError(EXIT_PARSE, f"config '{key}' must be an object")
-    if "surface" in cfg:
-        spec = dict(cfg["surface"])
-        kind = spec.pop("kind", None)
-        if kind is None:
-            raise CliError(EXIT_PARSE, "surface config needs a 'kind'")
+    surface, graph, plane = (_field(cfg, k, OBJECT, None)
+                             for k in ("surface", "graph", "plane"))
+    if surface is not None:
+        kind = _field(surface, "surface.kind", STRING)
         try:
-            cs = catalog.generate(kind, **spec)
+            cs = catalog.generate(kind, **{k: v for k, v in surface.items() if k != "kind"})
         except (ValueError, TypeError) as exc:
             raise CliError(EXIT_PRECONDITION, f"surface: {exc}") from exc
-        plane = cs.plane
-        if "plane" in cfg:
-            plane = _plane(cfg["plane"], "plane")
-        return cs.patch, plane, {"kind": kind,
-                                 "expected": [cs.expected.theta1, cs.expected.theta2]}
-    if "graph" in cfg:
-        g = cfg["graph"]
-        try:
-            fe = parse_expr(g["f"])
-            ge = parse_expr(g["g"])
-        except KeyError as exc:
-            raise CliError(EXIT_PARSE, f"graph config needs {exc}")
-        except ParseError as exc:
-            raise CliError(EXIT_PARSE, str(exc))
-        dom = g.get("domain", [-1.0, 1.0, -1.0, 1.0])
-        if not _is_numbers(dom, 4):
-            raise CliError(EXIT_PARSE, "graph 'domain' must be a list of four numbers")
-        patch = GraphSurface.from_callables(scalar_jet_from_exprs(fe),
-                                            scalar_jet_from_exprs(ge),
+        patch, default_plane = cs.patch, cs.plane
+        meta = {"kind": kind, "expected": [cs.expected.theta1, cs.expected.theta2]}
+    elif graph is not None:
+        f, g = (_field(graph, f"graph.{k}", STRING) for k in ("f", "g"))
+        dom = _field(graph, "graph.domain", _numbers(4), [-1.0, 1.0, -1.0, 1.0])
+        patch = GraphSurface.from_callables(scalar_jet_from_exprs(parse_expr(f)),
+                                            scalar_jet_from_exprs(parse_expr(g)),
                                             (dom[0], dom[1]), (dom[2], dom[3])).patch()
-        plane = _plane(cfg["plane"], "plane") if "plane" in cfg else \
-            Plane(np.eye(4)[0], np.eye(4)[1])
-        return patch, plane, {"kind": "graph", "f": g["f"], "g": g["g"]}
-    raise CliError(EXIT_PARSE, "config needs a 'surface' or 'graph' entry")
+        default_plane = Plane(np.eye(4)[0], np.eye(4)[1])
+        meta = {"kind": "graph", "f": f, "g": g}
+    else:
+        raise CliError(EXIT_PARSE, "config needs a 'surface' or 'graph' entry")
+    return patch, default_plane if plane is None else _plane(plane, "plane"), meta
 
 
 def _cmd_verify(args) -> int:
     cfg = _load_json(args.config)
     patch, plane, meta = _surface_from_config(cfg)
-    if "gate" in cfg and not _is_number(cfg["gate"]):
-        raise CliError(EXIT_PARSE, "config 'gate' must be a number")
-    grid, gate = _grid_and_gate(patch, cfg.get("grid", [30, 30]),
-                                cfg.get("gate", args.gate))
+    grid, gate = _grid_and_gate(patch, _field(cfg, "grid", _numbers(2), [30, 30]),
+                                _field(cfg, "gate", NUMBER, _finite_flag("--gate", args.gate)))
     try:
         report = verify_helix(patch, plane, grid)
     except ImmersionError as exc:
@@ -341,7 +356,7 @@ def _cmd_example(args) -> int:
         cs = catalog.named_example(args.name)
     except ValueError as exc:
         raise CliError(EXIT_PRECONDITION, str(exc))
-    grid, gate = _grid_and_gate(cs.patch, args.grid, args.gate)
+    grid, gate = _grid_and_gate(cs.patch, args.grid, _finite_flag("--gate", args.gate))
     report = verify_helix(cs.patch, cs.plane, grid)
     meta = {"example": args.name,
             "plane": plane_to_json(cs.plane),
@@ -414,9 +429,7 @@ def _cmd_construct(args) -> int:
         except ValueError as exc:
             raise CliError(EXIT_PRECONDITION, str(exc))
     elif "c1" in cfg:
-        if not _is_number(cfg["c1"]):
-            raise CliError(EXIT_PARSE, f"config c1 must be a finite number, got {cfg['c1']!r}")
-        c_norm = float(cfg["c1"])
+        c_norm = _field(cfg, "c1", NUMBER)
         if c_norm <= 2:
             raise CliError(EXIT_PRECONDITION, "config c1 must exceed 2")
         m_scale = 1.0
@@ -426,24 +439,23 @@ def _cmd_construct(args) -> int:
         raise CliError(EXIT_PARSE,
                        "construct needs --theta1/--theta2 or a config with c1")
 
-    try:
-        x0, x1 = (float(t) for t in cfg.get("x", (args.x0, args.x1)))
-        y_max, hx, hy = (float(cfg.get(k, getattr(args, k))) for k in ("ymax", "hx", "hy"))
-    except (TypeError, ValueError) as exc:
-        raise CliError(EXIT_PARSE, "config x (two numbers), ymax, hx and hy "
-                                   f"must be numbers: {exc}") from exc
-    branch = cfg.get("branch", args.branch)
-    if branch not in (1, -1):
-        raise CliError(EXIT_PARSE, f"config branch must be 1 or -1, got {branch!r}")
-    branch = int(branch)
-    x_range = (x0, x1)
+    x_range = tuple(_field(cfg, "x", _numbers(2), (args.x0, args.x1)))
+    y_max, hx, hy = (_field(cfg, k, NUMBER, getattr(args, k)) for k in ("ymax", "hx", "hy"))
+    branch = _field(cfg, "branch", BRANCH, args.branch)
+    seed = _field(cfg, "seed", SEED, "auto" if args.seed is None else args.seed)
+    if isinstance(seed, dict):
+        seed = tuple(_field(seed, f"seed.{k}", NUMBER) for k in ("u0", "v0"))
+    elif seed != "auto":
+        seed = _seed_pair(seed)
+    custom_data = "phi" in cfg or "psi" in cfg
+    if custom_data:
+        phi = _single_var_data(_field(cfg, "phi", STRING), "phi", 2)
+        psi = _single_var_data(_field(cfg, "psi", STRING), "psi", 1)
+    _finite_flag("--curvature", args.curvature)
+    gate = _finite_flag("--gate", args.gate)
     hc.check_window(x_range, y_max, hx, hy)   # ValueError: exit 3
 
-    custom_data = "phi" in cfg or "psi" in cfg
-    seed_cfg = cfg.get("seed", "auto" if args.seed is None else args.seed)
-    if seed_cfg != "auto":
-        seed = _seed_from(seed_cfg)
-    else:
+    if seed == "auto":
         try:
             if custom_data:
                 seed = hc.find_noncharacteristic_seed(c_norm, branch)
@@ -454,13 +466,7 @@ def _cmd_construct(args) -> int:
                                                args.curvature, branch)
         except ValueError as exc:
             raise CliError(EXIT_DEGENERATE, f"seed scan failed: {exc}") from exc
-
-    if custom_data:
-        if not ("phi" in cfg and "psi" in cfg):
-            raise CliError(EXIT_PARSE, "config must give both phi and psi")
-        phi = _single_var_data(cfg["phi"], "phi", 2)
-        psi = _single_var_data(cfg["psi"], "psi", 1)
-    else:
+    if not custom_data:
         phi, psi = hc.paper_initial_data(seed[0], seed[1], args.curvature)
 
     try:
@@ -484,7 +490,6 @@ def _cmd_construct(args) -> int:
     inner = [d[k][1:-1, 1:-1] for k in ("fx", "fy", "gx", "gy")]
     residuals = dict(zip(hc.GRAPH_RESIDUALS,
                          hc.residual_maxima(hc.GRAPH_RESIDUALS, inner, params)))
-    gate = args.gate
     passed = max(residuals.values()) < gate
 
     header = {
@@ -523,24 +528,16 @@ def _cmd_export(args) -> int:
         raise CliError(EXIT_PARSE,
                        f"no saved grid at {args.grid} (.bin/.meta.json missing)")
     meta = _load_json(str(meta_path))
-    fields = meta.get("fields")
-    if not (SIDECAR_KEYS <= meta.keys() and isinstance(fields, list) and fields
-            and all(isinstance(k, str) for k in fields)):
-        raise CliError(EXIT_PARSE, f"{meta_path} needs the fields "
-                                   f"{', '.join(sorted(SIDECAR_KEYS))}, "
-                                   "with 'fields' a list of names")
+    where = str(meta_path)
+    fields = _field(meta, "fields", NAMES, where=where)
+    nx, ny = (_field(meta, k, COUNT, where=where) for k in ("nx", "ny"))
+    x0, y0, hx, hy = (_field(meta, k, NUMBER, where=where) for k in ("x0", "y0", "hx", "hy"))
     if args.format == "obj" and not {"f", "g"} <= set(fields):
         raise CliError(EXIT_PARSE, f"{meta_path}: an OBJ export needs the fields f and g")
-    try:
-        nx, ny = int(meta["nx"]), int(meta["ny"])
-        x0, y0, hx, hy = (float(meta[k]) for k in ("x0", "y0", "hx", "hy"))
-    except (TypeError, ValueError) as exc:
-        raise CliError(EXIT_PARSE, f"{meta_path}: nx, ny, x0, y0, hx and hy "
-                                   f"must be numbers: {exc}") from exc
     data = np.frombuffer(bin_path.read_bytes(), dtype=np.float64)
     data = data.reshape(len(fields), ny, nx)   # ValueError (size mismatch): exit 3
-    xs = x0 + hx * np.arange(nx)
-    ys = y0 + hy * np.arange(ny)
+    xs = x0 + hx * np.arange(nx, dtype=float)
+    ys = y0 + hy * np.arange(ny, dtype=float)
     layers = dict(zip(fields, data))
 
     if args.format == "csv":

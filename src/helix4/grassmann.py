@@ -308,17 +308,17 @@ def plane_to_json(P: Plane) -> dict:
 
 
 def plane_from_json(obj: dict) -> Plane:
-    """Plane from a decoded JSON object.  A value of the wrong JSON type (a
-    coordinate that is not a number, booleans included, or an ``oriented``
-    that is not a boolean) is a TypeError naming the field; a missing field,
-    a wrong length, a non-finite or a non-orthonormal frame a ValueError."""
+    """Plane from a decoded JSON object.  A missing field or a value of the
+    wrong JSON type (a coordinate that is not a number, booleans included, or
+    an ``oriented`` that is not a boolean) is a TypeError naming the field; a
+    wrong length, a non-finite or a non-orthonormal frame a ValueError."""
     if not isinstance(obj, dict):
         raise TypeError("plane JSON must be an object with fields b1 and b2, "
                         f"not {type(obj).__name__}")
     try:
         b1, b2 = (_json_coords(obj[key], key) for key in ("b1", "b2"))
     except KeyError as exc:
-        raise ValueError(f"plane JSON is missing field {exc}") from exc
+        raise TypeError(f"plane JSON is missing field {exc}") from exc
     oriented = obj.get("oriented", True)
     if not isinstance(oriented, bool):
         raise TypeError(f"plane field oriented must be true or false, got {oriented!r}")

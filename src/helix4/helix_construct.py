@@ -738,10 +738,10 @@ def deform(m: float, c: float) -> PrincipalAngles:
     tan(theta_i) with c - sqrt(c^2-4) = 4/(c + sqrt(c^2-4)) to avoid the
     cancellation for large c.
     """
-    if m <= 0:
-        raise ValueError("deformation parameter m must be positive")
-    if c <= 2:
-        raise ValueError("normalized constant c must exceed 2")
+    if not (math.isfinite(m) and m > 0):
+        raise ValueError(f"deformation parameter m must be finite and > 0, got {m}")
+    if not (math.isfinite(c) and c > 2):
+        raise ValueError(f"normalized constant c must be finite and > 2, got {c}")
     s = math.sqrt(c * c - 4.0)
     tan2_1 = 2.0 * m * m / (c + s)           # m^2 (c - s)/2, stably
     tan2_2 = 0.5 * m * m * (c + s)

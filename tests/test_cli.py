@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -78,6 +79,17 @@ def test_deform_rejects_degrees(capsys):
 def test_deform_rejects_c_below_two(capsys):
     code, _, _ = run(capsys, "deform", "--m", "1", "--c", "1.5")
     assert code == EXIT_PRECONDITION
+
+
+@pytest.mark.parametrize("m, c, named", [
+    ("inf", "3.3", "parameter m"), ("nan", "3.3", "parameter m"),
+    ("1", "inf", "constant c"), ("1", "nan", "constant c"),
+])
+def test_deform_rejects_non_finite_m_and_c(capsys, m, c, named):
+    code, out, err = run(capsys, "deform", "--m", m, "--c", c)
+    assert code == EXIT_PRECONDITION
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert f"{named} must be finite" in err
 
 
 def test_example_torus_passes(tmp_path, capsys):
@@ -406,6 +418,14 @@ SIDECAR = {"nx": 3, "ny": 3, "x0": 0.0, "y0": 0.0, "hx": 1.0, "hy": 1.0,
     ("export", {**SIDECAR, "fields": ["f"], "nx": [3]}),
     ("export", '{"nx": 3,'),
     ("export-obj", {**SIDECAR, "fields": ["f", "fx"]}),
+    ("angles", {"b2": [0, 1, 0, 0]}),
+    ("verify", {"graph": GRAPH, "plane": {"b1": [1, 0, 0, 0]}}),
+    ("verify", {"graph": {**GRAPH, "f": 5}}),
+    ("verify", {"graph": {**GRAPH, "g": None}}),
+    ("export-json", {**SIDECAR, "fields": ["f"], "nx": -1}),
+    ("export", {**SIDECAR, "fields": ["f"], "nx": -1}),
+    ("export-obj", {**SIDECAR, "fields": ["f", "g"], "nx": -1}),
+    ("export", {**SIDECAR, "fields": ["f"], "ny": 0}),
 ], ids=["config-number", "surface-number", "plane-list", "grid-string",
         "grid-one-number", "grid-three-numbers", "gate-list", "gate-null",
         "gate-string",
@@ -416,7 +436,10 @@ SIDECAR = {"nx": 3, "ny": 3, "x0": 0.0, "y0": 0.0, "hx": 1.0, "hy": 1.0,
         "plane-oriented-string", "verify-plane-coordinate-true", "seed-without-v0",
         "seed-u0-string", "seed-u0-list", "seed-three-numbers",
         "sidecar-without-fields", "sidecar-fields-number", "sidecar-nx-list",
-        "sidecar-not-json", "obj-sidecar-without-g"])
+        "sidecar-not-json", "obj-sidecar-without-g", "plane-without-b1",
+        "verify-plane-without-b2", "graph-f-number", "graph-g-null",
+        "json-sidecar-nx-negative", "sidecar-nx-negative", "obj-sidecar-nx-negative",
+        "sidecar-ny-zero"])
 def test_malformed_json_is_parse_error(tmp_path, capsys, command, document):
     # a JSON document of the wrong shape (a string: the text of a document
     # that is not JSON) exits 2 with one error line
@@ -430,7 +453,7 @@ def test_malformed_json_is_parse_error(tmp_path, capsys, command, document):
         (tmp_path / "doc.bin").write_bytes(
             bytes(8 * 9 * len(fields)) if isinstance(fields, list) else b"")
         argv = ["export", "--grid", str(tmp_path / "doc"),
-                "--format", "obj" if command == "export-obj" else "csv",
+                "--format", command.partition("-")[2] or "csv",
                 "--out", str(tmp_path / "out.txt")]
     else:
         argv = [command, "--config", str(path)]
@@ -438,6 +461,90 @@ def test_malformed_json_is_parse_error(tmp_path, capsys, command, document):
     code, _, err = run(capsys, *argv)
     assert code == EXIT_PARSE
     assert err.startswith("error: ")
+
+
+P12 = json.loads(PLANE_12)
+C1 = 10.0 / 3.0
+# per command and key: a valid document holding the key, and whether the key
+# is of a string kind (the string probes are then skipped)
+KEY_BASES = {
+    "angles": ({"V": P12, "W": P12}, {"V": False, "W": False}),
+    "verify-surface": ({"surface": {"kind": "plane"}, "grid": [5, 5]},
+                       {"surface": False, "surface.kind": True}),
+    "verify": ({"graph": {**GRAPH, "domain": [-1, 1, -1, 1]}, "plane": P12,
+                "grid": [5, 5], "gate": 1e-3},
+               {"graph": False, "graph.f": True, "graph.g": True, "graph.domain": False,
+                "plane": False, "grid": False, "gate": False}),
+    "construct": ({"c1": C1, "x": [-0.05, 0.05], "ymax": 0.006, "hx": 1e-3, "hy": 1e-3,
+                   "branch": 1, "seed": {"u0": -1.176142304907481, "v0": 1.2179310100632075},
+                   "phi": "x^2 - 1.176142304907481*x", "psi": "x + 1.2179310100632075"},
+                  {"c1": False, "x": False, "ymax": False, "hx": False, "hy": False,
+                   "branch": False, "seed": False, "seed.u0": False, "seed.v0": False,
+                   "phi": True, "psi": True}),
+    "export": ({**SIDECAR, "fields": ["f", "g"]},
+               {k: False for k in ("nx", "ny", "x0", "y0", "hx", "hy", "fields")}),
+}
+PROBES = {"null": None, "true": True, "abc": "abc", "numeric-string": "0.1",
+          "empty-list": [], "empty-object": {}, "1e400": math.inf}
+KEY_CASES = [pytest.param(base, key, value, id=f"{base}-{key}-{label}")
+             for base, (_, keys) in KEY_BASES.items() for key, string_kind in keys.items()
+             for label, value in PROBES.items()
+             if not (string_kind and isinstance(value, str))]
+
+
+def run_key_document(capsys, tmp_path, base, document):
+    # JSON has no infinity: 1e400 is the number literal that decodes to it
+    text = json.dumps(document).replace("Infinity", "1e400")
+    command = base.partition("-")[0]
+    if command == "export":
+        (tmp_path / "doc.meta.json").write_text(text)
+        (tmp_path / "doc.bin").write_bytes(bytes(8 * 9 * 2))
+        argv = ["export", "--grid", str(tmp_path / "doc"), "--format", "csv",
+                "--out", str(tmp_path / "out.csv")]
+    else:
+        (tmp_path / "doc.json").write_text(text)
+        argv = [command, "--config", str(tmp_path / "doc.json")]
+    return run(capsys, *argv)
+
+
+@pytest.mark.parametrize("base", KEY_BASES)
+def test_key_table_documents_are_valid(tmp_path, capsys, base):
+    code, _, err = run_key_document(capsys, tmp_path, base, KEY_BASES[base][0])
+    assert code in (EXIT_OK, EXIT_GATE) and err == ""
+
+
+@pytest.mark.parametrize("base, key, value", KEY_CASES)
+def test_every_key_rejects_a_value_of_another_kind(
+        tmp_path, capsys, monkeypatch, base, key, value):
+    # one error line naming the key (nested keys through their parent), exit
+    # 2, nothing on stdout, and no seed scan
+    def no_scan(*args):
+        raise AssertionError("the seed scan ran")
+
+    monkeypatch.setattr(hc, "_seed_scan", no_scan)
+    document = json.loads(json.dumps(KEY_BASES[base][0]))
+    *parents, name = key.split(".")
+    holder = document
+    for parent in parents:
+        holder = holder[parent]
+    holder[name] = value
+    code, out, err = run_key_document(capsys, tmp_path, base, document)
+    assert code == EXIT_PARSE, err
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert re.search(rf"\b{re.escape(key)}\b", err), err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["verify", "example"])
+@pytest.mark.parametrize("gate", ["nan", "inf", "-inf"])
+def test_a_non_finite_gate_flag_is_a_precondition_error(tmp_path, capsys, command, gate):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"surface": {"kind": "plane"}, "grid": [5, 5]}))
+    argv = (["verify", "--config", str(cfg)] if command == "verify"
+            else ["example", "plane", "--grid", "5", "5"])
+    code, out, err = run(capsys, *argv, f"--gate={gate}")
+    assert code == EXIT_PRECONDITION
+    assert out == "" and err == f"error: --gate must be finite, got {float(gate)}\n"
 
 
 THETAS = ("--theta1", "0.5235987756", "--theta2", "1.0471975512")
@@ -495,11 +602,29 @@ def test_verify_reversed_domain_is_kept(tmp_path, capsys):
     ((), {"c1": 3.3333333333, "seed": "0.1,0.2", "phi": "x", "psi": 5}, EXIT_PARSE, "psi"),
     ((), {"c1": 3.3333333333, "seed": "0.1,0.2", "phi": ["x"], "psi": "x"},
      EXIT_PARSE, "phi"),
+    ((), {"c1": 3.3333333333, "x": [True, 0.05]}, EXIT_PARSE, "config x "),
+    ((), {"c1": 3.3333333333, "hx": True}, EXIT_PARSE, "config hx "),
+    ((), {"c1": 3.3333333333, "ymax": "0.006"}, EXIT_PARSE, "config ymax "),
+    ((), {"c1": 3.3333333333, "branch": True}, EXIT_PARSE, "config branch "),
+    ((), {"c1": 3.3333333333, "seed": {"u0": "0.1", "v0": True}}, EXIT_PARSE,
+     "config seed.u0 "),
+    ((), {"c1": 3.3333333333, "seed": {"u0": 0.1, "v0": True}}, EXIT_PARSE,
+     "config seed.v0 "),
+    (("--seed", "nan,1"), None, EXIT_PARSE, "seed"),
+    (("--seed", ".5,1"), None, EXIT_PARSE, "seed"),
+    (("--curvature", "nan"), None, EXIT_PRECONDITION, "--curvature"),
+    (("--curvature", "inf"), None, EXIT_PRECONDITION, "--curvature"),
+    (("--gate", "nan"), None, EXIT_PRECONDITION, "--gate"),
+    (("--gate", "inf"), None, EXIT_PRECONDITION, "--gate"),
 ], ids=["hx-zero", "hy-zero", "config-hx-zero", "hx-negative", "hx-nan",
         "hx-inf", "hx-too-coarse", "ymax-zero", "ymax-nan", "x-reversed",
         "config-hx-string", "config-branch-two", "config-c1-null", "config-c1-list",
         "config-c1-string", "config-c1-infinite", "config-c1-two",
-        "config-psi-number", "config-phi-list"])
+        "config-psi-number", "config-phi-list", "config-x-entry-true",
+        "config-hx-true", "config-ymax-string", "config-branch-true",
+        "config-seed-u0-string", "config-seed-v0-true", "seed-nan",
+        "seed-not-json-numbers", "curvature-nan",
+        "curvature-inf", "gate-nan", "gate-inf"])
 def test_construct_window_is_checked_before_the_seed_scan(
         tmp_path, capsys, monkeypatch, options, config, code, named):
     def no_scan(*args):
@@ -512,9 +637,10 @@ def test_construct_window_is_checked_before_the_seed_scan(
         options = ("--config", str(path))
     else:
         options = THETAS + options
-    rc, _, err = run(capsys, "construct", *options)
+    rc, out, err = run(capsys, "construct", *options)
     assert rc == code
     assert err.startswith("error: ") and named in err
+    assert out == "" and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command, document, code, offset", [

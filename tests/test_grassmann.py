@@ -339,7 +339,7 @@ def test_plane_json_round_trip():
     Q = plane_from_json(obj)
     assert np.allclose(Q.frame(), P.frame())
     assert not plane_from_json({**obj, "oriented": False}).oriented
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError, match="missing field 'b2'"):
         plane_from_json({"b1": [1, 0, 0, 0]})
 
 
