@@ -33,6 +33,7 @@ __all__ = [
     "CatalogSurface",
     "CurveJet",
     "generate",
+    "NUMBER_PARAMS",
     "orbit_surface",
     "line_curve",
     "helix_curve",
@@ -295,6 +296,16 @@ def _derived_expected(patch: SurfacePatch, Pi: Plane) -> PrincipalAngles:
     u = 0.5 * (patch.u_range[0] + patch.u_range[1])
     v = 0.5 * (patch.v_range[0] + patch.v_range[1])
     return principal_angles(Plane(*_tangent_frame(patch.jet(u, v))), Pi)
+
+
+# the scalar parameters of each kind; a reader of decoded JSON checks that
+# they are numbers before ``generate`` converts them with float()
+NUMBER_PARAMS = {
+    "clifford_torus": ("r1", "r2"),
+    "product_circles": ("r1", "r2"),
+    "product_helix_cylinder": ("theta", "radius", "pitch"),
+    "revolution_orbit": ("theta", "offset", "a", "b", "z0", "R", "beta"),
+}
 
 
 def generate(kind: str, **params) -> CatalogSurface:

@@ -310,6 +310,8 @@ def _surface_from_config(cfg: dict):
                              for k in ("surface", "graph", "plane"))
     if surface is not None:
         kind = _field(surface, "surface.kind", STRING)
+        for key in catalog.NUMBER_PARAMS.get(kind, ()):
+            _field(surface, f"surface.{key}", NUMBER, None)
         try:
             cs = catalog.generate(kind, **{k: v for k, v in surface.items() if k != "kind"})
         except (ValueError, TypeError) as exc:

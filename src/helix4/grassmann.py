@@ -140,12 +140,89 @@ class StackedAngles(NamedTuple):
     degenerate: np.ndarray
 
 
+def _require_finite(*arrays) -> None:
+    """The closed-form routes fail on non-finite frames as LAPACK does."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+
+def _rotations(angle: np.ndarray) -> np.ndarray:
+    """Stacked 2x2 rotation matrices [[cos, -sin], [sin, cos]]."""
+    c, s = np.cos(angle), np.sin(angle)
+    return np.stack([c, -s, s, c], axis=-1).reshape(angle.shape + (2, 2))
+
+
+def _svd2(M: np.ndarray):
+    """Closed-form SVD M = P diag(sv) Q^T of stacked 2x2 matrices (Blinn,
+    "Consider the lowly 2x2 matrix", IEEE CG&A 1996): M is the rotation by
+    (a2 + a1)/2, the diagonal (Q + R, Q - R), then the rotation by
+    (a2 - a1)/2; where Q - R < 0 the second column of P is negated."""
+    a, b, c, d = M[..., 0, 0], M[..., 0, 1], M[..., 1, 0], M[..., 1, 1]
+    E, F, G, H = (a + d) / 2, (a - d) / 2, (c + b) / 2, (c - b) / 2
+    Q, R = np.hypot(E, H), np.hypot(F, G)
+    a1, a2 = np.arctan2(G, F), np.arctan2(H, E)
+    P = _rotations((a2 + a1) / 2)
+    P[..., 1] *= np.where(Q < R, -1.0, 1.0)[..., None]
+    return P, np.stack([Q + R, np.abs(Q - R)], axis=-1), _rotations((a2 - a1) / 2)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner products of 4-vectors along the last axis."""
+    return np.einsum("...k,...k->...", a, b)
+
+
+def _residual_svals(X: np.ndarray) -> np.ndarray:
+    """Singular values (..., 2), descending, of stacked 4x2 matrices X: from
+    the column-pivoted Gram-Schmidt factor [[r11, r12], [0, r22]], s_max by
+    the hypot form of its 2x2 SVD and s_min = r11 r22 / s_max."""
+    x, y = X[..., 0], X[..., 1]
+    xx, yy = _dot(x, x), _dot(y, y)
+    pivot = (yy > xx)[..., None]
+    x, y = np.where(pivot, y, x), np.where(pivot, x, y)
+    xx = np.maximum(xx, yy)
+    r11 = np.sqrt(xx)
+    xy = _dot(x, y)
+    nonzero = xx > 0
+    r22 = np.linalg.norm(y - (xy / np.where(nonzero, xx, 1.0))[..., None] * x, axis=-1)
+    r12 = xy / np.where(nonzero, r11, 1.0)
+    s_max = (np.hypot(r11 + r22, r12) + np.hypot(r11 - r22, r12)) / 2
+    return np.stack([s_max, r11 * r22 / np.where(nonzero, s_max, 1.0)], axis=-1)
+
+
+def _projector_column(A: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Column k (per plane) of the projector I - A A^T, (..., 4)."""
+    Ak = np.take_along_axis(A, k[..., None, None], axis=-2)
+    return np.eye(4)[k] - (A @ np.swapaxes(Ak, -1, -2))[..., 0]
+
+
 def complement_frames(A: np.ndarray) -> np.ndarray:
     """Orthonormal frames (..., 4, 2) of the orthogonal complements of the
-    planes framed by A (..., 4, 2), oriented so det[A, A-perp] > 0."""
-    n = np.linalg.svd(A, full_matrices=True)[0][..., 2:]
-    flip = np.linalg.det(np.concatenate([A, n], axis=-1)) < 0
-    n[..., 1] *= np.where(flip, -1.0, 1.0)[..., None]
+    planes framed by A (..., 4, 2), oriented so det[A, A-perp] > 0.
+
+    One plane takes the full SVD of A.  A stack takes Gram-Schmidt on the
+    columns (e_i - A A_i, e_j - A A_j) of the projector I - A A^T whose 2x2
+    principal minor is largest, then projects the result against A once
+    more, which holds the complement to rounding.  For the pair (i, j) with
+    wedge index p, h_p = det[A, e_i, e_j] is the Hodge dual coordinate
+    *(a1 ^ a2)_p; the minor is h_p^2, the six minors sum to 1 (so the
+    largest is >= 1/6 and the two columns are never near parallel), and
+    Gram-Schmidt keeps the sign of det[A, e_i, e_j], so h_p orients.
+    """
+    if A.ndim > 2:
+        _require_finite(A)
+        h = hodge(wedge(A[..., 0], A[..., 1]))
+        p = np.abs(h).argmax(-1)
+        x = _projector_column(A, _WEDGE_I[p])
+        x /= np.linalg.norm(x, axis=-1, keepdims=True)
+        y = _projector_column(A, _WEDGE_J[p])
+        y -= _dot(x, y)[..., None] * x
+        n = np.stack([x, y / np.linalg.norm(y, axis=-1, keepdims=True)], axis=-1)
+        n -= A @ (np.swapaxes(A, -1, -2) @ n)
+        det = np.take_along_axis(h, p[..., None], axis=-1)[..., 0]
+    else:
+        n = np.linalg.svd(A, full_matrices=True)[0][..., 2:]
+        det = np.linalg.det(np.concatenate([A, n], axis=-1))
+    n[..., 1] *= np.where(det < 0, -1.0, 1.0)[..., None]
     return n
 
 
@@ -157,12 +234,20 @@ def stacked_angles(A: np.ndarray, B: np.ndarray) -> StackedAngles:
     the sines those of the residual B - A M, and each angle is assembled with
     atan2 (Bjorck & Golub, Math. Comp. 27, 1973); this keeps full accuracy at
     both ends of [0, pi/2].  The directions are the rows of P^T A^T and
-    Q^T B^T.
+    Q^T B^T.  One pair takes both SVDs from LAPACK; a stack takes them in
+    closed form (``_svd2``, ``_residual_svals``), which is much faster on
+    many small matrices.
     """
-    M = np.swapaxes(A, -1, -2) @ B
-    P, c, Qt = np.linalg.svd(M)
-    s = np.linalg.svd(B - A @ M, compute_uv=False)
-    top = max(c.max(), s.max())
+    if A.ndim > 2 or B.ndim > 2:
+        _require_finite(A, B)
+        M = np.swapaxes(A, -1, -2) @ B
+        P, c, Qt = _svd2(M)
+        s = _residual_svals(B - A @ M)
+    else:
+        M = np.swapaxes(A, -1, -2) @ B
+        P, c, Qt = np.linalg.svd(M)
+        s = np.linalg.svd(B - A @ M, compute_uv=False)
+    top = max(c.max(initial=0.0), s.max(initial=0.0))
     if top > 1.0 + CLAMP_TOL:
         raise ValueError(f"cross-Gram singular value {top} exceeds 1 beyond tolerance")
     # svals are >= 0, so only noise above 1 is clamped; cos descending <-> sin ascending

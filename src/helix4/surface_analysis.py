@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grassmann import (Plane, _gauss_coords, canonical_sign, complement_frames,
+from .grassmann import (Plane, _dot, _gauss_coords, canonical_sign, complement_frames,
                         hodge, plane_bivector, stacked_angles, wedge)
 
 __all__ = [
@@ -414,11 +414,6 @@ class GraphSurface:
 # ---------------------------------------------------------------------------
 # fundamental forms
 # ---------------------------------------------------------------------------
-
-def _dot(a: np.ndarray, b: np.ndarray):
-    """Inner products of 4-vectors along the last axis."""
-    return np.einsum("...k,...k->...", a, b)
-
 
 def _coords(w, pu, pv, E, F, G, W):
     """Coefficients (a, b) of the tangential part a p_u + b p_v of w, from

@@ -471,6 +471,17 @@ KEY_BASES = {
     "angles": ({"V": P12, "W": P12}, {"V": False, "W": False}),
     "verify-surface": ({"surface": {"kind": "plane"}, "grid": [5, 5]},
                        {"surface": False, "surface.kind": True}),
+    "verify-torus": ({"surface": {"kind": "clifford_torus", "r1": 1, "r2": 0.5},
+                      "grid": [5, 5]}, {"surface.r1": False, "surface.r2": False}),
+    "verify-cylinder": ({"surface": {"kind": "product_helix_cylinder", "theta": 0.6,
+                                     "radius": math.sin(0.6), "pitch": math.cos(0.6)},
+                         "grid": [5, 5]},
+                        {f"surface.{k}": False for k in ("theta", "radius", "pitch")}),
+    "verify-orbit": ({"surface": {"kind": "revolution_orbit", "profile": "helix", "theta": 0.5,
+                                  "offset": 1, "a": 1, "b": 0.5, "z0": 1, "R": 1, "beta": 1},
+                      "grid": [5, 5]},
+                     {f"surface.{k}": False
+                      for k in ("theta", "offset", "a", "b", "z0", "R", "beta")}),
     "verify": ({"graph": {**GRAPH, "domain": [-1, 1, -1, 1]}, "plane": P12,
                 "grid": [5, 5], "gate": 1e-3},
                {"graph": False, "graph.f": True, "graph.g": True, "graph.domain": False,

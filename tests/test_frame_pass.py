@@ -2,9 +2,12 @@
 
 ``adapted_frames`` must give the frames that chaining ``oracle_frame`` along
 the alignment tree gives: each node aligned with its left neighbour, column 0
-with the node above.  The oracle derives each frame node by node, with its
-own SVDs, and aligns it with its parent by explicit sign flips and T1/T2
-label swaps.
+with the node above.  The oracle takes each node's angles, principal
+directions and normal frame from the plane kernel on a one-node stack, the
+per-node arithmetic of the pass, and aligns it with its parent by explicit
+sign flips and T1/T2 label swaps; so it checks the chaining, and exact ties
+(label swaps where crossed == straight, zero parent dots) resolve the same
+way in both.
 """
 
 import math
@@ -16,7 +19,7 @@ import pytest
 from helix4 import helix_construct as hc
 from helix4.catalog import (EXAMPLE_NAMES, PI_12, generate, named_example,
                             round_sphere_patch)
-from helix4.grassmann import orthogonal_complement
+from helix4.grassmann import complement_frames, stacked_angles
 from helix4.surface_analysis import (DEG_COS, DEG_SIN, SWAP_TOL, AdaptedFrame,
                                      _tangent_frame, adapted_frame,
                                      adapted_frames, verify_helix)
@@ -38,33 +41,21 @@ def _canonical_sign(v):
 
 
 def _normal_frame(u1, u2):
-    q, _, _ = np.linalg.svd(np.stack([u1, u2], axis=-1), full_matrices=True)
-    return q[..., 2], q[..., 3]
+    n = complement_frames(np.stack([u1, u2], axis=-1)[None])[0]
+    return n[:, 0], n[:, 1]
 
 
 def oracle_frame(jet, Pi, prev=None):
     """Adapted frame at one node; with ``prev``, signs (and the T1/T2 labels,
     for near-coincident angles) are chosen to maximize continuity."""
     u1, u2 = _tangent_frame(jet)
-    U = np.stack([u1, u2], axis=1)
-    B = Pi.frame()
-    Np = orthogonal_complement(Pi).frame()
+    k = stacked_angles(Pi.frame(), np.stack([u1, u2], axis=1)[None])
+    (theta1, theta2), (c1, c2) = k.theta[0].tolist(), k.cos[0]
+    (e1, e2), (T1, T2) = k.dirs_a[0], k.dirs_b[0]
 
-    P, s, Qt = np.linalg.svd(B.T @ U)
-    s = np.clip(s, 0.0, 1.0)
-    s_perp = np.clip(np.sort(np.linalg.svd(Np.T @ U, compute_uv=False)), 0.0, 1.0)
-    theta1 = math.atan2(s_perp[0], s[0])
-    theta2 = math.atan2(s_perp[1], s[1])
-    degenerate = abs(theta2 - theta1) < 1e-9
-
-    T1 = Qt[0, 0] * u1 + Qt[0, 1] * u2
-    T2 = Qt[1, 0] * u1 + Qt[1, 1] * u2
-    e1 = P[0, 0] * B[:, 0] + P[1, 0] * B[:, 1]
-    e2 = P[0, 1] * B[:, 0] + P[1, 1] * B[:, 1]
-
-    frame = AdaptedFrame(T1, T2, None, None, e1, e2, theta1, theta2, degenerate)
-    frame.e1_tied = s[0] > DEG_COS
-    frame.e2_tied = s[1] > DEG_COS
+    frame = AdaptedFrame(T1, T2, None, None, e1, e2, theta1, theta2, bool(k.degenerate[0]))
+    frame.e1_tied = c1 > DEG_COS
+    frame.e2_tied = c2 > DEG_COS
     _complete_normals(frame, u1, u2)
     _align_frame(frame, prev)
     return frame
@@ -276,3 +267,22 @@ def test_nan_node_fails_like_the_pointwise_pass():
         verify_helix(nan_patch, Pi, grid)
     with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
         adapted_frame(J[2, 3], Pi)
+
+
+def test_the_frame_pass_takes_no_lapack_svd(monkeypatch):
+    # on the Clifford torus theta1 = 0, so every node also completes its
+    # loose xi from the complement of its tangent frame
+    calls = []
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return f(*args, **kwargs)
+        return wrapper
+
+    for name in ("svd", "det"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    patch, Pi, grid = example("clifford_torus", (15, 18))
+    rep = verify_helix(patch, Pi, grid)
+    assert rep.helix_pass(1e-8)
+    assert calls == []

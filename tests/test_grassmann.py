@@ -123,22 +123,49 @@ def complement_sine_angles(A, B):
     return np.arctan2(np.minimum(s[..., ::-1], 1.0), np.minimum(c, 1.0))
 
 
-def test_residual_sines_match_planted_angles_and_the_complement_oracle():
-    pairs, planted = stratified_pairs(np.random.default_rng(29), 200)
-    A = np.stack([W.frame() for _, W in pairs])
-    B = np.stack([V.frame() for V, _ in pairs])
+def up_to_sign(X, Y):
+    """Largest entry difference of the rows of X and Y, each row compared
+    with the nearer of +-Y."""
+    return np.minimum(np.abs(X - Y).max(-1), np.abs(X + Y).max(-1))
+
+
+def projector(N):
+    return N @ np.swapaxes(N, -1, -2)
+
+
+def assert_matches_the_one_pair_route(A, B, planted):
+    """The closed-form stack (A, B) against planted angles, the
+    complement-sine oracle and the LAPACK route of each pair: angles to
+    1e-15, the same degenerate flags, directions to 1e-12 up to sign where
+    the pair is not degenerate, complements with projectors to 1e-14 and
+    det[A, A-perp] > 0."""
     k = stacked_angles(A, B)
     # uniform, near the ends of [0, pi/2], near-coincident
     for err in np.split(np.abs(k.theta - planted), 3):
         assert err.max() <= 1e-15
     assert np.abs(k.theta - complement_sine_angles(A, B)).max() <= 1e-15
+    one = [stacked_angles(a, b) for a, b in zip(A, B)]
+    assert np.abs(k.theta - [p.theta for p in one]).max() <= 1e-15
+    assert np.array_equal(k.degenerate, [p.degenerate for p in one])
+    loose = ~k.degenerate
+    for rows in ("dirs_a", "dirs_b"):
+        lapack = np.array([getattr(p, rows) for p in one])
+        assert up_to_sign(getattr(k, rows), lapack)[loose].max() <= 1e-12
+    comp = complement_frames(A)
+    assert np.abs(projector(comp) - [projector(complement_frames(a)) for a in A]).max() <= 1e-14
+    assert np.all(np.linalg.det(np.concatenate([A, comp], axis=-1)) > 0)
+    return k
+
+
+def test_residual_sines_match_planted_angles_and_the_complement_oracle():
+    pairs, planted = stratified_pairs(np.random.default_rng(29), 200)
+    A = np.stack([W.frame() for _, W in pairs])
+    B = np.stack([V.frame() for V, _ in pairs])
+    k = assert_matches_the_one_pair_route(A, B, planted)
     assert k.degenerate.tolist() == [False] * 400 + [True] * 200
-    P, _, Qt = np.linalg.svd(np.swapaxes(A, -1, -2) @ B)
-    assert np.array_equal(k.dirs_a, np.swapaxes(P, -1, -2) @ np.swapaxes(A, -1, -2))
-    assert np.array_equal(k.dirs_b, Qt @ np.swapaxes(B, -1, -2))
 
 
-def test_stacked_angles_takes_two_svds_and_no_complement(monkeypatch):
+def test_one_pair_takes_two_svds_and_a_stack_none(monkeypatch):
     svd, calls = np.linalg.svd, []
 
     def counted_svd(a, *args, **kwargs):
@@ -154,7 +181,40 @@ def test_stacked_angles_takes_two_svds_and_no_complement(monkeypatch):
     V, W = planes_with_angles(0.3, 0.9)
     stacked_angles(W.frame(), V.frame())
     stacked_angles(np.stack([W.frame()] * 3), V.frame())
-    assert calls == [True, False, True, False]
+    stacked_angles(W.frame(), V.frame()[None])
+    assert calls == [True, False]
+
+
+def test_stacks_of_non_finite_frames_fail_like_lapack():
+    V, W = planes_with_angles(0.3, 0.9)
+    for bad in (np.nan, np.inf):
+        A = np.stack([W.frame()] * 3)
+        A[1, 2, 0] = bad
+        for call in (lambda: stacked_angles(A, V.frame()),
+                     lambda: stacked_angles(V.frame(), A), lambda: complement_frames(A)):
+            with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+                call()
+
+
+def test_stacked_complement_pivots_on_the_largest_principal_minor():
+    # the diagonal of I - A A^T is 1/2 throughout, and its first two
+    # columns, which a pivot on the largest diagonals would take, are parallel
+    s = math.sqrt(0.5)
+    A = np.array([[s, 0.0], [s, 0.0], [0.0, s], [0.0, s]])
+    n = complement_frames(A[None])[0]
+    assert np.abs(n.T @ n - np.eye(2)).max() <= 1e-15
+    assert np.abs(A.T @ n).max() <= 1e-15
+    assert np.linalg.det(np.concatenate([A, n], axis=-1)) > 0
+    assert np.abs(projector(n) - projector(complement_frames(A))).max() <= 1e-15
+    k = stacked_angles(A[None], n[None])
+    assert k.theta[0].tolist() == [math.pi / 2, math.pi / 2] and k.degenerate[0]
+
+
+def test_empty_stacks():
+    empty = np.zeros((0, 4, 2))
+    k = stacked_angles(empty, empty)
+    assert [a.shape for a in k] == [(0, 2), (0, 2), (0, 2, 4), (0, 2, 4), (0,)]
+    assert complement_frames(empty).shape == (0, 4, 2)
 
 
 def take_along_axis_sign(V):
@@ -186,23 +246,22 @@ def test_frame_is_a_fresh_array():
     assert not np.shares_memory(P.frame(), P.frame())
 
 
-def test_stacked_kernel_matches_the_one_pair_views_bit_for_bit():
-    pairs, _ = stratified_pairs(np.random.default_rng(7), 100)
+def test_stacked_kernel_matches_the_one_pair_views():
+    pairs, planted = stratified_pairs(np.random.default_rng(7), 100)
     A = np.stack([W.frame() for _, W in pairs])
     B = np.stack([V.frame() for V, _ in pairs])
-    k = stacked_angles(A, B)
-    comp = complement_frames(A)
-    assert np.all(np.linalg.det(np.concatenate([A, comp], axis=-1)) > 0)
+    k = assert_matches_the_one_pair_route(A, B, planted)
     assert k.degenerate.tolist() == [False] * 200 + [True] * 100
+    comp = complement_frames(A)
     for i, (V, W) in enumerate(pairs):
         pa = principal_angles(V, W)
-        assert [pa.theta1, pa.theta2] == k.theta[i].tolist()
+        assert np.abs(np.array([pa.theta1, pa.theta2]) - k.theta[i]).max() <= 1e-15
         assert pa.degenerate == k.degenerate[i]
         if not pa.degenerate:
             d = np.stack([pa.v1, pa.v2])
-            assert np.array_equal(d, k.dirs_b[i] * canonical_sign(k.dirs_b[i])[:, None])
+            assert up_to_sign(d, k.dirs_b[i]).max() <= 1e-12
             assert np.all(d[[0, 1], np.abs(d).argmax(-1)] > 0)
-        assert np.array_equal(orthogonal_complement(W).frame(), comp[i])
+        assert np.abs(projector(orthogonal_complement(W).frame()) - projector(comp[i])).max() <= 1e-14
 
 
 @pytest.mark.parametrize("theta1, theta2, degenerate", [

@@ -448,14 +448,15 @@ def test_composition_test_on_pde_surface(solved):
 @pytest.mark.parametrize("name, verdict", [
     ("solution-graph", CompositionVerdict(
         True, False, False, False, False, True, "", 1.0,
-        1.0622784024585088, 1.7163317040064574)),
+        1.0622784024584995, 1.7163317040064743)),
     ("orbit_helix", CompositionVerdict(
         False, None, False, False, False, True,
         "criterion inapplicable for these angles", 1.0,
-        2.583751394213708e-16, 0.4150276499782253)),
+        4.4119935705319724e-16, 0.4150276499782253)),
     ("helix_cylinder", CompositionVerdict(
         False, True, True, True, True, True,
-        "theta1 = 0: composition regardless of N1 rank", 0.0, 0.0, 0.0)),
+        "theta1 = 0: composition regardless of N1 rank", 0.0,
+        1.7105694144590052e-49, 3.0814879110195774e-33)),
 ])
 def test_composition_test_samples_the_patch_once(solved, name, verdict):
     if name == "solution-graph":
