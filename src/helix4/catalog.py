@@ -33,7 +33,7 @@ __all__ = [
     "CatalogSurface",
     "CurveJet",
     "generate",
-    "NUMBER_PARAMS",
+    "PARAM_KINDS",
     "orbit_surface",
     "line_curve",
     "helix_curve",
@@ -298,13 +298,21 @@ def _derived_expected(patch: SurfacePatch, Pi: Plane) -> PrincipalAngles:
     return principal_angles(Plane(*_tangent_frame(patch.jet(u, v))), Pi)
 
 
-# the scalar parameters of each kind; a reader of decoded JSON checks that
-# they are numbers before ``generate`` converts them with float()
-NUMBER_PARAMS = {
-    "clifford_torus": ("r1", "r2"),
-    "product_circles": ("r1", "r2"),
-    "product_helix_cylinder": ("theta", "radius", "pitch"),
-    "revolution_orbit": ("theta", "offset", "a", "b", "z0", "R", "beta"),
+# the parameters of each kind and their JSON kinds: "number", "range" (a list
+# of 2 numbers), "vector" (a list of 4 numbers), "string" and "coefficients"
+# (a matrix as a list of equally long lists of numbers); a reader of decoded
+# JSON checks them before ``generate`` converts them
+PARAM_KINDS = {
+    "clifford_torus": dict.fromkeys(("r1", "r2"), "number"),
+    "product_circles": dict.fromkeys(("r1", "r2"), "number"),
+    "product_helix_cylinder": dict.fromkeys(("theta", "radius", "pitch"), "number"),
+    "revolution_orbit": {"profile": "string",
+                         **dict.fromkeys(("theta", "offset", "a", "b", "z0", "R", "beta"),
+                                         "number"),
+                         **dict.fromkeys(("s_range", "phi_range"), "range")},
+    "plane": dict.fromkeys(("p0", "a", "b"), "vector"),
+    "graph_poly": {**dict.fromkeys(("f_coeffs", "g_coeffs"), "coefficients"),
+                   **dict.fromkeys(("x_range", "y_range"), "range")},
 }
 
 

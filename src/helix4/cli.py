@@ -160,6 +160,21 @@ def _numbers(n: int) -> _Kind:
                  lambda v: isinstance(v, list) and len(v) == n and all(map(NUMBER.test, v)))
 
 
+def _is_matrix(v) -> bool:
+    return (isinstance(v, list) and v != [] and isinstance(v[0], list) and v[0] != []
+            and all(map(_numbers(len(v[0])).test, v)))
+
+
+# the kind of each name in ``catalog.PARAM_KINDS``
+CATALOG_KINDS = {
+    "number": NUMBER,
+    "range": _numbers(2),
+    "vector": _numbers(4),
+    "string": STRING,
+    "coefficients": _Kind("a non-empty list of equally long non-empty lists of finite numbers",
+                          _is_matrix),
+}
+
 _REQUIRED = object()
 
 
@@ -310,8 +325,8 @@ def _surface_from_config(cfg: dict):
                              for k in ("surface", "graph", "plane"))
     if surface is not None:
         kind = _field(surface, "surface.kind", STRING)
-        for key in catalog.NUMBER_PARAMS.get(kind, ()):
-            _field(surface, f"surface.{key}", NUMBER, None)
+        for key, param_kind in catalog.PARAM_KINDS.get(kind, {}).items():
+            _field(surface, f"surface.{key}", CATALOG_KINDS[param_kind], None)
         try:
             cs = catalog.generate(kind, **{k: v for k, v in surface.items() if k != "kind"})
         except (ValueError, TypeError) as exc:

@@ -18,6 +18,7 @@ Fixed coordinate conventions (see README, "Conventions"):
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -81,6 +82,15 @@ class Plane:
             raise ValueError("plane frame vectors must be unit length (within 1e-12)")
         if abs(self.b1 @ self.b2) > FRAME_TOL:
             raise ValueError("plane frame vectors must be orthogonal (within 1e-12)")
+
+    @classmethod
+    def _orthonormal(cls, b1: np.ndarray, b2: np.ndarray, oriented: bool) -> "Plane":
+        """A plane from a float frame that is orthonormal by construction,
+        without the checks of ``__init__``."""
+        P = object.__new__(cls)
+        for name, value in (("b1", b1), ("b2", b2), ("oriented", oriented)):
+            object.__setattr__(P, name, value)
+        return P
 
     def frame(self) -> np.ndarray:
         """4x2 matrix with the frame vectors as columns."""
@@ -171,6 +181,11 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("...k,...k->...", a, b)
 
 
+def _norm(x: np.ndarray, keepdims: bool = False) -> np.ndarray:
+    """Euclidean norms along the last axis, as ``np.linalg.norm`` sums them."""
+    return np.sqrt((x * x).sum(-1, keepdims=keepdims))
+
+
 def _residual_svals(X: np.ndarray) -> np.ndarray:
     """Singular values (..., 2), descending, of stacked 4x2 matrices X: from
     the column-pivoted Gram-Schmidt factor [[r11, r12], [0, r22]], s_max by
@@ -183,7 +198,7 @@ def _residual_svals(X: np.ndarray) -> np.ndarray:
     r11 = np.sqrt(xx)
     xy = _dot(x, y)
     nonzero = xx > 0
-    r22 = np.linalg.norm(y - (xy / np.where(nonzero, xx, 1.0))[..., None] * x, axis=-1)
+    r22 = _norm(y - (xy / np.where(nonzero, xx, 1.0))[..., None] * x)
     r12 = xy / np.where(nonzero, r11, 1.0)
     s_max = (np.hypot(r11 + r22, r12) + np.hypot(r11 - r22, r12)) / 2
     return np.stack([s_max, r11 * r22 / np.where(nonzero, s_max, 1.0)], axis=-1)
@@ -199,29 +214,26 @@ def complement_frames(A: np.ndarray) -> np.ndarray:
     """Orthonormal frames (..., 4, 2) of the orthogonal complements of the
     planes framed by A (..., 4, 2), oriented so det[A, A-perp] > 0.
 
-    One plane takes the full SVD of A.  A stack takes Gram-Schmidt on the
-    columns (e_i - A A_i, e_j - A A_j) of the projector I - A A^T whose 2x2
-    principal minor is largest, then projects the result against A once
+    Any leading shape, a single (4, 2) frame included, takes Gram-Schmidt on
+    the columns (e_i - A A_i, e_j - A A_j) of the projector I - A A^T whose
+    2x2 principal minor is largest, then projects the result against A once
     more, which holds the complement to rounding.  For the pair (i, j) with
     wedge index p, h_p = det[A, e_i, e_j] is the Hodge dual coordinate
     *(a1 ^ a2)_p; the minor is h_p^2, the six minors sum to 1 (so the
     largest is >= 1/6 and the two columns are never near parallel), and
     Gram-Schmidt keeps the sign of det[A, e_i, e_j], so h_p orients.
+    ``orthogonal_complement`` runs the same formulas on Python floats.
     """
-    if A.ndim > 2:
-        _require_finite(A)
-        h = hodge(wedge(A[..., 0], A[..., 1]))
-        p = np.abs(h).argmax(-1)
-        x = _projector_column(A, _WEDGE_I[p])
-        x /= np.linalg.norm(x, axis=-1, keepdims=True)
-        y = _projector_column(A, _WEDGE_J[p])
-        y -= _dot(x, y)[..., None] * x
-        n = np.stack([x, y / np.linalg.norm(y, axis=-1, keepdims=True)], axis=-1)
-        n -= A @ (np.swapaxes(A, -1, -2) @ n)
-        det = np.take_along_axis(h, p[..., None], axis=-1)[..., 0]
-    else:
-        n = np.linalg.svd(A, full_matrices=True)[0][..., 2:]
-        det = np.linalg.det(np.concatenate([A, n], axis=-1))
+    _require_finite(A)
+    h = hodge(wedge(A[..., 0], A[..., 1]))
+    p = np.abs(h).argmax(-1)
+    x = _projector_column(A, _WEDGE_I[p])
+    x /= _norm(x, keepdims=True)
+    y = _projector_column(A, _WEDGE_J[p])
+    y -= _dot(x, y)[..., None] * x
+    n = np.stack([x, y / _norm(y, keepdims=True)], axis=-1)
+    n -= A @ (np.swapaxes(A, -1, -2) @ n)
+    det = np.take_along_axis(h, p[..., None], axis=-1)[..., 0]
     n[..., 1] *= np.where(det < 0, -1.0, 1.0)[..., None]
     return n
 
@@ -234,19 +246,14 @@ def stacked_angles(A: np.ndarray, B: np.ndarray) -> StackedAngles:
     the sines those of the residual B - A M, and each angle is assembled with
     atan2 (Bjorck & Golub, Math. Comp. 27, 1973); this keeps full accuracy at
     both ends of [0, pi/2].  The directions are the rows of P^T A^T and
-    Q^T B^T.  One pair takes both SVDs from LAPACK; a stack takes them in
-    closed form (``_svd2``, ``_residual_svals``), which is much faster on
-    many small matrices.
+    Q^T B^T.  Both SVDs are taken in closed form (``_svd2``,
+    ``_residual_svals``) for any leading shape, a single pair included; the
+    one-pair views run the same formulas on Python floats (``_pair_angles``).
     """
-    if A.ndim > 2 or B.ndim > 2:
-        _require_finite(A, B)
-        M = np.swapaxes(A, -1, -2) @ B
-        P, c, Qt = _svd2(M)
-        s = _residual_svals(B - A @ M)
-    else:
-        M = np.swapaxes(A, -1, -2) @ B
-        P, c, Qt = np.linalg.svd(M)
-        s = np.linalg.svd(B - A @ M, compute_uv=False)
+    _require_finite(A, B)
+    M = np.swapaxes(A, -1, -2) @ B
+    P, c, Qt = _svd2(M)
+    s = _residual_svals(B - A @ M)
     top = max(c.max(initial=0.0), s.max(initial=0.0))
     if top > 1.0 + CLAMP_TOL:
         raise ValueError(f"cross-Gram singular value {top} exceeds 1 beyond tolerance")
@@ -266,21 +273,128 @@ def canonical_sign(V: np.ndarray) -> np.ndarray:
     return np.where(top < 0, -1.0, 1.0)
 
 
+# ---------------------------------------------------------------------------
+# one pair on Python floats
+# ---------------------------------------------------------------------------
+# The one-pair views run the formulas of the array kernels term by term on
+# Python floats: on 4x2 frames numpy's per-call overhead costs far more than
+# the few dozen flops.  Vectors are lists of floats, written out by index.
+
+def _fdot(x, y) -> float:
+    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2] + x[3] * y[3]
+
+
+def _fsub(v, a1, s, a2, t) -> list[float]:
+    """v - (a1 s + a2 t): the update v - A (s, t) of the array kernels."""
+    return [v[0] - (a1[0] * s + a2[0] * t), v[1] - (a1[1] * s + a2[1] * t),
+            v[2] - (a1[2] * s + a2[2] * t), v[3] - (a1[3] * s + a2[3] * t)]
+
+
+def _faxpy(y, t, x) -> list[float]:
+    """y - t x."""
+    return [y[0] - t * x[0], y[1] - t * x[1], y[2] - t * x[2], y[3] - t * x[3]]
+
+
+def _fdiv(x, d) -> list[float]:
+    return [x[0] / d, x[1] / d, x[2] / d, x[3] / d]
+
+
+def _require_finite_sum(total: float) -> None:
+    """Fail on a non-finite frame as LAPACK does.  ``total`` is a sum of
+    products into which every frame entry enters, so an inf or a nan entry
+    makes it inf or nan."""
+    if not math.isfinite(total):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+
+def _pair_residual_svals(x, y) -> tuple[float, float]:
+    """``_residual_svals`` of the 4x2 matrix with columns x, y."""
+    xx, yy = _fdot(x, x), _fdot(y, y)
+    if yy > xx:
+        x, y, xx = y, x, yy
+    if not xx > 0:
+        return 0.0, 0.0
+    r11, xy = math.sqrt(xx), _fdot(x, y)
+    z = _faxpy(y, xy / xx, x)
+    r22, r12 = math.sqrt(_fdot(z, z)), xy / r11
+    s_max = (math.hypot(r11 + r22, r12) + math.hypot(r11 - r22, r12)) / 2
+    return s_max, r11 * r22 / s_max
+
+
+def _pair_angles(a1, a2, b1, b2):
+    """``stacked_angles`` of the frames A = (a1, a2), B = (b1, b2):
+    (theta1, theta2, d1, d2) with d_k the principal direction of theta_k in
+    B, before ``canonical_sign``."""
+    m11, m12, m21, m22 = _fdot(a1, b1), _fdot(a1, b2), _fdot(a2, b1), _fdot(a2, b2)
+    _require_finite_sum(m11 + m12 + m21 + m22)
+    # _svd2 of M = A^T B; of its rotations only Q^T, by (a2 - a1) / 2, is needed
+    E, F, G, H = (m11 + m22) / 2, (m11 - m22) / 2, (m21 + m12) / 2, (m21 - m12) / 2
+    Q, R = math.hypot(E, H), math.hypot(F, G)
+    half = (math.atan2(H, E) - math.atan2(G, F)) / 2
+    cq, sq = math.cos(half), math.sin(half)
+    s_max, s_min = _pair_residual_svals(_fsub(b1, a1, m11, a2, m21),
+                                        _fsub(b2, a1, m12, a2, m22))
+    c1, c2 = Q + R, abs(Q - R)
+    top = max(c1, c2, s_max, s_min)
+    if top > 1.0 + CLAMP_TOL:
+        raise ValueError(f"cross-Gram singular value {top} exceeds 1 beyond tolerance")
+    return (math.atan2(min(s_min, 1.0), min(c1, 1.0)),
+            math.atan2(min(s_max, 1.0), min(c2, 1.0)),
+            [cq * b1[0] - sq * b2[0], cq * b1[1] - sq * b2[1],
+             cq * b1[2] - sq * b2[2], cq * b1[3] - sq * b2[3]],
+            [sq * b1[0] + cq * b2[0], sq * b1[1] + cq * b2[1],
+             sq * b1[2] + cq * b2[2], sq * b1[3] + cq * b2[3]])
+
+
+def _pair_wedge(u, v) -> list[float]:
+    return [u[0] * v[1] - u[1] * v[0], u[0] * v[2] - u[2] * v[0], u[0] * v[3] - u[3] * v[0],
+            u[1] * v[2] - u[2] * v[1], u[1] * v[3] - u[3] * v[1], u[2] * v[3] - u[3] * v[2]]
+
+
+def _pair_hodge(b) -> list[float]:
+    return [b[5], -b[4], b[3], b[2], -b[1], b[0]]
+
+
+_UNIT = np.eye(4).tolist()
+
+
+def _pair_complement(a1, a2) -> tuple[list[float], list[float]]:
+    """``complement_frames`` of the frame (a1, a2)."""
+    h = _pair_hodge(_pair_wedge(a1, a2))
+    _require_finite_sum(sum(h))
+    size = list(map(abs, h))
+    p = size.index(max(size))          # the first of equal magnitudes, as argmax
+    i, j = _WEDGE_PAIRS[p]
+    # Gram-Schmidt on the projector columns e_k - A A_k, k = i, j
+    x = _fsub(_UNIT[i], a1, a1[i], a2, a2[i])
+    x = _fdiv(x, math.sqrt(_fdot(x, x)))
+    y = _fsub(_UNIT[j], a1, a1[j], a2, a2[j])
+    y = _faxpy(y, _fdot(x, y), x)
+    y = _fdiv(y, math.sqrt(_fdot(y, y)))
+    # a second projection against A, and h_p for the orientation
+    n1 = _fsub(x, a1, _fdot(a1, x), a2, _fdot(a2, x))
+    n2 = _fsub(y, a1, _fdot(a1, y), a2, _fdot(a2, y))
+    return n1, (n2 if h[p] >= 0 else [-n2[0], -n2[1], -n2[2], -n2[3]])
+
+
 def principal_angles(V: Plane, W: Plane) -> PrincipalAngles:
     """Principal angles between the planes V and W: the one-pair view of
     ``stacked_angles`` on (W, V), with principal directions in V."""
-    k = stacked_angles(W.frame(), V.frame())
-    theta1, theta2 = k.theta.tolist()
-    if k.degenerate:
+    theta1, theta2, d1, d2 = _pair_angles(W.b1.tolist(), W.b2.tolist(),
+                                          V.b1.tolist(), V.b2.tolist())
+    if abs(theta2 - theta1) < DEGENERATE_TOL:
         return PrincipalAngles(theta1, theta2, V.b1.copy(), V.b2.copy(), degenerate=True)
-    d1, d2 = k.dirs_b * canonical_sign(k.dirs_b)[:, None]
+    # canonical_sign: max takes the first of equal magnitudes, as argmax does
+    d1, d2 = (np.array(d if max(d, key=abs) >= 0 else [-v for v in d]) for d in (d1, d2))
     return PrincipalAngles(theta1, theta2, d1, d2)
 
 
 def orthogonal_complement(W: Plane) -> Plane:
     """Orthonormal frame of W-perp, oriented so (W.b1, W.b2, out.b1, out.b2)
-    is a positively oriented basis of R^4."""
-    return Plane(*complement_frames(W.frame()).T, W.oriented)
+    is a positively oriented basis of R^4: the one-plane view of
+    ``complement_frames``."""
+    n1, n2 = _pair_complement(W.b1.tolist(), W.b2.tolist())
+    return Plane._orthonormal(np.array(n1), np.array(n2), W.oriented)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +402,8 @@ def orthogonal_complement(W: Plane) -> Plane:
 # ---------------------------------------------------------------------------
 
 # index pairs (i, j) of the lexicographic wedge basis
-_WEDGE_I, _WEDGE_J = np.array(((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))).T
+_WEDGE_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+_WEDGE_I, _WEDGE_J = np.array(_WEDGE_PAIRS).T
 _HODGE_SIGN = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
 
 
@@ -346,13 +461,14 @@ def plane_angles_via_bivectors(V: Plane, W: Plane) -> tuple[float, float]:
     cos(theta) = <eta_V, eta_W> and cos(theta_perp) = <eta_V, *eta_W>; the raw
     signs depend on the two orientations, so cross checks against the
     principal angles use |cos theta| = cos(theta1)cos(theta2) and
-    |cos theta_perp| = sin(theta1)sin(theta2).
+    |cos theta_perp| = sin(theta1)sin(theta2).  ``wedge`` and ``hodge`` run
+    here on Python floats.
     """
-    ev = plane_bivector(V)
-    ew = plane_bivector(W)
-    c = min(max(bivector_inner(ev, ew), -1.0), 1.0)
-    cp = min(max(bivector_inner(ev, hodge(ew)), -1.0), 1.0)
-    return math.acos(c), math.acos(cp)
+    ev = _pair_wedge(V.b1.tolist(), V.b2.tolist())
+    ew = _pair_wedge(W.b1.tolist(), W.b2.tolist())
+    c, cp = (sum(map(operator.mul, ev, w)) for w in (ew, _pair_hodge(ew)))
+    _require_finite_sum(c + cp)
+    return math.acos(min(max(c, -1.0), 1.0)), math.acos(min(max(cp, -1.0), 1.0))
 
 
 # ---------------------------------------------------------------------------

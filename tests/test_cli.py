@@ -478,10 +478,20 @@ KEY_BASES = {
                          "grid": [5, 5]},
                         {f"surface.{k}": False for k in ("theta", "radius", "pitch")}),
     "verify-orbit": ({"surface": {"kind": "revolution_orbit", "profile": "helix", "theta": 0.5,
-                                  "offset": 1, "a": 1, "b": 0.5, "z0": 1, "R": 1, "beta": 1},
+                                  "offset": 1, "a": 1, "b": 0.5, "z0": 1, "R": 1, "beta": 1,
+                                  "s_range": [0, 2], "phi_range": [0, 3]},
                       "grid": [5, 5]},
-                     {f"surface.{k}": False
-                      for k in ("theta", "offset", "a", "b", "z0", "R", "beta")}),
+                     {"surface.profile": True,
+                      **{f"surface.{k}": False for k in ("theta", "offset", "a", "b", "z0", "R",
+                                                         "beta", "s_range", "phi_range")}}),
+    "verify-plane": ({"surface": {"kind": "plane", "p0": [0, 0, 0, 0], "a": [1, 0, 0, 0],
+                                  "b": [0, 1, 0, 0]}, "grid": [5, 5]},
+                     {f"surface.{k}": False for k in ("p0", "a", "b")}),
+    "verify-poly": ({"surface": {"kind": "graph_poly", "f_coeffs": [[0, 0], [0, 1]],
+                                 "g_coeffs": [[0, 0.5]], "x_range": [-1, 1], "y_range": [-1, 1]},
+                     "grid": [5, 5]},
+                    {f"surface.{k}": False
+                     for k in ("f_coeffs", "g_coeffs", "x_range", "y_range")}),
     "verify": ({"graph": {**GRAPH, "domain": [-1, 1, -1, 1]}, "plane": P12,
                 "grid": [5, 5], "gate": 1e-3},
                {"graph": False, "graph.f": True, "graph.g": True, "graph.domain": False,
@@ -544,6 +554,24 @@ def test_every_key_rejects_a_value_of_another_kind(
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
     assert re.search(rf"\b{re.escape(key)}\b", err), err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("surface, key", [
+    ({"kind": "graph_poly", "f_coeffs": [[True]], "g_coeffs": [[0]]}, "surface.f_coeffs"),
+    ({"kind": "graph_poly", "f_coeffs": [[0, 0], [0]], "g_coeffs": [[0]]}, "surface.f_coeffs"),
+    ({"kind": "graph_poly", "f_coeffs": [[0]], "g_coeffs": [0, 1]}, "surface.g_coeffs"),
+    ({"kind": "graph_poly", "f_coeffs": [[0]], "g_coeffs": [[]]}, "surface.g_coeffs"),
+    ({"kind": "plane", "a": [True, 0, 0, 0]}, "surface.a"),
+    ({"kind": "plane", "p0": [0, 0, 0]}, "surface.p0"),
+    ({"kind": "revolution_orbit", "phi_range": ["0", "1"]}, "surface.phi_range"),
+    ({"kind": "revolution_orbit", "s_range": [True, 1.5]}, "surface.s_range"),
+    ({"kind": "revolution_orbit", "profile": 5}, "surface.profile"),
+])
+def test_catalog_list_parameters_are_checked_entry_by_entry(tmp_path, capsys, surface, key):
+    code, out, err = run_key_document(capsys, tmp_path, "verify",
+                                      {"surface": surface, "grid": [5, 5]})
+    assert code == EXIT_PARSE
+    assert out == "" and err.startswith(f"error: config {key} must be ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["verify", "example"])

@@ -23,7 +23,6 @@ from helix4.grassmann import (
     stacked_angles,
     wedge,
 )
-from helix4 import grassmann
 from helix4.grassmann import _gauss_coords
 from helix4.surface_analysis import SurfaceJet, adapted_frames
 
@@ -133,67 +132,86 @@ def projector(N):
     return N @ np.swapaxes(N, -1, -2)
 
 
-def assert_matches_the_one_pair_route(A, B, planted):
-    """The closed-form stack (A, B) against planted angles, the
-    complement-sine oracle and the LAPACK route of each pair: angles to
-    1e-15, the same degenerate flags, directions to 1e-12 up to sign where
-    the pair is not degenerate, complements with projectors to 1e-14 and
-    det[A, A-perp] > 0."""
+def assert_matches_the_one_pair_route(pairs, planted):
+    """The array route on the stack of pairs (V, W), as (A, B) = (W, V),
+    against planted angles, the complement-sine oracle and the float route of
+    the one-pair views: angles to 1e-15, the same degenerate flags,
+    directions to 1e-12 up to sign where the pair is not degenerate (with
+    canonical signs in the views), complements with projectors to 1e-14 and
+    det[A, A-perp] > 0, and bivector cosines to 1e-15 of ``wedge``/``hodge``
+    on the stack."""
+    A = np.stack([W.frame() for _, W in pairs])
+    B = np.stack([V.frame() for V, _ in pairs])
     k = stacked_angles(A, B)
     # uniform, near the ends of [0, pi/2], near-coincident
     for err in np.split(np.abs(k.theta - planted), 3):
         assert err.max() <= 1e-15
     assert np.abs(k.theta - complement_sine_angles(A, B)).max() <= 1e-15
-    one = [stacked_angles(a, b) for a, b in zip(A, B)]
-    assert np.abs(k.theta - [p.theta for p in one]).max() <= 1e-15
-    assert np.array_equal(k.degenerate, [p.degenerate for p in one])
+    in_v = [principal_angles(V, W) for V, W in pairs]
+    in_w = [principal_angles(W, V) for V, W in pairs]
+    for views in (in_v, in_w):
+        assert np.abs(k.theta - [[p.theta1, p.theta2] for p in views]).max() <= 1e-15
+        assert np.array_equal(k.degenerate, [p.degenerate for p in views])
     loose = ~k.degenerate
-    for rows in ("dirs_a", "dirs_b"):
-        lapack = np.array([getattr(p, rows) for p in one])
-        assert up_to_sign(getattr(k, rows), lapack)[loose].max() <= 1e-12
+    for rows, views in (("dirs_a", in_w), ("dirs_b", in_v)):
+        d = np.array([[p.v1, p.v2] for p in views])
+        assert up_to_sign(getattr(k, rows), d)[loose].max() <= 1e-12
+        assert np.array_equal(canonical_sign(d[loose]), np.ones((loose.sum(), 2)))
     comp = complement_frames(A)
-    assert np.abs(projector(comp) - [projector(complement_frames(a)) for a in A]).max() <= 1e-14
-    assert np.all(np.linalg.det(np.concatenate([A, comp], axis=-1)) > 0)
+    one = np.array([orthogonal_complement(W).frame() for _, W in pairs])
+    assert np.abs(projector(comp) - projector(one)).max() <= 1e-14
+    for N in (comp, one):
+        assert np.all(np.linalg.det(np.concatenate([A, N], axis=-1)) > 0)
+    ev, ew = wedge(B[..., 0], B[..., 1]), wedge(A[..., 0], A[..., 1])
+    cosines = np.clip([np.einsum("...k,...k->...", ev, w) for w in (ew, hodge(ew))], -1.0, 1.0)
+    angles = np.array([plane_angles_via_bivectors(V, W) for V, W in pairs])
+    assert np.abs(np.cos(angles) - cosines.T).max() <= 1e-15
     return k
 
 
 def test_residual_sines_match_planted_angles_and_the_complement_oracle():
     pairs, planted = stratified_pairs(np.random.default_rng(29), 200)
-    A = np.stack([W.frame() for _, W in pairs])
-    B = np.stack([V.frame() for V, _ in pairs])
-    k = assert_matches_the_one_pair_route(A, B, planted)
+    k = assert_matches_the_one_pair_route(pairs, planted)
     assert k.degenerate.tolist() == [False] * 400 + [True] * 200
 
 
-def test_one_pair_takes_two_svds_and_a_stack_none(monkeypatch):
-    svd, calls = np.linalg.svd, []
-
-    def counted_svd(a, *args, **kwargs):
-        calls.append(kwargs.get("compute_uv", True))
-        return svd(a, *args, **kwargs)
-
+def test_the_plane_kernels_take_no_lapack_call(monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("stacked_angles must not need the complement")
+        raise AssertionError("the plane kernels must not call LAPACK")
 
-    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(np.linalg, "svd", forbidden)
     monkeypatch.setattr(np.linalg, "det", forbidden)
-    monkeypatch.setattr(grassmann, "complement_frames", forbidden)
     V, W = planes_with_angles(0.3, 0.9)
-    stacked_angles(W.frame(), V.frame())
-    stacked_angles(np.stack([W.frame()] * 3), V.frame())
-    stacked_angles(W.frame(), V.frame()[None])
-    assert calls == [True, False]
+    principal_angles(V, W)
+    orthogonal_complement(W)
+    plane_angles_via_bivectors(V, W)
+    for A in (W.frame(), np.stack([W.frame()] * 3)):
+        stacked_angles(A, V.frame())
+        stacked_angles(V.frame(), A)
+        complement_frames(A)
 
 
 def test_stacks_of_non_finite_frames_fail_like_lapack():
     V, W = planes_with_angles(0.3, 0.9)
-    for bad in (np.nan, np.inf):
+    for bad in (np.nan, np.inf, -np.inf):
         A = np.stack([W.frame()] * 3)
         A[1, 2, 0] = bad
         for call in (lambda: stacked_angles(A, V.frame()),
-                     lambda: stacked_angles(V.frame(), A), lambda: complement_frames(A)):
+                     lambda: stacked_angles(V.frame(), A), lambda: complement_frames(A),
+                     lambda: stacked_angles(A[1], V.frame()), lambda: complement_frames(A[1])):
             with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
                 call()
+        # the one-pair views, with the bad entry at every place of either plane
+        for vector, i in np.ndindex(2, 4):
+            for P in (V, W):
+                Q = Plane(P.b1.copy(), P.b2.copy())
+                (Q.b1, Q.b2)[vector][i] = bad
+                for call in (lambda: principal_angles(Q, W), lambda: principal_angles(V, Q),
+                             lambda: orthogonal_complement(Q),
+                             lambda: plane_angles_via_bivectors(Q, W),
+                             lambda: plane_angles_via_bivectors(V, Q)):
+                    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+                        call()
 
 
 def test_stacked_complement_pivots_on_the_largest_principal_minor():
@@ -248,20 +266,13 @@ def test_frame_is_a_fresh_array():
 
 def test_stacked_kernel_matches_the_one_pair_views():
     pairs, planted = stratified_pairs(np.random.default_rng(7), 100)
-    A = np.stack([W.frame() for _, W in pairs])
-    B = np.stack([V.frame() for V, _ in pairs])
-    k = assert_matches_the_one_pair_route(A, B, planted)
+    k = assert_matches_the_one_pair_route(pairs, planted)
     assert k.degenerate.tolist() == [False] * 200 + [True] * 100
-    comp = complement_frames(A)
-    for i, (V, W) in enumerate(pairs):
+    # a degenerate view returns the frame of its first plane
+    for (V, W), degenerate in zip(pairs, k.degenerate):
         pa = principal_angles(V, W)
-        assert np.abs(np.array([pa.theta1, pa.theta2]) - k.theta[i]).max() <= 1e-15
-        assert pa.degenerate == k.degenerate[i]
-        if not pa.degenerate:
-            d = np.stack([pa.v1, pa.v2])
-            assert up_to_sign(d, k.dirs_b[i]).max() <= 1e-12
-            assert np.all(d[[0, 1], np.abs(d).argmax(-1)] > 0)
-        assert np.abs(projector(orthogonal_complement(W).frame()) - projector(comp[i])).max() <= 1e-14
+        if degenerate:
+            assert np.array_equal(pa.v1, V.b1) and np.array_equal(pa.v2, V.b2)
 
 
 @pytest.mark.parametrize("theta1, theta2, degenerate", [
