@@ -16,6 +16,7 @@ reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -64,6 +65,10 @@ def dumps_stable(obj) -> str:
         if isinstance(o, str):
             return json.dumps(o)
         if isinstance(o, (list, tuple, np.ndarray)):
+            if (isinstance(o, np.ndarray) and o.ndim == 1 and o.dtype.kind == "f"
+                    and np.isfinite(o).all()):
+                # one format call per row: "%.17g" % v is f"{v:.17g}"
+                return "[" + ", ".join(["%.17g"] * o.size) % tuple(o.tolist()) + "]"
             items = [render(v, depth + 1) for v in o]
             return "[" + ", ".join(items) + "]"
         if isinstance(o, dict):
@@ -648,9 +653,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` shares across calls in one process: parsing
+    never changes it, since every call gets a fresh Namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:

@@ -723,3 +723,124 @@ def test_dumps_stable_formatting():
     assert "null" in text and "true" in text
     obj = json.loads(text)
     assert obj["b"][3] is None
+
+
+def per_element_dumps(obj) -> str:
+    """The oracle of ``dumps_stable``: every value, array entries included,
+    rendered on its own."""
+
+    def render(o, depth):
+        sp = " " * (depth * 2)
+        spi = " " * ((depth + 1) * 2)
+        if o is None:
+            return "null"
+        if isinstance(o, (bool, np.bool_)):
+            return "true" if o else "false"
+        if isinstance(o, (int, np.integer)):
+            return str(int(o))
+        if isinstance(o, (float, np.floating)):
+            v = float(o)
+            return f"{v:.17g}" if math.isfinite(v) else "null"
+        if isinstance(o, str):
+            return json.dumps(o)
+        if isinstance(o, (list, tuple, np.ndarray)):
+            return "[" + ", ".join(render(v, depth + 1) for v in o) + "]"
+        if isinstance(o, dict):
+            items = [f"{spi}{json.dumps(str(k))}: {render(v, depth + 1)}"
+                     for k, v in o.items()]
+            return "{\n" + ",\n".join(items) + "\n" + sp + "}"
+        raise TypeError(f"cannot serialize {type(o)}")
+
+    return render(obj, 0) + "\n"
+
+
+EDGE_FLOATS = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+               1.0 / 3.0, 0.1, 2.0, -1e-310]
+
+
+@pytest.mark.parametrize("array", [
+    np.array(EDGE_FLOATS),
+    np.array([EDGE_FLOATS, EDGE_FLOATS[::-1], np.arange(8.0)]),
+    np.array([-0.0, 1.0 / 3.0, 0.1, 3.4028234663852886e38, 1e-45], dtype=np.float32),
+    -np.zeros((2, 3), dtype=np.float32),
+    np.array([]),
+    np.zeros((3, 0)),
+    np.array([-3, 0, 2**62]),
+    np.array([True, False, True]),
+], ids=["f64", "f64-2d", "f32", "f32-2d", "empty", "empty-rows", "int", "bool"])
+def test_dumps_stable_arrays_match_the_per_element_renderer(array):
+    doc = {"a": array, "nested": [array, {"b": array}]}
+    assert dumps_stable(doc) == per_element_dumps(doc)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_dumps_stable_non_finite_array_entries_are_null_in_place(bad):
+    rows = np.array([EDGE_FLOATS, EDGE_FLOATS[::-1]])
+    rows[1, 3] = bad
+    text = dumps_stable({"a": rows, "row": rows[1]})
+    assert text == per_element_dumps({"a": rows, "row": rows[1]})
+    doc = json.loads(text)
+    assert doc["a"][0] == EDGE_FLOATS and doc["a"][1][3] is None
+    assert doc["row"] == [None if k == 3 else v for k, v in enumerate(EDGE_FLOATS[::-1])]
+
+
+def test_the_shared_parser_keeps_no_state_between_commands(tmp_path, capsys):
+    out = tmp_path / "angles.json"
+    assert run(capsys, "angles", "--v", PLANE_12, "--w", PLANE_34, "--out", str(out)) \
+        == (EXIT_OK, "", "")
+    code, stdout, _ = run(capsys, "angles", "--v", PLANE_12, "--w", PLANE_34)
+    assert code == EXIT_OK and stdout == out.read_text()
+
+    construct = ["construct", "--theta1", "0.5235987756", "--theta2", "1.0471975512",
+                 "--hx", "2e-3", "--hy", "2e-3", "--ymax", "0.004"]
+    code, stdout, _ = run(capsys, *construct, "--verify")
+    assert code == EXIT_OK and "verify" in json.loads(stdout)
+    code, stdout, _ = run(capsys, *construct)
+    assert code == EXIT_OK and "verify" not in json.loads(stdout)
+
+    with pytest.raises(SystemExit) as exc:
+        main(["angles", "--v", PLANE_12, "--no-such-flag"])
+    assert exc.value.code == EXIT_PARSE
+    assert "--no-such-flag" in capsys.readouterr().err
+    code, stdout, _ = run(capsys, "angles", "--v", PLANE_12, "--w", PLANE_34)
+    assert code == EXIT_OK and stdout == out.read_text()
+
+
+def test_main_builds_the_parser_at_most_once(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        for argv in (["angles", "--v", PLANE_12, "--w", PLANE_34],
+                     ["deform", "--m", "1", "--c", "3.3333333333"],
+                     ["angles", "--v", PLANE_12, "--w", PLANE_12]):
+            assert run(capsys, *argv)[0] == EXIT_OK
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) <= 1
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_export_json_renders_a_missing_value_as_null(tmp_path, capsys):
+    prefix = str(tmp_path / "sol")
+    run(capsys, "construct", "--theta1", "0.5235987756",
+        "--theta2", "1.0471975512", "--hx", "2e-3", "--hy", "2e-3",
+        "--ymax", "0.004", "--save", prefix, "--out", str(tmp_path / "r.json"))
+    meta = json.loads((tmp_path / "sol.meta.json").read_text())
+    fields, nx, ny = meta["fields"], meta["nx"], meta["ny"]
+    data = np.fromfile(prefix + ".bin").reshape(len(fields), ny, nx)
+    data[fields.index("gx"), ny // 2, nx // 3] = math.nan
+    data.tofile(prefix + ".bin")
+
+    out = tmp_path / "exported.json"
+    code, _, _ = run(capsys, "export", "--grid", prefix, "--format", "json",
+                     "--out", str(out))
+    assert code == EXIT_OK
+    text = out.read_text()
+    xs = meta["x0"] + meta["hx"] * np.arange(nx, dtype=float)
+    ys = meta["y0"] + meta["hy"] * np.arange(ny, dtype=float)
+    assert text == per_element_dumps({"meta": meta, "x": xs, "y": ys,
+                                      "fields": dict(zip(fields, data))})
+    assert text.count("null") == 1
+    assert json.loads(text)["fields"]["gx"][ny // 2][nx // 3] is None
