@@ -344,7 +344,7 @@ def _surface_from_config(cfg: dict):
         patch = GraphSurface.from_callables(scalar_jet_from_exprs(parse_expr(f)),
                                             scalar_jet_from_exprs(parse_expr(g)),
                                             (dom[0], dom[1]), (dom[2], dom[3])).patch()
-        default_plane = Plane(np.eye(4)[0], np.eye(4)[1])
+        default_plane = catalog.PI_12
         meta = {"kind": "graph", "f": f, "g": g}
     else:
         raise CliError(EXIT_PARSE, "config needs a 'surface' or 'graph' entry")

@@ -37,7 +37,6 @@ __all__ = [
     "orthogonal_complement",
     "wedge",
     "hodge",
-    "bivector_inner",
     "plane_bivector",
     "plane_angles_via_bivectors",
     "planes_with_angles",
@@ -57,53 +56,62 @@ CLAMP_TOL = 1e-8
 DEGENERATE_TOL = 1e-9
 
 
-def _as_vec4(v, stacked: bool = False) -> np.ndarray:
-    """A finite 4-vector, or with ``stacked`` an array of them (last axis)."""
+def _as_vec4(v) -> np.ndarray:
+    """A finite array of 4-vectors (last axis)."""
     a = np.asarray(v, dtype=float)
-    if (a.shape[-1:] if stacked else a.shape) != (4,):
+    if a.shape[-1:] != (4,):
         raise ValueError(f"expected a 4-vector, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("vector has non-finite entries")
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Plane:
-    """Oriented 2-plane in R^4 given by an orthonormal frame (b1, b2)."""
+    """Oriented 2-plane in R^4 given by an orthonormal frame (b1, b2), checked
+    on Python floats and kept as read-only float64 copies the plane owns."""
 
     b1: np.ndarray
     b2: np.ndarray
     oriented: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "b1", _as_vec4(self.b1))
-        object.__setattr__(self, "b2", _as_vec4(self.b2))
-        if abs(self.b1 @ self.b1 - 1.0) > FRAME_TOL or abs(self.b2 @ self.b2 - 1.0) > FRAME_TOL:
+        frame = []
+        for name in ("b1", "b2"):
+            a = np.array(getattr(self, name), dtype=float)
+            if a.shape != (4,):
+                raise ValueError(f"expected a 4-vector, got shape {a.shape}")
+            v = a.tolist()
+            if not all(map(math.isfinite, v)):
+                raise ValueError("vector has non-finite entries")
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+            frame.append(v)
+        x, y = frame
+        if abs(_fdot(x, x) - 1.0) > FRAME_TOL or abs(_fdot(y, y) - 1.0) > FRAME_TOL:
             raise ValueError("plane frame vectors must be unit length (within 1e-12)")
-        if abs(self.b1 @ self.b2) > FRAME_TOL:
+        if abs(_fdot(x, y)) > FRAME_TOL:
             raise ValueError("plane frame vectors must be orthogonal (within 1e-12)")
 
     @classmethod
-    def _orthonormal(cls, b1: np.ndarray, b2: np.ndarray, oriented: bool) -> "Plane":
+    def _orthonormal(cls, b1: list[float], b2: list[float], oriented: bool) -> "Plane":
         """A plane from a float frame that is orthonormal by construction,
-        without the checks of ``__init__``."""
+        without the checks of ``__init__``: ``orthogonal_complement`` only."""
         P = object.__new__(cls)
-        for name, value in (("b1", b1), ("b2", b2), ("oriented", oriented)):
+        for name, value in (("b1", np.array(b1)), ("b2", np.array(b2)), ("oriented", oriented)):
             object.__setattr__(P, name, value)
+        P.b1.setflags(write=False)
+        P.b2.setflags(write=False)
         return P
 
     def frame(self) -> np.ndarray:
         """4x2 matrix with the frame vectors as columns."""
         return np.array((self.b1, self.b2)).T
 
-    def reversed(self) -> "Plane":
-        """Same plane with the opposite orientation (frame vectors swapped)."""
-        return Plane(self.b2, self.b1, self.oriented)
-
     def project(self, v) -> np.ndarray:
         """Orthogonal projection onto the plane of a 4-vector or of an array
         of them (last axis)."""
-        v = _as_vec4(v, stacked=True)
+        v = _as_vec4(v)
         return (v @ self.b1)[..., None] * self.b1 + (v @ self.b2)[..., None] * self.b2
 
 
@@ -394,7 +402,7 @@ def orthogonal_complement(W: Plane) -> Plane:
     is a positively oriented basis of R^4: the one-plane view of
     ``complement_frames``."""
     n1, n2 = _pair_complement(W.b1.tolist(), W.b2.tolist())
-    return Plane._orthonormal(np.array(n1), np.array(n2), W.oriented)
+    return Plane._orthonormal(n1, n2, W.oriented)
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +418,7 @@ _HODGE_SIGN = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
 def wedge(u, v) -> np.ndarray:
     """Components of u ^ v in the basis (e12, e13, e14, e23, e24, e34), for
     4-vectors or arrays of them along the last axis."""
-    u = _as_vec4(u, stacked=True)
-    v = _as_vec4(v, stacked=True)
+    u, v = _as_vec4(u), _as_vec4(v)
     return u[..., _WEDGE_I] * v[..., _WEDGE_J] - u[..., _WEDGE_J] * v[..., _WEDGE_I]
 
 
@@ -421,11 +428,6 @@ def hodge(b) -> np.ndarray:
     if b.shape[-1:] != (6,):
         raise ValueError(f"expected bivectors with 6 components, got shape {b.shape}")
     return b[..., ::-1] * _HODGE_SIGN
-
-
-def bivector_inner(a, b) -> float:
-    """Scalar product on Lambda^2 R^4 (the wedge basis is orthonormal)."""
-    return float(np.asarray(a, dtype=float) @ np.asarray(b, dtype=float))
 
 
 def plane_bivector(P: Plane) -> np.ndarray:
@@ -485,12 +487,10 @@ def planes_with_angles(theta1: float, theta2: float,
     """
     if not (0.0 <= theta1 <= theta2 <= math.pi / 2 + 1e-15):
         raise ValueError("need 0 <= theta1 <= theta2 <= pi/2")
-    if basis is None:
-        basis = np.eye(4)
-    w1, w2, w3, w4 = basis.T
-    v1 = math.cos(theta1) * w2 + math.sin(theta1) * w4
-    v2 = math.cos(theta2) * w1 + math.sin(theta2) * w3
-    return Plane(v1, v2), Plane(w1, w2)
+    w1, w2, w3, w4 = _UNIT if basis is None else basis.T.tolist()
+    c1, s1, c2, s2 = math.cos(theta1), math.sin(theta1), math.cos(theta2), math.sin(theta2)
+    return (Plane([c1 * p + s1 * q for p, q in zip(w2, w4)],
+                  [c2 * p + s2 * q for p, q in zip(w1, w3)]), Plane(w1, w2))
 
 
 def random_plane(rng: np.random.Generator) -> Plane:

@@ -22,3 +22,9 @@ def test_every_exported_name_resolves(name):
 def test_no_name_is_exported_by_two_modules():
     counts = Counter(k for name in MODULES for k in exports(name))
     assert [k for k, n in counts.items() if n > 1] == []
+
+
+def test_test_only_helpers_are_not_in_the_package():
+    grassmann = importlib.import_module("helix4.grassmann")
+    assert not hasattr(grassmann, "bivector_inner")
+    assert not hasattr(grassmann.Plane, "reversed")

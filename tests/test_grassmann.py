@@ -8,7 +8,6 @@ import pytest
 from helix4.grassmann import (
     DEGENERATE_TOL,
     Plane,
-    bivector_inner,
     canonical_sign,
     complement_frames,
     hodge,
@@ -29,6 +28,16 @@ from helix4.surface_analysis import SurfaceJet, adapted_frames
 E = np.eye(4)
 PI12 = Plane(E[0], E[1])
 PI34 = Plane(E[2], E[3])
+
+
+def bivector_inner(a, b) -> float:
+    """Scalar product on Lambda^2 R^4 (the wedge basis is orthonormal)."""
+    return float(np.asarray(a, dtype=float) @ np.asarray(b, dtype=float))
+
+
+def reversed_plane(P):
+    """The same plane with the opposite orientation (frame vectors swapped)."""
+    return Plane(P.b2, P.b1, P.oriented)
 
 
 def test_identical_planes_have_zero_angles():
@@ -60,6 +69,77 @@ def test_rejects_non_orthonormal_frame():
         Plane(np.array([1.0, 1e-6, 0, 0]), E[1])
     with pytest.raises(ValueError):
         Plane(E[0], np.array([1e-6, 1.0, 0, 0]))
+
+
+def array_planes_with_angles(theta1, theta2, basis):
+    """Oracle: ``planes_with_angles`` as numpy array arithmetic on the columns."""
+    w1, w2, w3, w4 = basis.T
+    return ((math.cos(theta1) * w2 + math.sin(theta1) * w4,
+             math.cos(theta2) * w1 + math.sin(theta2) * w3), (w1, w2))
+
+
+def test_planes_with_angles_match_the_array_formula_bit_for_bit():
+    rng = np.random.default_rng(37)
+    cases = [(0.3, 0.9, E), (0.0, math.pi / 2, E)]
+    for _ in range(1000):
+        t1, t2 = np.sort(rng.uniform(0.0, math.pi / 2, size=2))
+        q, r = np.linalg.qr(rng.standard_normal((4, 4)))
+        cases.append((t1, t2, q * np.sign(np.diag(r))))
+    for t1, t2, basis in cases:
+        V, W = planes_with_angles(t1, t2, basis=basis)
+        expected = np.array(array_planes_with_angles(t1, t2, basis))
+        assert np.array_equal(np.array([[V.b1, V.b2], [W.b1, W.b2]]), expected)
+    V, W = planes_with_angles(0.3, 0.9)
+    assert np.array_equal(np.array([[V.b1, V.b2], [W.b1, W.b2]]),
+                          np.array(array_planes_with_angles(0.3, 0.9, E)))
+
+
+def test_plane_owns_a_read_only_copy_of_its_frame():
+    b1, b2 = E[0].copy(), [0.0, 1.0, 0.0, 0.0]
+    P = Plane(b1, b2)
+    b1[0], b2[1] = np.nan, 7.0
+    assert P.b1.tolist() == [1.0, 0.0, 0.0, 0.0] and P.b2.tolist() == [0.0, 1.0, 0.0, 0.0]
+    for v in (P.b1, P.b2):
+        assert v.dtype == np.float64 and not v.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            v[0] = 0.0
+    assert not hasattr(P, "__dict__")
+
+
+def test_planes_share_no_memory_with_their_inputs_or_each_other():
+    rng = np.random.default_rng(41)
+    P = random_plane(rng)
+    Q = Plane(P.b1, P.b2)
+    N = orthogonal_complement(P)
+    frames = [P.b1, P.b2, Q.b1, Q.b2, N.b1, N.b2]
+    for i, a in enumerate(frames):
+        assert not a.flags.writeable
+        for b in frames[i + 1:]:
+            assert not np.shares_memory(a, b)
+    # random_plane takes columns of one 4x4 rotation and keeps neither it nor a view
+    assert P.b1.base is None and P.b2.base is None
+
+
+@pytest.mark.parametrize("b1, b2, message", [
+    (np.ones(3), E[1], r"expected a 4-vector, got shape \(3,\)"),
+    (E[0], np.eye(2), r"expected a 4-vector, got shape \(2, 2\)"),
+    ([np.nan, 0, 0, 0], E[1], "vector has non-finite entries"),
+    (E[0], [0, np.inf, 0, 0], "vector has non-finite entries"),
+    (E[0], [0, 1, -np.inf, 0], "vector has non-finite entries"),
+    ([math.sqrt(1 + 2e-12), 0, 0, 0], E[1], r"unit length \(within 1e-12\)"),
+    (E[0], [0, math.sqrt(1 - 2e-12), 0, 0], r"unit length \(within 1e-12\)"),
+    ([1, 0, 0, 0], [2e-12, 1, 0, 0], r"orthogonal \(within 1e-12\)"),
+    ([math.sqrt(1 + 5e-13), 0, 0, 0], E[1], None),
+    (E[0], [0, math.sqrt(1 - 5e-13), 0, 0], None),
+    ([1, 0, 0, 0], [5e-13, 1, 0, 0], None),
+])
+def test_plane_checks_its_frame(b1, b2, message):
+    if message is None:
+        P = Plane(b1, b2)
+        assert P.b1.tolist() == [float(x) for x in b1] and P.b2.tolist() == [float(x) for x in b2]
+    else:
+        with pytest.raises(ValueError, match=message):
+            Plane(b1, b2)
 
 
 def test_round_trip_random_angles():
@@ -204,7 +284,9 @@ def test_stacks_of_non_finite_frames_fail_like_lapack():
         # the one-pair views, with the bad entry at every place of either plane
         for vector, i in np.ndindex(2, 4):
             for P in (V, W):
-                Q = Plane(P.b1.copy(), P.b2.copy())
+                # a plane refuses writes, so unseal its own copy to plant the entry
+                Q = Plane(P.b1, P.b2)
+                (Q.b1, Q.b2)[vector].setflags(write=True)
                 (Q.b1, Q.b2)[vector][i] = bad
                 for call in (lambda: principal_angles(Q, W), lambda: principal_angles(V, Q),
                              lambda: orthogonal_complement(Q),
@@ -376,7 +458,7 @@ def test_gauss_point_norms_and_orientation():
         assert abs(np.linalg.norm(plus) - math.sqrt(0.5)) < 1e-10
         assert abs(np.linalg.norm(minus) - math.sqrt(0.5)) < 1e-10
         assert np.linalg.norm(plus) ** 2 + np.linalg.norm(minus) ** 2 == pytest.approx(1.0)
-        rev_plus, rev_minus = _gauss_coords(plane_bivector(P.reversed()))
+        rev_plus, rev_minus = _gauss_coords(plane_bivector(reversed_plane(P)))
         assert np.allclose(rev_plus, -plus, atol=1e-14)
         assert np.allclose(rev_minus, -minus, atol=1e-14)
         assert abs(plucker_defect(plane_bivector(P))) < 1e-12
