@@ -250,7 +250,7 @@ def orbit_surface(gamma: Curve, Pi: Plane,
 
     # the rotated copies of gamma must be geodesics of the patch
     j = patch.sample(samples, [0.3 * (phi_range[1] - phi_range[0]) + phi_range[0]])[:, 0]
-    _, w = _tangent_frame(j)
+    w = _tangent_frame(j)[..., 1]
     scale = np.maximum(1.0, np.linalg.norm(j.p_uu, axis=-1))
     curved = np.abs(np.einsum("ik,ik->i", j.p_uu, w)) > 1e-9 * scale
     if curved.any():
@@ -295,7 +295,7 @@ def round_sphere_patch(R: float = 1.0) -> SurfacePatch:
 def _derived_expected(patch: SurfacePatch, Pi: Plane) -> PrincipalAngles:
     u = 0.5 * (patch.u_range[0] + patch.u_range[1])
     v = 0.5 * (patch.v_range[0] + patch.v_range[1])
-    return principal_angles(Plane(*_tangent_frame(patch.jet(u, v))), Pi)
+    return principal_angles(Plane(*_tangent_frame(patch.jet(u, v)).T), Pi)
 
 
 # the parameters of each kind and their JSON kinds: "number", "range" (a list

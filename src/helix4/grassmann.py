@@ -104,6 +104,20 @@ class Plane:
         P.b2.setflags(write=False)
         return P
 
+    def __eq__(self, other):
+        if not isinstance(other, Plane):
+            return NotImplemented
+        return (self.oriented == other.oriented and self.b1.tolist() == other.b1.tolist()
+                and self.b2.tolist() == other.b2.tolist())
+
+    def __hash__(self):
+        return hash((tuple(self.b1.tolist()), tuple(self.b2.tolist()), self.oriented))
+
+    def __reduce__(self):
+        # copies and pickles rebuild through the checking constructor, which
+        # takes its own read-only copies of the frame
+        return Plane, (self.b1, self.b2, self.oriented)
+
     def frame(self) -> np.ndarray:
         """4x2 matrix with the frame vectors as columns."""
         return np.array((self.b1, self.b2)).T

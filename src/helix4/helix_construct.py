@@ -107,12 +107,6 @@ class HelixParams:
     def sec2_prod(self) -> float:
         return (1.0 + math.tan(self.theta1) ** 2) * (1.0 + math.tan(self.theta2) ** 2)
 
-    @property
-    def c_normalized(self) -> float:
-        if self.c2 <= 0:
-            raise ValueError("normalized constant needs theta1 > 0")
-        return self.c1 / self.c2
-
 
 # ---------------------------------------------------------------------------
 # the E function and its partials

@@ -38,8 +38,6 @@ __all__ = [
     "StructureReport",
     "SphereFit",
     "ImmersionError",
-    "patch_from_position",
-    "patch_from_grid",
     "GraphSurface",
     "graph_jet",
     "stack4",
@@ -100,8 +98,8 @@ class SurfacePatch:
     ``stack4``); ``sample`` calls it, and ``jet(u, v)`` is its one-node view.
 
     ``jet_source`` records where derivatives come from: "analytic" (closed
-    form), "fd-position" (finite differences of a position-only map) or
-    "grid" (finite differences of sampled values; evaluation snaps to nodes).
+    form) or "grid" (finite differences of sampled values; evaluation snaps
+    to nodes).
     """
 
     u_range: tuple[float, float]
@@ -125,6 +123,7 @@ class FundamentalForms:
     E: float | np.ndarray
     F: float | np.ndarray
     G: float | np.ndarray
+    W: float | np.ndarray          # EG - F^2
     alpha_11: np.ndarray
     alpha_12: np.ndarray
     alpha_22: np.ndarray
@@ -184,41 +183,6 @@ class ResidualStat:
 # jet providers
 # ---------------------------------------------------------------------------
 
-def patch_from_position(pos: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                        u_range: tuple[float, float],
-                        v_range: tuple[float, float],
-                        h: float | None = None,
-                        name: str = "") -> SurfacePatch:
-    """Patch with jets estimated by central differences of a position map.
-
-    ``pos(u, v)`` takes arrays of parameters and returns the points as an
-    array of shape u.shape + (4,); a grid costs nine calls.  Step defaults
-    to (domain span) * max(1e-4, cbrt(machine eps)) per direction.
-    """
-    scale = max(1e-4, float(np.finfo(float).eps) ** (1.0 / 3.0))
-    hu = h if h is not None else (u_range[1] - u_range[0]) * scale
-    hv = h if h is not None else (v_range[1] - v_range[0]) * scale
-
-    def sample(us: np.ndarray, vs: np.ndarray) -> SurfaceJet:
-        U, V = np.meshgrid(us, vs, indexing="ij")
-
-        def at(du: float, dv: float) -> np.ndarray:
-            return np.asarray(pos(U + du, V + dv), dtype=float)
-
-        c = at(0.0, 0.0)
-        pu_p, pu_m, pv_p, pv_m = at(hu, 0.0), at(-hu, 0.0), at(0.0, hv), at(0.0, -hv)
-        return SurfaceJet(
-            p=c,
-            p_u=(pu_p - pu_m) / (2 * hu),
-            p_v=(pv_p - pv_m) / (2 * hv),
-            p_uu=(pu_p - 2 * c + pu_m) / (hu * hu),
-            p_uv=(at(hu, hv) - at(hu, -hv) - at(-hu, hv) + at(-hu, -hv)) / (4 * hu * hv),
-            p_vv=(pv_p - 2 * c + pv_m) / (hv * hv),
-        )
-
-    return SurfacePatch(u_range, v_range, sample, jet_source="fd-position", name=name)
-
-
 def fd_d1(values: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
     """First derivative along an axis: centered interior, 2nd-order one-sided ends."""
     v = np.asarray(values)
@@ -254,30 +218,6 @@ def _fd_jet(values: np.ndarray, hu: float, hv: float) -> tuple:
     d_u = fd_d1(values, hu, axis=0)
     return (values, d_u, fd_d1(values, hv, axis=1), fd_d2(values, hu, axis=0),
             fd_d1(d_u, hv, axis=1), fd_d2(values, hv, axis=1))
-
-
-def patch_from_grid(us: np.ndarray, vs: np.ndarray, points: np.ndarray,
-                    name: str = "") -> SurfacePatch:
-    """Patch backed by position samples on a rectangular grid.
-
-    ``points`` has shape (len(us), len(vs), 4).  Jets come from finite
-    differences of the samples; queries snap to the nearest node.
-    """
-    us = np.asarray(us, dtype=float)
-    vs = np.asarray(vs, dtype=float)
-    points = np.asarray(points, dtype=float)
-    if points.shape != (us.size, vs.size, 4):
-        raise ValueError("points must have shape (len(us), len(vs), 4)")
-    if us.size < 3 or vs.size < 3:
-        raise ValueError("grid patches need at least 3 nodes per direction")
-    arrays = SurfaceJet(*_fd_jet(points, us[1] - us[0], vs[1] - vs[0]))
-
-    def sample(qu: np.ndarray, qv: np.ndarray) -> SurfaceJet:
-        i, j = snap_to_nodes(us, vs, qu, qv)
-        return arrays[i][:, j]
-
-    return SurfacePatch((us[0], us[-1]), (vs[0], vs[-1]), sample, jet_source="grid",
-                        name=name)
 
 
 def snap_to_nodes(nodes_u: np.ndarray, nodes_v: np.ndarray,
@@ -436,7 +376,7 @@ def fundamental_forms(jet: SurfaceJet) -> FundamentalForms:
         a, b = _coords(w, pu, pv, E, F, G, W)
         return w - a[..., None] * pu - b[..., None] * pv
 
-    return FundamentalForms(E, F, G,
+    return FundamentalForms(E, F, G, W,
                             normal_part(jet.p_uu),
                             normal_part(jet.p_uv),
                             normal_part(jet.p_vv))
@@ -446,25 +386,26 @@ def fundamental_forms(jet: SurfaceJet) -> FundamentalForms:
 # adapted frames
 # ---------------------------------------------------------------------------
 
-def _tangent_frame(jet: SurfaceJet) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal tangent frame, orientation matching (p_u, p_v), at one
-    point or over a grid."""
+def _tangent_frame(jet: SurfaceJet) -> np.ndarray:
+    """Orthonormal tangent frame (..., 4, 2), columns u1 and u2, orientation
+    matching (p_u, p_v), at one point or over a grid."""
     u1 = jet.p_u / np.linalg.norm(jet.p_u, axis=-1, keepdims=True)
     w = jet.p_v - _dot(jet.p_v, u1)[..., None] * u1
     n = np.linalg.norm(w, axis=-1, keepdims=True)
     if (n < 1e-12 * np.maximum(1.0, np.linalg.norm(jet.p_v, axis=-1, keepdims=True))).any():
         raise ImmersionError("tangent vectors are parallel")
-    return u1, w / n
+    return np.stack([u1, w / n], axis=-1)
 
 
 def adapted_frame(jet: SurfaceJet, Pi: Plane) -> AdaptedFrame:
     """Adapted frame at one point with canonical signs: the one-node view of
     ``adapted_frames``."""
-    return adapted_frames(jet[None, None], Pi)[0, 0]
+    return adapted_frames(_tangent_frame(jet[None, None]), Pi)[0, 0]
 
 
-def adapted_frames(jets: SurfaceJet, Pi: Plane) -> AdaptedFrame:
-    """Adapted frames over an (N, M) grid of jets, in one array pass.
+def adapted_frames(U: np.ndarray, Pi: Plane) -> AdaptedFrame:
+    """Adapted frames over an (N, M) grid of orthonormal tangent frames U
+    (N, M, 4, 2), as ``_tangent_frame`` gives them, in one array pass.
 
     T1, T2 are the principal directions in the tangent plane against Pi
     (``stacked_angles`` on (Pi, tangent frame)), e1, e2 the matching ones in
@@ -475,8 +416,6 @@ def adapted_frames(jets: SurfaceJet, Pi: Plane) -> AdaptedFrame:
     running products of neighbour-dot signs along that tree.
     ``align_quality`` is 1 at the root.
     """
-    u1, u2 = _tangent_frame(jets)
-    U = np.stack([u1, u2], axis=-1)                       # (N, M, 4, 2)
     # the two groups (T_k, e_k, xi_k) stacked on axis -2
     pa = stacked_angles(Pi.frame(), U)
     theta, T, E = pa.theta, pa.dirs_b, pa.dirs_a
@@ -639,13 +578,13 @@ def default_gate(patch: SurfacePatch, grid_h: float) -> float:
     return 5.0 * grid_h * grid_h
 
 
-def brioschi_curvature(E: np.ndarray, F: np.ndarray, G: np.ndarray,
-                       du: float, dv: float) -> np.ndarray:
-    """Gauss curvature from the metric alone (Brioschi formula), interior nodes.
+def brioschi_curvature(ff: FundamentalForms, du: float, dv: float) -> np.ndarray:
+    """Gauss curvature from the metric alone (Brioschi formula: E, F, G and
+    W = EG - F^2 of grid forms), on the interior nodes (N - 2, M - 2).
 
-    Metric derivatives are centered differences; the returned array is
-    NaN-padded to the input shape.
+    Metric derivatives are centered differences.
     """
+    E, F, G = ff.E, ff.F, ff.G
     Eu, Ev = fd_d1(E, du, 0), fd_d1(E, dv, 1)
     Gu, Gv = fd_d1(G, du, 0), fd_d1(G, dv, 1)
     Fu, Fv = fd_d1(F, du, 0), fd_d1(F, dv, 1)
@@ -660,11 +599,7 @@ def brioschi_curvature(E: np.ndarray, F: np.ndarray, G: np.ndarray,
     m2 = _det3(np.zeros_like(E), 0.5 * Ev, 0.5 * Gu,
                0.5 * Ev, E, F,
                0.5 * Gu, F, G)
-    W = E * G - F * F
-    K = (m1 - m2) / (W * W)
-    out = np.full_like(K, np.nan)
-    out[1:-1, 1:-1] = K[1:-1, 1:-1]
-    return out
+    return ((m1 - m2) / (ff.W * ff.W))[1:-1, 1:-1]
 
 
 def _det3(a, b, c, d, e, f, g, h, i):
@@ -689,76 +624,65 @@ def _fit_sphere(points: np.ndarray) -> SphereFit:
     return SphereFit(center, radius, defect, True)
 
 
-def verify_helix(patch: SurfacePatch, Pi: Plane,
-                 grid: tuple[int, int]) -> StructureReport:
-    """Sample the adapted-frame structure over a grid and report residuals.
+# ---------------------------------------------------------------------------
+# verify_helix in four stages: _sample -> adapted_frames -> _fields -> _reduce
+# ---------------------------------------------------------------------------
 
-    Frames come from ``adapted_frames`` (one array pass), then connection
-    one-forms and m-derivatives are estimated by centered differences on the
-    interior nodes.
-    """
+_INNER = (slice(1, -1), slice(1, -1))     # interior nodes of a block
+
+
+def _sample(patch: SurfacePatch, grid: tuple[int, int]):
+    """Stage (a): the grid axes us, vs, the jets sampled on them, their
+    fundamental forms and the orthonormal tangent frames (N, M, 4, 2)."""
     N, M = grid
     if N < 3 or M < 3:
         raise ValueError("grid must be at least 3x3 for the FD stencil")
     us = np.linspace(*patch.u_range, N)
     vs = np.linspace(*patch.v_range, M)
-    du = us[1] - us[0]
-    dv = vs[1] - vs[0]
-
     J = patch.sample(us, vs)
-    ff = fundamental_forms(J)
-    P, PU, PV = J.p, J.p_u, J.p_v
-    E, F, G = ff.E, ff.F, ff.G
+    return us, vs, J, fundamental_forms(J), _tangent_frame(J)
+
+
+def _fields(jet: SurfaceJet, ff: FundamentalForms, U: np.ndarray, fr: AdaptedFrame,
+            Pi: Plane, du: float, dv: float) -> dict[str, np.ndarray]:
+    """Stage (c): every field of ``verify_helix`` on a block of whole grid
+    rows, by name; du, dv are the grid steps.
+
+    Node fields (rows, M) cover every row of the block.  Interior fields
+    (..., rows - 2, M - 2) leave out its first and last row (a one-row
+    halo) and the edge columns; ``dependencia`` (3, 2, n) lists the n true
+    nodes of ``dependencia_ok`` row-major.  None depends on how the grid's
+    rows are split into blocks.
+    """
+    E, F, G, W = ff.E, ff.F, ff.G, ff.W
     a11, a12, a22 = ff.alpha_11, ff.alpha_12, ff.alpha_22
-
-    if not Pi.oriented:
-        raise ValueError("the Gauss map needs an oriented reference plane")
-    fr = adapted_frames(J, Pi)
     T1, T2, X1, X2, E1, E2 = fr.T1, fr.T2, fr.xi1, fr.xi2, fr.e1, fr.e2
-    th1, th2 = fr.theta1, fr.theta2
-    # Gauss map of the tangent planes against the reference plane
-    eta, eta_pi = wedge(*_tangent_frame(J)), plane_bivector(Pi)
-    (plus, minus), (plus_pi, minus_pi) = _gauss_coords(eta), _gauss_coords(eta_pi)
-    circ_plus, circ_minus = plus @ plus_pi, minus @ minus_pi
-    cos_theta, cos_theta_perp = eta @ eta_pi, eta @ hodge(eta_pi)
 
-    # coefficients of T1, T2 in (p_u, p_v)
-    W = E * G - F * F
-    (c1u, c1v), (c2u, c2v) = (_coords(T, PU, PV, E, F, G, W) for T in (T1, T2))
+    # coefficients of T1, T2 in (p_u, p_v); alpha on (T1, T1), (T1, T2), (T2, T2)
+    cT1, cT2 = (_coords(T, jet.p_u, jet.p_v, E, F, G, W) for T in (T1, T2))
+    aT1T1, aT1T2, aT2T2 = (a11 * (xu * yu)[..., None] + a12 * (xu * yv + xv * yu)[..., None]
+                           + a22 * (xv * yv)[..., None]
+                           for (xu, xv), (yu, yv) in ((cT1, cT1), (cT1, cT2), (cT2, cT2)))
+    m1, m2 = _dot(aT2T2, X1), _dot(aT1T1, X2)
 
-    def alpha_on_grid(au, av, bu, bv):
-        coef = lambda arr, w: arr * w[..., None]  # noqa: E731
-        return (coef(a11, au * bu) + coef(a12, au * bv + av * bu)
-                + coef(a22, av * bv))
-
-    aT1T1 = alpha_on_grid(c1u, c1v, c1u, c1v)
-    aT1T2 = alpha_on_grid(c1u, c1v, c2u, c2v)
-    aT2T2 = alpha_on_grid(c2u, c2v, c2u, c2v)
-    m1 = _dot(aT2T2, X1)
-    m2 = _dot(aT1T1, X2)
-    alpha_cross = np.linalg.norm(aT1T2, axis=-1)
-
-    # curvatures from the Gauss / Ricci equations
+    # curvatures from the Gauss / Ricci equations; K_perp is read off the
+    # commutator, since writing out its entry changes last bits (BLAS forms
+    # the 2x2 products with fused multiply-adds)
     K = (_dot(a11, a22) - _dot(a12, a12)) / W
-    h1 = np.empty((N, M, 2, 2))
-    h2 = np.empty((N, M, 2, 2))
+    h1 = np.empty(m1.shape + (2, 2))
+    h2 = np.empty(m1.shape + (2, 2))
     h1[..., 0, 0], h1[..., 1, 1] = _dot(aT1T1, X1), m1
     h2[..., 0, 0], h2[..., 1, 1] = m2, _dot(aT2T2, X2)
     h1[..., 0, 1] = h1[..., 1, 0] = _dot(aT1T2, X1)
     h2[..., 0, 1] = h2[..., 1, 0] = _dot(aT1T2, X2)
-    comm = h1 @ h2 - h2 @ h1
-    K_perp = comm[..., 1, 0]
+    K_perp = (h1 @ h2 - h2 @ h1)[..., 1, 0]
 
-    K_brioschi = brioschi_curvature(E, F, G, du, dv)
-
-    cos_ap = 2.0 * circ_plus
-    cos_am = 2.0 * circ_minus
-    alpha_theta_cross = np.maximum(np.abs(cos_ap - (cos_theta + cos_theta_perp)),
-                                   np.abs(cos_am - (cos_theta - cos_theta_perp)))
-    alpha_plus = np.arccos(np.clip(cos_ap, -1.0, 1.0))
-    alpha_minus = np.arccos(np.clip(cos_am, -1.0, 1.0))
-
-    it = lambda A: A[1:-1, 1:-1]  # noqa: E731  interior view
+    # Gauss map of the tangent planes against the reference plane
+    eta, eta_pi = wedge(U[..., 0], U[..., 1]), plane_bivector(Pi)
+    (plus, minus), (plus_pi, minus_pi) = _gauss_coords(eta), _gauss_coords(eta_pi)
+    circ_plus, circ_minus = plus @ plus_pi, minus @ minus_pi
+    cos_theta, cos_theta_perp = eta @ eta_pi, eta @ hodge(eta_pi)
+    cos_ap, cos_am = 2.0 * circ_plus, 2.0 * circ_minus
 
     def along(A):
         """Centred derivatives of the field A (a scalar or a vector per node)
@@ -766,138 +690,153 @@ def verify_helix(patch: SurfacePatch, Pi: Plane,
         ddu = (A[2:, 1:-1] - A[:-2, 1:-1]) / (2 * du)
         ddv = (A[1:-1, 2:] - A[1:-1, :-2]) / (2 * dv)
         x = (...,) + (None,) * (A.ndim - 2)
-        return tuple(it(cu)[x] * ddu + it(cv)[x] * ddv
-                     for cu, cv in ((c1u, c1v), (c2u, c2v)))
+        return tuple(cu[_INNER][x] * ddu + cv[_INNER][x] * ddv for cu, cv in (cT1, cT2))
 
     # connection one-forms <D_X T1, T2>, <D_X xi1, xi2>, <D_X e1, e2> and
     # the derivatives of m1, m2, each on X = T1 and X = T2
-    dt_T1, dt_T2 = (_dot(d, it(T2)) for d in along(T1))
-    dn_T1, dn_T2 = (_dot(d, it(X2)) for d in along(X1))
-    df_T1, df_T2 = (_dot(d, it(E2)) for d in along(E1))
+    dt_T1, dt_T2 = (_dot(d, T2[_INNER]) for d in along(T1))
+    dn_T1, dn_T2 = (_dot(d, X2[_INNER]) for d in along(X1))
+    df_T1, df_T2 = (_dot(d, E2[_INNER]) for d in along(E1))
     dm1_T1, dm1_T2 = along(m1)
     dm2_T1, dm2_T2 = along(m2)
 
-    ct1, ct2 = np.cos(it(th1)), np.cos(it(th2))
-    st1, st2 = np.sin(it(th1)), np.sin(it(th2))
-    im1, im2 = it(m1), it(m2)
+    th1, th2 = fr.theta1[_INNER], fr.theta2[_INNER]
+    ct1, ct2, st1, st2 = np.cos(th1), np.cos(th2), np.sin(th1), np.sin(th2)
+    im1, im2, iT1, iT2 = m1[_INNER], m2[_INNER], T1[_INNER], T2[_INNER]
+    # dlambda1, dlambda2 on X = T1 and X = T2
+    dl1 = (im1 * _dot(iT1, iT2), im1 * _dot(iT2, iT2))
+    dl2 = (im2 * _dot(iT1, iT1), im2 * _dot(iT2, iT1))
 
-    # structure equations evaluated on X = T1 and X = T2
-    tangent_res = np.stack([
-        ct2 * df_T1 - ct1 * dt_T1,
-        ct2 * df_T2 - ct1 * dt_T2 + st1 * im1,
-        -ct1 * df_T1 + ct2 * dt_T1 + st2 * im2,
-        -ct1 * df_T2 + ct2 * dt_T2,
-    ])
-    normal_res = np.stack([
-        st2 * df_T1 - ct1 * im2 - st1 * dn_T1,
-        st2 * df_T2 - st1 * dn_T2,
-        -st1 * df_T1 + st2 * dn_T1,
-        -st1 * df_T2 - ct2 * im1 + st2 * dn_T2,
-    ])
-    c1_res = im1 * dt_T2 + dm1_T1
-    c2_res = im1 * dt_T1 - im2 * dn_T2
-    c3_res = im2 * dt_T1 - dm2_T2
-    c4_res = im2 * dt_T2 - im1 * dn_T1
-    par_h1 = np.stack([dm2_T1 + im1 * dn_T1, dm2_T2 + im1 * dn_T2])
-    par_h2 = np.stack([dm1_T1 - im2 * dn_T1, dm1_T2 - im2 * dn_T2])
+    # redundant one-form identities of the generic case (consequences of the
+    # structure system), (3, 2, n) on X = T1, T2 at the n interior nodes
+    # (row-major) where all their divisors exceed DEPENDENCIA_MIN
+    ok = np.minimum.reduce([st1, st2, ct1, ct2]) > DEPENDENCIA_MIN
+    ok[ok] = np.abs(ct1[ok] / ct2[ok] - ct2[ok] / ct1[ok]) > DEPENDENCIA_MIN
+    l1, l2, dt, dn = ([a[ok] for a in pair]
+                      for pair in (dl1, dl2, (dt_T1, dt_T2), (dn_T1, dn_T2)))
+    c1, c2, s1, s2 = ct1[ok], ct2[ok], st1[ok], st2[ok]
+    dep = np.array([[(c1 / c2 - c2 / c1) * dt[k] - (s1 / c2) * l1[k] - (s2 / c1) * l2[k],
+                     -(s1 / s2) * dn[k] + (c1 / c2) * dt[k]
+                     - (s1 / c2) * l1[k] - (c1 / s2) * l2[k],
+                     -(s2 / s1) * dn[k] + (c1 / c2) * dt[k] - (s1 / c2 - c2 / s1) * l1[k]]
+                    for k in (0, 1)]).swapaxes(0, 1)
+    tt2 = np.tan(th2)
 
-    sphere = _fit_sphere(P)
+    return dict(
+        # node fields
+        m1=m1, m2=m2, K=K, K_perp=K_perp,
+        alpha_t1t2=np.linalg.norm(aT1T2, axis=-1),
+        alpha_theta_cross=np.maximum(np.abs(cos_ap - (cos_theta + cos_theta_perp)),
+                                     np.abs(cos_am - (cos_theta - cos_theta_perp))),
+        circ_plus=circ_plus, circ_minus=circ_minus,
+        alpha_plus=np.arccos(np.clip(cos_ap, -1.0, 1.0)),
+        alpha_minus=np.arccos(np.clip(cos_am, -1.0, 1.0)),
+        # interior fields
+        dt_T1=dt_T1, dt_T2=dt_T2, dn_T1=dn_T1, dn_T2=dn_T2, df_T1=df_T1, df_T2=df_T2,
+        dm1_T1=dm1_T1, dm1_T2=dm1_T2, dm2_T1=dm2_T1, dm2_T2=dm2_T2,
+        # the structure equations on X = T1 and X = T2: 4 tangent, 4 normal
+        structure=np.stack([
+            ct2 * df_T1 - ct1 * dt_T1,
+            ct2 * df_T2 - ct1 * dt_T2 + st1 * im1,
+            -ct1 * df_T1 + ct2 * dt_T1 + st2 * im2,
+            -ct1 * df_T2 + ct2 * dt_T2,
+            st2 * df_T1 - ct1 * im2 - st1 * dn_T1,
+            st2 * df_T2 - st1 * dn_T2,
+            -st1 * df_T1 + st2 * dn_T1,
+            -st1 * df_T2 - ct2 * im1 + st2 * dn_T2]),
+        codazzi=np.stack([im1 * dt_T2 + dm1_T1, im1 * dt_T1 - im2 * dn_T2,
+                          im2 * dt_T1 - dm2_T2, im2 * dt_T2 - im1 * dn_T1]),
+        # the xi1 components on T1, T2, then the xi2 components
+        parallel_h=np.stack([dm2_T1 + im1 * dn_T1, dm2_T2 + im1 * dn_T2,
+                             dm1_T1 - im2 * dn_T1, dm1_T2 - im2 * dn_T2]),
+        brioschi_gap=K[_INNER] - brioschi_curvature(ff, du, dv),
+        dependencia=dep, dependencia_ok=ok,
+        zero_angle_df=np.stack([ct2 * df_T1 - dt_T1, ct2 * df_T2 - dt_T2]),
+        zero_angle_dn=np.stack([tt2 * dn_T1 - dl1[0], tt2 * dn_T2 - dl1[1]]),
+    )
 
-    def pad(arr):
-        out = np.full((N, M), np.nan)
-        out[1:-1, 1:-1] = arr
-        return out
 
-    theta1_stats = (float(np.mean(th1)), float(np.std(th1)))
-    theta2_stats = (float(np.mean(th2)), float(np.std(th2)))
-    angle_stats = {
-        "theta1": theta1_stats,
-        "theta2": theta2_stats,
-        "alpha_plus": (float(np.mean(alpha_plus)), float(np.std(alpha_plus))),
-        "alpha_minus": (float(np.mean(alpha_minus)), float(np.std(alpha_minus))),
-    }
+def _padded(A: np.ndarray) -> np.ndarray:
+    """An interior array NaN-padded to the grid (np.pad costs 7x more)."""
+    out = np.full((A.shape[0] + 2, A.shape[1] + 2), np.nan)
+    out[_INNER] = A
+    return out
+
+
+def _reduce(patch: SurfacePatch, us: np.ndarray, vs: np.ndarray, points: np.ndarray,
+            fr: AdaptedFrame, f: dict[str, np.ndarray]) -> StructureReport:
+    """Stage (d): statistics of the fields, the sphere fit of the points,
+    and the arrays the report keeps (interior ones NaN-padded)."""
+    angle_stats = {k: (float(np.mean(a)), float(np.std(a))) for k, a in (
+        ("theta1", fr.theta1), ("theta2", fr.theta2),
+        ("alpha_plus", f["alpha_plus"]), ("alpha_minus", f["alpha_minus"]))}
+    (mean_t1, std_t1), (mean_t2, std_t2) = angle_stats["theta1"], angle_stats["theta2"]
+    sphere = _fit_sphere(points)
+    structure, codazzi, par_h = f["structure"], f["codazzi"], f["parallel_h"]
 
     residuals = {
-        "structure_tangent": ResidualStat.of(tangent_res),
-        "structure_normal": ResidualStat.of(normal_res),
-        "codazzi_c1": ResidualStat.of(c1_res),
-        "codazzi_c2": ResidualStat.of(c2_res),
-        "codazzi_c3": ResidualStat.of(c3_res),
-        "codazzi_c4": ResidualStat.of(c4_res),
-        "gauss_curvature": ResidualStat.of(K),
-        "normal_curvature": ResidualStat.of(K_perp),
-        "gauss_brioschi_agreement": ResidualStat.of(it(K) - it(K_brioschi)),
-        "alpha_t1t2": ResidualStat.of(alpha_cross),
-        "parallel_h": ResidualStat.of(np.concatenate([par_h1, par_h2])),
-        "alpha_theta_cross": ResidualStat.of(alpha_theta_cross),
+        "structure_tangent": ResidualStat.of(structure[:4]),
+        "structure_normal": ResidualStat.of(structure[4:]),
+        **{f"codazzi_c{k}": ResidualStat.of(c) for k, c in enumerate(codazzi, 1)},
+        "gauss_curvature": ResidualStat.of(f["K"]),
+        "normal_curvature": ResidualStat.of(f["K_perp"]),
+        "gauss_brioschi_agreement": ResidualStat.of(f["brioschi_gap"]),
+        "alpha_t1t2": ResidualStat.of(f["alpha_t1t2"]),
+        "parallel_h": ResidualStat.of(par_h),
+        "alpha_theta_cross": ResidualStat.of(f["alpha_theta_cross"]),
     }
     if sphere.ok:
         residuals["sphere_defect"] = ResidualStat(sphere.defect, sphere.defect)
-
-    # dlambda1, dlambda2 on X = T1 and X = T2
-    dl1 = (im1 * _dot(it(T1), it(T2)), im1 * _dot(it(T2), it(T2)))
-    dl2 = (im2 * _dot(it(T1), it(T1)), im2 * _dot(it(T2), it(T1)))
-    # redundant one-form identities of the generic case (consequences of the
-    # structure system; reported as residuals, not enforced independently)
-    mean_t1 = theta1_stats[0]
-    mean_t2 = theta2_stats[0]
     dependencia_skipped = None
     if 1e-6 < mean_t1 and mean_t2 < math.pi / 2 - 1e-6:
-        ok = np.minimum.reduce([st1, st2, ct1, ct2]) > DEPENDENCIA_MIN
-        ok[ok] = np.abs(ct1[ok] / ct2[ok] - ct2[ok] / ct1[ok]) > DEPENDENCIA_MIN
+        ok = f["dependencia_ok"]
         dependencia_skipped = int(ok.size - np.count_nonzero(ok))
-        l1, l2, dt, dn = ([a[ok] for a in pair]
-                          for pair in (dl1, dl2, (dt_T1, dt_T2), (dn_T1, dn_T2)))
-        c1, c2, s1, s2 = ct1[ok], ct2[ok], st1[ok], st2[ok]
-        dep1, dep2, dep3 = [], [], []
-        for k in (0, 1):
-            dep1.append((c1 / c2 - c2 / c1) * dt[k]
-                        - (s1 / c2) * l1[k] - (s2 / c1) * l2[k])
-            dep2.append(-(s1 / s2) * dn[k] + (c1 / c2) * dt[k]
-                        - (s1 / c2) * l1[k] - (c1 / s2) * l2[k])
-            dep3.append(-(s2 / s1) * dn[k] + (c1 / c2) * dt[k]
-                        - (s1 / c2 - c2 / s1) * l1[k])
-        residuals["dependencia1"] = ResidualStat.of(np.stack(dep1))
-        residuals["dependencia2"] = ResidualStat.of(np.stack(dep2))
-        residuals["dependencia3"] = ResidualStat.of(np.stack(dep3))
+        for k, dep in enumerate(f["dependencia"], 1):
+            residuals[f"dependencia{k}"] = ResidualStat.of(dep)
     if mean_t1 < 1e-6 and mean_t2 < math.pi / 2 - 1e-6:
-        tt2 = np.tan(it(th2))
-        residuals["zero_angle_df"] = ResidualStat.of(np.stack([
-            ct2 * df_T1 - dt_T1, ct2 * df_T2 - dt_T2]))
-        residuals["zero_angle_dn"] = ResidualStat.of(np.stack([
-            tt2 * dn_T1 - dl1[0], tt2 * dn_T2 - dl1[1]]))
+        residuals["zero_angle_df"] = ResidualStat.of(f["zero_angle_df"])
+        residuals["zero_angle_dn"] = ResidualStat.of(f["zero_angle_dn"])
     if mean_t1 < 1e-6:
-        residuals["zero_angle_geodesic"] = ResidualStat.of(dt_T2)
+        residuals["zero_angle_geodesic"] = ResidualStat.of(f["dt_T2"])
 
     # angle dichotomy for spherical helix patches: only asserted when the
     # sphere fit succeeds and the surface actually is a (numerical) helix
     sphere_dichotomy = None
-    helix_like = max(theta1_stats[1], theta2_stats[1]) < 1e-6
-    if sphere.ok and sphere.defect < 1e-6 and helix_like:
-        sphere_dichotomy = bool(mean_t1 < 1e-6
-                                or abs(mean_t2 - math.pi / 2) < 1e-6)
+    if sphere.ok and sphere.defect < 1e-6 and max(std_t1, std_t2) < 1e-6:
+        sphere_dichotomy = bool(mean_t1 < 1e-6 or abs(mean_t2 - math.pi / 2) < 1e-6)
 
+    padded = {k: _padded(f[k]) for k in ("dt_T1", "dt_T2", "dn_T1", "dn_T2")}
     return StructureReport(
-        name=patch.name,
-        jet_source=patch.jet_source,
-        grid_shape=(N, M),
-        u=us, v=vs, points=P,
-        theta1=th1, theta2=th2, m1=m1, m2=m2,
-        K=K, K_perp=K_perp,
-        dt_T1=pad(dt_T1), dt_T2=pad(dt_T2),
-        dn_T1=pad(dn_T1), dn_T2=pad(dn_T2),
-        parallel_h=tuple(float(np.nanmax(np.abs(r))) for r in (par_h1, par_h2)),
+        name=patch.name, jet_source=patch.jet_source, grid_shape=(us.size, vs.size),
+        u=us, v=vs, points=points, theta1=fr.theta1, theta2=fr.theta2,
+        m1=f["m1"], m2=f["m2"], K=f["K"], K_perp=f["K_perp"], **padded,
+        parallel_h=tuple(float(np.nanmax(np.abs(r))) for r in (par_h[:2], par_h[2:])),
         residuals=residuals,
         angle_stats=angle_stats,
-        gauss_circle_std=(float(np.std(circ_plus)), float(np.std(circ_minus))),
-        alpha_theta_max=float(np.max(alpha_theta_cross)),
+        gauss_circle_std=(float(np.std(f["circ_plus"])), float(np.std(f["circ_minus"]))),
+        alpha_theta_max=float(np.max(f["alpha_theta_cross"])),
         sphere=sphere,
         sphere_dichotomy=sphere_dichotomy,
         degenerate_fraction=float(np.mean(fr.degenerate)),
         min_align_dot=float(fr.align_quality.min()),
-        structure_residual=pad(np.max(np.abs(np.concatenate(
-            [tangent_res, normal_res])), axis=0)),
-        codazzi_residual=pad(np.max(np.abs(np.stack(
-            [c1_res, c2_res, c3_res, c4_res])), axis=0)),
+        structure_residual=_padded(np.max(np.abs(structure), axis=0)),
+        codazzi_residual=_padded(np.max(np.abs(codazzi), axis=0)),
         dependencia_skipped=dependencia_skipped,
     )
+
+
+def verify_helix(patch: SurfacePatch, Pi: Plane,
+                 grid: tuple[int, int]) -> StructureReport:
+    """Sample the adapted-frame structure over a grid and report residuals.
+
+    Four stages: sampling (jets, fundamental forms, tangent frames), the
+    frames (``adapted_frames``), the residual fields, whose connection
+    one-forms and m-derivatives are centered differences on the interior
+    nodes, and their reduction to the report.
+    """
+    us, vs, J, ff, U = _sample(patch, grid)
+    if not Pi.oriented:
+        raise ValueError("the Gauss map needs an oriented reference plane")
+    fr = adapted_frames(U, Pi)
+    return _reduce(patch, us, vs, J.p, fr,
+                   _fields(J, ff, U, fr, Pi, us[1] - us[0], vs[1] - vs[0]))

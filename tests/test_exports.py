@@ -28,3 +28,8 @@ def test_test_only_helpers_are_not_in_the_package():
     grassmann = importlib.import_module("helix4.grassmann")
     assert not hasattr(grassmann, "bivector_inner")
     assert not hasattr(grassmann.Plane, "reversed")
+    surface_analysis = importlib.import_module("helix4.surface_analysis")
+    assert not hasattr(surface_analysis, "patch_from_position")
+    assert not hasattr(surface_analysis, "patch_from_grid")
+    helix_construct = importlib.import_module("helix4.helix_construct")
+    assert not hasattr(helix_construct.HelixParams, "c_normalized")

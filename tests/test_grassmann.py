@@ -1,6 +1,8 @@
 """Plane / principal-angle / bivector unit tests."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from helix4.grassmann import (
     wedge,
 )
 from helix4.grassmann import _gauss_coords
-from helix4.surface_analysis import SurfaceJet, adapted_frames
+from helix4.surface_analysis import SurfaceJet, _tangent_frame, adapted_frames
 
 E = np.eye(4)
 PI12 = Plane(E[0], E[1])
@@ -118,6 +120,29 @@ def test_planes_share_no_memory_with_their_inputs_or_each_other():
             assert not np.shares_memory(a, b)
     # random_plane takes columns of one 4x4 rotation and keeps neither it nor a view
     assert P.b1.base is None and P.b2.base is None
+
+
+@pytest.mark.parametrize("make", [random_plane,
+                                  lambda rng: orthogonal_complement(random_plane(rng))],
+                         ids=["checked", "complement"])
+def test_copied_and_unpickled_planes_stay_sealed(make):
+    P = make(np.random.default_rng(43))
+    for Q in (copy.copy(P), copy.deepcopy(P), pickle.loads(pickle.dumps(P))):
+        assert type(Q) is Plane and Q.oriented is P.oriented
+        for a, b in ((Q.b1, P.b1), (Q.b2, P.b2)):
+            assert a.tolist() == b.tolist()
+            assert not a.flags.writeable and not np.shares_memory(a, b)
+        with pytest.raises(ValueError, match="read-only"):
+            Q.b1[0] = np.nan
+
+
+def test_planes_compare_and_hash_by_frame_and_orientation():
+    P = Plane(E[0], E[1])
+    assert P == Plane([1, 0, 0, 0], E[1]) and hash(P) == hash(Plane([1, 0, 0, 0], E[1]))
+    assert P == Plane(-0.0 * E[0] + E[0], E[1])
+    assert P != Plane(E[0], E[1], oriented=False)
+    assert P != reversed_plane(P) and P != PI34 and P != "plane"
+    assert len({P, Plane(E[0], E[1]), PI34}) == 2
 
 
 @pytest.mark.parametrize("b1, b2, message", [
@@ -370,7 +395,7 @@ def test_one_degenerate_rule_on_the_angle_gap(theta1, theta2, degenerate):
     # the frame pass on the flat patch tangent to V, against W
     zero = np.zeros((1, 1, 4))
     jet = SurfaceJet(zero, V.b1[None, None], V.b2[None, None], zero, zero, zero)
-    fr = adapted_frames(jet, W)
+    fr = adapted_frames(_tangent_frame(jet), W)
     assert fr.degenerate[0, 0] == degenerate
     assert [fr.theta1[0, 0], fr.theta2[0, 0]] == pytest.approx([theta1, theta2], abs=1e-15)
 

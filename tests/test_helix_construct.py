@@ -15,10 +15,23 @@ from helix4.helix_construct import (GRAPH_RESIDUALS, CompositionVerdict, HelixPa
                                     first_normal_rank, paper_initial_data,
                                     recover_g, residual_maxima, solution_graph,
                                     solve_pde, symplecto_check, _E_partials)
-from helix4.surface_analysis import GraphSurface, patch_from_grid, verify_helix
+from helix4.surface_analysis import (GraphSurface, SurfaceJet, SurfacePatch, _fd_jet,
+                                     snap_to_nodes, verify_helix)
 
 PI = Plane(np.eye(4)[0], np.eye(4)[1])
 C_THIRD = 10.0 / 3.0
+
+
+def patch_from_grid(us, vs, points):
+    """Patch backed by position samples (len(us), len(vs), 4) on a grid: jets
+    from finite differences of the samples, queries snapped to the nodes."""
+    arrays = SurfaceJet(*_fd_jet(points, us[1] - us[0], vs[1] - vs[0]))
+
+    def sample(qu, qv):
+        i, j = snap_to_nodes(us, vs, qu, qv)
+        return arrays[i][:, j]
+
+    return SurfacePatch((us[0], us[-1]), (vs[0], vs[-1]), sample, jet_source="grid")
 
 
 def linear_graph(a: float, b: float) -> GraphSurface:
@@ -52,7 +65,7 @@ def test_helix_params_constants():
     P = HelixParams(math.pi / 6, math.pi / 3)
     assert P.c1 == pytest.approx(C_THIRD, abs=1e-12)
     assert P.c2 == pytest.approx(1.0, abs=1e-12)
-    assert P.c_normalized == pytest.approx(C_THIRD, abs=1e-12)
+    assert P.c1 / P.c2 == pytest.approx(C_THIRD, abs=1e-12)
     assert P.sec2_sum == pytest.approx(4.0 / 3.0 + 4.0)
     assert P.sec2_prod == pytest.approx(16.0 / 3.0)
 
@@ -66,7 +79,7 @@ def test_helix_params_inequality_and_equality_case():
         assert P.c1 >= 2 * P.c2 - 1e-12
     Pe = HelixParams(0.7, 0.7)
     assert Pe.c1 == pytest.approx(2 * Pe.c2)
-    assert Pe.c_normalized == pytest.approx(2.0)
+    assert Pe.c1 / Pe.c2 == pytest.approx(2.0)
     with pytest.raises(ValueError):
         HelixParams(1.0, 0.5)
     with pytest.raises(ValueError):
@@ -100,7 +113,7 @@ def test_equal_angle_linear_solutions_are_geodesic_branch():
     t = math.pi / 4
     G = linear_graph(math.tan(t), math.tan(t))
     P = HelixParams(t, t)
-    assert P.c_normalized == pytest.approx(2.0)
+    assert P.c1 / P.c2 == pytest.approx(2.0)
     xs, ys = G.sample_grid(5, 5)
     for r in helix_residuals(G, P, xs, ys):
         assert r == pytest.approx(0.0, abs=1e-12)

@@ -6,14 +6,46 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from helix4 import cli
+from helix4 import surface_analysis as sa
 from helix4.catalog import (EXAMPLE_NAMES, PI_12, generate, named_example,
                             round_sphere_patch)
-from helix4.surface_analysis import (AdaptedFrame, ImmersionError, SurfaceJet,
-                                     adapted_frame, adapted_frames,
-                                     brioschi_curvature,
-                                     fundamental_forms,
-                                     patch_from_grid, patch_from_position,
+from helix4.surface_analysis import (AdaptedFrame, FundamentalForms, GraphSurface,
+                                     ImmersionError, SurfaceJet, SurfacePatch,
+                                     _tangent_frame, adapted_frame, adapted_frames,
+                                     brioschi_curvature, fundamental_forms,
                                      verify_helix)
+
+
+def patch_from_position(pos, u_range, v_range):
+    """Patch with jets estimated by central differences of a position map.
+
+    ``pos(u, v)`` takes arrays of parameters and returns the points as an
+    array of shape u.shape + (4,); a grid costs nine calls.  The step is
+    (domain span) * max(1e-4, cbrt(machine eps)) per direction.
+    """
+    scale = max(1e-4, float(np.finfo(float).eps) ** (1.0 / 3.0))
+    hu = (u_range[1] - u_range[0]) * scale
+    hv = (v_range[1] - v_range[0]) * scale
+
+    def sample(us, vs):
+        U, V = np.meshgrid(us, vs, indexing="ij")
+
+        def at(du, dv):
+            return np.asarray(pos(U + du, V + dv), dtype=float)
+
+        c = at(0.0, 0.0)
+        pu_p, pu_m, pv_p, pv_m = at(hu, 0.0), at(-hu, 0.0), at(0.0, hv), at(0.0, -hv)
+        return SurfaceJet(
+            p=c,
+            p_u=(pu_p - pu_m) / (2 * hu),
+            p_v=(pv_p - pv_m) / (2 * hv),
+            p_uu=(pu_p - 2 * c + pu_m) / (hu * hu),
+            p_uv=(at(hu, hv) - at(hu, -hv) - at(-hu, hv) + at(-hu, -hv)) / (4 * hu * hv),
+            p_vv=(pv_p - 2 * c + pv_m) / (hv * hv),
+        )
+
+    return SurfacePatch(u_range, v_range, sample, jet_source="fd-position")
 
 
 def flat_jet():
@@ -117,7 +149,7 @@ def test_frame_identities_on_generic_graphs():
 
 def test_frame_continuity_alignment():
     patch = named_example("clifford_torus").patch
-    frames = adapted_frames(patch.sample([0.5, 0.55], [0.7]), PI_12)
+    frames = adapted_frames(_tangent_frame(patch.sample([0.5, 0.55], [0.7])), PI_12)
     prev, fr = frames[0, 0], frames[1, 0]
     assert fr.T1 @ prev.T1 > 0.99
     assert fr.xi1 @ prev.xi1 > 0.99
@@ -276,7 +308,8 @@ def test_brioschi_flat_metric():
     E = np.ones((8, 8))
     F = np.zeros((8, 8))
     G = np.ones((8, 8))
-    K = brioschi_curvature(E, F, G, 0.1, 0.1)
+    K = brioschi_curvature(FundamentalForms(E, F, G, E * G - F * F, None, None, None),
+                           0.1, 0.1)
     assert np.nanmax(np.abs(K)) < 1e-12
 
 
@@ -294,20 +327,74 @@ def test_fd_position_patch_matches_analytic():
 def test_grid_patch_snapping():
     us = np.linspace(0, 2, 9)
     vs = np.linspace(0, 1, 5)
-    pts = np.zeros((9, 5, 4))
-    for i, u in enumerate(us):
-        for j, v in enumerate(vs):
-            pts[i, j] = [u, v, 0.3 * u * u, 0.1 * u * v]
-    patch = patch_from_grid(us, vs, pts)
+    U, V = np.meshgrid(us, vs, indexing="ij")
+    patch = GraphSurface.from_grids(us, vs, 0.3 * U * U, 0.1 * U * V).patch()
     jet = patch.jet(us[4], vs[2])
     assert jet.p_u[2] == pytest.approx(0.6 * us[4], abs=1e-10)
     # within 0.4 du of a node the query snaps; beyond that it is rejected
     jet2 = patch.jet(us[4] + 0.3 * (us[1] - us[0]), vs[2])
-    assert np.allclose(jet2.p, jet.p)
+    # a graph patch keeps the queried (x, y) and snaps f, g and every derivative
+    assert np.array_equal(jet2.p[2:], jet.p[2:])
+    assert all(np.array_equal(getattr(jet2, k), getattr(jet, k))
+               for k in ("p_u", "p_v", "p_uu", "p_uv", "p_vv"))
     with pytest.raises(ValueError):
         patch.jet(us[4] + 0.45 * (us[1] - us[0]), vs[2])
     with pytest.raises(ValueError):
         patch.jet(5.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the stages of verify_helix
+# ---------------------------------------------------------------------------
+
+def test_verify_helix_forms_the_metric_and_tangent_frames_once(monkeypatch):
+    calls = []
+    for name in ("fundamental_forms", "_tangent_frame"):
+        f = getattr(sa, name)
+        monkeypatch.setattr(sa, name, lambda *a, _f=f, _name=name: calls.append(_name) or _f(*a))
+    cs = named_example("orbit_cone")
+    assert verify_helix(cs.patch, cs.plane, (9, 11)).helix_pass(1e-8)
+    assert sorted(calls) == ["_tangent_frame", "fundamental_forms"]
+
+
+def construction_case(tmp_path):
+    """The patch, plane and grid that ``construct --verify`` verifies."""
+    got = []
+    real = cli.verify_helix
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "verify_helix", lambda *a: got.append(a) or real(*a))
+        cli.main(["construct", "--theta1", repr(math.pi / 6), "--theta2", repr(math.pi / 3),
+                  "--verify", "--out", str(tmp_path / "c.json")])
+    return got[0]
+
+
+@pytest.mark.parametrize("case", ["spherical_helix_revolution", "construction"])
+def test_fields_of_row_blocks_match_the_whole_grid_bit_for_bit(case, tmp_path):
+    if case == "construction":
+        patch, Pi, grid = construction_case(tmp_path)
+        assert grid == (77, 13)
+    else:
+        cs = named_example(case)
+        patch, Pi, grid = cs.patch, cs.plane, (23, 17)
+    us, vs, J, ff, U = sa._sample(patch, grid)
+    fr = adapted_frames(U, Pi)
+    du, dv = us[1] - us[0], vs[1] - vs[0]
+    whole = sa._fields(J, ff, U, fr, Pi, du, dv)
+    N = grid[0]
+    for n in (1, 2, 7):
+        # blocks of n interior rows, each with a one-row halo above and below
+        rows = [slice(lo - 1, min(lo + n, N - 1) + 1) for lo in range(1, N - 1, n)]
+        forms = [FundamentalForms(*(a[r] for a in vars(ff).values())) for r in rows]
+        blocks = [sa._fields(J[r], f, U[r], fr[r], Pi, du, dv) for r, f in zip(rows, forms)]
+        for name, want in whole.items():
+            parts = [b[name] for b in blocks]
+            if want.shape[-2] == N:
+                # node fields: each block's own rows, and the grid's edge rows
+                parts = ([parts[0][..., :1, :]] + [p[..., 1:-1, :] for p in parts]
+                         + [parts[-1][..., -1:, :]])
+            # the dependencia values are listed row-major over their nodes
+            got = np.concatenate(parts, axis=-1 if name == "dependencia" else -2)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (n, name)
 
 
 # ---------------------------------------------------------------------------
