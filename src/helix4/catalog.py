@@ -26,7 +26,7 @@ import numpy as np
 from numpy.polynomial import polynomial as poly
 
 from .grassmann import Plane, PrincipalAngles, orthogonal_complement, principal_angles
-from .surface_analysis import (GraphSurface, SurfaceJet, SurfacePatch, _tangent_frame,
+from .surface_analysis import (SurfaceJet, SurfacePatch, _tangent_frame, graph_patch,
                                stack4)
 
 __all__ = [
@@ -322,8 +322,14 @@ def generate(kind: str, **params) -> CatalogSurface:
     Kinds: ``clifford_torus(r1, r2)``, ``product_circles(r1, r2)``,
     ``product_helix_cylinder(theta[, radius, pitch])``,
     ``revolution_orbit(profile, ...)``, ``plane(...)``,
-    ``graph_poly(f_coeffs, g_coeffs, ...)``.
+    ``graph_poly(f_coeffs, g_coeffs, ...)``.  The parameters of each kind
+    are the keys of ``PARAM_KINDS[kind]``; any other raises ValueError.
     """
+    if kind not in PARAM_KINDS:
+        raise ValueError(f"unknown catalog kind {kind!r}")
+    for key in params:
+        if key not in PARAM_KINDS[kind]:
+            raise ValueError(f"{kind} has no parameter {key!r}")
     spec = {"kind": kind, **params}
     if kind in ("clifford_torus", "product_circles"):
         r1 = float(params.get("r1", 1.0))
@@ -394,16 +400,14 @@ def generate(kind: str, **params) -> CatalogSurface:
         patch = _plane_patch(p0, a, b)
         return CatalogSurface(patch, PI_12, _derived_expected(patch, PI_12), spec)
 
-    if kind == "graph_poly":
-        f_coeffs = np.atleast_2d(np.asarray(params["f_coeffs"], dtype=float))
-        g_coeffs = np.atleast_2d(np.asarray(params["g_coeffs"], dtype=float))
-        x_range = tuple(params.get("x_range", (-1.0, 1.0)))
-        y_range = tuple(params.get("y_range", (-1.0, 1.0)))
-        patch = GraphSurface.from_callables(_poly2d(f_coeffs), _poly2d(g_coeffs), x_range,
-                                            y_range, name="graph_poly").patch()
-        return CatalogSurface(patch, PI_12, _derived_expected(patch, PI_12), spec)
-
-    raise ValueError(f"unknown catalog kind {kind!r}")
+    # graph_poly, the last kind
+    f_coeffs = np.atleast_2d(np.asarray(params["f_coeffs"], dtype=float))
+    g_coeffs = np.atleast_2d(np.asarray(params["g_coeffs"], dtype=float))
+    x_range = tuple(params.get("x_range", (-1.0, 1.0)))
+    y_range = tuple(params.get("y_range", (-1.0, 1.0)))
+    patch = graph_patch(_poly2d(f_coeffs), _poly2d(g_coeffs), x_range, y_range,
+                        name="graph_poly")
+    return CatalogSurface(patch, PI_12, _derived_expected(patch, PI_12), spec)
 
 
 # named examples for the command line

@@ -29,8 +29,8 @@ from . import catalog, helix_construct as hc
 from .expressions import EvalError, ParseError, parse_expr, scalar_jet_from_exprs
 from .grassmann import (Plane, plane_angles_via_bivectors, plane_from_json,
                         plane_to_json, principal_angles)
-from .surface_analysis import (GraphSurface, ImmersionError, default_gate, stack4,
-                               verify_helix)
+from .surface_analysis import (GraphSurface, ImmersionError, default_gate, graph_patch,
+                               stack4, verify_helix)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -330,7 +330,12 @@ def _surface_from_config(cfg: dict):
                              for k in ("surface", "graph", "plane"))
     if surface is not None:
         kind = _field(surface, "surface.kind", STRING)
-        for key, param_kind in catalog.PARAM_KINDS.get(kind, {}).items():
+        params = catalog.PARAM_KINDS.get(kind, {})   # an unknown kind: exit 3 below
+        for key in surface:
+            if params and key not in ("kind", *params):
+                raise CliError(EXIT_PARSE, f"config surface.{key} is not a parameter of "
+                                           f"{kind} (it takes {', '.join(params)})")
+        for key, param_kind in params.items():
             _field(surface, f"surface.{key}", CATALOG_KINDS[param_kind], None)
         try:
             cs = catalog.generate(kind, **{k: v for k, v in surface.items() if k != "kind"})
@@ -341,9 +346,9 @@ def _surface_from_config(cfg: dict):
     elif graph is not None:
         f, g = (_field(graph, f"graph.{k}", STRING) for k in ("f", "g"))
         dom = _field(graph, "graph.domain", _numbers(4), [-1.0, 1.0, -1.0, 1.0])
-        patch = GraphSurface.from_callables(scalar_jet_from_exprs(parse_expr(f)),
-                                            scalar_jet_from_exprs(parse_expr(g)),
-                                            (dom[0], dom[1]), (dom[2], dom[3])).patch()
+        patch = graph_patch(scalar_jet_from_exprs(parse_expr(f)),
+                            scalar_jet_from_exprs(parse_expr(g)),
+                            (dom[0], dom[1]), (dom[2], dom[3]))
         default_plane = catalog.PI_12
         meta = {"kind": "graph", "f": f, "g": g}
     else:
@@ -415,7 +420,7 @@ def _write_solution_bundle(prefix: str, graph: GraphSurface,
                            params: hc.HelixParams) -> dict:
     """Binary dump + 8-field sidecar + CSV next to `prefix`, indexed [y, x]."""
     xs, ys = graph.xs, graph.ys
-    layers = {k: v.T for k, v in graph.sample(xs, ys).items()}
+    layers = {k: v.T for k, v in graph.arrays.items()}
     stack = np.stack([layers[k] for k in SOLUTION_FIELDS])
     Path(prefix + ".bin").write_bytes(np.ascontiguousarray(stack).tobytes())
     sidecar = {
@@ -491,25 +496,19 @@ def _cmd_construct(args) -> int:
     if not custom_data:
         phi, psi = hc.paper_initial_data(seed[0], seed[1], args.curvature)
 
-    try:
-        prob = hc.PDEProblem(c_norm, x_range, y_max, hx, hy,
-                             seed[0], seed[1], phi, psi, branch=branch)
-        prob.validate()
-    except ValueError as exc:
-        raise CliError(EXIT_PRECONDITION, str(exc))
-
+    prob = hc.PDEProblem(c_norm, x_range, y_max, hx, hy,
+                         seed[0], seed[1], phi, psi, branch=branch)   # ValueError: exit 3
     try:
         sol = hc.recover_g(hc.solve_pde(prob))
         graph = hc.solution_graph(sol, m=m_scale)
     except (hc.SolverHalt, ValueError) as exc:
         raise CliError(EXIT_DEGENERATE, f"solver: {exc}") from exc
 
-    xs, ys = graph.sample_grid()
+    xs, ys = graph.xs, graph.ys
     # residuals over the centered-difference interior; the outermost nodes
     # carry one-sided derivative closures whose larger constant is a property
     # of the edge stencil, not of the surface
-    d = graph.sample(xs, ys)
-    inner = [d[k][1:-1, 1:-1] for k in ("fx", "fy", "gx", "gy")]
+    inner = [graph.arrays[k][1:-1, 1:-1] for k in ("fx", "fy", "gx", "gy")]
     residuals = dict(zip(hc.GRAPH_RESIDUALS,
                          hc.residual_maxima(hc.GRAPH_RESIDUALS, inner, params)))
     passed = max(residuals.values()) < gate

@@ -42,8 +42,8 @@ from typing import Callable
 import numpy as np
 
 from .grassmann import PrincipalAngles
-from .surface_analysis import (GraphSurface, SurfaceJet, SurfacePatch, fd_d1, fd_d2,
-                               fundamental_forms, verify_helix)
+from .surface_analysis import (FundamentalForms, GraphSurface, SurfacePatch, _sample,
+                               _verify_sample, fd_d1, fd_d2)
 
 __all__ = [
     "HelixParams",
@@ -215,10 +215,9 @@ def choose_feasible_seed(c1: float, x_range, y_max: float, hx: float,
             break
         seed = (float(u[k]), float(v[k]))
         phi, psi = paper_initial_data(*seed, curvature)
-        prob = PDEProblem(c1, tuple(x_range), y_max, hx, hy,
-                          seed[0], seed[1], phi, psi, branch=branch)
         try:
-            prob.validate()
+            PDEProblem(c1, tuple(x_range), y_max, hx, hy,
+                       seed[0], seed[1], phi, psi, branch=branch)
             return seed
         except ValueError as exc:
             last_err = exc
@@ -252,14 +251,16 @@ def check_window(x_range, y_max: float, hx: float,
 # the Cauchy problem
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class PDEProblem:
     """Cauchy data for the construction PDE (determinant-normalized system).
 
     ``phi`` maps x-nodes to (values, first, second derivatives); ``psi`` to
-    (values, first derivatives).  (u0, v0) is the gradient base point; the
-    non-characteristic conditions are validated along the whole initial
-    segment.
+    (values, first derivatives).  (u0, v0) is the gradient base point.  The
+    seed, the window (``check_window``) and the non-characteristic
+    conditions along the whole initial segment are checked when the problem
+    is built, which sets the x-nodes ``x`` (read-only) and the number of
+    y-steps each way ``n_steps``.
     """
 
     c1: float
@@ -272,22 +273,21 @@ class PDEProblem:
     phi: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
     psi: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     branch: int = 1
+    x: np.ndarray = field(init=False, repr=False, compare=False)
+    n_steps: int = field(init=False, repr=False, compare=False)
 
-    def x_nodes(self) -> np.ndarray:
-        n = check_window(self.x_range, self.y_max, self.hx, self.hy)[0]
-        return np.linspace(self.x_range[0], self.x_range[1], n + 1)
-
-    def y_steps(self) -> int:
-        return check_window(self.x_range, self.y_max, self.hx, self.hy)[1]
-
-    def validate(self) -> None:
+    def __post_init__(self):
         dmin, dmax = annulus_bounds(self.c1)
         d0 = self.u0 ** 2 + self.v0 ** 2
         if not (dmin < d0 < dmax):
             raise ValueError(
                 f"seed gradient norm {d0:.6g} outside the open annulus "
                 f"({dmin:.6g}, {dmax:.6g})")
-        x = self.x_nodes()
+        nx, n_steps = check_window(self.x_range, self.y_max, self.hx, self.hy)
+        x = np.linspace(self.x_range[0], self.x_range[1], nx + 1)
+        x.flags.writeable = False
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "n_steps", n_steps)
         _, dphi, d2phi = self.phi(x)
         psi, _ = self.psi(x)
         delta = dphi * dphi + psi * psi
@@ -333,10 +333,8 @@ def default_problem(c1: float, x_range=(-0.05, 0.05), y_max=0.006,
         seed = find_noncharacteristic_seed(c1, branch)
     u0, v0 = seed
     phi, psi = paper_initial_data(u0, v0, curvature)
-    prob = PDEProblem(c1, tuple(x_range), y_max, hx, hy, u0, v0, phi, psi,
+    return PDEProblem(c1, tuple(x_range), y_max, hx, hy, u0, v0, phi, psi,
                       branch=branch)
-    prob.validate()
-    return prob
 
 
 # ---------------------------------------------------------------------------
@@ -385,19 +383,6 @@ class SolutionGrid:
         if hi - lo < 7:
             raise ValueError("valid rectangle narrower than 8 columns")
         return slice(rows[0], rows[-1] + 1), slice(lo, hi + 1)
-
-    def fx(self) -> np.ndarray:
-        """d f / d x estimated row-wise on the valid region (NaN elsewhere):
-        centred inside each row's valid run, one-sided at its two ends; rows
-        with fewer than 3 valid nodes stay NaN."""
-        on = self.valid & (np.count_nonzero(self.valid, axis=1) >= 3)[:, None]
-        F = np.pad(self.f, ((0, 0), (2, 2)), constant_values=np.nan)
-        V = np.pad(on, ((0, 0), (1, 1)))
-        f, l1, l2, r1, r2 = (F[:, k:k + self.x.size] for k in (2, 1, 0, 3, 4))
-        h2 = 2 * self.hx
-        out = np.where(~V[:, :-2], (-3 * f + 4 * r1 - r2) / h2,
-                       np.where(~V[:, 2:], (3 * f - 4 * l1 + l2) / h2, (r1 - l1) / h2))
-        return np.where(on, out, np.nan)
 
 
 def _coefficients(f: np.ndarray, w: np.ndarray, hx: float, c: float,
@@ -508,9 +493,7 @@ def solve_pde(prob: PDEProblem) -> SolutionGrid:
     coefficient stays away from zero; a partial grid with the termination
     reason is returned otherwise.
     """
-    prob.validate()
-    x = prob.x_nodes()
-    n_steps = prob.y_steps()
+    x, n_steps = prob.x, prob.n_steps
     f0, dphi, _ = prob.phi(x)
     psi0, _ = prob.psi(x)
 
@@ -632,25 +615,22 @@ def residual_maxima(names, grads, P: HelixParams) -> list[float]:
                                  axis=None, initial=0.0)) for k in names]
 
 
-def symplecto_check(G: GraphSurface, P: HelixParams,
-                    grid: tuple[int, int] | None = None) -> tuple[float, float]:
-    """(max |J - c2|, max | ||J||^2 - c1 |) over a sample grid."""
+def symplecto_check(G: GraphSurface, P: HelixParams) -> tuple[float, float]:
+    """(max |J - c2|, max | ||J||^2 - c1 |) over the nodes of G."""
     if P.c2 <= 0:
         raise ValueError("symplectomorphism check needs c2 > 0")
-    d = G.sample(*G.sample_grid(*(grid or (None, None))))
-    grads = (d["fx"], d["fy"], d["gx"], d["gy"])
+    grads = tuple(G.arrays[k] for k in ("fx", "fy", "gx", "gy"))
     return tuple(residual_maxima(("symplecto_det", "symplecto_norm"), grads, P))
 
 
-def first_normal_rank(jets: SurfaceJet) -> np.ndarray:
-    """Numerical rank of the first normal space N1 at every node of a grid
-    of jets, as an (N, M) integer array.
+def first_normal_rank(ff: FundamentalForms) -> np.ndarray:
+    """Numerical rank of the first normal space N1 at every node of a grid,
+    from the fundamental forms of its jets, as an (N, M) integer array.
 
     N1 is spanned by alpha_11, alpha_12, alpha_22, whose singular values are
     those of their components in a normal frame: rank 0 where the largest is
     below 1e-9, rank 1 where the second is below 1e-6 times the largest.
     """
-    ff = fundamental_forms(jets)
     s = np.linalg.svd(np.stack([ff.alpha_11, ff.alpha_12, ff.alpha_22], axis=-1),
                       compute_uv=False)
     return np.where(s[..., 0] < 1e-9, 0, np.where(s[..., 1] < 1e-6 * s[..., 0], 1, 2))
@@ -680,17 +660,16 @@ def composition_test(patch: SurfacePatch, Pi, grid: tuple[int, int],
     is reported as an inconsistency flag).  Non-generic angles route to the
     inapplicable branch: theta1 = 0 surfaces are compositions outright.
     """
-    # one sample serves the report and the N1 ranks
-    J = patch.sample(np.linspace(*patch.u_range, grid[0]),
-                     np.linspace(*patch.v_range, grid[1]))
-    report = verify_helix(replace(patch, sampler=lambda us, vs: J), Pi, grid)
+    # one sample and its fundamental forms serve the report and the N1 ranks
+    us, vs, J, ff, U = _sample(patch, grid)
+    report = _verify_sample(patch, Pi, us, vs, J, ff, U)
     t1_mean = report.angle_stats["theta1"][0]
     t2_mean = report.angle_stats["theta2"][0]
     angle_tol = 1e-3
     generic = (t1_mean > angle_tol and t2_mean < math.pi / 2 - angle_tol
                and t2_mean - t1_mean > angle_tol)
 
-    ranks = first_normal_rank(J)
+    ranks = first_normal_rank(ff)
 
     rank2_fraction = float(np.mean(ranks == 2))
     max_dt1 = float(np.nanmax(np.abs(report.dt_T1)))

@@ -39,6 +39,7 @@ __all__ = [
     "SphereFit",
     "ImmersionError",
     "GraphSurface",
+    "graph_patch",
     "graph_jet",
     "stack4",
     "snap_to_nodes",
@@ -267,39 +268,37 @@ JET_PARTS = ("", "x", "y", "xx", "xy", "yy")
 GRAPH_FIELDS = tuple(k + s for k in "fg" for s in JET_PARTS)
 
 
+def graph_patch(f_jet: ScalarJet, g_jet: ScalarJet, x_range, y_range,
+                name: str = "graph") -> SurfacePatch:
+    """The graph (x, y) -> (x, y, f, g) of two scalar 2-jet providers as a
+    ``SurfacePatch``; each provider is called once per sampled grid, on its
+    ``indexing="ij"`` meshgrid."""
+
+    def sample(xs: np.ndarray, ys: np.ndarray) -> SurfaceJet:
+        X, Y = np.meshgrid(xs, ys, indexing="ij")
+        return graph_jet(X, Y, f_jet(X, Y), g_jet(X, Y))
+
+    return SurfacePatch(tuple(x_range), tuple(y_range), sample, name=name)
+
+
 @dataclass
 class GraphSurface:
-    """The graph (x, y) -> (x, y, f, g) of two scalar fields on a rectangle.
+    """The graph (x, y) -> (x, y, f, g) of two value grids on the nodes
+    ``xs`` x ``ys`` (``from_grids``).
 
-    ``sampler(xs, ys)`` gives the 2-jets of f and g on the grid xs x ys as
-    12 arrays indexed [x, y], keyed ``GRAPH_FIELDS``; ``patch()`` is the
-    graph as a ``SurfacePatch``.  Grid-backed fields keep their nodes in
-    ``xs``/``ys`` and sample views of the stored arrays.
+    ``arrays`` holds the 2-jets of f and g at the nodes: 12 arrays indexed
+    [x, y], keyed ``GRAPH_FIELDS``.  ``patch()`` is the graph as a
+    ``SurfacePatch`` whose queries snap to the nodes.
 
     f and g stay scalar, not read off a ``SurfacePatch``: ``symplecto_check``
     needs only their gradients, and building the 4-vector jet of every node
     for it raised the construct-ladder peak RSS from about 80 to 123 MB.
     """
 
-    sampler: Callable[[np.ndarray, np.ndarray], dict[str, np.ndarray]]
-    x_range: tuple[float, float]
-    y_range: tuple[float, float]
-    source: str = "analytic"         # analytic | grid
-    xs: np.ndarray | None = None     # node coordinates for grid-backed fields
-    ys: np.ndarray | None = None
+    xs: np.ndarray
+    ys: np.ndarray
+    arrays: dict[str, np.ndarray]
     name: str = "graph"
-
-    @classmethod
-    def from_callables(cls, f_jet: ScalarJet, g_jet: ScalarJet,
-                       x_range, y_range, name: str = "graph") -> "GraphSurface":
-        """Fields from two providers, each called once per sampled grid."""
-
-        def sample(xs: np.ndarray, ys: np.ndarray) -> dict[str, np.ndarray]:
-            X, Y = np.meshgrid(xs, ys, indexing="ij")
-            return {k: np.broadcast_to(np.asarray(v, dtype=float), X.shape)
-                    for k, v in zip(GRAPH_FIELDS, (*f_jet(X, Y), *g_jet(X, Y)))}
-
-        return cls(sample, tuple(x_range), tuple(y_range), name=name)
 
     @classmethod
     def from_grids(cls, xs: np.ndarray, ys: np.ndarray,
@@ -316,39 +315,19 @@ class GraphSurface:
             raise ValueError("value grids must have shape (len(xs), len(ys))")
         if xs.size < 3 or ys.size < 3:
             raise ValueError("grid-backed fields need at least 3 nodes per direction")
-        arrays = {}
-        for key, V in (("f", F), ("g", G)):
-            arrays.update(zip((key + s for s in JET_PARTS),
-                              _fd_jet(V, xs[1] - xs[0], ys[1] - ys[0])))
-
-        def sample(qx: np.ndarray, qy: np.ndarray) -> dict[str, np.ndarray]:
-            i, j = snap_to_nodes(xs, ys, qx, qy)
-            return {k: v[i][:, j] for k, v in arrays.items()}
-
-        return cls(sample, (xs[0], xs[-1]), (ys[0], ys[-1]),
-                   source="grid", xs=xs, ys=ys, name=name)
-
-    def sample_grid(self, n: int | None = None,
-                    m: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Evaluation coordinates: the stored nodes for grid-backed fields,
-        a linspace otherwise."""
-        if self.source == "grid":
-            return self.xs, self.ys
-        return (np.linspace(*self.x_range, n or 21),
-                np.linspace(*self.y_range, m or 21))
-
-    def sample(self, xs, ys) -> dict[str, np.ndarray]:
-        """Both 2-jets on the grid xs x ys, keyed ``GRAPH_FIELDS``."""
-        return self.sampler(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
+        hx, hy = xs[1] - xs[0], ys[1] - ys[0]
+        arrays = dict(zip(GRAPH_FIELDS, (*_fd_jet(F, hx, hy), *_fd_jet(G, hx, hy))))
+        return cls(xs, ys, arrays, name)
 
     def patch(self) -> SurfacePatch:
-        def sample(xs: np.ndarray, ys: np.ndarray) -> SurfaceJet:
-            d = self.sample(xs, ys)
-            X, Y = np.meshgrid(xs, ys, indexing="ij")
-            return graph_jet(X, Y, *([d[k + s] for s in JET_PARTS] for k in "fg"))
+        def sample(qx: np.ndarray, qy: np.ndarray) -> SurfaceJet:
+            i, j = snap_to_nodes(self.xs, self.ys, qx, qy)
+            X, Y = np.meshgrid(qx, qy, indexing="ij")
+            return graph_jet(X, Y, *([self.arrays[k + s][i][:, j] for s in JET_PARTS]
+                                     for k in "fg"))
 
-        return SurfacePatch(self.x_range, self.y_range, sample, jet_source=self.source,
-                            name=self.name)
+        return SurfacePatch((self.xs[0], self.xs[-1]), (self.ys[0], self.ys[-1]), sample,
+                            jet_source="grid", name=self.name)
 
 
 # ---------------------------------------------------------------------------
@@ -834,7 +813,12 @@ def verify_helix(patch: SurfacePatch, Pi: Plane,
     one-forms and m-derivatives are centered differences on the interior
     nodes, and their reduction to the report.
     """
-    us, vs, J, ff, U = _sample(patch, grid)
+    return _verify_sample(patch, Pi, *_sample(patch, grid))
+
+
+def _verify_sample(patch: SurfacePatch, Pi: Plane, us: np.ndarray, vs: np.ndarray,
+                   J: SurfaceJet, ff: FundamentalForms, U: np.ndarray) -> StructureReport:
+    """Stages (b) to (d) of ``verify_helix`` on the output of ``_sample``."""
     if not Pi.oriented:
         raise ValueError("the Gauss map needs an oriented reference plane")
     fr = adapted_frames(U, Pi)

@@ -18,7 +18,7 @@ from helix4.helix_construct import (HelixParams, composition_test,
                                     find_noncharacteristic_seed,
                                     first_normal_rank, recover_g,
                                     residual_maxima, solution_graph, solve_pde)
-from helix4.surface_analysis import verify_helix
+from helix4.surface_analysis import fundamental_forms, verify_helix
 
 C_NORM = 10.0 / 3.0
 
@@ -51,7 +51,7 @@ def _max_residuals(sol, params):
     G = solution_graph(sol)
     xs = G.xs[1:-1]
     window = (-0.03 <= xs) & (xs <= 0.03)
-    grads = [G.sample(G.xs, G.ys)[k][1:-1, 1:-1][window] for k in ("fx", "fy", "gx", "gy")]
+    grads = [G.arrays[k][1:-1, 1:-1][window] for k in ("fx", "fy", "gx", "gy")]
     helix = max(residual_maxima(("helix_trace", "helix_det"), grads, params))
     sympl = max(residual_maxima(("symplecto_det", "symplecto_norm"), grads, params))
     return helix, sympl
@@ -155,8 +155,8 @@ def test_criterion_5_pde_construction(pde_family):
 def test_criterion_6_rank_two_not_a_composition(pde_family):
     sols, _ = pde_family
     G = solution_graph(sols[1e-3])
-    xs, ys = G.sample_grid()
-    ranks = first_normal_rank(G.patch().sample(xs, ys))[1:-1, 1:-1]
+    xs, ys = G.xs, G.ys
+    ranks = first_normal_rank(fundamental_forms(G.patch().sample(xs, ys)))[1:-1, 1:-1]
     frac2 = float(np.mean(ranks == 2))
     verdict = composition_test(G.patch(), PI_12, (xs.size, ys.size),
                                geo_tol=1e-3)
@@ -194,7 +194,7 @@ def test_criterion_8_gauss_map_circles(pde_family):
         cs = named_example(name)
         surfaces.append((name, cs.patch, cs.plane, (30, 30), 1e-9))
     G = solution_graph(sols[1e-3])
-    xs, ys = G.sample_grid()
+    xs, ys = G.xs, G.ys
     # the marching error bounds the PDE surface's angle deviation by the
     # criterion-5 residual level, which sets its gate
     surfaces.append(("pde", G.patch(), PI_12, (xs.size, ys.size), 1e-3))
@@ -227,7 +227,7 @@ def test_criterion_9_sphere_dichotomy():
                            hx=2e-3, hy=2e-3, seed=seed, curvature=0.5)
     sol = recover_g(solve_pde(prob))
     G = solution_graph(sol)
-    xs, ys = G.sample_grid()
+    xs, ys = G.xs, G.ys
     rep_pde = verify_helix(G.patch(), PI_12, (xs.size, ys.size))
     assert rep_pde.helix_pass(1e-3)
     fit_pde = rep_pde.sphere

@@ -85,6 +85,18 @@ def test_unknown_kind_and_example():
         named_example("nope")
 
 
+@pytest.mark.parametrize("kind, params", [
+    ("plane", {"foo": 1}),
+    ("clifford_torus", {"r1": 1.0, "radius": 2.0}),
+    ("product_helix_cylinder", {"theta": 0.6, "r1": 1.0}),
+    ("graph_poly", {"f_coeffs": [[0.0]], "g_coeffs": [[0.0]], "domain": [0, 1]}),
+])
+def test_unknown_parameters_are_rejected(kind, params):
+    key = list(params)[-1]
+    with pytest.raises(ValueError, match=f"{kind} has no parameter '{key}'"):
+        generate(kind, **params)
+
+
 # ---------------------------------------------------------------------------
 # orbit construction
 # ---------------------------------------------------------------------------

@@ -221,7 +221,7 @@ def test_construct_header_and_bundle(tmp_path, capsys):
 
 
 def test_bundle_layers_are_the_solution_graph_node_for_node(tmp_path, capsys):
-    # the .bin holds each field indexed [y, x], the graph samples [x, y]
+    # the .bin holds each field indexed [y, x], the graph's node arrays [x, y]
     t1, t2, h, y_max, x_range = 0.5235987756, 1.0471975512, 2e-3, 0.006, (-0.05, 0.05)
     prefix = str(tmp_path / "sol")
     code, _, _ = run(capsys, "construct", "--theta1", str(t1), "--theta2", str(t2),
@@ -231,13 +231,12 @@ def test_bundle_layers_are_the_solution_graph_node_for_node(tmp_path, capsys):
     seed = hc.choose_feasible_seed(c, x_range, y_max, h, h)
     prob = hc.PDEProblem(c, x_range, y_max, h, h, *seed, *hc.paper_initial_data(*seed))
     graph = hc.solution_graph(hc.recover_g(hc.solve_pde(prob)), m=m)
-    xs, ys = graph.sample_grid()
+    xs, ys = graph.xs, graph.ys
     meta = json.loads((tmp_path / "sol.meta.json").read_text())
     assert (meta["nx"], meta["ny"]) == (xs.size, ys.size) and xs.size != ys.size
     layers = np.frombuffer((tmp_path / "sol.bin").read_bytes()).reshape(6, ys.size, xs.size)
-    samples = graph.sample(xs, ys)
     for k, layer in zip(meta["fields"], layers, strict=True):
-        assert layer.tobytes() == np.ascontiguousarray(samples[k].T).tobytes(), k
+        assert layer.tobytes() == np.ascontiguousarray(graph.arrays[k].T).tobytes(), k
 
 
 def test_construct_equal_angles_rejected(capsys):
@@ -511,6 +510,11 @@ KEY_CASES = [pytest.param(base, key, value, id=f"{base}-{key}-{label}")
              for base, (_, keys) in KEY_BASES.items() for key, string_kind in keys.items()
              for label, value in PROBES.items()
              if not (string_kind and isinstance(value, str))]
+# a key that is no parameter of the surface's catalog kind, with a number
+KEY_CASES += [pytest.param(base, f"surface.{key}", 2.0, id=f"{base}-surface.{key}-unknown")
+              for base, key in (("verify-surface", "r1"), ("verify-torus", "radius"),
+                                ("verify-cylinder", "r1"), ("verify-orbit", "radius"),
+                                ("verify-plane", "theta"), ("verify-poly", "domain"))]
 
 
 def run_key_document(capsys, tmp_path, base, document):

@@ -2,8 +2,10 @@
 exported by one module only."""
 
 import importlib
+import inspect
 from collections import Counter
 
+import numpy as np
 import pytest
 
 MODULES = ("grassmann", "catalog", "expressions", "surface_analysis", "helix_construct")
@@ -33,3 +35,18 @@ def test_test_only_helpers_are_not_in_the_package():
     assert not hasattr(surface_analysis, "patch_from_grid")
     helix_construct = importlib.import_module("helix4.helix_construct")
     assert not hasattr(helix_construct.HelixParams, "c_normalized")
+    assert not hasattr(helix_construct.SolutionGrid, "fx")
+
+
+def test_removed_graph_and_problem_names_stay_removed():
+    # formula graphs are plain patches (graph_patch); a GraphSurface is only
+    # the grid-backed graph, and a PDEProblem is checked when it is built
+    surface_analysis = importlib.import_module("helix4.surface_analysis")
+    helix_construct = importlib.import_module("helix4.helix_construct")
+    G = surface_analysis.GraphSurface.from_grids([0, 1, 2], [0, 1, 2],
+                                                 np.zeros((3, 3)), np.zeros((3, 3)))
+    for name in ("from_callables", "sample", "sample_grid", "source", "sampler"):
+        assert not hasattr(G, name), name
+    assert list(inspect.signature(helix_construct.symplecto_check).parameters) == ["G", "P"]
+    for name in ("validate", "x_nodes", "y_steps"):
+        assert not hasattr(helix_construct.PDEProblem, name), name

@@ -194,8 +194,7 @@ def solution_graph():
     prob = hc.default_problem(10.0 / 3.0, x_range=(-0.05, 0.05), y_max=0.008,
                               hx=4e-3, hy=4e-3)
     graph = hc.solution_graph(hc.recover_g(hc.solve_pde(prob)))
-    xs, ys = graph.sample_grid()
-    return graph.patch(), PI_12, (xs.size, ys.size)
+    return graph.patch(), PI_12, (graph.xs.size, graph.ys.size)
 
 
 def swap_candidates(fr):

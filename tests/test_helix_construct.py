@@ -1,11 +1,12 @@
 """Graph-condition, PDE-solver, and deformation tests."""
 
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
+from helix4 import surface_analysis
 from helix4.catalog import named_example
 from helix4.grassmann import Plane
 from helix4.helix_construct import (GRAPH_RESIDUALS, CompositionVerdict, HelixParams,
@@ -15,8 +16,9 @@ from helix4.helix_construct import (GRAPH_RESIDUALS, CompositionVerdict, HelixPa
                                     first_normal_rank, paper_initial_data,
                                     recover_g, residual_maxima, solution_graph,
                                     solve_pde, symplecto_check, _E_partials)
-from helix4.surface_analysis import (GraphSurface, SurfaceJet, SurfacePatch, _fd_jet,
-                                     snap_to_nodes, verify_helix)
+from helix4.surface_analysis import (GraphSurface, SurfaceJet, SurfacePatch, _fd_jet, fd_d1,
+                                     fundamental_forms, graph_patch, snap_to_nodes,
+                                     verify_helix)
 
 PI = Plane(np.eye(4)[0], np.eye(4)[1])
 C_THIRD = 10.0 / 3.0
@@ -34,27 +36,62 @@ def patch_from_grid(us, vs, points):
     return SurfacePatch((us[0], us[-1]), (vs[0], vs[-1]), sample, jet_source="grid")
 
 
+def oracle_fx(sol):
+    """d f / d x row by row on each row's valid run (NaN elsewhere and on
+    rows with fewer than 3 valid nodes)."""
+    out = np.full_like(sol.f, np.nan)
+    for j in range(sol.y.size):
+        idx = np.flatnonzero(sol.valid[j])
+        if idx.size >= 3:
+            out[j, idx[0]:idx[-1] + 1] = fd_d1(sol.f[j, idx[0]:idx[-1] + 1], sol.hx)
+    return out
+
+
+def grid_graph(f, g, n: int = 5, m: int = 7) -> GraphSurface:
+    """The graph of the values f(X, Y), g(X, Y) on n x m nodes of [-1, 1]^2."""
+    X, Y = np.meshgrid(np.linspace(-1, 1, n), np.linspace(-1, 1, m), indexing="ij")
+    return GraphSurface.from_grids(X[:, 0], Y[0], f(X, Y), g(X, Y))
+
+
 def linear_graph(a: float, b: float) -> GraphSurface:
-    def f_jet(x, y):
-        return (a * x, a, 0.0, 0.0, 0.0, 0.0)
-
-    def g_jet(x, y):
-        return (b * y, 0.0, b, 0.0, 0.0, 0.0)
-
-    return GraphSurface.from_callables(f_jet, g_jet, (-1, 1), (-1, 1))
+    """f = a x, g = b y; finite differences are exact on linear values up to
+    rounding."""
+    return grid_graph(lambda x, y: a * x, lambda x, y: b * y)
 
 
-def helix_residuals(G: GraphSurface, P: HelixParams, xs, ys) -> list[np.ndarray]:
-    """The (trace, determinant) defects of the graph metric on the grid xs x ys,
-    from the residual table."""
-    d = G.sample(xs, ys)
-    grads = [d[k] for k in ("fx", "fy", "gx", "gy")]
+def analytic_jets(f_jet, g_jet, n: int = 5, m: int = 7) -> SurfaceJet:
+    """The jets of the graph of two 2-jet providers on n x m nodes of [-1, 1]^2."""
+    patch = graph_patch(f_jet, g_jet, (-1, 1), (-1, 1))
+    return patch.sample(np.linspace(-1, 1, n), np.linspace(-1, 1, m))
+
+
+def linear_jets(a: float, b: float) -> SurfaceJet:
+    return analytic_jets(lambda x, y: (a * x, a, 0.0, 0.0, 0.0, 0.0),
+                         lambda x, y: (b * y, 0.0, b, 0.0, 0.0, 0.0))
+
+
+def gradients(J: SurfaceJet) -> list[np.ndarray]:
+    """(f_x, f_y, g_x, g_y) of the jets of a graph (x, y, f, g)."""
+    return [J.p_u[..., 2], J.p_v[..., 2], J.p_u[..., 3], J.p_v[..., 3]]
+
+
+def helix_residuals(grads, P: HelixParams) -> list[np.ndarray]:
+    """The (trace, determinant) defects of the graph metric from the
+    gradient arrays, by the residual table."""
     return [GRAPH_RESIDUALS[k](*grads, P) for k in ("helix_trace", "helix_det")]
 
 
-def hess_det_f(d: dict) -> np.ndarray:
-    """det Hess f on the arrays of a ``GraphSurface.sample``."""
-    return d["fxx"] * d["fyy"] - d["fxy"] * d["fxy"]
+def node_gradients(G: GraphSurface) -> list[np.ndarray]:
+    return [G.arrays[k] for k in ("fx", "fy", "gx", "gy")]
+
+
+def hess_det_f(J: SurfaceJet) -> np.ndarray:
+    """det Hess f on the jets of a graph (x, y, f, g)."""
+    return J.p_uu[..., 2] * J.p_vv[..., 2] - J.p_uv[..., 2] * J.p_uv[..., 2]
+
+
+def n1_rank(J: SurfaceJet) -> np.ndarray:
+    return first_normal_rank(fundamental_forms(J))
 
 
 # ---------------------------------------------------------------------------
@@ -87,24 +124,23 @@ def test_helix_params_inequality_and_equality_case():
 
 
 def test_flat_graph_zero_residual():
-    G = linear_graph(0.0, 0.0)
     P = HelixParams(0.0, 0.0)
-    for r in helix_residuals(G, P, *G.sample_grid(5, 7)):
-        assert np.all(r == 0.0)
+    for grads in (node_gradients(linear_graph(0.0, 0.0)), gradients(linear_jets(0.0, 0.0))):
+        for r in helix_residuals(grads, P):
+            assert np.all(r == 0.0)
 
 
 def test_linear_graph_residuals_read_off():
     # f = a x, g = b y: E = 1 + a^2, G = 1 + b^2, F = 0
     a, b = 0.6, 1.1
-    G = linear_graph(a, b)
     P = HelixParams(math.atan(a), math.atan(b))
-    xs, ys = G.sample_grid(5, 7)
-    rt, rd = helix_residuals(G, P, xs, ys)
-    assert rt == pytest.approx(0.0, abs=1e-12)
-    assert rd == pytest.approx(0.0, abs=1e-12)
-    # and against other angles the residual is the closed-form gap
-    rt2, _ = helix_residuals(G, HelixParams(0.0, 0.0), xs, ys)
-    assert rt2 == pytest.approx(a * a + b * b)
+    for grads in (node_gradients(linear_graph(a, b)), gradients(linear_jets(a, b))):
+        rt, rd = helix_residuals(grads, P)
+        assert rt == pytest.approx(0.0, abs=1e-12)
+        assert rd == pytest.approx(0.0, abs=1e-12)
+        # and against other angles the residual is the closed-form gap
+        rt2, _ = helix_residuals(grads, HelixParams(0.0, 0.0))
+        assert rt2 == pytest.approx(a * a + b * b)
 
 
 def test_equal_angle_linear_solutions_are_geodesic_branch():
@@ -112,14 +148,16 @@ def test_equal_angle_linear_solutions_are_geodesic_branch():
     # residual and vanishing second derivatives
     t = math.pi / 4
     G = linear_graph(math.tan(t), math.tan(t))
+    J = linear_jets(math.tan(t), math.tan(t))
     P = HelixParams(t, t)
     assert P.c1 / P.c2 == pytest.approx(2.0)
-    xs, ys = G.sample_grid(5, 5)
-    for r in helix_residuals(G, P, xs, ys):
-        assert r == pytest.approx(0.0, abs=1e-12)
-    assert symplecto_check(G, P, (5, 5)) == pytest.approx((0.0, 0.0))
-    assert np.all(first_normal_rank(G.patch().sample(xs, ys)) == 0)
-    assert np.all(hess_det_f(G.sample(xs, ys)) == 0.0)
+    for grads in (node_gradients(G), gradients(J)):
+        for r in helix_residuals(grads, P):
+            assert r == pytest.approx(0.0, abs=1e-12)
+    assert symplecto_check(G, P) == pytest.approx((0.0, 0.0))
+    assert np.all(n1_rank(G.patch().sample(G.xs, G.ys)) == 0)
+    assert np.all(n1_rank(J) == 0)
+    assert np.all(hess_det_f(J) == 0.0)
 
 
 def test_symplecto_check_linear_cases():
@@ -128,24 +166,16 @@ def test_symplecto_check_linear_cases():
     G = linear_graph(s, s)
     t = math.atan(s)
     P = HelixParams(t, t)
-    dev_j, dev_n = symplecto_check(G, P, (5, 5))
+    dev_j, dev_n = symplecto_check(G, P)
     assert dev_j == pytest.approx(0.0, abs=1e-12)
     assert dev_n == pytest.approx(abs(2 * c2 - P.c1), abs=1e-12)
 
     # rotation-like map with unit determinant
     th = 0.4
-
-    def f_jet(x, y):
-        return (math.cos(th) * x - math.sin(th) * y,
-                math.cos(th), -math.sin(th), 0, 0, 0)
-
-    def g_jet(x, y):
-        return (math.sin(th) * x + math.cos(th) * y,
-                math.sin(th), math.cos(th), 0, 0, 0)
-
-    R = GraphSurface.from_callables(f_jet, g_jet, (-1, 1), (-1, 1))
+    R = grid_graph(lambda x, y: math.cos(th) * x - math.sin(th) * y,
+                   lambda x, y: math.sin(th) * x + math.cos(th) * y, 4, 4)
     P2 = HelixParams(math.pi / 6, math.pi / 3)  # c2 = 1
-    dev_j, _ = symplecto_check(R, P2, (4, 4))
+    dev_j, _ = symplecto_check(R, P2)
     assert dev_j == pytest.approx(abs(1 - P2.c2), abs=1e-12)
 
 
@@ -179,16 +209,35 @@ def test_degenerate_annulus_rejected():
 def test_problem_validation():
     with pytest.raises(ValueError, match="annulus"):
         phi, psi = paper_initial_data(0.1, 0.1)
-        PDEProblem(C_THIRD, (-0.05, 0.05), 0.004, 1e-3, 1e-3,
-                   0.1, 0.1, phi, psi).validate()
+        PDEProblem(C_THIRD, (-0.05, 0.05), 0.004, 1e-3, 1e-3, 0.1, 0.1, phi, psi)
     # phi'' == 0 fails the non-characteristic requirement
     u0, v0 = find_noncharacteristic_seed(C_THIRD)
     phi, psi = paper_initial_data(u0, v0, curvature=0.0)
     with pytest.raises(ValueError, match="phi''"):
-        PDEProblem(C_THIRD, (-0.05, 0.05), 0.004, 1e-3, 1e-3,
-                   u0, v0, phi, psi).validate()
+        PDEProblem(C_THIRD, (-0.05, 0.05), 0.004, 1e-3, 1e-3, u0, v0, phi, psi)
     with pytest.raises(ValueError, match="divide"):
         default_problem(C_THIRD, y_max=0.0055, hx=1e-3, hy=1e-3)
+
+
+def test_problem_is_checked_once_when_built():
+    u0, v0 = find_noncharacteristic_seed(C_THIRD)
+    data = paper_initial_data(u0, v0)
+    calls = []
+
+    def phi(x):
+        calls.append(x.size)
+        return data[0](x)
+
+    prob = PDEProblem(C_THIRD, (-0.05, 0.05), 0.004, 1e-3, 1e-3, u0, v0, phi, data[1])
+    assert (prob.x.size, prob.n_steps) == (101, 4) and calls == [101]
+    solve_pde(prob)
+    assert calls == [101, 101]                  # the march's initial row only
+    with pytest.raises(FrozenInstanceError):
+        prob.hx = 3e-3
+    with pytest.raises(ValueError, match="writeable|read-only"):
+        prob.x[0] = 0.0
+    with pytest.raises(ValueError, match="hx must divide"):
+        replace(prob, hx=3e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +253,7 @@ def solved():
 
 def test_initial_row_reproduces_data(solved):
     prob, sol = solved
-    x = prob.x_nodes()
+    x = prob.x
     j0 = sol.row0()
     assert np.array_equal(sol.f[j0], prob.phi(x)[0])
     assert np.array_equal(sol.fy[j0], prob.psi(x)[0])
@@ -220,7 +269,7 @@ def test_row0_fxx_is_two(solved):
 def test_solution_stays_in_annulus(solved):
     prob, sol = solved
     dmin, dmax = annulus_bounds(sol.c1)
-    fx = sol.fx()
+    fx = oracle_fx(sol)
     delta = fx * fx + sol.fy * sol.fy
     d = delta[sol.valid]
     assert np.all(d > dmin) and np.all(d < dmax)
@@ -231,16 +280,10 @@ def test_lambda_identity_on_recovered_solution(solved):
     # lambda^2 + 1 + Delta^2 - c1 Delta = 0 to FD order
     prob, sol = solved
     G = solution_graph(sol)
-    xs, ys = G.sample_grid()
-    worst = 0.0
-    for yv in ys[1:-1]:
-        for xv in xs[1:-1]:
-            d = G.sample([xv], [yv])
-            fx, fy, gx, gy = (d[k][0, 0] for k in ("fx", "fy", "gx", "gy"))
-            lam = fx * gx + fy * gy
-            delta = fx * fx + fy * fy
-            worst = max(worst, abs(lam * lam + 1 + delta * delta - sol.c1 * delta))
-    assert worst < 5e-3
+    fx, fy, gx, gy = (a[1:-1, 1:-1] for a in node_gradients(G))
+    lam = fx * gx + fy * gy
+    delta = fx * fx + fy * fy
+    assert np.max(np.abs(lam * lam + 1 + delta * delta - sol.c1 * delta)) < 5e-3
 
 
 def test_loop_defect_and_residuals_shrink_under_refinement():
@@ -254,12 +297,10 @@ def test_loop_defect_and_residuals_shrink_under_refinement():
         sol = recover_g(solve_pde(prob))
         loops[h] = float(np.nanmax(np.abs(sol.loop_defect)))
         G = solution_graph(sol)
-        xs, ys = G.sample_grid()
-        inner = (-0.03 <= xs) & (xs <= 0.03)
+        inner = (-0.03 <= G.xs) & (G.xs <= 0.03)
         inner[[0, -1]] = False
-        d = G.sample(xs[inner], ys[1:-1])
         maxres[h] = max(residual_maxima(("helix_trace", "helix_det"),
-                                        [d[k] for k in ("fx", "fy", "gx", "gy")], P))
+                                        [a[inner][:, 1:-1] for a in node_gradients(G)], P))
     assert maxres[4e-3] / maxres[2e-3] >= 3.0
     assert loops[4e-3] / loops[2e-3] >= 3.0
 
@@ -272,8 +313,7 @@ def test_pde_angle_std_refines_at_first_order():
         prob = default_problem(C_THIRD, x_range=(-0.05, 0.05), y_max=0.008,
                                hx=h, hy=h, seed=seed)
         G = solution_graph(recover_g(solve_pde(prob)))
-        xs, ys = G.sample_grid()
-        rep = verify_helix(G.patch(), PI, (xs.size, ys.size))
+        rep = verify_helix(G.patch(), PI, (G.xs.size, G.ys.size))
         stds[h] = rep.angle_std()
         deps[h] = max(rep.residuals[k].rms
                       for k in ("dependencia1", "dependencia2", "dependencia3"))
@@ -287,7 +327,7 @@ def test_structure_fields_match_frame_rotation_constants(solved):
     # D = cos(t1)/cos(t2) - cos(t2)/cos(t1); read on the 3x3 stencil at the centre
     _, sol = solved
     G = solution_graph(sol)
-    xs, ys = G.sample_grid()
+    xs, ys = G.xs, G.ys
     u, v, h = xs[xs.size // 2], ys[ys.size // 2], sol.hx
     patch = replace(G.patch(), u_range=(u - h, u + h), v_range=(v - h, v + h))
     rep = verify_helix(patch, PI, (3, 3))
@@ -311,7 +351,6 @@ def grid_patches():
 def test_grid_samples_are_views_of_the_stored_arrays():
     xs, ys, points, graph = grid_patches()
     assert np.shares_memory(patch_from_grid(xs, ys, points).sample(xs, ys).p, points)
-    assert np.shares_memory(graph.sample(xs, ys)["fx"], graph.sample(xs, ys)["fx"])
     J = graph.patch().sample(xs, ys)
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):
@@ -379,8 +418,7 @@ def test_general_angles_via_feasible_seed():
     prob = default_problem(c, x_range=(-0.05, 0.05), y_max=0.004,
                            hx=2e-3, hy=2e-3, seed=seed)
     G = solution_graph(recover_g(solve_pde(prob)), m=m)
-    xs, ys = G.sample_grid()
-    rep = verify_helix(G.patch(), PI, (xs.size, ys.size))
+    rep = verify_helix(G.patch(), PI, (G.xs.size, G.ys.size))
     assert rep.angle_stats["theta1"][0] == pytest.approx(t1, abs=1e-4)
     assert rep.angle_stats["theta2"][0] == pytest.approx(t2, abs=1e-4)
 
@@ -411,9 +449,8 @@ def test_recover_g_lambda_zero_limit():
                        termination_up="completed", termination_down="completed")
     sol = recover_g(sol)
     assert np.nanmax(np.abs(sol.loop_defect)) < 1e-12
-    G = solution_graph(sol)
-    d = G.sample([0.0], [0.0])
-    gx, gy = d["gx"][0, 0], d["gy"][0, 0]
+    node = solution_graph(sol).patch().jet(0.0, 0.0)
+    gx, gy = node.p_u[3], node.p_v[3]
     assert gx == pytest.approx(-b, abs=1e-4)
     assert gy == pytest.approx(a, abs=1e-4)
 
@@ -426,13 +463,11 @@ def test_first_normal_rank_cases():
     def quad(x, y):
         return (x * x, 2 * x, 0.0, 2.0, 0.0, 0.0)
 
-    G1 = GraphSurface.from_callables(quad, quad, (-1, 1), (-1, 1))
-    xs, ys = G1.sample_grid(5, 7)
-    assert np.all(first_normal_rank(G1.patch().sample(xs, ys)) == 1)
-    assert hess_det_f(G1.sample(xs, ys)) == pytest.approx(0.0)
+    J1 = analytic_jets(quad, quad)
+    assert np.all(n1_rank(J1) == 1)
+    assert hess_det_f(J1) == pytest.approx(0.0)
 
-    G0 = linear_graph(0.3, 0.4)
-    assert np.all(first_normal_rank(G0.patch().sample(xs, ys)) == 0)
+    assert np.all(n1_rank(linear_jets(0.3, 0.4)) == 0)
 
     def f_jet(x, y):
         return (x * x + y * y, 2 * x, 2 * y, 2.0, 0.0, 2.0)
@@ -440,16 +475,15 @@ def test_first_normal_rank_cases():
     def g_jet(x, y):
         return (x * y, y, x, 0.0, 1.0, 0.0)
 
-    G2 = GraphSurface.from_callables(f_jet, g_jet, (-1, 1), (-1, 1))
-    assert np.all(first_normal_rank(G2.patch().sample(xs, ys)) == 2)
-    assert hess_det_f(G2.sample(xs, ys)) == pytest.approx(4.0)
+    J2 = analytic_jets(f_jet, g_jet)
+    assert np.all(n1_rank(J2) == 2)
+    assert hess_det_f(J2) == pytest.approx(4.0)
 
 
 def test_composition_test_on_pde_surface(solved):
     _, sol = solved
     G = solution_graph(sol)
-    xs, ys = G.sample_grid()
-    verdict = composition_test(G.patch(), PI, (xs.size, ys.size), geo_tol=1e-3)
+    verdict = composition_test(G.patch(), PI, (G.xs.size, G.ys.size), geo_tol=1e-3)
     assert verdict.applicable
     assert verdict.composition is False
     assert not verdict.rank1_n1
@@ -471,22 +505,27 @@ def test_composition_test_on_pde_surface(solved):
         "theta1 = 0: composition regardless of N1 rank", 0.0,
         1.7105694144590052e-49, 3.0814879110195774e-33)),
 ])
-def test_composition_test_samples_the_patch_once(solved, name, verdict):
+def test_composition_test_samples_the_patch_once(solved, monkeypatch, name, verdict):
     if name == "solution-graph":
         G = solution_graph(solved[1])
-        xs, ys = G.sample_grid()
-        patch, Pi, grid, geo_tol = G.patch(), PI, (xs.size, ys.size), 1e-3
+        patch, Pi, grid, geo_tol = G.patch(), PI, (G.xs.size, G.ys.size), 1e-3
     else:
         cs = named_example(name)
         patch, Pi, grid, geo_tol = cs.patch, cs.plane, (15, 18), 1e-6
-    calls = []
+    calls, forms = [], []
 
     def sampler(us, vs):
         calls.append((us.size, vs.size))
         return patch.sampler(us, vs)
 
+    def counted_forms(jets, _forms=surface_analysis.fundamental_forms):
+        forms.append(jets.p.shape[:2])
+        return _forms(jets)
+
+    # the report and the N1 ranks share one sample and its fundamental forms
+    monkeypatch.setattr(surface_analysis, "fundamental_forms", counted_forms)
     got = composition_test(replace(patch, sampler=sampler), Pi, grid, geo_tol)
-    assert calls == [grid]
+    assert calls == [grid] and forms == [grid]
     assert got == verdict
 
 
@@ -495,9 +534,8 @@ def test_hessdet_stays_large_near_initial_row(solved):
     # of its row-0 magnitude
     _, sol = solved
     G = solution_graph(sol)
-    xs, ys = G.sample_grid()
-    j0 = np.argmin(np.abs(ys))
-    hd = np.abs(hess_det_f(G.sample(xs, ys)))[1:-1]
+    j0 = np.argmin(np.abs(G.ys))
+    hd = np.abs(hess_det_f(G.patch().sample(G.xs, G.ys)))[1:-1]
     floor = 0.5 * hd[:, j0].min()
     assert hd[:, 1:-1].min() >= floor
 

@@ -7,7 +7,8 @@ import pytest
 
 from helix4.catalog import EXAMPLE_NAMES, generate, named_example, round_sphere_patch
 from helix4.expressions import EvalError, parse_expr, scalar_jet_from_exprs
-from helix4.surface_analysis import JET_FIELDS, JET_PARTS, GraphSurface
+from helix4.surface_analysis import (GRAPH_FIELDS, JET_FIELDS, JET_PARTS, GraphSurface,
+                                     graph_patch)
 
 # the graph of the command-line benchmark session
 CLI_GRAPH = ("0.3*sin(2*x)*cos(y) + 0.2*x*y^2", "0.25*exp(0.5*x)*y - 0.1*x^3")
@@ -21,14 +22,13 @@ def random_poly(seed):
 
 def expression_graph():
     f, g = (scalar_jet_from_exprs(parse_expr(src)) for src in CLI_GRAPH)
-    return GraphSurface.from_callables(f, g, (-1.0, 1.0), (-1.0, 1.0)).patch()
+    return graph_patch(f, g, (-1.0, 1.0), (-1.0, 1.0))
 
 
 def constant_entry_graph():
     # providers whose constant entries are plain numbers
-    return GraphSurface.from_callables(
-        lambda x, y: (x * y + 0.5 * x, y + 0.5, x, 0.0, 1, 0.0),
-        lambda x, y: (x * x - y, 2 * x, -1.0, 2.0, 0, 0), (-1, 1), (-0.5, 1)).patch()
+    return graph_patch(lambda x, y: (x * y + 0.5 * x, y + 0.5, x, 0.0, 1, 0.0),
+                       lambda x, y: (x * x - y, 2 * x, -1.0, 2.0, 0, 0), (-1, 1), (-0.5, 1))
 
 
 PATCHES = {
@@ -73,23 +73,25 @@ def test_jets_are_the_derivatives_of_their_lower_order_fields(make):
 
 
 def layout_graphs():
-    """An analytic and a grid-backed graph of the same fields, nx != ny."""
+    """An analytic and a grid-backed graph of the same fields, nx != ny, each
+    as its patch and its 12 scalar arrays on the nodes keyed GRAPH_FIELDS."""
     xs, ys = np.linspace(-1.0, 1.0, 7), np.linspace(-0.5, 1.0, 4)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    analytic = GraphSurface.from_callables(
-        lambda x, y: (x * y + 0.5 * x, y + 0.5, x, 0.0, 1.0, 0.0),
-        lambda x, y: (x * x - y, 2 * x, -1.0, 2.0, 0.0, 0.0), (-1, 1), (-0.5, 1))
+    f_jet = lambda x, y: (x * y + 0.5 * x, y + 0.5, x, 0.0, 1.0, 0.0)  # noqa: E731
+    g_jet = lambda x, y: (x * x - y, 2 * x, -1.0, 2.0, 0.0, 0.0)  # noqa: E731
+    analytic = {k: np.broadcast_to(v, X.shape)
+                for k, v in zip(GRAPH_FIELDS, (*f_jet(X, Y), *g_jet(X, Y)))}
     grid = GraphSurface.from_grids(xs, ys, X * Y + 0.5 * X, X * X - Y)
-    return xs, ys, X, Y, {"analytic": analytic, "grid": grid}
+    return xs, ys, X, Y, {"analytic": (graph_patch(f_jet, g_jet, (-1, 1), (-0.5, 1)), analytic),
+                          "grid": (grid.patch(), grid.arrays)}
 
 
 @pytest.mark.parametrize("kind", ["analytic", "grid"])
 def test_graph_patch_is_the_scalar_sampler_indexed_x_y(kind):
     xs, ys, X, Y, graphs = layout_graphs()
-    graph = graphs[kind]
-    d = graph.sample(xs, ys)
+    patch, d = graphs[kind]
     np.testing.assert_array_equal(d["f"], X * Y + 0.5 * X)
-    J = graph.patch().sample(xs, ys)
+    J = patch.sample(xs, ys)
     np.testing.assert_array_equal(J.p[..., 0], X)
     np.testing.assert_array_equal(J.p[..., 1], Y)
     for field, part in zip(JET_FIELDS, JET_PARTS):
