@@ -19,6 +19,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -30,7 +31,7 @@ from .expressions import EvalError, ParseError, parse_expr, scalar_jet_from_expr
 from .grassmann import (Plane, plane_angles_via_bivectors, plane_from_json,
                         plane_to_json, principal_angles)
 from .surface_analysis import (GraphSurface, ImmersionError, default_gate, graph_patch,
-                               stack4, verify_helix)
+                               verify_helix)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -80,10 +81,20 @@ def dumps_stable(obj) -> str:
     return render(obj, 0) + "\n"
 
 
+def _open(path, mode: str = "w"):
+    """``open(path, mode)``; a file that cannot be opened is a parse error."""
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise CliError(EXIT_PARSE, f"cannot {'read' if 'r' in mode else 'write'} "
+                                   f"{path}: {exc}") from exc
+
+
 def _emit(obj, out: str | None) -> None:
     text = dumps_stable(obj)
     if out:
-        Path(out).write_text(text)
+        with _open(out) as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 
@@ -92,43 +103,60 @@ def _emit(obj, out: str | None) -> None:
 # CSV and OBJ text
 # ---------------------------------------------------------------------------
 
-# rows converted to Python numbers at a time: converting a whole export grid
-# at once holds several MB of Python floats
+# grid nodes converted to Python numbers at a time: converting a whole export
+# grid at once holds several MB of Python floats
 ROW_BLOCK = 1024
 
 
-def _write_rows(fh, line: str, rows: np.ndarray) -> None:
-    """Write every row of the 2-D array ``rows`` as ``line % tuple(row)``."""
-    for start in range(0, len(rows), ROW_BLOCK):
-        block = rows[start:start + ROW_BLOCK]
-        fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+def _write_rows(fh, line: str, cells) -> None:
+    """Write ``line`` once per node of an (N, M) grid, in C order, with its
+    k-th ``%`` conversion filled from ``cells[k]``: an (N, M) array, or a
+    grid axis ``(axis, values)`` giving each node the value at its index
+    along ``axis``.  At least one cell is an array; at most one cell is an
+    axis of each direction.  Each axis value is formatted once; each row
+    along axis 0 is a template holding those texts, a join over the axis-1
+    texts, and the arrays fill ``ROW_BLOCK`` nodes in one ``%`` call."""
+    parts = re.split(r"(%[.\d]*[a-z])", line)   # text, conversion, text, ..., text
+    grids = [c for c in cells if not isinstance(c, tuple)]
+    N, M = grids[0].shape
+    texts = {c[0]: (2 * k + 1, [parts[2 * k + 1] % v for v in c[1].tolist()])
+             for k, c in enumerate(cells) if isinstance(c, tuple)}
+    cut, across = texts.get(1, (len(parts), [""] * M))
+    table = np.stack(grids, axis=-1).reshape(N * M, -1)
+    for start in range(0, N * M, ROW_BLOCK):
+        stop, template = min(start + ROW_BLOCK, N * M), []
+        for i in range(start // M, (stop - 1) // M + 1):
+            if 0 in texts:
+                parts[texts[0][0]] = texts[0][1][i]
+            head, tail = "".join(parts[:cut]), "".join(parts[cut + 1:])
+            row = across[max(start - i * M, 0):stop - i * M]
+            template += [head, (tail + head).join(row), tail]
+        fh.write("".join(template) % tuple(table[start:stop].ravel().tolist()))
 
 
-def _write_csv(path: str, names, columns) -> None:
-    """CSV with the header ``names`` and one row per element of the
-    same-shaped ``columns``, in C order, floats at 17 significant digits."""
-    table = np.stack(columns, axis=-1).reshape(-1, len(columns))
-    with open(path, "w") as fh:
+def _write_csv(path: str, names, cells) -> None:
+    """CSV with the header ``names`` and one row per node of the grid of the
+    ``_write_rows`` cells ``cells``, in C order, floats at 17 significant digits."""
+    with _open(path) as fh:
         fh.write(",".join(names) + "\n")
-        _write_rows(fh, ",".join(["%.17g"] * len(names)) + "\n", table)
+        _write_rows(fh, ",".join(["%.17g"] * len(names)) + "\n", cells)
 
 
-def _write_obj(path: str, points: np.ndarray, coords: tuple[int, int, int]) -> None:
-    """OBJ mesh of the (N, M, 4) grid ``points`` projected to the coordinates
-    ``coords``: a comment naming the dropped coordinate, the vertices in C
-    order, then 1-based faces, two triangles (a, b, d), (a, d, c) per cell
-    with corners a = [i, j], b = [i, j+1], c = [i+1, j], d = [i+1, j+1]."""
-    N, M, _ = points.shape
+def _write_obj(path: str, points, coords: tuple[int, int, int]) -> None:
+    """OBJ mesh of the 4-vectors given by the ``_write_rows`` cells ``points``
+    (the last two (N, M) arrays), projected to ``coords``: a comment naming the
+    dropped coordinate, the vertices in C order, then 1-based faces, two
+    triangles (a, b, d), (a, d, c) per cell with corners a = [i, j],
+    b = [i, j+1], c = [i+1, j], d = [i+1, j+1]."""
+    N, M = points[2].shape
     dropped = ({0, 1, 2, 3} - set(coords)).pop()
     node = np.arange(1, N * M + 1).reshape(N, M)
     a, b, c, d = node[:-1, :-1], node[:-1, 1:], node[1:, :-1], node[1:, 1:]
-    with open(path, "w") as fh:
+    with _open(path) as fh:
         fh.write(f"# projection to coordinates {coords}; dropped coordinate: "
                  f"{'xyzw'[dropped]} (index {dropped})\n")
-        _write_rows(fh, "v %.17g %.17g %.17g\n",
-                    points[..., list(coords)].reshape(-1, 3))
-        _write_rows(fh, "f %d %d %d\n",
-                    np.stack([a, b, d, a, d, c], axis=-1).reshape(-1, 3))
+        _write_rows(fh, "v %.17g %.17g %.17g\n", [points[k] for k in coords])
+        _write_rows(fh, "f %d %d %d\nf %d %d %d\n", [a, b, d, a, d, c])
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +399,9 @@ def _cmd_verify(args) -> int:
     if args.csv:
         _write_csv(args.csv, ("u", "v", "p1", "p2", "p3", "p4", "theta1", "theta2",
                               "K", "K_perp", "structure_residual", "codazzi_residual"),
-                   [*np.meshgrid(report.u, report.v, indexing="ij"),
-                    *np.moveaxis(report.points, -1, 0), report.theta1, report.theta2,
-                    report.K, report.K_perp, report.structure_residual,
-                    report.codazzi_residual])
+                   [(0, report.u), (1, report.v), *np.moveaxis(report.points, -1, 0),
+                    report.theta1, report.theta2, report.K, report.K_perp,
+                    report.structure_residual, report.codazzi_residual])
     return EXIT_OK if report.helix_pass(gate) else EXIT_GATE
 
 
@@ -392,7 +419,7 @@ def _cmd_example(args) -> int:
                      if isinstance(v, (int, float, str, bool))}}
     _emit(_report_payload(report, gate, meta), args.out)
     if args.obj:
-        _write_obj(args.obj, report.points, (0, 1, 2))
+        _write_obj(args.obj, np.moveaxis(report.points, -1, 0), (0, 1, 2))
     return EXIT_OK if report.helix_pass(gate) else EXIT_GATE
 
 
@@ -422,7 +449,8 @@ def _write_solution_bundle(prefix: str, graph: GraphSurface,
     xs, ys = graph.xs, graph.ys
     layers = {k: v.T for k, v in graph.arrays.items()}
     stack = np.stack([layers[k] for k in SOLUTION_FIELDS])
-    Path(prefix + ".bin").write_bytes(np.ascontiguousarray(stack).tobytes())
+    with _open(prefix + ".bin", "wb") as fh:
+        fh.write(np.ascontiguousarray(stack).tobytes())
     sidecar = {
         "nx": int(xs.size),
         "ny": int(ys.size),
@@ -433,11 +461,12 @@ def _write_solution_bundle(prefix: str, graph: GraphSurface,
         "fields": list(SOLUTION_FIELDS),
         "dtype": "float64",
     }
-    Path(prefix + ".meta.json").write_text(dumps_stable(sidecar))
+    with _open(prefix + ".meta.json") as fh:
+        fh.write(dumps_stable(sidecar))
 
     grads = [layers[k] for k in ("fx", "fy", "gx", "gy")]
     _write_csv(prefix + ".csv", ("x", "y", *SOLUTION_FIELDS, "residual_trace", "residual_det"),
-               [*np.meshgrid(xs, ys), *stack,
+               [(1, xs), (0, ys), *stack,
                 *(hc.GRAPH_RESIDUALS[k](*grads, params) for k in ("helix_trace", "helix_det"))])
     return sidecar
 
@@ -482,22 +511,24 @@ def _cmd_construct(args) -> int:
     gate = _finite_flag("--gate", args.gate)
     hc.check_window(x_range, y_max, hx, hy)   # ValueError: exit 3
 
+    prob = None
     if seed == "auto":
         try:
             if custom_data:
                 seed = hc.find_noncharacteristic_seed(c_norm, branch)
             else:
-                # pick the best-scoring seed whose quadratic data actually
-                # fits the requested window
-                seed = hc.choose_feasible_seed(c_norm, x_range, y_max, hx, hy,
+                # the problem of the best-scoring seed whose quadratic data
+                # actually fits the requested window
+                prob = hc.choose_feasible_seed(c_norm, x_range, y_max, hx, hy,
                                                args.curvature, branch)
+                seed = (prob.u0, prob.v0)
         except ValueError as exc:
             raise CliError(EXIT_DEGENERATE, f"seed scan failed: {exc}") from exc
-    if not custom_data:
-        phi, psi = hc.paper_initial_data(seed[0], seed[1], args.curvature)
-
-    prob = hc.PDEProblem(c_norm, x_range, y_max, hx, hy,
-                         seed[0], seed[1], phi, psi, branch=branch)   # ValueError: exit 3
+    if prob is None:
+        if not custom_data:
+            phi, psi = hc.paper_initial_data(seed[0], seed[1], args.curvature)
+        prob = hc.PDEProblem(c_norm, x_range, y_max, hx, hy,
+                             seed[0], seed[1], phi, psi, branch=branch)   # ValueError: exit 3
     try:
         sol = hc.recover_g(hc.solve_pde(prob))
         graph = hc.solution_graph(sol, m=m_scale)
@@ -555,7 +586,8 @@ def _cmd_export(args) -> int:
     x0, y0, hx, hy = (_field(meta, k, NUMBER, where=where) for k in ("x0", "y0", "hx", "hy"))
     if args.format == "obj" and not {"f", "g"} <= set(fields):
         raise CliError(EXIT_PARSE, f"{meta_path}: an OBJ export needs the fields f and g")
-    data = np.frombuffer(bin_path.read_bytes(), dtype=np.float64)
+    with _open(bin_path, "rb") as fh:
+        data = np.frombuffer(fh.read(), dtype=np.float64)
     data = data.reshape(len(fields), ny, nx)   # ValueError (size mismatch): exit 3
     xs = x0 + hx * np.arange(nx, dtype=float)
     ys = y0 + hy * np.arange(ny, dtype=float)
@@ -563,7 +595,7 @@ def _cmd_export(args) -> int:
 
     if args.format == "csv":
         _write_csv(args.out, ("x", "y", *fields),
-                   [*np.meshgrid(xs, ys), *(layers[k] for k in fields)])
+                   [(1, xs), (0, ys), *(layers[k] for k in fields)])
     elif args.format == "json":
         _emit({"meta": meta, "x": xs, "y": ys, "fields": layers}, args.out)
     elif args.format == "obj":
@@ -572,8 +604,7 @@ def _cmd_export(args) -> int:
         if len(names) != 3 or len(set(names) & allowed.keys()) != 3:
             raise CliError(EXIT_PARSE, "--coords must be three distinct names "
                                        "of x,y,f,g (comma separated)")
-        f, g = layers["f"].T, layers["g"].T
-        _write_obj(args.out, stack4(f, xs[:, None], ys, f, g),
+        _write_obj(args.out, [(0, xs), (1, ys), layers["f"].T, layers["g"].T],
                    tuple(allowed[n] for n in names))
     return EXIT_OK
 

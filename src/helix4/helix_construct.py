@@ -198,13 +198,13 @@ def find_noncharacteristic_seed(c1: float, branch: int = 1) -> tuple[float, floa
 
 def choose_feasible_seed(c1: float, x_range, y_max: float, hx: float,
                          hy: float, curvature: float = 1.0,
-                         branch: int = 1) -> tuple[float, float]:
-    """Best-scoring seed whose paper-style initial segment stays admissible.
+                         branch: int = 1) -> PDEProblem:
+    """Problem of the best-scoring seed whose paper-style data stays admissible.
 
     The margin-maximizing scan point can sit close to the annulus boundary,
     where quadratic data drifts out over a wide x-interval; this variant
-    walks the candidates in score order and returns the first one that
-    validates for the requested window.  Deterministic.
+    walks the candidates in score order and returns the problem of the first
+    one that validates for the requested window.  Deterministic.
     """
     check_window(x_range, y_max, hx, hy)
     u, v, score = _seed_scan(c1, branch)
@@ -216,9 +216,8 @@ def choose_feasible_seed(c1: float, x_range, y_max: float, hx: float,
         seed = (float(u[k]), float(v[k]))
         phi, psi = paper_initial_data(*seed, curvature)
         try:
-            PDEProblem(c1, tuple(x_range), y_max, hx, hy,
-                       seed[0], seed[1], phi, psi, branch=branch)
-            return seed
+            return PDEProblem(c1, tuple(x_range), y_max, hx, hy,
+                              seed[0], seed[1], phi, psi, branch=branch)
         except ValueError as exc:
             last_err = exc
     raise ValueError(

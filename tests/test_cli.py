@@ -1,5 +1,7 @@
 """Command-line behavior: subcommands, exit codes, determinism, exports."""
 
+import io
+import itertools
 import json
 import math
 import os
@@ -228,8 +230,7 @@ def test_bundle_layers_are_the_solution_graph_node_for_node(tmp_path, capsys):
                      "--hx", str(h), "--hy", str(h), "--ymax", str(y_max), "--save", prefix)
     assert code == EXIT_OK
     m, c = hc.deform_inverse((t1, t2))
-    seed = hc.choose_feasible_seed(c, x_range, y_max, h, h)
-    prob = hc.PDEProblem(c, x_range, y_max, h, h, *seed, *hc.paper_initial_data(*seed))
+    prob = hc.choose_feasible_seed(c, x_range, y_max, h, h)
     graph = hc.solution_graph(hc.recover_g(hc.solve_pde(prob)), m=m)
     xs, ys = graph.xs, graph.ys
     meta = json.loads((tmp_path / "sol.meta.json").read_text())
@@ -341,6 +342,62 @@ def test_export_round_trip(tmp_path, capsys, monkeypatch):
     assert code == EXIT_PRECONDITION and err.startswith("error: ")
 
 
+def saved_grid(tmp_path, capsys) -> str:
+    prefix = str(tmp_path / "sol")
+    code, _, _ = run(capsys, "construct", *THETAS, "--hx", "2e-3", "--hy", "2e-3",
+                     "--ymax", "0.004", "--save", prefix, "--out", str(tmp_path / "r.json"))
+    assert code == EXIT_OK
+    return prefix
+
+
+@pytest.mark.parametrize("flag", ["--out", "--csv", "--obj", "--save", "export --out"])
+def test_an_unwritable_output_path_exits_2(tmp_path, capsys, flag):
+    # an output in a directory that does not exist
+    missing = tmp_path / "missing"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"surface": {"kind": "plane"}, "grid": [5, 5]}))
+    path = str(missing / "out")
+    argv = {
+        "--out": ["angles", "--v", PLANE_12, "--w", PLANE_34, "--out", path],
+        "--csv": ["verify", "--config", str(cfg), "--csv", path],
+        "--obj": ["example", "clifford_torus", "--grid", "5", "5", "--obj", path],
+        "--save": ["construct", *THETAS, "--hx", "2e-3", "--hy", "2e-3", "--ymax", "0.004",
+                   "--save", path],
+    }.get(flag)
+    if argv is None:
+        argv = ["export", "--grid", saved_grid(tmp_path, capsys), "--format", "csv",
+                "--out", path]
+    code, _, err = run(capsys, *argv)
+    written = path + ".bin" if flag == "--save" else path
+    assert code == EXIT_PARSE
+    assert err.startswith(f"error: cannot write {written}: ") and err.count("\n") == 1
+    assert not missing.exists()
+
+
+def test_export_of_an_unreadable_binary_dump_exits_2(tmp_path, capsys):
+    prefix = saved_grid(tmp_path, capsys)
+    Path(prefix + ".bin").unlink()
+    Path(prefix + ".bin").mkdir()
+    code, _, err = run(capsys, "export", "--grid", prefix, "--format", "csv",
+                       "--out", str(tmp_path / "e.csv"))
+    assert code == EXIT_PARSE
+    assert err.startswith(f"error: cannot read {prefix}.bin: ") and err.count("\n") == 1
+
+
+def test_auto_seed_construct_builds_the_accepted_problem_once(capsys, monkeypatch):
+    # the first candidate of the scan is accepted for these angles
+    built, data = [], []
+    post_init, initial_data = hc.PDEProblem.__post_init__, hc.paper_initial_data
+    monkeypatch.setattr(hc.PDEProblem, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    monkeypatch.setattr(hc, "paper_initial_data",
+                        lambda *args: data.append(args) or initial_data(*args))
+    code, out, _ = run(capsys, "construct", *THETAS)
+    assert code == EXIT_OK
+    assert len(built) == 1 and len(data) == 1
+    assert json.loads(out)["seed"] == {"u0": built[0].u0, "v0": built[0].v0}
+
+
 @pytest.mark.parametrize("coords", ["x,x,f", "f,g,f", "g,g,g"])
 def test_export_obj_rejects_a_repeated_coordinate(tmp_path, capsys, coords):
     prefix = str(tmp_path / "sol")
@@ -353,6 +410,141 @@ def test_export_obj_rejects_a_repeated_coordinate(tmp_path, capsys, coords):
     assert code == EXIT_PARSE
     assert err.startswith("error: ") and "distinct" in err
     assert not obj_path.exists()
+
+
+# ---------------------------------------------------------------------------
+# grid text: every CSV and OBJ the command line writes against a per-node
+# rendering, with blocks of a few nodes, so that a block ends inside a grid
+# row, a grid row spans several blocks and the last block is partial
+# ---------------------------------------------------------------------------
+
+def per_node_row(values, sep=","):
+    return sep.join(f"{v:.17g}" for v in values)
+
+
+def per_node_obj(coords, rows, N, M):
+    """The OBJ text of an (N, M) grid of vertex rows, rendered node by node."""
+    dropped = ({0, 1, 2, 3} - set(coords)).pop()
+    faces = []
+    for i in range(N - 1):
+        for j in range(M - 1):
+            a, c = i * M + j + 1, (i + 1) * M + j + 1
+            faces += [f"f {a} {a + 1} {c + 1}", f"f {a} {c + 1} {c}"]
+    return [f"# projection to coordinates {coords}; dropped coordinate: "
+            f"{'xyzw'[dropped]} (index {dropped})",
+            *(f"v {per_node_row(row, ' ')}" for row in rows), *faces]
+
+
+def assert_blocks_split_rows(N, M):
+    block = cli.ROW_BLOCK
+    assert M > block and M % block and (N * M) % block
+
+
+def capture_reports(monkeypatch):
+    """Keep every report the command line's ``verify_helix`` returns."""
+    reports, verify_helix = [], cli.verify_helix
+    monkeypatch.setattr(cli, "verify_helix",
+                        lambda *args: reports.append(verify_helix(*args)) or reports[-1])
+    return reports
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 1024])
+@pytest.mark.parametrize("order", ["01", "10", "0", "1", ""])
+def test_write_rows_matches_a_per_node_rendering(monkeypatch, block, order):
+    monkeypatch.setattr(cli, "ROW_BLOCK", block)
+    rng = np.random.default_rng(3)
+    N, M = 4, 7
+    axes = {"0": rng.standard_normal(N), "1": rng.standard_normal(M) * 1e-300}
+    axes["1"][2] = -0.0
+    grids = [rng.standard_normal((N, M)), np.full((N, M), math.nan)]
+    cells = [*((int(a), axes[a]) for a in order), *grids]
+    line = "<" + "|".join(["%.17g"] * len(cells)) + ">\n"
+    fh = io.StringIO()
+    cli._write_rows(fh, line, cells)
+    rows = [[*(axes[a][i if a == "0" else j] for a in order), *(g[i, j] for g in grids)]
+            for i in range(N) for j in range(M)]
+    assert fh.getvalue() == "".join(f"<{per_node_row(row, '|')}>\n" for row in rows)
+
+
+def test_bundle_csv_matches_a_per_node_rendering(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "ROW_BLOCK", 7)
+    h, y_max, x_range = 2e-3, 0.004, (-0.05, 0.05)
+    prefix = str(tmp_path / "sol")
+    code, _, _ = run(capsys, "construct", *THETAS, "--hx", str(h), "--hy", str(h),
+                     "--ymax", str(y_max), "--save", prefix)
+    assert code == EXIT_OK
+    params = hc.HelixParams(*map(float, THETAS[1::2]))
+    m, c = hc.deform_inverse((params.theta1, params.theta2))
+    graph = hc.solution_graph(hc.recover_g(hc.solve_pde(
+        hc.choose_feasible_seed(c, x_range, y_max, h, h))), m=m)
+    xs, ys, arrays = graph.xs, graph.ys, graph.arrays
+    assert_blocks_split_rows(ys.size, xs.size)
+    residuals = [hc.GRAPH_RESIDUALS[k](*(arrays[n] for n in ("fx", "fy", "gx", "gy")), params)
+                 for k in ("helix_trace", "helix_det")]
+    columns = [arrays[k] for k in cli.SOLUTION_FIELDS] + residuals
+    lines = (tmp_path / "sol.csv").read_text().splitlines()
+    assert lines[1:] == [per_node_row([xs[i], ys[j], *(a[i, j] for a in columns)])
+                         for j in range(ys.size) for i in range(xs.size)]
+
+
+def test_verify_csv_matches_a_per_node_rendering(tmp_path, capsys, monkeypatch):
+    # u is the slow axis here; the residual columns are nan on the outer ring
+    monkeypatch.setattr(cli, "ROW_BLOCK", 5)
+    reports = capture_reports(monkeypatch)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"surface": {"kind": "clifford_torus"}, "grid": [6, 13]}))
+    csv_path = tmp_path / "samples.csv"
+    code, _, _ = run(capsys, "verify", "--config", str(cfg), "--csv", str(csv_path))
+    assert code == EXIT_OK
+    (r,) = reports
+    N, M = r.points.shape[:2]
+    assert_blocks_split_rows(N, M)
+    columns = [*np.moveaxis(r.points, -1, 0), r.theta1, r.theta2, r.K, r.K_perp,
+               r.structure_residual, r.codazzi_residual]
+    lines = csv_path.read_text().splitlines()
+    assert lines[1:] == [per_node_row([r.u[i], r.v[j], *(a[i, j] for a in columns)])
+                         for i in range(N) for j in range(M)]
+    assert lines[1].endswith(",nan,nan") and ",nan" not in lines[M + 2]
+
+
+def test_export_obj_matches_a_per_node_rendering_for_every_projection(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "ROW_BLOCK", 4)
+    prefix = str(tmp_path / "sol")
+    run(capsys, "construct", *THETAS, "--hx", "2e-3", "--hy", "2e-3",
+        "--ymax", "0.006", "--save", prefix, "--out", str(tmp_path / "r.json"))
+    meta = json.loads((tmp_path / "sol.meta.json").read_text())
+    fields, nx, ny = meta["fields"], meta["nx"], meta["ny"]
+    assert_blocks_split_rows(nx, ny)
+    data = np.fromfile(prefix + ".bin").reshape(len(fields), ny, nx)
+    xs = meta["x0"] + meta["hx"] * np.arange(nx, dtype=float)
+    ys = meta["y0"] + meta["hy"] * np.arange(ny, dtype=float)
+    f, g = data[fields.index("f")], data[fields.index("g")]
+    points = [(xs[i], ys[j], f[j, i], g[j, i]) for i in range(nx) for j in range(ny)]
+    obj_path = tmp_path / "exported.obj"
+    triples = list(itertools.permutations(range(4), 3))
+    assert len(triples) == 24
+    for coords in triples:
+        names = ",".join("xyfg"[k] for k in coords)
+        code, _, _ = run(capsys, "export", "--grid", prefix, "--format", "obj",
+                         "--coords", names, "--out", str(obj_path))
+        assert code == EXIT_OK
+        expected = per_node_obj(coords, [[p[k] for k in coords] for p in points], nx, ny)
+        assert obj_path.read_text().splitlines() == expected, names
+
+
+def test_example_obj_matches_a_per_node_rendering(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "ROW_BLOCK", 4)
+    reports = capture_reports(monkeypatch)
+    obj = tmp_path / "cone.obj"
+    code, _, _ = run(capsys, "example", "orbit_cone", "--grid", "6", "9",
+                     "--obj", str(obj), "--out", str(tmp_path / "r.json"))
+    assert code == EXIT_OK
+    (r,) = reports
+    N, M = r.points.shape[:2]
+    assert_blocks_split_rows(N, M)
+    assert obj.read_text().splitlines() == per_node_obj(
+        (0, 1, 2), r.points[..., :3].reshape(-1, 3), N, M)
 
 
 def test_written_files_are_byte_identical_on_rerun(tmp_path, capsys):

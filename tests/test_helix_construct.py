@@ -411,12 +411,16 @@ def test_general_angles_via_feasible_seed():
     from helix4.helix_construct import choose_feasible_seed
     t1, t2 = 0.7, 0.9
     m, c = deform_inverse((t1, t2))
-    seed = choose_feasible_seed(c, (-0.05, 0.05), 0.004, 2e-3, 2e-3)
+    prob = choose_feasible_seed(c, (-0.05, 0.05), 0.004, 2e-3, 2e-3)
+    # the problem of the chosen seed, with the paper's quadratic data
+    ref = default_problem(c, x_range=(-0.05, 0.05), y_max=0.004,
+                          hx=2e-3, hy=2e-3, seed=(prob.u0, prob.v0))
+    assert replace(prob, phi=ref.phi, psi=ref.psi) == ref
+    for data in ("phi", "psi"):
+        assert np.array_equal(getattr(prob, data)(prob.x), getattr(ref, data)(ref.x))
     # a window no seed can fit fails once, before the candidate loop
     with pytest.raises(ValueError, match="hx must be finite"):
         choose_feasible_seed(c, (-0.05, 0.05), 0.004, 0.0, 2e-3)
-    prob = default_problem(c, x_range=(-0.05, 0.05), y_max=0.004,
-                           hx=2e-3, hy=2e-3, seed=seed)
     G = solution_graph(recover_g(solve_pde(prob)), m=m)
     rep = verify_helix(G.patch(), PI, (G.xs.size, G.ys.size))
     assert rep.angle_stats["theta1"][0] == pytest.approx(t1, abs=1e-4)

@@ -164,9 +164,8 @@ def _ladder(h):
 
 
 def _mirror():
-    seed = hc.choose_feasible_seed(C_THIRD, WINDOW["x_range"], WINDOW["y_max"],
+    return hc.choose_feasible_seed(C_THIRD, WINDOW["x_range"], WINDOW["y_max"],
                                    1e-3, 1e-3, branch=-1)
-    return hc.default_problem(C_THIRD, hx=1e-3, hy=1e-3, seed=seed, branch=-1, **WINDOW)
 
 
 def _windows_differ():
