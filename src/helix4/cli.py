@@ -391,9 +391,7 @@ def _cmd_verify(args) -> int:
                                 _field(cfg, "gate", NUMBER, _finite_flag("--gate", args.gate)))
     try:
         report = verify_helix(patch, plane, grid)
-    except ImmersionError as exc:
-        raise CliError(EXIT_DEGENERATE, str(exc))
-    except (ValueError, EvalError) as exc:
+    except EvalError as exc:   # 3 in verify; main() gives it 2 (construct)
         raise CliError(EXIT_PRECONDITION, str(exc))
     _emit(_report_payload(report, gate, meta), args.out)
     if args.csv:
@@ -406,10 +404,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_example(args) -> int:
-    try:
-        cs = catalog.named_example(args.name)
-    except ValueError as exc:
-        raise CliError(EXIT_PRECONDITION, str(exc))
+    cs = catalog.named_example(args.name)
     grid, gate = _grid_and_gate(cs.patch, args.grid, _finite_flag("--gate", args.gate))
     report = verify_helix(cs.patch, cs.plane, grid)
     meta = {"example": args.name,
@@ -424,31 +419,40 @@ def _cmd_example(args) -> int:
 
 
 def _cmd_deform(args) -> int:
-    try:
-        if args.m is not None and args.c is not None:
-            pa = hc.deform(args.m, args.c)
-            _emit({"m": args.m, "c": args.c,
-                   "theta1": pa.theta1, "theta2": pa.theta2}, args.out)
-        elif args.theta1 is not None and args.theta2 is not None:
-            _radians_guard("--theta1", args.theta1)
-            _radians_guard("--theta2", args.theta2)
-            m, c = hc.deform_inverse((args.theta1, args.theta2))
-            _emit({"theta1": args.theta1, "theta2": args.theta2,
-                   "m": m, "c": c}, args.out)
-        else:
-            raise CliError(EXIT_PARSE,
-                           "deform needs --m with --c, or --theta1 with --theta2")
-    except ValueError as exc:
-        raise CliError(EXIT_PRECONDITION, str(exc))
+    if args.m is not None and args.c is not None:
+        pa = hc.deform(args.m, args.c)
+        _emit({"m": args.m, "c": args.c,
+               "theta1": pa.theta1, "theta2": pa.theta2}, args.out)
+    elif args.theta1 is not None and args.theta2 is not None:
+        _radians_guard("--theta1", args.theta1)
+        _radians_guard("--theta2", args.theta2)
+        m, c = hc.deform_inverse((args.theta1, args.theta2))
+        _emit({"theta1": args.theta1, "theta2": args.theta2,
+               "m": m, "c": c}, args.out)
+    else:
+        raise CliError(EXIT_PARSE, "deform needs --m with --c, or --theta1 with --theta2")
     return EXIT_OK
 
 
-def _write_solution_bundle(prefix: str, graph: GraphSurface,
-                           params: hc.HelixParams) -> dict:
-    """Binary dump + 8-field sidecar + CSV next to `prefix`, indexed [y, x]."""
+def _grid_axes(sidecar: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The x and y nodes of a saved bundle, x0 + hx k and y0 + hy k, from its sidecar."""
+    return tuple(sidecar[start] + sidecar[step] * np.arange(sidecar[n], dtype=float)
+                 for start, step, n in (("x0", "hx", "nx"), ("y0", "hy", "ny")))
+
+
+def _write_solution_bundle(prefix: str, graph: GraphSurface, grads,
+                           params: hc.HelixParams) -> None:
+    """Binary dump + CSV + 8-field sidecar next to `prefix`, indexed [y, x];
+    ``grads`` are the graph's (f_x, f_y, g_x, g_y).  The sidecar, which
+    ``export`` looks for, is removed first and written last, so a bundle
+    whose writing fails is never read."""
     xs, ys = graph.xs, graph.ys
-    layers = {k: v.T for k, v in graph.arrays.items()}
-    stack = np.stack([layers[k] for k in SOLUTION_FIELDS])
+    meta_path = Path(prefix + ".meta.json")
+    try:
+        meta_path.unlink(missing_ok=True)
+    except OSError as exc:
+        raise CliError(EXIT_PARSE, f"cannot write {meta_path}: {exc}") from exc
+    stack = np.stack([a.T for a in (graph.f, graph.g, *grads)])   # SOLUTION_FIELDS
     with _open(prefix + ".bin", "wb") as fh:
         fh.write(np.ascontiguousarray(stack).tobytes())
     sidecar = {
@@ -461,14 +465,12 @@ def _write_solution_bundle(prefix: str, graph: GraphSurface,
         "fields": list(SOLUTION_FIELDS),
         "dtype": "float64",
     }
-    with _open(prefix + ".meta.json") as fh:
-        fh.write(dumps_stable(sidecar))
-
-    grads = [layers[k] for k in ("fx", "fy", "gx", "gy")]
+    x_axis, y_axis = _grid_axes(sidecar)
     _write_csv(prefix + ".csv", ("x", "y", *SOLUTION_FIELDS, "residual_trace", "residual_det"),
-               [(1, xs), (0, ys), *stack,
-                *(hc.GRAPH_RESIDUALS[k](*grads, params) for k in ("helix_trace", "helix_det"))])
-    return sidecar
+               [(1, x_axis), (0, y_axis), *stack,
+                *(hc.GRAPH_RESIDUALS[k](*stack[2:], params) for k in ("helix_trace", "helix_det"))])
+    with _open(meta_path) as fh:
+        fh.write(dumps_stable(sidecar))
 
 
 def _cmd_construct(args) -> int:
@@ -479,11 +481,8 @@ def _cmd_construct(args) -> int:
             raise CliError(EXIT_PARSE, "construct needs both --theta1 and --theta2")
         _radians_guard("--theta1", args.theta1)
         _radians_guard("--theta2", args.theta2)
-        try:
-            params = hc.HelixParams(args.theta1, args.theta2)
-            m_scale, c_norm = hc.deform_inverse((args.theta1, args.theta2))
-        except ValueError as exc:
-            raise CliError(EXIT_PRECONDITION, str(exc))
+        params = hc.HelixParams(args.theta1, args.theta2)   # ValueError: exit 3
+        m_scale, c_norm = hc.deform_inverse((args.theta1, args.theta2))
     elif "c1" in cfg:
         c_norm = _field(cfg, "c1", NUMBER)
         if c_norm <= 2:
@@ -539,7 +538,8 @@ def _cmd_construct(args) -> int:
     # residuals over the centered-difference interior; the outermost nodes
     # carry one-sided derivative closures whose larger constant is a property
     # of the edge stencil, not of the surface
-    inner = [graph.arrays[k][1:-1, 1:-1] for k in ("fx", "fy", "gx", "gy")]
+    grads = graph.gradients()
+    inner = [a[1:-1, 1:-1] for a in grads]
     residuals = dict(zip(hc.GRAPH_RESIDUALS,
                          hc.residual_maxima(hc.GRAPH_RESIDUALS, inner, params)))
     passed = max(residuals.values()) < gate
@@ -569,7 +569,7 @@ def _cmd_construct(args) -> int:
 
     _emit(header, args.out)
     if args.save:
-        _write_solution_bundle(args.save, graph, params)
+        _write_solution_bundle(args.save, graph, grads, params)
     return EXIT_OK if passed else EXIT_GATE
 
 
@@ -583,14 +583,14 @@ def _cmd_export(args) -> int:
     where = str(meta_path)
     fields = _field(meta, "fields", NAMES, where=where)
     nx, ny = (_field(meta, k, COUNT, where=where) for k in ("nx", "ny"))
-    x0, y0, hx, hy = (_field(meta, k, NUMBER, where=where) for k in ("x0", "y0", "hx", "hy"))
+    for k in ("x0", "y0", "hx", "hy"):
+        _field(meta, k, NUMBER, where=where)
     if args.format == "obj" and not {"f", "g"} <= set(fields):
         raise CliError(EXIT_PARSE, f"{meta_path}: an OBJ export needs the fields f and g")
     with _open(bin_path, "rb") as fh:
         data = np.frombuffer(fh.read(), dtype=np.float64)
     data = data.reshape(len(fields), ny, nx)   # ValueError (size mismatch): exit 3
-    xs = x0 + hx * np.arange(nx, dtype=float)
-    ys = y0 + hy * np.arange(ny, dtype=float)
+    xs, ys = _grid_axes(meta)
     layers = dict(zip(fields, data))
 
     if args.format == "csv":

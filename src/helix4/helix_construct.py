@@ -578,15 +578,14 @@ def solution_graph(sol: SolutionGrid, m: float = 1.0,
                    name: str = "pde-graph") -> GraphSurface:
     """Grid-backed graph surface (m f, m g) on the valid rectangle.
 
-    All derivatives are finite differences of the value grids, so helix and
+    Its derivatives are finite differences of the value grids, so helix and
     symplectomorphism residuals genuinely measure the solution quality.
     """
     if sol.g is None:
         raise ValueError("recover_g must run before building the graph")
     rs, cs = sol.rect()
-    return GraphSurface.from_grids(sol.x[cs], sol.y[rs],
-                                   m * sol.f[rs, cs].T, m * sol.g[rs, cs].T,
-                                   name=name)
+    return GraphSurface(sol.x[cs], sol.y[rs], m * sol.f[rs, cs].T, m * sol.g[rs, cs].T,
+                        name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -618,8 +617,7 @@ def symplecto_check(G: GraphSurface, P: HelixParams) -> tuple[float, float]:
     """(max |J - c2|, max | ||J||^2 - c1 |) over the nodes of G."""
     if P.c2 <= 0:
         raise ValueError("symplectomorphism check needs c2 > 0")
-    grads = tuple(G.arrays[k] for k in ("fx", "fy", "gx", "gy"))
-    return tuple(residual_maxima(("symplecto_det", "symplecto_norm"), grads, P))
+    return tuple(residual_maxima(("symplecto_det", "symplecto_norm"), G.gradients(), P))
 
 
 def first_normal_rank(ff: FundamentalForms) -> np.ndarray:

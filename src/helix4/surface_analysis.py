@@ -264,9 +264,6 @@ def graph_jet(x, y, f, g) -> SurfaceJet:
 # d2/dxdy, d2/dy2, each shaped like x or a constant
 ScalarJet = Callable[[np.ndarray, np.ndarray], tuple]
 
-JET_PARTS = ("", "x", "y", "xx", "xy", "yy")
-GRAPH_FIELDS = tuple(k + s for k in "fg" for s in JET_PARTS)
-
 
 def graph_patch(f_jet: ScalarJet, g_jet: ScalarJet, x_range, y_range,
                 name: str = "graph") -> SurfacePatch:
@@ -283,12 +280,14 @@ def graph_patch(f_jet: ScalarJet, g_jet: ScalarJet, x_range, y_range,
 
 @dataclass
 class GraphSurface:
-    """The graph (x, y) -> (x, y, f, g) of two value grids on the nodes
-    ``xs`` x ``ys`` (``from_grids``).
+    """The graph (x, y) -> (x, y, f, g) of the value grids ``f`` and ``g``
+    on the nodes ``xs`` x ``ys``, indexed [x, y].
 
-    ``arrays`` holds the 2-jets of f and g at the nodes: 12 arrays indexed
-    [x, y], keyed ``GRAPH_FIELDS``.  ``patch()`` is the graph as a
-    ``SurfacePatch`` whose queries snap to the nodes.
+    Every derivative is a finite difference of the value grids (centered
+    interior, one-sided closure at the edges), taken where it is read:
+    ``gradients()`` gives the first derivatives, and ``patch()`` is the graph
+    as a ``SurfacePatch`` holding the 2-jets of f and g, whose queries snap
+    to the nodes.
 
     f and g stay scalar, not read off a ``SurfacePatch``: ``symplecto_check``
     needs only their gradients, and building the 4-vector jet of every node
@@ -297,34 +296,34 @@ class GraphSurface:
 
     xs: np.ndarray
     ys: np.ndarray
-    arrays: dict[str, np.ndarray]
+    f: np.ndarray
+    g: np.ndarray
     name: str = "graph"
 
-    @classmethod
-    def from_grids(cls, xs: np.ndarray, ys: np.ndarray,
-                   F: np.ndarray, G: np.ndarray,
-                   name: str = "graph") -> "GraphSurface":
-        """Grid-sampled fields, indexed [x, y]; all derivatives by finite
-        differences of the value grids (centered interior, one-sided closure
-        at the edges)."""
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        F = np.asarray(F, dtype=float)
-        G = np.asarray(G, dtype=float)
-        if F.shape != (xs.size, ys.size) or G.shape != F.shape:
+    def __post_init__(self):
+        self.xs, self.ys, self.f, self.g = (np.asarray(a, dtype=float)
+                                            for a in (self.xs, self.ys, self.f, self.g))
+        if self.f.shape != (self.xs.size, self.ys.size) or self.g.shape != self.f.shape:
             raise ValueError("value grids must have shape (len(xs), len(ys))")
-        if xs.size < 3 or ys.size < 3:
+        if self.xs.size < 3 or self.ys.size < 3:
             raise ValueError("grid-backed fields need at least 3 nodes per direction")
-        hx, hy = xs[1] - xs[0], ys[1] - ys[0]
-        arrays = dict(zip(GRAPH_FIELDS, (*_fd_jet(F, hx, hy), *_fd_jet(G, hx, hy))))
-        return cls(xs, ys, arrays, name)
+
+    def gradients(self) -> tuple[np.ndarray, ...]:
+        """(f_x, f_y, g_x, g_y) at the nodes, by ``fd_d1`` of the value grids."""
+        hx, hy = self.xs[1] - self.xs[0], self.ys[1] - self.ys[0]
+        return (fd_d1(self.f, hx, axis=0), fd_d1(self.f, hy, axis=1),
+                fd_d1(self.g, hx, axis=0), fd_d1(self.g, hy, axis=1))
 
     def patch(self) -> SurfacePatch:
+        """The graph as a ``SurfacePatch``; the 2-jets of f and g are taken
+        once, here, and each sample reads the nodes its queries snap to."""
+        hx, hy = self.xs[1] - self.xs[0], self.ys[1] - self.ys[0]
+        jets = [_fd_jet(v, hx, hy) for v in (self.f, self.g)]
+
         def sample(qx: np.ndarray, qy: np.ndarray) -> SurfaceJet:
             i, j = snap_to_nodes(self.xs, self.ys, qx, qy)
             X, Y = np.meshgrid(qx, qy, indexing="ij")
-            return graph_jet(X, Y, *([self.arrays[k + s][i][:, j] for s in JET_PARTS]
-                                     for k in "fg"))
+            return graph_jet(X, Y, *([a[i][:, j] for a in jet] for jet in jets))
 
         return SurfacePatch((self.xs[0], self.xs[-1]), (self.ys[0], self.ys[-1]), sample,
                             jet_source="grid", name=self.name)

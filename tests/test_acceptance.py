@@ -51,7 +51,7 @@ def _max_residuals(sol, params):
     G = solution_graph(sol)
     xs = G.xs[1:-1]
     window = (-0.03 <= xs) & (xs <= 0.03)
-    grads = [G.arrays[k][1:-1, 1:-1][window] for k in ("fx", "fy", "gx", "gy")]
+    grads = [a[1:-1, 1:-1][window] for a in G.gradients()]
     helix = max(residual_maxima(("helix_trace", "helix_det"), grads, params))
     sympl = max(residual_maxima(("symplecto_det", "symplecto_norm"), grads, params))
     return helix, sympl

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import helix4
-from helix4 import cli, helix_construct as hc
+from helix4 import cli, helix_construct as hc, surface_analysis
 from helix4.cli import (EXIT_DEGENERATE, EXIT_GATE, EXIT_OK, EXIT_PARSE,
                         EXIT_PRECONDITION, dumps_stable, main)
 
@@ -79,8 +79,8 @@ def test_deform_rejects_degrees(capsys):
 
 
 def test_deform_rejects_c_below_two(capsys):
-    code, _, _ = run(capsys, "deform", "--m", "1", "--c", "1.5")
-    assert code == EXIT_PRECONDITION
+    assert run(capsys, "deform", "--m", "1", "--c", "1.5") == (
+        EXIT_PRECONDITION, "", "error: normalized constant c must be finite and > 2, got 1.5\n")
 
 
 @pytest.mark.parametrize("m, c, named", [
@@ -236,13 +236,22 @@ def test_bundle_layers_are_the_solution_graph_node_for_node(tmp_path, capsys):
     meta = json.loads((tmp_path / "sol.meta.json").read_text())
     assert (meta["nx"], meta["ny"]) == (xs.size, ys.size) and xs.size != ys.size
     layers = np.frombuffer((tmp_path / "sol.bin").read_bytes()).reshape(6, ys.size, xs.size)
+    node_arrays = dict(zip(cli.SOLUTION_FIELDS, (graph.f, graph.g, *graph.gradients())))
     for k, layer in zip(meta["fields"], layers, strict=True):
-        assert layer.tobytes() == np.ascontiguousarray(graph.arrays[k].T).tobytes(), k
+        assert layer.tobytes() == np.ascontiguousarray(node_arrays[k].T).tobytes(), k
 
 
 def test_construct_equal_angles_rejected(capsys):
-    code, _, _ = run(capsys, "construct", "--theta1", "0.5", "--theta2", "0.5")
-    assert code == EXIT_PRECONDITION
+    assert run(capsys, "construct", "--theta1", "0.5", "--theta2", "0.5") == (
+        EXIT_PRECONDITION, "",
+        "error: need 0 < theta1 < theta2 < pi/2 (equal angles collapse the family)\n")
+
+
+def test_verify_grid_below_3x3_exits_3(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"surface": {"kind": "clifford_torus"}, "grid": [2, 2]}))
+    assert run(capsys, "verify", "--config", str(cfg)) == (
+        EXIT_PRECONDITION, "", "error: grid must be at least 3x3 for the FD stencil\n")
 
 
 def test_construct_c1_config_and_expressions(tmp_path, capsys):
@@ -384,6 +393,62 @@ def test_export_of_an_unreadable_binary_dump_exits_2(tmp_path, capsys):
     assert err.startswith(f"error: cannot read {prefix}.bin: ") and err.count("\n") == 1
 
 
+def test_export_csv_reproduces_the_saved_csv(tmp_path, capsys):
+    # both take the grid axes from the sidecar, so one bundle has one set of
+    # coordinates
+    prefix = saved_grid(tmp_path, capsys)
+    out = tmp_path / "e.csv"
+    code, _, _ = run(capsys, "export", "--grid", prefix, "--format", "csv", "--out", str(out))
+    assert code == EXIT_OK
+    saved = Path(prefix + ".csv").read_text().splitlines()
+    assert out.read_text().splitlines() == [",".join(line.split(",")[:8]) for line in saved]
+
+
+@pytest.mark.parametrize("earlier", [False, True])
+def test_a_failed_save_leaves_no_bundle_that_export_reads(tmp_path, capsys, earlier):
+    prefix = str(tmp_path / "sol")
+    if earlier:
+        # an earlier good bundle of a different grid at the same prefix
+        code, _, _ = run(capsys, "construct", *THETAS, "--hx", "2e-3", "--hy", "2e-3",
+                         "--ymax", "0.006", "--save", prefix)
+        assert code == EXIT_OK
+        Path(prefix + ".csv").unlink()
+    Path(prefix + ".csv").mkdir()
+    code, _, err = run(capsys, "construct", *THETAS, "--hx", "2e-3", "--hy", "2e-3",
+                       "--ymax", "0.004", "--save", prefix)
+    assert code == EXIT_PARSE and err.startswith(f"error: cannot write {prefix}.csv: ")
+    code, _, err = run(capsys, "export", "--grid", prefix, "--format", "csv",
+                       "--out", str(tmp_path / "e.csv"))
+    assert code == EXIT_PARSE and err.startswith(f"error: no saved grid at {prefix} ")
+
+
+def test_a_sidecar_that_cannot_be_removed_exits_2_before_the_dump(tmp_path, capsys):
+    prefix = str(tmp_path / "sol")
+    Path(prefix + ".meta.json").mkdir()
+    code, out, err = run(capsys, "construct", *THETAS, "--hx", "2e-3", "--hy", "2e-3",
+                         "--ymax", "0.004", "--save", prefix)
+    assert code == EXIT_PARSE and json.loads(out)["passed"]
+    assert err.startswith(f"error: cannot write {prefix}.meta.json: ") and err.count("\n") == 1
+    assert not Path(prefix + ".bin").exists()
+
+
+def test_only_construct_verify_takes_the_2_jets_of_the_graph(tmp_path, capsys, monkeypatch):
+    # a construct reads the gradients of its graph; its 2-jets (f and g, one
+    # _fd_jet call each) are taken only for the structure report
+    calls, graphs = [], []
+    fd_jet, solution_graph = surface_analysis._fd_jet, hc.solution_graph
+    monkeypatch.setattr(surface_analysis, "_fd_jet",
+                        lambda *a: calls.append(a[0]) or fd_jet(*a))
+    monkeypatch.setattr(hc, "solution_graph",
+                        lambda *a, **k: graphs.append(solution_graph(*a, **k)) or graphs[-1])
+    window = ("--hx", "2e-3", "--hy", "2e-3", "--ymax", "0.004")
+    code, _, _ = run(capsys, "construct", *THETAS, *window, "--save", str(tmp_path / "sol"))
+    assert code == EXIT_OK and calls == []
+    code, out, _ = run(capsys, "construct", *THETAS, *window, "--verify")
+    assert code == EXIT_OK and "verify" in json.loads(out)
+    assert len(calls) == 2 and calls[0] is graphs[-1].f and calls[1] is graphs[-1].g
+
+
 def test_auto_seed_construct_builds_the_accepted_problem_once(capsys, monkeypatch):
     # the first candidate of the scan is accepted for these angles
     built, data = [], []
@@ -477,11 +542,16 @@ def test_bundle_csv_matches_a_per_node_rendering(tmp_path, capsys, monkeypatch):
     m, c = hc.deform_inverse((params.theta1, params.theta2))
     graph = hc.solution_graph(hc.recover_g(hc.solve_pde(
         hc.choose_feasible_seed(c, x_range, y_max, h, h))), m=m)
-    xs, ys, arrays = graph.xs, graph.ys, graph.arrays
+    # the x and y cells are the sidecar's axes x0 + hx k and y0 + hy k
+    meta = json.loads((tmp_path / "sol.meta.json").read_text())
+    xs, ys = (meta[start] + meta[step] * np.arange(meta[n], dtype=float)
+              for start, step, n in (("x0", "hx", "nx"), ("y0", "hy", "ny")))
+    np.testing.assert_allclose(xs, graph.xs, rtol=0, atol=1e-16)
+    np.testing.assert_allclose(ys, graph.ys, rtol=0, atol=1e-16)
+    grads = graph.gradients()
     assert_blocks_split_rows(ys.size, xs.size)
-    residuals = [hc.GRAPH_RESIDUALS[k](*(arrays[n] for n in ("fx", "fy", "gx", "gy")), params)
-                 for k in ("helix_trace", "helix_det")]
-    columns = [arrays[k] for k in cli.SOLUTION_FIELDS] + residuals
+    residuals = [hc.GRAPH_RESIDUALS[k](*grads, params) for k in ("helix_trace", "helix_det")]
+    columns = [graph.f, graph.g, *grads] + residuals
     lines = (tmp_path / "sol.csv").read_text().splitlines()
     assert lines[1:] == [per_node_row([xs[i], ys[j], *(a[i, j] for a in columns)])
                          for j in range(ys.size) for i in range(xs.size)]

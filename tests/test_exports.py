@@ -1,6 +1,7 @@
 """Public names: every name a module exports resolves, and each name is
 exported by one module only."""
 
+import dataclasses
 import importlib
 import inspect
 from collections import Counter
@@ -40,13 +41,18 @@ def test_test_only_helpers_are_not_in_the_package():
 
 def test_removed_graph_and_problem_names_stay_removed():
     # formula graphs are plain patches (graph_patch); a GraphSurface is only
-    # the grid-backed graph, and a PDEProblem is checked when it is built
+    # the grid-backed graph, holding its two value grids (its derivatives
+    # are taken where they are read), and a PDEProblem is checked when it is
+    # built
     surface_analysis = importlib.import_module("helix4.surface_analysis")
     helix_construct = importlib.import_module("helix4.helix_construct")
-    G = surface_analysis.GraphSurface.from_grids([0, 1, 2], [0, 1, 2],
-                                                 np.zeros((3, 3)), np.zeros((3, 3)))
-    for name in ("from_callables", "sample", "sample_grid", "source", "sampler"):
+    G = surface_analysis.GraphSurface([0, 1, 2], [0, 1, 2], np.zeros((3, 3)), np.zeros((3, 3)))
+    for name in ("from_callables", "sample", "sample_grid", "source", "sampler", "arrays",
+                 "from_grids"):
         assert not hasattr(G, name), name
+    assert [f.name for f in dataclasses.fields(G)] == ["xs", "ys", "f", "g", "name"]
+    for name in ("GRAPH_FIELDS", "JET_PARTS"):
+        assert not hasattr(surface_analysis, name), name
     assert list(inspect.signature(helix_construct.symplecto_check).parameters) == ["G", "P"]
     for name in ("validate", "x_nodes", "y_steps"):
         assert not hasattr(helix_construct.PDEProblem, name), name

@@ -50,7 +50,7 @@ def oracle_fx(sol):
 def grid_graph(f, g, n: int = 5, m: int = 7) -> GraphSurface:
     """The graph of the values f(X, Y), g(X, Y) on n x m nodes of [-1, 1]^2."""
     X, Y = np.meshgrid(np.linspace(-1, 1, n), np.linspace(-1, 1, m), indexing="ij")
-    return GraphSurface.from_grids(X[:, 0], Y[0], f(X, Y), g(X, Y))
+    return GraphSurface(X[:, 0], Y[0], f(X, Y), g(X, Y))
 
 
 def linear_graph(a: float, b: float) -> GraphSurface:
@@ -82,7 +82,7 @@ def helix_residuals(grads, P: HelixParams) -> list[np.ndarray]:
 
 
 def node_gradients(G: GraphSurface) -> list[np.ndarray]:
-    return [G.arrays[k] for k in ("fx", "fy", "gx", "gy")]
+    return list(G.gradients())
 
 
 def hess_det_f(J: SurfaceJet) -> np.ndarray:
@@ -344,7 +344,7 @@ def grid_patches():
     ys = np.linspace(0.0, 1.0, 5)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     points = np.stack([X, Y, X * X, X * Y], axis=-1)
-    graph = GraphSurface.from_grids(xs, ys, X * X, X * Y)
+    graph = GraphSurface(xs, ys, X * X, X * Y)
     return xs, ys, points, graph
 
 

@@ -7,8 +7,7 @@ import pytest
 
 from helix4.catalog import EXAMPLE_NAMES, generate, named_example, round_sphere_patch
 from helix4.expressions import EvalError, parse_expr, scalar_jet_from_exprs
-from helix4.surface_analysis import (GRAPH_FIELDS, JET_FIELDS, JET_PARTS, GraphSurface,
-                                     graph_patch)
+from helix4.surface_analysis import JET_FIELDS, GraphSurface, _fd_jet, graph_patch
 
 # the graph of the command-line benchmark session
 CLI_GRAPH = ("0.3*sin(2*x)*cos(y) + 0.2*x*y^2", "0.25*exp(0.5*x)*y - 0.1*x^3")
@@ -74,29 +73,32 @@ def test_jets_are_the_derivatives_of_their_lower_order_fields(make):
 
 def layout_graphs():
     """An analytic and a grid-backed graph of the same fields, nx != ny, each
-    as its patch and its 12 scalar arrays on the nodes keyed GRAPH_FIELDS."""
+    as its patch and the 2-jets of f and g on the nodes (value, d/dx, d/dy,
+    d2/dx2, d2/dxdy, d2/dy2)."""
     xs, ys = np.linspace(-1.0, 1.0, 7), np.linspace(-0.5, 1.0, 4)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     f_jet = lambda x, y: (x * y + 0.5 * x, y + 0.5, x, 0.0, 1.0, 0.0)  # noqa: E731
     g_jet = lambda x, y: (x * x - y, 2 * x, -1.0, 2.0, 0.0, 0.0)  # noqa: E731
-    analytic = {k: np.broadcast_to(v, X.shape)
-                for k, v in zip(GRAPH_FIELDS, (*f_jet(X, Y), *g_jet(X, Y)))}
-    grid = GraphSurface.from_grids(xs, ys, X * Y + 0.5 * X, X * X - Y)
+    analytic = {k: [np.broadcast_to(v, X.shape) for v in jet(X, Y)]
+                for k, jet in (("f", f_jet), ("g", g_jet))}
+    grid = GraphSurface(xs, ys, X * Y + 0.5 * X, X * X - Y)
+    h = (xs[1] - xs[0], ys[1] - ys[0])
+    nodes = {"f": _fd_jet(grid.f, *h), "g": _fd_jet(grid.g, *h)}
     return xs, ys, X, Y, {"analytic": (graph_patch(f_jet, g_jet, (-1, 1), (-0.5, 1)), analytic),
-                          "grid": (grid.patch(), grid.arrays)}
+                          "grid": (grid.patch(), nodes)}
 
 
 @pytest.mark.parametrize("kind", ["analytic", "grid"])
 def test_graph_patch_is_the_scalar_sampler_indexed_x_y(kind):
     xs, ys, X, Y, graphs = layout_graphs()
     patch, d = graphs[kind]
-    np.testing.assert_array_equal(d["f"], X * Y + 0.5 * X)
+    np.testing.assert_array_equal(d["f"][0], X * Y + 0.5 * X)
     J = patch.sample(xs, ys)
     np.testing.assert_array_equal(J.p[..., 0], X)
     np.testing.assert_array_equal(J.p[..., 1], Y)
-    for field, part in zip(JET_FIELDS, JET_PARTS):
+    for k, field in enumerate(JET_FIELDS):
         for axis, key in ((2, "f"), (3, "g")):
-            assert getattr(J, field)[..., axis].tobytes() == d[key + part].tobytes()
+            assert getattr(J, field)[..., axis].tobytes() == d[key][k].tobytes()
 
 
 def test_array_eval_matches_scalar_eval():

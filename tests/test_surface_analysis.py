@@ -324,11 +324,51 @@ def test_fd_position_patch_matches_analytic():
     assert rep.angle_stats["theta2"][0] == pytest.approx(math.pi / 2, abs=1e-6)
 
 
+def test_graph_surface_takes_its_derivatives_from_the_value_grids(monkeypatch):
+    # gradients() is fd_d1 of the value grids, and patch() the graph jet of
+    # their 2-jets, taken once per patch() call, bit for bit
+    rng = np.random.default_rng(11)
+    xs, ys = np.linspace(-0.3, 0.9, 8), np.linspace(0.1, 0.6, 5)
+    f, g = rng.normal(size=(2, xs.size, ys.size))
+    G = GraphSurface(xs, ys, f, g)
+    hx, hy = xs[1] - xs[0], ys[1] - ys[0]
+    expected = (sa.fd_d1(f, hx, 0), sa.fd_d1(f, hy, 1), sa.fd_d1(g, hx, 0), sa.fd_d1(g, hy, 1))
+    for got, want in zip(G.gradients(), expected, strict=True):
+        assert got.tobytes() == want.tobytes()
+
+    calls = []
+    fd_jet = sa._fd_jet
+    monkeypatch.setattr(sa, "_fd_jet", lambda *a: calls.append(a[0]) or fd_jet(*a))
+    patch = G.patch()
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    J, again = patch.sample(xs, ys), patch.sample(xs[2:5], ys[1:])
+    assert len(calls) == 2 and calls[0] is G.f and calls[1] is G.g
+    oracle = sa.graph_jet(X, Y, fd_jet(f, hx, hy), fd_jet(g, hx, hy))
+    for k in sa.JET_FIELDS:
+        assert getattr(J, k).tobytes() == getattr(oracle, k).tobytes(), k
+        assert getattr(again, k).tobytes() == getattr(J, k)[2:5, 1:].tobytes(), k
+    for i, j in ((0, 0), (3, 2), (7, 4)):
+        node = patch.jet(xs[i], ys[j])
+        for k in sa.JET_FIELDS:
+            assert getattr(node, k).tobytes() == getattr(J, k)[i, j].tobytes(), k
+
+
+@pytest.mark.parametrize("nx, ny, shape_f, shape_g", [
+    (4, 3, (3, 4), (3, 4)),     # indexed [y, x]
+    (4, 3, (4, 3), (4, 4)),     # g not shaped like f
+    (4, 2, (4, 2), (4, 2)),     # fewer than 3 nodes along y
+])
+def test_graph_surface_checks_its_value_grids(nx, ny, shape_f, shape_g):
+    with pytest.raises(ValueError):
+        GraphSurface(np.linspace(0, 1, nx), np.linspace(0, 1, ny),
+                     np.zeros(shape_f), np.zeros(shape_g))
+
+
 def test_grid_patch_snapping():
     us = np.linspace(0, 2, 9)
     vs = np.linspace(0, 1, 5)
     U, V = np.meshgrid(us, vs, indexing="ij")
-    patch = GraphSurface.from_grids(us, vs, 0.3 * U * U, 0.1 * U * V).patch()
+    patch = GraphSurface(us, vs, 0.3 * U * U, 0.1 * U * V).patch()
     jet = patch.jet(us[4], vs[2])
     assert jet.p_u[2] == pytest.approx(0.6 * us[4], abs=1e-10)
     # within 0.4 du of a node the query snaps; beyond that it is rejected
