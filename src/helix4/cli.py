@@ -170,14 +170,16 @@ class CliError(Exception):
 
 
 class _Kind(NamedTuple):
-    """A kind of decoded JSON value: its name and its membership test."""
+    """A kind of decoded JSON value: its name, its membership test and how a
+    member is read (numbers as floats, so no Python int reaches numpy)."""
     what: str
     test: Callable[[object], bool]
+    read: Callable[[object], object] = lambda v: v
 
 
 # booleans are never numbers; a JSON integer beyond float range is not finite
 NUMBER = _Kind("a finite number",
-               lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max)
+               lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max, float)
 STRING = _Kind("a string", lambda v: isinstance(v, str))
 OBJECT = _Kind("an object", lambda v: isinstance(v, dict))
 NAMES = _Kind("a non-empty list of strings",
@@ -190,7 +192,8 @@ SEED = _Kind('"auto", a "u0,v0" string or an object with numbers u0 and v0',
 
 def _numbers(n: int) -> _Kind:
     return _Kind(f"a list of {n} finite numbers",
-                 lambda v: isinstance(v, list) and len(v) == n and all(map(NUMBER.test, v)))
+                 lambda v: isinstance(v, list) and len(v) == n and all(map(NUMBER.test, v)),
+                 lambda v: [float(x) for x in v])
 
 
 def _is_matrix(v) -> bool:
@@ -205,7 +208,7 @@ CATALOG_KINDS = {
     "vector": _numbers(4),
     "string": STRING,
     "coefficients": _Kind("a non-empty list of equally long non-empty lists of finite numbers",
-                          _is_matrix),
+                          _is_matrix, lambda v: [[float(x) for x in row] for row in v]),
 }
 
 _REQUIRED = object()
@@ -217,7 +220,8 @@ def _field(cfg: dict, key: str, kind: _Kind, default=_REQUIRED, *, where: str = 
     nested key is named through its parent (``"seed.u0"``) and looked up by
     its last part in ``cfg``, the parent object.  A required key that is
     absent or a value of another kind is a parse error naming the key in
-    ``where``; values are returned as decoded, never coerced."""
+    ``where``; a value of the kind is returned as ``kind.read`` gives it
+    (a number as a float), never coerced from another kind."""
     name = key.rpartition(".")[2]
     if name not in cfg:
         if default is _REQUIRED:
@@ -226,7 +230,7 @@ def _field(cfg: dict, key: str, kind: _Kind, default=_REQUIRED, *, where: str = 
     value = cfg[name]
     if not kind.test(value):
         raise CliError(EXIT_PARSE, f"{where} {key} must be {kind.what}, got {value!r}")
-    return value
+    return kind.read(value)
 
 
 def _seed_pair(text: str) -> tuple[float, float]:
@@ -237,7 +241,7 @@ def _seed_pair(text: str) -> tuple[float, float]:
         pair = None
     if not _numbers(2).test(pair):
         raise CliError(EXIT_PARSE, f"seed must be {SEED.what}, got {text!r}")
-    return pair[0], pair[1]
+    return float(pair[0]), float(pair[1])
 
 
 def _finite_flag(flag: str, value: float | None) -> float | None:
@@ -302,12 +306,14 @@ def _single_var_data(expr_src: str, var_hint: str, order: int):
 
 def _grid_and_gate(patch, grid, gate: float | None) -> tuple[tuple[int, int], float]:
     """Sampling grid (N, M) and residual gate of a ``verify`` or ``example``
-    run.  The grid is two finite numbers, truncated to integers; the square
-    of each grid step must be a positive normal float (exit 3 otherwise: the
-    second differences divide by it).  A gate of None takes ``default_gate``
-    at the coarser spacing of that grid, any other gate (0 included) is
-    kept."""
+    run.  The grid is two finite numbers, truncated to integers of at most
+    sys.maxsize; the square of each grid step must be a positive normal
+    float (exit 3 otherwise: the second differences divide by it).  A gate
+    of None takes ``default_gate`` at the coarser spacing of that grid, any
+    other gate (0 included) is kept."""
     N, M = map(math.trunc, grid)
+    if max(N, M) > sys.maxsize:   # numpy counts nodes in signed 64-bit integers
+        raise CliError(EXIT_PRECONDITION, f"a {N}x{M} grid has more nodes than numpy can count")
     steps = [(b - a) / max(n - 1, 1)
              for (a, b), n in ((patch.u_range, N), (patch.v_range, M))]
     if not all(sys.float_info.min <= h * h < math.inf for h in steps):
@@ -363,10 +369,10 @@ def _surface_from_config(cfg: dict):
             if params and key not in ("kind", *params):
                 raise CliError(EXIT_PARSE, f"config surface.{key} is not a parameter of "
                                            f"{kind} (it takes {', '.join(params)})")
-        for key, param_kind in params.items():
-            _field(surface, f"surface.{key}", CATALOG_KINDS[param_kind], None)
+        values = {key: _field(surface, f"surface.{key}", CATALOG_KINDS[param_kind])
+                  for key, param_kind in params.items() if key in surface}
         try:
-            cs = catalog.generate(kind, **{k: v for k, v in surface.items() if k != "kind"})
+            cs = catalog.generate(kind, **values)
         except (ValueError, TypeError) as exc:
             raise CliError(EXIT_PRECONDITION, f"surface: {exc}") from exc
         patch, default_plane = cs.patch, cs.plane

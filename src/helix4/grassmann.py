@@ -432,8 +432,9 @@ _HODGE_SIGN = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
 def wedge(u, v) -> np.ndarray:
     """Components of u ^ v in the basis (e12, e13, e14, e23, e24, e34), for
     4-vectors or arrays of them along the last axis."""
-    u, v = _as_vec4(u), _as_vec4(v)
-    return u[..., _WEDGE_I] * v[..., _WEDGE_J] - u[..., _WEDGE_J] * v[..., _WEDGE_I]
+    (u1, u2, u3, u4), (v1, v2, v3, v4) = (np.moveaxis(_as_vec4(x), -1, 0) for x in (u, v))
+    return np.stack([u1 * v2 - u2 * v1, u1 * v3 - u3 * v1, u1 * v4 - u4 * v1,
+                     u2 * v3 - u3 * v2, u2 * v4 - u4 * v2, u3 * v4 - u4 * v3], axis=-1)
 
 
 def hodge(b) -> np.ndarray:
@@ -442,6 +443,19 @@ def hodge(b) -> np.ndarray:
     if b.shape[-1:] != (6,):
         raise ValueError(f"expected bivectors with 6 components, got shape {b.shape}")
     return b[..., ::-1] * _HODGE_SIGN
+
+
+def _cross3(a, b, c) -> np.ndarray:
+    """The 4-D cross product *(a ^ b ^ c) of 4-vectors (last axis): orthogonal
+    to a, b and c, of length |a ^ b ^ c|, with det[a, b, c, *(a ^ b ^ c)] =
+    |a ^ b ^ c|^2.  Its entries (-t234, t134, -t124, t123) are the signed 3x3
+    minors of [a, b, c]: the trivector components t_ijk = p_ij c_k - p_ik c_j
+    + p_jk c_i of (a ^ b) ^ c, with p = wedge(a, b)."""
+    p12, p13, p14, p23, p24, p34 = np.moveaxis(wedge(a, b), -1, 0)
+    c1, c2, c3, c4 = np.moveaxis(np.asarray(c, dtype=float), -1, 0)
+    return np.stack([-(p23 * c4 - p24 * c3 + p34 * c2), p13 * c4 - p14 * c3 + p34 * c1,
+                     -(p12 * c4 - p14 * c2 + p24 * c1), p12 * c3 - p13 * c2 + p23 * c1],
+                    axis=-1)
 
 
 def plane_bivector(P: Plane) -> np.ndarray:

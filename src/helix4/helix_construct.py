@@ -531,7 +531,9 @@ def recover_g(sol: SolutionGrid) -> SolutionGrid:
     down the columns, on the maximal valid rectangle.
 
     The per-cell loop integral (path-independence defect) is recorded; it is
-    the discrete PDE residual and doubles as an a-posteriori error estimate.
+    the discrete PDE residual, a closure defect per cell and not a bound on
+    the error of f or g: on the (pi/6, pi/3) ladder at h = 1e-3 it is 5.1e-10
+    while g differs by 2.3e-7 from the h = 5e-4 solution on the shared nodes.
     Cells whose gradient comes within margin of the annulus boundary are
     masked (the lambda-derivative blows up there).
     """

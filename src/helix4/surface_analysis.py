@@ -27,8 +27,8 @@ from typing import Callable
 
 import numpy as np
 
-from .grassmann import (Plane, _dot, _gauss_coords, canonical_sign, complement_frames,
-                        hodge, plane_bivector, stacked_angles, wedge)
+from .grassmann import (Plane, _cross3, _dot, _gauss_coords, _norm, canonical_sign,
+                        complement_frames, hodge, plane_bivector, stacked_angles, wedge)
 
 __all__ = [
     "SurfaceJet",
@@ -388,50 +388,50 @@ def adapted_frames(U: np.ndarray, Pi: Plane) -> AdaptedFrame:
     T1, T2 are the principal directions in the tangent plane against Pi
     (``stacked_angles`` on (Pi, tangent frame)), e1, e2 the matching ones in
     Pi, and xi_k = (e_k - cos(theta_k) T_k) / sin(theta_k) where that is
-    determined.  Signs follow the alignment tree: the root (0, 0) takes
-    canonical signs, every other node aligns with its left neighbour, and
-    column 0 with the node above.  Sign flips and T1/T2 label swaps become
-    running products of neighbour-dot signs along that tree.
-    ``align_quality`` is 1 at the root.
+    determined.  A loose xi1 beside a tied xi2 is the unit cross product
+    *(u1 ^ u2 ^ xi2), so det[u1, u2, xi2, xi1] > 0; two loose xi are the
+    tangent plane's ``complement_frames``.  Signs follow the alignment tree:
+    the root (0, 0) takes canonical signs, every other node aligns with its
+    left neighbour, and column 0 with the node above.  Sign flips and, if
+    any node's angles are within SWAP_TOL, T1/T2 label swaps become running
+    products of neighbour-dot signs along that tree.  ``align_quality`` is
+    the least aligned T or xi dot with the parent, 1 at the root.
     """
-    # the two groups (T_k, e_k, xi_k) stacked on axis -2
+    # the groups (T_k, e_k, xi_k) on axis -2; theta1 <= theta2 before label
+    # swaps, so xi2 is loose only where xi1 is
     pa = stacked_angles(Pi.frame(), U)
     theta, T, E = pa.theta, pa.dirs_b, pa.dirs_a
     e_tied = pa.cos > DEG_COS
     xi_tied = np.sin(theta) > DEG_SIN
     w = E - _dot(E, T)[..., None] * T
     X = w / np.where(xi_tied[..., None], np.linalg.norm(w, axis=-1, keepdims=True), 1.0)
-    # complete the loose xi from the normal space (theta1 <= theta2 before
-    # label swaps: xi2 is loose only where xi1 is); the sign of each loose xi
-    # is set by the alignment below.  The rows n are copied to contiguous
-    # memory: einsum sums strided rows in another order.
-    loose = ~xi_tied
-    k = loose[..., 0]
-    lk, Xk = loose[k][..., None], X[k]
-    n = np.swapaxes(complement_frames(U[k]), -1, -2).copy()
-    z = n - _dot(n, Xk[:, 1:])[..., None] * Xk[:, 1:]
-    z = np.where(np.linalg.norm(z[:, :1], axis=-1, keepdims=True) < 0.5,
-                 z[:, 1:], z[:, :1])
-    z /= np.linalg.norm(z, axis=-1, keepdims=True)
-    X[k] = np.where(lk.all(axis=1, keepdims=True), n, np.where(lk, z, Xk))
+    lone, both = ~xi_tied[..., 0] & xi_tied[..., 1], ~xi_tied.any(-1)
+    if lone.any():
+        z = _cross3(U[..., 0], U[..., 1], X[..., 1, :])[lone]
+        X[lone, 0] = z / _norm(z, keepdims=True)
+    if both.any():
+        X[both] = np.swapaxes(complement_frames(U[both]), -1, -2)
 
     # label swaps: a parity that flips where crossed beats straight
-    G = np.abs(T @ np.swapaxes(_parent(T), -1, -2))
-    straight = G[..., 0, 0] + G[..., 1, 1]
-    crossed = G[..., 0, 1] + G[..., 1, 0]
     near = np.abs(theta[..., 0] - theta[..., 1]) < SWAP_TOL
-    swap = _tree_products(np.where(near & (crossed > straight), -1.0, 1.0),
-                          ~near | (crossed == straight))[..., None] < 0
-    theta, e_tied, xi_tied = (np.where(swap, A[..., ::-1], A)
-                              for A in (theta, e_tied, xi_tied))
-    T, E, X = (np.where(swap[..., None], A[..., ::-1, :], A) for A in (T, E, X))
+    if near.any():
+        G = np.abs(T @ np.swapaxes(_parent(T), -1, -2))
+        straight = G[..., 0, 0] + G[..., 1, 1]
+        crossed = G[..., 0, 1] + G[..., 1, 0]
+        swap = _tree_products(np.where(near & (crossed > straight), -1.0, 1.0),
+                              ~near | (crossed == straight))[..., None] < 0
+        theta, e_tied, xi_tied = (np.where(swap, A[..., ::-1], A)
+                                  for A in (theta, e_tied, xi_tied))
+        T, E, X = (np.where(swap[..., None], A[..., ::-1, :], A) for A in (T, E, X))
 
-    sign_T = _aligned_signs(T, False, 1.0)
-    sign_e = _aligned_signs(E, e_tied, sign_T)
-    T, E, X = (A * sgn[..., None] for A, sgn in (
-        (T, sign_T), (E, sign_e), (X, _aligned_signs(X, xi_tied, sign_e))))
-    quality = np.minimum(_dot(T, _parent(T)).min(-1), _dot(X, _parent(X)).min(-1))
+    sign_T, dot_T = _aligned_signs(T, False, 1.0)
+    sign_e = _aligned_signs(E, e_tied, sign_T)[0]
+    sign_X, dot_X = _aligned_signs(X, xi_tied, sign_e)
+    # the aligned dots with the parents: the raw ones times both signs, exactly
+    quality = np.minimum((dot_T * sign_T * _parent(sign_T)).min(-1),
+                         (dot_X * sign_X * _parent(sign_X)).min(-1))
     quality[0, 0] = 1.0
+    T, E, X = (A * s[..., None] for A, s in ((T, sign_T), (E, sign_e), (X, sign_X)))
     return AdaptedFrame(T[..., 0, :], T[..., 1, :], X[..., 0, :], X[..., 1, :],
                         E[..., 0, :], E[..., 1, :], theta[..., 0], theta[..., 1],
                         pa.degenerate, quality,
@@ -447,14 +447,14 @@ def _parent(X: np.ndarray) -> np.ndarray:
     return P
 
 
-def _aligned_signs(V: np.ndarray, tied, tied_sign) -> np.ndarray:
+def _aligned_signs(V: np.ndarray, tied, tied_sign) -> tuple[np.ndarray, np.ndarray]:
     """Signs (N, M, 2) that align the groups V (N, M, 2, 4) with their tree
-    parents: a tied group takes ``tied_sign``, a zero dot restarts at +1,
-    the root is canonical."""
+    parents, and their dots with the parents, the root's set to its canonical
+    sign.  A tied group takes ``tied_sign``, a zero dot restarts at +1."""
     d = _dot(V, _parent(V))
     d[0, 0] = canonical_sign(V[0, 0])
     return _tree_products(np.where(tied, tied_sign, np.where(d < 0, -1.0, 1.0)),
-                          tied | (d == 0))
+                          tied | (d == 0)), d
 
 
 def _tree_products(a: np.ndarray, restart: np.ndarray) -> np.ndarray:

@@ -840,6 +840,62 @@ def test_catalog_list_parameters_are_checked_entry_by_entry(tmp_path, capsys, su
     assert out == "" and err.startswith(f"error: config {key} must be ") and err.count("\n") == 1
 
 
+def _with_big_number(value, big):
+    """``value`` with its number, or the last number of its (nested) list,
+    replaced by ``big``."""
+    return [*value[:-1], _with_big_number(value[-1], big)] if isinstance(value, list) else big
+
+
+def _holder(document, key):
+    """The object that holds the (dotted) ``key`` of ``document``, and its name."""
+    *parents, name = key.split(".")
+    for parent in parents:
+        document = document[parent]
+    return document, name
+
+
+def _lookup(document, key):
+    holder, name = _holder(document, key)
+    return holder[name]
+
+
+# JSON integers past numpy's int64: every key whose valid value holds numbers
+# gets one in place of its (last) number
+BIG_INTS = {"2^63": 2 ** 63, "2^70": 2 ** 70}
+BIG_CASES = [pytest.param(base, key, big, id=f"{base}-{key}-{label}")
+             for base, (document, keys) in KEY_BASES.items()
+             for key, string_kind in keys.items()
+             if not (string_kind or isinstance(_lookup(document, key), dict))
+             for label, big in BIG_INTS.items()]
+
+
+@pytest.mark.parametrize("base, key, big", BIG_CASES)
+def test_a_big_json_integer_exits_with_a_documented_code(tmp_path, capsys, base, key, big):
+    document = json.loads(json.dumps(KEY_BASES[base][0]))
+    holder, name = _holder(document, key)
+    holder[name] = _with_big_number(holder[name], big)
+    code, out, err = run_key_document(capsys, tmp_path, base, document)
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, EXIT_DEGENERATE, EXIT_GATE)
+    assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), err
+    assert out == "" or isinstance(json.loads(out), dict)
+
+
+@pytest.mark.parametrize("command, document, expected", [
+    ("construct", {"c1": C1, "ymax": 2 ** 64}, EXIT_DEGENERATE),
+    ("construct", {"c1": C1, "x": [-0.05, 2 ** 70]}, EXIT_DEGENERATE),
+    ("verify", {"graph": {**GRAPH, "domain": [0, 2 ** 70, 0, 1]}}, EXIT_OK),
+    ("verify", {"graph": GRAPH, "grid": [5, 2 ** 63]}, EXIT_PRECONDITION),
+], ids=["ymax-2^64", "x-2^70", "domain-2^70", "grid-2^63"])
+def test_a_json_integer_is_read_as_its_float(tmp_path, capsys, command, document, expected):
+    # each of these was a traceback, exit 1; the float of the same value
+    # gives the same exit code and the same output
+    as_float = json.loads(json.dumps(document), parse_int=float)
+    results = [run_key_document(capsys, tmp_path, command, doc) for doc in (document, as_float)]
+    assert results[0] == results[1]
+    code, out, err = results[0]
+    assert code == expected and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["verify", "example"])
 @pytest.mark.parametrize("gate", ["nan", "inf", "-inf"])
 def test_a_non_finite_gate_flag_is_a_precondition_error(tmp_path, capsys, command, gate):

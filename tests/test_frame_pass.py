@@ -3,23 +3,25 @@
 ``adapted_frames`` must give the frames that chaining ``oracle_frame`` along
 the alignment tree gives: each node aligned with its left neighbour, column 0
 with the node above.  The oracle takes each node's angles, principal
-directions and normal frame from the plane kernel on a one-node stack, the
-per-node arithmetic of the pass, and aligns it with its parent by explicit
-sign flips and T1/T2 label swaps; so it checks the chaining, and exact ties
-(label swaps where crossed == straight, zero parent dots) resolve the same
-way in both.
+directions and (where both xi are loose) normal frame from the plane kernel
+on a one-node stack, the per-node arithmetic of the pass, completes a lone
+loose xi1 on its own by the same orientation rule, and aligns the frame with
+its parent by explicit sign flips and T1/T2 label swaps; so it checks the
+chaining, and exact ties (label swaps where crossed == straight, zero parent
+dots) resolve the same way in both.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from helix4 import helix_construct as hc
+from helix4 import surface_analysis as sa
 from helix4.catalog import (EXAMPLE_NAMES, PI_12, generate, named_example,
                             round_sphere_patch)
-from helix4.grassmann import complement_frames, stacked_angles
+from helix4.grassmann import _dot, complement_frames, stacked_angles
 from helix4.surface_analysis import (DEG_COS, DEG_SIN, SWAP_TOL, AdaptedFrame,
                                      _tangent_frame, adapted_frame,
                                      adapted_frames, verify_helix)
@@ -75,15 +77,13 @@ def _complete_normals(fr, u1, u2):
         fr.xi2 = w / np.linalg.norm(w)
     if fr.xi1_tied and fr.xi2_tied:
         return
-    n1, n2 = _normal_frame(u1, u2)
     if not fr.xi1_tied and not fr.xi2_tied:
-        fr.xi1, fr.xi2 = n1, n2
+        fr.xi1, fr.xi2 = _normal_frame(u1, u2)
         return
-    # exactly xi1 missing (theta1 ~ 0 forces theta2 >= theta1 determined)
-    anchor = fr.xi2 if fr.xi2 is not None else n2
-    z = n1 - (n1 @ anchor) * anchor
-    if np.linalg.norm(z) < 0.5:
-        z = n2 - (n2 @ anchor) * anchor
+    # exactly xi1 missing (theta1 ~ 0 forces theta2 >= theta1 determined):
+    # the unit vector orthogonal to u1, u2 and xi2 with det[u1, u2, xi2, xi1]
+    # > 0, from the cofactors det[u1, u2, xi2, e_l]
+    z = np.array([np.linalg.det(np.stack([u1, u2, fr.xi2, e], axis=-1)) for e in np.eye(4)])
     fr.xi1 = z / np.linalg.norm(z)
 
 
@@ -271,7 +271,7 @@ def test_nan_node_fails_like_the_pointwise_pass():
 
 def test_the_frame_pass_takes_no_lapack_svd(monkeypatch):
     # on the Clifford torus theta1 = 0, so every node also completes its
-    # loose xi from the complement of its tangent frame
+    # loose xi1 as the cross product of its tangent frame and xi2
     calls = []
 
     def counted(name, f):
@@ -286,3 +286,50 @@ def test_the_frame_pass_takes_no_lapack_svd(monkeypatch):
     rep = verify_helix(patch, Pi, grid)
     assert rep.helix_pass(1e-8)
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# the frame rules, pinned directly
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("make", [
+    lambda: example("clifford_torus", (15, 18)),
+    lambda: example("helix_cylinder", (15, 18)),
+    lambda: (generate("graph_poly", **DIAGONAL).patch, PI_12, (21, 21))],
+    ids=["clifford_torus", "helix_cylinder", "diagonal-21"])
+def test_a_lone_loose_xi1_is_the_oriented_cross_product(monkeypatch, make):
+    # with every alignment sign +1 the pass returns xi1 as completed
+    patch, Pi, grid = make()
+    U = _tangent_frame(grid_jets(patch, grid))
+    monkeypatch.setattr(sa, "_aligned_signs",
+                        lambda V, tied, sign: (np.ones(V.shape[:-1]),) * 2)
+    fr = adapted_frames(U, Pi)
+    lone = ~fr.xi1_tied & fr.xi2_tied
+    assert lone[fr.theta1 == 0].any()
+    u1, u2, xi2, xi1 = U[lone][..., 0], U[lone][..., 1], fr.xi2[lone], fr.xi1[lone]
+    assert np.abs(np.linalg.norm(xi1, axis=-1) - 1.0).max() <= 1e-15
+    for v in (u1, u2, xi2):
+        assert np.abs(np.einsum("nk,nk->n", xi1, v)).max() <= 1e-15
+    assert (np.linalg.det(np.stack([u1, u2, xi2, xi1], axis=-1)) > 0).all()
+
+
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
+def test_the_swap_scan_changes_nothing_where_it_is_skipped(monkeypatch, name):
+    # SWAP_TOL = pi makes every node a swap candidate, so the scan runs
+    patch, Pi, grid = example(name, (15, 18))
+    U = _tangent_frame(grid_jets(patch, grid))
+    default = adapted_frames(U, Pi)
+    monkeypatch.setattr(sa, "SWAP_TOL", math.pi)
+    scanned = adapted_frames(U, Pi)
+    for f in fields(AdaptedFrame):
+        assert np.array_equal(getattr(scanned, f.name), getattr(default, f.name)), f.name
+
+
+@pytest.mark.parametrize("make", [c[1] for c in CASES], ids=[c[0] for c in CASES])
+def test_align_quality_is_the_least_aligned_dot(make):
+    patch, Pi, grid = make()
+    fr = adapted_frames(_tangent_frame(grid_jets(patch, grid)), Pi)
+    T, X = np.stack([fr.T1, fr.T2], axis=-2), np.stack([fr.xi1, fr.xi2], axis=-2)
+    q = np.minimum(_dot(T, sa._parent(T)), _dot(X, sa._parent(X))).min(-1)
+    q[0, 0] = 1.0
+    assert np.array_equal(fr.align_quality, q)
