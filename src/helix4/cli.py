@@ -712,6 +712,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except MemoryError as exc:       # an input whose arrays do not fit in memory
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
 
 
 if __name__ == "__main__":

@@ -36,6 +36,7 @@ dependence; no artificial boundary data is ever invented).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -122,35 +123,30 @@ def annulus_bounds(c: float) -> tuple[float, float]:
 
 def _lam(delta, c, branch: int = 1):
     arg = c * delta - 1.0 - delta * delta
-    arg = np.where((arg < 0) & (arg >= -SQRT_CLAMP), 0.0, arg)
-    if np.any(arg < 0):
-        raise SolverHalt("sqrt-argument-negative")
+    if not arg.min() >= 0:                       # a negative or NaN argument
+        arg = np.where((arg < 0) & (arg >= -SQRT_CLAMP), 0.0, arg)
+        if np.any(arg < 0):
+            raise SolverHalt("sqrt-argument-negative")
     return branch * np.sqrt(arg)
 
 
-def _E_partials(u, v, c, branch: int = 1):
-    """(E_u, E_v) at (u, v) for E = (u + lam(Delta) v)/Delta.
-
-    ``branch`` selects the sign of the square root; the negative branch
-    produces the mirror surface.
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    delta = u * u + v * v
+def _E_pair(u, v, c, branch: int = 1, delta=None):
+    """(E_u, E_v) of E = (u + lam(Delta) v)/Delta at (u, v) (index 0 of each)
+    and at the rotated point (-v, u) (index 1).  Both share Delta (given, or
+    u^2 + v^2), lam, lam' and Delta^2, taken once; the rotated terms differ
+    only by exact negations and doublings, so each partial has the bits of a
+    lone evaluation at its point.  ``branch`` = -1 gives the mirror surface."""
+    if delta is None:
+        delta = u * u + v * v
     lam = _lam(delta, c, branch)
-    lam_safe = np.where(lam != 0, lam, np.inf)
-    dlam = (c - 2.0 * delta) / (2.0 * lam_safe)
-    num = u + lam * v
-    E_u = (1.0 + 2.0 * u * v * dlam) / delta - 2.0 * u * num / (delta * delta)
-    E_v = (lam + 2.0 * v * v * dlam) / delta - 2.0 * v * num / (delta * delta)
-    return E_u, E_v
-
-
-def _E_pair(u, v, c, branch: int = 1):
-    """(E_u, E_v) at (u, v) and at the rotated point (-v, u) from one
-    evaluation: index 0 of each result is at (u, v), index 1 at (-v, u).
-    Both points share Delta and lambda."""
-    return _E_partials(np.stack([u, -v]), np.stack([v, u]), c, branch)
+    dlam = (c - 2.0 * delta) / (2.0 * (lam if lam.all() else np.where(lam != 0, lam, np.inf)))
+    dd = delta * delta
+    u2, v2 = 2.0 * u, 2.0 * v
+    uv = u2 * v * dlam                           # 2uv lam'; -uv at (-v, u)
+    num, num_r = u + lam * v, lam * u - v
+    return (((1.0 + uv) / delta - u2 * num / dd, (1.0 - uv) / delta + v2 * num_r / dd),
+            ((lam + v2 * v * dlam) / delta - v2 * num / dd,
+             (lam + u2 * u * dlam) / delta - u2 * num_r / dd))
 
 
 class SolverHalt(RuntimeError):
@@ -228,8 +224,8 @@ def choose_feasible_seed(c1: float, x_range, y_max: float, hx: float,
 def check_window(x_range, y_max: float, hx: float,
                  hy: float) -> tuple[int, int]:
     """Seed-independent checks of a march window: finite steps and y_max > 0,
-    x0 < x1, hy dividing y_max, hx the x-interval into >= 8 steps.  Returns
-    the number of x-steps and of y-steps each way."""
+    x0 < x1, hy dividing y_max, hx the x-interval into >= 8 steps, float64
+    nodes numpy can index.  Returns the x-steps and the y-steps each way."""
     for name, value in (("hx", hx), ("hy", hy), ("y_max", y_max)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and > 0, got {value}")
@@ -243,7 +239,10 @@ def check_window(x_range, y_max: float, hx: float,
     nx = np.rint(span / hx)
     if nx < 8 or abs(span - nx * hx) > 1e-9 * max(1.0, span):
         raise ValueError("hx must divide the x-interval into >= 8 steps")
-    return int(nx), int(ny)
+    nx, ny = int(nx), int(ny)
+    if (2 * ny + 1) * (nx + 1) > sys.maxsize // 8:
+        raise ValueError(f"a {2 * ny + 1}x{nx + 1} window has more nodes than numpy can count")
+    return nx, ny
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +293,7 @@ class PDEProblem:
         if np.any(delta <= dmin + margin) or np.any(delta >= dmax - margin):
             raise ValueError("initial gradient leaves the admissible annulus "
                              "on the x-interval")
-        Eu, Ev = _E_pair(dphi, psi, self.c1, self.branch)
+        Eu, Ev = _E_pair(dphi, psi, self.c1, self.branch, delta)
         if np.min(np.abs(Eu[0])) < 1e-9:
             raise ValueError("E_u(phi', psi) vanishes on the initial segment")
         if np.min(np.abs(Ev[1])) < 1e-9:
@@ -384,14 +383,6 @@ class SolutionGrid:
         return slice(rows[0], rows[-1] + 1), slice(lo, hi + 1)
 
 
-def _coefficients(f: np.ndarray, w: np.ndarray, hx: float, c: float,
-                  branch: int = 1):
-    """Quasilinear coefficients (a, b, cc) at the current state (rows along
-    the last axis)."""
-    Eu, Ev = _E_pair(fd_d1(f, hx, axis=-1), w, c, branch)
-    return Eu[0], Ev[0] - Ev[1], Eu[1]
-
-
 def _sigma_max(a, b, cc) -> np.ndarray:
     """Fastest characteristic slope |dx/dy| of each row."""
     disc = np.sqrt(np.maximum(b * b - 4.0 * a * cc, 0.0))
@@ -419,6 +410,11 @@ def _march(f: np.ndarray, w: np.ndarray, hy: np.ndarray, n_steps: int,
     dmin, dmax = annulus_bounds(c)
     margin = ANNULUS_MARGIN * (dmax - dmin)
 
+    def coefficients(p, w, delta=None):
+        """Quasilinear coefficients (a, b, cc) at the gradient (p, w)."""
+        Eu, Ev = _E_pair(p, w, c, branch, delta)
+        return Eu[0], Ev[0] - Ev[1], Eu[1]
+
     def rhs(f, w, a, b, cc):
         if np.min(np.abs(cc)) < tol_char:
             raise SolverHalt("characteristic-degeneracy")
@@ -427,10 +423,12 @@ def _march(f: np.ndarray, w: np.ndarray, hy: np.ndarray, n_steps: int,
     R = f.shape[0]
     steps: list[list] = [[] for _ in range(R)]
     iR = iL + f.shape[1] - 1
+    p = fd_d1(f, hx, axis=-1)        # f_x and |grad f|^2, kept from each trim check
+    delta = p * p + w * w
     for done in range(n_steps):
         start = f, w, iL
         try:
-            coef = _coefficients(f, w, hx, c, branch)
+            coef = coefficients(p, w, delta)
             k = {max(1, int(math.ceil(abs(h) * s / (CFL_TARGET * hx))))
                  for h, s in zip(hy, _sigma_max(*coef))}
             if len(k) > 1:
@@ -441,11 +439,11 @@ def _march(f: np.ndarray, w: np.ndarray, hy: np.ndarray, n_steps: int,
                 if iR - iL < 8:
                     raise SolverHalt("window-exhausted")
                 if s:
-                    coef = _coefficients(f, w, hx, c, branch)
+                    coef = coefficients(p, w, delta)
                 k1f, k1w = w, rhs(f, w, *coef)
                 fh = f + 0.5 * sub * k1f
                 wh = w + 0.5 * sub * k1w
-                k2f, k2w = wh, rhs(fh, wh, *_coefficients(fh, wh, hx, c, branch))
+                k2f, k2w = wh, rhs(fh, wh, *coefficients(fd_d1(fh, hx, axis=-1), wh))
                 f = f + sub * k2f
                 w = w + sub * k2w
                 iL += 1
@@ -469,6 +467,8 @@ def _march(f: np.ndarray, w: np.ndarray, hy: np.ndarray, n_steps: int,
                     if iR - iL < 8:
                         raise SolverHalt("window-exhausted")
                     ends = bad[:, [0, -1]]
+                    p = fd_d1(f, hx, axis=-1)    # the end stencil moved with the edge
+                    delta = p * p + w * w
                 if np.any(bad):
                     raise SolverHalt("annulus-margin")
         except SolverHalt as halt:

@@ -881,8 +881,8 @@ def test_a_big_json_integer_exits_with_a_documented_code(tmp_path, capsys, base,
 
 
 @pytest.mark.parametrize("command, document, expected", [
-    ("construct", {"c1": C1, "ymax": 2 ** 64}, EXIT_DEGENERATE),
-    ("construct", {"c1": C1, "x": [-0.05, 2 ** 70]}, EXIT_DEGENERATE),
+    ("construct", {"c1": C1, "ymax": 2 ** 64}, EXIT_PRECONDITION),
+    ("construct", {"c1": C1, "x": [-0.05, 2 ** 70]}, EXIT_PRECONDITION),
     ("verify", {"graph": {**GRAPH, "domain": [0, 2 ** 70, 0, 1]}}, EXIT_OK),
     ("verify", {"graph": GRAPH, "grid": [5, 2 ** 63]}, EXIT_PRECONDITION),
 ], ids=["ymax-2^64", "x-2^70", "domain-2^70", "grid-2^63"])
@@ -894,6 +894,34 @@ def test_a_json_integer_is_read_as_its_float(tmp_path, capsys, command, document
     assert results[0] == results[1]
     code, out, err = results[0]
     assert code == expected and "Traceback" not in err
+
+
+@pytest.mark.parametrize("big", [2 ** 63, 2 ** 64, 2 ** 70], ids=["2^63", "2^64", "2^70"])
+@pytest.mark.parametrize("key, explicit_seed", [("ymax", False), ("x", False), ("x", True)],
+                         ids=["ymax", "x", "x-seeded"])
+def test_a_window_numpy_cannot_index_is_a_window_error(tmp_path, capsys, big, key,
+                                                       explicit_seed):
+    document = {"c1": C1, key: big if key == "ymax" else [-0.05, big]}
+    if explicit_seed:
+        document["seed"] = {"u0": 0.7, "v0": 0.3}
+    code, out, err = run_key_document(capsys, tmp_path, "construct", document)
+    assert code == EXIT_PRECONDITION and out == ""
+    assert re.fullmatch(r"error: a \d+x\d+ window has more nodes than numpy can count\n", err)
+    window = ((-0.05, 0.05), big) if key == "ymax" else ((-0.05, big), 0.006)
+    with pytest.raises(ValueError, match="more nodes than numpy can count"):
+        hc.check_window(*window, 1e-3, 1e-3)
+
+
+# sizes far past any address space, so the allocator refuses them at once
+@pytest.mark.parametrize("command, document", [
+    ("verify", {"graph": GRAPH, "grid": [5, 1e14]}),
+    ("construct", {"c1": C1, "ymax": 1e12}),
+], ids=["verify-grid", "construct-ymax"])
+def test_an_array_too_large_for_memory_exits_3_with_one_line(tmp_path, capsys, command,
+                                                             document):
+    code, out, err = run_key_document(capsys, tmp_path, command, document)
+    assert code == EXIT_PRECONDITION and out == ""
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("command", ["verify", "example"])

@@ -5,8 +5,9 @@ single-row marches at the first output step where the rows disagree on the
 sub-step count or the edge trims, or one of them halts.  The oracle below
 marches each direction on its own, one row at a time, with two separate
 E-partials evaluations per coefficient set, and integrates g with explicit
-row loops.  The arithmetic is the same, so everything must agree bit for
-bit.
+row loops.  It keeps its own copy of the E-partials and lambda formulas, so a
+change to the kernel's arithmetic cannot move the oracle with it.  The
+arithmetic is the same, so everything must agree bit for bit.
 """
 
 import math
@@ -16,9 +17,8 @@ import numpy as np
 import pytest
 
 from helix4 import helix_construct as hc
-from helix4.helix_construct import (ANNULUS_MARGIN, CFL_TARGET, SolutionGrid,
-                                    SolverHalt, _E_partials, _lam,
-                                    annulus_bounds)
+from helix4.helix_construct import (ANNULUS_MARGIN, CFL_TARGET, SQRT_CLAMP,
+                                    SolutionGrid, SolverHalt, annulus_bounds)
 from helix4.surface_analysis import fd_d1, fd_d2
 
 C_THIRD = 10.0 / 3.0
@@ -30,10 +30,35 @@ LADDER = (1e-3, 5e-4, 2.5e-4, 1.25e-4, 6.25e-5)
 # the one-direction oracle
 # ---------------------------------------------------------------------------
 
+def oracle_lam(delta, c, branch=1):
+    """lambda = branch sqrt(c Delta - 1 - Delta^2), arguments in
+    [-SQRT_CLAMP, 0) clamped to 0."""
+    arg = c * delta - 1.0 - delta * delta
+    arg = np.where((arg < 0) & (arg >= -SQRT_CLAMP), 0.0, arg)
+    if np.any(arg < 0):
+        raise SolverHalt("sqrt-argument-negative")
+    return branch * np.sqrt(arg)
+
+
+def oracle_E_partials(u, v, c, branch=1):
+    """(E_u, E_v) at (u, v) for E = (u + lambda(Delta) v)/Delta, one point
+    per array entry."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    delta = u * u + v * v
+    lam = oracle_lam(delta, c, branch)
+    lam_safe = np.where(lam != 0, lam, np.inf)
+    dlam = (c - 2.0 * delta) / (2.0 * lam_safe)
+    num = u + lam * v
+    E_u = (1.0 + 2.0 * u * v * dlam) / delta - 2.0 * u * num / (delta * delta)
+    E_v = (lam + 2.0 * v * v * dlam) / delta - 2.0 * v * num / (delta * delta)
+    return E_u, E_v
+
+
 def oracle_coefficients(f, w, hx, c, branch=1):
     p = fd_d1(f, hx)
-    Eu_f, Ev_f = _E_partials(p, w, c, branch)
-    Eu_r, Ev_r = _E_partials(-w, p, c, branch)
+    Eu_f, Ev_f = oracle_E_partials(p, w, c, branch)
+    Eu_r, Ev_r = oracle_E_partials(-w, p, c, branch)
     return Eu_f, Ev_f - Ev_r, Eu_r
 
 
@@ -103,8 +128,8 @@ def oracle_solve(prob):
     x, n_steps = prob.x, prob.n_steps
     f0, dphi, _ = prob.phi(x)
     psi0, _ = prob.psi(x)
-    tol_char = 1e-6 * float(np.min(np.abs(_E_partials(-psi0, dphi, prob.c1,
-                                                      prob.branch)[0])))
+    tol_char = 1e-6 * float(np.min(np.abs(oracle_E_partials(-psi0, dphi, prob.c1,
+                                                             prob.branch)[0])))
     ny = 2 * n_steps + 1
     f = np.full((ny, x.size), np.nan)
     fy = np.full((ny, x.size), np.nan)
@@ -132,7 +157,7 @@ def oracle_recover_g(sol):
     fw, ww = sol.f[rs, cs], sol.fy[rs, cs]
     p = fd_d1(fw, sol.hx, axis=1)
     delta = p * p + ww * ww
-    lam = _lam(delta, sol.c1, sol.branch)
+    lam = oracle_lam(delta, sol.c1, sol.branch)
     A = (-ww + lam * p) / delta
     B = (p + lam * ww) / delta
     dmin, dmax = annulus_bounds(sol.c1)
@@ -214,6 +239,45 @@ def test_stacked_march_matches_one_direction_oracle(make):
         assert np.array_equal(hc.recover_g(sol).g, ref_g, equal_nan=True)
 
 
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SolverHalt as halt:
+        return halt.args[0]
+
+
+DMIN, DMAX = annulus_bounds(C_THIRD)
+
+
+@pytest.mark.parametrize("delta", [[0.5, 1.0, 2.0], [0.5, np.nan], [np.nan, np.nan],
+                                   [1.0, DMAX + 1e-13], [np.nan, DMAX + 1e-13],
+                                   [1.0, 3.1], [np.nan, 3.1]],
+                         ids=["inside", "nan", "all-nan", "clamped", "nan-clamped",
+                              "outside", "nan-outside"])
+@pytest.mark.parametrize("branch", [1, -1])
+def test_lam_matches_the_oracle(delta, branch):
+    got, want = (_outcome(fn, np.array(delta), C_THIRD, branch)
+                 for fn in (hc._lam, oracle_lam))
+    if isinstance(want, str):                    # both halt, for the same reason
+        assert got == want
+    else:
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("branch", [1, -1])
+def test_E_pair_matches_the_oracle_at_both_points(branch):
+    # a polar grid over the admissible annulus, its boundary included
+    r = np.sqrt(np.linspace(DMIN, DMAX, 41))[:, None]
+    phi = np.linspace(0.0, 2.0 * math.pi, 97)[None, :]
+    u, v = r * np.cos(phi), r * np.sin(phi)
+    with np.errstate(all="ignore"):
+        Eu, Ev = hc._E_pair(u, v, C_THIRD, branch)
+        for k, point in enumerate([(u, v), (-v, u)]):
+            want = oracle_E_partials(*point, C_THIRD, branch)
+            assert np.array_equal(Eu[k], want[0], equal_nan=True)
+            assert np.array_equal(Ev[k], want[1], equal_nan=True)
+
+
 def test_asymmetric_cases_take_the_split():
     for make in (_windows_differ, _trims_differ):
         sol = hc.solve_pde(make())
@@ -221,3 +285,17 @@ def test_asymmetric_cases_take_the_split():
         assert not np.array_equal(*_up_down_windows(sol))
     sol = hc.solve_pde(_reasons_differ())
     assert (sol.termination_up, sol.termination_down) == ("completed", "window-exhausted")
+
+
+def test_ladder_levels_converge_at_second_order():
+    # f and g at h against h/2 on the nodes both grids share and define,
+    # L1-L4; L4-L5 is left out until the march stays second order at the
+    # finest level (its f order reads -6.2 there)
+    sols = [hc.recover_g(hc.solve_pde(_ladder(h))) for h in LADDER[:4]]
+    for name in ("f", "g"):
+        diffs = []
+        for coarse, fine in zip(sols, sols[1:]):
+            d = getattr(coarse, name) - getattr(fine, name)[::2, ::2]
+            diffs.append(np.max(np.abs(d[np.isfinite(d)])))
+        orders = np.log2(np.divide(diffs[:-1], diffs[1:]))
+        assert np.all(orders >= 1.9), (name, diffs, orders)
