@@ -314,6 +314,8 @@ PARAM_KINDS = {
     "graph_poly": {**dict.fromkeys(("f_coeffs", "g_coeffs"), "coefficients"),
                    **dict.fromkeys(("x_range", "y_range"), "range")},
 }
+# the parameters a kind cannot default
+REQUIRED_PARAMS = {"product_helix_cylinder": ("theta",), "graph_poly": ("f_coeffs", "g_coeffs")}
 
 
 def generate(kind: str, **params) -> CatalogSurface:
@@ -323,13 +325,17 @@ def generate(kind: str, **params) -> CatalogSurface:
     ``product_helix_cylinder(theta[, radius, pitch])``,
     ``revolution_orbit(profile, ...)``, ``plane(...)``,
     ``graph_poly(f_coeffs, g_coeffs, ...)``.  The parameters of each kind
-    are the keys of ``PARAM_KINDS[kind]``; any other raises ValueError.
+    are the keys of ``PARAM_KINDS[kind]``; any other, or a missing one of
+    ``REQUIRED_PARAMS[kind]``, raises ValueError.
     """
     if kind not in PARAM_KINDS:
         raise ValueError(f"unknown catalog kind {kind!r}")
     for key in params:
         if key not in PARAM_KINDS[kind]:
             raise ValueError(f"{kind} has no parameter {key!r}")
+    for key in REQUIRED_PARAMS.get(kind, ()):
+        if key not in params:
+            raise ValueError(f"{kind} needs the parameter {key!r}")
     spec = {"kind": kind, **params}
     if kind in ("clifford_torus", "product_circles"):
         r1 = float(params.get("r1", 1.0))

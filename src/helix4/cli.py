@@ -370,9 +370,11 @@ def _surface_from_config(cfg: dict):
                 raise CliError(EXIT_PARSE, f"config surface.{key} is not a parameter of "
                                            f"{kind} (it takes {', '.join(params)})")
         values = {key: _field(surface, f"surface.{key}", CATALOG_KINDS[param_kind])
-                  for key, param_kind in params.items() if key in surface}
+                  for key, param_kind in params.items()
+                  if key in surface or key in catalog.REQUIRED_PARAMS.get(kind, ())}
         try:
-            cs = catalog.generate(kind, **values)
+            with np.errstate(over="raise", invalid="raise"):   # FloatingPointError: exit 4
+                cs = catalog.generate(kind, **values)
         except (ValueError, TypeError) as exc:
             raise CliError(EXIT_PRECONDITION, f"surface: {exc}") from exc
         patch, default_plane = cs.patch, cs.plane
@@ -708,6 +710,9 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except (ImmersionError, hc.SolverHalt) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DEGENERATE
+    except FloatingPointError as exc:   # a surface whose arithmetic leaves float64
+        print(f"error: float64 arithmetic failed: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

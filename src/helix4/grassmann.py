@@ -226,38 +226,29 @@ def _residual_svals(X: np.ndarray) -> np.ndarray:
     return np.stack([s_max, r11 * r22 / np.where(nonzero, s_max, 1.0)], axis=-1)
 
 
-def _projector_column(A: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Column k (per plane) of the projector I - A A^T, (..., 4)."""
-    Ak = np.take_along_axis(A, k[..., None, None], axis=-2)
-    return np.eye(4)[k] - (A @ np.swapaxes(Ak, -1, -2))[..., 0]
-
-
 def complement_frames(A: np.ndarray) -> np.ndarray:
     """Orthonormal frames (..., 4, 2) of the orthogonal complements of the
     planes framed by A (..., 4, 2), oriented so det[A, A-perp] > 0.
 
-    Any leading shape, a single (4, 2) frame included, takes Gram-Schmidt on
-    the columns (e_i - A A_i, e_j - A A_j) of the projector I - A A^T whose
-    2x2 principal minor is largest, then projects the result against A once
-    more, which holds the complement to rounding.  For the pair (i, j) with
-    wedge index p, h_p = det[A, e_i, e_j] is the Hodge dual coordinate
-    *(a1 ^ a2)_p; the minor is h_p^2, the six minors sum to 1 (so the
-    largest is >= 1/6 and the two columns are never near parallel), and
-    Gram-Schmidt keeps the sign of det[A, e_i, e_j], so h_p orients.
+    Any leading shape, a single (4, 2) frame included.  n1 is the column
+    e_k - A A_k of the projector I - A A^T with the largest diagonal entry
+    d_k = 1 - (a1_k^2 + a2_k^2), the first of equal ones; the four entries
+    sum to 2, so |n1|^2 >= 1/2.  It is projected against A once more, which
+    holds it to the complement to rounding, and normalized.  n2 is the unit
+    cross product *(a1 ^ a2 ^ n1) (``_cross3``): det[A, n1, n2] =
+    |a1 ^ a2 ^ n1|^2 > 0 orients by construction, and the final
+    normalization keeps the frame's own slack out of |n2|.
     ``orthogonal_complement`` runs the same formulas on Python floats.
     """
     _require_finite(A)
-    h = hodge(wedge(A[..., 0], A[..., 1]))
-    p = np.abs(h).argmax(-1)
-    x = _projector_column(A, _WEDGE_I[p])
-    x /= _norm(x, keepdims=True)
-    y = _projector_column(A, _WEDGE_J[p])
-    y -= _dot(x, y)[..., None] * x
-    n = np.stack([x, y / _norm(y, keepdims=True)], axis=-1)
-    n -= A @ (np.swapaxes(A, -1, -2) @ n)
-    det = np.take_along_axis(h, p[..., None], axis=-1)[..., 0]
-    n[..., 1] *= np.where(det < 0, -1.0, 1.0)[..., None]
-    return n
+    a1, a2 = A[..., 0], A[..., 1]
+    k = (1.0 - (a1 * a1 + a2 * a2)).argmax(-1)[..., None]
+    x = np.eye(4)[k[..., 0]] - (a1 * np.take_along_axis(a1, k, -1)
+                                + a2 * np.take_along_axis(a2, k, -1))
+    x -= a1 * _dot(a1, x)[..., None] + a2 * _dot(a2, x)[..., None]
+    n1 = x / _norm(x, keepdims=True)
+    n2 = _cross3(a1, a2, n1)
+    return np.stack([n1, n2 / _norm(n2, keepdims=True)], axis=-1)
 
 
 def stacked_angles(A: np.ndarray, B: np.ndarray) -> StackedAngles:
@@ -382,21 +373,18 @@ _UNIT = np.eye(4).tolist()
 
 def _pair_complement(a1, a2) -> tuple[list[float], list[float]]:
     """``complement_frames`` of the frame (a1, a2)."""
-    h = _pair_hodge(_pair_wedge(a1, a2))
-    _require_finite_sum(sum(h))
-    size = list(map(abs, h))
-    p = size.index(max(size))          # the first of equal magnitudes, as argmax
-    i, j = _WEDGE_PAIRS[p]
-    # Gram-Schmidt on the projector columns e_k - A A_k, k = i, j
-    x = _fsub(_UNIT[i], a1, a1[i], a2, a2[i])
-    x = _fdiv(x, math.sqrt(_fdot(x, x)))
-    y = _fsub(_UNIT[j], a1, a1[j], a2, a2[j])
-    y = _faxpy(y, _fdot(x, y), x)
-    y = _fdiv(y, math.sqrt(_fdot(y, y)))
-    # a second projection against A, and h_p for the orientation
-    n1 = _fsub(x, a1, _fdot(a1, x), a2, _fdot(a2, x))
-    n2 = _fsub(y, a1, _fdot(a1, y), a2, _fdot(a2, y))
-    return n1, (n2 if h[p] >= 0 else [-n2[0], -n2[1], -n2[2], -n2[3]])
+    d = [1.0 - (a1[i] * a1[i] + a2[i] * a2[i]) for i in range(4)]
+    _require_finite_sum(sum(d))
+    k = d.index(max(d))                # the first of equal entries, as argmax
+    x = _fsub(_UNIT[k], a1, a1[k], a2, a2[k])
+    x = _fsub(x, a1, _fdot(a1, x), a2, _fdot(a2, x))
+    n1 = _fdiv(x, math.sqrt(_fdot(x, x)))
+    # _cross3(a1, a2, n1)
+    p12, p13, p14, p23, p24, p34 = _pair_wedge(a1, a2)
+    c1, c2, c3, c4 = n1
+    n2 = [-(p23 * c4 - p24 * c3 + p34 * c2), p13 * c4 - p14 * c3 + p34 * c1,
+          -(p12 * c4 - p14 * c2 + p24 * c1), p12 * c3 - p13 * c2 + p23 * c1]
+    return n1, _fdiv(n2, math.sqrt(_fdot(n2, n2)))
 
 
 def principal_angles(V: Plane, W: Plane) -> PrincipalAngles:
@@ -423,9 +411,6 @@ def orthogonal_complement(W: Plane) -> Plane:
 # exterior algebra
 # ---------------------------------------------------------------------------
 
-# index pairs (i, j) of the lexicographic wedge basis
-_WEDGE_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-_WEDGE_I, _WEDGE_J = np.array(_WEDGE_PAIRS).T
 _HODGE_SIGN = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
 
 

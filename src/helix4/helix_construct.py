@@ -276,7 +276,7 @@ class PDEProblem:
 
     def __post_init__(self):
         dmin, dmax = annulus_bounds(self.c1)
-        d0 = self.u0 ** 2 + self.v0 ** 2
+        d0 = self.u0 * self.u0 + self.v0 * self.v0   # inf, not OverflowError, past float range
         if not (dmin < d0 < dmax):
             raise ValueError(
                 f"seed gradient norm {d0:.6g} outside the open annulus "

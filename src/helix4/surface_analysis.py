@@ -346,9 +346,10 @@ def fundamental_forms(jet: SurfaceJet) -> FundamentalForms:
     pu, pv = jet.p_u, jet.p_v
     E, F, G = _dot(pu, pu), _dot(pu, pv), _dot(pv, pv)
     W = np.asarray(E * G - F * F)
-    bad = W <= 1e-14
+    # degenerate or overflowed (inf, NaN); a NaN sample fails later, as pointwise
+    bad = ~((W > 1e-14) & (W < math.inf)) & ~np.isnan(E + G)
     if bad.any():
-        raise ImmersionError(f"degenerate metric: EG - F^2 = {W[bad][0]}")
+        raise ImmersionError(f"degenerate or non-finite metric: EG - F^2 = {W[bad][0]}")
 
     def normal_part(w: np.ndarray) -> np.ndarray:
         a, b = _coords(w, pu, pv, E, F, G, W)
@@ -810,9 +811,11 @@ def verify_helix(patch: SurfacePatch, Pi: Plane,
     Four stages: sampling (jets, fundamental forms, tangent frames), the
     frames (``adapted_frames``), the residual fields, whose connection
     one-forms and m-derivatives are centered differences on the interior
-    nodes, and their reduction to the report.
+    nodes, and their reduction to the report; overflow or invalid arithmetic
+    raises FloatingPointError instead of reporting inf or NaN.
     """
-    return _verify_sample(patch, Pi, *_sample(patch, grid))
+    with np.errstate(over="raise", invalid="raise"):
+        return _verify_sample(patch, Pi, *_sample(patch, grid))
 
 
 def _verify_sample(patch: SurfacePatch, Pi: Plane, us: np.ndarray, vs: np.ndarray,

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import helix4
-from helix4 import cli, helix_construct as hc, surface_analysis
+from helix4 import catalog, cli, helix_construct as hc, surface_analysis
 from helix4.cli import (EXIT_DEGENERATE, EXIT_GATE, EXIT_OK, EXIT_PARSE,
                         EXIT_PRECONDITION, dumps_stable, main)
 
@@ -922,6 +922,63 @@ def test_an_array_too_large_for_memory_exits_3_with_one_line(tmp_path, capsys, c
     code, out, err = run_key_document(capsys, tmp_path, command, document)
     assert code == EXIT_PRECONDITION and out == ""
     assert err.startswith("error: out of memory: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("kind, present, missing", [
+    ("product_helix_cylinder", {}, "theta"),
+    ("graph_poly", {"g_coeffs": [[0, 1]]}, "f_coeffs"),
+    ("graph_poly", {"f_coeffs": [[0, 1]]}, "g_coeffs"),
+])
+def test_a_missing_required_catalog_parameter_exits_2_naming_it(tmp_path, capsys, kind,
+                                                                present, missing):
+    # a KeyError traceback, exit 1, before
+    document = {"surface": {"kind": kind, **present}, "grid": [5, 5]}
+    code, out, err = run_key_document(capsys, tmp_path, "verify", document)
+    assert (code, out, err) == (EXIT_PARSE, "", f"error: config is missing surface.{missing}\n")
+    with pytest.raises(ValueError, match=f"{kind} needs the parameter '{missing}'"):
+        catalog.generate(kind, **present)
+
+
+# each exited 0 with RuntimeWarnings and null statistics, or 3 after LAPACK
+# printed DLASCL parameter messages to the process's stdout
+@pytest.mark.parametrize("surface", [
+    {"surface": {"kind": "product_circles", "r1": r1}} for r1 in (1e78, 1e154, 1e200)] + [
+    {"graph": {"f": f, "g": "y"}} for f in ("1e100*x", "1e200*x")] + [
+    {"surface": {"kind": "clifford_torus", "r2": 1e308}},
+    {"surface": {"kind": "graph_poly", "f_coeffs": [[0, 1]], "g_coeffs": [[1e308, 0], [0.5, 0]]}},
+], ids=["circles-1e78", "circles-1e154", "circles-1e200", "graph-1e100", "graph-1e200",
+        "torus-1e308", "poly-1e308"])
+def test_a_surface_whose_arithmetic_overflows_exits_4_with_one_line(tmp_path, capfd, surface):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(surface))
+    code = main(["verify", "--config", str(cfg)])
+    out, err = capfd.readouterr()
+    assert code == EXIT_DEGENERATE and out == ""
+    assert re.fullmatch(r"error: (degenerate or non-finite metric|float64 arithmetic failed): "
+                        r"[^\n]*\n", err), err
+
+
+def test_a_plane_offset_past_float_range_exits_4_and_does_not_hang(tmp_path):
+    # the sphere fit handed inf points to LAPACK, which did not return; a
+    # child process with a timeout turns a hang into a failure
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"surface": {"kind": "plane", "p0": [1e308, 0, 0, 0]},
+                               "grid": [5, 5]}))
+    src = str(Path(helix4.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "helix4", "verify", "--config", str(cfg)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (EXIT_DEGENERATE, "")
+    assert proc.stderr == "error: float64 arithmetic failed: overflow encountered in multiply\n"
+
+
+def test_a_seed_whose_square_leaves_float_range_is_off_the_annulus(tmp_path, capsys):
+    # an OverflowError traceback, exit 1, before
+    document = {"c1": C1, "seed": {"u0": 0.7, "v0": 1e200}}
+    code, out, err = run_key_document(capsys, tmp_path, "construct", document)
+    assert code == EXIT_PRECONDITION and out == ""
+    assert err.startswith("error: seed gradient norm inf outside the open annulus")
 
 
 @pytest.mark.parametrize("command", ["verify", "example"])

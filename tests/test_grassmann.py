@@ -321,9 +321,10 @@ def test_stacks_of_non_finite_frames_fail_like_lapack():
                         call()
 
 
-def test_stacked_complement_pivots_on_the_largest_principal_minor():
-    # the diagonal of I - A A^T is 1/2 throughout, and its first two
-    # columns, which a pivot on the largest diagonals would take, are parallel
+def test_stacked_complement_pivots_on_the_largest_projector_diagonal():
+    # the diagonal of I - A A^T is 1/2 throughout, so the pivot takes its
+    # first column, and its first two columns are parallel: the cross
+    # product, not a second column, completes the frame
     s = math.sqrt(0.5)
     A = np.array([[s, 0.0], [s, 0.0], [0.0, s], [0.0, s]])
     n = complement_frames(A[None])[0]
@@ -333,6 +334,35 @@ def test_stacked_complement_pivots_on_the_largest_principal_minor():
     assert np.abs(projector(n) - projector(complement_frames(A))).max() <= 1e-15
     k = stacked_angles(A[None], n[None])
     assert k.theta[0].tolist() == [math.pi / 2, math.pi / 2] and k.degenerate[0]
+
+
+def axis_frames():
+    """Every frame of two signed coordinate axes: the pivot's ties."""
+    return [np.stack([a * E[i], b * E[j]], axis=-1) for i in range(4) for j in range(4)
+            if i != j for a in (1.0, -1.0) for b in (1.0, -1.0)]
+
+
+@pytest.mark.parametrize("frames", ["strata", "slack-2e-13", "axes"])
+def test_both_complement_routes_are_orthonormal_oriented_and_agree(frames):
+    # N^T N = I and A^T N = 0 to 1e-15, det[A, N] > 0, and the float route
+    # within 1e-15 of the array route entry by entry, also on frames that
+    # are orthonormal only to about 2e-13
+    rng = np.random.default_rng(47)
+    if frames == "strata":
+        pairs, _ = stratified_pairs(rng, 100)
+        A = np.stack([P.frame() for pair in pairs for P in pair])
+    elif frames == "slack-2e-13":
+        A = np.stack([random_plane(rng).frame() for _ in range(2000)])
+        A += rng.uniform(-2e-13, 2e-13, A.shape)
+    else:
+        A = np.stack(axis_frames())
+    N = complement_frames(A)
+    one = np.array([orthogonal_complement(Plane(a[:, 0], a[:, 1])).frame() for a in A])
+    for M in (N, one):
+        assert np.abs(np.swapaxes(M, -1, -2) @ M - np.eye(2)).max() <= 1e-15
+        assert np.abs(np.swapaxes(A, -1, -2) @ M).max() <= 1e-15
+        assert np.all(np.linalg.det(np.concatenate([A, M], axis=-1)) > 0)
+    assert np.abs(N - one).max() <= 1e-15
 
 
 def test_empty_stacks():
