@@ -6,7 +6,7 @@ Modules:
   the per-plane Gauss-map coordinates.
 - ``surface_analysis``: surface jets, graph surfaces, fundamental forms,
   adapted frames, structure-equation residuals, sphere and
-  parallel-mean-curvature tests.
+  parallel-mean-curvature tests, and the composition criterion.
 - ``helix_construct``: graph-surface helix conditions, the quasilinear
   construction PDE with non-characteristic Cauchy data, and the deformation
   family.

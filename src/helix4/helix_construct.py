@@ -43,14 +43,12 @@ from typing import Callable
 import numpy as np
 
 from .grassmann import PrincipalAngles
-from .surface_analysis import (FundamentalForms, GraphSurface, SurfacePatch, _sample,
-                               _verify_sample, fd_d1, fd_d2)
+from .surface_analysis import GraphSurface, fd_d1, fd_d2
 
 __all__ = [
     "HelixParams",
     "PDEProblem",
     "SolutionGrid",
-    "CompositionVerdict",
     "SolverHalt",
     "annulus_bounds",
     "find_noncharacteristic_seed",
@@ -64,8 +62,6 @@ __all__ = [
     "GRAPH_RESIDUALS",
     "residual_maxima",
     "symplecto_check",
-    "first_normal_rank",
-    "composition_test",
     "deform",
     "deform_inverse",
 ]
@@ -620,82 +616,6 @@ def symplecto_check(G: GraphSurface, P: HelixParams) -> tuple[float, float]:
     if P.c2 <= 0:
         raise ValueError("symplectomorphism check needs c2 > 0")
     return tuple(residual_maxima(("symplecto_det", "symplecto_norm"), G.gradients(), P))
-
-
-def first_normal_rank(ff: FundamentalForms) -> np.ndarray:
-    """Numerical rank of the first normal space N1 at every node of a grid,
-    from the fundamental forms of its jets, as an (N, M) integer array.
-
-    N1 is spanned by alpha_11, alpha_12, alpha_22, whose singular values are
-    those of their components in a normal frame: rank 0 where the largest is
-    below 1e-9, rank 1 where the second is below 1e-6 times the largest.
-    """
-    s = np.linalg.svd(np.stack([ff.alpha_11, ff.alpha_12, ff.alpha_22], axis=-1),
-                      compute_uv=False)
-    return np.where(s[..., 0] < 1e-9, 0, np.where(s[..., 1] < 1e-6 * s[..., 0], 1, 2))
-
-
-@dataclass
-class CompositionVerdict:
-    applicable: bool
-    composition: bool | None
-    rank1_n1: bool
-    t1_geodesic: bool
-    t2_geodesic: bool
-    consistent: bool
-    reason: str
-    rank2_fraction: float
-    max_dt_t1: float
-    max_dt_t2: float
-
-
-def composition_test(patch: SurfacePatch, Pi, grid: tuple[int, int],
-                     geo_tol: float = 1e-6) -> CompositionVerdict:
-    """Three-way composition criterion on a grid.
-
-    In the generic-angle case the surface is a composition iff the first
-    normal space has rank one iff T1 or T2 is a totally geodesic field; the
-    three booleans are evaluated independently and must agree (disagreement
-    is reported as an inconsistency flag).  Non-generic angles route to the
-    inapplicable branch: theta1 = 0 surfaces are compositions outright.
-    """
-    # one sample and its fundamental forms serve the report and the N1 ranks
-    us, vs, J, ff, U = _sample(patch, grid)
-    report = _verify_sample(patch, Pi, us, vs, J, ff, U)
-    t1_mean = report.angle_stats["theta1"][0]
-    t2_mean = report.angle_stats["theta2"][0]
-    angle_tol = 1e-3
-    generic = (t1_mean > angle_tol and t2_mean < math.pi / 2 - angle_tol
-               and t2_mean - t1_mean > angle_tol)
-
-    ranks = first_normal_rank(ff)
-
-    rank2_fraction = float(np.mean(ranks == 2))
-    max_dt1 = float(np.nanmax(np.abs(report.dt_T1)))
-    max_dt2 = float(np.nanmax(np.abs(report.dt_T2)))
-
-    if not generic:
-        if np.all(ranks == 0):
-            return CompositionVerdict(False, True, True, True, True, True,
-                                      "totally geodesic", 0.0, max_dt1, max_dt2)
-        if t1_mean <= angle_tol:
-            return CompositionVerdict(
-                False, True, bool(np.all(ranks <= 1)), max_dt1 < geo_tol,
-                max_dt2 < geo_tol, True,
-                "theta1 = 0: composition regardless of N1 rank",
-                rank2_fraction, max_dt1, max_dt2)
-        return CompositionVerdict(False, None, False, False, False, True,
-                                  "criterion inapplicable for these angles",
-                                  rank2_fraction, max_dt1, max_dt2)
-
-    rank1 = bool(np.mean(ranks <= 1) >= 0.99)
-    t1_geo = max_dt1 < geo_tol
-    t2_geo = max_dt2 < geo_tol
-    consistent = rank1 == (t1_geo or t2_geo)
-    return CompositionVerdict(True, rank1, rank1, t1_geo, t2_geo, consistent,
-                              "" if consistent else
-                              "criteria disagree: numerical red flag",
-                              rank2_fraction, max_dt1, max_dt2)
 
 
 # ---------------------------------------------------------------------------

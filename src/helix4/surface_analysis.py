@@ -16,7 +16,8 @@ and normal curvatures, the Gauss-map circle condition, a least-squares sphere
 fit, and the parallel-mean-curvature defect.
 
 Patches are sampled once per grid (``SurfacePatch.sample``); frames
-(``adapted_frames``) and every residual are computed on the sampled arrays.
+(``adapted_frames``), every residual and the composition criterion
+(``composition_test``) are computed on the sampled arrays.
 """
 
 from __future__ import annotations
@@ -51,6 +52,9 @@ __all__ = [
     "verify_helix",
     "brioschi_curvature",
     "default_gate",
+    "first_normal_rank",
+    "CompositionVerdict",
+    "composition_test",
 ]
 
 # below this sine, xi_i is not determined by e_i and is completed from the
@@ -281,7 +285,7 @@ def graph_patch(f_jet: ScalarJet, g_jet: ScalarJet, x_range, y_range,
 @dataclass
 class GraphSurface:
     """The graph (x, y) -> (x, y, f, g) of the value grids ``f`` and ``g``
-    on the nodes ``xs`` x ``ys``, indexed [x, y].
+    on the evenly spaced, increasing nodes ``xs`` x ``ys``, indexed [x, y].
 
     Every derivative is a finite difference of the value grids (centered
     interior, one-sided closure at the edges), taken where it is read:
@@ -307,6 +311,13 @@ class GraphSurface:
             raise ValueError("value grids must have shape (len(xs), len(ys))")
         if self.xs.size < 3 or self.ys.size < 3:
             raise ValueError("grid-backed fields need at least 3 nodes per direction")
+        # derivatives and node lookups take one step per axis; the tolerance
+        # admits the rounding of linspace nodes far from 0
+        for axis, nodes in (("xs", self.xs), ("ys", self.ys)):
+            h = (nodes[-1] - nodes[0]) / (nodes.size - 1)
+            tol = 1e-9 * h + 4 * np.spacing(np.abs(nodes).max())
+            if not (0 < h < math.inf and np.all(np.abs(np.diff(nodes) - h) <= tol)):
+                raise ValueError(f"{axis} must be strictly increasing and evenly spaced")
 
     def gradients(self) -> tuple[np.ndarray, ...]:
         """(f_x, f_y, g_x, g_y) at the nodes, by ``fd_d1`` of the value grids."""
@@ -804,6 +815,19 @@ def _reduce(patch: SurfacePatch, us: np.ndarray, vs: np.ndarray, points: np.ndar
     )
 
 
+def _verified(patch: SurfacePatch, Pi: Plane,
+              grid: tuple[int, int]) -> tuple[StructureReport, FundamentalForms]:
+    """``verify_helix``'s report, and the fundamental forms of the one
+    sample it is computed on."""
+    with np.errstate(over="raise", invalid="raise"):
+        us, vs, J, ff, U = _sample(patch, grid)
+        if not Pi.oriented:
+            raise ValueError("the Gauss map needs an oriented reference plane")
+        fr = adapted_frames(U, Pi)
+        return _reduce(patch, us, vs, J.p, fr,
+                       _fields(J, ff, U, fr, Pi, us[1] - us[0], vs[1] - vs[0])), ff
+
+
 def verify_helix(patch: SurfacePatch, Pi: Plane,
                  grid: tuple[int, int]) -> StructureReport:
     """Sample the adapted-frame structure over a grid and report residuals.
@@ -814,15 +838,70 @@ def verify_helix(patch: SurfacePatch, Pi: Plane,
     nodes, and their reduction to the report; overflow or invalid arithmetic
     raises FloatingPointError instead of reporting inf or NaN.
     """
-    with np.errstate(over="raise", invalid="raise"):
-        return _verify_sample(patch, Pi, *_sample(patch, grid))
+    return _verified(patch, Pi, grid)[0]
 
 
-def _verify_sample(patch: SurfacePatch, Pi: Plane, us: np.ndarray, vs: np.ndarray,
-                   J: SurfaceJet, ff: FundamentalForms, U: np.ndarray) -> StructureReport:
-    """Stages (b) to (d) of ``verify_helix`` on the output of ``_sample``."""
-    if not Pi.oriented:
-        raise ValueError("the Gauss map needs an oriented reference plane")
-    fr = adapted_frames(U, Pi)
-    return _reduce(patch, us, vs, J.p, fr,
-                   _fields(J, ff, U, fr, Pi, us[1] - us[0], vs[1] - vs[0]))
+# ---------------------------------------------------------------------------
+# the composition criterion
+# ---------------------------------------------------------------------------
+
+def first_normal_rank(ff: FundamentalForms) -> np.ndarray:
+    """Numerical rank of the first normal space N1 at every node of a grid,
+    from the fundamental forms of its jets, as an (N, M) integer array.
+
+    N1 is spanned by alpha_11, alpha_12, alpha_22, whose singular values are
+    those of their components in a normal frame: rank 0 where the largest is
+    below 1e-9, rank 1 where the second is below 1e-6 times the largest.
+    """
+    s = np.linalg.svd(np.stack([ff.alpha_11, ff.alpha_12, ff.alpha_22], axis=-1),
+                      compute_uv=False)
+    return np.where(s[..., 0] < 1e-9, 0, np.where(s[..., 1] < 1e-6 * s[..., 0], 1, 2))
+
+
+@dataclass
+class CompositionVerdict:
+    applicable: bool
+    composition: bool | None
+    rank1_n1: bool
+    t1_geodesic: bool
+    t2_geodesic: bool
+    consistent: bool
+    reason: str
+    rank2_fraction: float
+    max_dt_t1: float
+    max_dt_t2: float
+
+
+def composition_test(patch: SurfacePatch, Pi: Plane, grid: tuple[int, int],
+                     geo_tol: float = 1e-6) -> CompositionVerdict:
+    """Three-way composition criterion on a grid.
+
+    In the generic-angle case the surface is a composition iff the first
+    normal space has rank one iff T1 or T2 is a totally geodesic field; the
+    three booleans are evaluated independently and must agree (disagreement
+    is reported as an inconsistency flag).  Non-generic angles route to the
+    inapplicable branch: theta1 = 0 surfaces are compositions outright.
+    """
+    # one sample and its fundamental forms serve the report and the N1 ranks
+    report, ff = _verified(patch, Pi, grid)
+    t1_mean, t2_mean = (report.angle_stats[k][0] for k in ("theta1", "theta2"))
+    ranks = first_normal_rank(ff)
+    max_dt1, max_dt2 = (float(np.nanmax(np.abs(dt))) for dt in (report.dt_T1, report.dt_T2))
+    t1_geo, t2_geo = max_dt1 < geo_tol, max_dt2 < geo_tol
+    stats = (float(np.mean(ranks == 2)), max_dt1, max_dt2)
+
+    angle_tol = 1e-3
+    if (t1_mean > angle_tol and t2_mean < math.pi / 2 - angle_tol
+            and t2_mean - t1_mean > angle_tol):
+        rank1 = bool(np.mean(ranks <= 1) >= 0.99)
+        consistent = rank1 == (t1_geo or t2_geo)
+        return CompositionVerdict(True, rank1, rank1, t1_geo, t2_geo, consistent,
+                                  "" if consistent else "criteria disagree: numerical red flag",
+                                  *stats)
+    if np.all(ranks == 0):
+        return CompositionVerdict(False, True, True, True, True, True, "totally geodesic", *stats)
+    if t1_mean <= angle_tol:
+        return CompositionVerdict(False, True, bool(np.all(ranks <= 1)), t1_geo, t2_geo, True,
+                                  "theta1 = 0: composition regardless of N1 rank", *stats)
+    return CompositionVerdict(False, None, False, False, False, True,
+                              "criterion inapplicable for these angles", *stats)

@@ -13,12 +13,12 @@ import pytest
 from helix4.catalog import (PI_12, generate, named_example, round_sphere_patch)
 from helix4.grassmann import (orthogonal_complement, plane_angles_via_bivectors,
                               planes_with_angles, principal_angles, random_plane)
-from helix4.helix_construct import (HelixParams, composition_test,
-                                    default_problem, deform, deform_inverse,
-                                    find_noncharacteristic_seed,
-                                    first_normal_rank, recover_g,
-                                    residual_maxima, solution_graph, solve_pde)
-from helix4.surface_analysis import fundamental_forms, verify_helix
+from helix4.helix_construct import (HelixParams, default_problem, deform,
+                                    deform_inverse, find_noncharacteristic_seed,
+                                    recover_g, residual_maxima, solution_graph,
+                                    solve_pde)
+from helix4.surface_analysis import (composition_test, first_normal_rank,
+                                     fundamental_forms, verify_helix)
 
 C_NORM = 10.0 / 3.0
 

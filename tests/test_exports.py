@@ -1,10 +1,12 @@
 """Public names: every name a module exports resolves, and each name is
 exported by one module only."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,3 +58,18 @@ def test_removed_graph_and_problem_names_stay_removed():
     assert list(inspect.signature(helix_construct.symplecto_check).parameters) == ["G", "P"]
     for name in ("validate", "x_nodes", "y_steps"):
         assert not hasattr(helix_construct.PDEProblem, name), name
+
+
+def test_helix_construct_imports_no_private_name():
+    # a verify pass is driven in surface_analysis only: helix_construct
+    # reads none of its stages, and the composition criterion is exported
+    # from there alone
+    path = Path(importlib.import_module("helix4.helix_construct").__file__)
+    private = [(node.module, a.name) for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ImportFrom)
+               and (node.level > 0 or node.module.split(".")[0] == "helix4")
+               for a in node.names if a.name.startswith("_")]
+    assert private == []
+    owners = {k: [name for name in MODULES if k in exports(name)]
+              for k in ("first_normal_rank", "CompositionVerdict", "composition_test")}
+    assert owners == dict.fromkeys(owners, ["surface_analysis"])

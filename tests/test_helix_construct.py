@@ -9,16 +9,15 @@ import pytest
 from helix4 import surface_analysis
 from helix4.catalog import named_example
 from helix4.grassmann import Plane
-from helix4.helix_construct import (GRAPH_RESIDUALS, CompositionVerdict, HelixParams,
-                                    PDEProblem, SolutionGrid, annulus_bounds,
-                                    composition_test, default_problem, deform,
-                                    deform_inverse, find_noncharacteristic_seed,
-                                    first_normal_rank, paper_initial_data,
-                                    recover_g, residual_maxima, solution_graph,
-                                    solve_pde, symplecto_check, _E_pair)
-from helix4.surface_analysis import (GraphSurface, SurfaceJet, SurfacePatch, _fd_jet, fd_d1,
-                                     fundamental_forms, graph_patch, snap_to_nodes,
-                                     verify_helix)
+from helix4.helix_construct import (GRAPH_RESIDUALS, HelixParams, PDEProblem,
+                                    SolutionGrid, annulus_bounds, default_problem,
+                                    deform, deform_inverse, find_noncharacteristic_seed,
+                                    paper_initial_data, recover_g, residual_maxima,
+                                    solution_graph, solve_pde, symplecto_check, _E_pair)
+from helix4.surface_analysis import (CompositionVerdict, GraphSurface, SurfaceJet,
+                                     SurfacePatch, _fd_jet, composition_test, fd_d1,
+                                     first_normal_rank, fundamental_forms, graph_patch,
+                                     snap_to_nodes, verify_helix)
 
 PI = Plane(np.eye(4)[0], np.eye(4)[1])
 C_THIRD = 10.0 / 3.0

@@ -13,8 +13,8 @@ from helix4.catalog import (EXAMPLE_NAMES, PI_12, generate, named_example,
 from helix4.surface_analysis import (AdaptedFrame, FundamentalForms, GraphSurface,
                                      ImmersionError, SurfaceJet, SurfacePatch,
                                      _tangent_frame, adapted_frame, adapted_frames,
-                                     brioschi_curvature, fundamental_forms,
-                                     verify_helix)
+                                     brioschi_curvature, composition_test,
+                                     fundamental_forms, verify_helix)
 
 
 def patch_from_position(pos, u_range, v_range):
@@ -364,6 +364,31 @@ def test_graph_surface_checks_its_value_grids(nx, ny, shape_f, shape_g):
                      np.zeros(shape_f), np.zeros(shape_g))
 
 
+@pytest.mark.parametrize("axis, nodes", [
+    ("xs", [0, 0.1, 0.3, 0.35, 0.6]),       # uneven
+    ("ys", [1, 0.75, 0.5, 0.25, 0]),        # decreasing
+    ("xs", [0, 0, 0, 0, 0]),                # repeated
+    ("ys", [0, 0.25, np.nan, 0.75, 1]),
+    ("xs", [0, 0.25, 0.5, 0.75, np.inf]),
+])
+def test_graph_surface_needs_evenly_spaced_increasing_nodes(axis, nodes):
+    # gradients(), patch() and snap_to_nodes all take one step per axis, so
+    # uneven nodes would give wrong derivatives (f_x = 3.4 for f = x^2 at
+    # x = 0.6) instead of an error
+    xs = nodes if axis == "xs" else np.linspace(0, 1, 5)
+    ys = nodes if axis == "ys" else np.linspace(0, 1, 5)
+    with pytest.raises(ValueError, match=f"^{axis} must be strictly increasing and evenly"):
+        GraphSurface(xs, ys, np.zeros((5, 5)), np.zeros((5, 5)))
+
+
+def test_graph_surface_accepts_linspace_nodes_far_from_zero():
+    # linspace rounding at |x| = 1e9 is about 1e-5 of a 1e-2 step
+    xs = np.linspace(1e9, 1e9 + 0.08, 9)
+    assert np.ptp(np.diff(xs)) > 1e-9 * (xs[1] - xs[0])
+    G = GraphSurface(xs, np.linspace(-1, 1, 5), np.zeros((9, 5)), np.zeros((9, 5)))
+    assert G.gradients()[0].shape == (9, 5)
+
+
 def test_grid_patch_snapping():
     us = np.linspace(0, 2, 9)
     vs = np.linspace(0, 1, 5)
@@ -395,6 +420,16 @@ def test_verify_helix_forms_the_metric_and_tangent_frames_once(monkeypatch):
     cs = named_example("orbit_cone")
     assert verify_helix(cs.patch, cs.plane, (9, 11)).helix_pass(1e-8)
     assert sorted(calls) == ["_tangent_frame", "fundamental_forms"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("run", [verify_helix, composition_test])
+def test_an_overflowing_surface_raises_in_every_verify_pass(run):
+    # the composition criterion runs the same guarded stages as verify_helix,
+    # so it raises instead of warning and returning a verdict
+    patch = generate("product_circles", r1=1e78).patch
+    with pytest.raises(FloatingPointError):
+        run(patch, PI_12, (20, 20))
 
 
 def construction_case(tmp_path):
