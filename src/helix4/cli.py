@@ -518,22 +518,17 @@ def _cmd_construct(args) -> int:
     gate = _finite_flag("--gate", args.gate)
     hc.check_window(x_range, y_max, hx, hy)   # ValueError: exit 3
 
-    prob = None
-    if seed == "auto":
-        try:
-            if custom_data:
-                seed = hc.find_noncharacteristic_seed(c_norm, branch)
-            else:
-                # the problem of the best-scoring seed whose quadratic data
-                # actually fits the requested window
-                prob = hc.choose_feasible_seed(c_norm, x_range, y_max, hx, hy,
-                                               args.curvature, branch)
-                seed = (prob.u0, prob.v0)
-        except ValueError as exc:
-            raise CliError(EXIT_DEGENERATE, f"seed scan failed: {exc}") from exc
-    if prob is None:
+    try:
         if not custom_data:
-            phi, psi = hc.paper_initial_data(seed[0], seed[1], args.curvature)
+            prob = hc.default_problem(c_norm, x_range, y_max, hx, hy,
+                                      None if seed == "auto" else seed, args.curvature, branch)
+        elif seed == "auto":   # data that do not depend on the seed: no walk
+            seed = hc.find_noncharacteristic_seed(c_norm, branch)
+    except ValueError as exc:
+        if seed != "auto":
+            raise                                 # a given seed's problem: exit 3
+        raise CliError(EXIT_DEGENERATE, f"seed scan failed: {exc}") from exc
+    if custom_data:
         prob = hc.PDEProblem(c_norm, x_range, y_max, hx, hy,
                              seed[0], seed[1], phi, psi, branch=branch)   # ValueError: exit 3
     try:
@@ -560,7 +555,7 @@ def _cmd_construct(args) -> int:
         "c_normalized": c_norm,
         "m": m_scale,
         "branch": branch,
-        "seed": {"u0": seed[0], "v0": seed[1]},
+        "seed": {"u0": prob.u0, "v0": prob.v0},
         "hx": hx, "hy": hy,
         "x_window": [float(xs[0]), float(xs[-1])],
         "y_window": [float(ys[0]), float(ys[-1])],

@@ -52,7 +52,6 @@ __all__ = [
     "SolverHalt",
     "annulus_bounds",
     "find_noncharacteristic_seed",
-    "choose_feasible_seed",
     "check_window",
     "paper_initial_data",
     "default_problem",
@@ -111,10 +110,20 @@ class HelixParams:
 
 def annulus_bounds(c: float) -> tuple[float, float]:
     """Admissible band for Delta = |grad f|^2: (c -+ sqrt(c^2-4))/2."""
-    if c <= 2.0:
+    if not c > 2.0:                              # NaN too
         raise ValueError(f"normalized constant must exceed 2, got {c}")
     s = math.sqrt(c * c - 4.0)
+    if not math.isfinite(s):
+        raise ValueError(f"normalized constant {c} is too large: c^2 overflows float64")
     return (c - s) / 2.0, (c + s) / 2.0
+
+
+def _band(c: float) -> tuple[float, float]:
+    """The open band of admissible Delta: the annulus less ANNULUS_MARGIN of
+    its width at each end."""
+    dmin, dmax = annulus_bounds(c)
+    margin = ANNULUS_MARGIN * (dmax - dmin)
+    return dmin + margin, dmax - margin
 
 
 def _lam(delta, c, branch: int = 1):
@@ -150,8 +159,9 @@ class SolverHalt(RuntimeError):
 
 
 def _seed_scan(c1: float, branch: int = 1):
-    """Polar-grid scores min(|E_u(u,v)|, |E_v(-v,u)|) over the annulus
-    interior (5% boundary margin)."""
+    """(u, v, score) of the polar-grid points over the annulus interior (5%
+    boundary margin) whose min(|E_u(u,v)|, |E_v(-v,u)|) exceeds 1e-3, in grid
+    order; fails with a diagnostic when there are none (c1 too close to 2)."""
     dmin, dmax = annulus_bounds(c1)
     width = dmax - dmin
     if 0.05 * width <= 1e-3:
@@ -166,55 +176,21 @@ def _seed_scan(c1: float, branch: int = 1):
     with np.errstate(all="ignore"):
         Eu, Ev = _E_pair(u, v, c1, branch)
     score = np.minimum(np.abs(Eu[0]), np.abs(Ev[1]))
-    score = np.where(np.isfinite(score), score, 0.0)
-    return u.ravel(), v.ravel(), score.ravel()
+    score = np.where(np.isfinite(score), score, 0.0).ravel()
+    keep = score > 1e-3
+    if not keep.any():
+        raise ValueError(
+            f"no non-characteristic seed found for c1 = {c1}: best margin "
+            f"{score.max():.2e} (annulus too thin; c1 too close to 2)")
+    return u.ravel()[keep], v.ravel()[keep], score[keep]
 
 
 def find_noncharacteristic_seed(c1: float, branch: int = 1) -> tuple[float, float]:
-    """Scan the admissible annulus for a gradient seed (u0, v0).
-
-    A polar grid over the annulus (keeping a 5% margin to the boundary) is
-    scored by min(|E_u(u,v)|, |E_v(-v,u)|); the maximizer is returned.
-    Deterministic for fixed c1; fails with a diagnostic when no grid point
-    scores above 1e-3 (c1 too close to 2).
-    """
+    """The best-scoring gradient seed (u0, v0) of the annulus scan, the
+    first that ``default_problem`` tries; deterministic for fixed c1."""
     u, v, score = _seed_scan(c1, branch)
     k = int(np.argmax(score))
-    best = float(score[k])
-    if best <= 1e-3:
-        raise ValueError(
-            f"no non-characteristic seed found for c1 = {c1}: best margin "
-            f"{best:.2e} (annulus too thin; c1 too close to 2)")
     return float(u[k]), float(v[k])
-
-
-def choose_feasible_seed(c1: float, x_range, y_max: float, hx: float,
-                         hy: float, curvature: float = 1.0,
-                         branch: int = 1) -> PDEProblem:
-    """Problem of the best-scoring seed whose paper-style data stays admissible.
-
-    The margin-maximizing scan point can sit close to the annulus boundary,
-    where quadratic data drifts out over a wide x-interval; this variant
-    walks the candidates in score order and returns the problem of the first
-    one that validates for the requested window.  Deterministic.
-    """
-    check_window(x_range, y_max, hx, hy)
-    u, v, score = _seed_scan(c1, branch)
-    order = np.argsort(-score, kind="stable")
-    last_err = None
-    for k in order[: 600]:
-        if score[k] <= 1e-3:
-            break
-        seed = (float(u[k]), float(v[k]))
-        phi, psi = paper_initial_data(*seed, curvature)
-        try:
-            return PDEProblem(c1, tuple(x_range), y_max, hx, hy,
-                              seed[0], seed[1], phi, psi, branch=branch)
-        except ValueError as exc:
-            last_err = exc
-    raise ValueError(
-        f"no scanned seed admits the requested window for c1 = {c1}: "
-        f"last failure: {last_err}")
 
 
 def check_window(x_range, y_max: float, hx: float,
@@ -272,6 +248,7 @@ class PDEProblem:
 
     def __post_init__(self):
         dmin, dmax = annulus_bounds(self.c1)
+        lo, hi = _band(self.c1)
         d0 = self.u0 * self.u0 + self.v0 * self.v0   # inf, not OverflowError, past float range
         if not (dmin < d0 < dmax):
             raise ValueError(
@@ -285,8 +262,7 @@ class PDEProblem:
         _, dphi, d2phi = self.phi(x)
         psi, _ = self.psi(x)
         delta = dphi * dphi + psi * psi
-        margin = ANNULUS_MARGIN * (dmax - dmin)
-        if np.any(delta <= dmin + margin) or np.any(delta >= dmax - margin):
+        if np.any(delta <= lo) or np.any(delta >= hi):
             raise ValueError("initial gradient leaves the admissible annulus "
                              "on the x-interval")
         Eu, Ev = _E_pair(dphi, psi, self.c1, self.branch, delta)
@@ -322,13 +298,30 @@ def paper_initial_data(u0: float, v0: float, curvature: float = 1.0):
 def default_problem(c1: float, x_range=(-0.05, 0.05), y_max=0.006,
                     hx=1e-3, hy=1e-3, seed: tuple[float, float] | None = None,
                     curvature: float = 1.0, branch: int = 1) -> PDEProblem:
-    """Paper-style Cauchy data with an automatically scanned seed."""
+    """The problem of paper-style Cauchy data at ``seed``.
+
+    With no seed, the window is checked and the scanned seeds are walked in
+    stable score order (at most 600): the best one can sit close to the
+    annulus boundary, where quadratic data drift out over a wide x-interval,
+    so the first seed whose data validate for the window gives the problem.
+    """
     if seed is None:
-        seed = find_noncharacteristic_seed(c1, branch)
-    u0, v0 = seed
-    phi, psi = paper_initial_data(u0, v0, curvature)
-    return PDEProblem(c1, tuple(x_range), y_max, hx, hy, u0, v0, phi, psi,
-                      branch=branch)
+        check_window(x_range, y_max, hx, hy)
+        u, v, score = _seed_scan(c1, branch)
+        seeds = [(float(u[k]), float(v[k])) for k in np.argsort(-score, kind="stable")[:600]]
+    else:
+        seeds = [tuple(seed)]
+    for u0, v0 in seeds:
+        try:
+            return PDEProblem(c1, tuple(x_range), y_max, hx, hy, u0, v0,
+                              *paper_initial_data(u0, v0, curvature), branch=branch)
+        except ValueError as exc:
+            if seed is not None:
+                raise
+            last_err = exc
+    raise ValueError(
+        f"no scanned seed admits the requested window for c1 = {c1}: "
+        f"last failure: {last_err}")
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +396,7 @@ def _march(f: np.ndarray, w: np.ndarray, hy: np.ndarray, n_steps: int,
     Returns, per row, (steps, reason): the (f, w, iL, iR) state after each
     completed output step and the termination reason.
     """
-    dmin, dmax = annulus_bounds(c)
-    margin = ANNULUS_MARGIN * (dmax - dmin)
+    lo, hi = _band(c)
 
     def coefficients(p, w, delta=None):
         """Quasilinear coefficients (a, b, cc) at the gradient (p, w)."""
@@ -449,7 +441,7 @@ def _march(f: np.ndarray, w: np.ndarray, hy: np.ndarray, n_steps: int,
                 # annulus boundary
                 p = fd_d1(f, hx, axis=-1)
                 delta = p * p + w * w
-                bad = (delta <= dmin + margin) | (delta >= dmax - margin)
+                bad = (delta <= lo) | (delta >= hi)
                 ends = bad[:, [0, -1]]
                 while ends.any():
                     if np.any(ends != ends[0]):
@@ -543,9 +535,8 @@ def recover_g(sol: SolutionGrid) -> SolutionGrid:
     A = (-ww + lam * p) / delta
     B = (p + lam * ww) / delta
 
-    dmin, dmax = annulus_bounds(sol.c1)
-    margin = ANNULUS_MARGIN * (dmax - dmin)
-    blowup = (delta <= dmin + margin) | (delta >= dmax - margin)
+    lo, hi = _band(sol.c1)
+    blowup = (delta <= lo) | (delta >= hi)
     A = np.where(blowup, np.nan, A)
     B = np.where(blowup, np.nan, B)
 
@@ -649,4 +640,7 @@ def deform_inverse(angles: tuple[float, float]) -> tuple[float, float]:
                          "(equal angles collapse the family)")
     m = math.sqrt(math.tan(t1) * math.tan(t2))
     c1 = math.tan(t1) ** 2 + math.tan(t2) ** 2
-    return m, c1 / (m * m)
+    c = c1 / (m * m) if m * m else math.inf
+    if not math.isfinite(c):
+        raise ValueError(f"c = c1/m^2 leaves float64 at angles ({t1}, {t2}): m^2 = {m * m:.3g}")
+    return m, c

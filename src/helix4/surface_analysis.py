@@ -225,14 +225,24 @@ def _fd_jet(values: np.ndarray, hu: float, hv: float) -> tuple:
             fd_d1(d_u, hv, axis=1), fd_d2(values, hv, axis=1))
 
 
+def _check_even(nodes: np.ndarray, axis: str) -> None:
+    """ValueError naming ``axis`` unless the nodes are strictly increasing and
+    evenly spaced, up to the rounding of linspace nodes far from 0."""
+    h = (nodes[-1] - nodes[0]) / max(nodes.size - 1, 1)
+    tol = 1e-9 * h + 4 * np.spacing(np.abs(nodes).max())
+    if not (0 < h < math.inf and np.all(np.abs(np.diff(nodes) - h) <= tol)):
+        raise ValueError(f"{axis} must be strictly increasing and evenly spaced")
+
+
 def snap_to_nodes(nodes_u: np.ndarray, nodes_v: np.ndarray,
                   us: np.ndarray, vs: np.ndarray):
     """Per-axis selectors of the grid nodes that the queries us x vs snap
-    to (a slice for consecutive nodes, so indexing gives views).  A query
-    more than 0.4 spacings from every node raises ValueError naming it."""
+    to (a slice for consecutive nodes, so indexing gives views).  An uneven
+    axis and a query more than 0.4 spacings from every node raise ValueError."""
     us, vs = np.asarray(us, dtype=float), np.asarray(vs, dtype=float)
     picked, outside, off_node = [], [], []
-    for nodes, q in ((nodes_u, us), (nodes_v, vs)):
+    for axis, nodes, q in (("nodes_u", nodes_u, us), ("nodes_v", nodes_v, vs)):
+        _check_even(nodes, axis)
         h = nodes[1] - nodes[0]
         k = np.rint((q - nodes[0]) / h)
         outside.append(~((k >= 0) & (k < nodes.size)))
@@ -311,13 +321,8 @@ class GraphSurface:
             raise ValueError("value grids must have shape (len(xs), len(ys))")
         if self.xs.size < 3 or self.ys.size < 3:
             raise ValueError("grid-backed fields need at least 3 nodes per direction")
-        # derivatives and node lookups take one step per axis; the tolerance
-        # admits the rounding of linspace nodes far from 0
-        for axis, nodes in (("xs", self.xs), ("ys", self.ys)):
-            h = (nodes[-1] - nodes[0]) / (nodes.size - 1)
-            tol = 1e-9 * h + 4 * np.spacing(np.abs(nodes).max())
-            if not (0 < h < math.inf and np.all(np.abs(np.diff(nodes) - h) <= tol)):
-                raise ValueError(f"{axis} must be strictly increasing and evenly spaced")
+        for axis in ("xs", "ys"):   # derivatives and node lookups take one step per axis
+            _check_even(getattr(self, axis), axis)
 
     def gradients(self) -> tuple[np.ndarray, ...]:
         """(f_x, f_y, g_x, g_y) at the nodes, by ``fd_d1`` of the value grids."""
@@ -879,8 +884,9 @@ def composition_test(patch: SurfacePatch, Pi: Plane, grid: tuple[int, int],
     In the generic-angle case the surface is a composition iff the first
     normal space has rank one iff T1 or T2 is a totally geodesic field; the
     three booleans are evaluated independently and must agree (disagreement
-    is reported as an inconsistency flag).  Non-generic angles route to the
-    inapplicable branch: theta1 = 0 surfaces are compositions outright.
+    is reported as an inconsistency flag).  Non-generic angles, and angles that are
+    not constant (either std >= 1e-3), route to the inapplicable branch;
+    theta1 = 0 surfaces are compositions outright.
     """
     # one sample and its fundamental forms serve the report and the N1 ranks
     report, ff = _verified(patch, Pi, grid)
@@ -891,6 +897,9 @@ def composition_test(patch: SurfacePatch, Pi: Plane, grid: tuple[int, int],
     stats = (float(np.mean(ranks == 2)), max_dt1, max_dt2)
 
     angle_tol = 1e-3
+    if not report.angle_std() < angle_tol:
+        return CompositionVerdict(False, None, False, False, False, True, "angles not "
+                                  f"constant (std {report.angle_std():.2e})", *stats)
     if (t1_mean > angle_tol and t2_mean < math.pi / 2 - angle_tol
             and t2_mean - t1_mean > angle_tol):
         rank1 = bool(np.mean(ranks <= 1) >= 0.99)

@@ -94,6 +94,21 @@ def test_deform_rejects_non_finite_m_and_c(capsys, m, c, named):
     assert f"{named} must be finite" in err
 
 
+@pytest.mark.parametrize("command, t1, t2, named", [
+    ("deform", "1e-170", "1e-160", "m^2 = 0"),
+    ("construct", "1e-200", "2e-200", "m^2 = 0"),
+    ("deform", "1e-300", "1.5707963267948963", "leaves float64"),
+    ("construct", "1e-300", "1.5707963267948963", "leaves float64"),
+])
+def test_extreme_angle_pairs_are_refused(capsys, command, t1, t2, named):
+    # m^2 = tan(theta1) tan(theta2) underflows to 0, or c = c1/m^2 overflows:
+    # one error line, no traceback and no "c": null
+    code, out, err = run(capsys, command, "--theta1", t1, "--theta2", t2)
+    assert code == EXIT_PRECONDITION
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+
+
 def test_example_torus_passes(tmp_path, capsys):
     out_file = tmp_path / "torus.json"
     code, _, _ = run(capsys, "example", "clifford_torus", "--grid", "15", "15",
@@ -230,7 +245,7 @@ def test_bundle_layers_are_the_solution_graph_node_for_node(tmp_path, capsys):
                      "--hx", str(h), "--hy", str(h), "--ymax", str(y_max), "--save", prefix)
     assert code == EXIT_OK
     m, c = hc.deform_inverse((t1, t2))
-    prob = hc.choose_feasible_seed(c, x_range, y_max, h, h)
+    prob = hc.default_problem(c, x_range, y_max, h, h)
     graph = hc.solution_graph(hc.recover_g(hc.solve_pde(prob)), m=m)
     xs, ys = graph.xs, graph.ys
     meta = json.loads((tmp_path / "sol.meta.json").read_text())
@@ -541,7 +556,7 @@ def test_bundle_csv_matches_a_per_node_rendering(tmp_path, capsys, monkeypatch):
     params = hc.HelixParams(*map(float, THETAS[1::2]))
     m, c = hc.deform_inverse((params.theta1, params.theta2))
     graph = hc.solution_graph(hc.recover_g(hc.solve_pde(
-        hc.choose_feasible_seed(c, x_range, y_max, h, h))), m=m)
+        hc.default_problem(c, x_range, y_max, h, h))), m=m)
     # the x and y cells are the sidecar's axes x0 + hx k and y0 + hy k
     meta = json.loads((tmp_path / "sol.meta.json").read_text())
     xs, ys = (meta[start] + meta[step] * np.arange(meta[n], dtype=float)

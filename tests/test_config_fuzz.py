@@ -1,9 +1,10 @@
 """A seeded fuzzer over the CLI's JSON configs: valid documents, each mutated
 by deleting a key, swapping in a value from a fixed table or adding an
-unknown key, at any depth.  Whatever the document, a command exits with a
-documented code, writes at most one ``error:`` line and no traceback or
-warning to stderr, and leaves stdout empty or one JSON document.  Standard
-library only."""
+unknown key, at any depth; and every ordered pair of a table of extreme
+values for the --theta1/--theta2 flags.  Whatever the input, a command exits
+with a documented code, writes at most one ``error:`` line and no traceback
+or warning to stderr, and leaves stdout empty or one JSON document.
+Standard library only."""
 
 import contextlib
 import copy
@@ -53,6 +54,14 @@ BASES = [
 BAD_EXPRESSIONS = ["x +", "sqrt(-1)", "1/0", "exp(1e3*x)", "log(x - 5)", "y(x)", "x^0.5"]
 VALUES = [2 ** 63, 2 ** 70, 1e78, 1e200, 1e308, -0.0, "", [], {}, True, *BAD_EXPRESSIONS]
 
+# --theta1/--theta2 values: zero, the smallest subnormal, angles whose tan
+# products underflow, pi/2 one ulp below and at its float64 rounding, past
+# pi/2, NaN, inf and a negative one
+ANGLE_VALUES = ["0", "5e-324", "1e-300", "1e-200", "1e-160", "1e-8", "0.5", "1.0",
+                "1.5707963267948963", "1.5707963267948966", "3.2", "nan", "inf", "-1e-300"]
+ANGLE_COMMANDS = [["deform"],
+                  ["construct", "--hx", "2e-3", "--hy", "2e-3", "--ymax", "0.004"]]
+
 EXIT_CODES = {0, 2, 3, 4, 5}
 SEED_VALUE = 20231
 CASES = 300
@@ -97,16 +106,21 @@ def mutate(rng, document):
 
 
 def run(tmp_path, command, document):
-    """Exit code, stdout, stderr and the warnings of one in-process command;
-    an exception that leaves ``main`` is written to stderr as a traceback."""
+    """``run_argv`` of ``command`` on ``document`` as its config file."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps(document))
+    return run_argv([command, "--config", str(config)])
+
+
+def run_argv(argv):
+    """Exit code, stdout, stderr and the warnings of one in-process command;
+    an exception that leaves ``main`` is written to stderr as a traceback."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
         try:
-            code = main([command, "--config", str(config)])
+            code = main(argv)
         except Exception:   # an exception that leaves main is the defect looked for
             code = None
             traceback.print_exc(file=err)
@@ -152,4 +166,22 @@ def test_mutated_configs_exit_with_a_documented_code_and_one_line(tmp_path, capf
         if found:
             failures.append(f"case {case}: {command} {'; '.join(steps)} -> {found}: "
                             f"{(err or leaked.out).strip().splitlines()[-1:]} {caught[:1]}")
+    assert not failures, "\n".join(failures)
+
+
+def test_extreme_angle_flags_exit_with_a_documented_code_and_one_line(capfd):
+    # the --flag=value form lets a value such as -1e-300 through argparse
+    failures = []
+    for command in ANGLE_COMMANDS:
+        for t1 in ANGLE_VALUES:
+            for t2 in ANGLE_VALUES:
+                argv = [command[0], f"--theta1={t1}", f"--theta2={t2}", *command[1:]]
+                code, out, err, caught = run_argv(argv)
+                leaked = capfd.readouterr()
+                found = problems(code, out + leaked.out, err + leaked.err, caught)
+                if code == 0 and "null" in out:
+                    found.append("exit 0 with null in the report")
+                if found:
+                    failures.append(f"{' '.join(argv)} -> {found}: "
+                                    f"{(err or leaked.out).strip().splitlines()[-1:]}")
     assert not failures, "\n".join(failures)

@@ -58,6 +58,8 @@ def test_removed_graph_and_problem_names_stay_removed():
     assert list(inspect.signature(helix_construct.symplecto_check).parameters) == ["G", "P"]
     for name in ("validate", "x_nodes", "y_steps"):
         assert not hasattr(helix_construct.PDEProblem, name), name
+    # default_problem walks the scanned seeds itself
+    assert not hasattr(helix_construct, "choose_feasible_seed")
 
 
 def test_helix_construct_imports_no_private_name():

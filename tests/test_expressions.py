@@ -1,6 +1,7 @@
 """Parser and symbolic-derivative tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,16 @@ def test_syntax_error_offset():
     with pytest.raises(ParseError) as exc:
         parse_expr("x +")
     assert exc.value.span == 3
+
+
+@pytest.mark.parametrize("src, message", [
+    ("x $ y", "unexpected character '$'"),      # no token starts here
+    ("x y", "unexpected 'y'"),                   # a token left after the sum
+])
+def test_syntax_errors_name_the_token_and_its_offset(src, message):
+    with pytest.raises(ParseError, match=re.escape(f"{message} (at offset 2)")) as exc:
+        parse_expr(src)
+    assert exc.value.span == 2
 
 
 def test_unknown_identifier():

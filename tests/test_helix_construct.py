@@ -217,6 +217,17 @@ def test_problem_validation():
         default_problem(C_THIRD, y_max=0.0055, hx=1e-3, hy=1e-3)
 
 
+def test_default_problem_walks_to_the_first_seed_whose_data_fits():
+    # the seed construct prints for (0.7, 0.9) on this window; the best-scoring
+    # seed's quadratic data leaves the annulus there
+    m, c = deform_inverse((0.7, 0.9))
+    prob = default_problem(c, (-0.05, 0.05), 0.004, 2e-3, 2e-3)
+    assert (prob.u0, prob.v0) == (-0.7344269060018042, 0.9400235727944621)
+    with pytest.raises(ValueError, match="leaves the admissible annulus"):
+        default_problem(c, (-0.05, 0.05), 0.004, 2e-3, 2e-3,
+                        seed=find_noncharacteristic_seed(c))
+
+
 def test_problem_is_checked_once_when_built():
     u0, v0 = find_noncharacteristic_seed(C_THIRD)
     data = paper_initial_data(u0, v0)
@@ -406,10 +417,9 @@ def test_general_angles_via_feasible_seed():
     # narrow annulus (c close to 2): the margin-maximizing seed sits too
     # close to the boundary for the default window, the feasible variant
     # walks down the score order until the data fits
-    from helix4.helix_construct import choose_feasible_seed
     t1, t2 = 0.7, 0.9
     m, c = deform_inverse((t1, t2))
-    prob = choose_feasible_seed(c, (-0.05, 0.05), 0.004, 2e-3, 2e-3)
+    prob = default_problem(c, (-0.05, 0.05), 0.004, 2e-3, 2e-3)
     # the problem of the chosen seed, with the paper's quadratic data
     ref = default_problem(c, x_range=(-0.05, 0.05), y_max=0.004,
                           hx=2e-3, hy=2e-3, seed=(prob.u0, prob.v0))
@@ -418,7 +428,7 @@ def test_general_angles_via_feasible_seed():
         assert np.array_equal(getattr(prob, data)(prob.x), getattr(ref, data)(ref.x))
     # a window no seed can fit fails once, before the candidate loop
     with pytest.raises(ValueError, match="hx must be finite"):
-        choose_feasible_seed(c, (-0.05, 0.05), 0.004, 0.0, 2e-3)
+        default_problem(c, (-0.05, 0.05), 0.004, 0.0, 2e-3)
     G = solution_graph(recover_g(solve_pde(prob)), m=m)
     rep = verify_helix(G.patch(), PI, (G.xs.size, G.ys.size))
     assert rep.angle_stats["theta1"][0] == pytest.approx(t1, abs=1e-4)
@@ -570,6 +580,22 @@ def test_deform_round_trip_triangle():
 def test_deform_small_m_limit():
     pa = deform(1e-8, C_THIRD)
     assert pa.theta1 < 1e-7 and pa.theta2 < 1e-7
+
+
+@pytest.mark.parametrize("angles, named", [
+    ((1e-170, 1e-160), "m\\^2 = 0$"), ((1e-200, 2e-200), "m\\^2 = 0$"),
+    ((1e-300, 1.5707963267948963), "leaves float64"),
+    ((5e-324, 0.5), "leaves float64"),
+])
+def test_deform_inverse_refuses_angles_whose_m_or_c_leaves_float64(angles, named):
+    with pytest.raises(ValueError, match=named):
+        deform_inverse(angles)
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, 1e200])
+def test_annulus_bounds_need_a_finite_c_above_two_with_finite_bounds(c):
+    with pytest.raises(ValueError, match="normalized constant"):
+        annulus_bounds(c)
 
 
 def test_deform_domain_errors():

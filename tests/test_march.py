@@ -189,8 +189,8 @@ def _ladder(h):
 
 
 def _mirror():
-    return hc.choose_feasible_seed(C_THIRD, WINDOW["x_range"], WINDOW["y_max"],
-                                   1e-3, 1e-3, branch=-1)
+    return hc.default_problem(C_THIRD, WINDOW["x_range"], WINDOW["y_max"],
+                              1e-3, 1e-3, branch=-1)
 
 
 def _windows_differ():
@@ -212,9 +212,23 @@ def _trims_differ():
     return hc.PDEProblem(C_THIRD, (-0.52, -0.44), 0.006, 1e-3, 1e-3, 1.29615, 0.0, phi, psi)
 
 
+def _right_trim():
+    # the gradient drifts out at the right end: both directions trim their
+    # right edge until the window is used up
+    return hc.default_problem(C_THIRD, x_range=(0.613, 0.693), y_max=0.006, hx=1e-3, hy=1e-3,
+                              seed=(-0.7873677979686537, -0.2257740829625846))
+
+
+def _annulus_margin():
+    # upward, a node inside the window leaves the band while both ends stay in
+    return hc.default_problem(C_THIRD, x_range=(0.2, 0.3), y_max=0.006, hx=1e-3, hy=1e-3,
+                              seed=(-0.18104267892575457, 1.2881855960876407))
+
+
 CASES = ([(f"ladder-L{k}", lambda h=h: _ladder(h)) for k, h in enumerate(LADDER, start=1)]
          + [("branch-minus-1", _mirror), ("windows-differ", _windows_differ),
-            ("reasons-differ", _reasons_differ), ("trims-differ", _trims_differ)])
+            ("reasons-differ", _reasons_differ), ("trims-differ", _trims_differ),
+            ("right-trim", _right_trim), ("annulus-margin", _annulus_margin)])
 
 
 def _up_down_windows(sol):
@@ -285,6 +299,15 @@ def test_asymmetric_cases_take_the_split():
         assert not np.array_equal(*_up_down_windows(sol))
     sol = hc.solve_pde(_reasons_differ())
     assert (sol.termination_up, sol.termination_down) == ("completed", "window-exhausted")
+
+
+@pytest.mark.parametrize("make, reasons", [
+    (_right_trim, ("window-exhausted", "window-exhausted")),
+    (_annulus_margin, ("annulus-margin", "window-exhausted")),
+], ids=["right-trim", "annulus-margin"])
+def test_edge_halts_end_for_their_reasons(make, reasons):
+    sol = hc.solve_pde(make())
+    assert (sol.termination_up, sol.termination_down) == reasons
 
 
 def test_ladder_levels_converge_at_second_order():

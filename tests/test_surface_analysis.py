@@ -14,7 +14,7 @@ from helix4.surface_analysis import (AdaptedFrame, FundamentalForms, GraphSurfac
                                      ImmersionError, SurfaceJet, SurfacePatch,
                                      _tangent_frame, adapted_frame, adapted_frames,
                                      brioschi_curvature, composition_test,
-                                     fundamental_forms, verify_helix)
+                                     fundamental_forms, snap_to_nodes, verify_helix)
 
 
 def patch_from_position(pos, u_range, v_range):
@@ -257,6 +257,14 @@ def test_cylinder_report():
     assert r2 < 1e-10
 
 
+def test_composition_test_answers_only_for_constant_angles():
+    # the round sphere's theta2 varies (std 0.151): no composition verdict
+    verdict = composition_test(round_sphere_patch(1.0), PI_12, (20, 20))
+    assert (verdict.applicable, verdict.composition) == (False, None)
+    assert not (verdict.rank1_n1 or verdict.t1_geodesic or verdict.t2_geodesic)
+    assert "angles not constant (std 1.51e-01)" in verdict.reason
+
+
 def test_round_sphere_is_not_a_helix():
     rep = verify_helix(round_sphere_patch(1.0), PI_12, (12, 12))
     assert rep.angle_std() > 1e-2
@@ -387,6 +395,16 @@ def test_graph_surface_accepts_linspace_nodes_far_from_zero():
     assert np.ptp(np.diff(xs)) > 1e-9 * (xs[1] - xs[0])
     G = GraphSurface(xs, np.linspace(-1, 1, 5), np.zeros((9, 5)), np.zeros((9, 5)))
     assert G.gradients()[0].shape == (9, 5)
+
+
+def test_snap_to_nodes_needs_evenly_spaced_increasing_nodes():
+    # one step per axis: uneven nodes are refused, not mis-snapped
+    xs, ys = np.array([0, 0.1, 0.3, 0.35, 0.6]), np.linspace(0, 1, 5)
+    for q in (0.6, 0.3):
+        with pytest.raises(ValueError, match="^nodes_u must be strictly increasing and evenly"):
+            snap_to_nodes(xs, ys, np.array([q]), np.array([0.0]))
+    far = np.linspace(1e9, 1e9 + 0.08, 9)
+    assert snap_to_nodes(ys, far, ys[1:3], far[[4]]) == (slice(1, 3), slice(4, 5))
 
 
 def test_grid_patch_snapping():
