@@ -33,7 +33,8 @@ __all__ = [
     "CatalogSurface",
     "CurveJet",
     "generate",
-    "PARAM_KINDS",
+    "PARAMS",
+    "REQUIRED",
     "orbit_surface",
     "line_curve",
     "helix_curve",
@@ -298,24 +299,30 @@ def _derived_expected(patch: SurfacePatch, Pi: Plane) -> PrincipalAngles:
     return principal_angles(Plane(*_tangent_frame(patch.jet(u, v)).T), Pi)
 
 
-# the parameters of each kind and their JSON kinds: "number", "range" (a list
-# of 2 numbers), "vector" (a list of 4 numbers), "string" and "coefficients"
-# (a matrix as a list of equally long lists of numbers); a reader of decoded
-# JSON checks them before ``generate`` converts them
-PARAM_KINDS = {
-    "clifford_torus": dict.fromkeys(("r1", "r2"), "number"),
-    "product_circles": dict.fromkeys(("r1", "r2"), "number"),
-    "product_helix_cylinder": dict.fromkeys(("theta", "radius", "pitch"), "number"),
-    "revolution_orbit": {"profile": "string",
-                         **dict.fromkeys(("theta", "offset", "a", "b", "z0", "R", "beta"),
-                                         "number"),
-                         **dict.fromkeys(("s_range", "phi_range"), "range")},
-    "plane": dict.fromkeys(("p0", "a", "b"), "vector"),
-    "graph_poly": {**dict.fromkeys(("f_coeffs", "g_coeffs"), "coefficients"),
-                   **dict.fromkeys(("x_range", "y_range"), "range")},
+# a parameter that has no default
+REQUIRED = object()
+
+# each kind's parameters, in the order the CLI names them, as (JSON kind,
+# default).  The JSON kinds are "number", "range" (a list of 2 numbers),
+# "vector" (a list of 4 numbers), "string" and "coefficients" (a matrix as a
+# list of equally long lists of numbers); a reader of decoded JSON checks
+# them before ``generate`` converts them.  A default of None is derived by
+# the kind from its other values.
+_RADII = {"r1": ("number", 1.0), "r2": ("number", 1.0)}
+PARAMS = {
+    "clifford_torus": _RADII,
+    "product_circles": _RADII,
+    "product_helix_cylinder": {"theta": ("number", REQUIRED), "radius": ("number", None),
+                               "pitch": ("number", None)},
+    "revolution_orbit": {"profile": ("string", "line"), "theta": ("number", math.pi / 6),
+                         "offset": ("number", 1.0), "a": ("number", 1.0), "b": ("number", 0.5),
+                         "z0": ("number", 1.0), "R": ("number", 1.0), "beta": ("number", 1.0),
+                         "s_range": ("range", None), "phi_range": ("range", (0.0, math.pi))},
+    "plane": {"p0": ("vector", ZERO4), "a": ("vector", E4[0]), "b": ("vector", E4[1])},
+    "graph_poly": {"f_coeffs": ("coefficients", REQUIRED),
+                   "g_coeffs": ("coefficients", REQUIRED),
+                   "x_range": ("range", (-1.0, 1.0)), "y_range": ("range", (-1.0, 1.0))},
 }
-# the parameters a kind cannot default
-REQUIRED_PARAMS = {"product_helix_cylinder": ("theta",), "graph_poly": ("f_coeffs", "g_coeffs")}
 
 
 def generate(kind: str, **params) -> CatalogSurface:
@@ -325,94 +332,82 @@ def generate(kind: str, **params) -> CatalogSurface:
     ``product_helix_cylinder(theta[, radius, pitch])``,
     ``revolution_orbit(profile, ...)``, ``plane(...)``,
     ``graph_poly(f_coeffs, g_coeffs, ...)``.  The parameters of each kind
-    are the keys of ``PARAM_KINDS[kind]``; any other, or a missing one of
-    ``REQUIRED_PARAMS[kind]``, raises ValueError.
+    and their defaults are ``PARAMS[kind]``; any other parameter, or a
+    missing one whose default is ``REQUIRED``, raises ValueError.
     """
-    if kind not in PARAM_KINDS:
+    if kind not in PARAMS:
         raise ValueError(f"unknown catalog kind {kind!r}")
     for key in params:
-        if key not in PARAM_KINDS[kind]:
+        if key not in PARAMS[kind]:
             raise ValueError(f"{kind} has no parameter {key!r}")
-    for key in REQUIRED_PARAMS.get(kind, ()):
-        if key not in params:
+    for key, (_, default) in PARAMS[kind].items():
+        if default is REQUIRED and key not in params:
             raise ValueError(f"{kind} needs the parameter {key!r}")
+    p = {key: float(value) if json_kind == "number" and value is not None else value
+         for key, (json_kind, default) in PARAMS[kind].items()
+         for value in [params.get(key, default)]}
     spec = {"kind": kind, **params}
     if kind in ("clifford_torus", "product_circles"):
-        r1 = float(params.get("r1", 1.0))
-        r2 = float(params.get("r2", 1.0))
-        patch = _product_circles_patch(r1, r2)
+        patch = _product_circles_patch(p["r1"], p["r2"])
         if kind == "clifford_torus":
-            patch.name = f"clifford_torus({r1},{r2})"
+            patch.name = f"clifford_torus({p['r1']},{p['r2']})"
         return CatalogSurface(patch, PI_12,
                               PrincipalAngles(0.0, math.pi / 2), spec)
 
     if kind == "product_helix_cylinder":
-        theta = float(params["theta"])
+        theta, radius, pitch = p["theta"], p["radius"], p["pitch"]
         if not (0.0 < theta < math.pi / 2):
             raise ValueError("slope angle must be in (0, pi/2)")
-        radius = params.get("radius")
-        pitch = params.get("pitch")
         if radius is None and pitch is None:
             radius = math.sin(theta)
             pitch = math.cos(theta)
         elif pitch is None:
-            pitch = float(radius) / math.tan(theta)
+            pitch = radius / math.tan(theta)
         elif radius is None:
-            radius = float(pitch) * math.tan(theta)
+            radius = pitch * math.tan(theta)
         else:
-            implied = math.atan2(float(radius), float(pitch))
+            implied = math.atan2(radius, pitch)
             if abs(implied - theta) > 1e-12:
                 raise ValueError(
                     f"radius/pitch imply slope {implied}, not {theta}")
-        if float(radius) <= 0:
+        if radius <= 0:
             raise ValueError("cylinder radius must be positive")
-        patch = _helix_cylinder_patch(theta, float(radius), float(pitch))
+        patch = _helix_cylinder_patch(theta, radius, pitch)
         return CatalogSurface(patch, PI_34, PrincipalAngles(0.0, theta), spec)
 
     if kind == "revolution_orbit":
-        profile = params.get("profile", "line")
+        profile = p["profile"]
         if profile == "line":
-            theta = float(params.get("theta", math.pi / 6))
-            offset = float(params.get("offset", 1.0))
-            d = math.cos(theta) * E4[0] + math.sin(theta) * E4[2]
-            gamma = line_curve(offset * E4[2], d)
-            s_range = params.get("s_range", (0.2, 1.2))
+            d = math.cos(p["theta"]) * E4[0] + math.sin(p["theta"]) * E4[2]
+            gamma = line_curve(p["offset"] * E4[2], d)
+            s_range = (0.2, 1.2)
             attach = PI_12
         elif profile == "helix":
-            a = float(params.get("a", 1.0))
-            b = float(params.get("b", 0.5))
-            z0 = float(params.get("z0", 1.0))
-            gamma = helix_curve(a, b, z0)
-            s_range = params.get("s_range", (0.0, 2.0))
+            gamma = helix_curve(p["a"], p["b"], p["z0"])
+            s_range = (0.0, 2.0)
             attach = PI_12
         elif profile == "spherical_helix":
-            R = float(params.get("R", 1.0))
-            beta = float(params.get("beta", 1.0))
-            gamma = spherical_helix_curve(R, beta)
-            umax = R * math.sin(beta)
-            s_range = params.get("s_range", (0.25 * umax, 0.75 * umax))
+            gamma = spherical_helix_curve(p["R"], p["beta"])
+            umax = p["R"] * math.sin(p["beta"])
+            s_range = (0.25 * umax, 0.75 * umax)
             attach = PI_34
         else:
             raise ValueError(f"unknown orbit profile {profile!r}")
-        phi_range = params.get("phi_range", (0.0, math.pi))
-        patch = orbit_surface(gamma, PI_12, tuple(s_range), tuple(phi_range),
+        if p["s_range"] is not None:
+            s_range = p["s_range"]
+        patch = orbit_surface(gamma, PI_12, tuple(s_range), tuple(p["phi_range"]),
                               name=f"revolution_orbit({profile})")
         return CatalogSurface(patch, attach, _derived_expected(patch, attach), spec)
 
     if kind == "plane":
-        p0 = params.get("p0", np.zeros(4))
-        a = params.get("a", E4[0])
-        b = params.get("b", E4[1])
-        patch = _plane_patch(p0, a, b)
+        patch = _plane_patch(p["p0"], p["a"], p["b"])
         return CatalogSurface(patch, PI_12, _derived_expected(patch, PI_12), spec)
 
     # graph_poly, the last kind
-    f_coeffs = np.atleast_2d(np.asarray(params["f_coeffs"], dtype=float))
-    g_coeffs = np.atleast_2d(np.asarray(params["g_coeffs"], dtype=float))
-    x_range = tuple(params.get("x_range", (-1.0, 1.0)))
-    y_range = tuple(params.get("y_range", (-1.0, 1.0)))
-    patch = graph_patch(_poly2d(f_coeffs), _poly2d(g_coeffs), x_range, y_range,
-                        name="graph_poly")
+    f_coeffs, g_coeffs = (np.atleast_2d(np.asarray(p[k], dtype=float))
+                          for k in ("f_coeffs", "g_coeffs"))
+    patch = graph_patch(_poly2d(f_coeffs), _poly2d(g_coeffs), tuple(p["x_range"]),
+                        tuple(p["y_range"]), name="graph_poly")
     return CatalogSurface(patch, PI_12, _derived_expected(patch, PI_12), spec)
 
 

@@ -201,7 +201,7 @@ def _is_matrix(v) -> bool:
             and all(map(_numbers(len(v[0])).test, v)))
 
 
-# the kind of each name in ``catalog.PARAM_KINDS``
+# the reader of each JSON kind of ``catalog.PARAMS``
 CATALOG_KINDS = {
     "number": NUMBER,
     "range": _numbers(2),
@@ -364,14 +364,14 @@ def _surface_from_config(cfg: dict):
                              for k in ("surface", "graph", "plane"))
     if surface is not None:
         kind = _field(surface, "surface.kind", STRING)
-        params = catalog.PARAM_KINDS.get(kind, {})   # an unknown kind: exit 3 below
+        params = catalog.PARAMS.get(kind, {})   # an unknown kind: exit 3 below
         for key in surface:
             if params and key not in ("kind", *params):
                 raise CliError(EXIT_PARSE, f"config surface.{key} is not a parameter of "
                                            f"{kind} (it takes {', '.join(params)})")
-        values = {key: _field(surface, f"surface.{key}", CATALOG_KINDS[param_kind])
-                  for key, param_kind in params.items()
-                  if key in surface or key in catalog.REQUIRED_PARAMS.get(kind, ())}
+        values = {key: _field(surface, f"surface.{key}", CATALOG_KINDS[json_kind])
+                  for key, (json_kind, default) in params.items()
+                  if key in surface or default is catalog.REQUIRED}
         try:
             with np.errstate(over="raise", invalid="raise"):   # FloatingPointError: exit 4
                 cs = catalog.generate(kind, **values)

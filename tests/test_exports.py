@@ -60,6 +60,11 @@ def test_removed_graph_and_problem_names_stay_removed():
         assert not hasattr(helix_construct.PDEProblem, name), name
     # default_problem walks the scanned seeds itself
     assert not hasattr(helix_construct, "choose_feasible_seed")
+    # each catalog kind's parameters, their JSON kinds and defaults are one
+    # table, catalog.PARAMS
+    catalog = importlib.import_module("helix4.catalog")
+    for name in ("PARAM_KINDS", "REQUIRED_PARAMS"):
+        assert not hasattr(catalog, name), name
 
 
 def test_helix_construct_imports_no_private_name():
