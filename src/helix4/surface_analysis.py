@@ -361,9 +361,12 @@ def fundamental_forms(jet: SurfaceJet) -> FundamentalForms:
     for a jet at one point or over a grid."""
     pu, pv = jet.p_u, jet.p_v
     E, F, G = _dot(pu, pu), _dot(pu, pv), _dot(pv, pv)
-    W = np.asarray(E * G - F * F)
-    # degenerate or overflowed (inf, NaN); a NaN sample fails later, as pointwise
-    bad = ~((W > 1e-14) & (W < math.inf)) & ~np.isnan(E + G)
+    EG = E * G
+    W = np.asarray(EG - F * F)
+    # degenerate (W / EG is the squared sine of the angle between p_u and p_v,
+    # so the test does not depend on scale) or overflowed (inf, NaN); a NaN
+    # sample fails later, as pointwise
+    bad = ~((W > 1e-14 * EG) & (W < math.inf)) & ~np.isnan(E + G)
     if bad.any():
         raise ImmersionError(f"degenerate or non-finite metric: EG - F^2 = {W[bad][0]}")
 
@@ -387,7 +390,7 @@ def _tangent_frame(jet: SurfaceJet) -> np.ndarray:
     u1 = jet.p_u / np.linalg.norm(jet.p_u, axis=-1, keepdims=True)
     w = jet.p_v - _dot(jet.p_v, u1)[..., None] * u1
     n = np.linalg.norm(w, axis=-1, keepdims=True)
-    if (n < 1e-12 * np.maximum(1.0, np.linalg.norm(jet.p_v, axis=-1, keepdims=True))).any():
+    if (n <= 1e-12 * np.linalg.norm(jet.p_v, axis=-1, keepdims=True)).any():
         raise ImmersionError("tangent vectors are parallel")
     return np.stack([u1, w / n], axis=-1)
 

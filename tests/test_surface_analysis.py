@@ -86,6 +86,31 @@ def test_degenerate_metric_rejected():
         fundamental_forms(jet)
 
 
+@pytest.mark.parametrize("p_v", [np.eye(4)[0], 1e-20 * np.eye(4)[0], np.zeros(4)],
+                         ids=["parallel", "parallel-tiny", "zero"])
+def test_parallel_tangents_have_no_tangent_frame(p_v):
+    jet = SurfaceJet(p=np.zeros(4), p_u=np.eye(4)[0], p_v=p_v,
+                     p_uu=np.zeros(4), p_uv=np.zeros(4), p_vv=np.zeros(4))
+    with pytest.raises(ImmersionError, match="tangent vectors are parallel"):
+        _tangent_frame(jet)
+
+
+# principal angles do not depend on scale, and neither do the immersion
+# checks: these tori were refused as degenerate, EG - F^2 = r^4 <= 1e-14
+@pytest.mark.parametrize("radius", [1e-4, 1e-13])
+def test_small_tori_verify_with_their_angles(radius):
+    cs = generate("product_circles", r1=radius, r2=radius)
+    stats = verify_helix(cs.patch, cs.plane, (12, 12)).to_json_dict()["angle_stats"]
+    assert [stats[k]["std"] for k in ("theta1", "theta2")] == [0.0, 0.0]
+    assert (stats["theta1"]["mean"], stats["theta2"]["mean"]) == (0.0, math.pi / 2)
+
+
+def test_a_torus_whose_metric_underflows_is_degenerate():
+    cs = generate("product_circles", r1=1e-150, r2=1e-150)   # E G = 1e-600 is 0.0
+    with pytest.raises(ImmersionError, match="EG - F"):
+        verify_helix(cs.patch, cs.plane, (12, 12))
+
+
 def test_alpha_is_normal():
     cs = named_example("orbit_helix")
     rng = np.random.default_rng(2)
