@@ -87,7 +87,7 @@ def _patch(u_range, v_range, name: str, fields) -> SurfacePatch:
 # product examples
 # ---------------------------------------------------------------------------
 
-def _product_circles_patch(r1: float, r2: float) -> SurfacePatch:
+def _product_circles_patch(kind: str, r1: float, r2: float) -> SurfacePatch:
     if r1 <= 0 or r2 <= 0:
         raise ValueError("circle radii must be positive")
 
@@ -100,8 +100,7 @@ def _product_circles_patch(r1: float, r2: float) -> SurfacePatch:
                 ZERO4,
                 (0.0, 0.0, -r2 * cv, -r2 * sv))
 
-    return _patch((0.0, 2 * math.pi), (0.0, 2 * math.pi),
-                  f"product_circles({r1},{r2})", fields)
+    return _patch((0.0, 2 * math.pi), (0.0, 2 * math.pi), f"{kind}({r1},{r2})", fields)
 
 
 def _helix_cylinder_patch(theta: float, radius: float, pitch: float) -> SurfacePatch:
@@ -326,15 +325,9 @@ PARAMS = {
 
 
 def generate(kind: str, **params) -> CatalogSurface:
-    """Generate a catalog surface by kind.
-
-    Kinds: ``clifford_torus(r1, r2)``, ``product_circles(r1, r2)``,
-    ``product_helix_cylinder(theta[, radius, pitch])``,
-    ``revolution_orbit(profile, ...)``, ``plane(...)``,
-    ``graph_poly(f_coeffs, g_coeffs, ...)``.  The parameters of each kind
-    and their defaults are ``PARAMS[kind]``; any other parameter, or a
-    missing one whose default is ``REQUIRED``, raises ValueError.
-    """
+    """The catalog surface of ``kind`` (a key of ``PARAMS``) with the
+    parameters ``params``; a parameter not in ``PARAMS[kind]``, or a missing
+    one whose default is ``REQUIRED``, raises ValueError."""
     if kind not in PARAMS:
         raise ValueError(f"unknown catalog kind {kind!r}")
     for key in params:
@@ -348,9 +341,7 @@ def generate(kind: str, **params) -> CatalogSurface:
          for value in [params.get(key, default)]}
     spec = {"kind": kind, **params}
     if kind in ("clifford_torus", "product_circles"):
-        patch = _product_circles_patch(p["r1"], p["r2"])
-        if kind == "clifford_torus":
-            patch.name = f"clifford_torus({p['r1']},{p['r2']})"
+        patch = _product_circles_patch(kind, p["r1"], p["r2"])
         return CatalogSurface(patch, PI_12,
                               PrincipalAngles(0.0, math.pi / 2), spec)
 

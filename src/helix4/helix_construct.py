@@ -29,8 +29,10 @@ which is marched in y from Cauchy data f(x,0), f_y(x,0).  Since
 E_u(-v, u) = -E_u(u, v), the two characteristic slopes multiply to -1, so the
 faster family always exceeds |dx/dy| = 1; each output step is therefore taken
 as several internal midpoint sub-steps chosen to respect the CFL bound, and
-the x-window shrinks by one stencil per internal step (discrete domain of
-dependence; no artificial boundary data is ever invented).
+the x-window loses one node at each end per sub-step.  That is no discrete
+domain of dependence: each of a sub-step's two stages reads one more node on
+each side, and the stages' end nodes take the one-sided closures of ``fd_d1``
+and ``fd_d2`` (see the README, "How construction works").
 """
 
 from __future__ import annotations
@@ -161,7 +163,8 @@ class SolverHalt(RuntimeError):
 def _seed_scan(c1: float, branch: int = 1):
     """(u, v, score) of the polar-grid points over the annulus interior (5%
     boundary margin) whose min(|E_u(u,v)|, |E_v(-v,u)|) exceeds 1e-3, in grid
-    order; fails with a diagnostic when there are none (c1 too close to 2)."""
+    order; fails with a diagnostic when there are none (c1 too close to 2).
+    ``c1`` here and in the diagnostics is c = c1/c2 of ``HelixParams``."""
     dmin, dmax = annulus_bounds(c1)
     width = dmax - dmin
     if 0.05 * width <= 1e-3:
@@ -187,7 +190,8 @@ def _seed_scan(c1: float, branch: int = 1):
 
 def find_noncharacteristic_seed(c1: float, branch: int = 1) -> tuple[float, float]:
     """The best-scoring gradient seed (u0, v0) of the annulus scan, the
-    first that ``default_problem`` tries; deterministic for fixed c1."""
+    first that ``default_problem`` tries; deterministic for fixed c1, which
+    is the normalized constant c = c1/c2 of ``HelixParams``."""
     u, v, score = _seed_scan(c1, branch)
     k = int(np.argmax(score))
     return float(u[k]), float(v[k])
@@ -226,11 +230,12 @@ class PDEProblem:
     """Cauchy data for the construction PDE (determinant-normalized system).
 
     ``phi`` maps x-nodes to (values, first, second derivatives); ``psi`` to
-    (values, first derivatives).  (u0, v0) is the gradient base point.  The
-    seed, the window (``check_window``) and the non-characteristic
-    conditions along the whole initial segment are checked when the problem
-    is built, which sets the x-nodes ``x`` (read-only) and the number of
-    y-steps each way ``n_steps``.
+    (values, first derivatives).  (u0, v0) is the gradient base point.
+    ``c1`` is the normalized constant c = c1/c2 > 2 of ``HelixParams``, not
+    its ``c1`` = tan^2(theta1) + tan^2(theta2).  The seed, the window
+    (``check_window``) and the non-characteristic conditions along the whole
+    initial segment are checked when the problem is built, which sets the
+    x-nodes ``x`` (read-only) and the number of y-steps each way ``n_steps``.
     """
 
     c1: float
@@ -298,7 +303,8 @@ def paper_initial_data(u0: float, v0: float, curvature: float = 1.0):
 def default_problem(c1: float, x_range=(-0.05, 0.05), y_max=0.006,
                     hx=1e-3, hy=1e-3, seed: tuple[float, float] | None = None,
                     curvature: float = 1.0, branch: int = 1) -> PDEProblem:
-    """The problem of paper-style Cauchy data at ``seed``.
+    """The problem of paper-style Cauchy data at ``seed`` for ``c1``, the
+    normalized constant c = c1/c2 of ``HelixParams`` (also in the diagnostic).
 
     With no seed, the window is checked and the scanned seeds are walked in
     stable score order (at most 600): the best one can sit close to the
@@ -333,7 +339,8 @@ class SolutionGrid:
     """Marching output: f and f_y on a trapezoidal valid region.
 
     Arrays are indexed [row, column] with row j at y = y[j]; invalid entries
-    are NaN and ``valid`` marks the retained trapezoid.  ``g`` and the
+    are NaN and ``valid`` marks the retained trapezoid.  ``c1`` is the
+    problem's normalized constant c = c1/c2 of ``HelixParams``.  ``g`` and the
     per-cell path-independence defect appear after :func:`recover_g`.
     """
 

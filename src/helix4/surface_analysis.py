@@ -363,9 +363,8 @@ def fundamental_forms(jet: SurfaceJet) -> FundamentalForms:
     E, F, G = _dot(pu, pu), _dot(pu, pv), _dot(pv, pv)
     EG = E * G
     W = np.asarray(EG - F * F)
-    # degenerate (W / EG is the squared sine of the angle between p_u and p_v,
-    # so the test does not depend on scale) or overflowed (inf, NaN); a NaN
-    # sample fails later, as pointwise
+    # degenerate (W / EG is the squared sine of the angle of p_u and p_v, free
+    # of scale) or overflowed (inf, NaN); a NaN sample fails later, as pointwise
     bad = ~((W > 1e-14 * EG) & (W < math.inf)) & ~np.isnan(E + G)
     if bad.any():
         raise ImmersionError(f"degenerate or non-finite metric: EG - F^2 = {W[bad][0]}")

@@ -1073,6 +1073,10 @@ def test_verify_reversed_domain_is_kept(tmp_path, capsys):
      "config seed.v0 "),
     (("--seed", "nan,1"), None, EXIT_PARSE, "seed"),
     (("--seed", ".5,1"), None, EXIT_PARSE, "seed"),
+    ((), {"c1": 3.3333333333, "phi": "x +", "psi": "x"}, EXIT_PARSE,
+     "error: phi: unexpected end of input (at offset 3)"),
+    ((), {"c1": 3.3333333333, "phi": "x*y", "psi": "x"}, EXIT_PRECONDITION,
+     "error: phi must be a function of x only"),
     (("--curvature", "nan"), None, EXIT_PRECONDITION, "--curvature"),
     (("--curvature", "inf"), None, EXIT_PRECONDITION, "--curvature"),
     (("--gate", "nan"), None, EXIT_PRECONDITION, "--gate"),
@@ -1084,7 +1088,7 @@ def test_verify_reversed_domain_is_kept(tmp_path, capsys):
         "config-psi-number", "config-phi-list", "config-x-entry-true",
         "config-hx-true", "config-ymax-string", "config-branch-true",
         "config-seed-u0-string", "config-seed-v0-true", "seed-nan",
-        "seed-not-json-numbers", "curvature-nan",
+        "seed-not-json-numbers", "config-phi-incomplete", "config-phi-of-y", "curvature-nan",
         "curvature-inf", "gate-nan", "gate-inf"])
 def test_construct_window_is_checked_before_the_seed_scan(
         tmp_path, capsys, monkeypatch, options, config, code, named):

@@ -178,6 +178,12 @@ def test_symplecto_check_linear_cases():
     assert dev_j == pytest.approx(abs(1 - P2.c2), abs=1e-12)
 
 
+def test_symplecto_check_needs_a_positive_c2():
+    P = HelixParams(0.0, 0.5)   # c2 = tan(theta1) tan(theta2) = 0
+    with pytest.raises(ValueError, match="needs c2 > 0"):
+        symplecto_check(linear_graph(0.5, 0.5), P)
+
+
 # ---------------------------------------------------------------------------
 # seeds and problem validation
 # ---------------------------------------------------------------------------
@@ -411,6 +417,23 @@ def test_rect_leaves_out_rows_narrower_than_8_columns():
     assert (rs.start, rs.stop) == (1, 20)
     assert cs.stop - cs.start == 9
     assert sol.valid[rs, cs].all()
+
+
+def test_rect_needs_8_columns_that_its_rows_share(solved):
+    # three rows of 8 valid nodes each, shifted by 2 columns a row: they
+    # share only columns 4 to 7
+    _, sol = solved
+    valid = np.zeros_like(sol.valid)
+    for j in range(3):
+        valid[j, 2 * j:2 * j + 8] = True
+    with pytest.raises(ValueError, match="valid rectangle narrower than 8 columns"):
+        replace(sol, valid=valid).rect()
+
+
+def test_solution_graph_needs_the_recovered_g(solved):
+    _, sol = solved
+    with pytest.raises(ValueError, match="recover_g must run before building the graph"):
+        solution_graph(replace(sol, g=None))
 
 
 def test_general_angles_via_feasible_seed():
