@@ -26,12 +26,18 @@ f.  With E(u, v) = (u + lam v)/Delta it reads
         + E_u(-f_y, f_x) f_yy = 0,
 
 which is marched in y from Cauchy data f(x,0), f_y(x,0).  Since
-E_u(-v, u) = -E_u(u, v), the two characteristic slopes multiply to -1, so the
-faster family always exceeds |dx/dy| = 1; each output step is therefore taken
-as several internal midpoint sub-steps chosen to respect the CFL bound, and
-the x-window loses one node at each end per sub-step.  That is no discrete
-domain of dependence: each of a sub-step's two stages reads one more node on
-each side, and the stages' end nodes take the one-sided closures of ``fd_d1``
+E_u(-v, u) = -E_u(u, v), it reads w_y = f_xx + beta w_x for w = f_y, p = f_x:
+
+    beta = 2 (r mu - q)/(r + q mu),   r = w^2 - p^2,   q = 2 p w,
+    mu = (2 - c Delta)/(2 lam),       (r + q mu)/Delta^2 = E_u(p, w).
+
+Its characteristic slopes multiply to -1, so the faster family exceeds
+|dx/dy| = 1; each output step takes k >= 2|hy|/hx midpoint sub-steps within
+the CFL bound, each followed by a Kreiss-Oliger filter that holds the
+odd-even grid mode to a net factor <= 0.894 per sub-step, and the x-window
+loses one node at each end per sub-step.  That is no discrete domain of
+dependence: each of a sub-step's two stages reads one more node on each
+side, and the stages' end nodes take the one-sided closures of ``fd_d1``
 and ``fd_d2`` (see the README, "How construction works").
 """
 
@@ -70,6 +76,7 @@ __all__ = [
 SQRT_CLAMP = 1e-12          # values of c*Delta - 1 - Delta^2 in [-clamp, 0) -> 0
 ANNULUS_MARGIN = 1e-3       # fraction of annulus width kept clear of the boundary
 CFL_TARGET = 0.8
+KO_EPSILON = 0.2            # Kreiss-Oliger filter strength of the march
 
 
 # ---------------------------------------------------------------------------
@@ -379,75 +386,77 @@ class SolutionGrid:
         return slice(rows[0], rows[-1] + 1), slice(lo, hi + 1)
 
 
-def _sigma_max(a, b, cc) -> np.ndarray:
-    """Fastest characteristic slope |dx/dy| of each row."""
-    disc = np.sqrt(np.maximum(b * b - 4.0 * a * cc, 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s1 = np.abs((b + disc) / (2.0 * cc))
-        s2 = np.abs((b - disc) / (2.0 * cc))
-    return np.nanmax(np.maximum(s1, s2), axis=-1)
-
-
-def _march(f: np.ndarray, w: np.ndarray, hy: np.ndarray, n_steps: int,
-           c: float, hx: float, tol_char: float, branch: int = 1,
-           iL: int = 0) -> list[tuple[list, str]]:
+def _march(S: np.ndarray, hy: np.ndarray, n_steps: int, c: float, hx: float,
+           tol_char: float, branch: int = 1, iL: int = 0) -> list[tuple[list, str]]:
     """March R rows of Cauchy data that share one x-window.
 
-    ``f`` and ``w`` are (R, n) states on the nodes iL .. iL + n - 1; row r
-    steps by hy[r].  The rows advance as one array while they take the same
-    number of sub-steps and the same edge trims and none of them halts.  At
-    the first output step where that fails, the march goes back to the start
-    of the step and each row continues alone (R = 1) through this function,
-    so every row gets exactly the arithmetic of a march of its own.
+    ``S`` stacks (R, n) states f over w = f_y on the nodes iL .. iL + n - 1;
+    row r steps by hy[r].  The rows advance as one array while they take the
+    same number of sub-steps and the same edge trims and none of them halts.
+    At the first output step where that fails, the march goes back to the
+    start of the step and each row continues alone (R = 1) through this
+    function, so every row gets exactly the arithmetic of a march of its own.
 
     Returns, per row, (steps, reason): the (f, w, iL, iR) state after each
     completed output step and the termination reason.
     """
     lo, hi = _band(c)
+    R = S.shape[0] // 2
 
-    def coefficients(p, w, delta=None):
-        """Quasilinear coefficients (a, b, cc) at the gradient (p, w)."""
-        Eu, Ev = _E_pair(p, w, c, branch, delta)
-        return Eu[0], Ev[0] - Ev[1], Eu[1]
-
-    def rhs(f, w, a, b, cc):
-        if np.min(np.abs(cc)) < tol_char:
+    def beta(S, D1):
+        """beta of w_y = f_xx + beta w_x, where a = E_u(f_x, w) must not vanish."""
+        p, w = D1[:R], S[R:]
+        delta = p * p + w * w
+        lam = _lam(delta, c, branch)
+        mu = (2.0 - c * delta) / (2.0 * (lam if lam.all() else np.where(lam != 0, lam, np.inf)))
+        r, q = w * w - p * p, 2.0 * p * w
+        a_delta2 = r + q * mu
+        if np.any(np.abs(a_delta2) < tol_char * (delta * delta)):
             raise SolverHalt("characteristic-degeneracy")
-        return -(a * fd_d2(f, hx, axis=-1) + b * fd_d1(w, hx, axis=-1)) / cc
+        return 2.0 * (r * mu - q) / a_delta2
 
-    R = f.shape[0]
+    def rhs(S, D1, bt):
+        return np.concatenate((S[R:], fd_d2(S[:R], hx, axis=-1) + bt * D1[R:]))
+
     steps: list[list] = [[] for _ in range(R)]
-    iR = iL + f.shape[1] - 1
-    p = fd_d1(f, hx, axis=-1)        # f_x and |grad f|^2, kept from each trim check
-    delta = p * p + w * w
+    iR = iL + S.shape[1] - 1
+    D1 = fd_d1(S, hx, axis=-1)       # f_x over w_x, kept from each trim check
     for done in range(n_steps):
-        start = f, w, iL
+        start = S, iL
         try:
-            coef = coefficients(p, w, delta)
-            k = {max(1, int(math.ceil(abs(h) * s / (CFL_TARGET * hx))))
-                 for h, s in zip(hy, _sigma_max(*coef))}
+            bt = beta(S, D1)
+            m = np.nanmax(np.abs(bt), axis=-1)
+            # the CFL rule, with at least 2 |hy|/hx sub-steps so that |z| <= 1 below
+            k = {max(math.ceil(abs(h) * 0.5 * (mr + math.sqrt(mr * mr + 4.0)) / (CFL_TARGET * hx)),
+                     math.ceil(2.0 * abs(h) / hx)) for h, mr in zip(hy, m)}
             if len(k) > 1:
                 raise SolverHalt("rows-differ")      # only possible for R > 1
             k = k.pop()
-            sub = (hy / k)[:, None]
+            sub = np.concatenate((hy, hy))[:, None] / k
             for s in range(k):
                 if iR - iL < 8:
                     raise SolverHalt("window-exhausted")
                 if s:
-                    coef = coefficients(p, w, delta)
-                k1f, k1w = w, rhs(f, w, *coef)
-                fh = f + 0.5 * sub * k1f
-                wh = w + 0.5 * sub * k1w
-                k2f, k2w = wh, rhs(fh, wh, *coefficients(fd_d1(fh, hx, axis=-1), wh))
-                f = f + sub * k2f
-                w = w + sub * k2w
+                    bt = beta(S, D1)
+                Sh = S + 0.5 * sub * rhs(S, D1, bt)
+                D1 = fd_d1(Sh, hx, axis=-1)
+                S = S + sub * rhs(Sh, D1, beta(Sh, D1))
+                # Kreiss-Oliger filter.  On the odd-even mode (-1)^i the centred
+                # f_xx is -4 f/hx^2 and w_x is 0, so there the march has the
+                # eigenvalues +-2i/hx, z = 2i hy/(k hx) per sub-step, and the
+                # midpoint rule amplifies it by sqrt(1 + |z|^4/4).  The fourth
+                # difference of that mode is 16 times it, so the filter scales it
+                # by 1 - KO_EPSILON, and the net factor per sub-step is
+                # (1 - KO_EPSILON) sqrt(1 + |z|^4/4) <= 0.8 sqrt(5/4) = 0.894.
+                S[:, 2:-2] -= KO_EPSILON / 16.0 * (S[:, :-4] - 4.0 * S[:, 1:-3] + 6.0 * S[:, 2:-2]
+                                                   - 4.0 * S[:, 3:-1] + S[:, 4:])
                 iL += 1
                 iR -= 1
-                f, w = f[:, 1:-1], w[:, 1:-1]
+                S = S[:, 1:-1]
                 # adaptive edge trim while the gradient drifts toward the
                 # annulus boundary
-                p = fd_d1(f, hx, axis=-1)
-                delta = p * p + w * w
+                D1 = fd_d1(S, hx, axis=-1)
+                delta = D1[:R] * D1[:R] + S[R:] * S[R:]
                 bad = (delta <= lo) | (delta >= hi)
                 ends = bad[:, [0, -1]]
                 while ends.any():
@@ -455,33 +464,32 @@ def _march(f: np.ndarray, w: np.ndarray, hy: np.ndarray, n_steps: int,
                         raise SolverHalt("rows-differ")
                     if ends[0, 0]:
                         iL += 1
-                        f, w, bad = f[:, 1:], w[:, 1:], bad[:, 1:]
+                        S, bad = S[:, 1:], bad[:, 1:]
                     if ends[0, 1]:
                         iR -= 1
-                        f, w, bad = f[:, :-1], w[:, :-1], bad[:, :-1]
+                        S, bad = S[:, :-1], bad[:, :-1]
                     if iR - iL < 8:
                         raise SolverHalt("window-exhausted")
                     ends = bad[:, [0, -1]]
-                    p = fd_d1(f, hx, axis=-1)    # the end stencil moved with the edge
-                    delta = p * p + w * w
+                    D1 = fd_d1(S, hx, axis=-1)    # the end stencil moved with the edge
                 if np.any(bad):
                     raise SolverHalt("annulus-margin")
         except SolverHalt as halt:
             if R == 1:
                 return [(steps[0], halt.args[0])]
-            f, w, iL = start
-            alone = (_march(f[r:r + 1], w[r:r + 1], hy[r:r + 1], n_steps - done,
-                            c, hx, tol_char, branch, iL)[0] for r in range(R))
+            S, iL = start
+            alone = (_march(S[[r, R + r]], hy[r:r + 1], n_steps - done, c, hx, tol_char,
+                            branch, iL)[0] for r in range(R))
             return [(kept + more, reason) for kept, (more, reason) in zip(steps, alone)]
         for r in range(R):
-            steps[r].append((f[r], w[r], iL, iR))
+            steps[r].append((S[r], S[R + r], iL, iR))
     return [(rows, "completed") for rows in steps]
 
 
 def solve_pde(prob: PDEProblem) -> SolutionGrid:
-    """Solve the construction PDE by explicit midpoint marching in +-y.
+    """Solve the construction PDE by filtered explicit midpoint marching in +-y.
 
-    Both directions march as one (2, n) state (see :func:`_march`).  The
+    Both directions march as one stacked (f; w) state (see :func:`_march`).  The
     initial row reproduces the Cauchy data exactly.  Each column is kept
     only while the gradient stays inside the annulus by margin and the f_yy
     coefficient stays away from zero; a partial grid with the termination
@@ -503,9 +511,8 @@ def solve_pde(prob: PDEProblem) -> SolutionGrid:
     f[j0], fy[j0] = f0, psi0
     valid[j0] = True
 
-    marches = _march(np.stack([f0, f0]), np.stack([psi0, psi0]),
-                     np.array([prob.hy, -prob.hy]), n_steps, prob.c1, prob.hx,
-                     tol_char, prob.branch)
+    marches = _march(np.stack([f0, f0, psi0, psi0]), np.array([prob.hy, -prob.hy]),
+                     n_steps, prob.c1, prob.hx, tol_char, prob.branch)
     for sign, (steps, _) in zip((1, -1), marches):
         for k, (fr, wr, iL, iR) in enumerate(steps, start=1):
             j = j0 + sign * k

@@ -104,6 +104,9 @@ COMMANDS = [
     _with_config("construct-custom", ["construct"],
                  {"c1": 3.3333333333, "phi": "x^2 + 0.3*x", "psi": "x + 0.9"}),
     ("construct-gate", ["construct", *THETAS, "--gate", "1e-12"], None),
+    # hy = 0.69 hx over 96 steps each way
+    ("construct-hy-below-hx", ["construct", *THETAS, "--hx", "2.5e-4", "--hy", "1.725e-4",
+                               "--ymax", "0.01656", "--verify"], None),
     # documented failures
     ("angles-one-plane", ["angles", "--v", json.dumps(P12)], None),
     ("deform-m-alone", ["deform", "--m", "1"], None),

@@ -256,6 +256,20 @@ def test_bundle_layers_are_the_solution_graph_node_for_node(tmp_path, capsys):
         assert layer.tobytes() == np.ascontiguousarray(node_arrays[k].T).tobytes(), k
 
 
+@pytest.mark.parametrize("window", [
+    ("--hx", "2.5e-4", "--hy", "1.725e-4", "--ymax", "0.01656"),
+    ("--hx", "2.5e-4", "--hy", "2.5e-4", "--ymax", "0.024"),
+], ids=["hy-0.69-hx", "96-steps"])
+def test_long_construct_marches_stay_accurate(capsys, window):
+    # 96 output steps each way; an undamped odd-even grid mode grew by 1.38
+    # (hy = 0.69 hx) or 1.118 (hy = hx) per midpoint sub-step
+    code, out, _ = run(capsys, "construct", *THETAS, *window, "--verify")
+    d = json.loads(out)
+    assert code == EXIT_OK and d["passed"] is True
+    assert d["termination"] == {"up": "completed", "down": "completed"}
+    assert d["max_loop_defect"] < 1e-10
+
+
 def test_construct_equal_angles_rejected(capsys):
     assert run(capsys, "construct", "--theta1", "0.5", "--theta2", "0.5") == (
         EXIT_PRECONDITION, "",

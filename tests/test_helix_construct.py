@@ -530,7 +530,7 @@ def test_composition_test_on_pde_surface(solved):
 @pytest.mark.parametrize("name, verdict", [
     ("solution-graph", CompositionVerdict(
         True, False, False, False, False, True, "", 1.0,
-        1.0622784024584995, 1.7163317040064743)),
+        1.06227931144848, 1.716335578687577)),
     ("orbit_helix", CompositionVerdict(
         False, None, False, False, False, True,
         "criterion inapplicable for these angles", 1.0,

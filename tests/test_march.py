@@ -1,13 +1,14 @@
 """The stacked +-y march of solve_pde against a one-direction oracle.
 
-``solve_pde`` marches up and down as one (2, n) state and splits into two
-single-row marches at the first output step where the rows disagree on the
-sub-step count or the edge trims, or one of them halts.  The oracle below
-marches each direction on its own, one row at a time, with two separate
-E-partials evaluations per coefficient set, and integrates g with explicit
-row loops.  It keeps its own copy of the E-partials and lambda formulas, so a
-change to the kernel's arithmetic cannot move the oracle with it.  The
-arithmetic is the same, so everything must agree bit for bit.
+``solve_pde`` marches up and down as one stacked (f; w) state and splits
+into two single-row marches at the first output step where the rows disagree
+on the sub-step count or the edge trims, or one of them halts.  The oracle
+below marches each direction on its own, with f and w as separate arrays,
+and integrates g with explicit row loops.  It keeps its own copy of the
+lambda and E-partials formulas, of the closed-form coefficient beta, of the
+sub-step rule and of the Kreiss-Oliger filter, so a change to the kernel's
+arithmetic cannot move the oracle with it.  The arithmetic is the same, so
+everything must agree bit for bit.
 """
 
 import math
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 from helix4 import helix_construct as hc
-from helix4.helix_construct import (ANNULUS_MARGIN, CFL_TARGET, SQRT_CLAMP,
+from helix4.helix_construct import (ANNULUS_MARGIN, CFL_TARGET, KO_EPSILON, SQRT_CLAMP,
                                     SolutionGrid, SolverHalt, annulus_bounds)
 from helix4.surface_analysis import fd_d1, fd_d2
 
@@ -55,19 +56,36 @@ def oracle_E_partials(u, v, c, branch=1):
     return E_u, E_v
 
 
-def oracle_coefficients(f, w, hx, c, branch=1):
-    p = fd_d1(f, hx)
-    Eu_f, Ev_f = oracle_E_partials(p, w, c, branch)
-    Eu_r, Ev_r = oracle_E_partials(-w, p, c, branch)
-    return Eu_f, Ev_f - Ev_r, Eu_r
+def oracle_a_beta(p, w, c, branch=1):
+    """(a Delta^2, beta) at the gradient (p, w) by the closed form: the march
+    equation w_y = f_xx + beta w_x has a = E_u(p, w) = -E_u(-w, p) =
+    (r + q mu)/Delta^2 and beta = b/a = 2 (r mu - q)/(r + q mu), with
+    r = w^2 - p^2, q = 2pw and mu = (2 - c Delta)/(2 lambda)."""
+    delta = p * p + w * w
+    lam = oracle_lam(delta, c, branch)
+    lam_safe = np.where(lam != 0, lam, np.inf)
+    mu = (2.0 - c * delta) / (2.0 * lam_safe)
+    r = w * w - p * p
+    q = 2.0 * p * w
+    a_delta2 = r + q * mu
+    return a_delta2, 2.0 * (r * mu - q) / a_delta2
 
 
-def oracle_sigma_max(a, b, cc):
-    disc = np.sqrt(np.maximum(b * b - 4.0 * a * cc, 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s1 = np.abs((b + disc) / (2.0 * cc))
-        s2 = np.abs((b - disc) / (2.0 * cc))
-    return float(np.nanmax(np.maximum(s1, s2)))
+def oracle_beta(p, w, c, tol_char, branch=1):
+    """beta at (p, w); halts where |a| < tol_char."""
+    a_delta2, beta = oracle_a_beta(p, w, c, branch)
+    delta = p * p + w * w
+    if np.any(np.abs(a_delta2) < tol_char * (delta * delta)):
+        raise SolverHalt("characteristic-degeneracy")
+    return beta
+
+
+def oracle_filter(v):
+    """Kreiss-Oliger dissipation of strength KO_EPSILON on the interior."""
+    out = v.copy()
+    out[2:-2] = v[2:-2] - KO_EPSILON / 16.0 * (v[:-4] - 4.0 * v[1:-3] + 6.0 * v[2:-2]
+                                              - 4.0 * v[3:-1] + v[4:])
+    return out
 
 
 def oracle_march(x, f0, w0, hy, n_steps, c, hx, tol_char, branch=1):
@@ -76,10 +94,8 @@ def oracle_march(x, f0, w0, hy, n_steps, c, hx, tol_char, branch=1):
     margin = ANNULUS_MARGIN * (dmax - dmin)
 
     def rhs(f, w):
-        a, b, cc = oracle_coefficients(f, w, hx, c, branch)
-        if np.min(np.abs(cc)) < tol_char:
-            raise SolverHalt("characteristic-degeneracy")
-        return -(a * fd_d2(f, hx) + b * fd_d1(w, hx)) / cc
+        beta = oracle_beta(fd_d1(f, hx), w, c, tol_char, branch)
+        return fd_d2(f, hx) + beta * fd_d1(w, hx)
 
     rows, bounds = [], []
     iL, iR = 0, x.size - 1
@@ -87,8 +103,11 @@ def oracle_march(x, f0, w0, hy, n_steps, c, hx, tol_char, branch=1):
     reason = "completed"
     for _ in range(n_steps):
         try:
-            sigma = oracle_sigma_max(*oracle_coefficients(f, w, hx, c, branch))
-            k = max(1, int(math.ceil(abs(hy) * sigma / (CFL_TARGET * hx))))
+            beta = oracle_beta(fd_d1(f, hx), w, c, tol_char, branch)
+            sigma = np.nanmax(0.5 * (np.abs(beta) + np.sqrt(beta * beta + 4.0)))
+            # the CFL rule, capped so that the odd-even mode has |z| <= 1
+            k = max(math.ceil(abs(hy) * sigma / (CFL_TARGET * hx)),
+                    math.ceil(2.0 * abs(hy) / hx))
             sub = hy / k
             for _s in range(k):
                 if iR - iL < 8:
@@ -97,8 +116,8 @@ def oracle_march(x, f0, w0, hy, n_steps, c, hx, tol_char, branch=1):
                 fh = f + 0.5 * sub * k1f
                 wh = w + 0.5 * sub * k1w
                 k2f, k2w = wh, rhs(fh, wh)
-                f = f + sub * k2f
-                w = w + sub * k2w
+                f = oracle_filter(f + sub * k2f)
+                w = oracle_filter(w + sub * k2w)
                 iL += 1
                 iR -= 1
                 f, w = f[1:-1], w[1:-1]
@@ -220,9 +239,12 @@ def _right_trim():
 
 
 def _annulus_margin():
-    # upward, a node inside the window leaves the band while both ends stay in
-    return hc.default_problem(C_THIRD, x_range=(0.2, 0.3), y_max=0.006, hx=1e-3, hy=1e-3,
-                              seed=(-0.18104267892575457, 1.2881855960876407))
+    # |grad f|^2 has its minimum at x = 0, 0.3% above the band's lower edge,
+    # and falls there at about 0.37 per unit y upward: near y = 0.0029 (at
+    # h = 1e-3 to 1.25e-4 alike) a node inside the window leaves the band
+    # while both ends stay in
+    return hc.default_problem(C_THIRD, x_range=(-0.04, 0.04), y_max=0.006, hx=1e-3, hy=1e-3,
+                              seed=(-0.410492387261932, 0.410492387261932), curvature=0.5)
 
 
 CASES = ([(f"ladder-L{k}", lambda h=h: _ladder(h)) for k, h in enumerate(LADDER, start=1)]
@@ -278,18 +300,40 @@ def test_lam_matches_the_oracle(delta, branch):
         assert np.array_equal(got, want, equal_nan=True)
 
 
-@pytest.mark.parametrize("branch", [1, -1])
-def test_E_pair_matches_the_oracle_at_both_points(branch):
-    # a polar grid over the admissible annulus, its boundary included
+def _annulus_grid():
+    """A polar grid over the admissible annulus, its boundary included."""
     r = np.sqrt(np.linspace(DMIN, DMAX, 41))[:, None]
     phi = np.linspace(0.0, 2.0 * math.pi, 97)[None, :]
-    u, v = r * np.cos(phi), r * np.sin(phi)
+    return r * np.cos(phi), r * np.sin(phi)
+
+
+@pytest.mark.parametrize("branch", [1, -1])
+def test_E_pair_matches_the_oracle_at_both_points(branch):
+    u, v = _annulus_grid()
     with np.errstate(all="ignore"):
         Eu, Ev = hc._E_pair(u, v, C_THIRD, branch)
         for k, point in enumerate([(u, v), (-v, u)]):
             want = oracle_E_partials(*point, C_THIRD, branch)
             assert np.array_equal(Eu[k], want[0], equal_nan=True)
             assert np.array_equal(Ev[k], want[1], equal_nan=True)
+
+
+@pytest.mark.parametrize("branch", [1, -1])
+def test_closed_form_coefficients_match_E_pair(branch):
+    # a = E_u(u, v) = -E_u(-v, u) and beta = (E_v(u, v) - E_v(-v, u))/a,
+    # except at the few characteristic points, where a is rounding noise
+    u, v = _annulus_grid()
+    with np.errstate(all="ignore"):
+        Eu, Ev = hc._E_pair(u, v, C_THIRD, branch)
+        a_delta2, beta = oracle_a_beta(u, v, C_THIRD, branch)
+        delta = u * u + v * v
+        a = a_delta2 / (delta * delta)
+        want = (Ev[0] - Ev[1]) / Eu[0]
+    keep = np.abs(Eu[0]) > 1e-9
+    assert np.count_nonzero(keep) > 0.99 * keep.size
+    for ref in (Eu[0], -Eu[1]):
+        assert np.all(np.abs(a - ref)[keep] <= 1e-11 * np.abs(ref[keep]))
+    assert np.all(np.abs(beta - want)[keep] <= 1e-11 * np.maximum(1.0, np.abs(want[keep])))
 
 
 def test_asymmetric_cases_take_the_split():
@@ -303,22 +347,50 @@ def test_asymmetric_cases_take_the_split():
 
 @pytest.mark.parametrize("make, reasons", [
     (_right_trim, ("window-exhausted", "window-exhausted")),
-    (_annulus_margin, ("annulus-margin", "window-exhausted")),
+    (_annulus_margin, ("annulus-margin", "completed")),
 ], ids=["right-trim", "annulus-margin"])
 def test_edge_halts_end_for_their_reasons(make, reasons):
     sol = hc.solve_pde(make())
     assert (sol.termination_up, sol.termination_down) == reasons
 
 
-def test_ladder_levels_converge_at_second_order():
-    # f and g at h against h/2 on the nodes both grids share and define,
-    # L1-L4; L4-L5 is left out until the march stays second order at the
-    # finest level (its f order reads -6.2 there)
-    sols = [hc.recover_g(hc.solve_pde(_ladder(h))) for h in LADDER[:4]]
+@pytest.fixture(scope="module")
+def ladder():
+    return [hc.recover_g(hc.solve_pde(_ladder(h))) for h in LADDER]
+
+
+def _orders(values):
+    return np.log2(np.divide(values[:-1], values[1:]))
+
+
+def test_ladder_levels_converge_at_second_order(ladder):
+    # f and g at h against h/2 on the nodes both grids share and define
     for name in ("f", "g"):
         diffs = []
-        for coarse, fine in zip(sols, sols[1:]):
+        for coarse, fine in zip(ladder, ladder[1:]):
             d = getattr(coarse, name) - getattr(fine, name)[::2, ::2]
             diffs.append(np.max(np.abs(d[np.isfinite(d)])))
-        orders = np.log2(np.divide(diffs[:-1], diffs[1:]))
-        assert np.all(orders >= 1.9), (name, diffs, orders)
+        assert np.all(_orders(diffs) >= 1.9), (name, diffs, _orders(diffs))
+
+
+def test_interior_loop_defect_falls_at_third_order(ladder):
+    # the cells of the valid rectangle less those on its outer node ring,
+    # whose one-sided closures set the full-grid maximum
+    maxima = []
+    for sol in ladder:
+        rs, cs = sol.rect()
+        cells = sol.loop_defect[rs.start + 1:rs.stop - 2, cs.start + 1:cs.stop - 2]
+        maxima.append(np.max(np.abs(cells)))
+    assert np.all(_orders(maxima) >= 3), (maxima, _orders(maxima))
+
+
+def test_a_march_whose_cfl_rule_gives_one_sub_step_completes():
+    # hy = 0.69 hx: the CFL rule alone takes k = 1 sub-step per output step,
+    # where the odd-even mode would grow by 1.38 a sub-step unfiltered
+    prob = hc.default_problem(C_THIRD, x_range=WINDOW["x_range"], y_max=192 * 8.625e-5,
+                              hx=1.25e-4, hy=8.625e-5,
+                              seed=hc.find_noncharacteristic_seed(C_THIRD))
+    assert prob.n_steps == 192
+    sol = hc.recover_g(hc.solve_pde(prob))
+    assert (sol.termination_up, sol.termination_down) == ("completed", "completed")
+    assert np.nanmax(np.abs(sol.loop_defect)) < 1e-11
