@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -542,6 +543,11 @@ def capture_reports(monkeypatch):
     return reports
 
 
+# values the text kernel formats itself mixed with values it leaves to "%.17g"
+MIXED_FLOATS = [1e-300, 5e-324, math.nan, -0.0, 1.5e100, -2.5e-150, 0.1, -math.inf,
+                1.0000076293945312, 0.0, 123456789.125, -7e-5, 1e17, 99999999999999999.0]
+
+
 @pytest.mark.parametrize("block", [1, 2, 3, 5, 1024])
 @pytest.mark.parametrize("order", ["01", "10", "0", "1", ""])
 def test_write_rows_matches_a_per_node_rendering(monkeypatch, block, order):
@@ -550,7 +556,8 @@ def test_write_rows_matches_a_per_node_rendering(monkeypatch, block, order):
     N, M = 4, 7
     axes = {"0": rng.standard_normal(N), "1": rng.standard_normal(M) * 1e-300}
     axes["1"][2] = -0.0
-    grids = [rng.standard_normal((N, M)), np.full((N, M), math.nan)]
+    grids = [rng.standard_normal((N, M)), np.full((N, M), math.nan),
+             np.array(MIXED_FLOATS * 2).reshape(N, M)]
     cells = [*((int(a), axes[a]) for a in order), *grids]
     line = "<" + "|".join(["%.17g"] * len(cells)) + ">\n"
     fh = io.StringIO()
@@ -558,6 +565,39 @@ def test_write_rows_matches_a_per_node_rendering(monkeypatch, block, order):
     rows = [[*(axes[a][i if a == "0" else j] for a in order), *(g[i, j] for g in grids)]
             for i in range(N) for j in range(M)]
     assert fh.getvalue() == "".join(f"<{per_node_row(row, '|')}>\n" for row in rows)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 1024])
+def test_write_rows_matches_a_per_node_rendering_of_integers(monkeypatch, block):
+    monkeypatch.setattr(cli, "ROW_BLOCK", block)
+    N, M = 3, 11
+    grids = [np.arange(N * M).reshape(N, M) * 997 - 5, np.arange(N * M).reshape(N, M) % 10,
+             np.full((N, M), np.iinfo(np.int64).min)]
+    axis = np.array([7, -40_000, 10**17])
+    fh = io.StringIO()
+    cli._write_rows(fh, "f %d %d/%d %d\n", [(0, axis), *grids])
+    assert fh.getvalue() == "".join(f"f {axis[i]} {grids[0][i, j]}/{grids[1][i, j]} "
+                                    f"{grids[2][i, j]}\n" for i in range(N) for j in range(M))
+
+
+def test_write_rows_working_memory_does_not_grow_with_the_grid():
+    # the writer formats ROW_BLOCK nodes at a time, so a 400x400 grid (16
+    # times the nodes) peaks about where a 100x100 grid does; only the
+    # texts of the axis values grow with it
+    class Discard:
+        def write(self, text):
+            pass
+
+    peaks = []
+    for n in (100, 100, 400):
+        rng = np.random.default_rng(0)
+        cells = [(0, np.linspace(0, 1, n)), (1, np.linspace(-1, 1, n)),
+                 *(rng.standard_normal((n, n)) for _ in range(4))]
+        tracemalloc.start()
+        cli._write_rows(Discard(), ",".join(["%.17g"] * len(cells)) + "\n", cells)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[2] < 1.1 * peaks[1]   # the first 100x100 pass also builds the tables
 
 
 def test_bundle_csv_matches_a_per_node_rendering(tmp_path, capsys, monkeypatch):
@@ -1207,7 +1247,11 @@ EDGE_FLOATS = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
     np.zeros((3, 0)),
     np.array([-3, 0, 2**62]),
     np.array([True, False, True]),
-], ids=["f64", "f64-2d", "f32", "f32-2d", "empty", "empty-rows", "int", "bool"])
+    np.resize([v for v in MIXED_FLOATS if math.isfinite(v)], (3, 8 * cli.ROW_BLOCK + 3)),
+    np.where(np.arange(3)[:, None] == 1, np.resize(MIXED_FLOATS, (3, 8 * cli.ROW_BLOCK + 3)),
+             np.resize([v for v in MIXED_FLOATS if math.isfinite(v)], (3, 8 * cli.ROW_BLOCK + 3))),
+], ids=["f64", "f64-2d", "f32", "f32-2d", "empty", "empty-rows", "int", "bool", "wide-mixed",
+        "wide-mixed-non-finite"])
 def test_dumps_stable_arrays_match_the_per_element_renderer(array):
     doc = {"a": array, "nested": [array, {"b": array}]}
     assert dumps_stable(doc) == per_element_dumps(doc)
