@@ -13,6 +13,8 @@ Modules:
 - ``catalog``: closed-form example surfaces with exact jets.
 - ``expressions``: small expression language with symbolic derivatives.
 - ``cli``: command-line front end (``helix4``).
+- ``numtext``: the command line's byte-exact bulk ``"%.17g"`` and ``"%d"``
+  text of numpy arrays.
 """
 
 from . import catalog, expressions, grassmann, helix_construct, surface_analysis

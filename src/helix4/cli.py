@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import re
@@ -83,14 +82,15 @@ def dumps_stable(obj) -> str:
 
 def _array_text(a) -> str:
     """The JSON of a non-empty 1-D or 2-D array of finite floats, through
-    ``_texts`` in blocks of at most 8 ``ROW_BLOCK`` values: each value is
+    ``numtext.texts`` in blocks of at most 8 ``ROW_BLOCK`` values: each value is
     followed by ", ", the last of a row by "], [", which the ends trim."""
+    from . import numtext
     flat, cols, body = a.reshape(-1), a.shape[-1], []
     for start in range(0, flat.size, 8 * ROW_BLOCK):
-        cell = _texts("%.17g", flat[start:start + 8 * ROW_BLOCK])
+        cell = numtext.texts("%.17g", flat[start:start + 8 * ROW_BLOCK])
         last = (np.arange(start, start + len(cell)) % cols == cols - 1)[:, None]
         sep = np.where(last, np.frombuffer(b"], [", np.uint8), np.frombuffer(b", \0\0", np.uint8))
-        body.append(_joined([], [cell, sep]))
+        body.append(numtext.joined([], [cell, sep]))
     return "[" * a.ndim + "".join(body)[:-3] + "]" * (a.ndim - 1)
 
 
@@ -117,188 +117,10 @@ def _emit(obj, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 # grid nodes written per block: all array cells of a block are formatted in one
-# kernel call, and the block, not the grid, bounds the working memory
+# numtext call, and the block, not the grid, bounds the working memory.  The
+# writers import numtext where they first run, so that importing the command
+# line does not compile it.
 ROW_BLOCK = 1024
-
-# Bulk "%.17g" and "%d".  A float is its sign, the 17 digits D of
-# round(|v| 10^(16-E)) with E = floor(log10 |v|), and E.  Its text is laid out
-# in SLOTS fixed slots, and a zero byte marks a slot that "%.17g" leaves out:
-#   0 "-" | 1-2 "0." | 3-5 "000" | 6-39 d0 "." d1 "." ... d16 "." | 40 "e" |
-#   41 exponent sign | 42-44 exponent digits | 45-47 unused
-# Which slots print depends on the layout, the digit count after trailing
-# zeros are stripped, and the sign.  Layouts 0-20 are fixed notation with
-# E = layout - 4; 21 and 22 are exponential with a 2- and a 3-digit exponent.
-# The slots are six uint64 words: the chars of a value are its layout's word
-# row AND-ed with words of its digits and exponent, each taken from a table.
-SLOTS = 48
-_E_FAST = 290   # |E| beyond this: 10^(16-E) or Dekker's split would leave float range
-_TIE = 1e-6     # a remainder this close to 1/2 is left to "%.17g" (error about 1e-14)
-
-
-class _TextTables(NamedTuple):
-    pow10: np.ndarray    # column E + _E_FAST + 1: 10^(16-E) as hi, its two halves, lo
-    quads: np.ndarray    # the ASCII of "0000" ... "9999", 4 bytes to a uint32
-    zeros: np.ndarray    # the trailing zeros of each of "0000" ... "9999"
-    layouts: np.ndarray  # row (17 layout + digits - 1) * 2 + sign: the words of the
-                         # fixed chars, 0xff where a digit or exponent char prints
-    words: np.ndarray    # the digit and exponent words: the 10^4 groups of 4 digits
-                         # d "\xff" d "\xff" ..., 10 lead digits, the exponents
-
-
-@functools.cache
-def _text_tables() -> _TextTables:
-    """The kernel's tables, built on first use, without large temporaries, so
-    that importing costs nothing.  hi and lo are 10^k and its remainder, each
-    rounded once from exact integer ratios, so hi + lo is within 2^-106
-    relative of 10^k; hi's halves are Dekker's split of its mantissa, so
-    products with them are exact."""
-    def split(x):
-        m, ex = math.frexp(x)
-        c = m * 134217729.0
-        return math.ldexp(c - (c - m), ex), math.ldexp(m - (c - (c - m)), ex)
-
-    rows = []
-    for k in range(16 + _E_FAST + 1, 16 - _E_FAST - 2, -1):
-        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
-        hi = num / den
-        h_num, h_den = hi.as_integer_ratio()
-        rows.append((hi, *split(hi), (num * h_den - h_num * den) / (den * h_den)))
-    quads = (np.arange(10000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16)
-             % 10 + 48).astype(np.uint8)
-    shown = quads != 48
-    zeros = np.where(shown.any(axis=1), np.argmax(shown[:, ::-1], axis=1), 4).astype(np.uint8)
-
-    layout = np.arange(23)[:, None, None]
-    digits = np.arange(1, 18)[:, None]
-    slot = np.arange(SLOTS)
-    E, fixed = layout - 4, layout < 21
-    point = np.where(fixed & (E >= 0), E, 0)          # the digit the point follows
-    j, odd = np.divmod(slot - 6, 2)
-    inner = (slot >= 6) & (slot <= 39)
-    prints = ((inner & (odd == 0) & (j <= np.maximum(point, digits - 1)))
-              | (inner & (odd == 1) & (j == point) & (digits - 1 > point) & ~(fixed & (E < 0)))
-              | (fixed & (E < 0) & (slot >= 1) & (slot < 2 - E))
-              | (~fixed & (slot >= 40) & (slot <= 44) & ((slot != 42) | (layout == 22))))
-    chars = np.frombuffer(b"-0.000" + b"\xff." * 17 + b"e\xff\xff\xff\xff\0\0\0", np.uint8)
-    layouts = np.stack([prints, prints | (slot == 0)], axis=2).reshape(-1, SLOTS) * chars
-
-    groups = np.full((10000, 8), 255, np.uint8)
-    groups[:, ::2] = quads
-    lead = np.full((10, 8), 255, np.uint8)
-    lead[:, 6] = np.arange(48, 58)
-    E = np.arange(-_E_FAST - 2, _E_FAST + 3)
-    exponents = np.zeros((E.size, 8), np.uint8)
-    exponents[:, 0] = 255
-    exponents[:, 1] = np.where(E < 0, 45, 43)
-    exponents[:, 2:5] = quads[np.abs(E), 1:]
-    tables = _TextTables(np.array(rows).T.copy(), quads.view(np.uint32).ravel(), zeros,
-                         layouts.view(np.uint64),
-                         np.concatenate([groups, lead, exponents]).view(np.uint64).ravel())
-    for a in tables:
-        a.flags.writeable = False
-    return tables
-
-
-def _scaled(a, E):
-    """|v| 10^(16-E) for the finite positive float64 ``a`` and its integer
-    ``E``, as a double-double (p, e) within about 1e-14 of the exact value:
-    Dekker's exact product with hi, plus a times lo (numpy has no fma)."""
-    hi, hh, hl, lo = np.take(_text_tables().pow10, E + _E_FAST + 1, axis=1)
-    c = a * 134217729.0
-    ah = c - (c - a)
-    al = a - ah
-    p0 = a * hi
-    s = al * hl - (((p0 - ah * hh) - al * hh) - ah * hl) + a * lo
-    p = p0 + s
-    return p, s - (p - p0)
-
-
-def _float_digits(v):
-    """(negative, zero, E, D, fallback) of float64 values: D = round(|v|
-    10^(16-E)) in [10^16, 10^17), E carried past a round-up to 10^17.  Zero
-    reads D = 10^16, E = 0.  Non-finite values, |E| beyond _E_FAST and
-    remainders within _TIE of a half (exact ties among them) are marked
-    for the fallback."""
-    a = np.abs(v)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        E = np.floor(np.log10(a))
-    fast = np.abs(E) <= _E_FAST                        # false for 0, nan and inf
-    a, E = np.where(fast, a, 1.0), np.where(fast, E, 0).astype(np.int64)
-    p, e = _scaled(a, E)
-    # log10 may round across a power of ten: move E so that 10^16 <= p + e < 10^17
-    up = (p > 1e17) | ((p == 1e17) & (e >= 0))
-    fix = np.flatnonzero(up | (p < 1e16) | ((p == 1e16) & (e < 0)))
-    if fix.size:
-        E[fix] += np.where(up[fix], 1, -1)
-        p[fix], e[fix] = _scaled(a[fix], E[fix])
-    whole = np.floor(e)
-    frac = e - whole
-    D = p.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
-    carry = D == 10**17
-    D[carry] = 10**16
-    E += carry
-    zero = v == 0
-    return np.signbit(v), zero, E, D, ~(fast | zero) | (np.abs(frac - 0.5) < _TIE)
-
-
-def _int_texts(v) -> np.ndarray:
-    """``_texts`` of integers: the digits of |v|, 4 to a table word, in as
-    many slots as the longest value and a sign need; leading zeros print
-    nothing, and the slot before a negative value's first digit is "-"."""
-    t = _text_tables()
-    v = np.asarray(v, dtype=np.int64)
-    mag = np.abs(v).astype(np.uint64)                 # int64's minimum too
-    count = np.searchsorted(10 ** np.arange(1, 20, dtype=np.uint64), mag, side="right") + 1
-    width = 4 * -(-(int(count.max(initial=1)) + 1) // 4)
-    groups = np.stack([(mag // 10**k) % 10**4 for k in range(width - 4, -1, -4)], axis=1)
-    chars = t.quads[groups.astype(np.intp)].view(np.uint8).reshape(len(v), width)
-    chars *= np.arange(width) >= width - count[:, None]
-    negative = np.flatnonzero(v < 0)
-    chars[negative, width - count[negative] - 1] = 45
-    return chars
-
-
-def _texts(conv: str, values) -> np.ndarray:
-    """The text of ``conv % v`` ("%.17g" or "%d") for each value of a 1-D
-    array, as an (n, w) uint8 array whose nonzero bytes, in order, are
-    exactly the text; w <= SLOTS drops the slots no value prints in.  The
-    floats the kernel cannot vouch for get their text from "%.17g" itself,
-    one at a time."""
-    if conv == "%d":
-        return _int_texts(values)
-    t = _text_tables()
-    values = np.asarray(values, dtype=np.float64)
-    negative, zero, E, D, fallback = _float_digits(values)
-    lead, rest = np.divmod(D, 10**16)
-    high, low = np.divmod(rest, 10**8)
-    (g1, g2), (g3, g4) = np.divmod(high, 10**4), np.divmod(low, 10**4)
-    z = t.zeros
-    count = 17 - (z[g4] + (g4 == 0) * (z[g3] + (g3 == 0) * (z[g2] + (g2 == 0) * z[g1])))
-    layout = np.where((E >= -4) & (E < 17), E + 4, np.where(np.abs(E) < 100, 21, 22))
-    chars = np.take(t.layouts, (layout * 17 + count - 1) * 2 + negative, axis=0)
-    for k, word in enumerate((10000 + lead * ~zero, g1, g2, g3, g4, 10010 + _E_FAST + 2 + E)):
-        chars[:, k] &= np.take(t.words, word)
-    chars = chars.view(np.uint8)
-    fallback = np.flatnonzero(fallback)
-    chars[fallback] = np.array(["%.17g" % v for v in values[fallback].tolist()],
-                               f"S{SLOTS}").view(np.uint8).reshape(-1, SLOTS)
-    used = np.flatnonzero(np.bitwise_or.reduce(chars, axis=0))   # slots no value prints go
-    return chars[:, used[0]:used[-1] + 1] if used.size else chars[:, :1]
-
-
-def _joined(texts, cells) -> str:
-    """The text of n rows, each the literal ``texts`` interleaved with the
-    ``_texts`` arrays ``cells``: text, cell, text, ..., (text)."""
-    n = len(cells[0])
-    pieces = []
-    for text, cell in itertools.zip_longest(texts, cells):
-        if text:
-            literal = np.frombuffer(text.encode(), np.uint8)
-            pieces.append(np.broadcast_to(literal, (n, literal.size)))
-        if cell is not None:
-            pieces.append(cell)
-    chars = np.concatenate(pieces, axis=1).ravel()
-    return str(np.compress(chars != 0, chars).data, "ascii")
 
 
 def _write_rows(fh, line: str, cells) -> None:
@@ -307,24 +129,26 @@ def _write_rows(fh, line: str, cells) -> None:
     (N, M) array, or a grid axis ``(axis, values)`` giving each node the
     value at its index along ``axis``.  At least one cell is an array, and
     the arrays share one conversion.  Each axis value is formatted once; the
-    arrays' values of ``ROW_BLOCK`` nodes are formatted in one ``_texts``
-    call, whose text is ``conv % v`` byte for byte."""
+    arrays' values of ``ROW_BLOCK`` nodes are formatted in one
+    ``numtext.texts`` call, whose text is ``conv % v`` byte for byte."""
+    from . import numtext
     parts = re.split(r"(%[.\d]*[a-z])", line)   # text, conversion, text, ..., text
-    texts, convs = parts[0::2], parts[1::2]
+    literals, convs = parts[0::2], parts[1::2]
     grids = [k for k, c in enumerate(cells) if not isinstance(c, tuple)]
     (conv,) = {convs[k] for k in grids}
     N, M = cells[grids[0]].shape
-    axes = {k: (c[0], _texts(convs[k], c[1])) for k, c in enumerate(cells) if isinstance(c, tuple)}
+    axes = {k: (c[0], numtext.texts(convs[k], c[1]))
+            for k, c in enumerate(cells) if isinstance(c, tuple)}
     for start in range(0, N * M, ROW_BLOCK):
         stop = min(start + ROW_BLOCK, N * M)
         rows = slice(start // M, (stop - 1) // M + 1)
         offset = start - rows.start * M
         block = [cells[k][rows].reshape(-1)[offset:offset + stop - start] for k in grids]
-        chars = _texts(conv, np.concatenate(block)).reshape(len(grids), stop - start, -1)
+        chars = numtext.texts(conv, np.concatenate(block)).reshape(len(grids), stop - start, -1)
         pieces = dict(zip(grids, chars))
         node = np.divmod(np.arange(start, stop), M)
         pieces.update({k: axis_chars[node[axis]] for k, (axis, axis_chars) in axes.items()})
-        fh.write(_joined(texts, [pieces[k] for k in range(len(cells))]))
+        fh.write(numtext.joined(literals, [pieces[k] for k in range(len(cells))]))
 
 
 def _write_csv(path: str, names, cells) -> None:

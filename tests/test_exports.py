@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-MODULES = ("grassmann", "catalog", "expressions", "surface_analysis", "helix_construct")
+MODULES = ("grassmann", "catalog", "expressions", "surface_analysis", "helix_construct",
+           "numtext")
 
 
 def exports(name: str) -> list[str]:

@@ -7,12 +7,12 @@ import sys
 import numpy as np
 import pytest
 
-from helix4 import cli
+from helix4 import numtext
 
 
 def kernel_lines(conv, values):
     """The kernel's text of each value, one line each."""
-    return cli._joined(["", "\n"], [cli._texts(conv, values)]).split("\n")[:-1]
+    return numtext.joined(["", "\n"], [numtext.texts(conv, values)]).split("\n")[:-1]
 
 
 def assert_exact(conv, values):
@@ -64,12 +64,12 @@ def test_exact_ties_go_to_the_fallback():
     # which "%.17g" rounds half to even; the kernel leaves each to "%.17g"
     ties = STRATA["odd-k-over-2^17"][2**16:]
     assert ties[0] == 131073 / 131072 and ties[-1] < 2
-    assert cli._float_digits(ties)[4].all()
+    assert numtext._float_digits(ties)[4].all()
     assert kernel_lines("%.17g", ties[:1]) == ["1.0000076293945312"]
 
 
 def test_non_finite_and_out_of_range_values_go_to_the_fallback():
-    *_, fallback = cli._float_digits(STRATA["specials"])
+    *_, fallback = numtext._float_digits(STRATA["specials"])
     assert fallback.tolist() == [False, False, True, True, True, True, True, True,
                                  True, True, True, True, True, False, False]
 
