@@ -546,6 +546,8 @@ def capture_reports(monkeypatch):
 # values the text kernel formats itself mixed with values it leaves to "%.17g"
 MIXED_FLOATS = [1e-300, 5e-324, math.nan, -0.0, 1.5e100, -2.5e-150, 0.1, -math.inf,
                 1.0000076293945312, 0.0, 123456789.125, -7e-5, 1e17, 99999999999999999.0]
+# rows wider than one 8 * ROW_BLOCK block of dumps_stable
+WIDE_FINITE = np.resize([v for v in MIXED_FLOATS if math.isfinite(v)], (3, 8 * cli.ROW_BLOCK + 3))
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 5, 1024])
@@ -1247,9 +1249,9 @@ EDGE_FLOATS = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
     np.zeros((3, 0)),
     np.array([-3, 0, 2**62]),
     np.array([True, False, True]),
-    np.resize([v for v in MIXED_FLOATS if math.isfinite(v)], (3, 8 * cli.ROW_BLOCK + 3)),
-    np.where(np.arange(3)[:, None] == 1, np.resize(MIXED_FLOATS, (3, 8 * cli.ROW_BLOCK + 3)),
-             np.resize([v for v in MIXED_FLOATS if math.isfinite(v)], (3, 8 * cli.ROW_BLOCK + 3))),
+    WIDE_FINITE,
+    np.vstack([WIDE_FINITE[:1], np.resize(MIXED_FLOATS, WIDE_FINITE[1:2].shape),
+               WIDE_FINITE[2:]]),
 ], ids=["f64", "f64-2d", "f32", "f32-2d", "empty", "empty-rows", "int", "bool", "wide-mixed",
         "wide-mixed-non-finite"])
 def test_dumps_stable_arrays_match_the_per_element_renderer(array):
