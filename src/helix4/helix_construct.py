@@ -386,19 +386,19 @@ class SolutionGrid:
         return slice(rows[0], rows[-1] + 1), slice(lo, hi + 1)
 
 
-def _march(S: np.ndarray, hy: np.ndarray, n_steps: int, c: float, hx: float,
-           tol_char: float, branch: int = 1, iL: int = 0) -> list[tuple[list, str]]:
+def _march(S: np.ndarray, hy: np.ndarray, out: list, c: float, hx: float,
+           tol_char: float, branch: int = 1, iL: int = 0) -> list[str]:
     """March R rows of Cauchy data that share one x-window.
 
     ``S`` stacks (R, n) states f over w = f_y on the nodes iL .. iL + n - 1;
-    row r steps by hy[r].  The rows advance as one array while they take the
-    same number of sub-steps and the same edge trims and none of them halts.
-    At the first output step where that fails, the march goes back to the
-    start of the step and each row continues alone (R = 1) through this
-    function, so every row gets exactly the arithmetic of a march of its own.
-
-    Returns, per row, (steps, reason): the (f, w, iL, iR) state after each
-    completed output step and the termination reason.
+    row r steps by hy[r] and writes its state after output step k into row k
+    of its (f, f_y, valid) arrays ``out[r]``, whose length less one is the
+    number of output steps.  The rows advance as one array while they take
+    the same number of sub-steps and the same edge trims and none of them
+    halts.  At the first output step where that fails, the march goes back
+    to the start of the step and each row continues alone (R = 1) through
+    this function into the rest of its arrays, so every row gets exactly the
+    arithmetic of a march of its own.  Returns each row's termination reason.
     """
     lo, hi = _band(c)
     R = S.shape[0] // 2
@@ -418,10 +418,8 @@ def _march(S: np.ndarray, hy: np.ndarray, n_steps: int, c: float, hx: float,
     def rhs(S, D1, bt):
         return np.concatenate((S[R:], fd_d2(S[:R], hx, axis=-1) + bt * D1[R:]))
 
-    steps: list[list] = [[] for _ in range(R)]
-    iR = iL + S.shape[1] - 1
     D1 = fd_d1(S, hx, axis=-1)       # f_x over w_x, kept from each trim check
-    for done in range(n_steps):
+    for done in range(len(out[0][0]) - 1):
         start = S, iL
         try:
             bt = beta(S, D1)
@@ -432,9 +430,12 @@ def _march(S: np.ndarray, hy: np.ndarray, n_steps: int, c: float, hx: float,
             if len(k) > 1:
                 raise SolverHalt("rows-differ")      # only possible for R > 1
             k = k.pop()
+            # each sub-step costs a node at each end: the last one would find < 9
+            if S.shape[1] - 2 * (k - 1) < 9:
+                raise SolverHalt("window-exhausted")
             sub = np.concatenate((hy, hy))[:, None] / k
             for s in range(k):
-                if iR - iL < 8:
+                if S.shape[1] < 9:
                     raise SolverHalt("window-exhausted")
                 if s:
                     bt = beta(S, D1)
@@ -451,7 +452,6 @@ def _march(S: np.ndarray, hy: np.ndarray, n_steps: int, c: float, hx: float,
                 S[:, 2:-2] -= KO_EPSILON / 16.0 * (S[:, :-4] - 4.0 * S[:, 1:-3] + 6.0 * S[:, 2:-2]
                                                    - 4.0 * S[:, 3:-1] + S[:, 4:])
                 iL += 1
-                iR -= 1
                 S = S[:, 1:-1]
                 # adaptive edge trim while the gradient drifts toward the
                 # annulus boundary
@@ -466,9 +466,8 @@ def _march(S: np.ndarray, hy: np.ndarray, n_steps: int, c: float, hx: float,
                         iL += 1
                         S, bad = S[:, 1:], bad[:, 1:]
                     if ends[0, 1]:
-                        iR -= 1
                         S, bad = S[:, :-1], bad[:, :-1]
-                    if iR - iL < 8:
+                    if S.shape[1] < 9:
                         raise SolverHalt("window-exhausted")
                     ends = bad[:, [0, -1]]
                     D1 = fd_d1(S, hx, axis=-1)    # the end stencil moved with the edge
@@ -476,24 +475,25 @@ def _march(S: np.ndarray, hy: np.ndarray, n_steps: int, c: float, hx: float,
                     raise SolverHalt("annulus-margin")
         except SolverHalt as halt:
             if R == 1:
-                return [(steps[0], halt.args[0])]
+                return [halt.args[0]]
             S, iL = start
-            alone = (_march(S[[r, R + r]], hy[r:r + 1], n_steps - done, c, hx, tol_char,
-                            branch, iL)[0] for r in range(R))
-            return [(kept + more, reason) for kept, (more, reason) in zip(steps, alone)]
-        for r in range(R):
-            steps[r].append((S[r], S[R + r], iL, iR))
-    return [(rows, "completed") for rows in steps]
+            return [_march(S[[r, R + r]], hy[r:r + 1], [[a[done:] for a in out[r]]], c, hx,
+                           tol_char, branch, iL)[0] for r in range(R)]
+        cols = slice(iL, iL + S.shape[1])
+        for r, (f, fy, valid) in enumerate(out):
+            f[done + 1, cols], fy[done + 1, cols], valid[done + 1, cols] = S[r], S[R + r], True
+    return ["completed"] * R
 
 
 def solve_pde(prob: PDEProblem) -> SolutionGrid:
     """Solve the construction PDE by filtered explicit midpoint marching in +-y.
 
-    Both directions march as one stacked (f; w) state (see :func:`_march`).  The
-    initial row reproduces the Cauchy data exactly.  Each column is kept
-    only while the gradient stays inside the annulus by margin and the f_yy
-    coefficient stays away from zero; a partial grid with the termination
-    reason is returned otherwise.
+    Both directions march as one stacked (f; w) state (see :func:`_march`)
+    that writes each kept row straight into the grid.  The initial row
+    reproduces the Cauchy data exactly.  Each column is kept only while the
+    gradient stays inside the annulus by margin and the f_yy coefficient
+    stays away from zero; a partial grid with the termination reason is
+    returned otherwise.
     """
     x, n_steps = prob.x, prob.n_steps
     f0, dphi, _ = prob.phi(x)
@@ -511,17 +511,12 @@ def solve_pde(prob: PDEProblem) -> SolutionGrid:
     f[j0], fy[j0] = f0, psi0
     valid[j0] = True
 
-    marches = _march(np.stack([f0, f0, psi0, psi0]), np.array([prob.hy, -prob.hy]),
-                     n_steps, prob.c1, prob.hx, tol_char, prob.branch)
-    for sign, (steps, _) in zip((1, -1), marches):
-        for k, (fr, wr, iL, iR) in enumerate(steps, start=1):
-            j = j0 + sign * k
-            f[j, iL:iR + 1], fy[j, iL:iR + 1], valid[j, iL:iR + 1] = fr, wr, True
-
+    up, down = _march(np.stack([f0, f0, psi0, psi0]), np.array([prob.hy, -prob.hy]),
+                      [[a[j0::sign] for a in (f, fy, valid)] for sign in (1, -1)],
+                      prob.c1, prob.hx, tol_char, prob.branch)
     return SolutionGrid(x=x, y=y, f=f, fy=fy, valid=valid, c1=prob.c1,
                         hx=prob.hx, hy=prob.hy, seed=(prob.u0, prob.v0),
-                        termination_up=marches[0][1], termination_down=marches[1][1],
-                        branch=prob.branch)
+                        termination_up=up, termination_down=down, branch=prob.branch)
 
 
 # ---------------------------------------------------------------------------

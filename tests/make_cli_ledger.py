@@ -115,6 +115,10 @@ COMMANDS = [
      None),
     ("construct-window-too-wide", ["construct", *THETAS, "--x0", "-5", "--x1", "5",
                                    "--hx", "0.1"], None),
+    # a seed near a characteristic point: the first step's sub-steps outrun the window
+    ("construct-near-characteristic", ["construct", *THETAS, "--x0", "0.2", "--x1", "0.3",
+                                       "--seed=-0.18104267892575457,1.2881855960876407"],
+     None),
 ]
 
 

@@ -13,6 +13,7 @@ everything must agree bit for bit.
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -352,6 +353,42 @@ def test_asymmetric_cases_take_the_split():
 def test_edge_halts_end_for_their_reasons(make, reasons):
     sol = hc.solve_pde(make())
     assert (sol.termination_up, sol.termination_down) == reasons
+
+
+def test_a_step_whose_sub_steps_outrun_the_window_halts_before_them(monkeypatch):
+    # seeded near a characteristic point: the first output step's CFL rule
+    # takes about 1,600 sub-steps on a 101-node window, which loses a node
+    # at each end per sub-step
+    prob = hc.default_problem(C_THIRD, x_range=(0.2, 0.3), y_max=0.006, hx=1e-3, hy=1e-3,
+                              seed=(-0.18104267892575457, 1.2881855960876407))
+    ref = oracle_solve(prob)
+    calls = []
+
+    def counted_fd_d1(*args, **kwargs):
+        calls.append(args[0].shape)
+        return fd_d1(*args, **kwargs)
+
+    monkeypatch.setattr(hc, "fd_d1", counted_fd_d1)
+    sol = hc.solve_pde(prob)
+    assert (sol.termination_up, sol.termination_down) == ("window-exhausted",) * 2
+    assert np.count_nonzero(sol.valid.any(axis=1)) == 1
+    for name in ("f", "fy", "valid"):
+        assert np.array_equal(getattr(sol, name), getattr(ref, name), equal_nan=True), name
+    assert len(calls) <= 3
+
+
+def test_the_march_keeps_no_copy_of_its_rows():
+    # the finest ladder level: the march writes each row where solve_pde
+    # returns it, so its working memory beyond f, fy and valid is a few
+    # states of the window
+    prob = _ladder(LADDER[-1])
+    tracemalloc.start()
+    try:
+        sol = hc.solve_pde(prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * (sol.f.nbytes + sol.fy.nbytes + sol.valid.nbytes)
 
 
 @pytest.fixture(scope="module")
