@@ -109,6 +109,15 @@ COMMANDS = [
                                "--ymax", "0.01656", "--verify"], None),
     # documented failures
     ("angles-one-plane", ["angles", "--v", json.dumps(P12)], None),
+    # planes that are no frame: a short vector, an entry past float range (a
+    # JSON literal), a frame that is not orthonormal, a string orientation
+    *((f"angles-plane-{name}", ["angles", "--v", v, "--w", json.dumps(P12)], None)
+      for name, v in (("b1-three-entries", _plane([1, 0, 0], [0, 1, 0, 0])),
+                      ("b1-1e400", '{"b1": [1e400, 0, 0, 0], "b2": [0, 1, 0, 0]}'),
+                      ("not-orthonormal", _plane([1, 1, 0, 0], [0, 1, 0, 0])),
+                      ("oriented-string", json.dumps({**P12, "oriented": "yes"})))),
+    _surface("verify-plane-without-b2", {"kind": "clifford_torus"},
+             plane={"b1": [1, 0, 0, 0]}),
     ("deform-m-alone", ["deform", "--m", "1"], None),
     ("construct-theta1-alone", ["construct", "--theta1", "0.5"], None),
     ("construct-window-too-narrow", ["construct", *THETAS, "--x0", "-0.004", "--x1", "0.004"],
