@@ -20,6 +20,7 @@ import functools
 import json
 import math
 import re
+import reprlib
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -28,8 +29,7 @@ import numpy as np
 
 from . import catalog, helix_construct as hc
 from .expressions import EvalError, ParseError, parse_expr, scalar_jet_from_exprs
-from .grassmann import (Plane, plane_angles_via_bivectors, plane_from_json,
-                        plane_to_json, principal_angles)
+from .grassmann import Plane, plane_angles_via_bivectors, principal_angles
 from .surface_analysis import (GraphSurface, ImmersionError, default_gate, graph_patch,
                                verify_helix)
 
@@ -116,10 +116,9 @@ def _emit(obj, out: str | None) -> None:
 # CSV and OBJ text
 # ---------------------------------------------------------------------------
 
-# grid nodes written per block: all array cells of a block are formatted in one
-# numtext call, and the block, not the grid, bounds the working memory.  The
-# writers import numtext where they first run, so that importing the command
-# line does not compile it.
+# the writers hold at most 8 * ROW_BLOCK value texts (48 bytes each) at a time,
+# so the block, not the grid, bounds the working memory.  They import numtext
+# where they first run, so that importing the command line does not compile it.
 ROW_BLOCK = 1024
 
 
@@ -128,9 +127,10 @@ def _write_rows(fh, line: str, cells) -> None:
     k-th ``%`` conversion ("%.17g" or "%d") filled from ``cells[k]``: an
     (N, M) array, or a grid axis ``(axis, values)`` giving each node the
     value at its index along ``axis``.  At least one cell is an array, and
-    the arrays share one conversion.  Each axis value is formatted once; the
-    arrays' values of ``ROW_BLOCK`` nodes are formatted in one
-    ``numtext.texts`` call, whose text is ``conv % v`` byte for byte."""
+    the arrays share one conversion.  Each axis value is formatted once.  The
+    nodes go in blocks of at most 8 ``ROW_BLOCK`` cells (at least one node),
+    each block's array values in one ``numtext.texts`` call, whose text is
+    ``conv % v`` byte for byte."""
     from . import numtext
     parts = re.split(r"(%[.\d]*[a-z])", line)   # text, conversion, text, ..., text
     literals, convs = parts[0::2], parts[1::2]
@@ -139,8 +139,9 @@ def _write_rows(fh, line: str, cells) -> None:
     N, M = cells[grids[0]].shape
     axes = {k: (c[0], numtext.texts(convs[k], c[1]))
             for k, c in enumerate(cells) if isinstance(c, tuple)}
-    for start in range(0, N * M, ROW_BLOCK):
-        stop = min(start + ROW_BLOCK, N * M)
+    nodes = max(1, 8 * ROW_BLOCK // len(cells))
+    for start in range(0, N * M, nodes):
+        stop = min(start + nodes, N * M)
         rows = slice(start // M, (stop - 1) // M + 1)
         offset = start - rows.start * M
         block = [cells[k][rows].reshape(-1)[offset:offset + stop - start] for k in grids]
@@ -198,6 +199,7 @@ class _Kind(NamedTuple):
 NUMBER = _Kind("a finite number",
                lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max, float)
 STRING = _Kind("a string", lambda v: isinstance(v, str))
+BOOLEAN = _Kind("true or false", lambda v: isinstance(v, bool))
 OBJECT = _Kind("an object", lambda v: isinstance(v, dict))
 NAMES = _Kind("a non-empty list of strings",
               lambda v: isinstance(v, list) and v != [] and all(isinstance(k, str) for k in v))
@@ -236,9 +238,9 @@ def _field(cfg: dict, key: str, kind: _Kind, default=_REQUIRED, *, where: str = 
     ``kind``, or ``default`` (taken as it is) when the key is absent.  A
     nested key is named through its parent (``"seed.u0"``) and looked up by
     its last part in ``cfg``, the parent object.  A required key that is
-    absent or a value of another kind is a parse error naming the key in
-    ``where``; a value of the kind is returned as ``kind.read`` gives it
-    (a number as a float), never coerced from another kind."""
+    absent or a value of another kind (echoed as ``reprlib.repr`` shortens
+    it) is a parse error naming the key in ``where``; a value of the kind is
+    returned as ``kind.read`` gives it (a number as a float), never coerced."""
     name = key.rpartition(".")[2]
     if name not in cfg:
         if default is _REQUIRED:
@@ -246,7 +248,7 @@ def _field(cfg: dict, key: str, kind: _Kind, default=_REQUIRED, *, where: str = 
         return default
     value = cfg[name]
     if not kind.test(value):
-        raise CliError(EXIT_PARSE, f"{where} {key} must be {kind.what}, got {value!r}")
+        raise CliError(EXIT_PARSE, f"{where} {key} must be {kind.what}, got {reprlib.repr(value)}")
     return kind.read(value)
 
 
@@ -286,15 +288,17 @@ def _load_json(path: str) -> dict:
     return cfg
 
 
-def _plane(obj, what: str) -> Plane:
-    """Plane from decoded JSON: a wrongly shaped document is a parse error,
-    a frame that is not orthonormal a precondition violation."""
+def _plane(doc: dict, key: str, where: str = "config") -> Plane:
+    """The plane ``doc[key]``, read by ``_field``: an object with the frame
+    vectors ``b1`` and ``b2`` and the flag ``oriented`` (default true).  A
+    frame that is not orthonormal is a precondition violation."""
+    obj = _field(doc, key, OBJECT, where=where)
+    b1, b2 = (_field(obj, f"{key}.{k}", CATALOG_KINDS["vector"], where=where)
+              for k in ("b1", "b2"))
     try:
-        return plane_from_json(obj)
-    except TypeError as exc:
-        raise CliError(EXIT_PARSE, f"{what}: {exc}") from exc
+        return Plane(b1, b2, _field(obj, f"{key}.oriented", BOOLEAN, True, where=where))
     except ValueError as exc:
-        raise CliError(EXIT_PRECONDITION, f"{what}: {exc}") from exc
+        raise CliError(EXIT_PRECONDITION, f"{key}: {exc}") from exc
 
 
 def _plane_from_arg(text: str, what: str) -> Plane:
@@ -302,7 +306,7 @@ def _plane_from_arg(text: str, what: str) -> Plane:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliError(EXIT_PARSE, f"{what}: invalid JSON: {exc}") from exc
-    return _plane(obj, what)
+    return _plane({what: obj}, what, "command line")
 
 
 def _single_var_data(expr_src: str, var_hint: str, order: int):
@@ -360,8 +364,9 @@ def _report_payload(report, gate: float, extra: dict | None = None) -> dict:
 def _cmd_angles(args) -> int:
     if args.config:
         cfg = _load_json(args.config)
-        V, W = (_field(cfg, k, OBJECT) for k in ("V", "W"))
-        V, W = _plane(V, "V"), _plane(W, "W")
+        for k in ("V", "W"):   # both planes are objects before either is read
+            _field(cfg, k, OBJECT)
+        V, W = _plane(cfg, "V"), _plane(cfg, "W")
     elif args.v and args.w:
         V = _plane_from_arg(args.v, "--v")
         W = _plane_from_arg(args.w, "--w")
@@ -406,7 +411,7 @@ def _surface_from_config(cfg: dict):
         meta = {"kind": "graph", "f": f, "g": g}
     else:
         raise CliError(EXIT_PARSE, "config needs a 'surface' or 'graph' entry")
-    return patch, default_plane if plane is None else _plane(plane, "plane"), meta
+    return patch, default_plane if plane is None else _plane(cfg, "plane"), meta
 
 
 def _cmd_verify(args) -> int:
@@ -433,7 +438,8 @@ def _cmd_example(args) -> int:
     grid, gate = _grid_and_gate(cs.patch, args.grid, _finite_flag("--gate", args.gate))
     report = verify_helix(cs.patch, cs.plane, grid)
     meta = {"example": args.name,
-            "plane": plane_to_json(cs.plane),
+            "plane": {"b1": list(cs.plane.b1), "b2": list(cs.plane.b2),
+                      "oriented": cs.plane.oriented},
             "expected": [cs.expected.theta1, cs.expected.theta2],
             "spec": {k: v for k, v in cs.spec.items()
                      if isinstance(v, (int, float, str, bool))}}

@@ -41,8 +41,6 @@ __all__ = [
     "plane_angles_via_bivectors",
     "planes_with_angles",
     "random_plane",
-    "plane_to_json",
-    "plane_from_json",
 ]
 
 # Orthonormality tolerance for plane frames.
@@ -512,38 +510,3 @@ def random_plane(rng: np.random.Generator) -> Plane:
     q *= np.sign(np.diag(r))
     return Plane(q[:, 0], q[:, 1])
 
-
-# ---------------------------------------------------------------------------
-# JSON wire format
-# ---------------------------------------------------------------------------
-
-def plane_to_json(P: Plane) -> dict:
-    return {"b1": list(P.b1), "b2": list(P.b2), "oriented": P.oriented}
-
-
-def plane_from_json(obj: dict) -> Plane:
-    """Plane from a decoded JSON object.  A missing field or a value of the
-    wrong JSON type (a coordinate that is not a number, booleans included, or
-    an ``oriented`` that is not a boolean) is a TypeError naming the field; a
-    wrong length, a non-finite or a non-orthonormal frame a ValueError."""
-    if not isinstance(obj, dict):
-        raise TypeError("plane JSON must be an object with fields b1 and b2, "
-                        f"not {type(obj).__name__}")
-    try:
-        b1, b2 = (_json_coords(obj[key], key) for key in ("b1", "b2"))
-    except KeyError as exc:
-        raise TypeError(f"plane JSON is missing field {exc}") from exc
-    oriented = obj.get("oriented", True)
-    if not isinstance(oriented, bool):
-        raise TypeError(f"plane field oriented must be true or false, got {oriented!r}")
-    return Plane(b1, b2, oriented)
-
-
-def _json_coords(v, key: str) -> np.ndarray:
-    if not isinstance(v, list) or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in v):
-        raise TypeError(f"plane field {key} must be a list of numbers, got {v!r}")
-    try:
-        return np.array(v, dtype=float)
-    except OverflowError:
-        raise ValueError(f"plane field {key} has non-finite entries") from None

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import helix4
-from helix4 import catalog, cli, helix_construct as hc, surface_analysis
+from helix4 import catalog, cli, grassmann, helix_construct as hc, surface_analysis
 from helix4.cli import (EXIT_DEGENERATE, EXIT_GATE, EXIT_OK, EXIT_PARSE,
                         EXIT_PRECONDITION, dumps_stable, main)
 
@@ -56,6 +56,69 @@ def test_angles_bad_frame_is_precondition(capsys):
     bad = '{"b1":[1,1,0,0],"b2":[0,1,0,0],"oriented":true}'
     code, _, _ = run(capsys, "angles", "--v", bad, "--w", PLANE_12)
     assert code == EXIT_PRECONDITION
+
+
+def angles_of_plane(capsys, obj):
+    """``angles --v obj --w PLANE_12``; JSON has no infinity, so an inf
+    entry is written as the literal 1e400, which decodes to it."""
+    return run(capsys, "angles", "--v", json.dumps(obj).replace("Infinity", "1e400"),
+               "--w", PLANE_12)
+
+
+def test_plane_json_round_trip(tmp_path, capsys):
+    # the plane an example writes reads back; a random frame reads as itself
+    code, out, _ = run(capsys, "example", "plane", "--grid", "5", "5")
+    written = json.loads(out)["plane"]
+    assert code == EXIT_OK and set(written) == {"b1", "b2", "oriented"}
+    P = grassmann.random_plane(np.random.default_rng(23))
+    obj = {"b1": P.b1.tolist(), "b2": P.b2.tolist(), "oriented": P.oriented}
+    for plane in (written, obj):
+        code, out, _ = run(capsys, "angles", "--v", json.dumps(plane), "--w", json.dumps(plane))
+        assert code == EXIT_OK
+        assert json.loads(out)["theta2"] == pytest.approx(0.0, abs=1e-7)
+    # "oriented": false is read as an unoriented plane, which has no Gauss map
+    cfg = tmp_path / "verify.json"
+    cfg.write_text(json.dumps({"surface": {"kind": "plane"}, "grid": [5, 5],
+                               "plane": {**obj, "oriented": False}}))
+    code, _, err = run(capsys, "verify", "--config", str(cfg))
+    assert code == EXIT_PRECONDITION and "oriented reference plane" in err
+    code, _, err = angles_of_plane(capsys, {"b1": [1, 0, 0, 0]})
+    assert (code, err) == (EXIT_PARSE, "error: command line is missing --v.b2\n")
+
+
+@pytest.mark.parametrize("field, obj", [
+    ("b1", {"b1": [True, 0, 0, 0], "b2": [0, 1, 0, 0]}),
+    ("b2", {"b1": [1, 0, 0, 0], "b2": [0, 0, "1", 0]}),
+    ("b2", {"b1": [1, 0, 0, 0], "b2": [0, 0, "x", 0]}),
+    ("b2", {"b1": [1, 0, 0, 0], "b2": [0, None, 0, 0]}),
+    ("b1", {"b1": [[1, 0], [0, 0]], "b2": [0, 1, 0, 0]}),
+    ("b1", {"b1": "abcd", "b2": [0, 1, 0, 0]}),
+    ("b1", {"b1": 1, "b2": [0, 1, 0, 0]}),
+    ("oriented", {"b1": [1, 0, 0, 0], "b2": [0, 1, 0, 0], "oriented": "false"}),
+    ("oriented", {"b1": [1, 0, 0, 0], "b2": [0, 1, 0, 0], "oriented": 0}),
+    ("oriented", {"b1": [1, 0, 0, 0], "b2": [0, 1, 0, 0], "oriented": None}),
+])
+def test_plane_json_of_the_wrong_type_exits_2(capsys, field, obj):
+    code, out, err = angles_of_plane(capsys, obj)
+    assert code == EXIT_PARSE and out == ""
+    assert err.startswith(f"error: command line --v.{field} must be ") and err.count("\n") == 1
+
+
+# a vector of the wrong length or with an entry past float range is not of
+# its kind (exit 2); four numbers that are no orthonormal frame are a
+# precondition violation (exit 3)
+@pytest.mark.parametrize("obj, code, named", [
+    ({"b1": [1, 0, 0], "b2": [0, 1, 0, 0]}, EXIT_PARSE, "command line --v.b1 must be "),
+    ({"b1": [math.inf, 0, 0, 0], "b2": [0, 1, 0, 0]}, EXIT_PARSE,
+     "command line --v.b1 must be "),
+    ({"b1": [10 ** 400, 0, 0, 0], "b2": [0, 1, 0, 0]}, EXIT_PARSE,
+     "command line --v.b1 must be "),
+    ({"b1": [1, 1, 0, 0], "b2": [0, 1, 0, 0]}, EXIT_PRECONDITION, "--v: plane frame vectors "),
+], ids=["obj0", "obj1", "obj2", "obj3"])
+def test_plane_json_of_a_bad_frame_exits_2_or_3(capsys, obj, code, named):
+    got, out, err = angles_of_plane(capsys, obj)
+    assert got == code and out == ""
+    assert err.startswith(f"error: {named}") and err.count("\n") == 1
 
 
 def test_deform_forward_and_inverse(capsys):
@@ -108,6 +171,15 @@ def test_extreme_angle_pairs_are_refused(capsys, command, t1, t2, named):
     assert code == EXIT_PRECONDITION
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
     assert named in err
+
+
+def test_a_cylinder_whose_pitch_gives_a_negative_radius_exits_3(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"surface": {"kind": "product_helix_cylinder", "theta": 0.5,
+                                           "pitch": -1}}))
+    code, out, err = run(capsys, "verify", "--config", str(cfg))
+    assert (code, out, err) == (EXIT_PRECONDITION, "",
+                                "error: surface: cylinder radius must be positive\n")
 
 
 def test_example_torus_passes(tmp_path, capsys):
@@ -530,9 +602,11 @@ def per_node_obj(coords, rows, N, M):
             *(f"v {per_node_row(row, ' ')}" for row in rows), *faces]
 
 
-def assert_blocks_split_rows(N, M):
-    block = cli.ROW_BLOCK
-    assert M > block and M % block and (N * M) % block
+def assert_blocks_split_rows(N, M, cells):
+    # a line of ``cells`` cells is written in blocks of this many nodes: the
+    # first block ends inside a row, and the last one is partial
+    block = max(1, 8 * cli.ROW_BLOCK // cells)
+    assert block % M and (N * M) % block
 
 
 def capture_reports(monkeypatch):
@@ -603,7 +677,7 @@ def test_write_rows_working_memory_does_not_grow_with_the_grid():
 
 
 def test_bundle_csv_matches_a_per_node_rendering(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "ROW_BLOCK", 7)
+    monkeypatch.setattr(cli, "ROW_BLOCK", 9)
     h, y_max, x_range = 2e-3, 0.004, (-0.05, 0.05)
     prefix = str(tmp_path / "sol")
     code, _, _ = run(capsys, "construct", *THETAS, "--hx", str(h), "--hy", str(h),
@@ -620,17 +694,17 @@ def test_bundle_csv_matches_a_per_node_rendering(tmp_path, capsys, monkeypatch):
     np.testing.assert_allclose(xs, graph.xs, rtol=0, atol=1e-16)
     np.testing.assert_allclose(ys, graph.ys, rtol=0, atol=1e-16)
     grads = graph.gradients()
-    assert_blocks_split_rows(ys.size, xs.size)
+    lines = (tmp_path / "sol.csv").read_text().splitlines()
+    assert_blocks_split_rows(ys.size, xs.size, len(lines[0].split(",")))
     residuals = [hc.GRAPH_RESIDUALS[k](*grads, params) for k in ("helix_trace", "helix_det")]
     columns = [graph.f, graph.g, *grads] + residuals
-    lines = (tmp_path / "sol.csv").read_text().splitlines()
     assert lines[1:] == [per_node_row([xs[i], ys[j], *(a[i, j] for a in columns)])
                          for j in range(ys.size) for i in range(xs.size)]
 
 
 def test_verify_csv_matches_a_per_node_rendering(tmp_path, capsys, monkeypatch):
     # u is the slow axis here; the residual columns are nan on the outer ring
-    monkeypatch.setattr(cli, "ROW_BLOCK", 5)
+    monkeypatch.setattr(cli, "ROW_BLOCK", 7)
     reports = capture_reports(monkeypatch)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"surface": {"kind": "clifford_torus"}, "grid": [6, 13]}))
@@ -639,10 +713,10 @@ def test_verify_csv_matches_a_per_node_rendering(tmp_path, capsys, monkeypatch):
     assert code == EXIT_OK
     (r,) = reports
     N, M = r.points.shape[:2]
-    assert_blocks_split_rows(N, M)
+    lines = csv_path.read_text().splitlines()
+    assert_blocks_split_rows(N, M, len(lines[0].split(",")))
     columns = [*np.moveaxis(r.points, -1, 0), r.theta1, r.theta2, r.K, r.K_perp,
                r.structure_residual, r.codazzi_residual]
-    lines = csv_path.read_text().splitlines()
     assert lines[1:] == [per_node_row([r.u[i], r.v[j], *(a[i, j] for a in columns)])
                          for i in range(N) for j in range(M)]
     assert lines[1].endswith(",nan,nan") and ",nan" not in lines[M + 2]
@@ -656,7 +730,7 @@ def test_export_obj_matches_a_per_node_rendering_for_every_projection(
         "--ymax", "0.006", "--save", prefix, "--out", str(tmp_path / "r.json"))
     meta = json.loads((tmp_path / "sol.meta.json").read_text())
     fields, nx, ny = meta["fields"], meta["nx"], meta["ny"]
-    assert_blocks_split_rows(nx, ny)
+    assert_blocks_split_rows(nx, ny, 3)
     data = np.fromfile(prefix + ".bin").reshape(len(fields), ny, nx)
     xs = meta["x0"] + meta["hx"] * np.arange(nx, dtype=float)
     ys = meta["y0"] + meta["hy"] * np.arange(ny, dtype=float)
@@ -674,6 +748,24 @@ def test_export_obj_matches_a_per_node_rendering_for_every_projection(
         assert obj_path.read_text().splitlines() == expected, names
 
 
+def test_an_obj_export_writes_blocks_of_up_to_8_row_blocks_of_cells(tmp_path, capsys,
+                                                                    monkeypatch):
+    # a 305 x 49 bundle: the grid axes are formatted once each, then the
+    # vertex line's three cells go 2730 nodes a block and the face line's six
+    # 1365, one call per block: 2 + 6 + 11 calls
+    from helix4 import numtext
+    sidecar = {**SIDECAR, "nx": 305, "ny": 49, "fields": ["f", "g"]}
+    (tmp_path / "sol.meta.json").write_text(json.dumps(sidecar))
+    np.random.default_rng(5).standard_normal(2 * 305 * 49).tofile(tmp_path / "sol.bin")
+    calls, texts = [], numtext.texts
+    monkeypatch.setattr(numtext, "texts", lambda conv, v: calls.append(v.size) or texts(conv, v))
+    code, _, _ = run(capsys, "export", "--grid", str(tmp_path / "sol"), "--format", "obj",
+                     "--out", str(tmp_path / "sol.obj"))
+    assert code == EXIT_OK
+    assert calls == [305, 49, *[2730] * 5, 305 * 49 - 13650,
+                     *[6 * 1365] * 10, 6 * (304 * 48 - 13650)]
+
+
 def test_example_obj_matches_a_per_node_rendering(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "ROW_BLOCK", 4)
     reports = capture_reports(monkeypatch)
@@ -683,7 +775,7 @@ def test_example_obj_matches_a_per_node_rendering(tmp_path, capsys, monkeypatch)
     assert code == EXIT_OK
     (r,) = reports
     N, M = r.points.shape[:2]
-    assert_blocks_split_rows(N, M)
+    assert_blocks_split_rows(N, M, 3)
     assert obj.read_text().splitlines() == per_node_obj(
         (0, 1, 2), r.points[..., :3].reshape(-1, 3), N, M)
 
@@ -797,52 +889,57 @@ def test_malformed_json_is_parse_error(tmp_path, capsys, command, document):
 
 P12 = json.loads(PLANE_12)
 C1 = 10.0 / 3.0
-# per command and key: a valid document holding the key, and whether the key
-# is of a string kind (the string probes are then skipped)
+# per command and key: a valid document holding the key, and the Python type
+# of the key's kind where some probes are of that kind (str or bool: those
+# probes are then skipped), else None
+PLANE_KEYS = (("b1", None), ("b2", None), ("oriented", bool))
 KEY_BASES = {
-    "angles": ({"V": P12, "W": P12}, {"V": False, "W": False}),
+    "angles": ({"V": P12, "W": P12},
+               {"V": None, "W": None,
+                **{f"{plane}.{k}": kind for plane in ("V", "W") for k, kind in PLANE_KEYS}}),
     "verify-surface": ({"surface": {"kind": "plane"}, "grid": [5, 5]},
-                       {"surface": False, "surface.kind": True}),
+                       {"surface": None, "surface.kind": str}),
     "verify-torus": ({"surface": {"kind": "clifford_torus", "r1": 1, "r2": 0.5},
-                      "grid": [5, 5]}, {"surface.r1": False, "surface.r2": False}),
+                      "grid": [5, 5]}, {"surface.r1": None, "surface.r2": None}),
     "verify-cylinder": ({"surface": {"kind": "product_helix_cylinder", "theta": 0.6,
                                      "radius": math.sin(0.6), "pitch": math.cos(0.6)},
                          "grid": [5, 5]},
-                        {f"surface.{k}": False for k in ("theta", "radius", "pitch")}),
+                        {f"surface.{k}": None for k in ("theta", "radius", "pitch")}),
     "verify-orbit": ({"surface": {"kind": "revolution_orbit", "profile": "helix", "theta": 0.5,
                                   "offset": 1, "a": 1, "b": 0.5, "z0": 1, "R": 1, "beta": 1,
                                   "s_range": [0, 2], "phi_range": [0, 3]},
                       "grid": [5, 5]},
-                     {"surface.profile": True,
-                      **{f"surface.{k}": False for k in ("theta", "offset", "a", "b", "z0", "R",
+                     {"surface.profile": str,
+                      **{f"surface.{k}": None for k in ("theta", "offset", "a", "b", "z0", "R",
                                                          "beta", "s_range", "phi_range")}}),
     "verify-plane": ({"surface": {"kind": "plane", "p0": [0, 0, 0, 0], "a": [1, 0, 0, 0],
                                   "b": [0, 1, 0, 0]}, "grid": [5, 5]},
-                     {f"surface.{k}": False for k in ("p0", "a", "b")}),
+                     {f"surface.{k}": None for k in ("p0", "a", "b")}),
     "verify-poly": ({"surface": {"kind": "graph_poly", "f_coeffs": [[0, 0], [0, 1]],
                                  "g_coeffs": [[0, 0.5]], "x_range": [-1, 1], "y_range": [-1, 1]},
                      "grid": [5, 5]},
-                    {f"surface.{k}": False
+                    {f"surface.{k}": None
                      for k in ("f_coeffs", "g_coeffs", "x_range", "y_range")}),
     "verify": ({"graph": {**GRAPH, "domain": [-1, 1, -1, 1]}, "plane": P12,
                 "grid": [5, 5], "gate": 1e-3},
-               {"graph": False, "graph.f": True, "graph.g": True, "graph.domain": False,
-                "plane": False, "grid": False, "gate": False}),
+               {"graph": None, "graph.f": str, "graph.g": str, "graph.domain": None,
+                "plane": None, "grid": None, "gate": None,
+                **{f"plane.{k}": kind for k, kind in PLANE_KEYS}}),
     "construct": ({"c1": C1, "x": [-0.05, 0.05], "ymax": 0.006, "hx": 1e-3, "hy": 1e-3,
                    "branch": 1, "seed": {"u0": -1.176142304907481, "v0": 1.2179310100632075},
                    "phi": "x^2 - 1.176142304907481*x", "psi": "x + 1.2179310100632075"},
-                  {"c1": False, "x": False, "ymax": False, "hx": False, "hy": False,
-                   "branch": False, "seed": False, "seed.u0": False, "seed.v0": False,
-                   "phi": True, "psi": True}),
+                  {"c1": None, "x": None, "ymax": None, "hx": None, "hy": None,
+                   "branch": None, "seed": None, "seed.u0": None, "seed.v0": None,
+                   "phi": str, "psi": str}),
     "export": ({**SIDECAR, "fields": ["f", "g"]},
-               {k: False for k in ("nx", "ny", "x0", "y0", "hx", "hy", "fields")}),
+               {k: None for k in ("nx", "ny", "x0", "y0", "hx", "hy", "fields")}),
 }
 PROBES = {"null": None, "true": True, "abc": "abc", "numeric-string": "0.1",
           "empty-list": [], "empty-object": {}, "1e400": math.inf}
 KEY_CASES = [pytest.param(base, key, value, id=f"{base}-{key}-{label}")
-             for base, (_, keys) in KEY_BASES.items() for key, string_kind in keys.items()
+             for base, (_, keys) in KEY_BASES.items() for key, own in keys.items()
              for label, value in PROBES.items()
-             if not (string_kind and isinstance(value, str))]
+             if not (own and isinstance(value, own))]
 # a key that is no parameter of the surface's catalog kind, with a number
 KEY_CASES += [pytest.param(base, f"surface.{key}", 2.0, id=f"{base}-surface.{key}-unknown")
               for base, key in (("verify-surface", "r1"), ("verify-torus", "radius"),
@@ -893,6 +990,20 @@ def test_every_key_rejects_a_value_of_another_kind(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("base, key, value", [
+    ("angles", "V.b1", [10 ** 400, 0, 0, 0]),
+    ("construct", "x", list(range(10_000))),
+    ("verify", "graph.domain", "x" * 10_000),
+], ids=["plane-10^400", "x-10000-entries", "domain-10000-characters"])
+def test_an_error_line_shortens_a_long_value(tmp_path, capsys, base, key, value):
+    document = json.loads(json.dumps(KEY_BASES[base][0]))
+    holder, name = _holder(document, key)
+    holder[name] = value
+    code, out, err = run_key_document(capsys, tmp_path, base, document)
+    assert code == EXIT_PARSE and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200, err
+
+
 @pytest.mark.parametrize("surface, key", [
     ({"kind": "graph_poly", "f_coeffs": [[True]], "g_coeffs": [[0]]}, "surface.f_coeffs"),
     ({"kind": "graph_poly", "f_coeffs": [[0, 0], [0]], "g_coeffs": [[0]]}, "surface.f_coeffs"),
@@ -935,8 +1046,8 @@ def _lookup(document, key):
 BIG_INTS = {"2^63": 2 ** 63, "2^70": 2 ** 70}
 BIG_CASES = [pytest.param(base, key, big, id=f"{base}-{key}-{label}")
              for base, (document, keys) in KEY_BASES.items()
-             for key, string_kind in keys.items()
-             if not (string_kind or isinstance(_lookup(document, key), dict))
+             for key, own in keys.items()
+             if not (own or isinstance(_lookup(document, key), dict))
              for label, big in BIG_INTS.items()]
 
 

@@ -66,6 +66,10 @@ def test_removed_graph_and_problem_names_stay_removed():
     catalog = importlib.import_module("helix4.catalog")
     for name in ("PARAM_KINDS", "REQUIRED_PARAMS"):
         assert not hasattr(catalog, name), name
+    # planes are JSON only on the command line, read by cli._field
+    grassmann = importlib.import_module("helix4.grassmann")
+    for name in ("plane_from_json", "plane_to_json", "_json_coords"):
+        assert not hasattr(grassmann, name), name
 
 
 def test_helix_construct_imports_no_private_name():

@@ -73,6 +73,17 @@ def test_folding_depends_on_the_value_not_the_offset():
     assert parse_expr("x + 1") == parse_expr("  x+1")
 
 
+def test_division_by_one_and_power_zero_fold():
+    assert parse_expr("x/1") == parse_expr("x")
+    assert str(parse_expr("x^0")) == "1"
+
+
+def test_str_brackets_every_compound_node():
+    assert str(parse_expr("-x")) == "(-x)"
+    assert str(parse_expr("exp(-x)")) == "exp((-x))"
+    assert str(parse_expr("x*y^2")) == "(x * (y ^ 2))"
+
+
 @pytest.mark.parametrize("src, x, span", [
     ("y + sqrt(x+1)", -1.0, 4),     # the '/' of 0.5/sqrt(x+1)
     ("y + 1/x", 0.0, 5),            # the '/' of -1/x^2

@@ -10,14 +10,13 @@ import pytest
 from helix4.grassmann import (
     DEGENERATE_TOL,
     Plane,
+    PrincipalAngles,
     canonical_sign,
     complement_frames,
     hodge,
     orthogonal_complement,
     plane_angles_via_bivectors,
     plane_bivector,
-    plane_from_json,
-    plane_to_json,
     planes_with_angles,
     principal_angles,
     random_plane,
@@ -528,6 +527,13 @@ def test_bivector_angles_match_principal_angles():
     assert abs(abs(math.cos(tp)) - 1.0) < 1e-12
 
 
+def test_angles_out_of_order_are_refused():
+    with pytest.raises(ValueError, match="angles out of range: 1.0, 0.5"):
+        PrincipalAngles(1.0, 0.5)
+    with pytest.raises(ValueError, match="need 0 <= theta1 <= theta2 <= pi/2"):
+        planes_with_angles(0.5, 0.2)
+
+
 def test_product_law_random_pairs():
     rng = np.random.default_rng(17)
     for _ in range(300):
@@ -537,42 +543,3 @@ def test_product_law_random_pairs():
         assert abs(abs(math.cos(theta)) - math.cos(pa.theta1) * math.cos(pa.theta2)) < 1e-10
         assert abs(abs(math.cos(theta_perp)) - math.sin(pa.theta1) * math.sin(pa.theta2)) < 1e-10
 
-
-def test_plane_json_round_trip():
-    rng = np.random.default_rng(23)
-    P = random_plane(rng)
-    obj = plane_to_json(P)
-    assert set(obj) == {"b1", "b2", "oriented"}
-    Q = plane_from_json(obj)
-    assert np.allclose(Q.frame(), P.frame())
-    assert not plane_from_json({**obj, "oriented": False}).oriented
-    with pytest.raises(TypeError, match="missing field 'b2'"):
-        plane_from_json({"b1": [1, 0, 0, 0]})
-
-
-@pytest.mark.parametrize("field, obj", [
-    ("b1", {"b1": [True, 0, 0, 0], "b2": [0, 1, 0, 0]}),
-    ("b2", {"b1": [1, 0, 0, 0], "b2": [0, 0, "1", 0]}),
-    ("b2", {"b1": [1, 0, 0, 0], "b2": [0, 0, "x", 0]}),
-    ("b2", {"b1": [1, 0, 0, 0], "b2": [0, None, 0, 0]}),
-    ("b1", {"b1": [[1, 0], [0, 0]], "b2": [0, 1, 0, 0]}),
-    ("b1", {"b1": "abcd", "b2": [0, 1, 0, 0]}),
-    ("b1", {"b1": 1, "b2": [0, 1, 0, 0]}),
-    ("oriented", {"b1": [1, 0, 0, 0], "b2": [0, 1, 0, 0], "oriented": "false"}),
-    ("oriented", {"b1": [1, 0, 0, 0], "b2": [0, 1, 0, 0], "oriented": 0}),
-    ("oriented", {"b1": [1, 0, 0, 0], "b2": [0, 1, 0, 0], "oriented": None}),
-])
-def test_plane_json_of_the_wrong_type_is_a_type_error(field, obj):
-    with pytest.raises(TypeError, match=f"field {field} "):
-        plane_from_json(obj)
-
-
-@pytest.mark.parametrize("obj", [
-    {"b1": [1, 0, 0], "b2": [0, 1, 0, 0]},
-    {"b1": [1e400, 0, 0, 0], "b2": [0, 1, 0, 0]},
-    {"b1": [10 ** 400, 0, 0, 0], "b2": [0, 1, 0, 0]},
-    {"b1": [1, 1, 0, 0], "b2": [0, 1, 0, 0]},
-])
-def test_plane_json_of_a_bad_frame_is_a_value_error(obj):
-    with pytest.raises(ValueError):
-        plane_from_json(obj)

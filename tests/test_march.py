@@ -232,9 +232,25 @@ def _trims_differ():
     return hc.PDEProblem(C_THIRD, (-0.52, -0.44), 0.006, 1e-3, 1e-3, 1.29615, 0.0, phi, psi)
 
 
+def _trims_differ_right():
+    # the mirror image of _trims_differ: the minimum of |grad f|^2 lies 1.5
+    # nodes inside the right end, and only the upward row trims its right edge
+    phi, psi = hc.paper_initial_data(-1.29615, 0.0, 1.0)
+    return hc.PDEProblem(C_THIRD, (0.44, 0.52), 0.006, 1e-3, 1e-3, -1.29615, 0.0, phi, psi)
+
+
+def _right_trims_exhaust():
+    # the same data on the 21 nodes next to that minimum: the upward row's
+    # first output step passes the window check, and its right trims then
+    # leave fewer than 9 nodes
+    phi, psi = hc.paper_initial_data(-1.29615, 0.0, 1.0)
+    return hc.PDEProblem(C_THIRD, (0.5, 0.52), 0.006, 1e-3, 1e-3, -1.29615, 0.0, phi, psi)
+
+
 def _right_trim():
-    # the gradient drifts out at the right end: both directions trim their
-    # right edge until the window is used up
+    # the gradient drifts out fast at the right end: the first output step
+    # would take more sub-steps than the 81-node window can lose, so the
+    # window check refuses it and both directions keep only the initial row
     return hc.default_problem(C_THIRD, x_range=(0.613, 0.693), y_max=0.006, hx=1e-3, hy=1e-3,
                               seed=(-0.7873677979686537, -0.2257740829625846))
 
@@ -251,7 +267,9 @@ def _annulus_margin():
 CASES = ([(f"ladder-L{k}", lambda h=h: _ladder(h)) for k, h in enumerate(LADDER, start=1)]
          + [("branch-minus-1", _mirror), ("windows-differ", _windows_differ),
             ("reasons-differ", _reasons_differ), ("trims-differ", _trims_differ),
-            ("right-trim", _right_trim), ("annulus-margin", _annulus_margin)])
+            ("trims-differ-right", _trims_differ_right),
+            ("right-trims-exhaust", _right_trims_exhaust), ("right-trim", _right_trim),
+            ("annulus-margin", _annulus_margin)])
 
 
 def _up_down_windows(sol):
@@ -338,7 +356,7 @@ def test_closed_form_coefficients_match_E_pair(branch):
 
 
 def test_asymmetric_cases_take_the_split():
-    for make in (_windows_differ, _trims_differ):
+    for make in (_windows_differ, _trims_differ, _trims_differ_right):
         sol = hc.solve_pde(make())
         assert (sol.termination_up, sol.termination_down) == ("completed", "completed")
         assert not np.array_equal(*_up_down_windows(sol))
@@ -346,10 +364,31 @@ def test_asymmetric_cases_take_the_split():
     assert (sol.termination_up, sol.termination_down) == ("completed", "window-exhausted")
 
 
+def _edge_losses(valid):
+    """The nodes each row with a valid node has lost at its left and at its
+    right end."""
+    rows = valid[valid.any(axis=1)]
+    return np.argmax(rows, axis=1), np.argmax(rows[:, ::-1], axis=1)
+
+
+def test_a_row_trims_its_right_edge():
+    # every sub-step costs one node at each end; the upward rows of the
+    # mirrored trims case lose 8 more at their right end, in the trims of
+    # their first output step, and the downward rows none
+    sol = hc.solve_pde(_trims_differ_right())
+    up, down = _up_down_windows(sol)
+    assert np.count_nonzero(sol.valid.any(axis=1)) == 13
+    left, right = _edge_losses(up)
+    assert left.size == 6 and np.all(right - left == 8)
+    left, right = _edge_losses(down)
+    assert left.size == 6 and np.array_equal(left, right)
+
+
 @pytest.mark.parametrize("make, reasons", [
-    (_right_trim, ("window-exhausted", "window-exhausted")),
+    (_right_trim, ("window-exhausted", "window-exhausted")),   # refused by the window check
+    (_right_trims_exhaust, ("window-exhausted", "window-exhausted")),
     (_annulus_margin, ("annulus-margin", "completed")),
-], ids=["right-trim", "annulus-margin"])
+], ids=["right-trim", "right-trims-exhaust", "annulus-margin"])
 def test_edge_halts_end_for_their_reasons(make, reasons):
     sol = hc.solve_pde(make())
     assert (sol.termination_up, sol.termination_down) == reasons

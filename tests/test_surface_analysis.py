@@ -290,6 +290,18 @@ def test_composition_test_answers_only_for_constant_angles():
     assert "angles not constant (std 1.51e-01)" in verdict.reason
 
 
+def test_composition_test_calls_a_plane_totally_geodesic():
+    cs = named_example("plane")
+    verdict = composition_test(cs.patch, cs.plane, (8, 8))
+    assert (verdict.applicable, verdict.reason) == (False, "totally geodesic")
+
+
+def test_a_grid_graph_takes_the_finite_difference_gate():
+    xs = np.linspace(0.0, 1.0, 5)
+    patch = GraphSurface(xs, xs, np.zeros((5, 5)), np.zeros((5, 5))).patch()
+    assert sa.default_gate(patch, 0.25) == 5 * 0.25 ** 2
+
+
 def test_round_sphere_is_not_a_helix():
     rep = verify_helix(round_sphere_patch(1.0), PI_12, (12, 12))
     assert rep.angle_std() > 1e-2
