@@ -88,7 +88,8 @@ def _array_text(a) -> str:
     flat, cols, body = a.reshape(-1), a.shape[-1], []
     for start in range(0, flat.size, 8 * ROW_BLOCK):
         cell = numtext.texts("%.17g", flat[start:start + 8 * ROW_BLOCK])
-        last = (np.arange(start, start + len(cell)) % cols == cols - 1)[:, None]
+        last = np.zeros((len(cell), 1), bool)
+        last[(cols - 1 - start) % cols::cols] = True
         sep = np.where(last, np.frombuffer(b"], [", np.uint8), np.frombuffer(b", \0\0", np.uint8))
         body.append(numtext.joined([], [cell, sep]))
     return "[" * a.ndim + "".join(body)[:-3] + "]" * (a.ndim - 1)
@@ -117,8 +118,9 @@ def _emit(obj, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 # the writers hold at most 8 * ROW_BLOCK value texts (48 bytes each) at a time,
-# so the block, not the grid, bounds the working memory.  They import numtext
-# where they first run, so that importing the command line does not compile it.
+# and numtext.joined drops their zero bytes in one bytes.translate pass over a
+# copy, so the block, not the grid, bounds the working memory.  They import
+# numtext where they first run, so that importing the command line does not compile it.
 ROW_BLOCK = 1024
 
 
@@ -147,7 +149,9 @@ def _write_rows(fh, line: str, cells) -> None:
         block = [cells[k][rows].reshape(-1)[offset:offset + stop - start] for k in grids]
         chars = numtext.texts(conv, np.concatenate(block)).reshape(len(grids), stop - start, -1)
         pieces = dict(zip(grids, chars))
-        node = np.divmod(np.arange(start, stop), M)
+        i = np.arange(start, stop)
+        row = i // M
+        node = (row, i - row * M)
         pieces.update({k: axis_chars[node[axis]] for k, (axis, axis_chars) in axes.items()})
         fh.write(numtext.joined(literals, [pieces[k] for k in range(len(cells))]))
 

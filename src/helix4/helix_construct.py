@@ -372,18 +372,16 @@ class SolutionGrid:
     def rect(self) -> tuple[slice, slice]:
         """Maximal rectangle of valid nodes spanning all rows that kept at
         least 8 columns."""
-        rows = [j for j in range(self.y.size)
-                if np.count_nonzero(self.valid[j]) >= 8]
+        rows = np.flatnonzero(np.count_nonzero(self.valid, axis=1) >= 8)
         if len(rows) < 3:
             raise ValueError(
                 f"solution kept only {len(rows)} row(s) "
                 f"(termination: {self.termination_up}/{self.termination_down})")
-        lo = max(int(np.argmax(self.valid[j])) for j in rows)
-        hi = min(int(self.x.size - np.argmax(self.valid[j][::-1]) - 1)
-                 for j in rows)
+        lo = int(np.argmax(self.valid[rows], axis=1).max())
+        hi = int(self.x.size - np.argmax(self.valid[rows, ::-1], axis=1).max() - 1)
         if hi - lo < 7:
             raise ValueError("valid rectangle narrower than 8 columns")
-        return slice(rows[0], rows[-1] + 1), slice(lo, hi + 1)
+        return slice(int(rows[0]), int(rows[-1]) + 1), slice(lo, hi + 1)
 
 
 def _march(S: np.ndarray, hy: np.ndarray, out: list, c: float, hx: float,
@@ -535,7 +533,6 @@ def recover_g(sol: SolutionGrid) -> SolutionGrid:
     masked (the lambda-derivative blows up there).
     """
     rs, cs = sol.rect()
-    xw = sol.x[cs]
     fw = sol.f[rs, cs]
     ww = sol.fy[rs, cs]
     p = fd_d1(fw, sol.hx, axis=1)
@@ -546,24 +543,22 @@ def recover_g(sol: SolutionGrid) -> SolutionGrid:
 
     lo, hi = _band(sol.c1)
     blowup = (delta <= lo) | (delta >= hi)
-    A = np.where(blowup, np.nan, A)
-    B = np.where(blowup, np.nan, B)
+    A[blowup] = B[blowup] = np.nan
+    # trapezoid steps in x and y, which take the place of A and B
+    hy = sol.y[1] - sol.y[0]
+    step_x, step = 0.5 * sol.hx * (A[:, 1:] + A[:, :-1]), 0.5 * hy * (B[1:] + B[:-1])
+    del A, B
 
+    # g takes row j0's x-steps, then the y-steps accumulated outward from row j0 in order
     j0 = sol.row0() - rs.start
     g = np.full(fw.shape, np.nan)
     g[j0, 0] = 0.0
-    g[j0, 1:] = np.nancumsum(0.5 * sol.hx * (A[j0, 1:] + A[j0, :-1]))
-    hy = sol.y[1] - sol.y[0]
-    # trapezoid steps in y, accumulated outward from row j0 in order
-    step = 0.5 * hy * (B[1:] + B[:-1])
+    g[j0, 1:] = np.nancumsum(step_x[j0])
     g[j0:] = np.cumsum(np.concatenate([g[j0:j0 + 1], step[j0:]]), axis=0)
     g[j0::-1] = np.cumsum(np.concatenate([g[j0:j0 + 1], -step[:j0][::-1]]), axis=0)
 
     # loop integral around each cell: bottom + right - top - left
-    loop = (0.5 * sol.hx * (A[:-1, 1:] + A[:-1, :-1])
-            + 0.5 * hy * (B[1:, 1:] + B[:-1, 1:])
-            - 0.5 * sol.hx * (A[1:, 1:] + A[1:, :-1])
-            - 0.5 * hy * (B[1:, :-1] + B[:-1, :-1]))
+    loop = step_x[:-1] + step[:, 1:] - step_x[1:] - step[:, :-1]
 
     g_full = np.full_like(sol.f, np.nan)
     g_full[rs, cs] = g

@@ -3,7 +3,7 @@ whole numpy array at once, for the command line's CSV, OBJ and JSON writers.
 
 ``texts(conv, values)`` lays out the text of each value in fixed slots of a
 uint8 array, with zero bytes where nothing prints; ``joined`` interleaves
-such arrays with literal text and drops the zero bytes.
+such arrays with literal text and drops the zeros with ``bytes.translate``.
 
 A float v is its sign, the 17 digits D of round(|v| 10^(16-E)) with
 E = floor(log10 |v|), and E.  |v| 10^(16-E) is taken as a double-double,
@@ -154,7 +154,8 @@ def _int_texts(v) -> np.ndarray:
     mag = np.abs(v).astype(np.uint64)                 # int64's minimum too
     count = np.searchsorted(10 ** np.arange(1, 20, dtype=np.uint64), mag, side="right") + 1
     width = 4 * -(-(int(count.max(initial=1)) + 1) // 4)
-    groups = np.stack([(mag // 10**k) % 10**4 for k in range(width - 4, -1, -4)], axis=1)
+    q = [mag // 10**k for k in range(width - 4, -1, -4)]   # the first is < 10^3
+    groups = np.stack(q[:1] + [b - a * 10**4 for a, b in zip(q, q[1:])], axis=1)
     chars = _QUADS[groups.astype(np.intp)].view(np.uint8).reshape(len(v), width)
     chars *= np.arange(width) >= width - count[:, None]
     negative = np.flatnonzero(v < 0)
@@ -172,9 +173,8 @@ def texts(conv: str, values) -> np.ndarray:
         return _int_texts(values)
     values = np.asarray(values, dtype=np.float64)
     negative, zero, E, D, fallback = _float_digits(values)
-    lead, rest = np.divmod(D, 10**16)
-    high, low = np.divmod(rest, 10**8)
-    (g1, g2), (g3, g4) = np.divmod(high, 10**4), np.divmod(low, 10**4)
+    q = [D // 10**k for k in (16, 12, 8, 4)]
+    lead, (g1, g2, g3, g4) = q[0], [b - a * 10**4 for a, b in zip(q, q[1:] + [D])]
     z = _ZEROS
     count = 17 - (z[g4] + (g4 == 0) * (z[g3] + (g3 == 0) * (z[g2] + (g2 == 0) * z[g1])))
     layout = np.where((E >= -4) & (E < 17), E + 4, np.where(np.abs(E) < 100, 21, 22))
@@ -190,7 +190,8 @@ def texts(conv: str, values) -> np.ndarray:
 
 def joined(literals, cells) -> str:
     """The text of n rows, each the strings ``literals`` interleaved with the
-    ``texts`` arrays ``cells``: literal, cell, literal, ..., (literal)."""
+    ``texts`` arrays ``cells``: literal, cell, literal, ..., (literal).  One
+    ``bytes.translate`` pass over a copy of the rows drops their zero bytes."""
     n = len(cells[0])
     pieces = []
     for text, cell in itertools.zip_longest(literals, cells):
@@ -199,5 +200,4 @@ def joined(literals, cells) -> str:
             pieces.append(np.broadcast_to(literal, (n, literal.size)))
         if cell is not None:
             pieces.append(cell)
-    chars = np.concatenate(pieces, axis=1).ravel()
-    return str(np.compress(chars != 0, chars).data, "ascii")
+    return np.concatenate(pieces, axis=1).tobytes().translate(None, b"\0").decode("ascii")

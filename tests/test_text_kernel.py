@@ -3,6 +3,7 @@ exactly as ``"%.17g" % v`` (or ``"%d" % v``) does, stratum by stratum."""
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,21 @@ def ulp_neighbours(values):
     return np.concatenate([values, np.nextafter(values, 0), np.nextafter(values, np.inf)])
 
 
+def digit_group_boundaries():
+    """Values whose 17 digits D sit at, and 1 either side of, multiples of
+    10^4, 10^8 and 10^16 below 10^17 (as near as a double gets), where the
+    digit groups of D and the trailing zeros change, at fixed and
+    exponential exponents."""
+    rng = np.random.default_rng(31)
+    D = np.concatenate([10**16 * np.arange(1, 10), [10**17 - 1],
+                        10**8 * rng.integers(10**8, 10**9, 60),
+                        10**4 * rng.integers(10**12, 10**13, 60)])
+    D = np.concatenate([D - 1, D, D + 1])
+    D = D[(D >= 10**16) & (D < 10**17)]
+    values = [float(f"{d}e{E - 16}") for d in D.tolist() for E in (-5, -1, 0, 7, 16, 17, 120)]
+    return np.concatenate([ulp_neighbours(values), -ulp_neighbours(values)])
+
+
 def strata():
     rng = np.random.default_rng(28)
     n = 20_000
@@ -43,6 +59,7 @@ def strata():
         "powers-of-ten-and-ulps": np.concatenate([ulp_neighbours(powers),
                                                   -ulp_neighbours(powers)]),
         "carry-to-1e17": ulp_neighbours(carries),
+        "digit-group-boundaries": digit_group_boundaries(),
         "odd-k-over-2^17": np.arange(1, 2**18, 2) / 2**17,
         "specials": np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                               -2.225073858507201e-308, sys.float_info.max, -sys.float_info.max,
@@ -82,3 +99,20 @@ def test_non_finite_and_out_of_range_values_go_to_the_fallback():
 ], ids=["digit-counts", "int64-range", "random", "small"])
 def test_the_integer_half_prints_what_percent_d_prints(values):
     assert_exact("%d", np.asarray(values, dtype=np.int64))
+
+
+def test_joined_peaks_no_higher_than_a_mask_and_compress():
+    # an 8-cell CSV block of ROW_BLOCK rows; dropping the zero bytes with a
+    # mask and np.compress peaked at 5.71 times the block's slot bytes (the
+    # mask, compress's index array and the text), one bytes.translate pass
+    # over a copy of the slots at 2.0 times
+    n = 1024
+    chars = numtext.texts("%.17g", np.random.default_rng(31).standard_normal(8 * n))
+    cells = list(chars.reshape(n, 8, -1).transpose(1, 0, 2))
+    tracemalloc.start()
+    try:
+        numtext.joined([""] + [","] * 7 + ["\n"], cells)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.71 * n * (8 * chars.shape[1] + 8)
