@@ -38,7 +38,8 @@ odd-even grid mode to a net factor <= 0.894 per sub-step, and the x-window
 loses one node at each end per sub-step.  That is no discrete domain of
 dependence: each of a sub-step's two stages reads one more node on each
 side, and the stages' end nodes take the one-sided closures of ``fd_d1``
-and ``fd_d2`` (see the README, "How construction works").
+and ``fd_d2``, through the march's row stencils on its C-contiguous state
+(see the README, "How construction works").
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from typing import Callable
 import numpy as np
 
 from .grassmann import PrincipalAngles
-from .surface_analysis import GraphSurface, fd_d1, fd_d2
+from .surface_analysis import GraphSurface, fd_d1
 
 __all__ = [
     "HelixParams",
@@ -135,8 +136,11 @@ def _band(c: float) -> tuple[float, float]:
     return dmin + margin, dmax - margin
 
 
-def _lam(delta, c, branch: int = 1):
-    arg = c * delta - 1.0 - delta * delta
+def _lam(delta, c, branch: int = 1, cd=None, dd=None):
+    """branch sqrt(c Delta - 1 - Delta^2), arguments in [-SQRT_CLAMP, 0) taken
+    as 0; halts below.  ``cd`` = c Delta and ``dd`` = Delta^2 when the caller
+    has them."""
+    arg = (c * delta if cd is None else cd) - 1.0 - (delta * delta if dd is None else dd)
     if not arg.min() >= 0:                       # a negative or NaN argument
         arg = np.where((arg < 0) & (arg >= -SQRT_CLAMP), 0.0, arg)
         if np.any(arg < 0):
@@ -384,6 +388,58 @@ class SolutionGrid:
         return slice(int(rows[0]), int(rows[-1]) + 1), slice(lo, hi + 1)
 
 
+def _squares(p, w):
+    """(p^2, w^2, Delta = p^2 + w^2) of the gradient (p, w)."""
+    pp, ww = p * p, w * w
+    return pp, ww, pp + ww
+
+
+def _a_beta(p, w, c: float, tol_char: float, branch: int = 1, squares=None):
+    """(a Delta^2, beta) of w_y = f_xx + beta w_x at the gradient (p, w) =
+    (f_x, f_y): a Delta^2 = r + q mu and beta = 2 (r mu - q)/(r + q mu), with
+    r = w^2 - p^2, q = 2pw and mu = (2 - c Delta)/(2 lam).  Halts where
+    |a| < tol_char, or where ``_lam`` does.  ``squares`` is ``_squares(p, w)``
+    when the caller has it."""
+    pp, ww, delta = _squares(p, w) if squares is None else squares
+    cd, dd = c * delta, delta * delta
+    lam = _lam(delta, c, branch, cd, dd)
+    mu = (2.0 - cd) / (2.0 * (lam if lam.all() else np.where(lam != 0, lam, np.inf)))
+    r, q = ww - pp, 2.0 * p * w
+    a_delta2 = r + q * mu
+    if (np.abs(a_delta2) < tol_char * dd).any():
+        raise SolverHalt("characteristic-degeneracy")
+    return a_delta2, 2.0 * (r * mu - q) / a_delta2
+
+
+def _flat(S: np.ndarray) -> np.ndarray:
+    """The buffer of a C-contiguous block as one row, never a copy."""
+    if not S.flags.c_contiguous:
+        raise ValueError("the row stencils need a C-contiguous block")
+    return S.reshape(-1)
+
+
+def _row_d1(S: np.ndarray, h: float) -> np.ndarray:
+    """``fd_d1(S, h, axis=-1)`` of a C-contiguous (R, n) block, n >= 3, bit
+    for bit: one centred difference over the flat buffer, whose values that
+    straddle two rows land on the end columns, which the one-sided closures
+    then overwrite."""
+    v, out = _flat(S), np.empty_like(S)
+    np.divide(v[2:] - v[:-2], 2 * h, out=out.reshape(-1)[1:-1])
+    out[:, 0] = (-3 * S[:, 0] + 4 * S[:, 1] - S[:, 2]) / (2 * h)
+    out[:, -1] = (3 * S[:, -1] - 4 * S[:, -2] + S[:, -3]) / (2 * h)
+    return out
+
+
+def _row_d2(S: np.ndarray, h: float) -> np.ndarray:
+    """``fd_d2(S, h, axis=-1)`` of a C-contiguous (R, n) block, n >= 4, bit
+    for bit, in the way of ``_row_d1``."""
+    v, out = _flat(S), np.empty_like(S)
+    np.divide(v[2:] - 2 * v[1:-1] + v[:-2], h * h, out=out.reshape(-1)[1:-1])
+    out[:, 0] = (2 * S[:, 0] - 5 * S[:, 1] + 4 * S[:, 2] - S[:, 3]) / (h * h)
+    out[:, -1] = (2 * S[:, -1] - 5 * S[:, -2] + 4 * S[:, -3] - S[:, -4]) / (h * h)
+    return out
+
+
 def _march(S: np.ndarray, hy: np.ndarray, out: list, c: float, hx: float,
            tol_char: float, branch: int = 1, iL: int = 0) -> list[str]:
     """March R rows of Cauchy data that share one x-window.
@@ -397,31 +453,25 @@ def _march(S: np.ndarray, hy: np.ndarray, out: list, c: float, hx: float,
     to the start of the step and each row continues alone (R = 1) through
     this function into the rest of its arrays, so every row gets exactly the
     arithmetic of a march of its own.  Returns each row's termination reason.
+    The state is kept C-contiguous for the row stencils ``_row_d1``/``_row_d2``.
     """
     lo, hi = _band(c)
     R = S.shape[0] // 2
 
-    def beta(S, D1):
-        """beta of w_y = f_xx + beta w_x, where a = E_u(f_x, w) must not vanish."""
-        p, w = D1[:R], S[R:]
-        delta = p * p + w * w
-        lam = _lam(delta, c, branch)
-        mu = (2.0 - c * delta) / (2.0 * (lam if lam.all() else np.where(lam != 0, lam, np.inf)))
-        r, q = w * w - p * p, 2.0 * p * w
-        a_delta2 = r + q * mu
-        if np.any(np.abs(a_delta2) < tol_char * (delta * delta)):
-            raise SolverHalt("characteristic-degeneracy")
-        return 2.0 * (r * mu - q) / a_delta2
+    def stage(S, X, D1, bt, step):
+        """S + step (w; f_xx + beta w_x) of the state X, in one fresh array."""
+        new = np.empty_like(S)
+        np.add(S[:R], step * X[R:], out=new[:R])
+        np.add(S[R:], step * (_row_d2(X[:R], hx) + bt * D1[R:]), out=new[R:])
+        return new
 
-    def rhs(S, D1, bt):
-        return np.concatenate((S[R:], fd_d2(S[:R], hx, axis=-1) + bt * D1[R:]))
-
-    D1 = fd_d1(S, hx, axis=-1)       # f_x over w_x, kept from each trim check
+    D1 = _row_d1(S, hx)              # f_x over w_x, kept from each trim check
+    squares = None                   # _squares of the trim check while no edge moves
     for done in range(len(out[0][0]) - 1):
         start = S, iL
         try:
-            bt = beta(S, D1)
-            m = np.nanmax(np.abs(bt), axis=-1)
+            bt = _a_beta(D1[:R], S[R:], c, tol_char, branch, squares)[1]
+            m = np.fmax.reduce(np.abs(bt), axis=-1)
             # the CFL rule, with at least 2 |hy|/hx sub-steps so that |z| <= 1 below
             k = {max(math.ceil(abs(h) * 0.5 * (mr + math.sqrt(mr * mr + 4.0)) / (CFL_TARGET * hx)),
                      math.ceil(2.0 * abs(h) / hx)) for h, mr in zip(hy, m)}
@@ -431,15 +481,15 @@ def _march(S: np.ndarray, hy: np.ndarray, out: list, c: float, hx: float,
             # each sub-step costs a node at each end: the last one would find < 9
             if S.shape[1] - 2 * (k - 1) < 9:
                 raise SolverHalt("window-exhausted")
-            sub = np.concatenate((hy, hy))[:, None] / k
+            sub = hy[:, None] / k
             for s in range(k):
                 if S.shape[1] < 9:
                     raise SolverHalt("window-exhausted")
                 if s:
-                    bt = beta(S, D1)
-                Sh = S + 0.5 * sub * rhs(S, D1, bt)
-                D1 = fd_d1(Sh, hx, axis=-1)
-                S = S + sub * rhs(Sh, D1, beta(Sh, D1))
+                    bt = _a_beta(D1[:R], S[R:], c, tol_char, branch, squares)[1]
+                Sh = stage(S, S, D1, bt, 0.5 * sub)
+                D1 = _row_d1(Sh, hx)
+                S = stage(S, Sh, D1, _a_beta(D1[:R], Sh[R:], c, tol_char, branch)[1], sub)
                 # Kreiss-Oliger filter.  On the odd-even mode (-1)^i the centred
                 # f_xx is -4 f/hx^2 and w_x is 0, so there the march has the
                 # eigenvalues +-2i/hx, z = 2i hy/(k hx) per sub-step, and the
@@ -447,30 +497,39 @@ def _march(S: np.ndarray, hy: np.ndarray, out: list, c: float, hx: float,
                 # difference of that mode is 16 times it, so the filter scales it
                 # by 1 - KO_EPSILON, and the net factor per sub-step is
                 # (1 - KO_EPSILON) sqrt(1 + |z|^4/4) <= 0.8 sqrt(5/4) = 0.894.
-                S[:, 2:-2] -= KO_EPSILON / 16.0 * (S[:, :-4] - 4.0 * S[:, 1:-3] + 6.0 * S[:, 2:-2]
-                                                   - 4.0 * S[:, 3:-1] + S[:, 4:])
+                # The difference is taken over the flat buffer: kd[:, j] is the
+                # filter's term at column j + 1, and its two zeros stand at the
+                # unfiltered columns 1 and n - 2, where that term straddles rows.
+                v, kd = _flat(S), np.empty_like(S)
+                v4 = 4.0 * v
+                np.multiply(KO_EPSILON / 16.0, v[:-4] - v4[1:-3] + 6.0 * v[2:-2] - v4[3:-1]
+                            + v[4:], out=kd.reshape(-1)[1:-3])
+                kd[:, 0] = kd[:, -3] = 0.0
                 iL += 1
-                S = S[:, 1:-1]
+                S = S[:, 1:-1] - kd[:, :-2]
                 # adaptive edge trim while the gradient drifts toward the
                 # annulus boundary
-                D1 = fd_d1(S, hx, axis=-1)
-                delta = D1[:R] * D1[:R] + S[R:] * S[R:]
-                bad = (delta <= lo) | (delta >= hi)
-                ends = bad[:, [0, -1]]
-                while ends.any():
-                    if np.any(ends != ends[0]):
-                        raise SolverHalt("rows-differ")
-                    if ends[0, 0]:
-                        iL += 1
-                        S, bad = S[:, 1:], bad[:, 1:]
-                    if ends[0, 1]:
-                        S, bad = S[:, :-1], bad[:, :-1]
-                    if S.shape[1] < 9:
-                        raise SolverHalt("window-exhausted")
+                D1 = _row_d1(S, hx)
+                squares = _squares(D1[:R], S[R:])
+                bad = (squares[2] <= lo) | (squares[2] >= hi)
+                if bad.any():
+                    squares = None
                     ends = bad[:, [0, -1]]
-                    D1 = fd_d1(S, hx, axis=-1)    # the end stencil moved with the edge
-                if np.any(bad):
-                    raise SolverHalt("annulus-margin")
+                    while ends.any():
+                        if np.any(ends != ends[0]):
+                            raise SolverHalt("rows-differ")
+                        if ends[0, 0]:
+                            iL += 1
+                            S, bad = S[:, 1:], bad[:, 1:]
+                        if ends[0, 1]:
+                            S, bad = S[:, :-1], bad[:, :-1]
+                        if S.shape[1] < 9:
+                            raise SolverHalt("window-exhausted")
+                        ends = bad[:, [0, -1]]
+                        S = np.ascontiguousarray(S)
+                        D1 = _row_d1(S, hx)   # the end stencil moved with the edge
+                    if np.any(bad):
+                        raise SolverHalt("annulus-margin")
         except SolverHalt as halt:
             if R == 1:
                 return [halt.args[0]]
