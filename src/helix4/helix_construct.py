@@ -148,14 +148,13 @@ def _lam(delta, c, branch: int = 1, cd=None, dd=None):
     return branch * np.sqrt(arg)
 
 
-def _E_pair(u, v, c, branch: int = 1, delta=None):
+def _E_pair(u, v, c, branch: int = 1):
     """(E_u, E_v) of E = (u + lam(Delta) v)/Delta at (u, v) (index 0 of each)
-    and at the rotated point (-v, u) (index 1).  Both share Delta (given, or
-    u^2 + v^2), lam, lam' and Delta^2, taken once; the rotated terms differ
-    only by exact negations and doublings, so each partial has the bits of a
-    lone evaluation at its point.  ``branch`` = -1 gives the mirror surface."""
-    if delta is None:
-        delta = u * u + v * v
+    and at the rotated point (-v, u) (index 1).  Both share Delta = u^2 + v^2,
+    lam, lam' and Delta^2, taken once; the rotated terms differ only by exact
+    negations and doublings, so each partial has the bits of a lone
+    evaluation at its point.  ``branch`` = -1 gives the mirror surface."""
+    delta = u * u + v * v
     lam = _lam(delta, c, branch)
     dlam = (c - 2.0 * delta) / (2.0 * (lam if lam.all() else np.where(lam != 0, lam, np.inf)))
     dd = delta * delta
@@ -171,11 +170,20 @@ class SolverHalt(RuntimeError):
     """Internal signal: the march must stop (reason in args[0])."""
 
 
+def _check_branch(branch) -> None:
+    """Refuse a march branch other than 1 or -1; a bool is no branch."""
+    if isinstance(branch, bool) or branch not in (1, -1):
+        raise ValueError(f"branch must be 1 or -1, got {branch!r}")
+
+
 def _seed_scan(c1: float, branch: int = 1):
-    """(u, v, score) of the polar-grid points over the annulus interior (5%
-    boundary margin) whose min(|E_u(u,v)|, |E_v(-v,u)|) exceeds 1e-3, in grid
-    order; fails with a diagnostic when there are none (c1 too close to 2).
-    ``c1`` here and in the diagnostics is c = c1/c2 of ``HelixParams``."""
+    """The (n, 2) gradient seeds (u, v) of the polar grid over the annulus
+    interior (5% boundary margin) whose score min(|E_u(u,v)|, |E_v(-v,u)|)
+    exceeds 1e-3, in the order the seed walk takes them: score descending,
+    ties in grid order.  Fails with a diagnostic when there are none (c1 too
+    close to 2).  ``c1`` here and in the diagnostics is c = c1/c2 of
+    ``HelixParams``."""
+    _check_branch(branch)
     dmin, dmax = annulus_bounds(c1)
     width = dmax - dmin
     if 0.05 * width <= 1e-3:
@@ -191,21 +199,20 @@ def _seed_scan(c1: float, branch: int = 1):
         Eu, Ev = _E_pair(u, v, c1, branch)
     score = np.minimum(np.abs(Eu[0]), np.abs(Ev[1]))
     score = np.where(np.isfinite(score), score, 0.0).ravel()
-    keep = score > 1e-3
-    if not keep.any():
+    keep = np.flatnonzero(score > 1e-3)
+    if not keep.size:
         raise ValueError(
             f"no non-characteristic seed found for c1 = {c1}: best margin "
             f"{score.max():.2e} (annulus too thin; c1 too close to 2)")
-    return u.ravel()[keep], v.ravel()[keep], score[keep]
+    keep = keep[np.argsort(-score[keep], kind="stable")]
+    return np.column_stack((u.ravel()[keep], v.ravel()[keep]))
 
 
 def find_noncharacteristic_seed(c1: float, branch: int = 1) -> tuple[float, float]:
     """The best-scoring gradient seed (u0, v0) of the annulus scan, the
     first that ``default_problem`` tries; deterministic for fixed c1, which
     is the normalized constant c = c1/c2 of ``HelixParams``."""
-    u, v, score = _seed_scan(c1, branch)
-    k = int(np.argmax(score))
-    return float(u[k]), float(v[k])
+    return tuple(_seed_scan(c1, branch)[0].tolist())
 
 
 def check_window(x_range, y_max: float, hx: float,
@@ -243,10 +250,12 @@ class PDEProblem:
     ``phi`` maps x-nodes to (values, first, second derivatives); ``psi`` to
     (values, first derivatives).  (u0, v0) is the gradient base point.
     ``c1`` is the normalized constant c = c1/c2 > 2 of ``HelixParams``, not
-    its ``c1`` = tan^2(theta1) + tan^2(theta2).  The seed, the window
-    (``check_window``) and the non-characteristic conditions along the whole
-    initial segment are checked when the problem is built, which sets the
-    x-nodes ``x`` (read-only) and the number of y-steps each way ``n_steps``.
+    its ``c1`` = tan^2(theta1) + tan^2(theta2).  The branch (1 or -1, not a
+    bool), the seed, the window (``check_window``), finite phi, phi', phi''
+    and psi and the non-characteristic conditions along the whole initial
+    segment are checked when the problem is built, which sets the x-nodes
+    ``x`` (read-only), the number of y-steps each way ``n_steps`` and the
+    march's characteristic scale ``tol_char`` = 1e-6 min |E_u(-psi, phi')|.
     """
 
     c1: float
@@ -261,8 +270,10 @@ class PDEProblem:
     branch: int = 1
     x: np.ndarray = field(init=False, repr=False, compare=False)
     n_steps: int = field(init=False, repr=False, compare=False)
+    tol_char: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_branch(self.branch)
         dmin, dmax = annulus_bounds(self.c1)
         lo, hi = _band(self.c1)
         d0 = self.u0 * self.u0 + self.v0 * self.v0   # inf, not OverflowError, past float range
@@ -275,19 +286,24 @@ class PDEProblem:
         x.flags.writeable = False
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "n_steps", n_steps)
-        _, dphi, d2phi = self.phi(x)
+        phi, dphi, d2phi = self.phi(x)
         psi, _ = self.psi(x)
+        for name, values in (("phi", phi), ("phi'", dphi), ("phi''", d2phi), ("psi", psi)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} is not finite on the initial segment")
+        # each check below fails on NaN
         delta = dphi * dphi + psi * psi
-        if np.any(delta <= lo) or np.any(delta >= hi):
+        if not ((delta > lo) & (delta < hi)).all():
             raise ValueError("initial gradient leaves the admissible annulus "
                              "on the x-interval")
-        Eu, Ev = _E_pair(dphi, psi, self.c1, self.branch, delta)
-        if np.min(np.abs(Eu[0])) < 1e-9:
+        Eu, Ev = _E_pair(dphi, psi, self.c1, self.branch)
+        if not np.min(np.abs(Eu[0])) >= 1e-9:
             raise ValueError("E_u(phi', psi) vanishes on the initial segment")
-        if np.min(np.abs(Ev[1])) < 1e-9:
+        if not np.min(np.abs(Ev[1])) >= 1e-9:
             raise ValueError("E_v(-psi, phi') vanishes on the initial segment")
-        if np.min(np.abs(d2phi)) < 1e-9:
+        if not np.min(np.abs(d2phi)) >= 1e-9:
             raise ValueError("phi'' vanishes on the initial segment")
+        object.__setattr__(self, "tol_char", 1e-6 * float(np.min(np.abs(Eu[1]))))
 
 
 def paper_initial_data(u0: float, v0: float, curvature: float = 1.0):
@@ -324,8 +340,7 @@ def default_problem(c1: float, x_range=(-0.05, 0.05), y_max=0.006,
     """
     if seed is None:
         check_window(x_range, y_max, hx, hy)
-        u, v, score = _seed_scan(c1, branch)
-        seeds = [(float(u[k]), float(v[k])) for k in np.argsort(-score, kind="stable")[:600]]
+        seeds = _seed_scan(c1, branch)[:600].tolist()
     else:
         seeds = [tuple(seed)]
     for u0, v0 in seeds:
@@ -511,7 +526,7 @@ def _march(S: np.ndarray, hy: np.ndarray, out: list, c: float, hx: float,
                 # annulus boundary
                 D1 = _row_d1(S, hx)
                 squares = _squares(D1[:R], S[R:])
-                bad = (squares[2] <= lo) | (squares[2] >= hi)
+                bad = ~((squares[2] > lo) & (squares[2] < hi))   # NaN is out of band
                 if bad.any():
                     squares = None
                     ends = bad[:, [0, -1]]
@@ -526,10 +541,10 @@ def _march(S: np.ndarray, hy: np.ndarray, out: list, c: float, hx: float,
                         if S.shape[1] < 9:
                             raise SolverHalt("window-exhausted")
                         ends = bad[:, [0, -1]]
-                        S = np.ascontiguousarray(S)
-                        D1 = _row_d1(S, hx)   # the end stencil moved with the edge
                     if np.any(bad):
                         raise SolverHalt("annulus-margin")
+                    S = np.ascontiguousarray(S)
+                    D1 = _row_d1(S, hx)       # the end stencils moved with the edges
         except SolverHalt as halt:
             if R == 1:
                 return [halt.args[0]]
@@ -553,12 +568,7 @@ def solve_pde(prob: PDEProblem) -> SolutionGrid:
     returned otherwise.
     """
     x, n_steps = prob.x, prob.n_steps
-    f0, dphi, _ = prob.phi(x)
-    psi0, _ = prob.psi(x)
-
-    Eu_r0 = _E_pair(dphi, psi0, prob.c1, prob.branch)[0][1]
-    tol_char = 1e-6 * float(np.min(np.abs(Eu_r0)))
-
+    f0, psi0 = prob.phi(x)[0], prob.psi(x)[0]
     ny = 2 * n_steps + 1
     y = np.linspace(-prob.y_max, prob.y_max, ny)
     f = np.full((ny, x.size), np.nan)
@@ -570,7 +580,7 @@ def solve_pde(prob: PDEProblem) -> SolutionGrid:
 
     up, down = _march(np.stack([f0, f0, psi0, psi0]), np.array([prob.hy, -prob.hy]),
                       [[a[j0::sign] for a in (f, fy, valid)] for sign in (1, -1)],
-                      prob.c1, prob.hx, tol_char, prob.branch)
+                      prob.c1, prob.hx, prob.tol_char, prob.branch)
     return SolutionGrid(x=x, y=y, f=f, fy=fy, valid=valid, c1=prob.c1,
                         hx=prob.hx, hy=prob.hy, seed=(prob.u0, prob.v0),
                         termination_up=up, termination_down=down, branch=prob.branch)

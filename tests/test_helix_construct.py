@@ -1,11 +1,13 @@
 """Graph-condition, PDE-solver, and deformation tests."""
 
 import math
+import re
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
+from helix4 import helix_construct as hc
 from helix4 import surface_analysis
 from helix4.catalog import named_example
 from helix4.grassmann import Plane
@@ -253,6 +255,79 @@ def test_problem_is_checked_once_when_built():
         prob.x[0] = 0.0
     with pytest.raises(ValueError, match="hx must divide"):
         replace(prob, hx=3e-3)
+
+
+def _spoiled(k, node, value):
+    """paper_initial_data at the scan's first seed with ``value`` at ``node``
+    of the k-th array of phi, phi', phi'' and psi."""
+    phi, psi = paper_initial_data(*find_noncharacteristic_seed(C_THIRD))
+
+    def spoil(arrays, k):
+        arrays = [a.copy() for a in arrays]
+        if 0 <= k < len(arrays):
+            arrays[k][node] = value
+        return tuple(arrays)
+
+    return lambda x: spoil(phi(x), k), lambda x: spoil(psi(x), k - 3)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("node", [0, 37, 100])
+@pytest.mark.parametrize("k, name", [(0, "phi"), (1, "phi'"), (2, "phi''"), (3, "psi")])
+def test_problem_refuses_non_finite_cauchy_data(k, name, node, value):
+    u0, v0 = find_noncharacteristic_seed(C_THIRD)
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} is not finite"):
+        PDEProblem(C_THIRD, (-0.05, 0.05), 0.006, 1e-3, 1e-3, u0, v0, *_spoiled(k, node, value))
+
+
+def test_default_problem_refuses_a_nan_curvature_before_the_march():
+    with pytest.raises(ValueError, match="phi is not finite"):
+        default_problem(C_THIRD, curvature=math.nan)
+
+
+@pytest.mark.parametrize("branch", [0, 2, -2, True, False, 1.5])
+def test_library_refuses_a_branch_other_than_plus_or_minus_one(branch):
+    u0, v0 = find_noncharacteristic_seed(C_THIRD)
+    for build in (lambda: find_noncharacteristic_seed(C_THIRD, branch),
+                  lambda: default_problem(C_THIRD, branch=branch),
+                  lambda: default_problem(C_THIRD, seed=(u0, v0), branch=branch),
+                  lambda: PDEProblem(C_THIRD, (-0.05, 0.05), 0.006, 1e-3, 1e-3, u0, v0,
+                                     *paper_initial_data(u0, v0), branch=branch)):
+        with pytest.raises(ValueError, match="branch must be 1 or -1"):
+            build()
+
+
+@pytest.mark.parametrize("c", [2.5, C_THIRD, 5.0, 12.0])
+@pytest.mark.parametrize("branch", [1, -1])
+def test_the_first_seed_walked_is_the_noncharacteristic_seed(monkeypatch, c, branch):
+    # every seed the walk tries is refused, so it tries all it walks, in order
+    tried = []
+
+    def refuse(u0, v0, curvature):
+        tried.append((u0, v0))
+        raise ValueError("refused")
+
+    monkeypatch.setattr(hc, "paper_initial_data", refuse)
+    with pytest.raises(ValueError, match="no scanned seed admits"):
+        default_problem(c, branch=branch)
+    assert tried[0] == find_noncharacteristic_seed(c, branch)
+    assert all(type(s) is float for seed in tried for s in seed)
+    # score descending, by the scan's own score
+    u, v = np.array(tried).T
+    Eu, Ev = _E_pair(u, v, c, branch)
+    score = np.minimum(np.abs(Eu[0]), np.abs(Ev[1]))
+    assert 1 < len(tried) <= 600 and np.all(score[1:] <= score[:-1]) and score[-1] > 1e-3
+
+
+def test_solve_pde_reads_the_problems_tol_char(monkeypatch):
+    prob = default_problem(C_THIRD)
+
+    def no_E_pair(*args):
+        raise AssertionError("solve_pde evaluated _E_pair")
+
+    monkeypatch.setattr(hc, "_E_pair", no_E_pair)
+    sol = solve_pde(prob)
+    assert (sol.termination_up, sol.termination_down) == ("completed", "completed")
 
 
 # ---------------------------------------------------------------------------

@@ -144,12 +144,19 @@ def oracle_march(x, f0, w0, hy, n_steps, c, hx, tol_char, branch=1):
     return rows, bounds, reason
 
 
+def oracle_tol_char(prob):
+    """10^-6 of the smallest |E_u(-psi, phi')| on the initial row."""
+    _, dphi, _ = prob.phi(prob.x)
+    psi0, _ = prob.psi(prob.x)
+    return 1e-6 * float(np.min(np.abs(oracle_E_partials(-psi0, dphi, prob.c1,
+                                                        prob.branch)[0])))
+
+
 def oracle_solve(prob):
     x, n_steps = prob.x, prob.n_steps
-    f0, dphi, _ = prob.phi(x)
+    f0, _, _ = prob.phi(x)
     psi0, _ = prob.psi(x)
-    tol_char = 1e-6 * float(np.min(np.abs(oracle_E_partials(-psi0, dphi, prob.c1,
-                                                             prob.branch)[0])))
+    tol_char = oracle_tol_char(prob)
     ny = 2 * n_steps + 1
     f = np.full((ny, x.size), np.nan)
     fy = np.full((ny, x.size), np.nan)
@@ -292,6 +299,12 @@ def test_stacked_march_matches_one_direction_oracle(make):
             hc.recover_g(sol)
     else:
         assert np.array_equal(hc.recover_g(sol).g, ref_g, equal_nan=True)
+
+
+@pytest.mark.parametrize("make", [m for _, m in CASES], ids=[n for n, _ in CASES])
+def test_the_problem_holds_the_oracles_tol_char(make):
+    prob = make()
+    assert np.float64(prob.tol_char).view(np.int64) == np.float64(oracle_tol_char(prob)).view(np.int64)
 
 
 def _outcome(fn, *args):
@@ -443,6 +456,28 @@ def test_a_row_trims_its_right_edge():
 def test_edge_halts_end_for_their_reasons(make, reasons):
     sol = hc.solve_pde(make())
     assert (sol.termination_up, sol.termination_down) == reasons
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+@pytest.mark.parametrize("node", [0, 1, 5, 50, 95, 100])
+@pytest.mark.parametrize("which", ["f", "w"])
+def test_a_march_never_keeps_a_nan_node(rows, node, which):
+    # a NaN node on the initial row spreads through the stencils: near an end
+    # the march trims it away, inside the window it halts, and no node it
+    # writes as valid holds a NaN
+    prob = _ladder(LADDER[0])
+    f0, w0 = prob.phi(prob.x)[0], prob.psi(prob.x)[0]
+    (f0 if which == "f" else w0)[node] = np.nan
+    hy = np.array([prob.hy, -prob.hy][:rows])
+    out = [[np.full((prob.n_steps + 1, prob.x.size), np.nan) for _ in range(2)]
+           + [np.zeros((prob.n_steps + 1, prob.x.size), dtype=bool)] for _ in range(rows)]
+    with np.errstate(invalid="ignore"):
+        reasons = hc._march(np.stack([f0] * rows + [w0] * rows), hy, out, prob.c1, prob.hx,
+                            prob.tol_char, prob.branch)
+    assert reasons == ["completed" if node in (0, 1, 5, 95, 100) else "annulus-margin"] * rows
+    for f, fy, valid in out:
+        assert np.isfinite(f[valid]).all() and np.isfinite(fy[valid]).all()
+        assert valid.any() == (reasons[0] == "completed")
 
 
 def test_a_step_whose_sub_steps_outrun_the_window_halts_before_them(monkeypatch):
