@@ -544,6 +544,8 @@ def _cmd_construct(args) -> int:
     _finite_flag("--curvature", args.curvature)
     gate = _finite_flag("--gate", args.gate)
     hc.check_window(x_range, y_max, hx, hy)   # ValueError: exit 3
+    if not custom_data:
+        hc.check_curvature(args.curvature)     # ValueError: exit 3
 
     try:
         if not custom_data:

@@ -38,8 +38,8 @@ odd-even grid mode to a net factor <= 0.894 per sub-step, and the x-window
 loses one node at each end per sub-step.  That is no discrete domain of
 dependence: each of a sub-step's two stages reads one more node on each
 side, and the stages' end nodes take the one-sided closures of ``fd_d1``
-and ``fd_d2``, through the march's row stencils on its C-contiguous state
-(see the README, "How construction works").
+and ``fd_d2``, which the march calls on its C-contiguous state (see the
+README, "How construction works").
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from typing import Callable
 import numpy as np
 
 from .grassmann import PrincipalAngles
-from .surface_analysis import GraphSurface, fd_d1
+from .surface_analysis import GraphSurface, fd_d1, fd_d2
 
 __all__ = [
     "HelixParams",
@@ -63,6 +63,7 @@ __all__ = [
     "find_noncharacteristic_seed",
     "check_window",
     "paper_initial_data",
+    "check_curvature",
     "default_problem",
     "solve_pde",
     "recover_g",
@@ -243,6 +244,18 @@ def check_window(x_range, y_max: float, hx: float,
 # the Cauchy problem
 # ---------------------------------------------------------------------------
 
+def _check_data(finite=(), nonzero=()) -> None:
+    """ValueError naming the first (name, values) pair of ``finite`` that is not
+    finite on the initial segment, then of ``nonzero`` below 1e-9 in magnitude
+    there (NaN too): the value checks of Cauchy data."""
+    for name, values in finite:
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} is not finite on the initial segment")
+    for name, values in nonzero:
+        if not np.min(np.abs(values)) >= 1e-9:
+            raise ValueError(f"{name} vanishes on the initial segment")
+
+
 @dataclass(frozen=True)
 class PDEProblem:
     """Cauchy data for the construction PDE (determinant-normalized system).
@@ -288,21 +301,15 @@ class PDEProblem:
         object.__setattr__(self, "n_steps", n_steps)
         phi, dphi, d2phi = self.phi(x)
         psi, _ = self.psi(x)
-        for name, values in (("phi", phi), ("phi'", dphi), ("phi''", d2phi), ("psi", psi)):
-            if not np.isfinite(values).all():
-                raise ValueError(f"{name} is not finite on the initial segment")
+        _check_data(finite=(("phi", phi), ("phi'", dphi), ("phi''", d2phi), ("psi", psi)))
         # each check below fails on NaN
         delta = dphi * dphi + psi * psi
         if not ((delta > lo) & (delta < hi)).all():
             raise ValueError("initial gradient leaves the admissible annulus "
                              "on the x-interval")
         Eu, Ev = _E_pair(dphi, psi, self.c1, self.branch)
-        if not np.min(np.abs(Eu[0])) >= 1e-9:
-            raise ValueError("E_u(phi', psi) vanishes on the initial segment")
-        if not np.min(np.abs(Ev[1])) >= 1e-9:
-            raise ValueError("E_v(-psi, phi') vanishes on the initial segment")
-        if not np.min(np.abs(d2phi)) >= 1e-9:
-            raise ValueError("phi'' vanishes on the initial segment")
+        _check_data(nonzero=(("E_u(phi', psi)", Eu[0]), ("E_v(-psi, phi')", Ev[1]),
+                             ("phi''", d2phi)))
         object.__setattr__(self, "tol_char", 1e-6 * float(np.min(np.abs(Eu[1]))))
 
 
@@ -327,19 +334,28 @@ def paper_initial_data(u0: float, v0: float, curvature: float = 1.0):
     return phi, psi
 
 
+def check_curvature(curvature: float) -> None:
+    """``PDEProblem``'s refusal, made for every seed at once, of the
+    ``paper_initial_data`` whose phi = curvature x^2 + u0 x is not finite or
+    whose phi'' = 2 curvature vanishes."""
+    _check_data(finite=(("phi", curvature),), nonzero=(("phi''", 2.0 * curvature),))
+
+
 def default_problem(c1: float, x_range=(-0.05, 0.05), y_max=0.006,
                     hx=1e-3, hy=1e-3, seed: tuple[float, float] | None = None,
                     curvature: float = 1.0, branch: int = 1) -> PDEProblem:
     """The problem of paper-style Cauchy data at ``seed`` for ``c1``, the
     normalized constant c = c1/c2 of ``HelixParams`` (also in the diagnostic).
 
-    With no seed, the window is checked and the scanned seeds are walked in
-    stable score order (at most 600): the best one can sit close to the
-    annulus boundary, where quadratic data drift out over a wide x-interval,
-    so the first seed whose data validate for the window gives the problem.
+    With no seed, the window and the curvature (``check_curvature``) are
+    checked, then the scanned seeds are walked in stable score order (at
+    most 600): the best one can sit close to the annulus boundary, where
+    quadratic data drift out over a wide x-interval, so the first seed whose
+    data validate for the window gives the problem.
     """
     if seed is None:
         check_window(x_range, y_max, hx, hy)
+        check_curvature(curvature)
         seeds = _seed_scan(c1, branch)[:600].tolist()
     else:
         seeds = [tuple(seed)]
@@ -426,35 +442,6 @@ def _a_beta(p, w, c: float, tol_char: float, branch: int = 1, squares=None):
     return a_delta2, 2.0 * (r * mu - q) / a_delta2
 
 
-def _flat(S: np.ndarray) -> np.ndarray:
-    """The buffer of a C-contiguous block as one row, never a copy."""
-    if not S.flags.c_contiguous:
-        raise ValueError("the row stencils need a C-contiguous block")
-    return S.reshape(-1)
-
-
-def _row_d1(S: np.ndarray, h: float) -> np.ndarray:
-    """``fd_d1(S, h, axis=-1)`` of a C-contiguous (R, n) block, n >= 3, bit
-    for bit: one centred difference over the flat buffer, whose values that
-    straddle two rows land on the end columns, which the one-sided closures
-    then overwrite."""
-    v, out = _flat(S), np.empty_like(S)
-    np.divide(v[2:] - v[:-2], 2 * h, out=out.reshape(-1)[1:-1])
-    out[:, 0] = (-3 * S[:, 0] + 4 * S[:, 1] - S[:, 2]) / (2 * h)
-    out[:, -1] = (3 * S[:, -1] - 4 * S[:, -2] + S[:, -3]) / (2 * h)
-    return out
-
-
-def _row_d2(S: np.ndarray, h: float) -> np.ndarray:
-    """``fd_d2(S, h, axis=-1)`` of a C-contiguous (R, n) block, n >= 4, bit
-    for bit, in the way of ``_row_d1``."""
-    v, out = _flat(S), np.empty_like(S)
-    np.divide(v[2:] - 2 * v[1:-1] + v[:-2], h * h, out=out.reshape(-1)[1:-1])
-    out[:, 0] = (2 * S[:, 0] - 5 * S[:, 1] + 4 * S[:, 2] - S[:, 3]) / (h * h)
-    out[:, -1] = (2 * S[:, -1] - 5 * S[:, -2] + 4 * S[:, -3] - S[:, -4]) / (h * h)
-    return out
-
-
 def _march(S: np.ndarray, hy: np.ndarray, out: list, c: float, hx: float,
            tol_char: float, branch: int = 1, iL: int = 0) -> list[str]:
     """March R rows of Cauchy data that share one x-window.
@@ -468,7 +455,7 @@ def _march(S: np.ndarray, hy: np.ndarray, out: list, c: float, hx: float,
     to the start of the step and each row continues alone (R = 1) through
     this function into the rest of its arrays, so every row gets exactly the
     arithmetic of a march of its own.  Returns each row's termination reason.
-    The state is kept C-contiguous for the row stencils ``_row_d1``/``_row_d2``.
+    The state is kept C-contiguous, so ``fd_d1``/``fd_d2`` take it without a copy.
     """
     lo, hi = _band(c)
     R = S.shape[0] // 2
@@ -477,10 +464,10 @@ def _march(S: np.ndarray, hy: np.ndarray, out: list, c: float, hx: float,
         """S + step (w; f_xx + beta w_x) of the state X, in one fresh array."""
         new = np.empty_like(S)
         np.add(S[:R], step * X[R:], out=new[:R])
-        np.add(S[R:], step * (_row_d2(X[:R], hx) + bt * D1[R:]), out=new[R:])
+        np.add(S[R:], step * (fd_d2(X[:R], hx, -1) + bt * D1[R:]), out=new[R:])
         return new
 
-    D1 = _row_d1(S, hx)              # f_x over w_x, kept from each trim check
+    D1 = fd_d1(S, hx, -1)            # f_x over w_x, kept from each trim check
     squares = None                   # _squares of the trim check while no edge moves
     for done in range(len(out[0][0]) - 1):
         start = S, iL
@@ -503,7 +490,7 @@ def _march(S: np.ndarray, hy: np.ndarray, out: list, c: float, hx: float,
                 if s:
                     bt = _a_beta(D1[:R], S[R:], c, tol_char, branch, squares)[1]
                 Sh = stage(S, S, D1, bt, 0.5 * sub)
-                D1 = _row_d1(Sh, hx)
+                D1 = fd_d1(Sh, hx, -1)
                 S = stage(S, Sh, D1, _a_beta(D1[:R], Sh[R:], c, tol_char, branch)[1], sub)
                 # Kreiss-Oliger filter.  On the odd-even mode (-1)^i the centred
                 # f_xx is -4 f/hx^2 and w_x is 0, so there the march has the
@@ -515,7 +502,7 @@ def _march(S: np.ndarray, hy: np.ndarray, out: list, c: float, hx: float,
                 # The difference is taken over the flat buffer: kd[:, j] is the
                 # filter's term at column j + 1, and its two zeros stand at the
                 # unfiltered columns 1 and n - 2, where that term straddles rows.
-                v, kd = _flat(S), np.empty_like(S)
+                v, kd = S.reshape(-1), np.empty(S.shape)
                 v4 = 4.0 * v
                 np.multiply(KO_EPSILON / 16.0, v[:-4] - v4[1:-3] + 6.0 * v[2:-2] - v4[3:-1]
                             + v[4:], out=kd.reshape(-1)[1:-3])
@@ -524,7 +511,7 @@ def _march(S: np.ndarray, hy: np.ndarray, out: list, c: float, hx: float,
                 S = S[:, 1:-1] - kd[:, :-2]
                 # adaptive edge trim while the gradient drifts toward the
                 # annulus boundary
-                D1 = _row_d1(S, hx)
+                D1 = fd_d1(S, hx, -1)
                 squares = _squares(D1[:R], S[R:])
                 bad = ~((squares[2] > lo) & (squares[2] < hi))   # NaN is out of band
                 if bad.any():
@@ -544,7 +531,7 @@ def _march(S: np.ndarray, hy: np.ndarray, out: list, c: float, hx: float,
                     if np.any(bad):
                         raise SolverHalt("annulus-margin")
                     S = np.ascontiguousarray(S)
-                    D1 = _row_d1(S, hx)       # the end stencils moved with the edges
+                    D1 = fd_d1(S, hx, -1)     # the end stencils moved with the edges
         except SolverHalt as halt:
             if R == 1:
                 return [halt.args[0]]

@@ -188,24 +188,45 @@ class ResidualStat:
 # jet providers
 # ---------------------------------------------------------------------------
 
+def _contiguous(values: np.ndarray) -> np.ndarray:
+    """``values`` as a float64 array in C or Fortran order, copied only when
+    it is in neither."""
+    v = np.asarray(values, dtype=float)
+    return v if v.flags.forc else np.ascontiguousarray(v)
+
+
 def fd_d1(values: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
-    """First derivative along an axis: centered interior, 2nd-order one-sided ends."""
-    v = np.asarray(values)
+    """First derivative along an axis: centered interior, 2nd-order one-sided ends.
+
+    ``values`` is read as a float64 array in C or Fortran order (copied only
+    when it is in neither), so integer input is differenced in float64.  The
+    interior is one centered difference over its flat buffer, in which
+    neighbours along ``axis`` are strides[axis] / itemsize apart; the values
+    that straddle two lines of the axis land on its end nodes, which the
+    one-sided closures overwrite.
+    """
+    v = _contiguous(values)
     i = (slice(None),) * (axis % v.ndim)      # all of every axis before ``axis``
-    out = np.empty_like(v)
-    out[i + (slice(1, -1),)] = (v[i + (slice(2, None),)] - v[i + (slice(None, -2),)]) / (2 * h)
+    s, out = v.strides[axis] // v.itemsize, np.empty_like(v)
+    flat = v.ravel("K")
+    np.divide(flat[2 * s:] - flat[:-2 * s], 2 * h, out=out.ravel("K")[s:-s])
     out[i + (0,)] = (-3 * v[i + (0,)] + 4 * v[i + (1,)] - v[i + (2,)]) / (2 * h)
     out[i + (-1,)] = (3 * v[i + (-1,)] - 4 * v[i + (-2,)] + v[i + (-3,)]) / (2 * h)
     return out
 
 
 def fd_d2(values: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
-    """Second derivative along an axis: centered interior, one-sided ends."""
-    v = np.asarray(values)
+    """Second derivative along an axis: centered interior, one-sided ends.
+
+    The input and the interior are taken as in ``fd_d1``.  With 4 or more
+    nodes the ends take 2nd-order one-sided closures; with 3 they copy the
+    one interior value, so they are first order.
+    """
+    v = _contiguous(values)
     i = (slice(None),) * (axis % v.ndim)
-    out = np.empty_like(v)
-    out[i + (slice(1, -1),)] = (v[i + (slice(2, None),)] - 2 * v[i + (slice(1, -1),)]
-                                + v[i + (slice(None, -2),)]) / (h * h)
+    s, out = v.strides[axis] // v.itemsize, np.empty_like(v)
+    flat = v.ravel("K")
+    np.divide(flat[2 * s:] - 2 * flat[s:-s] + flat[:-2 * s], h * h, out=out.ravel("K")[s:-s])
     if v.shape[axis] >= 4:
         out[i + (0,)] = (2 * v[i + (0,)] - 5 * v[i + (1,)] + 4 * v[i + (2,)]
                          - v[i + (3,)]) / (h * h)

@@ -128,6 +128,8 @@ COMMANDS = [
     ("construct-near-characteristic", ["construct", *THETAS, "--x0", "0.2", "--x1", "0.3",
                                        "--seed=-0.18104267892575457,1.2881855960876407"],
      None),
+    # phi'' = 2 curvature vanishes for every seed: refused before the seed scan
+    ("construct-zero-curvature", ["construct", *THETAS, "--curvature", "0"], None),
 ]
 
 

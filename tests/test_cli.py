@@ -1246,6 +1246,10 @@ def test_verify_reversed_domain_is_kept(tmp_path, capsys):
      "error: phi must be a function of x only"),
     (("--curvature", "nan"), None, EXIT_PRECONDITION, "--curvature"),
     (("--curvature", "inf"), None, EXIT_PRECONDITION, "--curvature"),
+    (("--curvature", "0"), None, EXIT_PRECONDITION, "error: phi'' vanishes"),
+    (("--curvature", "4e-10"), None, EXIT_PRECONDITION, "error: phi'' vanishes"),
+    (("--curvature", "0", "--seed", "0.5,0.5"), None, EXIT_PRECONDITION,
+     "error: phi'' vanishes"),
     (("--gate", "nan"), None, EXIT_PRECONDITION, "--gate"),
     (("--gate", "inf"), None, EXIT_PRECONDITION, "--gate"),
 ], ids=["hx-zero", "hy-zero", "config-hx-zero", "hx-negative", "hx-nan",
@@ -1256,7 +1260,8 @@ def test_verify_reversed_domain_is_kept(tmp_path, capsys):
         "config-hx-true", "config-ymax-string", "config-branch-true",
         "config-seed-u0-string", "config-seed-v0-true", "seed-nan",
         "seed-not-json-numbers", "config-phi-incomplete", "config-phi-of-y", "curvature-nan",
-        "curvature-inf", "gate-nan", "gate-inf"])
+        "curvature-inf", "curvature-zero", "curvature-below-bound", "curvature-zero-seeded",
+        "gate-nan", "gate-inf"])
 def test_construct_window_is_checked_before_the_seed_scan(
         tmp_path, capsys, monkeypatch, options, config, code, named):
     def no_scan(*args):

@@ -61,6 +61,9 @@ def test_removed_graph_and_problem_names_stay_removed():
         assert not hasattr(helix_construct.PDEProblem, name), name
     # default_problem walks the scanned seeds itself
     assert not hasattr(helix_construct, "choose_feasible_seed")
+    # the march takes surface_analysis.fd_d1/fd_d2, the one stencil kernel
+    for name in ("_row_d1", "_row_d2", "_flat"):
+        assert not hasattr(helix_construct, name), name
     # each catalog kind's parameters, their JSON kinds and defaults are one
     # table, catalog.PARAMS
     catalog = importlib.import_module("helix4.catalog")

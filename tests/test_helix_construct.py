@@ -285,6 +285,23 @@ def test_default_problem_refuses_a_nan_curvature_before_the_march():
         default_problem(C_THIRD, curvature=math.nan)
 
 
+@pytest.mark.parametrize("curvature, message", [
+    (math.inf, "phi is not finite"), (-math.inf, "phi is not finite"),
+    (0.0, "phi'' vanishes"), (-0.0, "phi'' vanishes"), (4e-10, "phi'' vanishes"),
+    (-4e-10, "phi'' vanishes")])
+def test_default_problem_refuses_a_curvature_no_seed_can_take(monkeypatch, curvature, message):
+    # phi'' = 2 curvature on every seed: refused before the seed scan, with
+    # PDEProblem's message and no numpy warning (the test run makes warnings
+    # errors)
+    def no_scan(*args):
+        raise AssertionError("the seed scan ran")
+
+    monkeypatch.setattr(hc, "_seed_scan", no_scan)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)} on the initial segment$"):
+        default_problem(C_THIRD, curvature=curvature)
+    hc.check_curvature(5e-10)                # phi'' = 1e-9 meets the bound
+
+
 @pytest.mark.parametrize("branch", [0, 2, -2, True, False, 1.5])
 def test_library_refuses_a_branch_other_than_plus_or_minus_one(branch):
     u0, v0 = find_noncharacteristic_seed(C_THIRD)

@@ -6,8 +6,9 @@ on the sub-step count or the edge trims, or one of them halts.  The oracle
 below marches each direction on its own, with f and w as separate arrays,
 and integrates g with explicit row loops.  It keeps its own copy of the
 lambda and E-partials formulas, of the closed-form coefficient beta, of the
-sub-step rule and of the Kreiss-Oliger filter, so a change to the kernel's
-arithmetic cannot move the oracle with it.  The arithmetic is the same, so
+sub-step rule, of the Kreiss-Oliger filter and of the finite-difference
+stencils (sliced along one axis), so a change to the kernel's arithmetic
+cannot move the oracle with it.  The arithmetic is the same, so
 everything must agree bit for bit.
 """
 
@@ -31,6 +32,35 @@ LADDER = (1e-3, 5e-4, 2.5e-4, 1.25e-4, 6.25e-5)
 # ---------------------------------------------------------------------------
 # the one-direction oracle
 # ---------------------------------------------------------------------------
+
+def oracle_fd_d1(values, h, axis=0):
+    """First derivative along an axis: centered interior, 2nd-order one-sided ends."""
+    v = np.asarray(values)
+    i = (slice(None),) * (axis % v.ndim)      # all of every axis before ``axis``
+    out = np.empty_like(v)
+    out[i + (slice(1, -1),)] = (v[i + (slice(2, None),)] - v[i + (slice(None, -2),)]) / (2 * h)
+    out[i + (0,)] = (-3 * v[i + (0,)] + 4 * v[i + (1,)] - v[i + (2,)]) / (2 * h)
+    out[i + (-1,)] = (3 * v[i + (-1,)] - 4 * v[i + (-2,)] + v[i + (-3,)]) / (2 * h)
+    return out
+
+
+def oracle_fd_d2(values, h, axis=0):
+    """Second derivative along an axis: centered interior, one-sided ends."""
+    v = np.asarray(values)
+    i = (slice(None),) * (axis % v.ndim)
+    out = np.empty_like(v)
+    out[i + (slice(1, -1),)] = (v[i + (slice(2, None),)] - 2 * v[i + (slice(1, -1),)]
+                                + v[i + (slice(None, -2),)]) / (h * h)
+    if v.shape[axis] >= 4:
+        out[i + (0,)] = (2 * v[i + (0,)] - 5 * v[i + (1,)] + 4 * v[i + (2,)]
+                         - v[i + (3,)]) / (h * h)
+        out[i + (-1,)] = (2 * v[i + (-1,)] - 5 * v[i + (-2,)] + 4 * v[i + (-3,)]
+                          - v[i + (-4,)]) / (h * h)
+    else:
+        out[i + (0,)] = out[i + (1,)]
+        out[i + (-1,)] = out[i + (-2,)]
+    return out
+
 
 def oracle_lam(delta, c, branch=1):
     """lambda = branch sqrt(c Delta - 1 - Delta^2), arguments in
@@ -95,8 +125,8 @@ def oracle_march(x, f0, w0, hy, n_steps, c, hx, tol_char, branch=1):
     margin = ANNULUS_MARGIN * (dmax - dmin)
 
     def rhs(f, w):
-        beta = oracle_beta(fd_d1(f, hx), w, c, tol_char, branch)
-        return fd_d2(f, hx) + beta * fd_d1(w, hx)
+        beta = oracle_beta(oracle_fd_d1(f, hx), w, c, tol_char, branch)
+        return oracle_fd_d2(f, hx) + beta * oracle_fd_d1(w, hx)
 
     rows, bounds = [], []
     iL, iR = 0, x.size - 1
@@ -104,7 +134,7 @@ def oracle_march(x, f0, w0, hy, n_steps, c, hx, tol_char, branch=1):
     reason = "completed"
     for _ in range(n_steps):
         try:
-            beta = oracle_beta(fd_d1(f, hx), w, c, tol_char, branch)
+            beta = oracle_beta(oracle_fd_d1(f, hx), w, c, tol_char, branch)
             sigma = np.nanmax(0.5 * (np.abs(beta) + np.sqrt(beta * beta + 4.0)))
             # the CFL rule, capped so that the odd-even mode has |z| <= 1
             k = max(math.ceil(abs(hy) * sigma / (CFL_TARGET * hx)),
@@ -122,7 +152,7 @@ def oracle_march(x, f0, w0, hy, n_steps, c, hx, tol_char, branch=1):
                 iL += 1
                 iR -= 1
                 f, w = f[1:-1], w[1:-1]
-                p = fd_d1(f, hx)
+                p = oracle_fd_d1(f, hx)
                 delta = p * p + w * w
                 bad = (delta <= dmin + margin) | (delta >= dmax - margin)
                 while bad.size and (bad[0] or bad[-1]):
@@ -182,7 +212,7 @@ def oracle_recover_g(sol):
     """g by the trapezoid rule along row 0, then row by row up and down."""
     rs, cs = sol.rect()
     fw, ww = sol.f[rs, cs], sol.fy[rs, cs]
-    p = fd_d1(fw, sol.hx, axis=1)
+    p = oracle_fd_d1(fw, sol.hx, axis=1)
     delta = p * p + ww * ww
     lam = oracle_lam(delta, sol.c1, sol.branch)
     A = (-ww + lam * p) / delta
@@ -403,20 +433,59 @@ def _mixed_block(rng, rows, width):
 @pytest.mark.parametrize("rows", [1, 2, 4])
 @pytest.mark.parametrize("width", [4, 5, 9, 1601])
 def test_row_stencils_match_fd_d1_and_fd_d2_bit_for_bit(rows, width):
+    # the march's row stencils are fd_d1/fd_d2 along the rows of its
+    # C-contiguous state; they give the oracle's sliced stencils bit for bit
     rng = np.random.default_rng(rows * 10_000 + width)
     h = 10.0 ** rng.uniform(-5, -2)
     for S in (_mixed_block(rng, rows, width), np.full((rows, width), -0.0)):
-        for mine, ref in ((hc._row_d1, fd_d1), (hc._row_d2, fd_d2)):
-            got, want = mine(S, h), ref(S, h, axis=-1)
+        for mine, ref in ((fd_d1, oracle_fd_d1), (fd_d2, oracle_fd_d2)):
+            got, want = mine(S, h, -1), ref(S, h, axis=-1)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-def test_row_stencils_refuse_a_block_that_is_not_contiguous():
-    S = _mixed_block(np.random.default_rng(5), 4, 12)
-    for view in (S[:, 1:-1], S[:, ::2], S.T):
-        for stencil in (hc._row_d1, hc._row_d2):
-            with pytest.raises(ValueError, match="C-contiguous"):
-                stencil(view, 1e-3)
+def _layouts(rng, shape):
+    """``_mixed_block`` values of ``shape`` in C and Fortran order, as the
+    transpose of a C array, as a C array with its first two axes swapped,
+    and as views of a larger C array taking every other node, a corner and a
+    reversed corner."""
+    def block(shape):
+        return _mixed_block(rng, 1, math.prod(shape)).reshape(shape)
+
+    yield block(shape)
+    yield np.asfortranarray(block(shape))
+    yield block(shape[::-1]).T
+    if len(shape) > 1:
+        yield block((shape[1], shape[0], *shape[2:])).swapaxes(0, 1)
+    big = block(tuple(2 * n + 1 for n in shape))
+    yield big[(slice(1, None, 2),) * len(shape)]
+    yield big[tuple(slice(0, n) for n in shape)]
+    yield big[(slice(None, None, -1),) * len(shape)][tuple(slice(0, n) for n in shape)]
+
+
+@pytest.mark.parametrize("shape", [(3,), (4,), (9,), (3, 4), (4, 3), (5, 9), (3, 4, 5),
+                                   (4, 3, 9), (9, 5, 4)])
+def test_fd_d1_and_fd_d2_match_the_sliced_stencils_on_every_layout(shape):
+    # every axis, negative ones too, of 1-D to 3-D blocks in every layout,
+    # with 3 nodes (where fd_d2's ends copy the interior) and 4 or more; an
+    # integer block is differenced as its float64 cast
+    rng = np.random.default_rng(math.prod(shape) + len(shape))
+    for v in _layouts(rng, shape):
+        h = 10.0 ** rng.uniform(-5, -2)
+        ints = np.rint(v).astype(np.int64)
+        for axis in range(-v.ndim, v.ndim):
+            for mine, ref in ((fd_d1, oracle_fd_d1), (fd_d2, oracle_fd_d2)):
+                for block, cast in ((v, v), (ints, ints.astype(float))):
+                    got, want = mine(block, h, axis), ref(cast, h, axis)
+                    assert got.shape == v.shape
+                    assert np.array_equal(got.view(np.int64), want.view(np.int64)), axis
+
+
+def test_fd_d1_and_fd_d2_difference_integer_input_in_float64():
+    # x^2 at h = 0.3 has fd_d1 = 20 x/3 and fd_d2 = 200/9, not their
+    # integer truncations [0, 6, 13, 20, 26] and 22
+    x = np.arange(5)
+    assert np.allclose(fd_d1(x ** 2, 0.3), 20 * x / 3, rtol=1e-15, atol=0)
+    assert np.allclose(fd_d2(x ** 2, 0.3), 200 / 9, rtol=1e-15, atol=0)
 
 
 def test_asymmetric_cases_take_the_split():
@@ -487,13 +556,13 @@ def test_a_step_whose_sub_steps_outrun_the_window_halts_before_them(monkeypatch)
     prob = hc.default_problem(C_THIRD, x_range=(0.2, 0.3), y_max=0.006, hx=1e-3, hy=1e-3,
                               seed=(-0.18104267892575457, 1.2881855960876407))
     ref = oracle_solve(prob)
-    calls, row_d1 = [], hc._row_d1
+    calls, d1 = [], hc.fd_d1
 
-    def counted_row_d1(*args, **kwargs):
+    def counted_d1(*args, **kwargs):
         calls.append(args[0].shape)
-        return row_d1(*args, **kwargs)
+        return d1(*args, **kwargs)
 
-    monkeypatch.setattr(hc, "_row_d1", counted_row_d1)
+    monkeypatch.setattr(hc, "fd_d1", counted_d1)
     sol = hc.solve_pde(prob)
     assert (sol.termination_up, sol.termination_down) == ("window-exhausted",) * 2
     assert np.count_nonzero(sol.valid.any(axis=1)) == 1
