@@ -103,6 +103,9 @@ COMMANDS = [
      None),
     _with_config("construct-custom", ["construct"],
                  {"c1": 3.3333333333, "phi": "x^2 + 0.3*x", "psi": "x + 0.9"}),
+    # psi = 0.5 + 0.1*2^x has a variable exponent, which the parser cannot differentiate
+    _with_config("construct-custom-psi-no-derivative", ["construct"],
+                 {"c1": 3.3333333333333335, "phi": "x^2 + 0.9*x", "psi": "0.5 + 0.1*2^x"}),
     ("construct-gate", ["construct", *THETAS, "--gate", "1e-12"], None),
     # hy = 0.69 hx over 96 steps each way
     ("construct-hy-below-hx", ["construct", *THETAS, "--hx", "2.5e-4", "--hy", "1.725e-4",
