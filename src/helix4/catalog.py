@@ -212,8 +212,7 @@ def orbit_surface(gamma: Curve, Pi: Plane,
     degenerate).  The s-coordinate lines are geodesics of the patch; this is
     checked on samples as well.
     """
-    comp = orthogonal_complement(Pi)
-    n1, n2 = comp.b1, comp.b2
+    n1, n2 = orthogonal_complement(Pi).frame().T
 
     samples = np.linspace(s_range[0], s_range[1], 10)
     cj = gamma(samples)

@@ -540,7 +540,7 @@ def _cmd_construct(args) -> int:
     custom_data = "phi" in cfg or "psi" in cfg
     if custom_data:
         phi = _single_var_data(_field(cfg, "phi", STRING), "phi", 2)
-        psi = _single_var_data(_field(cfg, "psi", STRING), "psi", 1)
+        psi = _single_var_data(_field(cfg, "psi", STRING), "psi", 0)
     _finite_flag("--curvature", args.curvature)
     gate = _finite_flag("--gate", args.gate)
     hc.check_window(x_range, y_max, hx, hy)   # ValueError: exit 3

@@ -66,55 +66,37 @@ def _as_vec4(v) -> np.ndarray:
 
 @dataclass(frozen=True, slots=True)
 class Plane:
-    """Oriented 2-plane in R^4 given by an orthonormal frame (b1, b2), checked
-    on Python floats and kept as read-only float64 copies the plane owns."""
+    """Oriented 2-plane in R^4 given by an orthonormal frame (b1, b2), kept as
+    checked tuples of four Python floats: a value that compares, hashes,
+    copies and pickles by its frame and orientation."""
 
-    b1: np.ndarray
-    b2: np.ndarray
+    b1: tuple[float, float, float, float]
+    b2: tuple[float, float, float, float]
     oriented: bool = True
 
     def __post_init__(self):
-        frame = []
         for name in ("b1", "b2"):
             a = np.array(getattr(self, name), dtype=float)
             if a.shape != (4,):
                 raise ValueError(f"expected a 4-vector, got shape {a.shape}")
-            v = a.tolist()
+            v = tuple(a.tolist())
             if not all(map(math.isfinite, v)):
                 raise ValueError("vector has non-finite entries")
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
-            frame.append(v)
-        x, y = frame
+            object.__setattr__(self, name, v)
+        x, y = self.b1, self.b2
         if abs(_fdot(x, x) - 1.0) > FRAME_TOL or abs(_fdot(y, y) - 1.0) > FRAME_TOL:
             raise ValueError("plane frame vectors must be unit length (within 1e-12)")
         if abs(_fdot(x, y)) > FRAME_TOL:
             raise ValueError("plane frame vectors must be orthogonal (within 1e-12)")
 
     @classmethod
-    def _orthonormal(cls, b1: list[float], b2: list[float], oriented: bool) -> "Plane":
+    def _orthonormal(cls, b1: tuple, b2: tuple, oriented: bool) -> "Plane":
         """A plane from a float frame that is orthonormal by construction,
         without the checks of ``__init__``: ``orthogonal_complement`` only."""
         P = object.__new__(cls)
-        for name, value in (("b1", np.array(b1)), ("b2", np.array(b2)), ("oriented", oriented)):
+        for name, value in (("b1", b1), ("b2", b2), ("oriented", oriented)):
             object.__setattr__(P, name, value)
-        P.b1.setflags(write=False)
-        P.b2.setflags(write=False)
         return P
-
-    def __eq__(self, other):
-        if not isinstance(other, Plane):
-            return NotImplemented
-        return (self.oriented == other.oriented and self.b1.tolist() == other.b1.tolist()
-                and self.b2.tolist() == other.b2.tolist())
-
-    def __hash__(self):
-        return hash((tuple(self.b1.tolist()), tuple(self.b2.tolist()), self.oriented))
-
-    def __reduce__(self):
-        # copies and pickles rebuild through the checking constructor, which
-        # takes its own read-only copies of the frame
-        return Plane, (self.b1, self.b2, self.oriented)
 
     def frame(self) -> np.ndarray:
         """4x2 matrix with the frame vectors as columns."""
@@ -131,17 +113,18 @@ class Plane:
 class PrincipalAngles:
     """Principal angles 0 <= theta1 <= theta2 <= pi/2 between two 2-planes.
 
-    ``v1``/``v2`` are the unit principal directions in the first plane, each
-    signed so its largest-magnitude component is positive; when the two
-    angles coincide within DEGENERATE_TOL (|theta2 - theta1| < 1e-9) every
-    direction is principal and the input frame is returned as a
-    deterministic canonical choice, with ``degenerate`` set.
+    ``v1``/``v2`` are the unit principal directions in the first plane, as
+    tuples of four floats, each signed so its largest-magnitude component is
+    positive; when the two angles coincide within DEGENERATE_TOL
+    (|theta2 - theta1| < 1e-9) every direction is principal and the first
+    plane's frame tuples (b1, b2) are returned as a deterministic canonical
+    choice, with ``degenerate`` set.
     """
 
     theta1: float
     theta2: float
-    v1: np.ndarray | None = field(default=None, compare=False)
-    v2: np.ndarray | None = field(default=None, compare=False)
+    v1: tuple[float, ...] | None = field(default=None, compare=False)
+    v2: tuple[float, ...] | None = field(default=None, compare=False)
     degenerate: bool = False
 
     def __post_init__(self):
@@ -289,7 +272,7 @@ def canonical_sign(V: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # The one-pair views run the formulas of the array kernels term by term on
 # Python floats: on 4x2 frames numpy's per-call overhead costs far more than
-# the few dozen flops.  Vectors are lists of floats, written out by index.
+# the few dozen flops.  Vectors are tuples or lists of floats, written by index.
 
 def _fdot(x, y) -> float:
     return x[0] * y[0] + x[1] * y[1] + x[2] * y[2] + x[3] * y[3]
@@ -306,16 +289,8 @@ def _faxpy(y, t, x) -> list[float]:
     return [y[0] - t * x[0], y[1] - t * x[1], y[2] - t * x[2], y[3] - t * x[3]]
 
 
-def _fdiv(x, d) -> list[float]:
-    return [x[0] / d, x[1] / d, x[2] / d, x[3] / d]
-
-
-def _require_finite_sum(total: float) -> None:
-    """Fail on a non-finite frame as LAPACK does.  ``total`` is a sum of
-    products into which every frame entry enters, so an inf or a nan entry
-    makes it inf or nan."""
-    if not math.isfinite(total):
-        raise np.linalg.LinAlgError("SVD did not converge")
+def _fdiv(x, d) -> tuple[float, ...]:
+    return x[0] / d, x[1] / d, x[2] / d, x[3] / d
 
 
 def _pair_residual_svals(x, y) -> tuple[float, float]:
@@ -333,11 +308,10 @@ def _pair_residual_svals(x, y) -> tuple[float, float]:
 
 
 def _pair_angles(a1, a2, b1, b2):
-    """``stacked_angles`` of the frames A = (a1, a2), B = (b1, b2):
-    (theta1, theta2, d1, d2) with d_k the principal direction of theta_k in
-    B, before ``canonical_sign``."""
+    """``stacked_angles`` of orthonormal frames A = (a1, a2), B = (b1, b2),
+    whose singular values pass 1 by rounding only: (theta1, theta2, d1, d2)
+    with d_k the principal direction of theta_k in B, before ``canonical_sign``."""
     m11, m12, m21, m22 = _fdot(a1, b1), _fdot(a1, b2), _fdot(a2, b1), _fdot(a2, b2)
-    _require_finite_sum(m11 + m12 + m21 + m22)
     # _svd2 of M = A^T B; of its rotations only Q^T, by (a2 - a1) / 2, is needed
     E, F, G, H = (m11 + m22) / 2, (m11 - m22) / 2, (m21 + m12) / 2, (m21 - m12) / 2
     Q, R = math.hypot(E, H), math.hypot(F, G)
@@ -346,15 +320,12 @@ def _pair_angles(a1, a2, b1, b2):
     s_max, s_min = _pair_residual_svals(_fsub(b1, a1, m11, a2, m21),
                                         _fsub(b2, a1, m12, a2, m22))
     c1, c2 = Q + R, abs(Q - R)
-    top = max(c1, c2, s_max, s_min)
-    if top > 1.0 + CLAMP_TOL:
-        raise ValueError(f"cross-Gram singular value {top} exceeds 1 beyond tolerance")
     return (math.atan2(min(s_min, 1.0), min(c1, 1.0)),
             math.atan2(min(s_max, 1.0), min(c2, 1.0)),
-            [cq * b1[0] - sq * b2[0], cq * b1[1] - sq * b2[1],
-             cq * b1[2] - sq * b2[2], cq * b1[3] - sq * b2[3]],
-            [sq * b1[0] + cq * b2[0], sq * b1[1] + cq * b2[1],
-             sq * b1[2] + cq * b2[2], sq * b1[3] + cq * b2[3]])
+            (cq * b1[0] - sq * b2[0], cq * b1[1] - sq * b2[1],
+             cq * b1[2] - sq * b2[2], cq * b1[3] - sq * b2[3]),
+            (sq * b1[0] + cq * b2[0], sq * b1[1] + cq * b2[1],
+             sq * b1[2] + cq * b2[2], sq * b1[3] + cq * b2[3]))
 
 
 def _pair_wedge(u, v) -> list[float]:
@@ -369,10 +340,9 @@ def _pair_hodge(b) -> list[float]:
 _UNIT = np.eye(4).tolist()
 
 
-def _pair_complement(a1, a2) -> tuple[list[float], list[float]]:
+def _pair_complement(a1, a2) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """``complement_frames`` of the frame (a1, a2)."""
     d = [1.0 - (a1[i] * a1[i] + a2[i] * a2[i]) for i in range(4)]
-    _require_finite_sum(sum(d))
     k = d.index(max(d))                # the first of equal entries, as argmax
     x = _fsub(_UNIT[k], a1, a1[k], a2, a2[k])
     x = _fsub(x, a1, _fdot(a1, x), a2, _fdot(a2, x))
@@ -388,12 +358,11 @@ def _pair_complement(a1, a2) -> tuple[list[float], list[float]]:
 def principal_angles(V: Plane, W: Plane) -> PrincipalAngles:
     """Principal angles between the planes V and W: the one-pair view of
     ``stacked_angles`` on (W, V), with principal directions in V."""
-    theta1, theta2, d1, d2 = _pair_angles(W.b1.tolist(), W.b2.tolist(),
-                                          V.b1.tolist(), V.b2.tolist())
+    theta1, theta2, d1, d2 = _pair_angles(W.b1, W.b2, V.b1, V.b2)
     if abs(theta2 - theta1) < DEGENERATE_TOL:
-        return PrincipalAngles(theta1, theta2, V.b1.copy(), V.b2.copy(), degenerate=True)
+        return PrincipalAngles(theta1, theta2, V.b1, V.b2, degenerate=True)
     # canonical_sign: max takes the first of equal magnitudes, as argmax does
-    d1, d2 = (np.array(d if max(d, key=abs) >= 0 else [-v for v in d]) for d in (d1, d2))
+    d1, d2 = (d if max(d, key=abs) >= 0 else tuple(-v for v in d) for d in (d1, d2))
     return PrincipalAngles(theta1, theta2, d1, d2)
 
 
@@ -401,7 +370,7 @@ def orthogonal_complement(W: Plane) -> Plane:
     """Orthonormal frame of W-perp, oriented so (W.b1, W.b2, out.b1, out.b2)
     is a positively oriented basis of R^4: the one-plane view of
     ``complement_frames``."""
-    n1, n2 = _pair_complement(W.b1.tolist(), W.b2.tolist())
+    n1, n2 = _pair_complement(W.b1, W.b2)
     return Plane._orthonormal(n1, n2, W.oriented)
 
 
@@ -477,10 +446,8 @@ def plane_angles_via_bivectors(V: Plane, W: Plane) -> tuple[float, float]:
     |cos theta_perp| = sin(theta1)sin(theta2).  ``wedge`` and ``hodge`` run
     here on Python floats.
     """
-    ev = _pair_wedge(V.b1.tolist(), V.b2.tolist())
-    ew = _pair_wedge(W.b1.tolist(), W.b2.tolist())
+    ev, ew = _pair_wedge(V.b1, V.b2), _pair_wedge(W.b1, W.b2)
     c, cp = (sum(map(operator.mul, ev, w)) for w in (ew, _pair_hodge(ew)))
-    _require_finite_sum(c + cp)
     return math.acos(min(max(c, -1.0), 1.0)), math.acos(min(max(cp, -1.0), 1.0))
 
 

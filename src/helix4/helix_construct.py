@@ -260,8 +260,9 @@ def _check_data(finite=(), nonzero=()) -> None:
 class PDEProblem:
     """Cauchy data for the construction PDE (determinant-normalized system).
 
-    ``phi`` maps x-nodes to (values, first, second derivatives); ``psi`` to
-    (values, first derivatives).  (u0, v0) is the gradient base point.
+    ``phi`` maps x-nodes to (values, first, second derivatives); ``psi`` to a
+    tuple whose first entry, its values, is all that is read (a derivative
+    after it is ignored).  (u0, v0) is the gradient base point.
     ``c1`` is the normalized constant c = c1/c2 > 2 of ``HelixParams``, not
     its ``c1`` = tan^2(theta1) + tan^2(theta2).  The branch (1 or -1, not a
     bool), the seed, the window (``check_window``), finite phi, phi', phi''
@@ -279,7 +280,7 @@ class PDEProblem:
     u0: float
     v0: float
     phi: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
-    psi: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    psi: Callable[[np.ndarray], tuple[np.ndarray, ...]]
     branch: int = 1
     x: np.ndarray = field(init=False, repr=False, compare=False)
     n_steps: int = field(init=False, repr=False, compare=False)
@@ -300,7 +301,7 @@ class PDEProblem:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "n_steps", n_steps)
         phi, dphi, d2phi = self.phi(x)
-        psi, _ = self.psi(x)
+        psi = self.psi(x)[0]
         _check_data(finite=(("phi", phi), ("phi'", dphi), ("phi''", d2phi), ("psi", psi)))
         # each check below fails on NaN
         delta = dphi * dphi + psi * psi
@@ -329,7 +330,7 @@ def paper_initial_data(u0: float, v0: float, curvature: float = 1.0):
 
     def psi(x: np.ndarray):
         x = np.asarray(x, dtype=float)
-        return x + v0, np.ones_like(x)
+        return (x + v0,)
 
     return phi, psi
 

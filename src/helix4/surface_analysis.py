@@ -188,10 +188,12 @@ class ResidualStat:
 # jet providers
 # ---------------------------------------------------------------------------
 
-def _contiguous(values: np.ndarray) -> np.ndarray:
+def _contiguous(values: np.ndarray, axis: int) -> np.ndarray:
     """``values`` as a float64 array in C or Fortran order, copied only when
-    it is in neither."""
+    it is in neither, with at least the 3 nodes of a stencil along ``axis``."""
     v = np.asarray(values, dtype=float)
+    if v.shape[axis] < 3:
+        raise ValueError(f"axis {axis} has {v.shape[axis]} nodes; a stencil needs at least 3")
     return v if v.flags.forc else np.ascontiguousarray(v)
 
 
@@ -199,13 +201,14 @@ def fd_d1(values: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
     """First derivative along an axis: centered interior, 2nd-order one-sided ends.
 
     ``values`` is read as a float64 array in C or Fortran order (copied only
-    when it is in neither), so integer input is differenced in float64.  The
-    interior is one centered difference over its flat buffer, in which
-    neighbours along ``axis`` are strides[axis] / itemsize apart; the values
-    that straddle two lines of the axis land on its end nodes, which the
-    one-sided closures overwrite.
+    when it is in neither), so integer input is differenced in float64; an
+    axis of fewer than 3 nodes raises ValueError.  The interior is one
+    centered difference over its flat buffer, in which neighbours along
+    ``axis`` are strides[axis] / itemsize apart; the values that straddle two
+    lines of the axis land on its end nodes, which the one-sided closures
+    overwrite.
     """
-    v = _contiguous(values)
+    v = _contiguous(values, axis)
     i = (slice(None),) * (axis % v.ndim)      # all of every axis before ``axis``
     s, out = v.strides[axis] // v.itemsize, np.empty_like(v)
     flat = v.ravel("K")
@@ -222,7 +225,7 @@ def fd_d2(values: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
     nodes the ends take 2nd-order one-sided closures; with 3 they copy the
     one interior value, so they are first order.
     """
-    v = _contiguous(values)
+    v = _contiguous(values, axis)
     i = (slice(None),) * (axis % v.ndim)
     s, out = v.strides[axis] // v.itemsize, np.empty_like(v)
     flat = v.ravel("K")

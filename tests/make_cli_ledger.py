@@ -103,7 +103,8 @@ COMMANDS = [
      None),
     _with_config("construct-custom", ["construct"],
                  {"c1": 3.3333333333, "phi": "x^2 + 0.3*x", "psi": "x + 0.9"}),
-    # psi = 0.5 + 0.1*2^x has a variable exponent, which the parser cannot differentiate
+    # psi = 0.5 + 0.1*2^x has a variable exponent, which the parser cannot
+    # differentiate: construct reads psi for its values only
     _with_config("construct-custom-psi-no-derivative", ["construct"],
                  {"c1": 3.3333333333333335, "phi": "x^2 + 0.9*x", "psi": "0.5 + 0.1*2^x"}),
     ("construct-gate", ["construct", *THETAS, "--gate", "1e-12"], None),

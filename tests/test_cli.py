@@ -71,7 +71,7 @@ def test_plane_json_round_trip(tmp_path, capsys):
     written = json.loads(out)["plane"]
     assert code == EXIT_OK and set(written) == {"b1", "b2", "oriented"}
     P = grassmann.random_plane(np.random.default_rng(23))
-    obj = {"b1": P.b1.tolist(), "b2": P.b2.tolist(), "oriented": P.oriented}
+    obj = {"b1": list(P.b1), "b2": list(P.b2), "oriented": P.oriented}
     for plane in (written, obj):
         code, out, _ = run(capsys, "angles", "--v", json.dumps(plane), "--w", json.dumps(plane))
         assert code == EXIT_OK
@@ -373,6 +373,22 @@ def test_construct_c1_config_and_expressions(tmp_path, capsys):
     d = json.loads(out)
     assert d["seed"]["u0"] == pytest.approx(seed["u0"])
     assert d["residuals"]["helix_trace"] < 1e-3
+
+
+@pytest.mark.parametrize("psi", ["0.5 + 0.1*2^x", "sqrt(x + 0.05)"])
+def test_construct_reads_a_config_psi_for_its_values_only(tmp_path, capsys, psi):
+    # psi' is read nowhere: a psi whose derivative the parser cannot form
+    # (a variable exponent) or cannot evaluate (sqrt' at x = -0.05) builds
+    cfg = tmp_path / "pde.json"
+    cfg.write_text(json.dumps({"c1": 10.0 / 3.0, "phi": "x^2 + 0.9*x", "psi": psi}))
+    for extra in ((), ("--verify",)):
+        code, out, err = run(capsys, "construct", "--config", str(cfg), *extra)
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out)["passed"] is True
+    # a psi whose values fail still exits 2
+    cfg.write_text(json.dumps({"c1": 10.0 / 3.0, "phi": "x^2 + 0.9*x", "psi": "sqrt(x - 1)"}))
+    assert run(capsys, "construct", "--config", str(cfg)) == (
+        EXIT_PARSE, "", "error: sqrt of negative value -1.05 (at offset 0)\n")
 
 
 def test_construct_degenerate_c1_exits_4(tmp_path, capsys):

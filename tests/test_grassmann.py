@@ -1,6 +1,7 @@
 """Plane / principal-angle / bivector unit tests."""
 
 import copy
+import dataclasses
 import math
 import pickle
 
@@ -95,15 +96,21 @@ def test_planes_with_angles_match_the_array_formula_bit_for_bit():
                           np.array(array_planes_with_angles(0.3, 0.9, E)))
 
 
+def is_float_4_tuple(v) -> bool:
+    return type(v) is tuple and len(v) == 4 and all(type(x) is float for x in v)
+
+
 def test_plane_owns_a_read_only_copy_of_its_frame():
     b1, b2 = E[0].copy(), [0.0, 1.0, 0.0, 0.0]
     P = Plane(b1, b2)
     b1[0], b2[1] = np.nan, 7.0
-    assert P.b1.tolist() == [1.0, 0.0, 0.0, 0.0] and P.b2.tolist() == [0.0, 1.0, 0.0, 0.0]
+    assert P.b1 == (1.0, 0.0, 0.0, 0.0) and P.b2 == (0.0, 1.0, 0.0, 0.0)
     for v in (P.b1, P.b2):
-        assert v.dtype == np.float64 and not v.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
+        assert is_float_4_tuple(v)
+        with pytest.raises(TypeError, match="does not support item assignment"):
             v[0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        P.b1 = (0.0, 0.0, 1.0, 0.0)
     assert not hasattr(P, "__dict__")
 
 
@@ -112,13 +119,15 @@ def test_planes_share_no_memory_with_their_inputs_or_each_other():
     P = random_plane(rng)
     Q = Plane(P.b1, P.b2)
     N = orthogonal_complement(P)
-    frames = [P.b1, P.b2, Q.b1, Q.b2, N.b1, N.b2]
-    for i, a in enumerate(frames):
-        assert not a.flags.writeable
-        for b in frames[i + 1:]:
-            assert not np.shares_memory(a, b)
-    # random_plane takes columns of one 4x4 rotation and keeps neither it nor a view
-    assert P.b1.base is None and P.b2.base is None
+    # a frame is a tuple of Python floats, so no array buffer is shared
+    assert all(map(is_float_4_tuple, (P.b1, P.b2, Q.b1, Q.b2, N.b1, N.b2)))
+    assert Q == P and hash(Q) == hash(P)
+    # writing the columns a plane was built from, or its frame() array, leaves it as it was
+    F = E.copy()
+    R = Plane(F[:, 0], F[:, 1])
+    F[:] = np.nan
+    P.frame()[:] = np.nan
+    assert R == PI12 and Q == P
 
 
 @pytest.mark.parametrize("make", [random_plane,
@@ -128,10 +137,10 @@ def test_copied_and_unpickled_planes_stay_sealed(make):
     P = make(np.random.default_rng(43))
     for Q in (copy.copy(P), copy.deepcopy(P), pickle.loads(pickle.dumps(P))):
         assert type(Q) is Plane and Q.oriented is P.oriented
+        assert Q == P and hash(Q) == hash(P)
         for a, b in ((Q.b1, P.b1), (Q.b2, P.b2)):
-            assert a.tolist() == b.tolist()
-            assert not a.flags.writeable and not np.shares_memory(a, b)
-        with pytest.raises(ValueError, match="read-only"):
+            assert is_float_4_tuple(a) and a == b
+        with pytest.raises(TypeError, match="does not support item assignment"):
             Q.b1[0] = np.nan
 
 
@@ -160,7 +169,8 @@ def test_planes_compare_and_hash_by_frame_and_orientation():
 def test_plane_checks_its_frame(b1, b2, message):
     if message is None:
         P = Plane(b1, b2)
-        assert P.b1.tolist() == [float(x) for x in b1] and P.b2.tolist() == [float(x) for x in b2]
+        assert P.b1 == tuple(float(x) for x in b1) and P.b2 == tuple(float(x) for x in b2)
+        assert is_float_4_tuple(P.b1) and is_float_4_tuple(P.b2)
     else:
         with pytest.raises(ValueError, match=message):
             Plane(b1, b2)
@@ -258,6 +268,7 @@ def assert_matches_the_one_pair_route(pairs, planted):
         assert np.array_equal(k.degenerate, [p.degenerate for p in views])
     loose = ~k.degenerate
     for rows, views in (("dirs_a", in_w), ("dirs_b", in_v)):
+        assert all(is_float_4_tuple(p.v1) and is_float_4_tuple(p.v2) for p in views)
         d = np.array([[p.v1, p.v2] for p in views])
         assert up_to_sign(getattr(k, rows), d)[loose].max() <= 1e-12
         assert np.array_equal(canonical_sign(d[loose]), np.ones((loose.sum(), 2)))
@@ -305,19 +316,19 @@ def test_stacks_of_non_finite_frames_fail_like_lapack():
                      lambda: stacked_angles(A[1], V.frame()), lambda: complement_frames(A[1])):
             with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
                 call()
-        # the one-pair views, with the bad entry at every place of either plane
-        for vector, i in np.ndindex(2, 4):
-            for P in (V, W):
-                # a plane refuses writes, so unseal its own copy to plant the entry
-                Q = Plane(P.b1, P.b2)
-                (Q.b1, Q.b2)[vector].setflags(write=True)
-                (Q.b1, Q.b2)[vector][i] = bad
-                for call in (lambda: principal_angles(Q, W), lambda: principal_angles(V, Q),
-                             lambda: orthogonal_complement(Q),
-                             lambda: plane_angles_via_bivectors(Q, W),
-                             lambda: plane_angles_via_bivectors(V, Q)):
-                    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
-                        call()
+
+
+def test_stacked_angles_refuse_frames_past_the_clamp_tolerance():
+    V, W = planes_with_angles(0.3, 0.9)
+    stack = np.stack([W.frame()] * 3)
+    stack[1] *= 2.0
+    for A, B in ((2.0 * W.frame(), V.frame()), (V.frame(), 2.0 * W.frame()),
+                 (stack, V.frame()), (V.frame(), stack)):
+        with pytest.raises(ValueError, match="exceeds 1 beyond tolerance"):
+            stacked_angles(A, B)
+    # a frame scaled within CLAMP_TOL is clamped, not refused
+    k = stacked_angles((1.0 + 1e-9) * W.frame(), W.frame())
+    assert k.cos.tolist() == [1.0, 1.0] and np.abs(k.theta).max() < 1e-8
 
 
 def test_stacked_complement_pivots_on_the_largest_projector_diagonal():
@@ -404,11 +415,11 @@ def test_stacked_kernel_matches_the_one_pair_views():
     pairs, planted = stratified_pairs(np.random.default_rng(7), 100)
     k = assert_matches_the_one_pair_route(pairs, planted)
     assert k.degenerate.tolist() == [False] * 200 + [True] * 100
-    # a degenerate view returns the frame of its first plane
+    # a degenerate view returns the frame tuples of its first plane
     for (V, W), degenerate in zip(pairs, k.degenerate):
         pa = principal_angles(V, W)
         if degenerate:
-            assert np.array_equal(pa.v1, V.b1) and np.array_equal(pa.v2, V.b2)
+            assert pa.v1 is V.b1 and pa.v2 is V.b2
 
 
 @pytest.mark.parametrize("theta1, theta2, degenerate", [
@@ -423,7 +434,7 @@ def test_one_degenerate_rule_on_the_angle_gap(theta1, theta2, degenerate):
     assert (abs(pa.theta2 - pa.theta1) < DEGENERATE_TOL) is degenerate
     # the frame pass on the flat patch tangent to V, against W
     zero = np.zeros((1, 1, 4))
-    jet = SurfaceJet(zero, V.b1[None, None], V.b2[None, None], zero, zero, zero)
+    jet = SurfaceJet(zero, np.array([[V.b1]]), np.array([[V.b2]]), zero, zero, zero)
     fr = adapted_frames(_tangent_frame(jet), W)
     assert fr.degenerate[0, 0] == degenerate
     assert [fr.theta1[0, 0], fr.theta2[0, 0]] == pytest.approx([theta1, theta2], abs=1e-15)

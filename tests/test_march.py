@@ -177,7 +177,7 @@ def oracle_march(x, f0, w0, hy, n_steps, c, hx, tol_char, branch=1):
 def oracle_tol_char(prob):
     """10^-6 of the smallest |E_u(-psi, phi')| on the initial row."""
     _, dphi, _ = prob.phi(prob.x)
-    psi0, _ = prob.psi(prob.x)
+    psi0 = prob.psi(prob.x)[0]
     return 1e-6 * float(np.min(np.abs(oracle_E_partials(-psi0, dphi, prob.c1,
                                                         prob.branch)[0])))
 
@@ -185,7 +185,7 @@ def oracle_tol_char(prob):
 def oracle_solve(prob):
     x, n_steps = prob.x, prob.n_steps
     f0, _, _ = prob.phi(x)
-    psi0, _ = prob.psi(x)
+    psi0 = prob.psi(x)[0]
     tol_char = oracle_tol_char(prob)
     ny = 2 * n_steps + 1
     f = np.full((ny, x.size), np.nan)
@@ -486,6 +486,25 @@ def test_fd_d1_and_fd_d2_difference_integer_input_in_float64():
     x = np.arange(5)
     assert np.allclose(fd_d1(x ** 2, 0.3), 20 * x / 3, rtol=1e-15, atol=0)
     assert np.allclose(fd_d2(x ** 2, 0.3), 200 / 9, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("fd", [fd_d1, fd_d2])
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_fd_d1_and_fd_d2_refuse_an_axis_shorter_than_the_stencil(fd, n):
+    # 1-D, and each axis of a 2-D block whose other axis is long enough
+    cases = [(np.arange(n, dtype=float), 0), (np.arange(n, dtype=float), -1)]
+    for axis in range(2):
+        shape = [5, 5]
+        shape[axis] = n
+        block = np.arange(5.0 * n).reshape(shape)
+        cases += [(block, axis), (block, axis - 2), (np.asfortranarray(block), axis)]
+    for values, axis in cases:
+        with pytest.raises(ValueError, match=rf"^axis {axis} has {n} nodes; "
+                                             "a stencil needs at least 3$"):
+            fd(values, 0.1, axis)
+    # an axis out of range is still an IndexError
+    with pytest.raises(IndexError):
+        fd(np.zeros((n, 5)), 0.1, 2)
 
 
 def test_asymmetric_cases_take_the_split():
