@@ -132,6 +132,10 @@ COMMANDS = [
     ("construct-near-characteristic", ["construct", *THETAS, "--x0", "0.2", "--x1", "0.3",
                                        "--seed=-0.18104267892575457,1.2881855960876407"],
      None),
+    # the same Cauchy data written out as a custom config
+    _with_config("construct-custom-near-characteristic", ["construct"],
+                 {"c1": 3.3333333333333335, "x": [0.2, 0.3],
+                  "phi": "x^2 - 0.18104267892575457*x", "psi": "x + 1.2881855960876407"}),
     # phi'' = 2 curvature vanishes for every seed: refused before the seed scan
     ("construct-zero-curvature", ["construct", *THETAS, "--curvature", "0"], None),
 ]
