@@ -31,6 +31,11 @@ E_u(-v, u) = -E_u(u, v), it reads w_y = f_xx + beta w_x for w = f_y, p = f_x:
     beta = 2 (r mu - q)/(r + q mu),   r = w^2 - p^2,   q = 2 p w,
     mu = (2 - c Delta)/(2 lam),       (r + q mu)/Delta^2 = E_u(p, w).
 
+With F = (f, g), (lam a)^2 = <F_x, F_y>^2 = c D - 1 - D^2 for a = E_u(p, w)
+and D = |F_x|^2, so a vanishes where D meets the annulus that bounds Delta.
+Cauchy data are admissible where Delta and D lie inside ``_band(c)``: the
+seed scan, ``PDEProblem`` and the march (``_a_beta``) keep that one rule.
+
 Its characteristic slopes multiply to -1, so the faster family exceeds
 |dx/dy| = 1; each output step takes k >= 2|hy|/hx midpoint sub-steps within
 the CFL bound, each followed by a Kreiss-Oliger filter that holds the
@@ -116,7 +121,7 @@ class HelixParams:
 
 
 # ---------------------------------------------------------------------------
-# the E function and its partials
+# the admissible band
 # ---------------------------------------------------------------------------
 
 def annulus_bounds(c: float) -> tuple[float, float]:
@@ -149,22 +154,11 @@ def _lam(delta, c, branch: int = 1, cd=None, dd=None):
     return branch * np.sqrt(arg)
 
 
-def _E_pair(u, v, c, branch: int = 1):
-    """(E_u, E_v) of E = (u + lam(Delta) v)/Delta at (u, v) (index 0 of each)
-    and at the rotated point (-v, u) (index 1).  Both share Delta = u^2 + v^2,
-    lam, lam' and Delta^2, taken once; the rotated terms differ only by exact
-    negations and doublings, so each partial has the bits of a lone
-    evaluation at its point.  ``branch`` = -1 gives the mirror surface."""
-    delta = u * u + v * v
-    lam = _lam(delta, c, branch)
-    dlam = (c - 2.0 * delta) / (2.0 * (lam if lam.all() else np.where(lam != 0, lam, np.inf)))
-    dd = delta * delta
-    u2, v2 = 2.0 * u, 2.0 * v
-    uv = u2 * v * dlam                           # 2uv lam'; -uv at (-v, u)
-    num, num_r = u + lam * v, lam * u - v
-    return (((1.0 + uv) / delta - u2 * num / dd, (1.0 - uv) / delta + v2 * num_r / dd),
-            ((lam + v2 * v * dlam) / delta - v2 * num / dd,
-             (lam + u2 * u * dlam) / delta - u2 * num_r / dd))
+def _column_norm(u, v, delta, c, branch: int = 1):
+    """D = |F_x|^2 = u^2 + g_x^2 at the gradient (u, v) of f, Delta = u^2 + v^2,
+    with g_x = (-v + lam u)/Delta as ``recover_g`` forms it."""
+    gx = (-v + _lam(delta, c, branch) * u) / delta
+    return u * u + gx * gx
 
 
 class SolverHalt(RuntimeError):
@@ -178,12 +172,13 @@ def _check_branch(branch) -> None:
 
 
 def _seed_scan(c1: float, branch: int = 1):
-    """The (n, 2) gradient seeds (u, v) of the polar grid over the annulus
-    interior (5% boundary margin) whose score min(|E_u(u,v)|, |E_v(-v,u)|)
-    exceeds 1e-3, in the order the seed walk takes them: score descending,
-    ties in grid order.  Fails with a diagnostic when there are none (c1 too
-    close to 2).  ``c1`` here and in the diagnostics is c = c1/c2 of
-    ``HelixParams``."""
+    """The (n, 2) admissible gradient seeds (u, v) of the polar grid over the
+    annulus interior (5% boundary margin), in the order the seed walk takes
+    them.  A point's score is its smallest margin to the edges of ``_band``,
+    of Delta and of D = |F_x|^2 (``_column_norm``); the scan keeps the
+    points of positive score, score descending, ties in grid order.  Fails
+    with a diagnostic when there are none (c1 too close to 2).  ``c1`` here
+    and in the diagnostics is c = c1/c2 of ``HelixParams``."""
     _check_branch(branch)
     dmin, dmax = annulus_bounds(c1)
     width = dmax - dmin
@@ -196,11 +191,11 @@ def _seed_scan(c1: float, branch: int = 1):
     r = np.sqrt(deltas)[:, None]
     u = r * np.cos(phis)[None, :]
     v = r * np.sin(phis)[None, :]
-    with np.errstate(all="ignore"):
-        Eu, Ev = _E_pair(u, v, c1, branch)
-    score = np.minimum(np.abs(Eu[0]), np.abs(Ev[1]))
-    score = np.where(np.isfinite(score), score, 0.0).ravel()
-    keep = np.flatnonzero(score > 1e-3)
+    lo, hi = _band(c1)
+    delta = u * u + v * v
+    D = _column_norm(u, v, delta, c1, branch)
+    score = np.minimum(np.minimum(delta - lo, hi - delta), np.minimum(D - lo, hi - D)).ravel()
+    keep = np.flatnonzero(score > 0)
     if not keep.size:
         raise ValueError(
             f"no non-characteristic seed found for c1 = {c1}: best margin "
@@ -210,9 +205,10 @@ def _seed_scan(c1: float, branch: int = 1):
 
 
 def find_noncharacteristic_seed(c1: float, branch: int = 1) -> tuple[float, float]:
-    """The best-scoring gradient seed (u0, v0) of the annulus scan, the
-    first that ``default_problem`` tries; deterministic for fixed c1, which
-    is the normalized constant c = c1/c2 of ``HelixParams``."""
+    """The best-scoring gradient seed (u0, v0) of the annulus scan, the one
+    whose Delta and |F_x|^2 lie deepest inside the band and the first that
+    ``default_problem`` tries; deterministic for fixed c1, which is the
+    normalized constant c = c1/c2 of ``HelixParams``."""
     return tuple(_seed_scan(c1, branch)[0].tolist())
 
 
@@ -266,10 +262,11 @@ class PDEProblem:
     ``c1`` is the normalized constant c = c1/c2 > 2 of ``HelixParams``, not
     its ``c1`` = tan^2(theta1) + tan^2(theta2).  The branch (1 or -1, not a
     bool), the seed, the window (``check_window``), finite phi, phi', phi''
-    and psi and the non-characteristic conditions along the whole initial
-    segment are checked when the problem is built, which sets the x-nodes
-    ``x`` (read-only), the number of y-steps each way ``n_steps`` and the
-    march's characteristic scale ``tol_char`` = 1e-6 min |E_u(-psi, phi')|.
+    and psi, nonzero phi'' and the admissibility rule along the whole
+    initial segment are checked when the problem is built: Delta = phi'^2 +
+    psi^2 and D = |F_x|^2 (``_column_norm``) lie inside ``_band``, and a D
+    outside it is near-characteristic data.  Building sets the x-nodes ``x``
+    (read-only) and the number of y-steps each way ``n_steps``.
     """
 
     c1: float
@@ -284,7 +281,6 @@ class PDEProblem:
     branch: int = 1
     x: np.ndarray = field(init=False, repr=False, compare=False)
     n_steps: int = field(init=False, repr=False, compare=False)
-    tol_char: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_branch(self.branch)
@@ -308,10 +304,11 @@ class PDEProblem:
         if not ((delta > lo) & (delta < hi)).all():
             raise ValueError("initial gradient leaves the admissible annulus "
                              "on the x-interval")
-        Eu, Ev = _E_pair(dphi, psi, self.c1, self.branch)
-        _check_data(nonzero=(("E_u(phi', psi)", Eu[0]), ("E_v(-psi, phi')", Ev[1]),
-                             ("phi''", d2phi)))
-        object.__setattr__(self, "tol_char", 1e-6 * float(np.min(np.abs(Eu[1]))))
+        D = _column_norm(dphi, psi, delta, self.c1, self.branch)
+        if not ((D > lo) & (D < hi)).all():
+            raise ValueError("near-characteristic data: |F_x|^2 leaves the admissible "
+                             "band on the x-interval")
+        _check_data(nonzero=(("phi''", d2phi),))
 
 
 def paper_initial_data(u0: float, v0: float, curvature: float = 1.0):
@@ -349,10 +346,9 @@ def default_problem(c1: float, x_range=(-0.05, 0.05), y_max=0.006,
     normalized constant c = c1/c2 of ``HelixParams`` (also in the diagnostic).
 
     With no seed, the window and the curvature (``check_curvature``) are
-    checked, then the scanned seeds are walked in stable score order (at
-    most 600): the best one can sit close to the annulus boundary, where
-    quadratic data drift out over a wide x-interval, so the first seed whose
-    data validate for the window gives the problem.
+    checked, then the scanned seeds are walked in score order (at most 600):
+    quadratic data drift across the band over a wide x-interval, so the
+    first seed whose data validate for the window gives the problem.
     """
     if seed is None:
         check_window(x_range, y_max, hx, hy)
@@ -426,25 +422,27 @@ def _squares(p, w):
     return pp, ww, pp + ww
 
 
-def _a_beta(p, w, c: float, tol_char: float, branch: int = 1, squares=None):
+def _a_beta(p, w, c: float, lam_lo: float, branch: int = 1, squares=None):
     """(a Delta^2, beta) of w_y = f_xx + beta w_x at the gradient (p, w) =
     (f_x, f_y): a Delta^2 = r + q mu and beta = 2 (r mu - q)/(r + q mu), with
     r = w^2 - p^2, q = 2pw and mu = (2 - c Delta)/(2 lam).  Halts where
-    |a| < tol_char, or where ``_lam`` does.  ``squares`` is ``_squares(p, w)``
-    when the caller has it."""
+    ``_lam`` does, and ("characteristic-degeneracy") where D = |F_x|^2
+    leaves ``_band``: |lam a| <= ``lam_lo``, the lam of the band's edges (a
+    NaN node passes, to the march's band check).  ``squares`` is
+    ``_squares(p, w)`` when the caller has it."""
     pp, ww, delta = _squares(p, w) if squares is None else squares
     cd, dd = c * delta, delta * delta
     lam = _lam(delta, c, branch, cd, dd)
     mu = (2.0 - cd) / (2.0 * (lam if lam.all() else np.where(lam != 0, lam, np.inf)))
     r, q = ww - pp, 2.0 * p * w
     a_delta2 = r + q * mu
-    if (np.abs(a_delta2) < tol_char * dd).any():
+    if (np.abs(lam * (a_delta2 / dd)) <= lam_lo).any():   # lam a Delta^2 can overflow
         raise SolverHalt("characteristic-degeneracy")
     return a_delta2, 2.0 * (r * mu - q) / a_delta2
 
 
 def _march(S: np.ndarray, hy: np.ndarray, out: list, c: float, hx: float,
-           tol_char: float, branch: int = 1, iL: int = 0) -> list[str]:
+           branch: int = 1, iL: int = 0) -> list[str]:
     """March R rows of Cauchy data that share one x-window.
 
     ``S`` stacks (R, n) states f over w = f_y on the nodes iL .. iL + n - 1;
@@ -459,6 +457,7 @@ def _march(S: np.ndarray, hy: np.ndarray, out: list, c: float, hx: float,
     The state is kept C-contiguous, so ``fd_d1``/``fd_d2`` take it without a copy.
     """
     lo, hi = _band(c)
+    lam_lo = math.sqrt(c * lo - 1.0 - lo * lo)
     R = S.shape[0] // 2
 
     def stage(S, X, D1, bt, step):
@@ -473,7 +472,7 @@ def _march(S: np.ndarray, hy: np.ndarray, out: list, c: float, hx: float,
     for done in range(len(out[0][0]) - 1):
         start = S, iL
         try:
-            bt = _a_beta(D1[:R], S[R:], c, tol_char, branch, squares)[1]
+            bt = _a_beta(D1[:R], S[R:], c, lam_lo, branch, squares)[1]
             m = np.fmax.reduce(np.abs(bt), axis=-1)
             # the CFL rule, with at least 2 |hy|/hx sub-steps so that |z| <= 1 below
             k = {max(math.ceil(abs(h) * 0.5 * (mr + math.sqrt(mr * mr + 4.0)) / (CFL_TARGET * hx)),
@@ -489,10 +488,10 @@ def _march(S: np.ndarray, hy: np.ndarray, out: list, c: float, hx: float,
                 if S.shape[1] < 9:
                     raise SolverHalt("window-exhausted")
                 if s:
-                    bt = _a_beta(D1[:R], S[R:], c, tol_char, branch, squares)[1]
+                    bt = _a_beta(D1[:R], S[R:], c, lam_lo, branch, squares)[1]
                 Sh = stage(S, S, D1, bt, 0.5 * sub)
                 D1 = fd_d1(Sh, hx, -1)
-                S = stage(S, Sh, D1, _a_beta(D1[:R], Sh[R:], c, tol_char, branch)[1], sub)
+                S = stage(S, Sh, D1, _a_beta(D1[:R], Sh[R:], c, lam_lo, branch)[1], sub)
                 # Kreiss-Oliger filter.  On the odd-even mode (-1)^i the centred
                 # f_xx is -4 f/hx^2 and w_x is 0, so there the march has the
                 # eigenvalues +-2i/hx, z = 2i hy/(k hx) per sub-step, and the
@@ -538,7 +537,7 @@ def _march(S: np.ndarray, hy: np.ndarray, out: list, c: float, hx: float,
                 return [halt.args[0]]
             S, iL = start
             return [_march(S[[r, R + r]], hy[r:r + 1], [[a[done:] for a in out[r]]], c, hx,
-                           tol_char, branch, iL)[0] for r in range(R)]
+                           branch, iL)[0] for r in range(R)]
         cols = slice(iL, iL + S.shape[1])
         for r, (f, fy, valid) in enumerate(out):
             f[done + 1, cols], fy[done + 1, cols], valid[done + 1, cols] = S[r], S[R + r], True
@@ -550,10 +549,9 @@ def solve_pde(prob: PDEProblem) -> SolutionGrid:
 
     Both directions march as one stacked (f; w) state (see :func:`_march`)
     that writes each kept row straight into the grid.  The initial row
-    reproduces the Cauchy data exactly.  Each column is kept only while the
-    gradient stays inside the annulus by margin and the f_yy coefficient
-    stays away from zero; a partial grid with the termination reason is
-    returned otherwise.
+    reproduces the Cauchy data exactly.  Columns are kept while Delta stays
+    inside ``_band``, and a direction halts where D = |F_x|^2 leaves it; a
+    partial grid with the termination reason is returned otherwise.
     """
     x, n_steps = prob.x, prob.n_steps
     f0, psi0 = prob.phi(x)[0], prob.psi(x)[0]
@@ -568,7 +566,7 @@ def solve_pde(prob: PDEProblem) -> SolutionGrid:
 
     up, down = _march(np.stack([f0, f0, psi0, psi0]), np.array([prob.hy, -prob.hy]),
                       [[a[j0::sign] for a in (f, fy, valid)] for sign in (1, -1)],
-                      prob.c1, prob.hx, prob.tol_char, prob.branch)
+                      prob.c1, prob.hx, prob.branch)
     return SolutionGrid(x=x, y=y, f=f, fy=fy, valid=valid, c1=prob.c1,
                         hx=prob.hx, hy=prob.hy, seed=(prob.u0, prob.v0),
                         termination_up=up, termination_down=down, branch=prob.branch)

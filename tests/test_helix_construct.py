@@ -15,7 +15,7 @@ from helix4.helix_construct import (GRAPH_RESIDUALS, HelixParams, PDEProblem,
                                     SolutionGrid, annulus_bounds, default_problem,
                                     deform, deform_inverse, find_noncharacteristic_seed,
                                     paper_initial_data, recover_g, residual_maxima,
-                                    solution_graph, solve_pde, symplecto_check, _E_pair)
+                                    solution_graph, solve_pde, symplecto_check)
 from helix4.surface_analysis import (CompositionVerdict, GraphSurface, SurfaceJet,
                                      SurfacePatch, _fd_jet, composition_test, fd_d1,
                                      first_normal_rank, fundamental_forms, graph_patch,
@@ -190,6 +190,18 @@ def test_symplecto_check_needs_a_positive_c2():
 # seeds and problem validation
 # ---------------------------------------------------------------------------
 
+def band_margins(u, v, c, branch=1):
+    """The seed scan's score: the smallest margin of Delta = u^2 + v^2 and of
+    D = |F_x|^2 = u^2 + g_x^2 to the edges of the band, the annulus less
+    0.1% of its width at each end."""
+    dmin, dmax = annulus_bounds(c)
+    lo, hi = dmin + 1e-3 * (dmax - dmin), dmax - 1e-3 * (dmax - dmin)
+    delta = u * u + v * v
+    gx = (-v + branch * np.sqrt(c * delta - 1.0 - delta * delta) * u) / delta
+    D = u * u + gx * gx
+    return np.minimum.reduce([delta - lo, hi - delta, D - lo, hi - D])
+
+
 def test_annulus_bounds_and_seed():
     dmin, dmax = annulus_bounds(C_THIRD)
     assert dmin == pytest.approx(1.0 / 3.0)
@@ -197,8 +209,8 @@ def test_annulus_bounds_and_seed():
     u0, v0 = find_noncharacteristic_seed(C_THIRD)
     d0 = u0 * u0 + v0 * v0
     assert dmin < d0 < dmax
-    Eu, Ev = _E_pair(np.array(u0), np.array(v0), C_THIRD)
-    assert min(abs(float(Eu[0])), abs(float(Ev[1]))) > 1e-2
+    # its Delta and D = |F_x|^2 lie deep inside the band
+    assert min(band_margins(np.array([u0]), np.array([v0]), C_THIRD)) > 1.0
 
 
 def test_seed_is_deterministic():
@@ -223,17 +235,33 @@ def test_problem_validation():
         PDEProblem(C_THIRD, (-0.05, 0.05), 0.004, 1e-3, 1e-3, u0, v0, phi, psi)
     with pytest.raises(ValueError, match="divide"):
         default_problem(C_THIRD, y_max=0.0055, hx=1e-3, hy=1e-3)
+    # D = |F_x|^2 leaves the band: near-characteristic data
+    with pytest.raises(ValueError, match="^near-characteristic data: "):
+        default_problem(C_THIRD, (0.2, 0.3), 0.006, 1e-3, 1e-3,
+                        seed=(-0.18104267892575457, 1.2881855960876407))
 
 
 def test_default_problem_walks_to_the_first_seed_whose_data_fits():
-    # the seed construct prints for (0.7, 0.9) on this window; the best-scoring
-    # seed's quadratic data leaves the annulus there
+    # the seed construct prints for (0.7, 0.9) on this window; the quadratic
+    # data of the three best-scoring seeds leave the annulus there
     m, c = deform_inverse((0.7, 0.9))
-    prob = default_problem(c, (-0.05, 0.05), 0.004, 2e-3, 2e-3)
-    assert (prob.u0, prob.v0) == (-0.7344269060018042, 0.9400235727944621)
-    with pytest.raises(ValueError, match="leaves the admissible annulus"):
-        default_problem(c, (-0.05, 0.05), 0.004, 2e-3, 2e-3,
-                        seed=find_noncharacteristic_seed(c))
+    prob = default_problem(c, (0.2, 0.3), 0.004, 2e-3, 2e-3)
+    assert (prob.u0, prob.v0) == (0.21708416465263758, -1.0213006973157768)
+    assert (prob.u0, prob.v0) == tuple(hc._seed_scan(c)[3].tolist())
+    for seed in hc._seed_scan(c)[:3].tolist():
+        with pytest.raises(ValueError, match="leaves the admissible annulus"):
+            default_problem(c, (0.2, 0.3), 0.004, 2e-3, 2e-3, seed=seed)
+
+
+@pytest.mark.parametrize("c", [2.5, C_THIRD, 5.0, 12.0])
+@pytest.mark.parametrize("branch", [1, -1])
+@pytest.mark.parametrize("half_width", [0.05, 0.1])
+def test_the_walked_seed_takes_its_first_step_both_ways(c, branch, half_width):
+    # admissible data keep |beta| small enough that the first output step
+    # fits the window: a row above and a row below the base row
+    sol = solve_pde(default_problem(c, (-half_width, half_width), branch=branch))
+    j0 = sol.row0()
+    assert sol.valid[j0 + 1].any() and sol.valid[j0 - 1].any()
 
 
 def test_problem_is_checked_once_when_built():
@@ -329,22 +357,10 @@ def test_the_first_seed_walked_is_the_noncharacteristic_seed(monkeypatch, c, bra
         default_problem(c, branch=branch)
     assert tried[0] == find_noncharacteristic_seed(c, branch)
     assert all(type(s) is float for seed in tried for s in seed)
-    # score descending, by the scan's own score
+    # band margin descending, every one positive
     u, v = np.array(tried).T
-    Eu, Ev = _E_pair(u, v, c, branch)
-    score = np.minimum(np.abs(Eu[0]), np.abs(Ev[1]))
-    assert 1 < len(tried) <= 600 and np.all(score[1:] <= score[:-1]) and score[-1] > 1e-3
-
-
-def test_solve_pde_reads_the_problems_tol_char(monkeypatch):
-    prob = default_problem(C_THIRD)
-
-    def no_E_pair(*args):
-        raise AssertionError("solve_pde evaluated _E_pair")
-
-    monkeypatch.setattr(hc, "_E_pair", no_E_pair)
-    sol = solve_pde(prob)
-    assert (sol.termination_up, sol.termination_down) == ("completed", "completed")
+    score = band_margins(u, v, c, branch)
+    assert len(tried) == 600 and np.all(score[1:] <= score[:-1]) and score[-1] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +638,7 @@ def test_composition_test_on_pde_surface(solved):
 @pytest.mark.parametrize("name, verdict", [
     ("solution-graph", CompositionVerdict(
         True, False, False, False, False, True, "", 1.0,
-        1.06227931144848, 1.716335578687577)),
+        1.4884734903025385, 0.2940172028211625)),
     ("orbit_helix", CompositionVerdict(
         False, None, False, False, False, True,
         "criterion inapplicable for these angles", 1.0,
