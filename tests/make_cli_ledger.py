@@ -41,6 +41,11 @@ def _plane(b1, b2) -> str:
     return json.dumps({"b1": b1, "b2": b2, "oriented": True})
 
 
+ROTATED_V = _plane([0.08, 0.12, 0.24, 0.96], [-0.12, 0.08, 0.96, -0.24])
+ROTATED_W = _plane([0.26, 0.46, 0.58, 0.62], [-0.58, 0.62, 0.26, -0.46])
+SAME = _plane([0.18, 0.26, 0.54, 0.78], [-0.26, 0.18, 0.78, -0.54])
+
+
 def _with_config(name, argv, document):
     """A command whose config ``document`` is written to <tmp>/<name>.json
     before it runs."""
@@ -61,6 +66,11 @@ COMMANDS = [
                       "--w", json.dumps(P12)], None),
     ("angles-zero", ["angles", "--v", _plane([1, 0, 0, 0], [0, 0.6, 0, 0.8]),
                      "--w", json.dumps(P12)], None),
+    # frames off the axes, from columns of unit-quaternion multiplication
+    # matrices, in both orders; V = W has a residual of exact zeros
+    *((f"angles-rotated-{name}", ["angles", "--v", v, "--w", w], None)
+      for name, v, w in (("vw", ROTATED_V, ROTATED_W), ("wv", ROTATED_W, ROTATED_V))),
+    ("angles-same-plane", ["angles", "--v", SAME, "--w", SAME], None),
     *((f"example-{name}", ["example", name, "--grid", "30", "30"], None)
       for name in ("clifford_torus", "helix_cylinder", "orbit_cone", "orbit_helix", "plane",
                    "product_circles", "spherical_helix_revolution")),
