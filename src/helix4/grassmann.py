@@ -18,7 +18,6 @@ Fixed coordinate conventions (see README, "Conventions"):
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -270,39 +269,25 @@ def canonical_sign(V: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # one pair on Python floats
 # ---------------------------------------------------------------------------
-# The one-pair views run the formulas of the array kernels term by term on
-# Python floats: on 4x2 frames numpy's per-call overhead costs far more than
-# the few dozen flops.  Vectors are tuples or lists of floats, written by index.
+# The one-pair views run the array kernels' formulas on Python floats: on 4x2
+# frames numpy's per-call overhead costs far more than the flops.  Each frame
+# is unpacked into locals once and every sum is written inline, left to right.
 
 def _fdot(x, y) -> float:
     return x[0] * y[0] + x[1] * y[1] + x[2] * y[2] + x[3] * y[3]
 
 
-def _fsub(v, a1, s, a2, t) -> list[float]:
-    """v - (a1 s + a2 t): the update v - A (s, t) of the array kernels."""
-    return [v[0] - (a1[0] * s + a2[0] * t), v[1] - (a1[1] * s + a2[1] * t),
-            v[2] - (a1[2] * s + a2[2] * t), v[3] - (a1[3] * s + a2[3] * t)]
-
-
-def _faxpy(y, t, x) -> list[float]:
-    """y - t x."""
-    return [y[0] - t * x[0], y[1] - t * x[1], y[2] - t * x[2], y[3] - t * x[3]]
-
-
-def _fdiv(x, d) -> tuple[float, ...]:
-    return x[0] / d, x[1] / d, x[2] / d, x[3] / d
-
-
-def _pair_residual_svals(x, y) -> tuple[float, float]:
+def _pair_residual_svals(x1, x2, x3, x4, y1, y2, y3, y4) -> tuple[float, float]:
     """``_residual_svals`` of the 4x2 matrix with columns x, y."""
-    xx, yy = _fdot(x, x), _fdot(y, y)
+    xx, yy = x1 * x1 + x2 * x2 + x3 * x3 + x4 * x4, y1 * y1 + y2 * y2 + y3 * y3 + y4 * y4
     if yy > xx:
-        x, y, xx = y, x, yy
+        x1, x2, x3, x4, y1, y2, y3, y4, xx = y1, y2, y3, y4, x1, x2, x3, x4, yy
     if not xx > 0:
         return 0.0, 0.0
-    r11, xy = math.sqrt(xx), _fdot(x, y)
-    z = _faxpy(y, xy / xx, x)
-    r22, r12 = math.sqrt(_fdot(z, z)), xy / r11
+    r11, xy = math.sqrt(xx), x1 * y1 + x2 * y2 + x3 * y3 + x4 * y4
+    t = xy / xx
+    z1, z2, z3, z4 = y1 - t * x1, y2 - t * x2, y3 - t * x3, y4 - t * x4
+    r22, r12 = math.sqrt(z1 * z1 + z2 * z2 + z3 * z3 + z4 * z4), xy / r11
     s_max = (math.hypot(r11 + r22, r12) + math.hypot(r11 - r22, r12)) / 2
     return s_max, r11 * r22 / s_max
 
@@ -311,30 +296,26 @@ def _pair_angles(a1, a2, b1, b2):
     """``stacked_angles`` of orthonormal frames A = (a1, a2), B = (b1, b2),
     whose singular values pass 1 by rounding only: (theta1, theta2, d1, d2)
     with d_k the principal direction of theta_k in B, before ``canonical_sign``."""
-    m11, m12, m21, m22 = _fdot(a1, b1), _fdot(a1, b2), _fdot(a2, b1), _fdot(a2, b2)
+    (a11, a12, a13, a14), (a21, a22, a23, a24) = a1, a2
+    (b11, b12, b13, b14), (b21, b22, b23, b24) = b1, b2
+    m11 = a11 * b11 + a12 * b12 + a13 * b13 + a14 * b14
+    m12 = a11 * b21 + a12 * b22 + a13 * b23 + a14 * b24
+    m21 = a21 * b11 + a22 * b12 + a23 * b13 + a24 * b14
+    m22 = a21 * b21 + a22 * b22 + a23 * b23 + a24 * b24
     # _svd2 of M = A^T B; of its rotations only Q^T, by (a2 - a1) / 2, is needed
     E, F, G, H = (m11 + m22) / 2, (m11 - m22) / 2, (m21 + m12) / 2, (m21 - m12) / 2
     Q, R = math.hypot(E, H), math.hypot(F, G)
     half = (math.atan2(H, E) - math.atan2(G, F)) / 2
     cq, sq = math.cos(half), math.sin(half)
-    s_max, s_min = _pair_residual_svals(_fsub(b1, a1, m11, a2, m21),
-                                        _fsub(b2, a1, m12, a2, m22))
-    c1, c2 = Q + R, abs(Q - R)
-    return (math.atan2(min(s_min, 1.0), min(c1, 1.0)),
-            math.atan2(min(s_max, 1.0), min(c2, 1.0)),
-            (cq * b1[0] - sq * b2[0], cq * b1[1] - sq * b2[1],
-             cq * b1[2] - sq * b2[2], cq * b1[3] - sq * b2[3]),
-            (sq * b1[0] + cq * b2[0], sq * b1[1] + cq * b2[1],
-             sq * b1[2] + cq * b2[2], sq * b1[3] + cq * b2[3]))
-
-
-def _pair_wedge(u, v) -> list[float]:
-    return [u[0] * v[1] - u[1] * v[0], u[0] * v[2] - u[2] * v[0], u[0] * v[3] - u[3] * v[0],
-            u[1] * v[2] - u[2] * v[1], u[1] * v[3] - u[3] * v[1], u[2] * v[3] - u[3] * v[2]]
-
-
-def _pair_hodge(b) -> list[float]:
-    return [b[5], -b[4], b[3], b[2], -b[1], b[0]]
+    s_max, s_min = _pair_residual_svals(
+        b11 - (a11 * m11 + a21 * m21), b12 - (a12 * m11 + a22 * m21),
+        b13 - (a13 * m11 + a23 * m21), b14 - (a14 * m11 + a24 * m21),
+        b21 - (a11 * m12 + a21 * m22), b22 - (a12 * m12 + a22 * m22),
+        b23 - (a13 * m12 + a23 * m22), b24 - (a14 * m12 + a24 * m22))
+    return (math.atan2(min(s_min, 1.0), min(Q + R, 1.0)),
+            math.atan2(min(s_max, 1.0), min(abs(Q - R), 1.0)),
+            (cq * b11 - sq * b21, cq * b12 - sq * b22, cq * b13 - sq * b23, cq * b14 - sq * b24),
+            (sq * b11 + cq * b21, sq * b12 + cq * b22, sq * b13 + cq * b23, sq * b14 + cq * b24))
 
 
 _UNIT = np.eye(4).tolist()
@@ -342,17 +323,30 @@ _UNIT = np.eye(4).tolist()
 
 def _pair_complement(a1, a2) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """``complement_frames`` of the frame (a1, a2)."""
-    d = [1.0 - (a1[i] * a1[i] + a2[i] * a2[i]) for i in range(4)]
+    (a11, a12, a13, a14), (a21, a22, a23, a24) = a1, a2
+    d = (1.0 - (a11 * a11 + a21 * a21), 1.0 - (a12 * a12 + a22 * a22),
+         1.0 - (a13 * a13 + a23 * a23), 1.0 - (a14 * a14 + a24 * a24))
     k = d.index(max(d))                # the first of equal entries, as argmax
-    x = _fsub(_UNIT[k], a1, a1[k], a2, a2[k])
-    x = _fsub(x, a1, _fdot(a1, x), a2, _fdot(a2, x))
-    n1 = _fdiv(x, math.sqrt(_fdot(x, x)))
-    # _cross3(a1, a2, n1)
-    p12, p13, p14, p23, p24, p34 = _pair_wedge(a1, a2)
-    c1, c2, c3, c4 = n1
-    n2 = [-(p23 * c4 - p24 * c3 + p34 * c2), p13 * c4 - p14 * c3 + p34 * c1,
-          -(p12 * c4 - p14 * c2 + p24 * c1), p12 * c3 - p13 * c2 + p23 * c1]
-    return n1, _fdiv(n2, math.sqrt(_fdot(n2, n2)))
+    (u1, u2, u3, u4), s, t = _UNIT[k], a1[k], a2[k]
+    x1, x2 = u1 - (a11 * s + a21 * t), u2 - (a12 * s + a22 * t)
+    x3, x4 = u3 - (a13 * s + a23 * t), u4 - (a14 * s + a24 * t)
+    s, t = a11 * x1 + a12 * x2 + a13 * x3 + a14 * x4, a21 * x1 + a22 * x2 + a23 * x3 + a24 * x4
+    x1, x2 = x1 - (a11 * s + a21 * t), x2 - (a12 * s + a22 * t)
+    x3, x4 = x3 - (a13 * s + a23 * t), x4 - (a14 * s + a24 * t)
+    r = math.sqrt(x1 * x1 + x2 * x2 + x3 * x3 + x4 * x4)
+    c1, c2, c3, c4 = x1 / r, x2 / r, x3 / r, x4 / r
+    # _cross3(a1, a2, n1), with p = a1 ^ a2
+    p12, p13, p14 = a11 * a22 - a12 * a21, a11 * a23 - a13 * a21, a11 * a24 - a14 * a21
+    p23, p24, p34 = a12 * a23 - a13 * a22, a12 * a24 - a14 * a22, a13 * a24 - a14 * a23
+    y1, y2 = -(p23 * c4 - p24 * c3 + p34 * c2), p13 * c4 - p14 * c3 + p34 * c1
+    y3, y4 = -(p12 * c4 - p14 * c2 + p24 * c1), p12 * c3 - p13 * c2 + p23 * c1
+    r = math.sqrt(y1 * y1 + y2 * y2 + y3 * y3 + y4 * y4)
+    return (c1, c2, c3, c4), (y1 / r, y2 / r, y3 / r, y4 / r)
+
+
+def _signed(d: tuple) -> tuple:
+    """``canonical_sign`` of d: max takes the first of equal magnitudes, as argmax."""
+    return d if max(d, key=abs) >= 0 else (-d[0], -d[1], -d[2], -d[3])
 
 
 def principal_angles(V: Plane, W: Plane) -> PrincipalAngles:
@@ -361,9 +355,7 @@ def principal_angles(V: Plane, W: Plane) -> PrincipalAngles:
     theta1, theta2, d1, d2 = _pair_angles(W.b1, W.b2, V.b1, V.b2)
     if abs(theta2 - theta1) < DEGENERATE_TOL:
         return PrincipalAngles(theta1, theta2, V.b1, V.b2, degenerate=True)
-    # canonical_sign: max takes the first of equal magnitudes, as argmax does
-    d1, d2 = (d if max(d, key=abs) >= 0 else tuple(-v for v in d) for d in (d1, d2))
-    return PrincipalAngles(theta1, theta2, d1, d2)
+    return PrincipalAngles(theta1, theta2, _signed(d1), _signed(d2))
 
 
 def orthogonal_complement(W: Plane) -> Plane:
@@ -444,10 +436,17 @@ def plane_angles_via_bivectors(V: Plane, W: Plane) -> tuple[float, float]:
     signs depend on the two orientations, so cross checks against the
     principal angles use |cos theta| = cos(theta1)cos(theta2) and
     |cos theta_perp| = sin(theta1)sin(theta2).  ``wedge`` and ``hodge`` run
-    here on Python floats.
+    here inline on Python floats.
     """
-    ev, ew = _pair_wedge(V.b1, V.b2), _pair_wedge(W.b1, W.b2)
-    c, cp = (sum(map(operator.mul, ev, w)) for w in (ew, _pair_hodge(ew)))
+    (v11, v12, v13, v14), (v21, v22, v23, v24) = V.b1, V.b2
+    (w11, w12, w13, w14), (w21, w22, w23, w24) = W.b1, W.b2
+    e12, e13, e14 = v11 * v22 - v12 * v21, v11 * v23 - v13 * v21, v11 * v24 - v14 * v21
+    e23, e24, e34 = v12 * v23 - v13 * v22, v12 * v24 - v14 * v22, v13 * v24 - v14 * v23
+    f12, f13, f14 = w11 * w22 - w12 * w21, w11 * w23 - w13 * w21, w11 * w24 - w14 * w21
+    f23, f24, f34 = w12 * w23 - w13 * w22, w12 * w24 - w14 * w22, w13 * w24 - w14 * w23
+    # <eta_V, eta_W> and <eta_V, *eta_W>, *eta_W = (f34, -f24, f23, f14, -f13, f12)
+    c = e12 * f12 + e13 * f13 + e14 * f14 + e23 * f23 + e24 * f24 + e34 * f34
+    cp = e12 * f34 - e13 * f24 + e14 * f23 + e23 * f14 - e24 * f13 + e34 * f12
     return math.acos(min(max(c, -1.0), 1.0)), math.acos(min(max(cp, -1.0), 1.0))
 
 

@@ -2,12 +2,15 @@
 
 import copy
 import dataclasses
+import functools
 import math
+import operator
 import pickle
 
 import numpy as np
 import pytest
 
+from helix4 import grassmann
 from helix4.grassmann import (
     DEGENERATE_TOL,
     Plane,
@@ -554,3 +557,159 @@ def test_product_law_random_pairs():
         assert abs(abs(math.cos(theta)) - math.cos(pa.theta1) * math.cos(pa.theta2)) < 1e-10
         assert abs(abs(math.cos(theta_perp)) - math.sin(pa.theta1) * math.sin(pa.theta2)) < 1e-10
 
+
+# The one-pair views' float route as it was before its frames were unpacked
+# into locals, kept as their bit-for-bit oracle: a helper call per dot
+# product and update, a generator for the canonical sign, and bivector
+# pairings summed from int 0 (``functools.reduce`` adds left to right, as
+# ``sum`` did on floats before Python 3.12).
+
+def oracle_fdot(x, y):
+    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2] + x[3] * y[3]
+
+
+def oracle_fsub(v, a1, s, a2, t):
+    return [v[0] - (a1[0] * s + a2[0] * t), v[1] - (a1[1] * s + a2[1] * t),
+            v[2] - (a1[2] * s + a2[2] * t), v[3] - (a1[3] * s + a2[3] * t)]
+
+
+def oracle_faxpy(y, t, x):
+    return [y[0] - t * x[0], y[1] - t * x[1], y[2] - t * x[2], y[3] - t * x[3]]
+
+
+def oracle_fdiv(x, d):
+    return x[0] / d, x[1] / d, x[2] / d, x[3] / d
+
+
+def oracle_residual_svals(x, y):
+    xx, yy = oracle_fdot(x, x), oracle_fdot(y, y)
+    if yy > xx:
+        x, y, xx = y, x, yy
+    if not xx > 0:
+        return 0.0, 0.0
+    r11, xy = math.sqrt(xx), oracle_fdot(x, y)
+    z = oracle_faxpy(y, xy / xx, x)
+    r22, r12 = math.sqrt(oracle_fdot(z, z)), xy / r11
+    s_max = (math.hypot(r11 + r22, r12) + math.hypot(r11 - r22, r12)) / 2
+    return s_max, r11 * r22 / s_max
+
+
+def oracle_pair_angles(a1, a2, b1, b2):
+    m11, m12 = oracle_fdot(a1, b1), oracle_fdot(a1, b2)
+    m21, m22 = oracle_fdot(a2, b1), oracle_fdot(a2, b2)
+    E, F, G, H = (m11 + m22) / 2, (m11 - m22) / 2, (m21 + m12) / 2, (m21 - m12) / 2
+    Q, R = math.hypot(E, H), math.hypot(F, G)
+    half = (math.atan2(H, E) - math.atan2(G, F)) / 2
+    cq, sq = math.cos(half), math.sin(half)
+    s_max, s_min = oracle_residual_svals(oracle_fsub(b1, a1, m11, a2, m21),
+                                         oracle_fsub(b2, a1, m12, a2, m22))
+    c1, c2 = Q + R, abs(Q - R)
+    return (math.atan2(min(s_min, 1.0), min(c1, 1.0)),
+            math.atan2(min(s_max, 1.0), min(c2, 1.0)),
+            (cq * b1[0] - sq * b2[0], cq * b1[1] - sq * b2[1],
+             cq * b1[2] - sq * b2[2], cq * b1[3] - sq * b2[3]),
+            (sq * b1[0] + cq * b2[0], sq * b1[1] + cq * b2[1],
+             sq * b1[2] + cq * b2[2], sq * b1[3] + cq * b2[3]))
+
+
+def oracle_wedge(u, v):
+    return [u[0] * v[1] - u[1] * v[0], u[0] * v[2] - u[2] * v[0], u[0] * v[3] - u[3] * v[0],
+            u[1] * v[2] - u[2] * v[1], u[1] * v[3] - u[3] * v[1], u[2] * v[3] - u[3] * v[2]]
+
+
+def oracle_hodge(b):
+    return [b[5], -b[4], b[3], b[2], -b[1], b[0]]
+
+
+def oracle_complement(a1, a2):
+    d = [1.0 - (a1[i] * a1[i] + a2[i] * a2[i]) for i in range(4)]
+    k = d.index(max(d))
+    x = oracle_fsub(E[k].tolist(), a1, a1[k], a2, a2[k])
+    x = oracle_fsub(x, a1, oracle_fdot(a1, x), a2, oracle_fdot(a2, x))
+    n1 = oracle_fdiv(x, math.sqrt(oracle_fdot(x, x)))
+    p12, p13, p14, p23, p24, p34 = oracle_wedge(a1, a2)
+    c1, c2, c3, c4 = n1
+    n2 = [-(p23 * c4 - p24 * c3 + p34 * c2), p13 * c4 - p14 * c3 + p34 * c1,
+          -(p12 * c4 - p14 * c2 + p24 * c1), p12 * c3 - p13 * c2 + p23 * c1]
+    return n1, oracle_fdiv(n2, math.sqrt(oracle_fdot(n2, n2)))
+
+
+def oracle_principal_angles(V, W):
+    theta1, theta2, d1, d2 = oracle_pair_angles(W.b1, W.b2, V.b1, V.b2)
+    if abs(theta2 - theta1) < DEGENERATE_TOL:
+        return PrincipalAngles(theta1, theta2, V.b1, V.b2, degenerate=True)
+    d1, d2 = (d if max(d, key=abs) >= 0 else tuple(-v for v in d) for d in (d1, d2))
+    return PrincipalAngles(theta1, theta2, d1, d2)
+
+
+def oracle_bivector_angles(V, W):
+    ev, ew = oracle_wedge(V.b1, V.b2), oracle_wedge(W.b1, W.b2)
+    c, cp = (functools.reduce(operator.add, map(operator.mul, ev, w), 0)
+             for w in (ew, oracle_hodge(ew)))
+    return math.acos(min(max(c, -1.0), 1.0)), math.acos(min(max(cp, -1.0), 1.0))
+
+
+def exact(x):
+    """x with every float as its ``float.hex`` and every value tagged by its type."""
+    if type(x) is float:
+        return x.hex()
+    if type(x) in (tuple, list):
+        return type(x).__name__, [exact(v) for v in x]
+    if type(x) in (PrincipalAngles, Plane):
+        return type(x).__name__, [exact(getattr(x, f.name)) for f in dataclasses.fields(x)]
+    return type(x).__name__, x
+
+
+def assert_views_keep_the_oracles_bits(pairs):
+    """Each view on each pair (V, W), in both orders and against W's
+    complement, as the oracle gives it, float by float and type by type; a
+    degenerate view hands back its first plane's frame tuples themselves."""
+    for V, W in pairs:
+        N = orthogonal_complement(W)
+        assert exact(N) == exact(Plane._orthonormal(*oracle_complement(W.b1, W.b2), W.oriented))
+        for X, Y in ((V, W), (W, V), (V, N), (N, V)):
+            pa = principal_angles(X, Y)
+            assert exact(pa) == exact(oracle_principal_angles(X, Y)), (X, Y)
+            if pa.degenerate:
+                assert pa.v1 is X.b1 and pa.v2 is X.b2
+            assert exact(plane_angles_via_bivectors(X, Y)) == exact(oracle_bivector_angles(X, Y))
+
+
+def slack_planes(rng, n):
+    """n planes whose frames are orthonormal only to about 2e-13."""
+    A = np.stack([random_plane(rng).frame() for _ in range(n)])
+    A += rng.uniform(-2e-13, 2e-13, A.shape)
+    return [Plane(a[:, 0], a[:, 1]) for a in A]
+
+
+@pytest.mark.parametrize("frames", ["strata", "axes", "slack-2e-13", "planted"])
+def test_the_one_pair_views_keep_the_oracles_bits(frames):
+    if frames == "strata":
+        pairs, _ = stratified_pairs(np.random.default_rng(7), 2000)
+    elif frames == "axes":
+        # each axis frame against itself (a residual of exact zeros), its
+        # complement and PI12 (ties of the complement's pivot)
+        planes = [Plane(a[:, 0], a[:, 1]) for a in axis_frames()]
+        pairs = [(P, Q) for P in planes for Q in (P, orthogonal_complement(P), PI12)]
+    elif frames == "slack-2e-13":
+        planes = slack_planes(np.random.default_rng(47), 2000)
+        pairs = list(zip(planes[::2], planes[1::2]))
+    else:
+        pairs = [planes_with_angles(*t) for t in ((0.0, 0.0), (math.pi / 2, math.pi / 2),
+                                                  (1e-5, 2e-5))]
+    assert_views_keep_the_oracles_bits(pairs)
+
+
+def test_the_one_pair_views_touch_no_numpy(monkeypatch):
+    # the planes are built first; the views themselves run on floats only
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"a one-pair view called numpy.{name}")
+
+    pairs, _ = stratified_pairs(np.random.default_rng(53), 5)
+    pairs += [planes_with_angles(0.0, 0.0), (PI12, PI34)]
+    monkeypatch.setattr(grassmann, "np", NoNumpy())
+    for V, W in pairs:
+        for X, Y in ((V, W), (V, orthogonal_complement(W))):
+            principal_angles(X, Y)
+            plane_angles_via_bivectors(X, Y)
