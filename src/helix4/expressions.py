@@ -25,25 +25,32 @@ _TOKEN_RE = re.compile(r"""
   | (?P<ws>\s+)
 """, re.VERBOSE)
 
+# name -> (numpy function, derivative rule): the rule builds f'(a) for a call
+# f(a) at span sp, so an error in the derivative points at the call
 _FUNCTIONS = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "tan": np.tan,
-    "exp": np.exp,
-    "sqrt": np.sqrt,
+    "sin": (np.sin, lambda a, sp: Expr.call("cos", a, sp)),
+    "cos": (np.cos, lambda a, sp: Expr.neg(Expr.call("sin", a, sp), sp)),
+    "tan": (np.tan, lambda a, sp: Expr.binary("/", Expr.num(1, sp), Expr.binary(
+        "^", Expr.call("cos", a, sp), Expr.num(2, sp), sp), sp)),
+    "exp": (np.exp, lambda a, sp: Expr.call("exp", a, sp)),
+    "sqrt": (np.sqrt, lambda a, sp: Expr.binary("/", Expr.num(0.5, sp),
+                                                Expr.call("sqrt", a, sp), sp)),
 }
 
 
-class ParseError(ValueError):
+class _SpanError(Exception):
+    """An error at byte offset ``span`` of the source."""
     def __init__(self, message: str, span: int):
         super().__init__(f"{message} (at offset {span})")
         self.span = span
 
 
-class EvalError(ArithmeticError):
-    def __init__(self, message: str, span: int):
-        super().__init__(f"{message} (at offset {span})")
-        self.span = span
+class ParseError(_SpanError, ValueError):
+    pass
+
+
+class EvalError(_SpanError, ArithmeticError):
+    pass
 
 
 @dataclass(frozen=True)
@@ -149,7 +156,7 @@ class Expr:
             v = self.args[0]._eval(x, y, bad)
             if self.name == "sqrt":
                 self._check(v < 0, bad, lambda: f"sqrt of negative value {float(v):.6g}")
-            r = _FUNCTIONS[self.name](v)
+            r = _FUNCTIONS[self.name][0](v)
             # as in math: a NaN result from a non-NaN argument is a domain
             # error, an infinite one from a finite argument a range error
             self._check(np.isnan(r) & ~np.isnan(v) | np.isinf(r) & np.isfinite(v), bad,
@@ -186,43 +193,21 @@ class Expr:
             return Expr.neg(self.args[0].diff(var), sp)
         if k in "+-":
             return Expr.binary(k, self.args[0].diff(var), self.args[1].diff(var), sp)
-        if k == "*":
+        if k in "*/":   # a'b + ab', or (a'b - ab') / b^2
             a, b = self.args
-            return Expr.binary("+",
-                               Expr.binary("*", a.diff(var), b, sp),
-                               Expr.binary("*", a, b.diff(var), sp), sp)
-        if k == "/":
-            a, b = self.args
-            num = Expr.binary("-",
-                              Expr.binary("*", a.diff(var), b, sp),
-                              Expr.binary("*", a, b.diff(var), sp), sp)
-            return Expr.binary("/", num, Expr.binary("^", b, Expr.num(2, sp), sp), sp)
+            d = Expr.binary("+" if k == "*" else "-", Expr.binary("*", a.diff(var), b, sp),
+                            Expr.binary("*", a, b.diff(var), sp), sp)
+            return d if k == "*" else Expr.binary("/", d, Expr.binary(
+                "^", b, Expr.num(2, sp), sp), sp)
         if k == "^":
             a, b = self.args
-            if b.kind == "num":
-                # d/dv a^n = n a^(n-1) a'
-                return Expr.binary("*",
-                                   Expr.binary("*", b, Expr.binary(
-                                       "^", a, Expr.num(b.value - 1, sp), sp), sp),
-                                   a.diff(var), sp)
+            if b.kind == "num":   # d/dv a^n = n a^(n-1) a'
+                return Expr.binary("*", Expr.binary("*", b, Expr.binary(
+                    "^", a, Expr.num(b.value - 1, sp), sp), sp), a.diff(var), sp)
             raise ParseError("derivative of a^b needs a constant exponent", sp)
         if k == "call":
             a = self.args[0]
-            da = a.diff(var)
-            if self.name == "sin":
-                outer = Expr.call("cos", a, sp)
-            elif self.name == "cos":
-                outer = Expr.neg(Expr.call("sin", a, sp), sp)
-            elif self.name == "tan":
-                outer = Expr.binary("/", Expr.num(1, sp), Expr.binary(
-                    "^", Expr.call("cos", a, sp), Expr.num(2, sp), sp), sp)
-            elif self.name == "exp":
-                outer = Expr.call("exp", a, sp)
-            elif self.name == "sqrt":
-                outer = Expr.binary("/", Expr.num(0.5, sp), Expr.call("sqrt", a, sp), sp)
-            else:  # pragma: no cover - the parser only admits known names
-                raise ParseError(f"unknown function {self.name}", sp)
-            return Expr.binary("*", outer, da, sp)
+            return Expr.binary("*", _FUNCTIONS[self.name][1](a, sp), a.diff(var), sp)
         raise AssertionError(k)
 
     def variables(self) -> set[str]:
@@ -287,31 +272,23 @@ class _Parser:
         return self.next()
 
     def parse(self) -> Expr:
-        e = self.sum()
+        e = self.binary()
         kind, text, pos = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected {text!r}", pos)
         return e
 
-    def sum(self) -> Expr:
-        e = self.product()
+    def binary(self, level: int = 0) -> Expr:
+        """Left-associative ``+ -`` (level 0) or ``* /`` (level 1); each
+        operand is the next level down, a unary one at level 1."""
+        e = op = None
         while True:
-            kind, text, pos = self.peek()
-            if kind == "op" and text in "+-":
-                self.next()
-                e = Expr.binary(text, e, self.product(), pos)
-            else:
+            operand = self.binary(1) if level == 0 else self.unary()
+            e = operand if op is None else Expr.binary(op, e, operand, pos)
+            kind, op, pos = self.peek()
+            if kind != "op" or op not in ("+-", "*/")[level]:
                 return e
-
-    def product(self) -> Expr:
-        e = self.unary()
-        while True:
-            kind, text, pos = self.peek()
-            if kind == "op" and text in "*/":
-                self.next()
-                e = Expr.binary(text, e, self.unary(), pos)
-            else:
-                return e
+            self.next()
 
     def unary(self) -> Expr:
         kind, text, pos = self.peek()
@@ -335,14 +312,14 @@ class _Parser:
         if kind == "name":
             if text in _FUNCTIONS:
                 self.expect_op("(")
-                arg = self.sum()
+                arg = self.binary()
                 self.expect_op(")")
                 return Expr.call(text, arg, pos)
             if text in ("x", "y"):
                 return Expr.var(text, pos)
             raise ParseError(f"unknown identifier {text!r}", pos)
         if kind == "op" and text == "(":
-            e = self.sum()
+            e = self.binary()
             self.expect_op(")")
             return e
         raise ParseError(f"unexpected {text!r}" if text else "unexpected end of input",

@@ -52,6 +52,7 @@ BASES = [
 ]
 
 BAD_EXPRESSIONS = ["x +", "sqrt(-1)", "1/0", "exp(1e3*x)", "log(x - 5)", "y(x)", "x^0.5"]
+FUNCTIONS = ["sin", "cos", "tan", "exp", "sqrt"]
 VALUES = [2 ** 63, 2 ** 70, 1e78, 1e200, 1e308, -0.0, "", [], {}, True, *BAD_EXPRESSIONS]
 
 # --theta1/--theta2 values: zero, the smallest subnormal, angles whose tan
@@ -65,6 +66,22 @@ ANGLE_COMMANDS = [["deform"],
 EXIT_CODES = {0, 2, 3, 4, 5}
 SEED_VALUE = 20231
 CASES = 300
+
+
+def grammar_source(rng, depth, names="xy"):
+    """A random expression over the whole grammar: the five functions,
+    ``+ - * / ^`` without brackets (so precedence and associativity decide),
+    unary minus, parentheses, the variables ``names`` and the literals 0, 1,
+    0.5 and 1e-3, which constant folding looks for."""
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice([*names, "0", "1", "0.5", "1e-3"])
+    form = rng.randrange(5)
+    sub = grammar_source(rng, depth - 1, names)
+    if form < 2:
+        return f"{sub} {rng.choice('+-*/^')} {grammar_source(rng, depth - 1, names)}"
+    if form == 2:
+        return f"{rng.choice(FUNCTIONS)}({sub})"
+    return f"-{sub}" if form == 3 else f"({sub})"
 
 
 def paths(node, prefix=()):
