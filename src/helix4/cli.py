@@ -732,6 +732,10 @@ def main(argv=None) -> int:
     except (ParseError, EvalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except RecursionError:   # its text names no input, and where it trips varies
+        print("error: input is nested too deeply (an expression or a JSON value)",
+              file=sys.stderr)
+        return EXIT_PARSE
     except (ImmersionError, hc.SolverHalt) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

@@ -148,6 +148,11 @@ COMMANDS = [
                   "phi": "x^2 - 0.18104267892575457*x", "psi": "x + 1.2881855960876407"}),
     # phi'' = 2 curvature vanishes for every seed: refused before the seed scan
     ("construct-zero-curvature", ["construct", *THETAS, "--curvature", "0"], None),
+    # an expression and a plane nested deeper than the stack: one fixed line
+    _with_config("verify-graph-nested-too-deep", ["verify"],
+                 {"graph": {"f": "(" * 2000 + "x" + ")" * 2000, "g": "y"}}),
+    ("angles-v-nested-too-deep", ["angles", "--v", "[" * 2000 + "]" * 2000,
+                                  "--w", json.dumps(P12)], None),
 ]
 
 

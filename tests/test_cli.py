@@ -255,6 +255,33 @@ def test_verify_bad_expression_span(tmp_path, capsys):
     assert "offset 3" in err
 
 
+NESTED_X = "(" * 2000 + "x" + ")" * 2000
+LONG_SUM = "+".join(["x"] * 5000)
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["verify"], {"graph": {"f": NESTED_X, "g": "y"}}),
+    (["verify"], {"graph": {"f": LONG_SUM, "g": "y"}}),
+    (["construct"], {"c1": 10 / 3, "phi": LONG_SUM, "psi": "x + 1"}),
+    (["construct"], {"c1": 10 / 3, "phi": "x^2", "psi": NESTED_X}),
+    (["verify"], "[" * 100000 + "]" * 100000),
+    (["angles", "--v", "[" * 5000 + "]" * 5000, "--w", PLANE_12], None),
+    (["construct", "--theta1", "0.5", "--theta2", "1.0", "--seed", "[" * 5000 + "]" * 5000],
+     None),
+], ids=["verify-f-nested", "verify-f-long-sum", "construct-phi-long-sum",
+        "construct-psi-nested", "verify-config-nested", "angles-v-nested", "seed-nested"])
+def test_input_nested_past_the_stack_exits_2_with_one_fixed_line(tmp_path, capsys, argv,
+                                                                 config):
+    # a RecursionError, from the parser, a derivative or the JSON decoder,
+    # gives one line that does not depend on where the stack ran out
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config if isinstance(config, str) else json.dumps(config))
+        argv = [*argv, "--config", str(cfg)]
+    assert run(capsys, *argv) == (
+        EXIT_PARSE, "", "error: input is nested too deeply (an expression or a JSON value)\n")
+
+
 @pytest.mark.parametrize("command", ["verify", "example"])
 def test_explicit_gate_zero_is_kept(tmp_path, capsys, command):
     cfg = tmp_path / "cfg.json"
