@@ -2,8 +2,8 @@
 
 Modules:
 
-- ``grassmann``: 2-planes, principal angles, bivectors, Hodge splitting, and
-  the per-plane Gauss-map coordinates.
+- ``grassmann``: 2-planes, principal angles of one pair or of stacks of
+  pairs, orthogonal complements, bivectors and the Hodge splitting.
 - ``surface_analysis``: surface jets, graph surfaces, fundamental forms,
   adapted frames, structure-equation residuals, sphere and
   parallel-mean-curvature tests, and the composition criterion.

@@ -1,10 +1,11 @@
 """A seeded fuzzer over the CLI's JSON configs: valid documents, each mutated
 by deleting a key, swapping in a value from a fixed table or adding an
-unknown key, at any depth; and every ordered pair of a table of extreme
-values for the --theta1/--theta2 flags.  Whatever the input, a command exits
-with a documented code, writes at most one ``error:`` line and no traceback
-or warning to stderr, and leaves stdout empty or one JSON document.
-Standard library only."""
+unknown key, at any depth; random expressions of the whole grammar, whole
+or one character short, in every expression slot; and every ordered pair of
+a table of extreme values for the --theta1/--theta2 flags.  Whatever the
+input, a command exits with a documented code, writes at most one ``error:``
+line and no traceback or warning to stderr, and leaves stdout empty or one
+JSON document.  Standard library only."""
 
 import contextlib
 import copy
@@ -51,7 +52,10 @@ BASES = [
     ("construct", {"c1": C1, **WINDOW, "branch": -1}),
 ]
 
-BAD_EXPRESSIONS = ["x +", "sqrt(-1)", "1/0", "exp(1e3*x)", "log(x - 5)", "y(x)", "x^0.5"]
+# nested past the stack: 2,000 parentheses and a 5,000-term sum
+DEEP_EXPRESSIONS = ["(" * 2000 + "x" + ")" * 2000, "+".join(["x"] * 5000)]
+BAD_EXPRESSIONS = ["x +", "sqrt(-1)", "1/0", "exp(1e3*x)", "log(x - 5)", "y(x)", "x^0.5",
+                   *DEEP_EXPRESSIONS]
 FUNCTIONS = ["sin", "cos", "tan", "exp", "sqrt"]
 VALUES = [2 ** 63, 2 ** 70, 1e78, 1e200, 1e308, -0.0, "", [], {}, True, *BAD_EXPRESSIONS]
 
@@ -63,9 +67,19 @@ ANGLE_VALUES = ["0", "5e-324", "1e-300", "1e-200", "1e-160", "1e-8", "0.5", "1.0
 ANGLE_COMMANDS = [["deform"],
                   ["construct", "--hx", "2e-3", "--hy", "2e-3", "--ymax", "0.004"]]
 
+# (command, document, path of an expression in it, its variables): the
+# places where a whole-grammar expression, or one character short of one, goes
+EXPRESSION_SLOTS = [
+    ("verify", {"graph": GRAPH, "grid": [5, 5]}, ("graph", "f"), "xy"),
+    ("verify", {"graph": GRAPH, "grid": [5, 5]}, ("graph", "g"), "xy"),
+    *(("construct", {"c1": C1, **WINDOW, "seed": SEED, "phi": "x^2 - 1.176142304907481*x",
+                     "psi": "x + 1.2179310100632075"}, (key,), "x") for key in ("phi", "psi")),
+]
+
 EXIT_CODES = {0, 2, 3, 4, 5}
 SEED_VALUE = 20231
 CASES = 300
+EXPRESSION_CASES = 200
 
 
 def grammar_source(rng, depth, names="xy"):
@@ -201,4 +215,25 @@ def test_extreme_angle_flags_exit_with_a_documented_code_and_one_line(capfd):
                 if found:
                     failures.append(f"{' '.join(argv)} -> {found}: "
                                     f"{(err or leaked.out).strip().splitlines()[-1:]}")
+    assert not failures, "\n".join(failures)
+
+
+def test_whole_grammar_expressions_exit_with_a_documented_code_and_one_line(tmp_path, capfd):
+    # half the sources lose one character, which mostly makes a syntax error
+    rng = random.Random(SEED_VALUE)
+    failures = []
+    for case in range(EXPRESSION_CASES):
+        command, base, path, names = rng.choice(EXPRESSION_SLOTS)
+        source = grammar_source(rng, rng.randint(1, 4), names)
+        if rng.random() < 0.5:
+            k = rng.randrange(len(source))
+            source = source[:k] + source[k + 1:]
+        document = copy.deepcopy(base)
+        at(document, path[:-1])[path[-1]] = source
+        code, out, err, caught = run(tmp_path, command, document)
+        leaked = capfd.readouterr()
+        found = problems(code, out + leaked.out, err + leaked.err, caught)
+        if found:
+            failures.append(f"case {case}: {command} {'.'.join(path)} = {source!r} -> {found}: "
+                            f"{(err or leaked.out).strip().splitlines()[-1:]} {caught[:1]}")
     assert not failures, "\n".join(failures)

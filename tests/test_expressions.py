@@ -383,7 +383,8 @@ def _corpus(name: str) -> list:
     if name == "hand":
         return HAND_SOURCES
     if name == "prefixes":
-        return [src[:k] for src in HAND_SOURCES for k in range(len(src))]
+        return [src[:k] for src in HAND_SOURCES if src not in test_config_fuzz.DEEP_EXPRESSIONS
+                for k in range(len(src))]
     rng = random.Random(4417)
     return [test_config_fuzz.grammar_source(rng, 5) for _ in range(500)]
 
